@@ -58,24 +58,24 @@ func benchEngines(b *testing.B, qsrc string, baseline bool) {
 		})
 	}
 	b.Run("HyPE", func(b *testing.B) {
-		e := smoqe.NewEngine(m)
+		e := smoqe.PrepareMFA(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Eval(doc.Root)
+			evalWith(b, e, doc.Root, smoqe.EvalOptions{})
 		}
 	})
 	b.Run("OptHyPE", func(b *testing.B) {
-		e := smoqe.NewOptEngine(m, smoqe.BuildIndex(doc, false))
+		e, opts := smoqe.PrepareMFA(m), smoqe.EvalOptions{Index: smoqe.BuildIndex(doc, false)}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Eval(doc.Root)
+			evalWith(b, e, doc.Root, opts)
 		}
 	})
 	b.Run("OptHyPE-C", func(b *testing.B) {
-		e := smoqe.NewOptEngine(m, smoqe.BuildIndex(doc, true))
+		e, opts := smoqe.PrepareMFA(m), smoqe.EvalOptions{Index: smoqe.BuildIndex(doc, true)}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Eval(doc.Root)
+			evalWith(b, e, doc.Root, opts)
 		}
 	})
 }
@@ -107,10 +107,10 @@ func BenchmarkGalaxStandin(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(nq.Name+"/HyPE", func(b *testing.B) {
-			e := smoqe.NewEngine(m)
+			e := smoqe.PrepareMFA(m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Eval(doc.Root)
+				evalWith(b, e, doc.Root, smoqe.EvalOptions{})
 			}
 		})
 	}
@@ -127,10 +127,10 @@ func BenchmarkLinearScaling(b *testing.B) {
 	for _, patients := range []int{1000, 2000, 4000} {
 		doc := benchDoc(b, patients)
 		b.Run(fmt.Sprintf("patients=%d", patients), func(b *testing.B) {
-			e := smoqe.NewEngine(m)
+			e := smoqe.PrepareMFA(m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Eval(doc.Root)
+				evalWith(b, e, doc.Root, smoqe.EvalOptions{})
 			}
 		})
 	}
@@ -169,10 +169,10 @@ func BenchmarkAnswerOnView(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("rewritten-HyPE", func(b *testing.B) {
-		e := smoqe.NewEngine(m)
+		e := smoqe.PrepareMFA(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Eval(doc.Root)
+			evalWith(b, e, doc.Root, smoqe.EvalOptions{})
 		}
 	})
 	b.Run("materialize-and-query", func(b *testing.B) {
@@ -264,21 +264,21 @@ func BenchmarkBatchEvaluation(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("merged-single-pass", func(b *testing.B) {
-		e := smoqe.NewEngine(merged)
+		e := smoqe.PrepareMFA(merged)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.EvalTagged(doc.Root)
+			evalWith(b, e, doc.Root, smoqe.EvalOptions{})
 		}
 	})
 	b.Run("separate-passes", func(b *testing.B) {
-		engines := make([]*smoqe.Engine, len(ms))
+		plans := make([]*smoqe.PreparedQuery, len(ms))
 		for i, m := range ms {
-			engines[i] = smoqe.NewEngine(m)
+			plans[i] = smoqe.PrepareMFA(m)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, e := range engines {
-				e.Eval(doc.Root)
+			for _, p := range plans {
+				evalWith(b, p, doc.Root, smoqe.EvalOptions{})
 			}
 		}
 	})

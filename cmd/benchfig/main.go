@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -46,13 +47,12 @@ func main() {
 	galax := flag.Bool("galax", false, "report the Galax-stand-in comparison (§7 in-text)")
 	sizebound := flag.Bool("sizebound", false, "report the Theorem 5.1 size-bound table")
 	blowup := flag.Bool("blowup", false, "report the Corollary 3.3 blow-up table (MFA vs explicit Xreg)")
-	compiled := flag.Bool("compiled", false, "report compiled (subset-DFA) vs interpreted evaluation")
 	all := flag.Bool("all", false, "run every experiment")
 	flag.Parse()
 
 	h := &harness{unit: *unit, steps: *steps, runs: *runs}
 
-	specific := *fig != "" || *pruning || *galax || *sizebound || *blowup || *compiled
+	specific := *fig != "" || *pruning || *galax || *sizebound || *blowup
 	runAll := *all || !specific
 
 	if runAll || *fig != "" {
@@ -78,9 +78,6 @@ func main() {
 	}
 	if runAll || *blowup {
 		h.runBlowup()
-	}
-	if runAll || *compiled {
-		h.runCompiled()
 	}
 }
 
@@ -171,12 +168,10 @@ func (h *harness) runFigure(id string) error {
 			tp := twopass.MustNew(q)
 			times = append(times, h.time(func() { answers = len(tp.Eval(doc.Root)) }))
 		}
-		hy := smoqe.NewEngine(m)
-		times = append(times, h.time(func() { answers = len(hy.Eval(doc.Root)) }))
-		op := smoqe.NewOptEngine(m, idx)
-		times = append(times, h.time(func() { answers = len(op.Eval(doc.Root)) }))
-		opc := smoqe.NewOptEngine(m, idxC)
-		times = append(times, h.time(func() { answers = len(opc.Eval(doc.Root)) }))
+		p := smoqe.PrepareMFA(m)
+		for _, opts := range []smoqe.EvalOptions{{}, {Index: idx}, {Index: idxC}} {
+			times = append(times, h.time(func() { answers = len(eval(p, doc, opts).Nodes) }))
+		}
 
 		fmt.Printf("  %8.2f %9d", mb, answers)
 		for _, d := range times {
@@ -186,6 +181,17 @@ func (h *harness) runFigure(id string) error {
 	}
 	fmt.Println()
 	return nil
+}
+
+// eval evaluates p at the document root; the experiment queries run
+// without budgets, so any error is fatal.
+func eval(p *smoqe.PreparedQuery, doc *smoqe.Document, opts smoqe.EvalOptions) smoqe.Result {
+	res, err := p.Eval(context.Background(), doc.Root, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchfig:", err)
+		os.Exit(1)
+	}
+	return res
 }
 
 // time reports the best (minimum) duration of fn over h.runs runs, with a
@@ -227,12 +233,9 @@ func (h *harness) runPruning() {
 			fmt.Fprintln(os.Stderr, "benchfig:", err)
 			return
 		}
-		hy := smoqe.NewEngine(m)
-		hy.Eval(doc.Root)
-		ph := 100 * float64(total-hy.Stats().VisitedElements) / float64(total)
-		op := smoqe.NewOptEngine(m, idx)
-		op.Eval(doc.Root)
-		po := 100 * float64(total-op.Stats().VisitedElements) / float64(total)
+		p := smoqe.PrepareMFA(m)
+		ph := 100 * float64(total-eval(p, doc, smoqe.EvalOptions{}).Stats.VisitedElements) / float64(total)
+		po := 100 * float64(total-eval(p, doc, smoqe.EvalOptions{Index: idx}).Stats.VisitedElements) / float64(total)
 		sumH += ph
 		sumO += po
 		fmt.Printf("  %-6s %11.1f%% %11.1f%%\n", nq.Name, ph, po)
@@ -262,8 +265,8 @@ func (h *harness) runGalax() {
 		for _, step := range []int{0, h.steps - 1} {
 			doc := h.doc(step)
 			tRef := h.time(func() { xqsim.Eval(q, doc.Root) })
-			eng := smoqe.NewEngine(m)
-			tHype := h.time(func() { eng.Eval(doc.Root) })
+			p := smoqe.PrepareMFA(m)
+			tHype := h.time(func() { eval(p, doc, smoqe.EvalOptions{}) })
 			fmt.Printf("  %-6s %9.2f %11.4fs %11.4fs %7.1fx\n",
 				nq.Name, float64(doc.XMLSize())/(1<<20), tRef.Seconds(), tHype.Seconds(),
 				tRef.Seconds()/tHype.Seconds())
@@ -277,8 +280,8 @@ func (h *harness) runGalax() {
 		q := nq.Query
 		m, _ := smoqe.Compile(q)
 		tRef := h.time(func() { xqsim.Eval(q, small.Root) })
-		eng := smoqe.NewEngine(m)
-		tHype := h.time(func() { eng.Eval(large.Root) })
+		p := smoqe.PrepareMFA(m)
+		tHype := h.time(func() { eval(p, large, smoqe.EvalOptions{}) })
 		verdict := "stand-in slower (paper shape holds)"
 		if tRef <= tHype {
 			verdict = "stand-in faster (gap below Galax's interpretive constant)"
@@ -348,45 +351,6 @@ func (h *harness) runBlowup() {
 			return
 		}
 		fmt.Printf("  %3d %6d %8d %16s\n", k, len(v.Target.Types()), m.Size(), extracted)
-	}
-	fmt.Println()
-}
-
-// runCompiled compares the compiled evaluation layer (lazy subset DFA over
-// the selecting NFA + bitset AFAs) against the interpreted NFA simulation,
-// on the pointer path and the columnar path, for every example query. The
-// two modes make identical decisions (same answers, same Stats), so the
-// ratio isolates the per-node cost of set simulation vs one cached DFA
-// transition.
-func (h *harness) runCompiled() {
-	doc := h.doc(min(2, h.steps-1))
-	cd := smoqe.BuildColumnar(doc)
-	fmt.Printf("Compiled evaluation: lazy subset DFA + bitset AFAs vs interpreted\n")
-	fmt.Printf("  document: %.2f MB\n", float64(doc.XMLSize())/(1<<20))
-	fmt.Printf("  %-6s %11s %11s %8s %11s %11s %8s\n",
-		"query", "ptr-interp", "ptr-comp", "speedup", "col-interp", "col-comp", "speedup")
-	queries := append(hospital.XPathQueries(), hospital.RegularXPathQueries()...)
-	for _, nq := range queries {
-		m, err := smoqe.Compile(nq.Query)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchfig:", err)
-			return
-		}
-		pi := smoqe.NewEngine(m)
-		pi.SetCompiled(false)
-		tPI := h.time(func() { pi.Eval(doc.Root) })
-		pc := smoqe.NewEngine(m)
-		tPC := h.time(func() { pc.Eval(doc.Root) })
-		ci := smoqe.NewEngine(m)
-		ci.SetCompiled(false)
-		bi := ci.BindColumnar(cd)
-		tCI := h.time(func() { ci.EvalColumnar(bi) })
-		cc := smoqe.NewEngine(m)
-		bc := cc.BindColumnar(cd)
-		tCC := h.time(func() { cc.EvalColumnar(bc) })
-		fmt.Printf("  %-6s %10.4fs %10.4fs %7.2fx %10.4fs %10.4fs %7.2fx\n",
-			nq.Name, tPI.Seconds(), tPC.Seconds(), tPI.Seconds()/tPC.Seconds(),
-			tCI.Seconds(), tCC.Seconds(), tCI.Seconds()/tCC.Seconds())
 	}
 	fmt.Println()
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -112,22 +113,21 @@ func runExplain(w io.Writer, qsrc string, v *smoqe.View, doc *smoqe.Document, en
 		return nil
 	}
 
-	var eng *smoqe.Engine
+	opts := smoqe.EvalOptions{Trace: max(traceLimit, 1)}
 	switch engine {
 	case "hype":
-		eng = smoqe.NewEngine(m)
 	case "opthype":
-		eng = smoqe.NewOptEngine(m, smoqe.BuildIndex(doc, false))
+		opts.Index = smoqe.BuildIndex(doc, false)
 	case "opthype-c":
-		eng = smoqe.NewOptEngine(m, smoqe.BuildIndex(doc, true))
+		opts.Index = smoqe.BuildIndex(doc, true)
 	default:
 		return fmt.Errorf("explain: unknown engine %q (want hype, opthype or opthype-c)", engine)
 	}
-	limit := traceLimit
-	if limit <= 0 {
-		limit = 1
+	res, err := smoqe.PrepareMFA(m).Eval(context.Background(), doc.Root, opts)
+	if err != nil {
+		return err
 	}
-	nodes, st, tr := eng.EvalTraced(doc.Root, limit)
+	nodes, st, tr := res.Nodes, res.Stats, res.Trace
 	total := doc.ComputeStats().Elements
 	fmt.Fprintf(w, "evaluation (%s):\n", engine)
 	fmt.Fprintf(w, "  %d answer(s)\n", len(nodes))

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	"smoqe"
@@ -182,13 +183,9 @@ func cmdEval(args []string) error {
 	}
 	var err error
 	var nodes []*smoqe.Node
-	var eng *smoqe.Engine
-	var colStats *smoqe.EngineStats
+	var res *smoqe.Result
 	switch *engine {
-	case "columnar":
-		if *parallel != 0 && *parallel != 1 {
-			return fmt.Errorf("eval: -parallel is not supported by the columnar engine (the pass is sequential)")
-		}
+	case "hype", "opthype", "opthype-c", "columnar":
 		m := precompiled
 		if m == nil {
 			compiled, err := smoqe.Compile(q)
@@ -197,64 +194,43 @@ func cmdEval(args []string) error {
 			}
 			m = compiled
 		}
-		if cd == nil {
-			cd = smoqe.BuildColumnar(doc)
+		opts := smoqe.EvalOptions{Workers: workersFlag(*parallel), Limits: limits}
+		switch *engine {
+		case "opthype":
+			opts.Index = smoqe.BuildIndex(doc, false)
+		case "opthype-c":
+			opts.Index = smoqe.BuildIndex(doc, true)
+		case "columnar":
+			if opts.Workers > 0 {
+				return fmt.Errorf("eval: -parallel is not supported by the columnar engine (the pass is sequential)")
+			}
+			if cd == nil {
+				cd = smoqe.BuildColumnar(doc)
+			}
+			opts.Columnar = cd
 		}
-		p := smoqe.PrepareMFA(m)
-		p.SetLimits(limits)
-		ids, st, err := p.EvalColumnarCtx(context.Background(), cd)
+		r, err := smoqe.PrepareMFA(m).Eval(context.Background(), doc.Root, opts)
 		if err != nil {
 			return err
 		}
-		colStats = &st
-		// Map preorder ids back to nodes so -paths prints like every other
-		// engine.
-		byID := make([]*smoqe.Node, 0, doc.NumNodes())
-		doc.Walk(func(n *smoqe.Node) bool {
-			byID = append(byID, n)
-			return true
-		})
-		nodes = make([]*smoqe.Node, len(ids))
-		for i, id := range ids {
-			nodes[i] = byID[id]
+		res = &r
+		nodes = r.Nodes
+		if opts.Columnar != nil {
+			// Map preorder ids back to nodes so -paths prints like every
+			// other engine.
+			byID := make([]*smoqe.Node, 0, doc.NumNodes())
+			doc.Walk(func(n *smoqe.Node) bool {
+				byID = append(byID, n)
+				return true
+			})
+			nodes = make([]*smoqe.Node, len(r.IDs))
+			for i, id := range r.IDs {
+				nodes[i] = byID[id]
+			}
 		}
-	case "hype", "opthype", "opthype-c":
-		m := precompiled
-		if m == nil {
-			compiled, err := smoqe.Compile(q)
-			if err != nil {
-				return err
-			}
-			m = compiled
-		}
-		switch *engine {
-		case "hype":
-			eng = smoqe.NewEngine(m)
-		case "opthype":
-			eng = smoqe.NewOptEngine(m, smoqe.BuildIndex(doc, false))
-		case "opthype-c":
-			eng = smoqe.NewOptEngine(m, smoqe.BuildIndex(doc, true))
-		}
-		eng.SetLimits(limits)
-		if *parallel != 0 && *parallel != 1 {
-			var pst smoqe.ParallelStats
-			nodes, pst, err = eng.EvalParallel(context.Background(), doc.Root, *parallel)
-			if err != nil {
-				return err
-			}
-			if *stats {
-				fmt.Printf("parallel: %d shards on %d workers (%d spine nodes)\n",
-					pst.Shards, pst.Workers, pst.SpineNodes)
-			}
-		} else if limits != (smoqe.EvalLimits{}) {
-			// Budgets need the error-returning path: the legacy Eval form
-			// would silently return an empty answer for an aborted run.
-			nodes, _, err = eng.EvalCtx(context.Background(), doc.Root)
-			if err != nil {
-				return err
-			}
-		} else {
-			nodes = eng.Eval(doc.Root)
+		if opts.Workers > 0 && *stats {
+			fmt.Printf("parallel: %d shards on %d workers (%d spine nodes)\n",
+				r.Shards, r.Workers, r.SpineNodes)
 		}
 	case "ref":
 		if q == nil {
@@ -290,19 +266,26 @@ func cmdEval(args []string) error {
 			fmt.Println(" ", n.Path())
 		}
 	}
-	if *stats && (eng != nil || colStats != nil) {
-		var st smoqe.EngineStats
-		if colStats != nil {
-			st = *colStats
-		} else {
-			st = eng.Stats()
-		}
+	if *stats && res != nil {
+		st := res.Stats
 		total := doc.ComputeStats().Elements
 		fmt.Printf("visited %d of %d elements (%.1f%% pruned), skipped %d subtrees, cans: %d vertices / %d edges, AFA evals: %d\n",
 			st.VisitedElements, total, 100*st.PruneRate(total),
 			st.SkippedSubtrees, st.CansVertices, st.CansEdges, st.AFAEvaluations)
 	}
 	return nil
+}
+
+// workersFlag maps a -parallel flag to EvalOptions.Workers: 0 and 1 mean
+// sequential, negative means GOMAXPROCS.
+func workersFlag(parallel int) int {
+	switch {
+	case parallel < 0:
+		return runtime.GOMAXPROCS(0)
+	case parallel == 1:
+		return 0
+	}
+	return parallel
 }
 
 func cmdRewrite(args []string) error {
@@ -550,19 +533,15 @@ func cmdBatch(args []string) error {
 	if err != nil {
 		return err
 	}
-	eng := smoqe.NewEngine(merged)
-	var results [][]*smoqe.Node
-	if *parallel != 0 && *parallel != 1 {
-		var pst smoqe.ParallelStats
-		results, pst, err = eng.EvalTaggedParallel(context.Background(), doc.Root, *parallel)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("parallel batch pass: %d shards on %d workers\n", pst.Shards, pst.Workers)
-	} else {
-		results = eng.EvalTagged(doc.Root)
+	workers := workersFlag(*parallel)
+	res, err := smoqe.PrepareMFA(merged).Eval(context.Background(), doc.Root, smoqe.EvalOptions{Workers: workers})
+	if err != nil {
+		return err
 	}
-	st := eng.Stats()
+	if workers > 0 {
+		fmt.Printf("parallel batch pass: %d shards on %d workers\n", res.Shards, res.Workers)
+	}
+	results, st := res.Tagged, res.Stats
 	total := doc.ComputeStats().Elements
 	if *stats {
 		// §7-style experiment table: each query also runs on its own
@@ -574,7 +553,11 @@ func cmdBatch(args []string) error {
 			if i < len(results) {
 				n = len(results[i])
 			}
-			_, qst := smoqe.NewEngine(ms[i]).EvalWithStats(doc.Root)
+			qres, err := smoqe.PrepareMFA(ms[i]).Eval(context.Background(), doc.Root, smoqe.EvalOptions{})
+			if err != nil {
+				return err
+			}
+			qst := qres.Stats
 			fmt.Printf("%6d  %8d  %8d  %6.1f%%  %s\n",
 				n, qst.VisitedElements, qst.SkippedSubtrees, 100*qst.PruneRate(total), src)
 		}

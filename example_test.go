@@ -1,6 +1,7 @@
 package smoqe_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,8 +42,12 @@ func ExampleCompile() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := smoqe.NewEngine(m) // HyPE, reusable
-	fmt.Println(len(engine.Eval(doc.Root)), "answers")
+	p := smoqe.PrepareMFA(m) // HyPE plan, reusable from any goroutine
+	res, err := p.Eval(context.Background(), doc.Root, smoqe.EvalOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(len(res.Nodes), "answers")
 	// Output: 1 answers
 }
 

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,10 @@ func main() {
 	st := m.ComputeStats()
 	fmt.Printf("rewritten MFA: %d NFA states, %d AFAs, |M|=%d (no exponential blow-up)\n",
 		st.NFAStates, st.AFACount, st.Size)
-	answers := smoqe.NewEngine(m).Eval(doc.Root)
+	plan := smoqe.PrepareMFA(m)
+	res, err := plan.Eval(context.Background(), doc.Root, smoqe.EvalOptions{})
+	check(err)
+	answers := res.Nodes
 	fmt.Printf("rewriting route: %d answer(s)\n", len(answers))
 	for _, n := range answers {
 		fmt.Printf("    %s (%s)\n", n.Path(), pname(n))
@@ -79,7 +83,9 @@ func main() {
 			"[*//diagnosis/text()='heart disease']")
 	check(err)
 	leaked := smoqe.EvalReference(naive, edoc.Root)
-	correct := smoqe.NewEngine(m).Eval(edoc.Root)
+	res, err = plan.Eval(context.Background(), edoc.Root, smoqe.EvalOptions{})
+	check(err)
+	correct := res.Nodes
 	fmt.Printf("naive '//' rewriting on Eve's record: %d answer(s)  <- LEAK (her sibling is private)\n", len(leaked))
 	fmt.Printf("MFA rewriting on Eve's record:        %d answer(s)  <- correct\n", len(correct))
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -40,19 +41,25 @@ func main() {
 	}
 
 	// HyPE.
-	engine := smoqe.NewEngine(m)
+	plan := smoqe.PrepareMFA(m)
 	start := time.Now()
-	res := engine.Eval(doc.Root)
+	hres, err := plan.Eval(context.Background(), doc.Root, smoqe.EvalOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	tHype := time.Since(start)
-	es := engine.Stats()
+	res, es := hres.Nodes, hres.Stats
 	fmt.Printf("HyPE:      %4d matches in %8.3fms (visited %d/%d elements, %d subtrees pruned)\n",
 		len(res), ms(tHype), es.VisitedElements, st.Elements, es.SkippedSubtrees)
 
 	// OptHyPE with the subtree index.
 	idx := smoqe.BuildIndex(doc, true)
-	opt := smoqe.NewOptEngine(m, idx)
 	start = time.Now()
-	res2 := opt.Eval(doc.Root)
+	ores, err := plan.Eval(context.Background(), doc.Root, smoqe.EvalOptions{Index: idx})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res2 := ores.Nodes
 	tOpt := time.Since(start)
 	fmt.Printf("OptHyPE-C: %4d matches in %8.3fms (index: %d labels, %d distinct sets)\n",
 		len(res2), ms(tOpt), idx.NumLabels(), idx.DistinctSets())

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -55,7 +56,9 @@ func main() {
 	m, err := smoqe.Rewrite(sigma0, q)
 	check(err)
 	start = time.Now()
-	viaRewrite := smoqe.NewEngine(m).Eval(doc.Root)
+	res, err := smoqe.PrepareMFA(m).Eval(context.Background(), doc.Root, smoqe.EvalOptions{})
+	check(err)
+	viaRewrite := res.Nodes
 	tRewriteEval := time.Since(start)
 
 	fmt.Printf("\nquery: %s\n", q)

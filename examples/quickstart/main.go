@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,11 +50,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := smoqe.NewEngine(m)
-	nodes := engine.Eval(tree.Root)
-	st := engine.Stats()
+	plan := smoqe.PrepareMFA(m)
+	res, err := plan.Eval(context.Background(), tree.Root, smoqe.EvalOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	st := res.Stats
 	fmt.Printf("%s -> %d node(s); visited %d elements, skipped %d subtrees, cans %d vertices\n",
-		q, len(nodes), st.VisitedElements, st.SkippedSubtrees, st.CansVertices)
+		q, len(res.Nodes), st.VisitedElements, st.SkippedSubtrees, st.CansVertices)
 }
 
 func show(tree *smoqe.Document, query string) {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -64,7 +65,9 @@ func main() {
 	fmt.Printf("automaton over the research view: |M| = %d\n", m2.Size())
 	fmt.Printf("automaton over the source:        |M| = %d\n", m.Size())
 
-	answers := smoqe.NewEngine(m).Eval(doc.Root)
+	res, err := smoqe.PrepareMFA(m).Eval(context.Background(), doc.Root, smoqe.EvalOptions{})
+	check(err)
+	answers := res.Nodes
 	fmt.Printf("answers on the source document: %d patient(s)\n", len(answers))
 	for _, n := range answers {
 		fmt.Printf("    %s\n", n.Path())
@@ -96,8 +99,9 @@ func main() {
 		check(err)
 		hm, err := smoqe.RewriteMFA(sigma1, hm2)
 		check(err)
-		res := smoqe.NewEngine(hm).Eval(doc.Root)
-		fmt.Printf("hidden query %-12q through the stack: %d answer(s)\n", hidden, len(res))
+		res, err := smoqe.PrepareMFA(hm).Eval(context.Background(), doc.Root, smoqe.EvalOptions{})
+		check(err)
+		fmt.Printf("hidden query %-12q through the stack: %d answer(s)\n", hidden, len(res.Nodes))
 	}
 }
 

@@ -29,7 +29,7 @@ func evalCorpus(t *testing.T, c *Collection, query string) string {
 		if d.Tree == nil {
 			t.Fatalf("%s: indexed without tree", d.Name)
 		}
-		ids := xmltree.IDsOf(eng.Eval(d.Tree.Root))
+		ids := xmltree.IDsOf(hypeEval(eng, d.Tree.Root))
 		fmt.Fprintf(&sb, "%s:%v\n", d.Name, ids)
 	}
 	return sb.String()
@@ -165,4 +165,15 @@ func TestChaosCrashRecovery(t *testing.T) {
 			t.Logf("stray temp file %s survived the chaos (recovery ignores it)", de.Name())
 		}
 	}
+}
+
+// hypeEval is a sequential, unlimited HyPE evaluation's answer set. Such a
+// run has no budget to exceed and a context that is never done, so it
+// cannot fail.
+func hypeEval(e *hype.Engine, n *xmltree.Node) []*xmltree.Node {
+	res, err := e.Eval(context.Background(), n, hype.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return res.Nodes
 }

@@ -139,8 +139,8 @@ func TestBibliographyDomain(t *testing.T) {
 		}
 		for name, got := range map[string][]*xmltree.Node{
 			"mfa":     mfa.Eval(m, doc.Root),
-			"hype":    hype.New(m).Eval(doc.Root),
-			"opthype": hype.NewOpt(m, idx).Eval(doc.Root),
+			"hype":    hypeEval(t, hype.New(m), doc.Root),
+			"opthype": hypeEval(t, hype.NewOpt(m, idx), doc.Root),
 		} {
 			if len(got) != len(want) {
 				t.Fatalf("query %q (%s): %d vs %d source nodes", qsrc, name, len(got), len(want))
@@ -166,7 +166,7 @@ func TestBibliographySecurity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", qsrc, err)
 		}
-		if got := hype.New(m).Eval(doc.Root); len(got) != 0 {
+		if got := hypeEval(t, hype.New(m), doc.Root); len(got) != 0 {
 			t.Errorf("query %q reached %d hidden nodes", qsrc, len(got))
 		}
 	}

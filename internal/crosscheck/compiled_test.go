@@ -3,12 +3,13 @@ package crosscheck_test
 // The compiled-layer equivalence properties: the lazy subset-automaton /
 // bitset-AFA evaluation is a pure replay of the interpreted decision
 // procedure, so on ANY automaton — compiled directly, rewritten over a
-// hand-written view, or rewritten over a secview-derived policy view — it
-// must return byte-identical answers AND identical Stats, on the pointer
-// path and the columnar path alike.
+// hand-written view, or rewritten over a secview-derived policy view — the
+// compiled pointer pass and the columnar pass must return byte-identical
+// answers AND identical Stats to the interpreted pointer pass.
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"smoqe/internal/colstore"
@@ -22,44 +23,45 @@ import (
 	"smoqe/internal/xpath"
 )
 
-// checkCompiled runs m both ways on doc (and its columnar form) and fails
-// on any divergence in answers or Stats.
+// checkCompiled runs m compiled on doc (and its columnar form) and fails on
+// any divergence in answers or Stats from the interpreted pointer pass.
 func checkCompiled(t *testing.T, tag string, m *mfa.MFA, doc *xmltree.Document, cd *colstore.Document) {
 	t.Helper()
 	interp := hype.New(m)
 	interp.SetCompiled(false)
-	wantNodes, wantStats := interp.EvalWithStats(doc.Root)
-	comp := hype.New(m)
-	gotNodes, gotStats := comp.EvalWithStats(doc.Root)
-	if len(gotNodes) != len(wantNodes) {
-		t.Fatalf("%s: compiled %d nodes, interpreted %d", tag, len(gotNodes), len(wantNodes))
+	want := hypeRun(t, interp, doc.Root, hype.Options{})
+	got := hypeRun(t, hype.New(m), doc.Root, hype.Options{})
+	if len(got.Nodes) != len(want.Nodes) {
+		t.Fatalf("%s: compiled %d nodes, interpreted %d", tag, len(got.Nodes), len(want.Nodes))
 	}
-	for j := range gotNodes {
-		if gotNodes[j] != wantNodes[j] {
-			t.Fatalf("%s: node %d differs: %s vs %s", tag, j, gotNodes[j].Path(), wantNodes[j].Path())
+	for j := range got.Nodes {
+		if got.Nodes[j] != want.Nodes[j] {
+			t.Fatalf("%s: node %d differs: %s vs %s", tag, j, got.Nodes[j].Path(), want.Nodes[j].Path())
 		}
 	}
-	if gotStats != wantStats {
-		t.Fatalf("%s: compiled Stats %+v, interpreted %+v", tag, gotStats, wantStats)
+	if got.Stats != want.Stats {
+		t.Fatalf("%s: compiled Stats %+v, interpreted %+v", tag, got.Stats, want.Stats)
 	}
 	if cd == nil {
 		return
 	}
-	ci := hype.New(m)
-	ci.SetCompiled(false)
-	wantIDs, wantCStats := ci.EvalColumnarWithStats(ci.BindColumnar(cd))
-	cc := hype.New(m)
-	gotIDs, gotCStats := cc.EvalColumnarWithStats(cc.BindColumnar(cd))
-	if len(gotIDs) != len(wantIDs) {
-		t.Fatalf("%s: columnar compiled %d ids, interpreted %d", tag, len(gotIDs), len(wantIDs))
+	pre := preorderOf(doc)
+	wantIDs := make([]int, len(want.Nodes))
+	for j, n := range want.Nodes {
+		wantIDs[j] = pre[n]
 	}
-	for j := range gotIDs {
-		if gotIDs[j] != wantIDs[j] {
-			t.Fatalf("%s: columnar id %d differs: %d vs %d", tag, j, gotIDs[j], wantIDs[j])
+	sort.Ints(wantIDs)
+	col := columnarRun(t, m, cd)
+	if len(col.IDs) != len(wantIDs) {
+		t.Fatalf("%s: columnar %d ids, interpreted pointer %d", tag, len(col.IDs), len(wantIDs))
+	}
+	for j := range col.IDs {
+		if col.IDs[j] != wantIDs[j] {
+			t.Fatalf("%s: columnar id %d differs: %d vs %d", tag, j, col.IDs[j], wantIDs[j])
 		}
 	}
-	if gotCStats != wantCStats {
-		t.Fatalf("%s: columnar compiled Stats %+v, interpreted %+v", tag, gotCStats, wantCStats)
+	if col.Stats != want.Stats {
+		t.Fatalf("%s: columnar Stats %+v, interpreted pointer %+v", tag, col.Stats, want.Stats)
 	}
 }
 
@@ -152,10 +154,11 @@ func TestCompiledAgreesUnderTinyCache(t *testing.T) {
 		}
 		interp := hype.New(m)
 		interp.SetCompiled(false)
-		wantNodes, wantStats := interp.EvalWithStats(doc.Root)
+		want := hypeRun(t, interp, doc.Root, hype.Options{})
 		tiny := hype.New(m)
 		tiny.SetCompiledCacheCap(1)
-		gotNodes, gotStats := tiny.EvalWithStats(doc.Root)
+		got := hypeRun(t, tiny, doc.Root, hype.Options{})
+		gotNodes, gotStats, wantNodes, wantStats := got.Nodes, got.Stats, want.Nodes, want.Stats
 		if len(gotNodes) != len(wantNodes) || gotStats != wantStats {
 			t.Fatalf("query %d %q: cap-1 compiled diverges (%d/%d nodes, %+v vs %+v)",
 				i, q, len(gotNodes), len(wantNodes), gotStats, wantStats)
@@ -204,9 +207,9 @@ func FuzzCompiledAgreesWithInterpreted(f *testing.F) {
 		}
 		interp := hype.New(m)
 		interp.SetCompiled(false)
-		wantNodes, wantStats := interp.EvalWithStats(doc.Root)
-		comp := hype.New(m)
-		gotNodes, gotStats := comp.EvalWithStats(doc.Root)
+		want := hypeRun(t, interp, doc.Root, hype.Options{})
+		got := hypeRun(t, hype.New(m), doc.Root, hype.Options{})
+		gotNodes, gotStats, wantNodes, wantStats := got.Nodes, got.Stats, want.Nodes, want.Stats
 		if len(gotNodes) != len(wantNodes) {
 			t.Fatalf("query %q on %q: compiled %d nodes, interpreted %d",
 				querySrc, xmlSrc, len(gotNodes), len(wantNodes))

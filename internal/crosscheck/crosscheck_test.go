@@ -5,6 +5,7 @@
 package crosscheck_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -38,8 +39,7 @@ func preorderOf(d *xmltree.Document) map[*xmltree.Node]int {
 // ids of the reference answer, exactly.
 func checkColumnar(t *testing.T, tag string, m *mfa.MFA, cd *colstore.Document, idx map[*xmltree.Node]int, want []*xmltree.Node) {
 	t.Helper()
-	e := hype.New(m)
-	got := e.EvalColumnar(e.BindColumnar(cd))
+	got := columnarRun(t, m, cd).IDs
 	wantIDs := make([]int, len(want))
 	for j, n := range want {
 		wantIDs[j] = idx[n]
@@ -105,9 +105,9 @@ func TestEnginesAgreeOnGeneratedQueries(t *testing.T) {
 			}
 		}
 		check("mfa.Eval", mfa.Eval(m, doc.Root))
-		check("HyPE", hype.New(m).Eval(doc.Root))
-		check("OptHyPE", hype.NewOpt(m, idx).Eval(doc.Root))
-		check("OptHyPE-C", hype.NewOpt(m, idxC).Eval(doc.Root))
+		check("HyPE", hypeEval(t, hype.New(m), doc.Root))
+		check("OptHyPE", hypeEval(t, hype.NewOpt(m, idx), doc.Root))
+		check("OptHyPE-C", hypeEval(t, hype.NewOpt(m, idxC), doc.Root))
 		check("twopass", twopass.MustNew(q).Eval(doc.Root))
 		checkColumnar(t, fmt.Sprintf("query %d %q", i, src), m, cd, pre, want)
 	}
@@ -148,8 +148,8 @@ func TestRewriteCorrectnessOnGeneratedQueries(t *testing.T) {
 		}
 		for name, got := range map[string][]*xmltree.Node{
 			"mfa.Eval": mfa.Eval(m, doc.Root),
-			"HyPE":     hype.New(m).Eval(doc.Root),
-			"OptHyPE":  hype.NewOpt(m, idx).Eval(doc.Root),
+			"HyPE":     hypeEval(t, hype.New(m), doc.Root),
+			"OptHyPE":  hypeEval(t, hype.NewOpt(m, idx), doc.Root),
 		} {
 			if len(got) != len(want) {
 				t.Fatalf("query %d %q (%s): got %d source nodes, want %d",
@@ -200,7 +200,7 @@ func TestRewriteOnMultipleDocuments(t *testing.T) {
 		}
 		for i, q := range queries {
 			want := mat.SourceOf(refeval.Eval(q, mat.Doc.Root))
-			got := hype.New(mfas[i]).Eval(doc.Root)
+			got := hypeEval(t, hype.New(mfas[i]), doc.Root)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d query %q: got %d want %d", seed, q, len(got), len(want))
 			}
@@ -250,4 +250,31 @@ func TestToXregOnGeneratedQueries(t *testing.T) {
 	if extracted < 100 {
 		t.Errorf("only %d/120 queries extracted (%d over budget)", extracted, skipped)
 	}
+}
+
+// hypeRun evaluates e at n with opts, failing the test on an error.
+func hypeRun(t testing.TB, e *hype.Engine, n *xmltree.Node, opts hype.Options) hype.Result {
+	t.Helper()
+	res, err := e.Eval(context.Background(), n, opts)
+	if err != nil {
+		t.Fatalf("Eval: %v", err)
+	}
+	return res
+}
+
+// hypeEval is the answer set of a sequential, unlimited HyPE evaluation.
+func hypeEval(t testing.TB, e *hype.Engine, n *xmltree.Node) []*xmltree.Node {
+	t.Helper()
+	return hypeRun(t, e, n, hype.Options{}).Nodes
+}
+
+// columnarRun evaluates m over cd with the columnar pass, failing the test
+// on an error.
+func columnarRun(t testing.TB, m *mfa.MFA, cd *colstore.Document) hype.Result {
+	t.Helper()
+	res, err := hype.New(m).EvalColumnar(context.Background(), hype.BindColumnar(m, cd), hype.Options{})
+	if err != nil {
+		t.Fatalf("EvalColumnar: %v", err)
+	}
+	return res
 }

@@ -48,7 +48,7 @@ func FuzzHypeAgreesWithReference(f *testing.F) {
 			return
 		}
 		want := refeval.Eval(q, doc.Root)
-		got := hype.New(m).Eval(doc.Root)
+		got := hypeEval(t, hype.New(m), doc.Root)
 		if len(got) != len(want) {
 			t.Fatalf("query %q on %q: HyPE %d nodes, reference %d", querySrc, xmlSrc, len(got), len(want))
 		}

@@ -49,7 +49,7 @@ func TestMixedContentPositionAcrossEngines(t *testing.T) {
 	for _, c := range cases {
 		q := xpath.MustParse(c.query)
 		ref := refeval.Eval(q, doc.Root)
-		hy := hype.New(mfa.MustCompile(q)).Eval(doc.Root)
+		hy := hypeEval(t, hype.New(mfa.MustCompile(q)), doc.Root)
 		xq := xqsim.Eval(q, doc.Root)
 		tp := twopass.MustNew(q).Eval(doc.Root)
 

@@ -11,7 +11,7 @@ import (
 )
 
 // TestParallelAgreesOnGeneratedQueries is the shard-parallel equivalence
-// property: EvalParallel must return the exact node sequence AND the exact
+// property: a parallel Eval must return the exact node sequence AND the exact
 // merged Stats of the sequential evaluator, for plain HyPE and for OptHyPE
 // with both index flavours, across generated queries and several worker
 // counts. Any divergence — a reordered hit, a miscounted skip, a pruning
@@ -42,17 +42,17 @@ func TestParallelAgreesOnGeneratedQueries(t *testing.T) {
 			t.Fatalf("query %d %q: compile: %v", i, src, err)
 		}
 		for _, eng := range engines {
-			seq := eng.mk(m)
-			want := seq.Eval(doc.Root)
-			wantSt := seq.Stats()
+			seq := hypeRun(t, eng.mk(m), doc.Root, hype.Options{})
+			want, wantSt := seq.Nodes, seq.Stats
 			if len(want) > 0 {
 				nonEmpty++
 			}
 			for _, workers := range []int{1, 2, 4} {
-				got, pst, err := eng.mk(m).EvalParallel(ctx, doc.Root, workers)
+				pst, err := eng.mk(m).Eval(ctx, doc.Root, hype.Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("query %d %q: %s workers=%d: %v", i, src, eng.name, workers, err)
 				}
+				got := pst.Nodes
 				if len(got) != len(want) {
 					t.Fatalf("query %d %q: %s workers=%d returned %d nodes, sequential %d",
 						i, src, eng.name, workers, len(got), len(want))

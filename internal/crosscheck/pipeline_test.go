@@ -68,7 +68,7 @@ func TestFullPipeline(t *testing.T) {
 	}
 
 	idx := hype.BuildIndex(doc, true)
-	results := hype.NewOpt(loaded, idx).EvalTagged(doc.Root)
+	results := hypeRun(t, hype.NewOpt(loaded, idx), doc.Root, hype.Options{}).Tagged
 	if len(results) != len(queries) {
 		t.Fatalf("buckets = %d, want %d", len(results), len(queries))
 	}

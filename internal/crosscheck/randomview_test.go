@@ -81,7 +81,7 @@ func TestRandomViewsRewriteExactly(t *testing.T) {
 				}
 				for name, got := range map[string][]*xmltree.Node{
 					"mfa":  mfa.Eval(m, doc.Root),
-					"hype": hype.New(m).Eval(doc.Root),
+					"hype": hypeEval(t, hype.New(m), doc.Root),
 				} {
 					if len(got) != len(want) {
 						t.Fatalf("shape %d attempt %d query %q (%s): got %d want %d\nview:\n%s",

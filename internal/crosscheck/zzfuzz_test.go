@@ -105,10 +105,10 @@ func TestZZFuzzEngines(t *testing.T) {
 		}
 		check("mfa.Eval", mfa.Eval(m, doc.Root))
 		check("mfa.Eval+simplify", mfa.Eval(ms, doc.Root))
-		check("hype", hype.New(m).Eval(doc.Root))
-		check("hype+simplify", hype.New(ms).Eval(doc.Root))
-		check("opthype", hype.NewOpt(m, idx).Eval(doc.Root))
-		check("opthype-c", hype.NewOpt(ms, idxC).Eval(doc.Root))
+		check("hype", hypeEval(t, hype.New(m), doc.Root))
+		check("hype+simplify", hypeEval(t, hype.New(ms), doc.Root))
+		check("opthype", hypeEval(t, hype.NewOpt(m, idx), doc.Root))
+		check("opthype-c", hypeEval(t, hype.NewOpt(ms, idxC), doc.Root))
 		check("twopass", twopass.MustNew(q).Eval(doc.Root))
 		check("xqsim", xqsim.Eval(q, doc.Root))
 	}

@@ -4,6 +4,7 @@ package hype
 // they toggle analysis tables directly).
 
 import (
+	"context"
 	"testing"
 
 	"smoqe/internal/colstore"
@@ -25,7 +26,7 @@ func BenchmarkIndexAblation(b *testing.B) {
 		e := New(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Eval(doc.Root)
+			evalNodes(e, doc.Root)
 		}
 	})
 	b.Run("OptHyPE-alphabet-only", func(b *testing.B) {
@@ -38,23 +39,24 @@ func BenchmarkIndexAblation(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Eval(doc.Root)
+			evalNodes(e, doc.Root)
 		}
 	})
 	b.Run("OptHyPE-full", func(b *testing.B) {
 		e := NewOpt(m, idx)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Eval(doc.Root)
+			evalNodes(e, doc.Root)
 		}
 	})
 }
 
 // BenchmarkCompiledAblation isolates the compiled evaluation layer (lazy
-// subset DFA over the selecting NFA + bitset AFAs) against interpreted NFA
-// simulation, on the pointer and the columnar path, for a descendant query
-// and the recursive RX-C. Both modes make identical decisions, so the delta
-// is purely the per-node transition cost.
+// subset DFA over the selecting NFA + bitset AFAs) against the interpreted
+// pointer pass (NFA simulation), for a descendant query and the recursive
+// RX-C; the columnar pass, which is always compiled, runs alongside. All
+// three make identical decisions, so the deltas are purely the per-node
+// transition and child-iteration costs.
 func BenchmarkCompiledAblation(b *testing.B) {
 	doc := datagen.Generate(datagen.DefaultConfig(3000))
 	cd := colstore.FromTree(doc)
@@ -73,18 +75,19 @@ func BenchmarkCompiledAblation(b *testing.B) {
 				e.SetCompiled(compiled)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					e.Eval(doc.Root)
-				}
-			})
-			b.Run(q.name+"/columnar-"+mode, func(b *testing.B) {
-				e := New(m)
-				e.SetCompiled(compiled)
-				bind := e.BindColumnar(cd)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.EvalColumnar(bind)
+					evalNodes(e, doc.Root)
 				}
 			})
 		}
+		b.Run(q.name+"/columnar-compiled", func(b *testing.B) {
+			e := New(m)
+			bind := BindColumnar(m, cd)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.EvalColumnar(context.Background(), bind, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -35,7 +35,7 @@ func TestBatchEvaluation(t *testing.T) {
 	if merged.NumTags() != len(queries) {
 		t.Fatalf("NumTags = %d, want %d", merged.NumTags(), len(queries))
 	}
-	results := hype.New(merged).EvalTagged(doc.Root)
+	results := eval(t, hype.New(merged), doc.Root, hype.Options{}).Tagged
 	if len(results) != merged.NumTags() {
 		t.Fatalf("got %d buckets, want %d", len(results), merged.NumTags())
 	}
@@ -79,9 +79,9 @@ func TestBatchRewrittenViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := hype.New(merged).EvalTagged(doc.Root)
+	results := eval(t, hype.New(merged), doc.Root, hype.Options{}).Tagged
 	for i, src := range queries {
-		want := hype.New(ms[i]).Eval(doc.Root)
+		want := answers(t, hype.New(ms[i]), doc.Root)
 		got := results[i]
 		if len(got) != len(want) {
 			t.Errorf("query %d %q: batch %d vs single %d", i, src, len(got), len(want))
@@ -107,9 +107,9 @@ func TestBatchWithIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := hype.BuildIndex(doc, true)
-	results := hype.NewOpt(merged, idx).EvalTagged(doc.Root)
+	results := eval(t, hype.NewOpt(merged, idx), doc.Root, hype.Options{}).Tagged
 	for i, m := range ms {
-		want := hype.New(m).Eval(doc.Root)
+		want := answers(t, hype.New(m), doc.Root)
 		if len(results[i]) != len(want) {
 			t.Errorf("query %d: %d vs %d", i, len(results[i]), len(want))
 		}

@@ -25,7 +25,7 @@ func benchEval(b *testing.B, qsrc string, opt bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Eval(doc.Root)
+		answers(b, e, doc.Root)
 	}
 }
 
@@ -44,7 +44,7 @@ func BenchmarkRewrittenMFA(b *testing.B) {
 	e := hype.New(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Eval(doc.Root)
+		answers(b, e, doc.Root)
 	}
 }
 

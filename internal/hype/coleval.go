@@ -4,58 +4,40 @@ package hype
 // traversal) running over a colstore.Document instead of a pointer tree.
 // Child iteration is interval hopping (c := n+1; c <= End(n); c = End(c)+1)
 // and every label comparison is an integer compare against interned label
-// ids, so the DFS is memory-bandwidth-bound. The pointer and columnar paths
-// share the run state — cans DAG, pools, budget, cancellation — and produce
-// identical statistics and answers (crosschecked in internal/crosscheck).
+// ids, so the DFS is memory-bandwidth-bound. The columnar pass is the
+// compiled DFS (visitColC in compiled.go); it shares the run state — cans
+// DAG, pools, budget, cancellation — with the pointer passes and produces
+// identical statistics and answers (crosschecked in internal/crosscheck
+// against the interpreted pointer pass).
 
 import (
 	"context"
+	"errors"
 	"sort"
 
 	"smoqe/internal/colstore"
 	"smoqe/internal/mfa"
 )
 
-// colEdge is an NFA transition translated to the document's label ids;
-// label -1 matches any element (a wildcard step).
-type colEdge struct {
-	to    int32
-	label int32
-}
-
 // ColBinding resolves one automaton's label alphabet against one columnar
-// document: NFA transitions become {target, label-id} pairs and AFA TRANS
-// steps become label ids. A binding is immutable after construction and
-// safe to share between any number of engine clones — it is the zero-copy
-// artifact workers share, alongside the document's columns and arena.
+// document. A binding is immutable after construction and safe to share
+// between any number of engine clones — it is the zero-copy artifact
+// workers share, alongside the document's columns and arena.
 type ColBinding struct {
 	m  *mfa.MFA
 	cd *colstore.Document
-
-	// nfaTrans[s] holds state s's transitions with labels interned;
-	// transitions on labels absent from the document are dropped (they can
-	// never fire), which cannot change answers or statistics.
-	nfaTrans [][]colEdge
-	// afaTrans[g][t] is, for TRANS state t of AFA g, the interned label of
-	// its child step: -1 for a wildcard, -2 for a label absent from the
-	// document (never matches). Non-TRANS entries are -2.
-	afaTrans [][]int32
 
 	// progLab maps document label ids to the compiled program's label ids
 	// (-1 for labels the automaton never mentions — the shared "other"
 	// class); it depends only on the MFA and the document, never on an
 	// engine, because internLabels is a deterministic function of the MFA.
 	// colTrans marks the NFA states with at least one transition the
-	// document can fire (dead edges on absent labels dropped) — the
-	// columnar has-transitions test of the compiled path.
+	// document can fire (a wildcard, or a label the document contains) —
+	// the has-transitions test of the columnar pass. Dropping transitions
+	// on absent labels cannot change answers or statistics: they never
+	// fire.
 	progLab  []int32
 	colTrans nfaSet
-}
-
-// BindColumnar builds the binding between the engine's automaton and cd.
-// The result may be used by this engine and all its clones concurrently.
-func (e *Engine) BindColumnar(cd *colstore.Document) *ColBinding {
-	return BindColumnar(e.m, cd)
 }
 
 // BindColumnar resolves m's label alphabet against cd; the binding works
@@ -63,46 +45,17 @@ func (e *Engine) BindColumnar(cd *colstore.Document) *ColBinding {
 // the binding across all pooled clones).
 func BindColumnar(m *mfa.MFA, cd *colstore.Document) *ColBinding {
 	b := &ColBinding{m: m, cd: cd}
-	b.nfaTrans = make([][]colEdge, m.NumStates())
-	for s := range m.States {
-		trans := m.States[s].Trans
-		edges := make([]colEdge, 0, len(trans))
-		for _, tr := range trans {
-			if tr.Wild {
-				edges = append(edges, colEdge{to: int32(tr.To), label: -1})
-				continue
-			}
-			if id, ok := cd.LabelIDOf(tr.Label); ok {
-				edges = append(edges, colEdge{to: int32(tr.To), label: id})
-			}
-		}
-		b.nfaTrans[s] = edges
-	}
-	b.afaTrans = make([][]int32, len(m.AFAs))
-	for g, a := range m.AFAs {
-		labels := make([]int32, a.NumStates())
-		for t := range a.States {
-			st := &a.States[t]
-			labels[t] = -2
-			if st.Kind != mfa.AFATrans {
-				continue
-			}
-			if st.Wild {
-				labels[t] = -1
-			} else if id, ok := cd.LabelIDOf(st.Label); ok {
-				labels[t] = id
-			}
-		}
-		b.afaTrans[g] = labels
-	}
 	words := (m.NumStates() + 63) / 64
 	if words == 0 {
 		words = 1
 	}
 	b.colTrans = make(nfaSet, words)
-	for s := range b.nfaTrans {
-		if len(b.nfaTrans[s]) > 0 {
-			b.colTrans.set(s)
+	for s := range m.States {
+		for _, tr := range m.States[s].Trans {
+			if _, ok := cd.LabelIDOf(tr.Label); tr.Wild || ok {
+				b.colTrans.set(s)
+				break
+			}
 		}
 	}
 	interned := internLabels(m)
@@ -118,82 +71,34 @@ func BindColumnar(m *mfa.MFA, cd *colstore.Document) *ColBinding {
 	return b
 }
 
-// Document returns the columnar document the binding was built against.
-func (b *ColBinding) Document() *colstore.Document { return b.cd }
-
-// EvalColumnar computes root[[M]] over the columnar document and returns
-// the preorder ids of the answer nodes in document order.
-func (e *Engine) EvalColumnar(b *ColBinding) []int {
-	ids, _, _ := e.EvalColumnarCtx(nil, b)
-	return ids
-}
-
-// EvalColumnarWithStats is EvalColumnar returning this run's statistics.
-// They are exactly the statistics of the sequential pointer path (plain
-// HyPE, no index) on the same document and automaton.
-func (e *Engine) EvalColumnarWithStats(b *ColBinding) ([]int, Stats) {
-	ids, st, _ := e.EvalColumnarCtx(nil, b)
-	return ids, st
-}
-
-// EvalColumnarCtx is EvalColumnarWithStats honoring a context and the
-// engine's resource limits (see EvalCtx). The binding must have been built
-// by this engine or one of its clones (same automaton).
-func (e *Engine) EvalColumnarCtx(cctx context.Context, b *ColBinding) ([]int, Stats, error) {
-	hits, st, err := e.runCol(cctx, b)
+// EvalColumnar computes root[[M]] over the binding's columnar document
+// and returns the preorder ids of the answers in Result.IDs, honoring ctx
+// and opts.Limits like Eval. The columnar pass is always compiled and
+// sequential and carries no index: an indexed engine, opts.Workers and
+// opts.Trace are errors. b must have been bound for this engine's
+// automaton.
+func (e *Engine) EvalColumnar(ctx context.Context, b *ColBinding, opts Options) (Result, error) {
+	switch {
+	case b.m != e.m:
+		return Result{}, errors.New("hype: ColBinding bound for a different automaton")
+	case e.idx != nil || opts.Workers > 0 || opts.Trace > 0:
+		return Result{}, errors.New("hype: the columnar pass runs without an index, shard workers or a trace")
+	}
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
+	r := e.newRun(ctx, opts.Limits)
+	d := e.ensureDFA()
+	pre := d.snap()
+	root, seeds := r.rootStateC()
+	vr := r.visitColC(b, b.cd.At(0), 0, root, seeds)
+	res := Result{Compiled: d.delta(pre)}
+	hits, err := r.finish(vr, &res.Stats)
 	if err != nil {
-		return nil, st, err
+		return res, err
 	}
-	return candIDs(hits), st, nil
-}
-
-// runCol is run() for the columnar path, evaluating at the root (node 0).
-func (e *Engine) runCol(cctx context.Context, b *ColBinding) ([]cand, Stats, error) {
-	if b.m != e.m {
-		panic("hype: ColBinding used with an engine for a different automaton")
-	}
-	if e.idx != nil {
-		panic("hype: columnar evaluation requires a plain (non-indexed) engine")
-	}
-	if cctx != nil {
-		if err := cctx.Err(); err != nil {
-			e.stats = Stats{}
-			return nil, Stats{}, err
-		}
-	}
-	r := &run{Engine: e, ctx: cctx}
-	if e.limits.active() {
-		r.bud = &budget{}
-	}
-	var res visitResult
-	if e.Compiled() {
-		d := e.ensureDFA()
-		pre := d.snap()
-		root, seeds := r.rootStateC()
-		res = r.visitColC(b, b.cd.At(0), 0, root, seeds)
-		e.lastCompiled = d.delta(pre)
-	} else {
-		e.lastCompiled = CompiledStats{}
-		ms := r.getNFASet()
-		ms.set(e.m.Start)
-		r.closeNFA(ms)
-		seeds := r.guardSeeds(ms)
-		res = r.visitCol(b, b.cd.At(0), 0, ms, seeds)
-	}
-	if r.cancelled {
-		e.stats = r.stats
-		err := r.limitErr
-		if err == nil {
-			err = cctx.Err()
-		}
-		return nil, r.stats, err
-	}
-
-	hits := r.liveCands(res)
-	r.stats.CansVertices = r.numVerts
-	r.stats.CansEdges = len(r.edgeList)
-	e.stats = r.stats
-	return hits, r.stats, nil
+	res.IDs = candIDs(hits)
+	return res, nil
 }
 
 // candIDs extracts the columnar hits' preorder ids, sorted and deduplicated
@@ -213,222 +118,4 @@ func candIDs(hits []cand) []int {
 		prev = id
 	}
 	return out
-}
-
-// visitCol is visit() over the columns: node n with active NFA states ms
-// (ε-closed) and AFA seed sets fseeds. cur is the run's single reusable
-// cursor; it is repositioned to n before AFA predicates are evaluated.
-func (r *run) visitCol(b *ColBinding, cur *colstore.Cursor, n int32, ms nfaSet, fseeds []nfaSet) visitResult {
-	if (r.ctx != nil || r.bud != nil) && !r.cancelled {
-		if r.sinceCheck++; r.sinceCheck >= cancelCheckInterval {
-			r.sinceCheck = 0
-			if r.ctx != nil && r.ctx.Err() != nil {
-				r.cancelled = true
-			} else if r.bud != nil {
-				r.checkBudget()
-			}
-		}
-	}
-	if r.cancelled {
-		return visitResult{base: int32(r.numVerts)}
-	}
-	r.stats.VisitedElements++
-
-	rel := fseeds
-	anyAFA := false
-	for g := range rel {
-		if rel[g] != nil {
-			r.closeAFA(g, rel[g])
-			anyAFA = true
-		}
-	}
-
-	res := r.openNodeCol(n, ms)
-
-	var transAcc [][]bool
-	if anyAFA {
-		transAcc = r.getVecB()
-		for g := range rel {
-			if rel[g] != nil {
-				transAcc[g] = r.getBoolsCleared(g)
-			}
-		}
-	}
-
-	hasTrans := false
-	ms.forEach(func(s int) {
-		if len(b.nfaTrans[s]) > 0 {
-			hasTrans = true
-		}
-	})
-
-	if hasTrans || anyAFA {
-		cd := b.cd
-		for c := n + 1; c <= cd.End(n); c = cd.End(c) + 1 {
-			if !cd.IsElement(c) {
-				continue
-			}
-			r.visitChildCol(b, cur, c, ms, rel, transAcc, &res)
-		}
-	}
-
-	if anyAFA {
-		cur.Seek(n)
-		res.afaVals = r.getVecB()
-		for g := range rel {
-			if rel[g] == nil {
-				continue
-			}
-			r.stats.AFAEvaluations++
-			res.afaVals[g] = r.m.AFAs[g].EvalAtMasked(cur, transAcc[g], r.getBools(g), rel[g])
-			r.putBools(g, transAcc[g])
-		}
-		r.putVecB(transAcc)
-	}
-
-	r.killGuardFailed(nil, &res)
-	return res
-}
-
-// openNodeCol is openNode recording the node's preorder id instead of a
-// pointer.
-func (r *run) openNodeCol(n int32, ms nfaSet) visitResult {
-	res := visitResult{base: int32(r.numVerts), states: r.getStates()}
-	ms.forEach(func(s int) {
-		if r.m.States[s].Final {
-			r.cands = append(r.cands, cand{
-				vid: int32(r.numVerts) + int32(len(res.states)),
-				tag: int32(r.m.States[s].Tag),
-				id:  n,
-			})
-		}
-		res.states = append(res.states, int32(s))
-		r.dead = append(r.dead, false)
-	})
-	r.numVerts += len(res.states)
-	for i, s := range res.states {
-		for _, t := range r.epsAdj[s] {
-			if j, ok := findState(res.states, t); ok {
-				r.edgeList = append(r.edgeList, edgePair{res.base + int32(i), res.base + int32(j)})
-			}
-		}
-	}
-	return res
-}
-
-// visitChildCol is visitChild over the columns.
-func (r *run) visitChildCol(b *ColBinding, cur *colstore.Cursor, c int32, ms nfaSet, rel []nfaSet, transAcc [][]bool, res *visitResult) {
-	label := b.cd.LabelID(c)
-	cms, cseeds, ok := r.childStatesCol(b, label, ms, rel)
-	if !ok {
-		return
-	}
-
-	cres := r.visitCol(b, cur, c, cms, cseeds)
-
-	r.linkChildCol(b, res, label, cres.states, cres.base)
-	r.foldChildAFACol(b, rel, transAcc, label, cres.afaVals)
-
-	if cres.afaVals != nil {
-		for g := range cres.afaVals {
-			if cres.afaVals[g] != nil {
-				r.putBools(g, cres.afaVals[g])
-			}
-		}
-		r.putVecB(cres.afaVals)
-	}
-	r.putStates(cres.states)
-	r.releaseChildStates(cms, cseeds)
-}
-
-// childStatesCol is childStates with interned-label matching. The columnar
-// path never carries an index, so there is no productive-state filtering
-// and no alphabet pruning — exactly the plain-HyPE behavior.
-func (r *run) childStatesCol(b *ColBinding, label int32, ms nfaSet, rel []nfaSet) (cms nfaSet, cseeds []nfaSet, ok bool) {
-	cms = r.getNFASet()
-	anyNFA := false
-	ms.forEach(func(s int) {
-		for _, tr := range b.nfaTrans[s] {
-			if tr.label == -1 || tr.label == label {
-				cms.set(int(tr.to))
-				anyNFA = true
-			}
-		}
-	})
-	if anyNFA {
-		r.closeNFA(cms)
-	}
-
-	cseeds = r.getVecN()
-	anySeed := false
-	for g := range rel {
-		if rel[g] == nil {
-			continue
-		}
-		a := r.m.AFAs[g]
-		steps := b.afaTrans[g]
-		rel[g].forEach(func(t int) {
-			if steps[t] != -1 && steps[t] != label {
-				return
-			}
-			if cseeds[g] == nil {
-				cseeds[g] = r.getAFASet(g)
-			}
-			cseeds[g].set(a.States[t].Kids[0])
-			anySeed = true
-		})
-	}
-	cms.forEach(func(s int) {
-		g := r.m.States[s].Guard
-		if g < 0 {
-			return
-		}
-		if cseeds[g] == nil {
-			cseeds[g] = r.getAFASet(g)
-		}
-		cseeds[g].set(r.m.GuardEntry(s))
-		anySeed = true
-	})
-
-	if !anyNFA && !anySeed {
-		r.prune(nil, "no-transition")
-		r.releaseChildStates(cms, cseeds)
-		return nil, nil, false
-	}
-	return cms, cseeds, true
-}
-
-// linkChildCol is linkChild with interned-label matching.
-func (r *run) linkChildCol(b *ColBinding, res *visitResult, label int32, childStates []int32, childBase int32) {
-	for i, s := range res.states {
-		for _, tr := range b.nfaTrans[s] {
-			if tr.label != -1 && tr.label != label {
-				continue
-			}
-			if j, ok := findState(childStates, tr.to); ok {
-				r.edgeList = append(r.edgeList, edgePair{res.base + int32(i), childBase + int32(j)})
-			}
-		}
-	}
-}
-
-// foldChildAFACol is foldChildAFA with interned-label matching.
-func (r *run) foldChildAFACol(b *ColBinding, rel []nfaSet, transAcc [][]bool, label int32, childVals [][]bool) {
-	for g := range rel {
-		if rel[g] == nil || childVals == nil || childVals[g] == nil {
-			continue
-		}
-		a := r.m.AFAs[g]
-		steps := b.afaTrans[g]
-		acc := transAcc[g]
-		vals := childVals[g]
-		rel[g].forEach(func(t int) {
-			if acc[t] || (steps[t] != -1 && steps[t] != label) {
-				return
-			}
-			if vals[a.States[t].Kids[0]] {
-				acc[t] = true
-			}
-		})
-	}
 }

@@ -27,6 +27,16 @@ func preorderIndex(d *xmltree.Document) map[*xmltree.Node]int {
 	return idx
 }
 
+// colEval evaluates e over cd with opts, failing the test on an error.
+func colEval(t testing.TB, e *hype.Engine, cd *colstore.Document, opts hype.Options) hype.Result {
+	t.Helper()
+	res, err := e.EvalColumnar(context.Background(), hype.BindColumnar(e.MFA(), cd), opts)
+	if err != nil {
+		t.Fatalf("EvalColumnar: %v", err)
+	}
+	return res
+}
+
 // TestColumnarMatchesPointerPath runs the full source-query workload on
 // both representations and demands identical answers AND identical
 // statistics — the columnar DFS must visit, prune and evaluate exactly
@@ -43,9 +53,9 @@ func TestColumnarMatchesPointerPath(t *testing.T) {
 			q := xpath.MustParse(src)
 			m := mfa.MustCompile(q)
 			e := hype.New(m)
-			nodes, pst := e.EvalWithStats(doc.Root)
-			want := make([]int, len(nodes))
-			for i, n := range nodes {
+			pres := eval(t, e, doc.Root, hype.Options{})
+			want := make([]int, len(pres.Nodes))
+			for i, n := range pres.Nodes {
 				want[i] = idx[n]
 			}
 			// candNodes sorts by xmltree ID; re-sort into preorder order.
@@ -54,16 +64,12 @@ func TestColumnarMatchesPointerPath(t *testing.T) {
 					want[j], want[j-1] = want[j-1], want[j]
 				}
 			}
-			b := e.BindColumnar(cd)
-			got, cst, err := e.EvalColumnarCtx(context.Background(), b)
-			if err != nil {
-				t.Fatalf("%s %q: columnar error: %v", name, src, err)
-			}
-			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+			cres := colEval(t, e, cd, hype.Options{})
+			if got := cres.IDs; len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Errorf("%s %q: columnar ids = %v, want %v", name, src, got, want)
 			}
-			if pst != cst {
-				t.Errorf("%s %q: columnar stats = %+v, pointer stats = %+v", name, src, cst, pst)
+			if pres.Stats != cres.Stats {
+				t.Errorf("%s %q: columnar stats = %+v, pointer stats = %+v", name, src, cres.Stats, pres.Stats)
 			}
 		}
 	}
@@ -84,8 +90,8 @@ func TestColumnarSnapshotAnswersIdentical(t *testing.T) {
 	}
 	for _, src := range sourceQueries {
 		e := hype.New(mfa.MustCompile(xpath.MustParse(src)))
-		got := e.EvalColumnar(e.BindColumnar(loaded))
-		want := e.EvalColumnar(e.BindColumnar(cd))
+		got := colEval(t, e, loaded, hype.Options{}).IDs
+		want := colEval(t, e, cd, hype.Options{}).IDs
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%q: loaded snapshot answers %v, want %v", src, got, want)
 		}
@@ -95,11 +101,10 @@ func TestColumnarSnapshotAnswersIdentical(t *testing.T) {
 func TestColumnarCancellation(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(200))
 	cd := colstore.FromTree(doc)
-	e := hype.New(mfa.MustCompile(xpath.MustParse("//patient")))
-	b := e.BindColumnar(cd)
+	m := mfa.MustCompile(xpath.MustParse("//patient"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := e.EvalColumnarCtx(ctx, b); err == nil {
+	if _, err := hype.New(m).EvalColumnar(ctx, hype.BindColumnar(m, cd), hype.Options{}); err == nil {
 		t.Fatal("cancelled context: want error")
 	}
 }
@@ -107,10 +112,8 @@ func TestColumnarCancellation(t *testing.T) {
 func TestColumnarLimits(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(200))
 	cd := colstore.FromTree(doc)
-	e := hype.New(mfa.MustCompile(xpath.MustParse("//patient")))
-	e.SetLimits(hype.Limits{MaxVisited: 50})
-	b := e.BindColumnar(cd)
-	_, _, err := e.EvalColumnarCtx(context.Background(), b)
+	m := mfa.MustCompile(xpath.MustParse("//patient"))
+	_, err := hype.New(m).EvalColumnar(context.Background(), hype.BindColumnar(m, cd), hype.Options{Limits: hype.Limits{MaxVisited: 50}})
 	if err == nil {
 		t.Fatal("exceeded visit budget: want error")
 	}

@@ -1,6 +1,7 @@
 package hype_test
 
 import (
+	"context"
 	"testing"
 
 	"smoqe/internal/colstore"
@@ -18,10 +19,12 @@ func benchColumnar(b *testing.B, qsrc string) {
 	cd := colstore.FromTree(doc)
 	m := mfa.MustCompile(xpath.MustParse(qsrc))
 	e := hype.New(m)
-	bind := e.BindColumnar(cd)
+	bind := hype.BindColumnar(m, cd)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.EvalColumnar(bind)
+		if _, err := e.EvalColumnar(context.Background(), bind, hype.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -37,9 +40,8 @@ func BenchmarkColumnarBind(b *testing.B) {
 	doc := datagen.Generate(datagen.DefaultConfig(3000))
 	cd := colstore.FromTree(doc)
 	m := mfa.MustCompile(xpath.MustParse(hospital.XPA))
-	e := hype.New(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.BindColumnar(cd)
+		hype.BindColumnar(m, cd)
 	}
 }

@@ -669,13 +669,12 @@ func CompiledPlan(m *mfa.MFA) CompiledStats {
 // Engine knobs --------------------------------------------------------------
 
 // SetCompiled enables (the default) or disables the compiled evaluation
-// layer on this engine. The interpreted and compiled paths return identical
-// answers and identical Stats; the knob exists for A/B measurement and as an
-// escape hatch. Must not be called concurrently with an evaluation.
+// layer of the sequential pointer pass. Disabled, Eval runs the interpreted
+// pointer pass — the reference the compiled passes are tested against, with
+// identical answers and identical Stats. Shard-parallel runs are always
+// interpreted and columnar runs always compiled. Must not be called
+// concurrently with an evaluation.
 func (e *Engine) SetCompiled(on bool) { e.compiledOff = !on }
-
-// Compiled reports whether the compiled evaluation layer is enabled.
-func (e *Engine) Compiled() bool { return !e.compiledOff && e.prog != nil }
 
 // SetCompiledCacheCap overrides the subset-state cache bound (0 restores the
 // default). It resets the clone's cache; tests use tiny caps to exercise the
@@ -684,11 +683,6 @@ func (e *Engine) SetCompiledCacheCap(n int) {
 	e.dfaCap = n
 	e.dfa = nil
 }
-
-// CompiledStats returns the compiled-layer statistics of the most recent
-// run on this engine (clone); Enabled is false when that run was
-// interpreted.
-func (e *Engine) CompiledStats() CompiledStats { return e.lastCompiled }
 
 // ensureDFA returns the clone's lazy subset automaton, creating it on first
 // use so clones that never evaluate pay nothing.

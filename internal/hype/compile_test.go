@@ -14,10 +14,10 @@ import (
 )
 
 // TestCompiledMatchesInterpreted is the compiled-layer identity property on
-// the fixed query set: for every engine variant and for the columnar path,
+// the fixed query set: for every engine variant and for the columnar pass,
 // the compiled evaluation must return the same answers AND the same Stats as
-// the interpreted one — the compiled path replays decisions, it does not
-// make new ones.
+// the interpreted pointer pass — the compiled passes replay decisions, they
+// do not make new ones.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	for _, d := range []struct {
 		name string
@@ -35,34 +35,36 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 			for name, eng := range compiled {
 				interp := interpreted[name]
 				interp.SetCompiled(false)
-				wantNodes, wantStats := interp.EvalWithStats(d.doc.Root)
-				gotNodes, gotStats := eng.EvalWithStats(d.doc.Root)
-				if !same(gotNodes, wantNodes) {
+				want := eval(t, interp, d.doc.Root, hype.Options{})
+				got := eval(t, eng, d.doc.Root, hype.Options{})
+				if !same(got.Nodes, want.Nodes) {
 					t.Errorf("%s/%s %q: compiled answers differ: %v vs %v",
-						d.name, name, src, ids(gotNodes), ids(wantNodes))
+						d.name, name, src, ids(got.Nodes), ids(want.Nodes))
 				}
-				if gotStats != wantStats {
+				if got.Stats != want.Stats {
 					t.Errorf("%s/%s %q: compiled Stats = %+v, interpreted %+v",
-						d.name, name, src, gotStats, wantStats)
+						d.name, name, src, got.Stats, want.Stats)
 				}
-				if cs := eng.CompiledStats(); !cs.Enabled {
+				if !got.Compiled.Enabled {
 					t.Errorf("%s/%s %q: compiled run reported Enabled=false", d.name, name, src)
 				}
-				if cs := interp.CompiledStats(); cs.Enabled {
+				if want.Compiled.Enabled {
 					t.Errorf("%s/%s %q: interpreted run reported Enabled=true", d.name, name, src)
 				}
 			}
 
-			comp := hype.New(m)
 			interp := hype.New(m)
 			interp.SetCompiled(false)
-			gotIDs, gotStats := comp.EvalColumnarWithStats(comp.BindColumnar(cd))
-			wantIDs, wantStats := interp.EvalColumnarWithStats(interp.BindColumnar(cd))
-			if !reflect.DeepEqual(gotIDs, wantIDs) {
-				t.Errorf("%s/columnar %q: compiled ids %v, interpreted %v", d.name, src, gotIDs, wantIDs)
+			want := eval(t, interp, d.doc.Root, hype.Options{})
+			col := colEval(t, hype.New(m), cd, hype.Options{})
+			if wantIDs := ids(want.Nodes); !reflect.DeepEqual(col.IDs, wantIDs) && len(col.IDs)+len(wantIDs) > 0 {
+				t.Errorf("%s/columnar %q: compiled ids %v, interpreted pointer %v", d.name, src, col.IDs, wantIDs)
 			}
-			if gotStats != wantStats {
-				t.Errorf("%s/columnar %q: compiled Stats = %+v, interpreted %+v", d.name, src, gotStats, wantStats)
+			if col.Stats != want.Stats {
+				t.Errorf("%s/columnar %q: compiled Stats = %+v, interpreted pointer %+v", d.name, src, col.Stats, want.Stats)
+			}
+			if !col.Compiled.Enabled {
+				t.Errorf("%s/columnar %q: columnar run reported Enabled=false", d.name, src)
 			}
 		}
 	}
@@ -79,9 +81,10 @@ func TestCompiledTraceIdentical(t *testing.T) {
 		interp := hype.New(m)
 		interp.SetCompiled(false)
 
-		gotNodes, gotStats, gotTr := comp.EvalTraced(doc.Root, 4096)
-		wantNodes, wantStats, wantTr := interp.EvalTraced(doc.Root, 4096)
-		if !same(gotNodes, wantNodes) || gotStats != wantStats {
+		got := eval(t, comp, doc.Root, hype.Options{Trace: 4096})
+		want := eval(t, interp, doc.Root, hype.Options{Trace: 4096})
+		gotTr, wantTr := got.Trace, want.Trace
+		if !same(got.Nodes, want.Nodes) || got.Stats != want.Stats {
 			t.Fatalf("%q: traced compiled run diverges", src)
 		}
 		if !reflect.DeepEqual(gotTr.Events, wantTr.Events) || gotTr.Dropped != wantTr.Dropped {
@@ -107,15 +110,15 @@ func TestCompiledCacheEvictionAndFallback(t *testing.T) {
 		m := mfa.MustCompile(xpath.MustParse(src))
 		interp := hype.New(m)
 		interp.SetCompiled(false)
-		wantNodes, wantStats := interp.EvalWithStats(doc.Root)
+		want := eval(t, interp, doc.Root, hype.Options{})
 
 		tiny := hype.New(m)
 		tiny.SetCompiledCacheCap(1)
-		gotNodes, gotStats := tiny.EvalWithStats(doc.Root)
-		if !same(gotNodes, wantNodes) || gotStats != wantStats {
+		got := eval(t, tiny, doc.Root, hype.Options{})
+		if !same(got.Nodes, want.Nodes) || got.Stats != want.Stats {
 			t.Fatalf("%q: answers/Stats diverge under cache cap 1", src)
 		}
-		cs := tiny.CompiledStats()
+		cs := got.Compiled
 		if !cs.Enabled {
 			t.Fatalf("%q: compiled layer not used", src)
 		}
@@ -128,8 +131,8 @@ func TestCompiledCacheEvictionAndFallback(t *testing.T) {
 		sawFallback = sawFallback || cs.DFAFallback
 
 		// A second run on the same (now fallback) clone must still agree.
-		gotNodes, gotStats = tiny.EvalWithStats(doc.Root)
-		if !same(gotNodes, wantNodes) || gotStats != wantStats {
+		got = eval(t, tiny, doc.Root, hype.Options{})
+		if !same(got.Nodes, want.Nodes) || got.Stats != want.Stats {
 			t.Fatalf("%q: post-fallback rerun diverges", src)
 		}
 	}
@@ -145,20 +148,16 @@ func TestCompiledCacheWarmsAcrossRuns(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(200))
 	m := mfa.MustCompile(xpath.MustParse(hospital.XPA))
 	e := hype.New(m)
-	e.Eval(doc.Root)
-	first := e.CompiledStats()
+	first := eval(t, e, doc.Root, hype.Options{}).Compiled
 	if first.DFAStates == 0 {
 		t.Fatalf("first run built no subset states: %+v", first)
 	}
-	e.Eval(doc.Root)
-	second := e.CompiledStats()
+	second := eval(t, e, doc.Root, hype.Options{}).Compiled
 	if second.DFAStates != 0 || second.DFAMisses != 0 {
 		t.Errorf("second run should be fully cached, got states=%d misses=%d",
 			second.DFAStates, second.DFAMisses)
 	}
-	clone := e.Clone()
-	clone.Eval(doc.Root)
-	cold := clone.CompiledStats()
+	cold := eval(t, e.Clone(), doc.Root, hype.Options{}).Compiled
 	if cold.DFAStates != first.DFAStates {
 		t.Errorf("fresh clone built %d states, original first run %d", cold.DFAStates, first.DFAStates)
 	}
@@ -183,10 +182,7 @@ func TestCompiledPlanSizing(t *testing.T) {
 	if cp.DFACacheCap <= 0 {
 		t.Errorf("DFACacheCap = %d, want > 0", cp.DFACacheCap)
 	}
-	e := hype.New(m)
-	doc := hospital.SampleDocument()
-	e.Eval(doc.Root)
-	run := e.CompiledStats()
+	run := eval(t, hype.New(m), hospital.SampleDocument().Root, hype.Options{}).Compiled
 	if run.Alphabet != cp.Alphabet || run.NFAWords != cp.NFAWords || run.AFAWords != cp.AFAWords {
 		t.Errorf("run-time sizing %+v disagrees with CompiledPlan %+v", run, cp)
 	}

@@ -1,12 +1,13 @@
 package hype
 
-// The compiled DFS: visitC / visitColC mirror visit / visitCol step for
-// step, but the per-node NFA work — closure, final/guard discovery, ε edges,
-// transition matching and cans link edges — comes precomputed from the
-// clone's subset-state cache (compile.go), and AFA evaluation runs the
-// bitset instruction programs. Every decision (visit, prune, vertex, edge,
-// AFA activation) and every trace event is replayed identically, so Stats,
-// answers and traces are byte-for-byte those of the interpreted path.
+// The compiled DFS: visitC mirrors the interpreted visit step for step, and
+// visitColC runs the same steps over the columns, but the per-node NFA work
+// — closure, final/guard discovery, ε edges, transition matching and cans
+// link edges — comes precomputed from the clone's subset-state cache
+// (compile.go), and AFA evaluation runs the bitset instruction programs.
+// Every decision (visit, prune, vertex, edge, AFA activation) and every
+// trace event is replayed identically, so Stats, answers and traces are
+// byte-for-byte those of the interpreted pointer pass.
 
 import (
 	"fmt"
@@ -20,15 +21,8 @@ import (
 // ε-closed NFA set. fseeds are the not-yet-closed AFA seed sets, exactly as
 // in the interpreted path.
 func (r *run) visitC(n *xmltree.Node, ds *dfaState, fseeds []nfaSet) visitResult {
-	if (r.ctx != nil || r.bud != nil) && !r.cancelled {
-		if r.sinceCheck++; r.sinceCheck >= cancelCheckInterval {
-			r.sinceCheck = 0
-			if r.ctx != nil && r.ctx.Err() != nil {
-				r.cancelled = true
-			} else if r.bud != nil {
-				r.checkBudget()
-			}
-		}
+	if r.sinceCheck++; r.sinceCheck >= cancelCheckInterval {
+		r.poll()
 	}
 	if r.cancelled {
 		return visitResult{base: int32(r.numVerts)}
@@ -231,21 +225,15 @@ func (r *run) foldChildAFAC(lid int32, rel []nfaSet, transAcc [][]bool, childVal
 
 // Columnar ------------------------------------------------------------------
 
-// visitColC is visitCol() on subset states: labels arrive as document ids
-// and translate to program ids through the binding, and the has-transitions
-// test runs against the binding's alphabet (transitions on labels absent
-// from the document can never fire — the same dead-edge dropping the
-// interpreted binding does).
+// visitColC is visitC over the columns: node n is a preorder id, labels
+// arrive as document ids and translate to program ids through the binding,
+// and the has-transitions test runs against the binding's alphabet
+// (transitions on labels absent from the document can never fire). cur is
+// the run's single reusable cursor; it is repositioned to n before AFA
+// predicates are evaluated.
 func (r *run) visitColC(b *ColBinding, cur *colstore.Cursor, n int32, ds *dfaState, fseeds []nfaSet) visitResult {
-	if (r.ctx != nil || r.bud != nil) && !r.cancelled {
-		if r.sinceCheck++; r.sinceCheck >= cancelCheckInterval {
-			r.sinceCheck = 0
-			if r.ctx != nil && r.ctx.Err() != nil {
-				r.cancelled = true
-			} else if r.bud != nil {
-				r.checkBudget()
-			}
-		}
+	if r.sinceCheck++; r.sinceCheck >= cancelCheckInterval {
+		r.poll()
 	}
 	if r.cancelled {
 		return visitResult{base: int32(r.numVerts)}
@@ -341,9 +329,7 @@ func (r *run) visitChildColC(b *ColBinding, cur *colstore.Cursor, c int32, ds *d
 // guardSeeds run preamble.
 func (r *run) rootStateC() (*dfaState, []nfaSet) {
 	d := r.Engine.ensureDFA()
-	ms := r.getNFASet()
-	ms.set(r.m.Start)
-	r.closeNFA(ms)
+	ms := r.startSet()
 	root := d.canonical(ms)
 	r.putNFASet(ms)
 	seeds := r.getVecN()

@@ -101,7 +101,7 @@ func TestPrefilterSound(t *testing.T) {
 		eng := hype.New(m)
 		for di, doc := range docs {
 			fp := hype.FingerprintDoc(doc)
-			got := eng.Eval(doc.Root)
+			got := answers(t, eng, doc.Root)
 			if !p.CanMatch(fp) {
 				refuted++
 				if len(got) != 0 {

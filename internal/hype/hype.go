@@ -2,6 +2,7 @@ package hype
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -11,7 +12,8 @@ import (
 
 // Engine evaluates one MFA over documents. Without an index it is the
 // paper's HyPE; with an index (see BuildIndex) it is OptHyPE/OptHyPE-C.
-// An Engine is not safe for concurrent use (it keeps per-run statistics).
+// An Engine is not safe for concurrent use (it keeps a private subset-state
+// cache and alive-set caches); Clone gives each goroutine its own.
 type Engine struct {
 	m   *mfa.MFA
 	idx *Index
@@ -44,23 +46,19 @@ type Engine struct {
 	// subtrees whose alphabet covers it can never be pruned by alphabet
 	// reasoning, which short-circuits the per-child useful() check.
 	usedLabels LabelSet
-
-	// limits are the armed resource budgets (see SetLimits); the zero
-	// value is unlimited. Shared with clones, enforced per run.
-	limits Limits
+	// numTags is the number of result tags (see mfa.Merge): 1 for a single
+	// query, one per merged machine for a batch automaton.
+	numTags int
 
 	// prog is the compiled evaluation program (compile.go), immutable and
 	// shared by clones; dfa is this clone's lazy subset-automaton cache
-	// (never shared — Clone resets it). compiledOff disarms the compiled
-	// path (SetCompiled), dfaCap overrides the cache bound for tests, and
-	// lastCompiled keeps the most recent run's compiled-layer statistics.
-	prog         *program
-	dfa          *dfaCache
-	dfaCap       int
-	compiledOff  bool
-	lastCompiled CompiledStats
-
-	stats Stats
+	// (never shared — Clone resets it). compiledOff selects the interpreted
+	// pointer pass (SetCompiled) and dfaCap overrides the cache bound for
+	// tests.
+	prog        *program
+	dfa         *dfaCache
+	dfaCap      int
+	compiledOff bool
 }
 
 // afaMeta holds per-AFA static metadata.
@@ -110,23 +108,18 @@ func NewOpt(m *mfa.MFA, idx *Index) *Engine {
 	return e
 }
 
-// Stats returns the statistics of the most recent Eval run.
-func (e *Engine) Stats() Stats { return e.stats }
-
 // Clone returns an independent engine over the same automaton (and index):
-// the immutable automaton metadata is shared, while per-run statistics and
-// the lazily built alive-set caches are private, so clones may evaluate
+// the immutable automaton metadata is shared, while the subset-state cache
+// and the lazily built alive-set caches are private, so clones may evaluate
 // concurrently on different goroutines.
 func (e *Engine) Clone() *Engine {
 	c := *e
-	c.stats = Stats{}
 	if c.aliveCache != nil {
 		c.aliveCache = make([]*aliveInfo, len(e.aliveCache))
 	}
 	c.aliveByKey = nil
 	c.aliveByW = nil
 	c.dfa = nil
-	c.lastCompiled = CompiledStats{}
 	return &c
 }
 
@@ -165,6 +158,7 @@ func (e *Engine) precompute() {
 	// hang off them — but an unproductive state can never contribute an
 	// answer, so filtering it (and its guard work) is sound.
 
+	e.numTags = e.m.NumTags()
 	e.afaClosure = make([]afaMeta, len(e.m.AFAs))
 	for i, a := range e.m.AFAs {
 		e.afaClosure[i] = buildAFAMeta(a)
@@ -264,55 +258,142 @@ func (s nfaSet) forEach(fn func(i int)) {
 	}
 }
 
-// Eval computes ctx[[M]] with a single depth-first pass over the subtree of
-// ctx followed by one traversal of the cans DAG (Algorithm HyPE, Fig. 6).
-func (e *Engine) Eval(ctx *xmltree.Node) []*xmltree.Node {
-	nodes, _ := e.EvalWithStats(ctx)
-	return nodes
+// Options configures one evaluation run. The zero value is a sequential,
+// untraced run without resource budgets.
+type Options struct {
+	// Workers, when positive, evaluates shard-parallel: independent
+	// subtrees fan out to at most Workers goroutines (see parallel.go).
+	// Zero evaluates sequentially.
+	Workers int
+	// Trace, when positive, records a per-node decision trace of at most
+	// Trace events (see Trace). A traced run is sequential.
+	Trace int
+	// Limits bounds the work of the run; the zero value is unlimited.
+	Limits Limits
 }
 
-// EvalWithStats is Eval returning this run's statistics as a value — the
-// form concurrent callers (engine-clone pools) need: the returned Stats
-// belong to exactly this run, with no shared mutable state involved.
-func (e *Engine) EvalWithStats(ctx *xmltree.Node) ([]*xmltree.Node, Stats) {
-	hits, st, _ := e.run(nil, ctx, nil)
-	return candNodes(hits), st
+// Result is what one evaluation run produced. Every field belongs to
+// exactly this run, so the value is exact no matter how many clones of the
+// engine evaluate concurrently.
+type Result struct {
+	// Nodes holds the answers in document order (pointer pass).
+	Nodes []*xmltree.Node
+	// Tagged holds the answers of every machine of a batch automaton (see
+	// mfa.Merge), indexed by tag, each in document order (pointer pass).
+	// A single query has one tag, so Tagged[0] is Nodes.
+	Tagged [][]*xmltree.Node
+	// IDs holds the preorder ids of the answers in document order
+	// (columnar pass).
+	IDs []int
+	// Stats are the run's pruning and cans statistics; an aborted run
+	// reports what it did before it stopped.
+	Stats Stats
+	// Shards, Workers and SpineNodes report how a shard-parallel run cut
+	// the document: the independent subtree tasks, the worker goroutines
+	// actually used, and the nodes the sequential planner visited itself
+	// (the root plus every dominating shard it split). Zero for a
+	// sequential run.
+	Shards     int
+	Workers    int
+	SpineNodes int
+	// Compiled reports what the compiled layer did; the zero value when
+	// the run was interpreted.
+	Compiled CompiledStats
+	// Trace is the decision log requested by Options.Trace (nil
+	// otherwise); an aborted run keeps what it recorded.
+	Trace *Trace
 }
 
-// EvalCtx is EvalWithStats honoring a context: the DFS checks ctx every
-// cancelCheckInterval visited elements and unwinds promptly once it is
-// cancelled, returning ctx's error and the (partial, meaningless beyond
-// accounting) statistics of the aborted run. A nil-Done context costs one
-// Err() call per interval.
-func (e *Engine) EvalCtx(ctx context.Context, n *xmltree.Node) ([]*xmltree.Node, Stats, error) {
-	hits, st, err := e.run(ctx, n, nil)
-	if err != nil {
-		return nil, st, err
+// Eval computes n[[M]] with a single depth-first pass over the subtree of
+// n followed by one traversal of the cans DAG (Algorithm HyPE, Fig. 6).
+// The DFS polls ctx and the budgets of opts.Limits every
+// cancelCheckInterval visited elements and aborts promptly once either
+// trips, returning ctx's error or a *LimitError with the partial
+// statistics of the aborted run.
+func (e *Engine) Eval(ctx context.Context, n *xmltree.Node, opts Options) (Result, error) {
+	if opts.Workers > 0 {
+		if opts.Trace > 0 {
+			return Result{}, errors.New("hype: a traced run is sequential; set Workers or Trace, not both")
+		}
+		return e.runParallel(ctx, n, opts)
 	}
-	return candNodes(hits), st, nil
-}
-
-// EvalTagged evaluates a batch automaton (see mfa.Merge) in ONE pass and
-// returns the answer set of every merged machine, indexed by tag. The
-// slice has m.NumTags() entries.
-func (e *Engine) EvalTagged(ctx *xmltree.Node) [][]*xmltree.Node {
-	out, _ := e.EvalTaggedWithStats(ctx)
-	return out
-}
-
-// EvalTaggedWithStats is EvalTagged returning this run's statistics.
-func (e *Engine) EvalTaggedWithStats(ctx *xmltree.Node) ([][]*xmltree.Node, Stats) {
-	hits, st, _ := e.run(nil, ctx, nil)
-	return taggedNodes(e.m.NumTags(), hits), st
-}
-
-// EvalTaggedCtx is EvalTaggedWithStats honoring a context (see EvalCtx).
-func (e *Engine) EvalTaggedCtx(ctx context.Context, n *xmltree.Node) ([][]*xmltree.Node, Stats, error) {
-	hits, st, err := e.run(ctx, n, nil)
-	if err != nil {
-		return nil, st, err
+	var res Result
+	if opts.Trace > 0 {
+		res.Trace = &Trace{Limit: opts.Trace}
 	}
-	return taggedNodes(e.m.NumTags(), hits), st, nil
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
+	r := e.newRun(ctx, opts.Limits)
+	r.trace = res.Trace
+	var vr visitResult
+	if e.compiledOff {
+		ms := r.startSet()
+		vr = r.visit(n, ms, r.guardSeeds(ms))
+	} else {
+		d := e.ensureDFA()
+		pre := d.snap()
+		root, seeds := r.rootStateC()
+		vr = r.visitC(n, root, seeds)
+		res.Compiled = d.delta(pre)
+		if res.Trace != nil {
+			cs := res.Compiled
+			res.Trace.Compiled = &cs
+		}
+	}
+	hits, err := r.finish(vr, &res.Stats)
+	if err != nil {
+		return res, err
+	}
+	e.answers(&res, hits)
+	return res, nil
+}
+
+// newRun starts the per-evaluation state of one run under ctx and lim.
+func (e *Engine) newRun(ctx context.Context, lim Limits) *run {
+	r := &run{Engine: e, ctx: ctx, limits: lim}
+	if lim.active() {
+		r.bud = &budget{}
+	}
+	return r
+}
+
+// startSet returns the run's initial NFA state set: {start}, ε-closed.
+func (r *run) startSet() nfaSet {
+	ms := r.getNFASet()
+	ms.set(r.m.Start)
+	r.closeNFA(ms)
+	return ms
+}
+
+// finish ends a run whose DFS returned vr. An aborted run reports why —
+// its exceeded budget, else ctx's error; otherwise phase 2 walks the cans
+// DAG and the surviving candidates are returned. Either way st receives
+// the run's statistics.
+func (r *run) finish(vr visitResult, st *Stats) ([]cand, error) {
+	if r.cancelled {
+		*st = r.stats
+		if r.limitErr != nil {
+			return nil, r.limitErr
+		}
+		return nil, r.ctx.Err()
+	}
+	hits := r.liveCands(vr)
+	r.stats.CansVertices = r.numVerts
+	r.stats.CansEdges = len(r.edgeList)
+	*st = r.stats
+	return hits, nil
+}
+
+// answers fills the pointer-pass answer fields of res from the surviving
+// candidates.
+func (e *Engine) answers(res *Result, hits []cand) {
+	res.Nodes = candNodes(hits)
+	if e.numTags > 1 {
+		res.Tagged = taggedNodes(e.numTags, hits)
+	} else if e.numTags == 1 {
+		res.Tagged = [][]*xmltree.Node{res.Nodes}
+	}
 }
 
 // taggedNodes groups candidate hits by their result tag and normalizes each
@@ -334,60 +415,6 @@ func candNodes(hits []cand) []*xmltree.Node {
 		answers = append(answers, c.node)
 	}
 	return xmltree.SortNodes(answers)
-}
-
-// run performs the single DFS pass plus the cans traversal and returns the
-// surviving candidate answers with the run's statistics. Statistics
-// accumulate in the run value, not the engine, so the result is exact for
-// this run regardless of what other clones do; e.stats keeps the last
-// run's copy for the legacy Stats() accessor. A non-nil cctx cancels the
-// DFS: run then returns cctx's error and whatever partial statistics the
-// aborted pass accumulated.
-func (e *Engine) run(cctx context.Context, ctx *xmltree.Node, tr *Trace) ([]cand, Stats, error) {
-	if cctx != nil {
-		if err := cctx.Err(); err != nil {
-			e.stats = Stats{}
-			return nil, Stats{}, err
-		}
-	}
-	r := &run{Engine: e, trace: tr, ctx: cctx}
-	if e.limits.active() {
-		r.bud = &budget{}
-	}
-	var res visitResult
-	if e.Compiled() {
-		d := e.ensureDFA()
-		pre := d.snap()
-		root, seeds := r.rootStateC()
-		res = r.visitC(ctx, root, seeds)
-		e.lastCompiled = d.delta(pre)
-		if tr != nil {
-			cs := e.lastCompiled
-			tr.Compiled = &cs
-		}
-	} else {
-		e.lastCompiled = CompiledStats{}
-		ms := r.getNFASet()
-		ms.set(e.m.Start)
-		r.closeNFA(ms)
-		seeds := r.guardSeeds(ms)
-		res = r.visit(ctx, ms, seeds)
-	}
-	if r.cancelled {
-		e.stats = r.stats
-		err := r.limitErr
-		if err == nil {
-			err = cctx.Err()
-		}
-		return nil, r.stats, err
-	}
-
-	// Phase 2: walk cans from the initial vertex (ctx, start state).
-	hits := r.liveCands(res)
-	r.stats.CansVertices = r.numVerts
-	r.stats.CansEdges = len(r.edgeList)
-	e.stats = r.stats
-	return hits, r.stats, nil
 }
 
 // liveCands walks the cans DAG from the initial vertex (the root's vertex
@@ -444,30 +471,46 @@ func (r *run) liveCands(res visitResult) []cand {
 }
 
 // cancelCheckInterval is how many visited elements pass between context
-// checks in a cancellable run: frequent enough that cancellation aborts
-// within microseconds, rare enough that the atomic load in Context.Err is
+// and budget checks: frequent enough that cancellation aborts within
+// microseconds, rare enough that the atomic load in Context.Err is
 // invisible in profiles.
 const cancelCheckInterval = 256
+
+// poll closes one poll window: it aborts the run once ctx is done or a
+// resource budget is exceeded.
+func (r *run) poll() {
+	r.sinceCheck = 0
+	if r.cancelled {
+		return
+	}
+	if r.ctx.Err() != nil {
+		r.cancelled = true
+	} else if r.bud != nil {
+		r.checkBudget()
+	}
+}
 
 // run holds the per-evaluation state.
 type run struct {
 	*Engine
 
-	// stats is this run's private statistics; it shadows Engine.stats so
-	// concurrent clones never write shared memory mid-run.
+	// stats is this run's private statistics, so concurrent clones never
+	// write shared memory mid-run.
 	stats Stats
 	// trace, when non-nil, records per-node decisions (capped).
 	trace *Trace
-	// ctx, when non-nil, lets the DFS abort early: visit polls ctx.Err()
-	// every cancelCheckInterval elements and, once cancelled, every
-	// remaining visit returns immediately so the recursion unwinds fast.
+	// ctx lets the DFS abort early: visit polls ctx.Err() every
+	// cancelCheckInterval elements and, once cancelled, every remaining
+	// visit returns immediately so the recursion unwinds fast.
 	ctx        context.Context
 	sinceCheck int
 	cancelled  bool
-	// bud, when non-nil, is the run's shared resource budget (see Limits);
-	// the poll window flushes consumption into it and sets limitErr (plus
-	// cancelled, to unwind) once a bound is exceeded. flushedCands is how
-	// many of r.cands were already flushed into the budget.
+	// limits are the run's resource budgets and bud, when non-nil, their
+	// shared consumption counters (see Limits); the poll window flushes
+	// consumption into bud and sets limitErr (plus cancelled, to unwind)
+	// once a bound is exceeded. flushedCands is how many of r.cands were
+	// already flushed into the budget.
+	limits       Limits
 	bud          *budget
 	limitErr     error
 	flushedCands int
@@ -689,15 +732,8 @@ func (r *run) closeAFA(g int, set nfaSet) {
 // relevant children, evaluates active AFAs bottom-up and returns the
 // results the parent folds.
 func (r *run) visit(n *xmltree.Node, ms nfaSet, fseeds []nfaSet) visitResult {
-	if (r.ctx != nil || r.bud != nil) && !r.cancelled {
-		if r.sinceCheck++; r.sinceCheck >= cancelCheckInterval {
-			r.sinceCheck = 0
-			if r.ctx != nil && r.ctx.Err() != nil {
-				r.cancelled = true
-			} else if r.bud != nil {
-				r.checkBudget()
-			}
-		}
+	if r.sinceCheck++; r.sinceCheck >= cancelCheckInterval {
+		r.poll()
 	}
 	if r.cancelled {
 		// Unwind without touching the tree: the empty result folds into

@@ -1,6 +1,7 @@
 package hype_test
 
 import (
+	"context"
 	"testing"
 
 	"smoqe/internal/datagen"
@@ -62,7 +63,7 @@ func TestHyPEMatchesOraclesOnSample(t *testing.T) {
 			t.Fatalf("oracle disagreement for %q: mfa %v vs ref %v", src, ids(got), ids(want))
 		}
 		for name, eng := range engines(t, m, doc) {
-			got := eng.Eval(doc.Root)
+			got := answers(t, eng, doc.Root)
 			if !same(got, want) {
 				t.Errorf("%s: query %q:\n got %v\nwant %v", name, src, ids(got), ids(want))
 			}
@@ -78,7 +79,7 @@ func TestHyPEAtInteriorContext(t *testing.T) {
 		want := refeval.Eval(q, dep)
 		m := mfa.MustCompile(q)
 		for name, eng := range engines(t, m, doc) {
-			if got := eng.Eval(dep); !same(got, want) {
+			if got := answers(t, eng, dep); !same(got, want) {
 				t.Errorf("%s at %s: query %q: got %v want %v", name, dep.Path(), src, ids(got), ids(want))
 			}
 		}
@@ -102,7 +103,7 @@ func TestHyPEOnRewrittenMFAs(t *testing.T) {
 		m := rewrite.MustRewrite(v, xpath.MustParse(src))
 		want := mfa.Eval(m, doc.Root)
 		for name, eng := range engines(t, m, doc) {
-			if got := eng.Eval(doc.Root); !same(got, want) {
+			if got := answers(t, eng, doc.Root); !same(got, want) {
 				t.Errorf("%s: rewritten %q: got %v want %v", name, src, ids(got), ids(want))
 			}
 		}
@@ -116,9 +117,7 @@ func TestPruningHappens(t *testing.T) {
 	q := xpath.MustParse("department/patient/pname")
 	m := mfa.MustCompile(q)
 
-	h := hype.New(m)
-	h.Eval(doc.Root)
-	base := h.Stats()
+	base := eval(t, hype.New(m), doc.Root, hype.Options{}).Stats
 	if base.VisitedElements >= total {
 		t.Errorf("HyPE visited all %d elements; expected pruning", total)
 	}
@@ -126,9 +125,7 @@ func TestPruningHappens(t *testing.T) {
 		t.Error("HyPE skipped nothing")
 	}
 
-	o := hype.NewOpt(m, hype.BuildIndex(doc, false))
-	o.Eval(doc.Root)
-	opt := o.Stats()
+	opt := eval(t, hype.NewOpt(m, hype.BuildIndex(doc, false)), doc.Root, hype.Options{}).Stats
 	if opt.VisitedElements > base.VisitedElements {
 		t.Errorf("OptHyPE visited more (%d) than HyPE (%d)", opt.VisitedElements, base.VisitedElements)
 	}
@@ -147,13 +144,11 @@ func TestOptHyPEPrunesMore(t *testing.T) {
 	doc := hospital.SampleDocument()
 	q := xpath.MustParse("department/patient[parent/patient/parent/patient]/pname")
 	m := mfa.MustCompile(q)
-	h := hype.New(m)
-	h.Eval(doc.Root)
-	o := hype.NewOpt(m, hype.BuildIndex(doc, false))
-	o.Eval(doc.Root)
-	if o.Stats().VisitedElements >= h.Stats().VisitedElements {
+	h := eval(t, hype.New(m), doc.Root, hype.Options{}).Stats
+	o := eval(t, hype.NewOpt(m, hype.BuildIndex(doc, false)), doc.Root, hype.Options{}).Stats
+	if o.VisitedElements >= h.VisitedElements {
 		t.Errorf("OptHyPE visited %d, HyPE %d; index should prune more",
-			o.Stats().VisitedElements, h.Stats().VisitedElements)
+			o.VisitedElements, h.VisitedElements)
 	}
 }
 
@@ -209,9 +204,7 @@ func TestIndexBasics(t *testing.T) {
 func TestCansStatsPopulated(t *testing.T) {
 	doc := hospital.SampleDocument()
 	m := mfa.MustCompile(xpath.MustParse("department/patient[visit]/pname"))
-	h := hype.New(m)
-	h.Eval(doc.Root)
-	st := h.Stats()
+	st := eval(t, hype.New(m), doc.Root, hype.Options{}).Stats
 	if st.CansVertices == 0 || st.CansEdges == 0 {
 		t.Errorf("cans stats empty: %+v", st)
 	}
@@ -234,7 +227,7 @@ func TestEmptyResultQueries(t *testing.T) {
 	} {
 		m := mfa.MustCompile(xpath.MustParse(src))
 		for name, eng := range engines(t, m, doc) {
-			if got := eng.Eval(doc.Root); len(got) != 0 {
+			if got := answers(t, eng, doc.Root); len(got) != 0 {
 				t.Errorf("%s: %q must be empty, got %v", name, src, ids(got))
 			}
 		}
@@ -255,6 +248,22 @@ func same(a, b []*xmltree.Node) bool {
 
 func ids(ns []*xmltree.Node) []int { return xmltree.IDsOf(ns) }
 
+// eval evaluates e at n with opts, failing the test on an error.
+func eval(t testing.TB, e *hype.Engine, n *xmltree.Node, opts hype.Options) hype.Result {
+	t.Helper()
+	res, err := e.Eval(context.Background(), n, opts)
+	if err != nil {
+		t.Fatalf("Eval: %v", err)
+	}
+	return res
+}
+
+// answers is the answer set of a sequential, unlimited evaluation.
+func answers(t testing.TB, e *hype.Engine, n *xmltree.Node) []*xmltree.Node {
+	t.Helper()
+	return eval(t, e, n, hype.Options{}).Nodes
+}
+
 // TestHyPELinearity asserts Theorem 6.1's linear data complexity through a
 // deterministic proxy: the number of visited elements and cans vertices
 // must grow (at most) linearly when the document doubles.
@@ -263,9 +272,8 @@ func TestHyPELinearity(t *testing.T) {
 	m := mfa.MustCompile(q)
 	visited := func(patients int) (int, int) {
 		doc := datagen.Generate(datagen.DefaultConfig(patients))
-		e := hype.New(m)
-		e.Eval(doc.Root)
-		return e.Stats().VisitedElements, e.Stats().CansVertices
+		st := eval(t, hype.New(m), doc.Root, hype.Options{}).Stats
+		return st.VisitedElements, st.CansVertices
 	}
 	v1, c1 := visited(500)
 	v2, c2 := visited(1000)
@@ -296,14 +304,12 @@ func TestTextBloomPruning(t *testing.T) {
 	q := xpath.MustParse(hospital.RXC) // needs text()='heart disease'
 	m := mfa.MustCompile(q)
 
-	h := hype.New(m)
-	want := h.Eval(doc.Root)
-	o := hype.NewOpt(m, hype.BuildIndex(doc, false))
-	got := o.Eval(doc.Root)
-	if len(got) != len(want) {
-		t.Fatalf("answers differ: %d vs %d", len(got), len(want))
+	h := eval(t, hype.New(m), doc.Root, hype.Options{})
+	o := eval(t, hype.NewOpt(m, hype.BuildIndex(doc, false)), doc.Root, hype.Options{})
+	if len(o.Nodes) != len(h.Nodes) {
+		t.Fatalf("answers differ: %d vs %d", len(o.Nodes), len(h.Nodes))
 	}
-	hv, ov := h.Stats().VisitedElements, o.Stats().VisitedElements
+	hv, ov := h.Stats.VisitedElements, o.Stats.VisitedElements
 	if ov >= hv*3/4 {
 		t.Errorf("text bloom should cut visits substantially: HyPE %d, OptHyPE %d (total %d)",
 			hv, ov, total)
@@ -311,11 +317,11 @@ func TestTextBloomPruning(t *testing.T) {
 	// A query whose constant appears nowhere prunes almost everything.
 	q2 := mfa.MustCompile(xpath.MustParse(
 		"department/patient[(parent/patient)*/visit/treatment/medication/diagnosis/text()='no such disease']/pname"))
-	o2 := hype.NewOpt(q2, hype.BuildIndex(doc, false))
-	if got := o2.Eval(doc.Root); len(got) != 0 {
-		t.Fatalf("phantom disease matched %d", len(got))
+	o2 := eval(t, hype.NewOpt(q2, hype.BuildIndex(doc, false)), doc.Root, hype.Options{})
+	if len(o2.Nodes) != 0 {
+		t.Fatalf("phantom disease matched %d", len(o2.Nodes))
 	}
-	if v := o2.Stats().VisitedElements; v > total/10 {
+	if v := o2.Stats.VisitedElements; v > total/10 {
 		t.Errorf("impossible constant should prune nearly everything: visited %d of %d", v, total)
 	}
 }

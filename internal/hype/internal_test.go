@@ -1,6 +1,7 @@
 package hype
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,20 @@ import (
 	"smoqe/internal/xmltree"
 	"smoqe/internal/xpath"
 )
+
+// evalNodes is a sequential, unlimited Eval's answer set. Such a run has no
+// budget to exceed and a context that is never done, so it cannot fail.
+func evalNodes(e *Engine, n *xmltree.Node) []*xmltree.Node {
+	return evalResult(e, n).Nodes
+}
+
+func evalResult(e *Engine, n *xmltree.Node) Result {
+	res, err := e.Eval(context.Background(), n, Options{})
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
 // TestQuickBitsets checks the nfaSet/LabelSet bit operations against a
 // map-based model.
@@ -69,12 +84,12 @@ func TestEngineReuse(t *testing.T) {
 	}
 	m := mfa.MustCompile(xpath.MustParse("(*)*/b[c/text()='x']"))
 	e := New(m)
-	first := e.Eval(doc.Root)
+	first := evalNodes(e, doc.Root)
 	if len(first) != 2 {
 		t.Fatalf("expected 2 answers, got %d", len(first))
 	}
 	for i := 0; i < 10; i++ {
-		got := e.Eval(doc.Root)
+		got := evalNodes(e, doc.Root)
 		if len(got) != len(first) {
 			t.Fatalf("run %d: %d answers, want %d", i, len(got), len(first))
 		}
@@ -86,10 +101,10 @@ func TestEngineReuse(t *testing.T) {
 	}
 	// Interleave evaluations at different contexts.
 	d := doc.Root.ElementChildren()[2]
-	if got := e.Eval(d); len(got) != 1 {
+	if got := evalNodes(e, d); len(got) != 1 {
 		t.Fatalf("at <d>: %d answers, want 1", len(got))
 	}
-	if got := e.Eval(doc.Root); len(got) != 2 {
+	if got := evalNodes(e, doc.Root); len(got) != 2 {
 		t.Fatalf("back at root: %d answers, want 2", len(got))
 	}
 }
@@ -102,11 +117,11 @@ func TestGuardOnStartState(t *testing.T) {
 		t.Fatal(err)
 	}
 	yes := New(mfa.MustCompile(xpath.MustParse(".[b]")))
-	if got := yes.Eval(doc.Root); len(got) != 1 || got[0] != doc.Root {
+	if got := evalNodes(yes, doc.Root); len(got) != 1 || got[0] != doc.Root {
 		t.Errorf(".[b] at root: %v", xmltree.IDsOf(got))
 	}
 	no := New(mfa.MustCompile(xpath.MustParse(".[c]")))
-	if got := no.Eval(doc.Root); len(got) != 0 {
+	if got := evalNodes(no, doc.Root); len(got) != 0 {
 		t.Errorf(".[c] at root must be empty, got %v", xmltree.IDsOf(got))
 	}
 }
@@ -123,7 +138,7 @@ func TestDeepChain(t *testing.T) {
 	d.AddElement(cur, "leaf")
 	m := mfa.MustCompile(xpath.MustParse("(a)*[leaf]"))
 	e := New(m)
-	got := e.Eval(d.Root)
+	got := evalNodes(e, d.Root)
 	if len(got) != 1 {
 		t.Fatalf("(a)*[leaf] on a %d-deep chain: %d answers, want 1", depth, len(got))
 	}
@@ -132,22 +147,20 @@ func TestDeepChain(t *testing.T) {
 	}
 	// The descendant query selects the whole spine.
 	m2 := mfa.MustCompile(xpath.MustParse("(a)*"))
-	if got := New(m2).Eval(d.Root); len(got) != depth+1 {
+	if got := evalNodes(New(m2), d.Root); len(got) != depth+1 {
 		t.Errorf("(a)*: %d answers, want %d", len(got), depth+1)
 	}
 }
 
-// TestStatsResetBetweenRuns: stats reflect only the latest Eval.
+// TestStatsResetBetweenRuns: stats reflect only their own run.
 func TestStatsResetBetweenRuns(t *testing.T) {
 	doc, err := xmltree.ParseString(`<a><b/><b/><b/></a>`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := New(mfa.MustCompile(xpath.MustParse("b")))
-	e.Eval(doc.Root)
-	s1 := e.Stats()
-	e.Eval(doc.Root)
-	s2 := e.Stats()
+	s1 := evalResult(e, doc.Root).Stats
+	s2 := evalResult(e, doc.Root).Stats
 	if s1 != s2 {
 		t.Errorf("stats differ across identical runs: %+v vs %+v", s1, s2)
 	}
@@ -178,8 +191,8 @@ func TestAliveUnderSoundness(t *testing.T) {
 			idx := BuildIndex(doc, both)
 			for _, qsrc := range queries {
 				m := mfa.MustCompile(xpath.MustParse(qsrc))
-				want := New(m).Eval(doc.Root)
-				got := NewOpt(m, idx).Eval(doc.Root)
+				want := evalNodes(New(m), doc.Root)
+				got := evalNodes(NewOpt(m, idx), doc.Root)
 				if len(got) != len(want) {
 					t.Errorf("doc %s query %q compress=%v: opt %d vs hype %d",
 						dsrc, qsrc, both, len(got), len(want))
@@ -204,14 +217,14 @@ func TestCloneConcurrent(t *testing.T) {
 	}
 	m := mfa.MustCompile(xpath.MustParse("(*)*/b[c/text()='x']"))
 	base := NewOpt(m, BuildIndex(doc, true))
-	want := base.Clone().Eval(doc.Root)
+	want := evalNodes(base.Clone(), doc.Root)
 	done := make(chan []*xmltree.Node, 8)
 	for i := 0; i < 8; i++ {
 		e := base.Clone()
 		go func() {
 			var last []*xmltree.Node
 			for j := 0; j < 50; j++ {
-				last = e.Eval(doc.Root)
+				last = evalNodes(e, doc.Root)
 			}
 			done <- last
 		}()
@@ -273,8 +286,8 @@ func TestEmptyTextPredicateNotPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mfa.MustCompile(xpath.MustParse("b[c/text()='']"))
-	want := New(m).Eval(doc.Root)
-	got := NewOpt(m, BuildIndex(doc, false)).Eval(doc.Root)
+	want := evalNodes(New(m), doc.Root)
+	got := evalNodes(NewOpt(m, BuildIndex(doc, false)), doc.Root)
 	if len(want) != 1 {
 		t.Fatalf("reference answers = %d, want 1", len(want))
 	}

@@ -11,13 +11,11 @@ import (
 // to refuse such runs deterministically rather than burn a full timeout on
 // them. Zero fields are unlimited.
 //
-// Enforcement happens in the same poll window as context cancellation
-// (every cancelCheckInterval visited elements), so a run overshoots a
-// budget by at most one window per concurrent shard worker. Exceeded
-// budgets surface as a *LimitError from the error-returning evaluation
-// paths (EvalCtx and friends); the error-less legacy paths (Eval,
-// EvalWithStats, ...) return an empty answer for an aborted run, so callers
-// that arm limits should use the error-returning forms.
+// Budgets are passed per run (Options.Limits). Enforcement happens in the
+// same poll window as context cancellation (every cancelCheckInterval
+// visited elements), so a run overshoots a budget by at most one window
+// per concurrent shard worker. An exceeded budget aborts the run with a
+// *LimitError.
 type Limits struct {
 	// MaxVisited caps the element nodes one run may enter (summed across
 	// all shard workers of a parallel run).
@@ -52,15 +50,6 @@ type LimitError struct {
 func (e *LimitError) Error() string {
 	return fmt.Sprintf("hype: evaluation exceeded %s budget (limit %d)", e.What, e.Limit)
 }
-
-// SetLimits arms (or, with the zero value, disarms) resource budgets on the
-// engine. Clones inherit the limits at Clone time, so a parallel run's
-// workers share the planner's configuration while the shared counters live
-// in a per-run budget. Must not be called concurrently with an evaluation.
-func (e *Engine) SetLimits(l Limits) { e.limits = l }
-
-// Limits returns the engine's armed resource budgets.
-func (e *Engine) Limits() Limits { return e.limits }
 
 // budget holds the shared consumption counters of one evaluation run. A
 // sequential run owns its budget alone; a parallel run shares one budget

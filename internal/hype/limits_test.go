@@ -14,21 +14,19 @@ import (
 	"smoqe/internal/xpath"
 )
 
-func limitEngine(t *testing.T, query string, l hype.Limits) *hype.Engine {
+func limitEngine(t *testing.T, query string) *hype.Engine {
 	t.Helper()
 	m, err := mfa.Compile(xpath.MustParse(query))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := hype.New(m)
-	e.SetLimits(l)
-	return e
+	return hype.New(m)
 }
 
 func TestMaxVisitedAbortsSequential(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(500))
-	e := limitEngine(t, "//diagnosis", hype.Limits{MaxVisited: 512})
-	_, _, err := e.EvalCtx(context.Background(), doc.Root)
+	e := limitEngine(t, "//diagnosis")
+	_, err := e.Eval(context.Background(), doc.Root, hype.Options{Limits: hype.Limits{MaxVisited: 512}})
 	var le *hype.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *LimitError", err)
@@ -41,8 +39,8 @@ func TestMaxVisitedAbortsSequential(t *testing.T) {
 func TestMaxResultNodesAbortsSequential(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(500))
 	// ** selects every element — the candidate set grows with the walk.
-	e := limitEngine(t, "**", hype.Limits{MaxResultNodes: 100})
-	_, _, err := e.EvalCtx(context.Background(), doc.Root)
+	e := limitEngine(t, "**")
+	_, err := e.Eval(context.Background(), doc.Root, hype.Options{Limits: hype.Limits{MaxResultNodes: 100}})
 	var le *hype.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *LimitError", err)
@@ -54,23 +52,22 @@ func TestMaxResultNodesAbortsSequential(t *testing.T) {
 
 func TestGenerousLimitsDoNotDisturbResults(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(200))
-	free := limitEngine(t, "//diagnosis", hype.Limits{})
-	want := free.Eval(doc.Root)
+	e := limitEngine(t, "//diagnosis")
+	want := answers(t, e, doc.Root)
 
-	e := limitEngine(t, "//diagnosis", hype.Limits{MaxVisited: 1 << 30, MaxResultNodes: 1 << 30})
-	got, _, err := e.EvalCtx(context.Background(), doc.Root)
+	res, err := e.Eval(context.Background(), doc.Root, hype.Options{Limits: hype.Limits{MaxVisited: 1 << 30, MaxResultNodes: 1 << 30}})
 	if err != nil {
 		t.Fatalf("generous limits aborted: %v", err)
 	}
-	if len(got) != len(want) {
+	if got := res.Nodes; len(got) != len(want) {
 		t.Errorf("got %d nodes, want %d", len(got), len(want))
 	}
 }
 
 func TestMaxVisitedAbortsParallel(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(500))
-	e := limitEngine(t, "//diagnosis", hype.Limits{MaxVisited: 512})
-	_, _, err := e.EvalParallel(context.Background(), doc.Root, 4)
+	e := limitEngine(t, "//diagnosis")
+	_, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: 4, Limits: hype.Limits{MaxVisited: 512}})
 	var le *hype.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("parallel err = %v, want *LimitError", err)
@@ -82,14 +79,14 @@ func TestMaxVisitedAbortsParallel(t *testing.T) {
 
 func TestParallelGenerousLimitsMatchSequential(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(300))
-	free := limitEngine(t, "//diagnosis", hype.Limits{})
-	want := free.Eval(doc.Root)
+	e := limitEngine(t, "//diagnosis")
+	want := answers(t, e, doc.Root)
 
-	e := limitEngine(t, "//diagnosis", hype.Limits{MaxVisited: 1 << 30})
-	got, _, err := e.EvalParallel(context.Background(), doc.Root, 4)
+	res, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: 4, Limits: hype.Limits{MaxVisited: 1 << 30}})
 	if err != nil {
 		t.Fatalf("parallel with generous limits: %v", err)
 	}
+	got := res.Nodes
 	if len(got) != len(want) {
 		t.Errorf("got %d nodes, want %d", len(got), len(want))
 	}
@@ -102,16 +99,16 @@ func TestParallelGenerousLimitsMatchSequential(t *testing.T) {
 
 // TestShardWorkerPanicIsIsolated: a panic inside one shard worker — injected
 // via the hype.shard.worker failpoint — must surface as a typed error from
-// EvalParallel, not kill the process or hang the merge barrier.
+// a parallel Eval, not kill the process or hang the merge barrier.
 func TestShardWorkerPanicIsIsolated(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	doc := datagen.Generate(datagen.DefaultConfig(300))
-	e := limitEngine(t, "//diagnosis", hype.Limits{})
+	e := limitEngine(t, "//diagnosis")
 
 	if err := failpoint.Enable(failpoint.SiteHypeShardWorker, "panic"); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := e.EvalParallel(context.Background(), doc.Root, 4)
+	_, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: 4})
 	var pe *guard.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *guard.PanicError", err)
@@ -122,14 +119,13 @@ func TestShardWorkerPanicIsIsolated(t *testing.T) {
 
 	// The engine must recover fully: disarm and evaluate again.
 	failpoint.DisableAll()
-	free := limitEngine(t, "//diagnosis", hype.Limits{})
-	want := free.Eval(doc.Root)
-	got, _, err := e.EvalParallel(context.Background(), doc.Root, 4)
+	want := answers(t, limitEngine(t, "//diagnosis"), doc.Root)
+	res, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("after recovery: %v", err)
 	}
-	if len(got) != len(want) {
-		t.Errorf("after recovery: %d nodes, want %d", len(got), len(want))
+	if len(res.Nodes) != len(want) {
+		t.Errorf("after recovery: %d nodes, want %d", len(res.Nodes), len(want))
 	}
 }
 
@@ -137,11 +133,11 @@ func TestShardWorkerPanicIsIsolated(t *testing.T) {
 func TestShardWorkerErrorFailpoint(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	doc := datagen.Generate(datagen.DefaultConfig(300))
-	e := limitEngine(t, "//diagnosis", hype.Limits{})
+	e := limitEngine(t, "//diagnosis")
 	if err := failpoint.Enable(failpoint.SiteHypeShardWorker, "error"); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := e.EvalParallel(context.Background(), doc.Root, 4)
+	_, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: 4})
 	var fe *failpoint.Error
 	if !errors.As(err, &fe) {
 		t.Fatalf("err = %v, want *failpoint.Error", err)
@@ -153,7 +149,8 @@ func TestShardWorkerErrorFailpoint(t *testing.T) {
 // the SAME limit (same *LimitError What/Limit) at the SAME point — both
 // paths flush consumption in identical cancelCheckInterval quanta over the
 // identical preorder DFS, so even the partial visited counts of aborted
-// runs must agree. Checked compiled and interpreted.
+// runs must agree. The columnar pass is compiled; it is checked against the
+// compiled and the interpreted pointer pass.
 func TestColumnarLimitsMatchPointer(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(500))
 	cd := colstore.FromTree(doc)
@@ -169,13 +166,14 @@ func TestColumnarLimitsMatchPointer(t *testing.T) {
 	for _, src := range queries {
 		for _, l := range budgets {
 			for _, compiled := range []bool{true, false} {
-				ptr := limitEngine(t, src, l)
+				ptr := limitEngine(t, src)
 				ptr.SetCompiled(compiled)
-				_, ptrStats, ptrErr := ptr.EvalCtx(context.Background(), doc.Root)
+				ptrRes, ptrErr := ptr.Eval(context.Background(), doc.Root, hype.Options{Limits: l})
+				ptrStats := ptrRes.Stats
 
-				col := limitEngine(t, src, l)
-				col.SetCompiled(compiled)
-				_, colStats, colErr := col.EvalColumnarCtx(context.Background(), col.BindColumnar(cd))
+				col := limitEngine(t, src)
+				colRes, colErr := col.EvalColumnar(context.Background(), hype.BindColumnar(col.MFA(), cd), hype.Options{Limits: l})
+				colStats := colRes.Stats
 
 				var ptrLE, colLE *hype.LimitError
 				if errors.As(ptrErr, &ptrLE) != errors.As(colErr, &colLE) {
@@ -200,11 +198,11 @@ func TestColumnarLimitsMatchPointer(t *testing.T) {
 func TestMergeFailpoint(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	doc := datagen.Generate(datagen.DefaultConfig(300))
-	e := limitEngine(t, "//diagnosis", hype.Limits{})
+	e := limitEngine(t, "//diagnosis")
 	if err := failpoint.Enable(failpoint.SiteHypeMerge, "error"); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := e.EvalParallel(context.Background(), doc.Root, 4)
+	_, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: 4})
 	var fe *failpoint.Error
 	if !errors.As(err, &fe) || fe.Site != failpoint.SiteHypeMerge {
 		t.Fatalf("err = %v, want merge failpoint error", err)

@@ -31,7 +31,6 @@ package hype
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 
 	"smoqe/internal/failpoint"
@@ -39,18 +38,6 @@ import (
 	"smoqe/internal/trace"
 	"smoqe/internal/xmltree"
 )
-
-// ParallelStats is a parallel run's Stats plus how the document was cut.
-type ParallelStats struct {
-	Stats
-	// Shards is the number of independent subtree tasks workers evaluated.
-	Shards int
-	// Workers is the number of worker goroutines actually used.
-	Workers int
-	// SpineNodes is the number of nodes the sequential planner visited
-	// itself (the root plus every dominating shard that was split).
-	SpineNodes int
-}
 
 // parallel-planner tuning knobs.
 const (
@@ -112,45 +99,18 @@ type shardOut struct {
 	err       error
 }
 
-// EvalParallel evaluates like Eval but fans independent subtrees out to a
-// bounded pool of workers (workers <= 0 means GOMAXPROCS). The answers and
+// runParallel is Eval with opts.Workers > 0: it fans independent subtrees
+// out to a bounded pool of at most opts.Workers goroutines. The answers and
 // statistics are exactly those of the sequential pass. The engine itself
-// acts as the sequential planner, so — like Eval — EvalParallel must not be
-// called concurrently on one Engine; workers run on private clones.
-func (e *Engine) EvalParallel(ctx context.Context, root *xmltree.Node, workers int) ([]*xmltree.Node, ParallelStats, error) {
-	hits, pst, err := e.runParallel(ctx, root, workers)
-	if err != nil {
-		return nil, pst, err
-	}
-	return candNodes(hits), pst, nil
-}
-
-// EvalTaggedParallel is EvalParallel for batch automata (see mfa.Merge):
-// one sharded pass answers every merged machine, indexed by tag.
-func (e *Engine) EvalTaggedParallel(ctx context.Context, root *xmltree.Node, workers int) ([][]*xmltree.Node, ParallelStats, error) {
-	hits, pst, err := e.runParallel(ctx, root, workers)
-	if err != nil {
-		return nil, pst, err
-	}
-	return taggedNodes(e.m.NumTags(), hits), pst, nil
-}
-
-func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, workers int) ([]cand, ParallelStats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
+// acts as the sequential planner, so — like Eval — it must not run
+// concurrently on one Engine; workers run on private clones.
+func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, opts Options) (Result, error) {
 	// Plan: partially visit the root, then split dominating shards. The
 	// budget is shared with every worker run, so MaxVisited/MaxResultNodes
 	// bound the whole parallel evaluation, not each shard separately.
 	_, psp := trace.Start(ctx, "hype.plan")
-	r0 := &run{Engine: e, ctx: ctx}
-	if e.limits.active() {
-		r0.bud = &budget{}
-	}
-	ms := r0.getNFASet()
-	ms.set(e.m.Start)
-	r0.closeNFA(ms)
+	r0 := e.newRun(ctx, opts.Limits)
+	ms := r0.startSet()
 	seeds := r0.guardSeeds(ms)
 
 	var tasks []*shardTask
@@ -178,12 +138,12 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, workers in
 		spines = append(spines, sp)
 	}
 
-	pst := ParallelStats{Shards: len(tasks), SpineNodes: len(spines)}
+	res := Result{Shards: len(tasks), SpineNodes: len(spines)}
 	psp.AttrInt("shards", int64(len(tasks)))
 	psp.AttrInt("spine_nodes", int64(len(spines)))
 	psp.End()
-	if ctx != nil && ctx.Err() != nil {
-		return nil, pst, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return res, err
 	}
 
 	// Execute the shards on a bounded pool of engine clones. Each task runs
@@ -191,7 +151,7 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, workers in
 	// whether from a poisoned document/automaton pair or an injected fault —
 	// becomes that task's out.err instead of killing the process, and the
 	// WaitGroup barrier always completes.
-	nw := workers
+	nw := opts.Workers
 	if nw > len(tasks) {
 		nw = len(tasks)
 	}
@@ -202,9 +162,9 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, workers in
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				wr := &run{Engine: e.Clone(), ctx: ctx, bud: r0.bud}
+				wr := &run{Engine: e.Clone(), ctx: ctx, limits: r0.limits, bud: r0.bud}
 				for t := range ch {
-					if wr.cancelled || (ctx != nil && ctx.Err() != nil) {
+					if wr.cancelled || ctx.Err() != nil {
 						t.out.cancelled = true
 						continue
 					}
@@ -213,7 +173,7 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, workers in
 						// The run's internal state (pools, DAG buffers) is
 						// suspect after a panic or an aborted visit; start
 						// the next task from a fresh clone.
-						wr = &run{Engine: e.Clone(), ctx: ctx, bud: r0.bud}
+						wr = &run{Engine: e.Clone(), ctx: ctx, limits: r0.limits, bud: r0.bud}
 					}
 				}
 			}()
@@ -224,33 +184,32 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, workers in
 		close(ch)
 		wg.Wait()
 	}
-	pst.Workers = nw
+	res.Workers = nw
 	for _, t := range tasks {
 		if t.out.err != nil {
-			return nil, pst, t.out.err
+			return res, t.out.err
 		}
 	}
 	for _, t := range tasks {
 		if t.out.cancelled {
-			return nil, pst, ctx.Err()
+			return res, ctx.Err()
 		}
 	}
 
 	if err := mergeParallel(ctx, r0, spines, tasks); err != nil {
-		return nil, pst, err
+		return res, err
 	}
 
 	// Phase 2 over the merged DAG, then the merged statistics.
-	hits := r0.liveCands(rootSpine.res)
-	st := r0.stats
 	for _, t := range tasks {
-		addStats(&st, t.out.stats)
+		addStats(&r0.stats, t.out.stats)
 	}
-	st.CansVertices = r0.numVerts
-	st.CansEdges = len(r0.edgeList)
-	e.stats = st
-	pst.Stats = st
-	return hits, pst, nil
+	hits, err := r0.finish(rootSpine.res, &res.Stats)
+	if err != nil {
+		return res, err
+	}
+	e.answers(&res, hits)
+	return res, nil
 }
 
 // mergeParallel folds the shard results back into the planner run's global

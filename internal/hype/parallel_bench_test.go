@@ -38,7 +38,7 @@ func benchParallel(b *testing.B, qsrc string) {
 		e := hype.New(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Eval(doc.Root)
+			answers(b, e, doc.Root)
 		}
 	})
 	for _, w := range []int{2, 4, 8} {
@@ -46,7 +46,7 @@ func benchParallel(b *testing.B, qsrc string) {
 			e := hype.New(m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := e.EvalParallel(context.Background(), doc.Root, w); err != nil {
+				if _, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

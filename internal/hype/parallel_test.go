@@ -20,17 +20,17 @@ import (
 // construction"), so any drift is a bug, not noise.
 func assertParallelMatches(t *testing.T, name, src string, mk func() *hype.Engine, root *xmltree.Node, workers int) {
 	t.Helper()
-	want, wantSt := mk().EvalWithStats(root)
-	got, pst, err := mk().EvalParallel(context.Background(), root, workers)
+	seq := eval(t, mk(), root, hype.Options{})
+	pst, err := mk().Eval(context.Background(), root, hype.Options{Workers: workers})
 	if err != nil {
 		t.Errorf("%s w=%d: query %q: unexpected error %v", name, workers, src, err)
 		return
 	}
-	if !same(got, want) {
-		t.Errorf("%s w=%d: query %q:\n got %v\nwant %v", name, workers, src, ids(got), ids(want))
+	if !same(pst.Nodes, seq.Nodes) {
+		t.Errorf("%s w=%d: query %q:\n got %v\nwant %v", name, workers, src, ids(pst.Nodes), ids(seq.Nodes))
 	}
-	if pst.Stats != wantSt {
-		t.Errorf("%s w=%d: query %q: stats diverge:\n got %+v\nwant %+v", name, workers, src, pst.Stats, wantSt)
+	if pst.Stats != seq.Stats {
+		t.Errorf("%s w=%d: query %q: stats diverge:\n got %+v\nwant %+v", name, workers, src, pst.Stats, seq.Stats)
 	}
 	if pst.Shards > 0 && pst.Workers == 0 {
 		t.Errorf("%s w=%d: query %q: %d shards but zero workers", name, workers, src, pst.Shards)
@@ -98,16 +98,13 @@ func TestParallelDominationSplit(t *testing.T) {
 
 	src := "inner/" + doc.Root.Label + "/department/patient/pname"
 	m := mfa.MustCompile(xpath.MustParse(src))
-	want, wantSt := hype.New(m).EvalWithStats(wrapped.Root)
-	got, pst, err := hype.New(m).EvalParallel(context.Background(), wrapped.Root, 4)
-	if err != nil {
-		t.Fatal(err)
+	seq := eval(t, hype.New(m), wrapped.Root, hype.Options{})
+	pst := eval(t, hype.New(m), wrapped.Root, hype.Options{Workers: 4})
+	if !same(pst.Nodes, seq.Nodes) {
+		t.Fatalf("got %v want %v", ids(pst.Nodes), ids(seq.Nodes))
 	}
-	if !same(got, want) {
-		t.Fatalf("got %v want %v", ids(got), ids(want))
-	}
-	if pst.Stats != wantSt {
-		t.Fatalf("stats diverge: got %+v want %+v", pst.Stats, wantSt)
+	if pst.Stats != seq.Stats {
+		t.Fatalf("stats diverge: got %+v want %+v", pst.Stats, seq.Stats)
 	}
 	if pst.SpineNodes < 2 {
 		t.Errorf("SpineNodes = %d; the dominating chain should have been split", pst.SpineNodes)
@@ -128,11 +125,9 @@ func TestParallelTaggedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt := hype.New(merged).EvalTaggedWithStats(doc.Root)
-	got, pst, err := hype.New(merged).EvalTaggedParallel(context.Background(), doc.Root, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := eval(t, hype.New(merged), doc.Root, hype.Options{})
+	pst := eval(t, hype.New(merged), doc.Root, hype.Options{Workers: 4})
+	want, got := seq.Tagged, pst.Tagged
 	if len(got) != len(want) {
 		t.Fatalf("got %d buckets, want %d", len(got), len(want))
 	}
@@ -141,8 +136,8 @@ func TestParallelTaggedMatchesSequential(t *testing.T) {
 			t.Errorf("bucket %d (%q): got %v want %v", i, queries[i], ids(got[i]), ids(want[i]))
 		}
 	}
-	if pst.Stats != wantSt {
-		t.Errorf("stats diverge: got %+v want %+v", pst.Stats, wantSt)
+	if pst.Stats != seq.Stats {
+		t.Errorf("stats diverge: got %+v want %+v", pst.Stats, seq.Stats)
 	}
 }
 
@@ -188,20 +183,20 @@ func TestEvalCtxCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	e := hype.New(m)
-	if _, _, err := e.EvalCtx(cancelled, doc.Root); err == nil {
-		t.Fatal("EvalCtx with cancelled context returned nil error")
+	if _, err := e.Eval(cancelled, doc.Root, hype.Options{}); err == nil {
+		t.Fatal("Eval with cancelled context returned nil error")
 	}
 
 	// Cancellation mid-run: the DFS must stop early, not finish the pass.
 	e = hype.New(m)
-	nodes, st, err := e.EvalCtx(newCountdownCtx(3), doc.Root)
+	res, err := e.Eval(newCountdownCtx(3), doc.Root, hype.Options{})
 	if err == nil {
-		t.Fatal("EvalCtx ignored mid-run cancellation")
+		t.Fatal("Eval ignored mid-run cancellation")
 	}
-	if nodes != nil {
-		t.Errorf("cancelled run returned %d nodes; want none", len(nodes))
+	if res.Nodes != nil {
+		t.Errorf("cancelled run returned %d nodes; want none", len(res.Nodes))
 	}
-	if st.VisitedElements >= total {
+	if res.Stats.VisitedElements >= total {
 		t.Errorf("cancelled run visited all %d elements; cancellation did not abort the DFS", total)
 	}
 }
@@ -214,19 +209,20 @@ func TestParallelCancellation(t *testing.T) {
 	// Already-cancelled context: refused before any shard runs.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := hype.New(m).EvalParallel(cancelled, doc.Root, 4); err == nil {
-		t.Fatal("EvalParallel with cancelled context returned nil error")
+	par := hype.Options{Workers: 4}
+	if _, err := hype.New(m).Eval(cancelled, doc.Root, par); err == nil {
+		t.Fatal("parallel Eval with cancelled context returned nil error")
 	}
 
 	// Cancellation mid-run across workers.
-	nodes, pst, err := hype.New(m).EvalParallel(newCountdownCtx(20), doc.Root, 4)
+	pst, err := hype.New(m).Eval(newCountdownCtx(20), doc.Root, par)
 	if err == nil {
-		t.Fatal("EvalParallel ignored mid-run cancellation")
+		t.Fatal("parallel Eval ignored mid-run cancellation")
 	}
-	if nodes != nil {
-		t.Errorf("cancelled run returned %d nodes; want none", len(nodes))
+	if pst.Nodes != nil {
+		t.Errorf("cancelled run returned %d nodes; want none", len(pst.Nodes))
 	}
-	if pst.VisitedElements >= total {
+	if pst.Stats.VisitedElements >= total {
 		t.Errorf("cancelled run visited all %d elements", total)
 	}
 
@@ -240,9 +236,9 @@ func TestParallelCancellation(t *testing.T) {
 	big := datagen.Generate(datagen.DefaultConfig(20000))
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, _, err := hype.New(m).EvalParallel(ctx, big.Root, 4); err != nil {
+		if _, err := hype.New(m).Eval(ctx, big.Root, par); err != nil {
 			return // cancelled, as required
 		}
 	}
-	t.Fatal("EvalParallel kept completing despite cancelled context")
+	t.Fatal("parallel Eval kept completing despite cancelled context")
 }

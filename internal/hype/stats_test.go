@@ -42,13 +42,8 @@ func TestPruneRateIndexVsNoIndex(t *testing.T) {
 	total := doc.ComputeStats().Elements
 	m := mfa.MustCompile(xpath.MustParse(hospital.XPA))
 
-	plain := hype.New(m)
-	plain.Eval(doc.Root)
-	stPlain := plain.Stats()
-
-	opt := hype.NewOpt(m, hype.BuildIndex(doc, true))
-	opt.Eval(doc.Root)
-	stOpt := opt.Stats()
+	stPlain := eval(t, hype.New(m), doc.Root, hype.Options{}).Stats
+	stOpt := eval(t, hype.NewOpt(m, hype.BuildIndex(doc, true)), doc.Root, hype.Options{}).Stats
 
 	if stPlain.SkippedElements != 0 {
 		t.Errorf("no-index run filled SkippedElements = %d, want 0", stPlain.SkippedElements)
@@ -62,26 +57,22 @@ func TestPruneRateIndexVsNoIndex(t *testing.T) {
 	}
 }
 
-// TestEvalWithStatsPerRun checks that EvalWithStats returns run-local
-// statistics: two runs report identical values and match the legacy
-// Stats() accessor after each run.
+// TestEvalWithStatsPerRun checks that Eval returns run-local statistics:
+// two runs on one engine report identical values, nothing carries over.
 func TestEvalWithStatsPerRun(t *testing.T) {
 	doc := hospital.SampleDocument()
 	m := mfa.MustCompile(xpath.MustParse(hospital.XPB))
 	e := hype.New(m)
-	nodes1, st1 := e.EvalWithStats(doc.Root)
-	if !reflect.DeepEqual(st1, e.Stats()) {
-		t.Errorf("Stats() = %+v, want the run's %+v", e.Stats(), st1)
+	r1 := eval(t, e, doc.Root, hype.Options{})
+	r2 := eval(t, e, doc.Root, hype.Options{})
+	if !reflect.DeepEqual(r1.Stats, r2.Stats) {
+		t.Errorf("second run stats %+v differ from first %+v", r2.Stats, r1.Stats)
 	}
-	nodes2, st2 := e.EvalWithStats(doc.Root)
-	if !reflect.DeepEqual(st1, st2) {
-		t.Errorf("second run stats %+v differ from first %+v", st2, st1)
+	if len(r1.Nodes) != len(r2.Nodes) {
+		t.Errorf("answers changed across runs: %d vs %d", len(r1.Nodes), len(r2.Nodes))
 	}
-	if len(nodes1) != len(nodes2) {
-		t.Errorf("answers changed across runs: %d vs %d", len(nodes1), len(nodes2))
-	}
-	if st1.VisitedElements <= 0 {
-		t.Errorf("VisitedElements = %d, want > 0", st1.VisitedElements)
+	if r1.Stats.VisitedElements <= 0 {
+		t.Errorf("VisitedElements = %d, want > 0", r1.Stats.VisitedElements)
 	}
 }
 
@@ -89,14 +80,15 @@ func TestEvalTraced(t *testing.T) {
 	doc := hospital.SampleDocument()
 	m := mfa.MustCompile(xpath.MustParse(hospital.XPA))
 	e := hype.New(m)
-	want := e.Eval(doc.Root)
+	want := answers(t, e, doc.Root)
 
-	nodes, st, tr := e.EvalTraced(doc.Root, 0)
-	if len(nodes) != len(want) {
-		t.Fatalf("traced run returned %d nodes, want %d", len(nodes), len(want))
+	res := eval(t, e, doc.Root, hype.Options{Trace: hype.DefaultTraceLimit})
+	st, tr := res.Stats, res.Trace
+	if len(res.Nodes) != len(want) {
+		t.Fatalf("traced run returned %d nodes, want %d", len(res.Nodes), len(want))
 	}
 	if tr.Limit != hype.DefaultTraceLimit {
-		t.Errorf("limit = %d, want default %d", tr.Limit, hype.DefaultTraceLimit)
+		t.Errorf("limit = %d, want %d", tr.Limit, hype.DefaultTraceLimit)
 	}
 	visits, prunes := 0, 0
 	for _, ev := range tr.Events {
@@ -120,7 +112,7 @@ func TestEvalTraced(t *testing.T) {
 	}
 
 	// A tiny cap is honored and reports the overflow.
-	_, _, small := e.EvalTraced(doc.Root, 3)
+	small := eval(t, e, doc.Root, hype.Options{Trace: 3}).Trace
 	if len(small.Events) != 3 {
 		t.Errorf("capped trace has %d events, want 3", len(small.Events))
 	}
@@ -134,8 +126,8 @@ func TestEvalTraced(t *testing.T) {
 func TestEvalTracedIndexPrunes(t *testing.T) {
 	doc := hospital.SampleDocument()
 	m := mfa.MustCompile(xpath.MustParse("department/patient/pname"))
-	e := hype.NewOpt(m, hype.BuildIndex(doc, true))
-	_, st, tr := e.EvalTraced(doc.Root, 100000)
+	res := eval(t, hype.NewOpt(m, hype.BuildIndex(doc, true)), doc.Root, hype.Options{Trace: 100000})
+	st, tr := res.Stats, res.Trace
 	if st.SkippedSubtrees == 0 {
 		t.Skip("query prunes nothing on the sample; pick a more selective one")
 	}

@@ -1,10 +1,6 @@
 package hype
 
-import (
-	"context"
-
-	"smoqe/internal/xmltree"
-)
+import "smoqe/internal/xmltree"
 
 // TraceKind classifies one recorded decision of a traced HyPE run.
 type TraceKind string
@@ -41,9 +37,10 @@ type TraceEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// DefaultTraceLimit caps a trace when the caller passes no limit: deep
-// documents generate one event per visited node, so an unbounded trace of
-// a large run would dwarf the answer itself.
+// DefaultTraceLimit is the trace cap (Options.Trace) servers use unless
+// configured otherwise: deep documents generate one event per visited
+// node, so an unbounded trace of a large run would dwarf the answer
+// itself.
 const DefaultTraceLimit = 1000
 
 // Trace is the capped event log of one traced evaluation.
@@ -72,28 +69,4 @@ func (t *Trace) add(n *xmltree.Node, kind TraceKind, detail string) {
 		Path:   n.Path(),
 		Detail: detail,
 	})
-}
-
-// EvalTraced is EvalWithStats plus a capped per-node decision trace:
-// every visit, prune, AFA evaluation and guard failure up to limit events
-// (DefaultTraceLimit if limit <= 0). Tracing changes only the run's cost
-// (path rendering per event), never its answers.
-func (e *Engine) EvalTraced(ctx *xmltree.Node, limit int) ([]*xmltree.Node, Stats, *Trace) {
-	nodes, st, tr, _ := e.EvalTracedCtx(nil, ctx, limit)
-	return nodes, st, tr
-}
-
-// EvalTracedCtx is EvalTraced honoring context cancellation: once cctx is
-// done the DFS aborts promptly, returning cctx's error, the partial
-// statistics and the trace recorded so far.
-func (e *Engine) EvalTracedCtx(cctx context.Context, ctx *xmltree.Node, limit int) ([]*xmltree.Node, Stats, *Trace, error) {
-	if limit <= 0 {
-		limit = DefaultTraceLimit
-	}
-	tr := &Trace{Limit: limit}
-	hits, st, err := e.run(cctx, ctx, tr)
-	if err != nil {
-		return nil, st, tr, err
-	}
-	return candNodes(hits), st, tr, nil
 }

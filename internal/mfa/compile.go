@@ -90,7 +90,7 @@ func (b *Builder) SetGuardAt(state, afa, start int) {
 	b.m.States[state].GuardStart = start
 }
 
-// SetTag sets a state's batch-result tag (see Merge and EvalTagged).
+// SetTag sets a state's batch-result tag (see Merge and hype.Result.Tagged).
 func (b *Builder) SetTag(state, tag int) {
 	b.m.States[state].Tag = tag
 }

@@ -4,10 +4,10 @@ import "fmt"
 
 // Merge combines several MFAs into one automaton whose final states carry
 // the index of the machine they came from (the Tag field). A single
-// evaluation pass — hype.Engine.EvalTagged — then answers all queries at
-// once, sharing the document traversal: the multi-query scenario of the
-// paper's access-control motivation, where many user groups' (rewritten)
-// queries hit the same source document.
+// evaluation pass (hype.Engine.Eval, answers per tag in Result.Tagged)
+// then answers all queries at once, sharing the document traversal: the
+// multi-query scenario of the paper's access-control motivation, where
+// many user groups' (rewritten) queries hit the same source document.
 func Merge(ms []*MFA) (*MFA, error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("mfa: Merge of no automata")
@@ -53,7 +53,7 @@ func Merge(ms []*MFA) (*MFA, error) {
 }
 
 // NumTags returns 1 + the largest Tag among final states (the number of
-// result buckets EvalTagged produces), or 0 for an automaton without
+// per-tag answer sets in hype.Result.Tagged), or 0 for an automaton without
 // finals.
 func (m *MFA) NumTags() int {
 	n := 0

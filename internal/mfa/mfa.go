@@ -115,7 +115,7 @@ func (m *MFA) Validate() error {
 		// Tags index result buckets; Merge assigns one per input machine,
 		// so they can never reach the state count. The bound keeps a
 		// forged serialized automaton from driving a NumTags()-sized
-		// allocation in EvalTagged.
+		// allocation of per-tag answers (hype.Result.Tagged).
 		if st.Tag < 0 || st.Tag >= len(m.States) {
 			return fmt.Errorf("mfa: state %d: tag %d out of range", i, st.Tag)
 		}

@@ -76,7 +76,7 @@ func TestStackedViews(t *testing.T) {
 		}
 		for name, got := range map[string][]*xmltree.Node{
 			"mfa.Eval": mfa.Eval(m, doc.Root),
-			"HyPE":     hype.New(m).Eval(doc.Root),
+			"HyPE":     hypeEval(hype.New(m), doc.Root),
 		} {
 			if len(got) != len(want) {
 				t.Fatalf("query %q (%s): got %d source nodes %v, want %d %v",

@@ -11,16 +11,15 @@ import (
 )
 
 // PlanKey identifies one cached query plan: the view the query is posed
-// against (empty for direct queries on the source), the query text, and
-// the engine variant. Two requests with the same key share one
-// PreparedQuery — and therefore skip the O(|Q|²|σ||D_V|²) rewrite — no
-// matter which document they target: a rewritten automaton depends only on
-// the view, and the per-document OptHyPE pools live inside the
-// PreparedQuery keyed by index.
+// against (empty for direct queries on the source) and the query text. Two
+// requests with the same key share one PreparedQuery — and therefore skip
+// the O(|Q|²|σ||D_V|²) rewrite — no matter which document they target or
+// which engine they ask for: a rewritten automaton depends only on the
+// view, and the per-document OptHyPE pools and columnar bindings live
+// inside the PreparedQuery.
 type PlanKey struct {
-	View   string
-	Query  string
-	Engine EngineKind
+	View  string
+	Query string
 }
 
 // EngineKind selects the evaluation strategy for a request.

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"smoqe"
+	"smoqe/internal/hospital"
 )
 
 func TestPlanCacheLRU(t *testing.T) {
@@ -14,7 +16,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	build := func(src string) func() (*smoqe.PreparedQuery, error) {
 		return func() (*smoqe.PreparedQuery, error) { return smoqe.PrepareString(src) }
 	}
-	k := func(q string) PlanKey { return PlanKey{Query: q, Engine: EngineHyPE} }
+	k := func(q string) PlanKey { return PlanKey{Query: q} }
 
 	p1, hit, err := c.GetOrBuild(k("a"), build("a"))
 	if err != nil || hit {
@@ -48,7 +50,7 @@ func TestPlanCacheLRU(t *testing.T) {
 func TestPlanCacheErrorNotCached(t *testing.T) {
 	c := NewPlanCache(4)
 	calls := 0
-	key := PlanKey{Query: "broken", Engine: EngineHyPE}
+	key := PlanKey{Query: "broken"}
 	bad := func() (*smoqe.PreparedQuery, error) { calls++; return nil, fmt.Errorf("boom") }
 	if _, _, err := c.GetOrBuild(key, bad); err == nil {
 		t.Fatal("want error")
@@ -78,7 +80,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 		<-gate // hold every builder until all goroutines have arrived
 		return smoqe.PrepareString("//x")
 	}
-	key := PlanKey{Query: "//x", Engine: EngineHyPE}
+	key := PlanKey{Query: "//x"}
 	const n = 8
 	var wg sync.WaitGroup
 	plans := make([]*smoqe.PreparedQuery, n)
@@ -107,7 +109,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 
 func TestPlanCacheRemoveView(t *testing.T) {
 	c := NewPlanCache(8)
-	mk := func(view, q string) PlanKey { return PlanKey{View: view, Query: q, Engine: EngineHyPE} }
+	mk := func(view, q string) PlanKey { return PlanKey{View: view, Query: q} }
 	for _, k := range []PlanKey{mk("v1", "a"), mk("v1", "b"), mk("v2", "a"), mk("", "a")} {
 		if _, _, err := c.GetOrBuild(k, func() (*smoqe.PreparedQuery, error) { return smoqe.PrepareString("a") }); err != nil {
 			t.Fatal(err)
@@ -129,7 +131,7 @@ func TestPlanCacheRemoveView(t *testing.T) {
 // be cached as a negative entry nor block the retry that succeeds.
 func TestPlanCacheFirstBuildFailsSecondSucceeds(t *testing.T) {
 	c := NewPlanCache(4)
-	key := PlanKey{Query: "department/patient", Engine: EngineHyPE}
+	key := PlanKey{Query: "department/patient"}
 	calls := 0
 	build := func() (*smoqe.PreparedQuery, error) {
 		calls++
@@ -161,7 +163,7 @@ func TestPlanCacheFirstBuildFailsSecondSucceeds(t *testing.T) {
 // and every waiter get an error, and the next request retries cleanly.
 func TestPlanCacheBuildPanicReleasesWaiters(t *testing.T) {
 	c := NewPlanCache(4)
-	key := PlanKey{Query: "q", Engine: EngineHyPE}
+	key := PlanKey{Query: "q"}
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	panicking := func() (*smoqe.PreparedQuery, error) {
@@ -204,5 +206,26 @@ func TestPlanCacheBuildPanicReleasesWaiters(t *testing.T) {
 	})
 	if err != nil || plan == nil {
 		t.Fatalf("rebuild after panic: plan=%v err=%v", plan, err)
+	}
+}
+
+// TestPlanSharedAcrossEngines: a plan is keyed by (view, query) alone, so
+// one query asked for with each engine is built once and then hit twice —
+// the pools and bindings that differ per engine live inside the plan.
+func TestPlanSharedAcrossEngines(t *testing.T) {
+	s := newTestServer(t)
+	for i, engine := range []EngineKind{EngineHyPE, EngineOptHyPE, EngineColumnar} {
+		resp, err := s.Query(context.Background(), QueryRequest{
+			Doc: "hospital", View: "sigma0", Query: hospital.QExample11, Engine: engine,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if resp.CacheHit != (i > 0) {
+			t.Errorf("%s: cache_hit = %v, want %v", engine, resp.CacheHit, i > 0)
+		}
+	}
+	if st := s.Cache().Stats(); st.Misses != 1 || st.Hits != 2 || st.Size != 1 {
+		t.Errorf("plan cache = %+v, want 1 miss, 2 hits, 1 plan", st)
 	}
 }

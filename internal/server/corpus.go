@@ -232,7 +232,7 @@ func (s *Server) collectionQuery(ctx context.Context, w http.ResponseWriter, nam
 		s.corpusBrk.record(bkey, serverFault || (err != nil && isServerFault(err)))
 	}()
 
-	plan, hit, err := s.plan(ctx, QueryRequest{Query: req.Query, View: req.View}, view, EngineHyPE)
+	plan, hit, err := s.plan(ctx, QueryRequest{Query: req.Query, View: req.View}, view)
 	if err != nil {
 		return err
 	}
@@ -352,12 +352,12 @@ func (s *Server) fanOut(ctx context.Context, plan *smoqe.PreparedQuery, docs []*
 					_, dsp := trace.Start(ctx, "corpus.eval.doc")
 					defer dsp.End()
 					dsp.Attr("doc", docs[i].Name)
-					nodes, _, eerr := plan.EvalCtx(ctx, docs[i].Tree.Root)
+					res, eerr := plan.Eval(ctx, docs[i].Tree.Root, smoqe.EvalOptions{Limits: s.cfg.EvalLimits})
 					if eerr != nil {
 						dsp.Error(eerr)
 						return eerr
 					}
-					results[i] <- docEval{ids: smoqe.IDsOf(nodes)}
+					results[i] <- docEval{ids: smoqe.IDsOf(res.Nodes)}
 					return nil
 				})
 				if perr != nil {
@@ -376,7 +376,7 @@ func (s *Server) fanOut(ctx context.Context, plan *smoqe.PreparedQuery, docs []*
 			case <-ctx.Done():
 				// Fail the not-yet-dispatched documents so the in-order
 				// reader never blocks on them; already-dispatched ones are
-				// settled by their workers (EvalCtx honors ctx).
+				// settled by their workers (Eval honors ctx).
 				for j := i; j < len(docs); j++ {
 					results[j] <- docEval{err: ctx.Err()}
 				}

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"smoqe"
 	"smoqe/internal/failpoint"
 )
 
@@ -189,5 +192,52 @@ func TestCollectionReindexRetryAfter(t *testing.T) {
 				t.Fatalf("first reindex finished with %d, want 200", code)
 			}
 		})
+	}
+}
+
+// TestCollectionFanOutKeepsBudgets: the server's evaluation budgets bind
+// every document of a collection fan-out. A document larger than
+// MaxVisited ends the stream with the limit error and is counted under its
+// cause.
+func TestCollectionFanOutKeepsBudgets(t *testing.T) {
+	dir := t.TempDir()
+	col := filepath.Join(dir, "ward")
+	if err := os.Mkdir(col, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	big := "<a>" + strings.Repeat("<b>x</b>", 600) + "</a>"
+	if err := os.WriteFile(filepath.Join(col, "big.xml"), []byte(big), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{EvalLimits: smoqe.EvalLimits{MaxVisited: 100}})
+	if err := s.OpenCorpus(context.Background(), dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.CloseCorpus)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	resp, body := postJSON(t, ts, "/collections/ward/query", map[string]any{"query": "b"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST query: %d %s", resp.StatusCode, body)
+	}
+	var qr struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatalf("decoding %s: %v", body, err)
+	}
+	if !strings.Contains(qr.Error, "visited-elements") {
+		t.Fatalf("stream did not end with the visited-elements limit error: %s", body)
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	raw, _ := io.ReadAll(mresp.Body)
+	if want := `smoqe_limit_exceeded_total{cause="eval-visited-elements"} 1`; !strings.Contains(string(raw), want) {
+		t.Errorf("missing %q in /metrics output:\n%s", want, raw)
 	}
 }

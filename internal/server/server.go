@@ -502,7 +502,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 		s.brk.record(req.View, err != nil && isServerFault(err))
 	}()
 
-	plan, hit, err := s.plan(ctx, req, view, engine)
+	plan, hit, err := s.plan(ctx, req, view)
 	if err != nil {
 		return nil, err
 	}
@@ -532,31 +532,33 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 	elapsed := time.Since(start)
 
 	resp = &QueryResponse{
-		Count:         len(res.nodes),
-		IDs:           smoqe.IDsOf(res.nodes),
+		Count:         len(res.Nodes),
+		IDs:           smoqe.IDsOf(res.Nodes),
 		CacheHit:      hit,
 		ElapsedMicros: elapsed.Microseconds(),
-		// res.stats came by value from this run's private engine clone,
+		// res.Stats came by value from this run's private engine clone,
 		// so these are exact even with concurrent requests on the plan.
-		Visited:         res.stats.VisitedElements,
-		Skipped:         res.stats.SkippedSubtrees,
-		SkippedElements: res.stats.SkippedElements,
-		AFAEvals:        res.stats.AFAEvaluations,
-		Shards:          res.shards,
-		Workers:         res.workers,
+		Visited:         res.Stats.VisitedElements,
+		Skipped:         res.Stats.SkippedSubtrees,
+		SkippedElements: res.Stats.SkippedElements,
+		AFAEvals:        res.Stats.AFAEvaluations,
+		Shards:          res.Shards,
+		Workers:         res.Workers,
 		Engine:          res.engine,
 		FallbackFrom:    res.fallbackFrom,
 		FallbackReason:  res.fallbackReason,
 	}
-	if res.shards > 0 {
+	if res.Shards > 0 {
 		s.met.parallelEvals.Inc()
-		s.met.shards.Add(int64(res.shards))
+		s.met.shards.Add(int64(res.Shards))
 	}
 	s.met.visited.Add(int64(resp.Visited))
 	s.met.skippedSub.Add(int64(resp.Skipped))
 	s.met.skippedEle.Add(int64(resp.SkippedElements))
 	s.met.afaEvals.Add(int64(resp.AFAEvals))
-	s.met.observeQuery(req.View, engine, elapsed)
+	// Latency is labeled by the engine that ran, which differs from the
+	// requested one when a traced columnar request fell back.
+	s.met.observeQuery(req.View, resp.Engine, elapsed)
 	traceID := ""
 	if tid := trace.FromContext(ctx).TraceID(); !tid.IsZero() {
 		traceID = tid.String()
@@ -568,20 +570,20 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 	// to its trace: with the default TraceLatencyRetention (= the slow
 	// threshold) every slow query's trace is retained, since the root span
 	// outlasts the evaluation the threshold measured.
-	if s.slow.Record(slowEntry(req, engine, resp, time.Now(), traceID)) {
+	if s.slow.Record(slowEntry(req, resp, time.Now(), traceID)) {
 		s.met.slowQueries.Inc()
 	}
 	if req.Explain {
-		resp.Explain = s.explain(req, view, plan, res.trace)
+		resp.Explain = s.explain(req, view, plan, res.Trace)
 	}
 	if req.Paths {
-		n := len(res.nodes)
+		n := len(res.Nodes)
 		if n > s.cfg.MaxPaths {
 			n = s.cfg.MaxPaths
 		}
 		resp.Paths = make([]string, n)
 		for i := 0; i < n; i++ {
-			resp.Paths[i] = res.nodes[i].Path()
+			resp.Paths[i] = res.Nodes[i].Path()
 		}
 	}
 	// The respond fault site covers the window between a successful
@@ -620,10 +622,10 @@ func (s *Server) resolve(ctx context.Context, req QueryRequest) (*DocEntry, *Vie
 // plan fetches or builds the request's prepared plan — the "plan" span of
 // a traced request, with the cache outcome (hit, single-flight build or
 // wait) recorded as an event.
-func (s *Server) plan(ctx context.Context, req QueryRequest, view *ViewEntry, engine EngineKind) (*smoqe.PreparedQuery, bool, error) {
+func (s *Server) plan(ctx context.Context, req QueryRequest, view *ViewEntry) (*smoqe.PreparedQuery, bool, error) {
 	ctx, sp := trace.Start(ctx, "plan")
 	defer sp.End()
-	key := PlanKey{View: req.View, Query: req.Query, Engine: engine}
+	key := PlanKey{View: req.View, Query: req.Query}
 	plan, outcome, err := s.cache.GetOrBuildOutcome(key, func() (*smoqe.PreparedQuery, error) {
 		return s.buildPlan(ctx, req, view)
 	})
@@ -665,9 +667,6 @@ func (s *Server) buildPlan(ctx context.Context, req QueryRequest, view *ViewEntr
 		sp.Error(err)
 		return nil, err
 	}
-	// Budgets are armed once at build time; every evaluation borrows a
-	// clone that inherits them.
-	p.SetLimits(s.cfg.EvalLimits)
 	return p, nil
 }
 
@@ -730,25 +729,21 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 // workersFor clamps a request's parallelism ask against the server cap:
 // the effective shard-parallel worker count, or 0 for sequential.
 func (s *Server) workersFor(ask int) int {
-	cap := s.cfg.MaxParallelism
-	if cap <= 0 || ask == 0 || ask == 1 {
+	w := s.cfg.MaxParallelism
+	if ask >= 0 && ask < w {
+		w = ask
+	}
+	if w <= 1 {
 		return 0
 	}
-	if ask < 0 || ask > cap {
-		return cap
-	}
-	return ask
+	return w
 }
 
-// evalResult is one evaluation's outcome: the answers plus exactly this
-// run's statistics (and trace, when requested; and shard accounting, when
-// parallel).
+// evalResult is one evaluation's outcome: the engine's Result — exactly
+// this run's answers and statistics, and its trace and shard accounting
+// when requested — with Nodes filled for columnar runs too.
 type evalResult struct {
-	nodes   []*smoqe.Node
-	stats   smoqe.EngineStats
-	trace   *smoqe.Trace
-	shards  int
-	workers int
+	smoqe.Result
 	// engine is the engine that actually evaluated the request. When it
 	// differs from the requested one (a traced columnar request runs on
 	// the pointer path), fallbackFrom names the requested engine and
@@ -767,28 +762,26 @@ const fallbackReasonTrace = "trace requires the pointer evaluator"
 // evaluate runs the plan against the document synchronously, honoring ctx:
 // the engine polls the context and aborts the DFS promptly when the client
 // disconnects or the request timeout fires, so cancelled requests stop
-// burning CPU (recorded in smoqe_cancelled_total). Traced (EXPLAIN) runs
-// stay sequential — a trace is a single decision log; workers > 1 fans
-// independent subtrees out to a bounded shard pool. Columnar runs evaluate
-// the document's columnar form (built lazily or loaded from a snapshot)
-// and map the preorder-id answers back to nodes, so responses are
-// byte-identical to the pointer path; a traced columnar request falls back
-// to the pointer trace — recorded in the result (engine/fallbackFrom) and
-// as an engine-fallback span event — and workers are ignored (the pass is
-// sequential).
+// burning CPU (recorded in smoqe_cancelled_total). The request maps to one
+// set of evaluation options, always carrying the server's budgets. Traced
+// (EXPLAIN) runs stay sequential — a trace is a single decision log;
+// workers > 1 fans independent subtrees out to a bounded shard pool.
+// Columnar runs evaluate the document's columnar form (built lazily or
+// loaded from a snapshot) and map the preorder-id answers back to nodes,
+// so responses are byte-identical to the pointer path; a traced columnar
+// request falls back to the pointer trace — recorded in the result
+// (engine/fallbackFrom) and as an engine-fallback span event — and workers
+// are ignored (the pass is sequential).
 func (s *Server) evaluate(ctx context.Context, plan *smoqe.PreparedQuery, doc *DocEntry, engine EngineKind, traced bool, workers int) (evalResult, error) {
 	ctx, sp := trace.Start(ctx, "eval")
 	defer sp.End()
 	sp.Attr("engine", string(engine))
-	var (
-		res evalResult
-		err error
-	)
-	res.engine = engine
+	res := evalResult{engine: engine}
+	opts := smoqe.EvalOptions{Limits: s.cfg.EvalLimits}
+	var byID []*smoqe.Node
 	switch {
-	case engine == EngineOptHyPE && traced:
-		res.nodes, res.stats, res.trace, err = plan.EvalIndexedTracedCtx(ctx, doc.Doc.Root, doc.Index(), s.cfg.TraceLimit)
 	case traced:
+		opts.Trace = s.cfg.TraceLimit
 		if engine == EngineColumnar {
 			res.engine = EngineHyPE
 			res.fallbackFrom = EngineColumnar
@@ -796,31 +789,16 @@ func (s *Server) evaluate(ctx context.Context, plan *smoqe.PreparedQuery, doc *D
 			sp.Event("engine-fallback",
 				"from", string(EngineColumnar), "to", string(EngineHyPE), "reason", fallbackReasonTrace)
 		}
-		res.nodes, res.stats, res.trace, err = plan.EvalTracedCtx(ctx, doc.Doc.Root, s.cfg.TraceLimit)
 	case engine == EngineColumnar:
-		cd, byID := doc.Columnar()
-		var ids []int
-		ids, res.stats, err = plan.EvalColumnarCtx(ctx, cd)
-		if err == nil {
-			res.nodes = make([]*smoqe.Node, len(ids))
-			for i, id := range ids {
-				res.nodes[i] = byID[id]
-			}
-		}
-	case workers > 1:
-		var pst smoqe.ParallelStats
-		if engine == EngineOptHyPE {
-			res.nodes, pst, err = plan.EvalIndexedParallelCtx(ctx, doc.Doc.Root, doc.Index(), workers)
-		} else {
-			res.nodes, pst, err = plan.EvalParallelCtx(ctx, doc.Doc.Root, workers)
-		}
-		res.stats = pst.Stats
-		res.shards, res.workers = pst.Shards, pst.Workers
-	case engine == EngineOptHyPE:
-		res.nodes, res.stats, err = plan.EvalIndexedCtx(ctx, doc.Doc.Root, doc.Index())
+		opts.Columnar, byID = doc.Columnar()
 	default:
-		res.nodes, res.stats, err = plan.EvalCtx(ctx, doc.Doc.Root)
+		opts.Workers = workers
 	}
+	if engine == EngineOptHyPE {
+		opts.Index = doc.Index()
+	}
+	var err error
+	res.Result, err = plan.Eval(ctx, doc.Doc.Root, opts)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			s.met.cancelled.Inc()
@@ -830,9 +808,15 @@ func (s *Server) evaluate(ctx context.Context, plan *smoqe.PreparedQuery, doc *D
 		sp.Error(err)
 		return evalResult{}, err
 	}
-	if res.shards > 0 {
-		sp.AttrInt("shards", int64(res.shards))
-		sp.AttrInt("workers", int64(res.workers))
+	if opts.Columnar != nil {
+		res.Nodes = make([]*smoqe.Node, len(res.IDs))
+		for i, id := range res.IDs {
+			res.Nodes[i] = byID[id]
+		}
+	}
+	if res.Shards > 0 {
+		sp.AttrInt("shards", int64(res.Shards))
+		sp.AttrInt("workers", int64(res.Workers))
 	}
 	return res, nil
 }

@@ -105,13 +105,13 @@ func (l *SlowLog) SnapshotWithTotal() ([]SlowQuery, int64) {
 }
 
 // slowEntry assembles a SlowQuery from one finished request.
-func slowEntry(req QueryRequest, engine EngineKind, resp *QueryResponse, now time.Time, traceID string) SlowQuery {
+func slowEntry(req QueryRequest, resp *QueryResponse, now time.Time, traceID string) SlowQuery {
 	return SlowQuery{
 		Time:          now,
 		Doc:           req.Doc,
 		View:          req.View,
 		Query:         req.Query,
-		Engine:        engine,
+		Engine:        resp.Engine,
 		ElapsedMicros: resp.ElapsedMicros,
 		Count:         resp.Count,
 		Visited:       resp.Visited,

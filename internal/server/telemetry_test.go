@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -154,6 +155,52 @@ func TestSlowLogRecordsAndServes(t *testing.T) {
 	}
 	if out.Entries[0].ElapsedMicros < 0 || out.Entries[0].Doc != "hospital" {
 		t.Errorf("slow entry malformed: %+v", out.Entries[0])
+	}
+}
+
+// TestLatencyLabeledByEngineThatRan: an explain request for the columnar
+// engine runs on the pointer pass, and its response says so (engine hype,
+// fallback_from columnar). The latency histogram and the slow log record
+// that engine too, not the one the request asked for.
+func TestLatencyLabeledByEngineThatRan(t *testing.T) {
+	s := New(Config{SlowQueryThreshold: time.Nanosecond})
+	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts, "/query", QueryRequest{
+		Doc: "hospital", Query: "//diagnosis", Engine: EngineColumnar, Explain: true,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /query: %d %s", resp.StatusCode, body)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if qr.Engine != EngineHyPE || qr.FallbackFrom != EngineColumnar {
+		t.Fatalf("explain columnar request did not report the pointer fallback: engine %q, fallback_from %q", qr.Engine, qr.FallbackFrom)
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	raw, _ := io.ReadAll(mresp.Body)
+	text := string(raw)
+	if want := `smoqe_query_duration_seconds_count{engine="hype",view=""} 1`; !strings.Contains(text, want) {
+		t.Errorf("missing %q in /metrics output:\n%s", want, text)
+	}
+	if strings.Contains(text, `smoqe_query_duration_seconds_count{engine="columnar"`) {
+		t.Errorf("latency recorded under the requested engine, not the one that ran:\n%s", text)
+	}
+
+	var slow slowResponse
+	getJSON(t, ts, "/slow", &slow)
+	if len(slow.Entries) != 1 || slow.Entries[0].Engine != EngineHyPE {
+		t.Errorf("/slow entries = %+v, want one entry with engine hype", slow.Entries)
 	}
 }
 

@@ -3,7 +3,6 @@ package smoqe
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"smoqe/internal/guard"
@@ -18,20 +17,44 @@ import (
 // the expensive O(|Q|²|σ||D_V|²) work is done exactly once, evaluation
 // happens many times, concurrently.
 //
-// Unlike Engine, a PreparedQuery IS safe for concurrent use: every Eval
-// borrows an independent Engine.Clone from an internal sync.Pool (clones
-// share the immutable automaton metadata but keep private run state), so
-// any number of goroutines may evaluate simultaneously against the same or
-// different documents. This is the unit the serving layer
-// (internal/server) caches and shares across requests.
+// A PreparedQuery is safe for concurrent use: every Eval borrows an
+// independent engine clone from an internal sync.Pool (clones share the
+// immutable automaton metadata but keep private run state), so any number
+// of goroutines may evaluate simultaneously against the same or different
+// documents. One plan serves every evaluation strategy — HyPE, OptHyPE
+// against any document's index, the columnar pass against any columnar
+// document — because the per-index pools and per-document columnar
+// bindings live inside it. This is the unit the serving layer
+// (internal/server) caches per (view, query) and shares across requests.
 //
 // Lifecycle:
 //
 //	p, _ := smoqe.PrepareOnView(v, q)   // once: parse → rewrite → compile
 //	...
-//	nodes := p.Eval(doc.Root)           // many times, from any goroutine
-//	st := p.Stats()                     // aggregated across all runs
-//
+//	res, err := p.Eval(ctx, doc.Root, smoqe.EvalOptions{})   // many times, from any goroutine
+//	nodes := res.Nodes
+type PreparedQuery struct {
+	m       *MFA
+	pool    *enginePool
+	timings PlanTimings
+
+	// opt maps a document's index to a pool of OptHyPE clones. All clones
+	// for one index share that single index (it is read-only after build);
+	// the map is tiny — one entry per distinct document the query has been
+	// evaluated against with indexing on. col likewise maps a columnar
+	// document to its label binding, built once and shared zero-copy by
+	// every pooled clone that evaluates against it.
+	mu  sync.Mutex
+	opt map[*Index]*enginePool                 // guarded by mu
+	col map[*ColumnarDocument]*hype.ColBinding // guarded by mu
+
+	// pf is the corpus-level document prefilter, built lazily (most
+	// prepared queries never query a collection) and shared — a Prefilter
+	// is immutable.
+	pfOnce sync.Once
+	pf     *hype.Prefilter
+}
+
 // PlanTimings records how long each preparation phase of a plan took —
 // the per-phase cost breakdown the §7 experiments (and the EXPLAIN
 // output) report. Phases that did not run for this plan stay zero: a
@@ -51,44 +74,6 @@ type PlanTimings struct {
 // Total sums the recorded phases.
 func (t PlanTimings) Total() time.Duration { return t.Parse + t.Rewrite + t.Compile }
 
-type PreparedQuery struct {
-	m       *MFA
-	pool    *enginePool
-	timings PlanTimings
-
-	// limits are armed on every engine clone borrowed for an evaluation;
-	// the zero value is unlimited. See SetLimits.
-	limits hype.Limits
-
-	// compiledOff disarms the compiled evaluation layer on every borrowed
-	// clone; the default (false) evaluates compiled. See SetCompiled.
-	compiledOff bool
-
-	// opt maps a document's index to a pool of OptHyPE clones. All clones
-	// for one index share that single index (it is read-only after build);
-	// the map is tiny — one entry per distinct document the query has been
-	// evaluated against with indexing on. col likewise maps a columnar
-	// document to its label binding, built once and shared zero-copy by
-	// every pooled clone that evaluates against it.
-	mu  sync.Mutex
-	opt map[*Index]*enginePool                 // guarded by mu
-	col map[*ColumnarDocument]*hype.ColBinding // guarded by mu
-
-	// pf is the corpus-level document prefilter, built lazily (most
-	// prepared queries never query a collection) and shared — a Prefilter
-	// is immutable.
-	pfOnce sync.Once
-	pf     *hype.Prefilter
-
-	evals   atomic.Int64
-	visited atomic.Int64
-	skipSub atomic.Int64
-	skipEle atomic.Int64
-	cansV   atomic.Int64
-	cansE   atomic.Int64
-	afaEv   atomic.Int64
-}
-
 // Prefilter returns the query's document-level prefilter: a sound,
 // fingerprint-only test that a document cannot contain an answer. Built on
 // first use and cached; safe for concurrent use.
@@ -102,7 +87,7 @@ type enginePool struct {
 	pool sync.Pool
 }
 
-func newEnginePool(proto *Engine) *enginePool {
+func newEnginePool(proto *hype.Engine) *enginePool {
 	ep := &enginePool{}
 	ep.pool.New = func() any { return proto.Clone() }
 	return ep
@@ -180,35 +165,80 @@ func (p *PreparedQuery) MFA() *MFA { return p.m }
 // Timings returns the recorded preparation phase durations.
 func (p *PreparedQuery) Timings() PlanTimings { return p.timings }
 
-// SetLimits arms resource budgets (see EvalLimits) on every subsequent
-// evaluation of this plan; the zero value disarms them. Exceeded budgets
-// surface as a *EvalLimitError from the error-returning Eval forms; the
-// error-less legacy forms return an empty answer for an aborted run. Must
-// not be called concurrently with evaluations.
-func (p *PreparedQuery) SetLimits(l EvalLimits) { p.limits = l }
+// EvalOptions selects how one PreparedQuery.Eval runs. The zero value is
+// sequential HyPE on the pointer tree, untraced and without budgets.
+type EvalOptions struct {
+	// Index, when set, evaluates with OptHyPE against this subtree index,
+	// which must have been built from the document n belongs to.
+	Index *Index
+	// Columnar, when set, evaluates over this columnar document from its
+	// root instead of over n; Result.IDs then holds the preorder ids of
+	// the answers. The columnar pass takes no Index, Workers or Trace.
+	Columnar *ColumnarDocument
+	// Workers, when positive, evaluates shard-parallel on at most Workers
+	// goroutines, with answers and statistics exactly those of the
+	// sequential pass.
+	Workers int
+	// Trace, when positive, records a per-node decision trace of at most
+	// Trace events in Result.Trace. A traced run is sequential.
+	Trace int
+	// Limits bounds the work of this evaluation; an exceeded budget
+	// aborts it with a *EvalLimitError. The zero value is unlimited.
+	Limits EvalLimits
+}
 
-// Limits returns the armed resource budgets.
-func (p *PreparedQuery) Limits() EvalLimits { return p.limits }
-
-// SetCompiled enables (the default) or disables compiled evaluation — the
-// lazy subset-automaton + bitset-AFA layer — on every subsequent evaluation
-// of this plan. Answers and statistics are identical either way; the knob
-// exists for A/B measurement and as an escape hatch. Must not be called
-// concurrently with evaluations.
-func (p *PreparedQuery) SetCompiled(on bool) { p.compiledOff = !on }
-
-// Compiled reports whether compiled evaluation is enabled for this plan.
-func (p *PreparedQuery) Compiled() bool { return !p.compiledOff }
+// Eval evaluates the prepared query at n. It honors ctx: the DFS polls the
+// context and aborts promptly once it is done, returning ctx's error and
+// the partial statistics of the aborted run. Safe to call from any number
+// of goroutines concurrently; the Result belongs to this call alone.
+//
+// The run is recorded as one span of ctx's trace, named after its
+// strategy: eval.columnar, eval.traced, eval.parallel, eval.opthype or
+// eval.hype.
+func (p *PreparedQuery) Eval(ctx context.Context, n *Node, opts EvalOptions) (Result, error) {
+	var sp *trace.Span
+	switch {
+	case opts.Columnar != nil:
+		ctx, sp = trace.Start(ctx, "eval.columnar")
+	case opts.Trace > 0:
+		ctx, sp = trace.Start(ctx, "eval.traced")
+	case opts.Workers > 0:
+		ctx, sp = trace.Start(ctx, "eval.parallel")
+	case opts.Index != nil:
+		ctx, sp = trace.Start(ctx, "eval.opthype")
+	default:
+		ctx, sp = trace.Start(ctx, "eval.hype")
+	}
+	defer sp.End()
+	ep := p.pool
+	if opts.Index != nil {
+		ep = p.indexPool(opts.Index)
+	}
+	hopts := hype.Options{Workers: opts.Workers, Trace: opts.Trace, Limits: opts.Limits}
+	var res Result
+	err := withEngine(ep, func(e *hype.Engine) error {
+		var err error
+		if opts.Columnar != nil {
+			res, err = e.EvalColumnar(ctx, p.colBinding(opts.Columnar), hopts)
+		} else {
+			res, err = e.Eval(ctx, n, hopts)
+		}
+		return err
+	})
+	if err != nil {
+		sp.Error(err)
+	}
+	return res, err
+}
 
 // withEngine runs fn with an engine clone borrowed from ep — the single
-// chokepoint of every evaluation path. It arms the plan's resource budgets
-// on the clone and isolates panics: a panic inside fn (a poisoned
-// query/document pair, an injected fault) becomes a *guard.PanicError
-// return, and the clone — whose internal state is suspect after unwinding
-// mid-DFS — is dropped instead of re-pooled, so one poisoned run can never
-// contaminate later borrowers.
-func (p *PreparedQuery) withEngine(ep *enginePool, fn func(e *Engine) error) (err error) {
-	e := ep.pool.Get().(*Engine)
+// chokepoint of every evaluation. It isolates panics: a panic inside fn (a
+// poisoned query/document pair, an injected fault) becomes a
+// *guard.PanicError return, and the clone — whose internal state is
+// suspect after unwinding mid-DFS — is dropped instead of re-pooled, so
+// one poisoned run can never contaminate later borrowers.
+func withEngine(ep *enginePool, fn func(e *hype.Engine) error) (err error) {
+	e := ep.pool.Get().(*hype.Engine)
 	defer func() {
 		if r := recover(); r != nil {
 			err = guard.Recovered("eval", r)
@@ -216,123 +246,7 @@ func (p *PreparedQuery) withEngine(ep *enginePool, fn func(e *Engine) error) (er
 		}
 		ep.pool.Put(e)
 	}()
-	e.SetLimits(p.limits)
-	e.SetCompiled(!p.compiledOff)
-	err = fn(e)
-	return err
-}
-
-// Eval evaluates the prepared query at ctx with HyPE. Safe to call from
-// any number of goroutines concurrently.
-func (p *PreparedQuery) Eval(ctx *Node) []*Node {
-	nodes, _ := p.EvalWithStats(ctx)
-	return nodes
-}
-
-// EvalWithStats is Eval additionally returning the engine statistics of
-// exactly this run. Because every Eval borrows a private engine clone,
-// the returned value is exact even when any number of goroutines share
-// the plan — this is what per-request reporting must use (reading the
-// aggregate Stats() before and after is racy by construction).
-func (p *PreparedQuery) EvalWithStats(ctx *Node) ([]*Node, EngineStats) {
-	var res []*Node
-	var st EngineStats
-	err := p.withEngine(p.pool, func(e *Engine) error {
-		res, st = e.EvalWithStats(ctx)
-		return nil
-	})
-	if err != nil {
-		// Legacy error-less form: a recovered panic yields an empty answer
-		// (the error-returning forms report it; the daemon uses those).
-		return nil, st
-	}
-	p.account(st)
-	return res, st
-}
-
-// EvalTraced is EvalWithStats plus a capped per-node decision trace (see
-// hype.Trace); limit <= 0 applies hype.DefaultTraceLimit. Safe for
-// concurrent use; the trace belongs to this run alone.
-func (p *PreparedQuery) EvalTraced(ctx *Node, limit int) ([]*Node, EngineStats, *Trace) {
-	var res []*Node
-	var st EngineStats
-	var tr *Trace
-	err := p.withEngine(p.pool, func(e *Engine) error {
-		res, st, tr = e.EvalTraced(ctx, limit)
-		return nil
-	})
-	if err != nil {
-		return nil, st, tr
-	}
-	p.account(st)
-	return res, st, tr
-}
-
-// EvalIndexed evaluates with OptHyPE against the given subtree index,
-// which must have been built from the document ctx belongs to. Clones for
-// the same index share it; distinct indexes get distinct pools. Safe for
-// concurrent use.
-func (p *PreparedQuery) EvalIndexed(ctx *Node, idx *Index) []*Node {
-	nodes, _ := p.EvalIndexedWithStats(ctx, idx)
-	return nodes
-}
-
-// EvalIndexedWithStats is EvalIndexed returning this run's exact
-// statistics (see EvalWithStats).
-func (p *PreparedQuery) EvalIndexedWithStats(ctx *Node, idx *Index) ([]*Node, EngineStats) {
-	var res []*Node
-	var st EngineStats
-	err := p.withEngine(p.indexPool(idx), func(e *Engine) error {
-		res, st = e.EvalWithStats(ctx)
-		return nil
-	})
-	if err != nil {
-		return nil, st
-	}
-	p.account(st)
-	return res, st
-}
-
-// EvalIndexedTraced is EvalIndexed with per-run statistics and a capped
-// decision trace; index prunes appear with their skipped-element counts.
-func (p *PreparedQuery) EvalIndexedTraced(ctx *Node, idx *Index, limit int) ([]*Node, EngineStats, *Trace) {
-	var res []*Node
-	var st EngineStats
-	var tr *Trace
-	err := p.withEngine(p.indexPool(idx), func(e *Engine) error {
-		res, st, tr = e.EvalTraced(ctx, limit)
-		return nil
-	})
-	if err != nil {
-		return nil, st, tr
-	}
-	p.account(st)
-	return res, st, tr
-}
-
-// EvalColumnarCtx evaluates the prepared query over a columnar document
-// (the root is the context node), honoring context cancellation and the
-// plan's resource limits, and returns the preorder ids of the answer nodes
-// in document order. The label binding for cd is built on first use and
-// shared by all subsequent evaluations against the same document. Safe for
-// concurrent use.
-func (p *PreparedQuery) EvalColumnarCtx(ctx context.Context, cd *ColumnarDocument) ([]int, EngineStats, error) {
-	ctx, sp := trace.Start(ctx, "eval.columnar")
-	defer sp.End()
-	b := p.colBinding(cd)
-	var ids []int
-	var st EngineStats
-	err := p.withEngine(p.pool, func(e *Engine) error {
-		var err error
-		ids, st, err = e.EvalColumnarCtx(ctx, b)
-		return err
-	})
-	if err == nil {
-		p.account(st)
-	} else {
-		sp.Error(err)
-	}
-	return ids, st, err
+	return fn(e)
 }
 
 func (p *PreparedQuery) colBinding(cd *ColumnarDocument) *hype.ColBinding {
@@ -361,224 +275,4 @@ func (p *PreparedQuery) indexPool(idx *Index) *enginePool {
 		p.opt[idx] = ep
 	}
 	return ep
-}
-
-// EvalTagged evaluates a batch automaton (see Merge) in one pass and
-// returns each merged machine's answers indexed by tag. Safe for
-// concurrent use.
-func (p *PreparedQuery) EvalTagged(ctx *Node) [][]*Node {
-	res, _ := p.EvalTaggedWithStats(ctx)
-	return res
-}
-
-// EvalTaggedWithStats is EvalTagged returning this run's exact
-// statistics.
-func (p *PreparedQuery) EvalTaggedWithStats(ctx *Node) ([][]*Node, EngineStats) {
-	var res [][]*Node
-	var st EngineStats
-	err := p.withEngine(p.pool, func(e *Engine) error {
-		res, st = e.EvalTaggedWithStats(ctx)
-		return nil
-	})
-	if err != nil {
-		return nil, st
-	}
-	p.account(st)
-	return res, st
-}
-
-// EvalCtx is EvalWithStats honoring context cancellation: the DFS polls
-// ctx and aborts promptly (within a few hundred visited elements) once the
-// context is done, returning ctx's error and the partial statistics of the
-// aborted run. Cancelled runs are not counted in Stats(). Safe for
-// concurrent use.
-func (p *PreparedQuery) EvalCtx(ctx context.Context, n *Node) ([]*Node, EngineStats, error) {
-	ctx, sp := trace.Start(ctx, "eval.hype")
-	defer sp.End()
-	var res []*Node
-	var st EngineStats
-	err := p.withEngine(p.pool, func(e *Engine) error {
-		var err error
-		res, st, err = e.EvalCtx(ctx, n)
-		return err
-	})
-	if err == nil {
-		p.account(st)
-	} else {
-		sp.Error(err)
-	}
-	return res, st, err
-}
-
-// EvalIndexedCtx is EvalIndexedWithStats honoring context cancellation
-// (see EvalCtx).
-func (p *PreparedQuery) EvalIndexedCtx(ctx context.Context, n *Node, idx *Index) ([]*Node, EngineStats, error) {
-	ctx, sp := trace.Start(ctx, "eval.opthype")
-	defer sp.End()
-	var res []*Node
-	var st EngineStats
-	err := p.withEngine(p.indexPool(idx), func(e *Engine) error {
-		var err error
-		res, st, err = e.EvalCtx(ctx, n)
-		return err
-	})
-	if err == nil {
-		p.account(st)
-	} else {
-		sp.Error(err)
-	}
-	return res, st, err
-}
-
-// EvalTaggedCtx is EvalTaggedWithStats honoring context cancellation (see
-// EvalCtx).
-func (p *PreparedQuery) EvalTaggedCtx(ctx context.Context, n *Node) ([][]*Node, EngineStats, error) {
-	var res [][]*Node
-	var st EngineStats
-	err := p.withEngine(p.pool, func(e *Engine) error {
-		var err error
-		res, st, err = e.EvalTaggedCtx(ctx, n)
-		return err
-	})
-	if err == nil {
-		p.account(st)
-	}
-	return res, st, err
-}
-
-// EvalTracedCtx is EvalTraced honoring context cancellation (see EvalCtx);
-// the partial trace of an aborted run is still returned.
-func (p *PreparedQuery) EvalTracedCtx(ctx context.Context, n *Node, limit int) ([]*Node, EngineStats, *Trace, error) {
-	ctx, sp := trace.Start(ctx, "eval.traced")
-	defer sp.End()
-	var res []*Node
-	var st EngineStats
-	var tr *Trace
-	err := p.withEngine(p.pool, func(e *Engine) error {
-		var err error
-		res, st, tr, err = e.EvalTracedCtx(ctx, n, limit)
-		return err
-	})
-	if err == nil {
-		p.account(st)
-	} else {
-		sp.Error(err)
-	}
-	return res, st, tr, err
-}
-
-// EvalIndexedTracedCtx is EvalIndexedTraced honoring context cancellation
-// (see EvalCtx).
-func (p *PreparedQuery) EvalIndexedTracedCtx(ctx context.Context, n *Node, idx *Index, limit int) ([]*Node, EngineStats, *Trace, error) {
-	ctx, sp := trace.Start(ctx, "eval.traced")
-	defer sp.End()
-	var res []*Node
-	var st EngineStats
-	var tr *Trace
-	err := p.withEngine(p.indexPool(idx), func(e *Engine) error {
-		var err error
-		res, st, tr, err = e.EvalTracedCtx(ctx, n, limit)
-		return err
-	})
-	if err == nil {
-		p.account(st)
-	} else {
-		sp.Error(err)
-	}
-	return res, st, tr, err
-}
-
-// EvalParallelCtx evaluates with shard-parallel HyPE: the document is cut
-// into independent subtrees fanned out to at most workers goroutines
-// (workers <= 0 means GOMAXPROCS), with answers and statistics exactly
-// those of the sequential pass (see hype.Engine.EvalParallel). The borrowed
-// engine acts as the sequential planner; its workers run on private
-// clones, so concurrent EvalParallelCtx calls are safe just like Eval.
-func (p *PreparedQuery) EvalParallelCtx(ctx context.Context, n *Node, workers int) ([]*Node, ParallelStats, error) {
-	ctx, sp := trace.Start(ctx, "eval.parallel")
-	defer sp.End()
-	var res []*Node
-	var st ParallelStats
-	err := p.withEngine(p.pool, func(e *Engine) error {
-		var err error
-		res, st, err = e.EvalParallel(ctx, n, workers)
-		return err
-	})
-	if err == nil {
-		p.account(st.Stats)
-	} else {
-		sp.Error(err)
-	}
-	return res, st, err
-}
-
-// EvalIndexedParallelCtx is EvalParallelCtx with OptHyPE against idx; the
-// index additionally gives the shard planner exact subtree sizes.
-func (p *PreparedQuery) EvalIndexedParallelCtx(ctx context.Context, n *Node, idx *Index, workers int) ([]*Node, ParallelStats, error) {
-	ctx, sp := trace.Start(ctx, "eval.parallel")
-	defer sp.End()
-	var res []*Node
-	var st ParallelStats
-	err := p.withEngine(p.indexPool(idx), func(e *Engine) error {
-		var err error
-		res, st, err = e.EvalParallel(ctx, n, workers)
-		return err
-	})
-	if err == nil {
-		p.account(st.Stats)
-	} else {
-		sp.Error(err)
-	}
-	return res, st, err
-}
-
-// EvalTaggedParallelCtx is EvalParallelCtx for batch automata (see Merge):
-// one sharded pass answers every merged machine, indexed by tag.
-func (p *PreparedQuery) EvalTaggedParallelCtx(ctx context.Context, n *Node, workers int) ([][]*Node, ParallelStats, error) {
-	var res [][]*Node
-	var st ParallelStats
-	err := p.withEngine(p.pool, func(e *Engine) error {
-		var err error
-		res, st, err = e.EvalTaggedParallel(ctx, n, workers)
-		return err
-	})
-	if err == nil {
-		p.account(st.Stats)
-	}
-	return res, st, err
-}
-
-func (p *PreparedQuery) account(st EngineStats) {
-	p.evals.Add(1)
-	p.visited.Add(int64(st.VisitedElements))
-	p.skipSub.Add(int64(st.SkippedSubtrees))
-	p.skipEle.Add(int64(st.SkippedElements))
-	p.cansV.Add(int64(st.CansVertices))
-	p.cansE.Add(int64(st.CansEdges))
-	p.afaEv.Add(int64(st.AFAEvaluations))
-}
-
-// PreparedStats aggregates engine statistics over every evaluation of a
-// prepared query (across all goroutines and documents).
-type PreparedStats struct {
-	// Evaluations is the number of completed Eval/EvalIndexed/EvalTagged
-	// calls.
-	Evaluations int64
-	// Engine sums the per-run HyPE statistics over all evaluations.
-	Engine EngineStats
-}
-
-// Stats returns a snapshot of the aggregated statistics.
-func (p *PreparedQuery) Stats() PreparedStats {
-	return PreparedStats{
-		Evaluations: p.evals.Load(),
-		Engine: EngineStats{
-			VisitedElements: int(p.visited.Load()),
-			SkippedSubtrees: int(p.skipSub.Load()),
-			SkippedElements: int(p.skipEle.Load()),
-			CansVertices:    int(p.cansV.Load()),
-			CansEdges:       int(p.cansE.Load()),
-			AFAEvaluations:  int(p.afaEv.Load()),
-		},
-	}
 }

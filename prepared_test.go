@@ -11,6 +11,16 @@ import (
 	"smoqe/internal/hospital"
 )
 
+// evalWith evaluates p at n with opts, failing the test on an error.
+func evalWith(t testing.TB, p *smoqe.PreparedQuery, n *smoqe.Node, opts smoqe.EvalOptions) smoqe.Result {
+	t.Helper()
+	res, err := p.Eval(context.Background(), n, opts)
+	if err != nil {
+		t.Fatalf("Eval: %v", err)
+	}
+	return res
+}
+
 // TestPreparedQueryMatchesReference: prepared evaluation (HyPE and
 // OptHyPE) must agree with the one-shot facade and the reference
 // evaluator.
@@ -35,10 +45,10 @@ func TestPreparedQueryMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := smoqe.IDsOf(smoqe.EvalReference(q, doc.Root))
-		if got := smoqe.IDsOf(p.Eval(doc.Root)); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := smoqe.IDsOf(evalWith(t, p, doc.Root, smoqe.EvalOptions{}).Nodes); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: prepared %v, reference %v", src, got, want)
 		}
-		if got := smoqe.IDsOf(p.EvalIndexed(doc.Root, idx)); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := smoqe.IDsOf(evalWith(t, p, doc.Root, smoqe.EvalOptions{Index: idx}).Nodes); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: prepared indexed %v, reference %v", src, got, want)
 		}
 	}
@@ -53,7 +63,7 @@ func TestPreparedQueryConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprint(smoqe.IDsOf(p.Eval(doc.Root)))
+	want := fmt.Sprint(smoqe.IDsOf(evalWith(t, p, doc.Root, smoqe.EvalOptions{}).Nodes))
 
 	const goroutines = 16
 	const rounds = 25
@@ -64,15 +74,15 @@ func TestPreparedQueryConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				var got []*smoqe.Node
-				if (g+i)%2 == 0 {
-					got = p.Eval(doc.Root)
-				} else {
-					got = p.EvalIndexed(doc.Root, idx)
+				var opts smoqe.EvalOptions
+				if (g+i)%2 != 0 {
+					opts.Index = idx
 				}
-				if s := fmt.Sprint(smoqe.IDsOf(got)); s != want {
+				res, err := p.Eval(context.Background(), doc.Root, opts)
+				s := fmt.Sprint(smoqe.IDsOf(res.Nodes))
+				if err != nil || s != want || res.Stats.VisitedElements <= 0 {
 					select {
-					case errs <- fmt.Sprintf("goroutine %d round %d: %s != %s", g, i, s, want):
+					case errs <- fmt.Sprintf("goroutine %d round %d: %s != %s (err %v, stats %+v)", g, i, s, want, err, res.Stats):
 					default:
 					}
 					return
@@ -84,13 +94,6 @@ func TestPreparedQueryConcurrent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
-	}
-	st := p.Stats()
-	if st.Evaluations != goroutines*rounds+1 {
-		t.Errorf("Stats.Evaluations = %d, want %d", st.Evaluations, goroutines*rounds+1)
-	}
-	if st.Engine.VisitedElements <= 0 {
-		t.Errorf("aggregated VisitedElements = %d, want > 0", st.Engine.VisitedElements)
 	}
 }
 
@@ -111,14 +114,14 @@ func TestPreparedOnView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Eval(doc.Root); fmt.Sprint(smoqe.IDsOf(got)) != fmt.Sprint(smoqe.IDsOf(want)) {
+	if got := evalWith(t, p, doc.Root, smoqe.EvalOptions{}).Nodes; fmt.Sprint(smoqe.IDsOf(got)) != fmt.Sprint(smoqe.IDsOf(want)) {
 		t.Errorf("prepared view answers differ: %v vs %v", smoqe.IDsOf(got), smoqe.IDsOf(want))
 	}
 }
 
 // TestPreparedParallelMatchesSequential: the facade's shard-parallel
-// entry points agree exactly with their sequential counterparts, both
-// plain and indexed, from many goroutines at once.
+// evaluation agrees exactly with the sequential one, both plain and
+// indexed, from many goroutines at once.
 func TestPreparedParallelMatchesSequential(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(600))
 	idx := smoqe.BuildIndex(doc, true)
@@ -127,34 +130,35 @@ func TestPreparedParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantSt := p.EvalWithStats(doc.Root)
+		seq := evalWith(t, p, doc.Root, smoqe.EvalOptions{})
+		want, wantSt := seq.Nodes, seq.Stats
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, pst, err := p.EvalParallelCtx(context.Background(), doc.Root, 4)
+				pst, err := p.Eval(context.Background(), doc.Root, smoqe.EvalOptions{Workers: 4})
 				if err != nil {
 					t.Errorf("%s: parallel: %v", src, err)
 					return
 				}
-				if fmt.Sprint(smoqe.IDsOf(got)) != fmt.Sprint(smoqe.IDsOf(want)) {
+				if fmt.Sprint(smoqe.IDsOf(pst.Nodes)) != fmt.Sprint(smoqe.IDsOf(want)) {
 					t.Errorf("%s: parallel answers differ", src)
 				}
 				if pst.Stats != wantSt {
 					t.Errorf("%s: parallel stats %+v, sequential %+v", src, pst.Stats, wantSt)
 				}
-				igot, ipst, err := p.EvalIndexedParallelCtx(context.Background(), doc.Root, idx, 4)
+				ipst, err := p.Eval(context.Background(), doc.Root, smoqe.EvalOptions{Index: idx, Workers: 4})
 				if err != nil {
 					t.Errorf("%s: indexed parallel: %v", src, err)
 					return
 				}
-				if fmt.Sprint(smoqe.IDsOf(igot)) != fmt.Sprint(smoqe.IDsOf(want)) {
+				if fmt.Sprint(smoqe.IDsOf(ipst.Nodes)) != fmt.Sprint(smoqe.IDsOf(want)) {
 					t.Errorf("%s: indexed parallel answers differ", src)
 				}
-				if ipst.SkippedElements < pst.SkippedElements {
+				if ipst.Stats.SkippedElements < pst.Stats.SkippedElements {
 					t.Errorf("%s: indexed parallel skipped fewer elements (%d) than plain (%d)",
-						src, ipst.SkippedElements, pst.SkippedElements)
+						src, ipst.Stats.SkippedElements, pst.Stats.SkippedElements)
 				}
 			}()
 		}
@@ -163,7 +167,7 @@ func TestPreparedParallelMatchesSequential(t *testing.T) {
 }
 
 // TestPreparedEvalCtxCancelled: a cancelled context aborts evaluation with
-// an error and the run is not counted in the aggregate statistics.
+// an error, and the plan stays usable.
 func TestPreparedEvalCtxCancelled(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(600))
 	p, err := smoqe.PrepareString("//diagnosis")
@@ -172,18 +176,15 @@ func TestPreparedEvalCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := p.EvalCtx(ctx, doc.Root); err == nil {
-		t.Fatal("EvalCtx with cancelled context returned nil error")
+	if _, err := p.Eval(ctx, doc.Root, smoqe.EvalOptions{}); err == nil {
+		t.Fatal("Eval with cancelled context returned nil error")
 	}
-	if _, _, err := p.EvalParallelCtx(ctx, doc.Root, 4); err == nil {
-		t.Fatal("EvalParallelCtx with cancelled context returned nil error")
-	}
-	if st := p.Stats(); st.Evaluations != 0 {
-		t.Errorf("cancelled runs were counted: Evaluations = %d", st.Evaluations)
+	if _, err := p.Eval(ctx, doc.Root, smoqe.EvalOptions{Workers: 4}); err == nil {
+		t.Fatal("parallel Eval with cancelled context returned nil error")
 	}
 	// And after cancellation the plan still works.
-	if nodes, _, err := p.EvalCtx(context.Background(), doc.Root); err != nil || len(nodes) == 0 {
-		t.Fatalf("plan unusable after cancelled run: %v (%d nodes)", err, len(nodes))
+	if res, err := p.Eval(context.Background(), doc.Root, smoqe.EvalOptions{}); err != nil || len(res.Nodes) == 0 {
+		t.Fatalf("plan unusable after cancelled run: %v (%d nodes)", err, len(res.Nodes))
 	}
 }
 
@@ -208,11 +209,8 @@ func TestPreparedTaggedParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := smoqe.PrepareMFA(merged)
-	want := p.EvalTagged(doc.Root)
-	got, _, err := p.EvalTaggedParallelCtx(context.Background(), doc.Root, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := evalWith(t, p, doc.Root, smoqe.EvalOptions{}).Tagged
+	got := evalWith(t, p, doc.Root, smoqe.EvalOptions{Workers: 4}).Tagged
 	if len(got) != len(want) {
 		t.Fatalf("got %d buckets, want %d", len(got), len(want))
 	}

@@ -15,7 +15,7 @@ import (
 
 // TestPreparedQueryPanicRecovery: a panic during evaluation — injected in
 // a shard worker via a failpoint — must come back as a typed error from
-// the Ctx evaluators, and the engine pool must not be poisoned: the next
+// Eval, and the engine pool must not be poisoned: the next
 // evaluation on the same PreparedQuery succeeds with correct answers.
 func TestPreparedQueryPanicRecovery(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
@@ -24,12 +24,13 @@ func TestPreparedQueryPanicRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprint(smoqe.IDsOf(p.Eval(doc.Root)))
+	want := fmt.Sprint(smoqe.IDsOf(evalWith(t, p, doc.Root, smoqe.EvalOptions{}).Nodes))
 
 	if err := failpoint.Enable(failpoint.SiteHypeShardWorker, "panic"); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = p.EvalParallelCtx(context.Background(), doc.Root, 4)
+	par := smoqe.EvalOptions{Workers: 4}
+	_, err = p.Eval(context.Background(), doc.Root, par)
 	var pe *guard.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *guard.PanicError", err)
@@ -39,41 +40,39 @@ func TestPreparedQueryPanicRecovery(t *testing.T) {
 	// Pool must be clean: repeated evaluations still agree with the
 	// pre-panic answer.
 	for i := 0; i < 4; i++ {
-		res, _, err := p.EvalParallelCtx(context.Background(), doc.Root, 4)
+		res, err := p.Eval(context.Background(), doc.Root, par)
 		if err != nil {
 			t.Fatalf("round %d after recovery: %v", i, err)
 		}
-		if got := fmt.Sprint(smoqe.IDsOf(res)); got != want {
+		if got := fmt.Sprint(smoqe.IDsOf(res.Nodes)); got != want {
 			t.Errorf("round %d: got %v, want %v", i, got, want)
 		}
-		if got := fmt.Sprint(smoqe.IDsOf(p.Eval(doc.Root))); got != want {
+		if got := fmt.Sprint(smoqe.IDsOf(evalWith(t, p, doc.Root, smoqe.EvalOptions{}).Nodes)); got != want {
 			t.Errorf("round %d sequential: got %v, want %v", i, got, want)
 		}
 	}
 }
 
-// TestPreparedQueryEvalLimits: budgets set on a PreparedQuery reach the
-// pooled engines and surface as *EvalLimitError.
+// TestPreparedQueryEvalLimits: budgets passed to one Eval reach the pooled
+// engine and surface as *EvalLimitError, without touching later calls.
 func TestPreparedQueryEvalLimits(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(500))
 	p, err := smoqe.PrepareString("//diagnosis")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetLimits(smoqe.EvalLimits{MaxVisited: 512})
-	_, _, err = p.EvalCtx(context.Background(), doc.Root)
+	_, err = p.Eval(context.Background(), doc.Root, smoqe.EvalOptions{Limits: smoqe.EvalLimits{MaxVisited: 512}})
 	var le *smoqe.EvalLimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *EvalLimitError", err)
 	}
 
-	// Clearing the limits restores normal evaluation on the same pool.
-	p.SetLimits(smoqe.EvalLimits{})
-	res, _, err := p.EvalCtx(context.Background(), doc.Root)
+	// A call without limits evaluates normally on the same pool.
+	res, err := p.Eval(context.Background(), doc.Root, smoqe.EvalOptions{})
 	if err != nil {
-		t.Fatalf("after clearing limits: %v", err)
+		t.Fatalf("after the limited run: %v", err)
 	}
-	if len(res) == 0 {
+	if len(res.Nodes) == 0 {
 		t.Error("no results after clearing limits")
 	}
 }

@@ -13,7 +13,7 @@
 //	ParseView      – views by DTD annotation (§2.3)
 //	Compile        – Xreg query → MFA (§4)
 //	Rewrite        – view query → source MFA (§5, algorithm rewrite)
-//	NewEngine      – HyPE single-pass evaluation (§6)
+//	PrepareMFA     – a reusable plan; its Eval is HyPE single-pass evaluation (§6)
 //	BuildIndex     – the OptHyPE / OptHyPE-C subtree index
 //	Materialize    – σ(T), mainly for testing and comparison
 //
@@ -30,6 +30,7 @@
 package smoqe
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -101,21 +102,20 @@ type MFA = mfa.MFA
 // MFAStats is the size breakdown of an MFA (Theorem 5.1 accounting).
 type MFAStats = mfa.Stats
 
-// Engine is a HyPE/OptHyPE evaluator bound to one MFA (§6).
-type Engine = hype.Engine
-
 // EngineStats reports pruning and cans statistics of an evaluation run.
 type EngineStats = hype.Stats
 
 // Index is the subtree-label index behind OptHyPE and OptHyPE-C.
 type Index = hype.Index
 
-// ParallelStats is an EngineStats plus how a shard-parallel run cut the
-// document (see Engine.EvalParallel / PreparedQuery.EvalParallelCtx).
-type ParallelStats = hype.ParallelStats
+// Result is what one PreparedQuery.Eval produced: the answers (Nodes,
+// per tag for batch automata in Tagged, preorder ids in IDs for the
+// columnar pass), the run's EngineStats, the shard accounting of a
+// parallel run, the compiled-layer statistics and the optional trace.
+type Result = hype.Result
 
 // Trace is the capped per-node decision log of a traced HyPE run — the
-// EXPLAIN mode of the engine (see PreparedQuery.EvalTraced).
+// EXPLAIN mode of the engine (see EvalOptions.Trace).
 type Trace = hype.Trace
 
 // TraceEvent is one recorded decision of a traced run.
@@ -124,13 +124,13 @@ type TraceEvent = hype.TraceEvent
 // CompiledStats reports what the compiled evaluation layer (lazy subset
 // automaton + bitset AFAs) did during a run: cache sizing, subset states
 // built, hit/miss/eviction counters and whether the run fell back to NFA
-// simulation. Attached to traced runs (Trace.Compiled) and available from
-// Engine.CompiledStats().
+// simulation. Reported per run in Result.Compiled and attached to traced
+// runs (Trace.Compiled).
 type CompiledStats = hype.CompiledStats
 
 // EvalLimits bounds how much work one evaluation may do (visited elements,
-// accumulated candidate answers); arm them with PreparedQuery.SetLimits or
-// Engine.SetLimits. The zero value is unlimited.
+// accumulated candidate answers); pass them per call in
+// EvalOptions.Limits. The zero value is unlimited.
 type EvalLimits = hype.Limits
 
 // EvalLimitError reports an evaluation aborted over an exceeded EvalLimits
@@ -172,8 +172,8 @@ func ParseDocumentStringWithLimits(s string, lim ParseLimits) (*Document, error)
 // Columnar documents and snapshots ---------------------------------------
 
 // BuildColumnar converts a Document into its columnar representation. The
-// result evaluates queries via PreparedQuery.EvalColumnarCtx and
-// serializes with WriteSnapshot/SaveSnapshot.
+// result evaluates queries via EvalOptions.Columnar and serializes with
+// WriteSnapshot/SaveSnapshot.
 func BuildColumnar(d *Document) *ColumnarDocument { return colstore.FromTree(d) }
 
 // WriteSnapshot writes the versioned binary snapshot of cd to w (format:
@@ -296,27 +296,26 @@ func Materialize(v *View, doc *Document) (*Materialization, error) {
 
 // Evaluation ---------------------------------------------------------------
 
-// NewEngine returns a HyPE engine for the MFA: single-pass evaluation with
-// subtree pruning (§6).
-func NewEngine(m *MFA) *Engine { return hype.New(m) }
-
-// NewOptEngine returns an OptHyPE engine: HyPE plus index-driven subtree
-// skipping. Build the index from the same document the engine will query.
-func NewOptEngine(m *MFA, idx *Index) *Engine { return hype.NewOpt(m, idx) }
-
-// BuildIndex builds the OptHyPE subtree index for a document; with
-// compress it hash-conses the per-node label sets (OptHyPE-C), typically
-// shrinking the index by an order of magnitude at identical pruning power.
+// BuildIndex builds the OptHyPE subtree index for a document (pass it in
+// EvalOptions.Index); with compress it hash-conses the per-node label sets
+// (OptHyPE-C), typically shrinking the index by an order of magnitude at
+// identical pruning power.
 func BuildIndex(doc *Document, compress bool) *Index { return hype.BuildIndex(doc, compress) }
 
 // Eval compiles and evaluates q at ctx with HyPE. For repeated evaluation
-// of the same query, compile once and reuse a NewEngine.
+// of the same query, Prepare once and reuse the PreparedQuery.
 func Eval(q Query, ctx *Node) ([]*Node, error) {
 	m, err := mfa.Compile(q)
 	if err != nil {
 		return nil, err
 	}
-	return hype.New(m).Eval(ctx), nil
+	return evalOnce(m, ctx)
+}
+
+// evalOnce evaluates m at n with sequential HyPE.
+func evalOnce(m *MFA, n *Node) ([]*Node, error) {
+	res, err := hype.New(m).Eval(context.Background(), n, hype.Options{})
+	return res.Nodes, err
 }
 
 // EvalString is Eval for a query in concrete syntax.
@@ -351,7 +350,7 @@ func EvalTwoPass(q Query, ctx *Node) ([]*Node, error) {
 
 // Merge combines several MFAs into one batch automaton whose final states
 // remember which machine they came from; a single HyPE pass then answers
-// all queries at once (Engine.EvalTagged). This is the many-user-groups
+// all queries at once (Result.Tagged). This is the many-user-groups
 // access-control scenario: rewrite each group's query over its view, merge,
 // and scan the source once.
 func Merge(ms []*MFA) (*MFA, error) { return mfa.Merge(ms) }
@@ -368,5 +367,5 @@ func AnswerOnView(v *View, q Query, doc *Document) ([]*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return hype.New(m).Eval(doc.Root), nil
+	return evalOnce(m, doc.Root)
 }

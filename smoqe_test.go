@@ -75,9 +75,10 @@ func TestEnginesViaPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hype := smoqe.NewEngine(m).Eval(doc.Root)
-	opt := smoqe.NewOptEngine(m, smoqe.BuildIndex(doc, false)).Eval(doc.Root)
-	optC := smoqe.NewOptEngine(m, smoqe.BuildIndex(doc, true)).Eval(doc.Root)
+	p := smoqe.PrepareMFA(m)
+	hype := evalWith(t, p, doc.Root, smoqe.EvalOptions{}).Nodes
+	opt := evalWith(t, p, doc.Root, smoqe.EvalOptions{Index: smoqe.BuildIndex(doc, false)}).Nodes
+	optC := evalWith(t, p, doc.Root, smoqe.EvalOptions{Index: smoqe.BuildIndex(doc, true)}).Nodes
 	ref := smoqe.EvalReference(q, doc.Root)
 	tp, err := smoqe.EvalTwoPass(q, doc.Root)
 	if err != nil {
@@ -130,9 +131,7 @@ func TestMFAStatsExposed(t *testing.T) {
 		t.Errorf("stats empty: %+v", st)
 	}
 	doc, _ := smoqe.ParseDocumentString(hospital.SampleXML)
-	eng := smoqe.NewEngine(m)
-	eng.Eval(doc.Root)
-	if eng.Stats().VisitedElements == 0 {
+	if evalWith(t, smoqe.PrepareMFA(m), doc.Root, smoqe.EvalOptions{}).Stats.VisitedElements == 0 {
 		t.Error("engine stats not populated")
 	}
 }
@@ -147,7 +146,7 @@ func TestBatchViaPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := smoqe.NewEngine(merged).EvalTagged(doc.Root)
+	results := evalWith(t, smoqe.PrepareMFA(merged), doc.Root, smoqe.EvalOptions{}).Tagged
 	if len(results) != 2 {
 		t.Fatalf("buckets = %d", len(results))
 	}
@@ -168,7 +167,7 @@ func TestIdentityViewViaPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc, _ := smoqe.ParseDocumentString(hospital.SampleXML)
-	if got := smoqe.NewEngine(m).Eval(doc.Root); len(got) != 0 {
+	if got := evalWith(t, smoqe.PrepareMFA(m), doc.Root, smoqe.EvalOptions{}).Nodes; len(got) != 0 {
 		t.Errorf("schema-impossible query selected %d nodes", len(got))
 	}
 }
