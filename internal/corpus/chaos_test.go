@@ -10,10 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/failpoint"
 	"smoqe/internal/hype"
 	"smoqe/internal/mfa"
-	"smoqe/internal/xmltree"
 	"smoqe/internal/xpath"
 )
 
@@ -26,11 +26,10 @@ func evalCorpus(t *testing.T, c *Collection, query string) string {
 	eng := hype.New(mfa.MustCompile(xpath.MustParse(query)))
 	var sb strings.Builder
 	for _, d := range c.Docs(StatusIndexed) {
-		if d.Tree == nil {
-			t.Fatalf("%s: indexed without tree", d.Name)
+		if d.Col == nil {
+			t.Fatalf("%s: indexed without a columnar document", d.Name)
 		}
-		ids := xmltree.IDsOf(hypeEval(eng, d.Tree.Root))
-		fmt.Fprintf(&sb, "%s:%v\n", d.Name, ids)
+		fmt.Fprintf(&sb, "%s:%v\n", d.Name, columnarIDs(eng, d.Col))
 	}
 	return sb.String()
 }
@@ -167,13 +166,13 @@ func TestChaosCrashRecovery(t *testing.T) {
 	}
 }
 
-// hypeEval is a sequential, unlimited HyPE evaluation's answer set. Such a
-// run has no budget to exceed and a context that is never done, so it
-// cannot fail.
-func hypeEval(e *hype.Engine, n *xmltree.Node) []*xmltree.Node {
-	res, err := e.Eval(context.Background(), n, hype.Options{})
+// columnarIDs is the answer set (preorder ids) of an unlimited columnar
+// evaluation over cd. Such a run has no budget to exceed and a context
+// that is never done, so it cannot fail.
+func columnarIDs(e *hype.Engine, cd *colstore.Document) []int {
+	res, err := e.EvalColumnar(context.Background(), cd, hype.Options{})
 	if err != nil {
 		panic(err)
 	}
-	return res.Nodes
+	return res.IDs
 }

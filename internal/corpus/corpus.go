@@ -132,8 +132,10 @@ type Doc struct {
 	CRC     uint32
 	// Fingerprint drives corpus-level prefiltering (indexed docs only).
 	Fingerprint hype.Fingerprint
-	// Tree is the parsed document (indexed docs only).
-	Tree *xmltree.Document
+	// Col is the document's one in-memory form, columnar (indexed docs
+	// only): XML files are parsed and converted, snapshots are used as
+	// read. Its preorder ids are the ids answers report.
+	Col *colstore.Document
 }
 
 // CollectionInfo is a point-in-time summary of one collection.
@@ -439,8 +441,9 @@ func (m *Manager) recoverCollection(name string) *Collection {
 		default:
 			st = StatusPending
 		}
-		// Indexed records come back without a tree; the scan revalidates
-		// them (and checks the stored CRC) before anything is served.
+		// Indexed records come back without a document; the scan
+		// revalidates them (and checks the stored CRC) before anything is
+		// served.
 		docs[md.File] = &Doc{
 			Name:    md.File,
 			Status:  st,
@@ -545,8 +548,8 @@ func (m *Manager) scanDocs(ctx context.Context, c *Collection, force bool) bool 
 		c.docs[name] = next
 		c.mu.Unlock()
 		// Revalidating an unchanged file (the restart path: recovered
-		// records carry no tree) is not a state change — the generation
-		// only moves when a durable field moves.
+		// records carry no document) is not a state change — the
+		// generation only moves when a durable field moves.
 		if !docEquivalent(prev, next) {
 			changed = true
 		}
@@ -569,10 +572,10 @@ func (m *Manager) checkDoc(ctx context.Context, c *Collection, name string, fi f
 	if same && !force {
 		switch prev.Status {
 		case StatusIndexed:
-			if prev.Tree != nil {
+			if prev.Col != nil {
 				return nil // unchanged and serveable
 			}
-			// Recovered from a manifest: revalidate to load the tree.
+			// Recovered from a manifest: revalidate to load the document.
 		case StatusQuarantined:
 			// The verdict stands until the file changes (size/mtime) or an
 			// explicit reindex forces revalidation.
@@ -663,7 +666,7 @@ func (m *Manager) indexDoc(ctx context.Context, c *Collection, name string, fi f
 		sp.Error(err)
 		return nil, err
 	}
-	tree, err := parseDoc(name, data, m.opt.ParseLimits)
+	cd, err := parseDoc(name, data, m.opt.ParseLimits)
 	if err != nil {
 		sp.Error(err)
 		return nil, err
@@ -674,14 +677,16 @@ func (m *Manager) indexDoc(ctx context.Context, c *Collection, name string, fi f
 		Size:        fi.Size(),
 		MtimeNS:     fi.ModTime().UnixNano(),
 		CRC:         crc,
-		Fingerprint: hype.FingerprintDoc(tree),
-		Tree:        tree,
+		Fingerprint: hype.FingerprintDoc(cd),
+		Col:         cd,
 	}, nil
 }
 
-// parseDoc decodes one document by extension. Malformed content is a
-// permanent quarantineError; only infrastructure failures stay retryable.
-func parseDoc(name string, data []byte, lim xmltree.ParseLimits) (*xmltree.Document, error) {
+// parseDoc decodes one document by extension into its columnar form: XML
+// is parsed under lim and converted (the pointer tree is dropped), a
+// snapshot is used as read. Malformed content is a permanent
+// quarantineError; only infrastructure failures stay retryable.
+func parseDoc(name string, data []byte, lim xmltree.ParseLimits) (*colstore.Document, error) {
 	switch filepath.Ext(name) {
 	case extXML:
 		tree, err := xmltree.ParseWithLimits(bytes.NewReader(data), lim)
@@ -692,7 +697,7 @@ func parseDoc(name string, data []byte, lim xmltree.ParseLimits) (*xmltree.Docum
 			}
 			return nil, &quarantineError{reason: "parse: " + err.Error()}
 		}
-		return tree, nil
+		return colstore.FromTree(tree), nil
 	case extSnapshot:
 		cd, err := colstore.ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
@@ -702,7 +707,7 @@ func parseDoc(name string, data []byte, lim xmltree.ParseLimits) (*xmltree.Docum
 			}
 			return nil, &quarantineError{reason: "snapshot: " + err.Error()}
 		}
-		return cd.Tree(), nil
+		return cd, nil
 	default:
 		return nil, &quarantineError{reason: "unsupported extension"}
 	}
@@ -721,7 +726,6 @@ func toManifestDoc(d *Doc) manifestDoc {
 	}
 	if d.Status == StatusIndexed {
 		md.Labels = d.Fingerprint.Labels
-		md.TextBloom = fmt.Sprintf("%016x", d.Fingerprint.TextBloom)
 		md.Elements = d.Fingerprint.Elements
 	}
 	return md

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -88,8 +89,8 @@ func TestOpenIndexesAndPersists(t *testing.T) {
 		t.Fatalf("indexed %d docs, want 3: %+v", len(docs), c.Docs())
 	}
 	for _, d := range docs {
-		if d.Tree == nil {
-			t.Errorf("%s: indexed without tree", d.Name)
+		if d.Col == nil {
+			t.Errorf("%s: indexed without a columnar document", d.Name)
 		}
 		if d.Fingerprint.Elements == 0 {
 			t.Errorf("%s: empty fingerprint", d.Name)
@@ -136,8 +137,8 @@ func TestQuarantineCorrupt(t *testing.T) {
 		if d.Reason == "" {
 			t.Errorf("%s: quarantined without reason", d.Name)
 		}
-		if d.Tree != nil {
-			t.Errorf("%s: quarantined doc carries a tree", d.Name)
+		if d.Col != nil {
+			t.Errorf("%s: quarantined doc carries a columnar document", d.Name)
 		}
 	}
 	if n := len(c.Docs(StatusIndexed)); n != 3 {
@@ -318,9 +319,66 @@ func TestManifestRecoveryFallsBack(t *testing.T) {
 	}
 }
 
+// textBloomFixture is a collection directory whose manifest (generation 1)
+// was written before fingerprints sized their text filter per document: its
+// record for ward.xml carries a 64-bit "text_bloom" member.
+const textBloomFixture = "testdata/textbloom/col"
+
+// TestManifestWithTextBloomRecovers: a manifest carrying the retired
+// "text_bloom" member still recovers its generation and records, and a
+// restart over the unchanged file keeps that generation and serves the
+// document, re-fingerprinted from the file.
+func TestManifestWithTextBloomRecovers(t *testing.T) {
+	root := t.TempDir()
+	col := filepath.Join(root, "col")
+	if err := os.Mkdir(col, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(textBloomFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(textBloomFixture, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeXML(t, col, ent.Name(), string(data))
+	}
+	// The record identifies the file by size and mtime; restore the mtime
+	// the manifest recorded.
+	mtime := time.Unix(1700000000, 0)
+	if err := os.Chtimes(filepath.Join(col, "ward.xml"), mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+
+	gen, docs, skipped := recoverManifest(col)
+	want := manifestDoc{File: "ward.xml", Size: 28, MtimeNS: mtime.UnixNano(), CRC: 660788394,
+		Status: "indexed", Labels: []string{"a", "b", "c"}, Elements: 3}
+	if gen != 1 || len(skipped) != 0 || len(docs) != 1 || !reflect.DeepEqual(docs[0], want) {
+		t.Fatalf("recovered gen %d, docs %+v, skipped %v; want gen 1, docs [%+v]", gen, docs, skipped, want)
+	}
+
+	m, err := Open(context.Background(), root, testOptions(newFakeClock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := m.Collection("col")
+	if g := c.Generation(); g != 1 {
+		t.Errorf("restart over the unchanged file moved generation 1 -> %d", g)
+	}
+	indexed := c.Docs(StatusIndexed)
+	if len(indexed) != 1 || indexed[0].Col == nil {
+		t.Fatalf("indexed docs = %+v, want ward.xml with its columnar document", c.Docs())
+	}
+	if fp := indexed[0].Fingerprint; fp.Elements != 3 || !fp.MayHaveText("two") {
+		t.Errorf("ward.xml re-fingerprinted as %+v", fp)
+	}
+}
+
 func TestManifestRoundTrip(t *testing.T) {
 	docs := []manifestDoc{
-		{File: "b.xml", Size: 10, MtimeNS: 123, CRC: 7, Status: "indexed", Labels: []string{"a"}, TextBloom: "00000000000000ff", Elements: 2},
+		{File: "b.xml", Size: 10, MtimeNS: 123, CRC: 7, Status: "indexed", Labels: []string{"a"}, Elements: 2},
 		{File: "a.xml", Size: 5, MtimeNS: 456, CRC: 9, Status: "quarantined", Reason: "parse: bad", Retries: 3},
 	}
 	buf, err := encodeManifest(42, docs)

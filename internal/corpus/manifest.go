@@ -45,20 +45,21 @@ const (
 	maxManifestPayload = 1 << 28
 )
 
-// manifestDoc is one document's durable record. Fingerprint fields are
-// only present for indexed documents; TextBloom is hex to survive JSON's
-// number precision limits.
+// manifestDoc is one document's durable record. The fingerprint fields
+// (labels, elements) are only present for indexed documents and are
+// informational: recovery re-fingerprints every document from its file.
+// Manifests written before the text filter was sized per document also
+// carry a "text_bloom" member; decoding ignores it.
 type manifestDoc struct {
-	File      string   `json:"file"`
-	Size      int64    `json:"size"`
-	MtimeNS   int64    `json:"mtime_ns"`
-	CRC       uint32   `json:"crc32"`
-	Status    string   `json:"status"`
-	Reason    string   `json:"reason,omitempty"`
-	Retries   int      `json:"retries,omitempty"`
-	Labels    []string `json:"labels,omitempty"`
-	TextBloom string   `json:"text_bloom,omitempty"`
-	Elements  int      `json:"elements,omitempty"`
+	File     string   `json:"file"`
+	Size     int64    `json:"size"`
+	MtimeNS  int64    `json:"mtime_ns"`
+	CRC      uint32   `json:"crc32"`
+	Status   string   `json:"status"`
+	Reason   string   `json:"reason,omitempty"`
+	Retries  int      `json:"retries,omitempty"`
+	Labels   []string `json:"labels,omitempty"`
+	Elements int      `json:"elements,omitempty"`
 }
 
 // manifestPayload is the JSON body of a manifest generation.

@@ -272,7 +272,7 @@ func hypeEval(t testing.TB, e *hype.Engine, n *xmltree.Node) []*xmltree.Node {
 // on an error.
 func columnarRun(t testing.TB, m *mfa.MFA, cd *colstore.Document) hype.Result {
 	t.Helper()
-	res, err := hype.New(m).EvalColumnar(context.Background(), hype.BindColumnar(m, cd), hype.Options{})
+	res, err := hype.New(m).EvalColumnar(context.Background(), cd, hype.Options{})
 	if err != nil {
 		t.Fatalf("EvalColumnar: %v", err)
 	}

@@ -81,13 +81,27 @@ func BenchmarkCompiledAblation(b *testing.B) {
 		}
 		b.Run(q.name+"/columnar-compiled", func(b *testing.B) {
 			e := New(m)
-			bind := BindColumnar(m, cd)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.EvalColumnar(context.Background(), bind, Options{}); err != nil {
+				if _, err := e.EvalColumnar(context.Background(), cd, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// bindSink keeps BenchmarkColumnarBind's result alive.
+var bindSink *colBinding
+
+// BenchmarkColumnarBind isolates the per-evaluation label translation
+// every EvalColumnar pays before its DFS (internal package: the binding is
+// not exported).
+func BenchmarkColumnarBind(b *testing.B) {
+	cd := colstore.FromTree(datagen.Generate(datagen.DefaultConfig(3000)))
+	e := New(mfa.MustCompile(xpath.MustParse(hospital.XPA)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bindSink = e.prog.bind(cd)
 	}
 }

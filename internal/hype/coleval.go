@@ -16,82 +16,67 @@ import (
 	"sort"
 
 	"smoqe/internal/colstore"
-	"smoqe/internal/mfa"
 )
 
-// ColBinding resolves one automaton's label alphabet against one columnar
-// document. A binding is immutable after construction and safe to share
-// between any number of engine clones — it is the zero-copy artifact
-// workers share, alongside the document's columns and arena.
-type ColBinding struct {
-	m  *mfa.MFA
+// colBinding resolves the engine program's label alphabet against one
+// columnar document for one evaluation. Binding costs O(document labels +
+// NFA edges), negligible next to the DFS, so every EvalColumnar binds
+// afresh and nothing outlives the call: no plan or engine keeps a
+// reference to a document it once evaluated.
+type colBinding struct {
 	cd *colstore.Document
 
 	// progLab maps document label ids to the compiled program's label ids
 	// (-1 for labels the automaton never mentions — the shared "other"
-	// class); it depends only on the MFA and the document, never on an
-	// engine, because internLabels is a deterministic function of the MFA.
-	// colTrans marks the NFA states with at least one transition the
-	// document can fire (a wildcard, or a label the document contains) —
-	// the has-transitions test of the columnar pass. Dropping transitions
-	// on absent labels cannot change answers or statistics: they never
-	// fire.
+	// class). colTrans marks the NFA states with at least one transition
+	// the document can fire (a wildcard, or a label the document contains)
+	// — the has-transitions test of the columnar pass. Dropping
+	// transitions on absent labels cannot change answers or statistics:
+	// they never fire.
 	progLab  []int32
 	colTrans nfaSet
 }
 
-// BindColumnar resolves m's label alphabet against cd; the binding works
-// with any engine built from m (plan pools bind once per document and share
-// the binding across all pooled clones).
-func BindColumnar(m *mfa.MFA, cd *colstore.Document) *ColBinding {
-	b := &ColBinding{m: m, cd: cd}
-	words := (m.NumStates() + 63) / 64
-	if words == 0 {
-		words = 1
+// bind resolves p's alphabet against cd.
+func (p *program) bind(cd *colstore.Document) *colBinding {
+	b := &colBinding{cd: cd, progLab: make([]int32, cd.NumLabels()), colTrans: make(nfaSet, p.nfaWords)}
+	present := make([]bool, p.numLabels)
+	for id, lab := range cd.Labels() {
+		pid := p.labelOf(lab)
+		b.progLab[id] = pid
+		if pid >= 0 {
+			present[pid] = true
+		}
 	}
-	b.colTrans = make(nfaSet, words)
-	for s := range m.States {
-		for _, tr := range m.States[s].Trans {
-			if _, ok := cd.LabelIDOf(tr.Label); tr.Wild || ok {
+	for s, edges := range p.nfaEdges {
+		for _, ed := range edges {
+			if ed.lab < 0 || present[ed.lab] {
 				b.colTrans.set(s)
 				break
 			}
 		}
 	}
-	interned := internLabels(m)
-	b.progLab = make([]int32, cd.NumLabels())
-	for i := range b.progLab {
-		b.progLab[i] = -1
-	}
-	for lab, pid := range interned {
-		if id, ok := cd.LabelIDOf(lab); ok {
-			b.progLab[id] = pid
-		}
-	}
 	return b
 }
 
-// EvalColumnar computes root[[M]] over the binding's columnar document
-// and returns the preorder ids of the answers in Result.IDs, honoring ctx
-// and opts.Limits like Eval. The columnar pass is always compiled and
+// EvalColumnar computes root[[M]] over the columnar document cd and
+// returns the preorder ids of the answers in Result.IDs, honoring ctx and
+// opts.Limits like Eval. The columnar pass is always compiled and
 // sequential and carries no index: an indexed engine, opts.Workers and
-// opts.Trace are errors. b must have been bound for this engine's
-// automaton.
-func (e *Engine) EvalColumnar(ctx context.Context, b *ColBinding, opts Options) (Result, error) {
-	switch {
-	case b.m != e.m:
-		return Result{}, errors.New("hype: ColBinding bound for a different automaton")
-	case e.idx != nil || opts.Workers > 0 || opts.Trace > 0:
+// opts.Trace are errors.
+func (e *Engine) EvalColumnar(ctx context.Context, cd *colstore.Document, opts Options) (Result, error) {
+	if e.idx != nil || opts.Workers > 0 || opts.Trace > 0 {
 		return Result{}, errors.New("hype: the columnar pass runs without an index, shard workers or a trace")
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
+	b := e.prog.bind(cd)
 	r := e.newRun(ctx, opts.Limits)
 	d := e.ensureDFA()
 	pre := d.snap()
 	root, seeds := r.rootStateC()
-	vr := r.visitColC(b, b.cd.At(0), 0, root, seeds)
+	vr := r.visitColC(b, cd.At(0), 0, root, seeds)
 	res := Result{Compiled: d.delta(pre)}
 	hits, err := r.finish(vr, &res.Stats)
 	if err != nil {

@@ -30,7 +30,7 @@ func preorderIndex(d *xmltree.Document) map[*xmltree.Node]int {
 // colEval evaluates e over cd with opts, failing the test on an error.
 func colEval(t testing.TB, e *hype.Engine, cd *colstore.Document, opts hype.Options) hype.Result {
 	t.Helper()
-	res, err := e.EvalColumnar(context.Background(), hype.BindColumnar(e.MFA(), cd), opts)
+	res, err := e.EvalColumnar(context.Background(), cd, opts)
 	if err != nil {
 		t.Fatalf("EvalColumnar: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestColumnarCancellation(t *testing.T) {
 	m := mfa.MustCompile(xpath.MustParse("//patient"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := hype.New(m).EvalColumnar(ctx, hype.BindColumnar(m, cd), hype.Options{}); err == nil {
+	if _, err := hype.New(m).EvalColumnar(ctx, cd, hype.Options{}); err == nil {
 		t.Fatal("cancelled context: want error")
 	}
 }
@@ -113,7 +113,7 @@ func TestColumnarLimits(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(200))
 	cd := colstore.FromTree(doc)
 	m := mfa.MustCompile(xpath.MustParse("//patient"))
-	_, err := hype.New(m).EvalColumnar(context.Background(), hype.BindColumnar(m, cd), hype.Options{Limits: hype.Limits{MaxVisited: 50}})
+	_, err := hype.New(m).EvalColumnar(context.Background(), cd, hype.Options{Limits: hype.Limits{MaxVisited: 50}})
 	if err == nil {
 		t.Fatal("exceeded visit budget: want error")
 	}

@@ -19,10 +19,9 @@ func benchColumnar(b *testing.B, qsrc string) {
 	cd := colstore.FromTree(doc)
 	m := mfa.MustCompile(xpath.MustParse(qsrc))
 	e := hype.New(m)
-	bind := hype.BindColumnar(m, cd)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.EvalColumnar(context.Background(), bind, hype.Options{}); err != nil {
+		if _, err := e.EvalColumnar(context.Background(), cd, hype.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -32,16 +31,3 @@ func BenchmarkColumnarSimplePath(b *testing.B)   { benchColumnar(b, "department/
 func BenchmarkColumnarLargeFilter(b *testing.B)  { benchColumnar(b, hospital.XPA) }
 func BenchmarkColumnarStarInFilter(b *testing.B) { benchColumnar(b, hospital.RXC) }
 func BenchmarkColumnarBigAutomaton(b *testing.B) { benchColumnar(b, hospital.QExample21) }
-
-// BenchmarkColumnarBind isolates the per-(automaton, document) label
-// translation cost that BindColumnar pays once before any number of
-// evaluations.
-func BenchmarkColumnarBind(b *testing.B) {
-	doc := datagen.Generate(datagen.DefaultConfig(3000))
-	cd := colstore.FromTree(doc)
-	m := mfa.MustCompile(xpath.MustParse(hospital.XPA))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hype.BindColumnar(m, cd)
-	}
-}

@@ -22,10 +22,9 @@ package hype
 // Labels are interned into a dense alphabet with a single shared "other"
 // class for labels the automaton never mentions: all such labels behave
 // identically (only wildcard edges and seeds can fire on them), so they
-// share one cached transition per subset state. The interning order is a
-// deterministic function of the automaton alone (internLabels), which lets
-// the columnar binding translate document label ids to program label ids
-// without ever seeing the engine.
+// share one cached transition per subset state. The columnar pass
+// translates document label ids to program label ids once per evaluation
+// (colBinding).
 //
 // The compiled path replays the interpreted path's decisions exactly — same
 // visits, same prunes, same vertices, same edge multiset, same AFA
@@ -80,10 +79,9 @@ type program struct {
 }
 
 // internLabels assigns dense ids to every label the automaton's transitions
-// (NFA edges and AFA TRANS steps) can consume. The order is deterministic —
+// (NFA edges and AFA TRANS steps) can consume, in a deterministic order:
 // NFA states ascending, transitions in declaration order, then AFAs and
-// their states ascending — so any party holding the MFA alone (the columnar
-// binding) computes the identical mapping.
+// their states ascending.
 func internLabels(m *mfa.MFA) map[string]int32 {
 	labels := make(map[string]int32)
 	add := func(lab string) {

@@ -231,7 +231,7 @@ func (r *run) foldChildAFAC(lid int32, rel []nfaSet, transAcc [][]bool, childVal
 // (transitions on labels absent from the document can never fire). cur is
 // the run's single reusable cursor; it is repositioned to n before AFA
 // predicates are evaluated.
-func (r *run) visitColC(b *ColBinding, cur *colstore.Cursor, n int32, ds *dfaState, fseeds []nfaSet) visitResult {
+func (r *run) visitColC(b *colBinding, cur *colstore.Cursor, n int32, ds *dfaState, fseeds []nfaSet) visitResult {
 	if r.sinceCheck++; r.sinceCheck >= cancelCheckInterval {
 		r.poll()
 	}
@@ -290,7 +290,7 @@ func (r *run) visitColC(b *ColBinding, cur *colstore.Cursor, n int32, ds *dfaSta
 }
 
 // visitChildColC is visitChildC over the columns.
-func (r *run) visitChildColC(b *ColBinding, cur *colstore.Cursor, c int32, ds *dfaState, rel []nfaSet, transAcc [][]bool, res *visitResult) {
+func (r *run) visitChildColC(b *colBinding, cur *colstore.Cursor, c int32, ds *dfaState, rel []nfaSet, transAcc [][]bool, res *visitResult) {
 	lid := b.progLab[b.cd.LabelID(c)]
 	tr := r.dfa.step(ds, lid)
 

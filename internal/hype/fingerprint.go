@@ -1,34 +1,45 @@
 package hype
 
-// Corpus-level prefiltering: a per-document fingerprint (subtree alphabet +
-// text Bloom) cheap enough to keep for millions of documents, and a
-// per-query Prefilter that refutes whole documents from the fingerprint
-// alone — the corpus generalization of OptHyPE's per-subtree pruning. A
-// document that fails the prefilter provably contains no answer, so the
-// collection layer (internal/corpus) skips it without touching its tree;
-// a document that passes is evaluated normally. The test is sound, never
-// complete: prefilter-on and prefilter-off evaluations return identical
-// answers by construction (and the corpus chaos harness crosschecks it).
+// Corpus-level prefiltering: a per-document fingerprint (element alphabet +
+// a text Bloom filter sized to the document) cheap enough to keep for every
+// document of a corpus, and a per-query Prefilter that refutes whole
+// documents from the fingerprint alone — the corpus generalization of
+// OptHyPE's per-subtree pruning. A document that fails the prefilter
+// provably contains no answer, so the collection layer (internal/corpus)
+// skips it without evaluating it; a document that passes is evaluated
+// normally. The test is sound, never complete: prefilter-on and
+// prefilter-off evaluations return identical answers by construction (and
+// the HTTP differential crosscheck enforces it).
 
 import (
+	"slices"
 	"sort"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/mfa"
-	"smoqe/internal/xmltree"
+)
+
+// The text filter's size follows from the document: textBitsPerValue bits
+// per distinct text value and textProbes probes keep false positives near
+// 0.06 % at any document size (a fixed-width filter saturates once a
+// document holds a few hundred values).
+const (
+	textBitsPerValue = 16
+	textProbes       = 8
 )
 
 // Fingerprint summarizes one document for corpus-level prefiltering: the
-// set of element labels occurring anywhere in the document, the union of
-// the text Blooms of every element's direct text content (the value
-// text()='c' predicates test, see TextMask), and the element count.
+// set of element labels occurring anywhere in the document, a Bloom filter
+// over the distinct direct text contents of its elements (the values
+// text()='c' predicates test), and the element count.
 type Fingerprint struct {
 	// Labels is the sorted set of element labels in the document.
 	Labels []string
-	// TextBloom ORs TextMask(text content) over every element node: a
-	// query constant whose bits are not all set provably occurs nowhere.
-	TextBloom uint64
 	// Elements is the number of element nodes (the root included).
 	Elements int
+	// text is the Bloom filter, textBitsPerValue bits per distinct
+	// nonempty text value; empty when no element has text.
+	text []uint64
 }
 
 // HasLabel reports whether the fingerprinted document contains an element
@@ -38,153 +49,90 @@ func (f Fingerprint) HasLabel(l string) bool {
 	return i < len(f.Labels) && f.Labels[i] == l
 }
 
-// FingerprintDoc computes the document's fingerprint in one walk. The
-// Bloom construction mirrors BuildIndex's per-node text Blooms, so the
-// prefilter refutes exactly the constants OptHyPE's index would refute at
-// the root.
-func FingerprintDoc(doc *xmltree.Document) Fingerprint {
+// MayHaveText reports whether some element of the document may have direct
+// text content c; false proves that no element's text equals c. The empty
+// string is never refuted.
+func (f Fingerprint) MayHaveText(c string) bool {
+	if c == "" {
+		return true
+	}
+	if len(f.text) == 0 {
+		return false
+	}
+	h1, h2 := probePair(fnv64(c))
+	m := uint64(len(f.text)) * 64
+	for i := uint64(0); i < textProbes; i++ {
+		b := (h1 + i*h2) % m
+		if f.text[b>>6]&(1<<(b&63)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// probePair derives the double-hashing pair of a text value from its
+// FNV-1a hash h; the step is odd, so the probes of one value differ.
+func probePair(h uint64) (h1, h2 uint64) {
+	h2 = (h ^ h>>31) * 0x9e3779b97f4a7c15
+	return h, (h2 ^ h2>>29) | 1
+}
+
+// FingerprintDoc computes the document's fingerprint in one pass over its
+// columns. Each element contributes its label and, when nonempty, its
+// direct text content cd.Text(n) — exactly the value a text()='c'
+// predicate compares at that element.
+func FingerprintDoc(cd *colstore.Document) Fingerprint {
 	var f Fingerprint
-	seen := make(map[string]bool)
-	doc.Walk(func(n *xmltree.Node) bool {
-		if n.Kind != xmltree.Element {
-			return true
+	used := make([]bool, cd.NumLabels())
+	var hashes []uint64
+	for n := int32(0); n < int32(cd.NumNodes()); n++ {
+		if !cd.IsElement(n) {
+			continue
 		}
 		f.Elements++
-		if !seen[n.Label] {
-			seen[n.Label] = true
-			f.Labels = append(f.Labels, n.Label)
+		used[cd.LabelID(n)] = true
+		if txt := cd.Text(n); txt != "" {
+			hashes = append(hashes, fnv64(txt))
 		}
-		if txt := n.TextContent(); txt != "" {
-			f.TextBloom |= TextMask(txt)
+	}
+	for id, lab := range cd.Labels() {
+		if used[id] {
+			f.Labels = append(f.Labels, lab)
 		}
-		return true
-	})
+	}
 	sort.Strings(f.Labels)
+	slices.Sort(hashes)
+	hashes = slices.Compact(hashes)
+	f.text = make([]uint64, (len(hashes)*textBitsPerValue+63)/64)
+	m := uint64(len(f.text)) * 64
+	for _, h := range hashes {
+		h1, h2 := probePair(h)
+		for i := uint64(0); i < textProbes; i++ {
+			b := (h1 + i*h2) % m
+			f.text[b>>6] |= 1 << (b & 63)
+		}
+	}
 	return f
 }
 
 // Prefilter is the document-level admission test of one MFA: CanMatch
 // reports whether a document with a given fingerprint can possibly contain
 // an answer. The test is sound (a false return proves the answer set is
-// empty) and cheap — O(|MFA|) per document, no tree access. Build one per
-// prepared plan and share it: a Prefilter is immutable and safe for
+// empty) and cheap — O(|MFA|) per document, no document access. Build one
+// per prepared plan and share it: a Prefilter is immutable and safe for
 // concurrent use.
 type Prefilter struct {
 	m *mfa.MFA
-	// Per-AFA text analysis (shared with OptHyPE, see textAnalysis):
-	// always[g][t] marks guard states whose truth does not hinge on a
-	// specific text constant; masks[g][t] lists the Bloom masks of the
-	// constants whose finals the state can reach.
-	always [][]bool
-	masks  [][][]uint64
 }
 
-// NewPrefilter analyzes m once; the result is reused for every document.
-func NewPrefilter(m *mfa.MFA) *Prefilter {
-	p := &Prefilter{
-		m:      m,
-		always: make([][]bool, len(m.AFAs)),
-		masks:  make([][][]uint64, len(m.AFAs)),
-	}
-	for g, a := range m.AFAs {
-		p.always[g], p.masks[g] = textAnalysis(a)
-	}
-	return p
-}
-
-// guardPossible reports whether NFA state s's guard can hold anywhere in a
-// document with fingerprint f. Unguarded states qualify trivially; guarded
-// states qualify unless every way their AFA can become true runs through a
-// text constant the document provably lacks.
-func (p *Prefilter) guardPossible(s int, f Fingerprint) bool {
-	entry := p.m.GuardEntry(s)
-	if entry < 0 {
-		return true
-	}
-	g := p.m.States[s].Guard
-	if p.always[g][entry] {
-		return true
-	}
-	for _, mk := range p.masks[g][entry] {
-		if f.TextBloom&mk == mk {
-			return true
-		}
-	}
-	return false
-}
-
-// textAnalysis computes, for one guard AFA, which states can only become
-// true through specific text constants: always[t] marks states whose truth
-// never hinges on one (a NOT or a non-text final is reachable), masks[t]
-// lists the Bloom masks of the constants whose finals state t can reach
-// through the full Kids graph. If none of masks[t] occurs in a subtree and
-// always[t] is false, the state is provably false there. OptHyPE uses this
-// per subtree (prepareIndexMeta); the corpus Prefilter applies it to the
-// whole-document Bloom.
-func textAnalysis(a *mfa.AFA) (always []bool, masks [][]uint64) {
-	n := a.NumStates()
-	always = make([]bool, n)
-	masks = make([][]uint64, n)
-	for t := 0; t < n; t++ {
-		st := &a.States[t]
-		switch st.Kind {
-		case mfa.AFANot:
-			always[t] = true
-		case mfa.AFAFinal:
-			// text()='' holds at any node without text children, so
-			// only nonempty constants can be refuted by the bloom.
-			if st.Pred.Kind == mfa.PredText && st.Pred.Text != "" {
-				masks[t] = []uint64{TextMask(st.Pred.Text)}
-			} else {
-				always[t] = true
-			}
-		}
-	}
-	const maskCap = 8
-	for changed := true; changed; {
-		changed = false
-		for t := 0; t < n; t++ {
-			if always[t] {
-				continue
-			}
-			for _, k := range a.States[t].Kids {
-				if always[k] {
-					always[t] = true
-					changed = true
-					break
-				}
-				for _, mk := range masks[k] {
-					found := false
-					for _, have := range masks[t] {
-						if have == mk {
-							found = true
-							break
-						}
-					}
-					if !found {
-						masks[t] = append(masks[t], mk)
-						changed = true
-					}
-				}
-			}
-			if len(masks[t]) > maskCap {
-				// Too many alternatives to track; give up on text
-				// pruning for this state (conservative).
-				always[t] = true
-				masks[t] = nil
-				changed = true
-			}
-		}
-	}
-	return always, masks
-}
+// NewPrefilter returns the prefilter of m.
+func NewPrefilter(m *mfa.MFA) *Prefilter { return &Prefilter{m: m} }
 
 // CanMatch reports whether a document with fingerprint f can contain an
 // answer: some final NFA state must be reachable from the start state
 // consuming only labels the document has (a wildcard step needs some
-// non-root element to consume), through states whose guards are not
-// refuted by the text Bloom. Everything else over-approximates — guard
-// AFAs' own label consumption is ignored — so a true return means
+// non-root element to consume), through states whose guards can hold
+// somewhere in the document (see guardPossible). A true return means
 // "evaluate", never "match".
 func (p *Prefilter) CanMatch(f Fingerprint) bool {
 	if f.Elements == 0 {
@@ -193,14 +141,25 @@ func (p *Prefilter) CanMatch(f Fingerprint) bool {
 	// Any consumed label is the label of a non-root element, so wildcard
 	// steps are only satisfiable when one exists.
 	wildOK := f.Elements >= 2
+	possible := make([][]bool, len(p.m.AFAs)) // per guard AFA, on first use
 	n := len(p.m.States)
 	seen := make([]bool, n)
 	queue := make([]int, 0, n)
 	push := func(s int) {
-		if !seen[s] && p.guardPossible(s, f) {
-			seen[s] = true
-			queue = append(queue, s)
+		if seen[s] {
+			return
 		}
+		if entry := p.m.GuardEntry(s); entry >= 0 {
+			g := p.m.States[s].Guard
+			if possible[g] == nil {
+				possible[g] = guardPossible(p.m.AFAs[g], f, wildOK)
+			}
+			if !possible[g][entry] {
+				return
+			}
+		}
+		seen[s] = true
+		queue = append(queue, s)
 	}
 	push(p.m.Start)
 	for len(queue) > 0 {
@@ -226,4 +185,54 @@ func (p *Prefilter) CanMatch(f Fingerprint) bool {
 		}
 	}
 	return false
+}
+
+// guardPossible decides, for every state of guard AFA a, whether it can be
+// true at some element of a document with fingerprint f. It is the least
+// fixpoint of an abstraction of the AFA's own semantics: a FINAL
+// text()='c' (c nonempty) needs c in the text filter; a TRANS needs its
+// label in the document (a wildcard needs a non-root element) and its
+// target possible; AND needs every kid, OR some kid; NOT and every other
+// FINAL always qualify. Each rule holds whenever the concrete state is
+// true at some node, so the result over-approximates "true somewhere" and
+// a false entry proves the state false at every node.
+func guardPossible(a *mfa.AFA, f Fingerprint, wildOK bool) []bool {
+	n := a.NumStates()
+	poss := make([]bool, n)
+	for t := range a.States {
+		switch st := &a.States[t]; st.Kind {
+		case mfa.AFAFinal:
+			poss[t] = st.Pred.Kind != mfa.PredText || f.MayHaveText(st.Pred.Text)
+		case mfa.AFANot:
+			poss[t] = true
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for t := range a.States {
+			if poss[t] {
+				continue
+			}
+			st := &a.States[t]
+			ok := false
+			switch st.Kind {
+			case mfa.AFATrans:
+				ok = (st.Wild && wildOK || !st.Wild && f.HasLabel(st.Label)) && poss[st.Kids[0]]
+			case mfa.AFAAnd:
+				ok = true
+				for _, k := range st.Kids {
+					ok = ok && poss[k]
+				}
+			case mfa.AFAOr:
+				for _, k := range st.Kids {
+					ok = ok || poss[k]
+				}
+			}
+			if ok {
+				poss[t] = true
+				changed = true
+			}
+		}
+	}
+	return poss
 }

@@ -1,23 +1,40 @@
 package hype_test
 
 import (
+	"fmt"
 	"testing"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/datagen"
 	"smoqe/internal/hospital"
 	"smoqe/internal/hype"
 	"smoqe/internal/mfa"
 	"smoqe/internal/qgen"
+	"smoqe/internal/rewrite"
 	"smoqe/internal/xmltree"
 	"smoqe/internal/xpath"
 )
+
+// fingerprint is the fingerprint of doc's columnar form, as a corpus
+// computes it.
+func fingerprint(doc *xmltree.Document) hype.Fingerprint {
+	return hype.FingerprintDoc(colstore.FromTree(doc))
+}
+
+// heartDoc generates an n-patient document whose visits are diagnosed
+// heart disease at rate heartFrac.
+func heartDoc(n int, heartFrac float64) *xmltree.Document {
+	cfg := datagen.DefaultConfig(n)
+	cfg.HeartFrac = heartFrac
+	return datagen.Generate(cfg)
+}
 
 func TestFingerprintDoc(t *testing.T) {
 	doc, err := xmltree.ParseString(`<a><b>one</b><c><b/>two</c></a>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := hype.FingerprintDoc(doc)
+	f := fingerprint(doc)
 	if f.Elements != 4 {
 		t.Errorf("Elements = %d, want 4", f.Elements)
 	}
@@ -33,11 +50,17 @@ func TestFingerprintDoc(t *testing.T) {
 	if !f.HasLabel("b") || f.HasLabel("z") {
 		t.Errorf("HasLabel: b=%v z=%v", f.HasLabel("b"), f.HasLabel("z"))
 	}
-	for _, txt := range []string{"one", "two"} {
-		mk := hype.TextMask(txt)
-		if f.TextBloom&mk != mk {
-			t.Errorf("TextBloom misses %q", txt)
+	for _, txt := range []string{"one", "two", ""} {
+		if !f.MayHaveText(txt) {
+			t.Errorf("MayHaveText(%q) = false for text the document holds", txt)
 		}
+	}
+	// Only direct text content counts: <c> holds "two", not "onetwo".
+	if f.MayHaveText("onetwo") || f.MayHaveText("three") {
+		t.Error("MayHaveText admits text no element holds")
+	}
+	if empty := fingerprint(xmltree.NewDocument("a")); empty.MayHaveText("one") {
+		t.Error("a document without text admits a text constant")
 	}
 }
 
@@ -48,12 +71,16 @@ func TestFingerprintEmptyDoc(t *testing.T) {
 	}
 }
 
+// scurvyQuery tests a diagnosis no generated document holds.
+const scurvyQuery = "department/patient[visit/treatment/medication/diagnosis/text()='scurvy']/pname"
+
 // TestPrefilterRefutes pins the cases the prefilter must catch: a label the
-// document lacks, a text constant the document lacks — and the cases it
-// must pass through.
+// document lacks, a text constant the document lacks (also under AND, and
+// on documents large enough to saturate a fixed-width text filter) — and
+// the cases it must pass through.
 func TestPrefilterRefutes(t *testing.T) {
 	doc := hospital.SampleDocument()
-	fp := hype.FingerprintDoc(doc)
+	fp := fingerprint(doc)
 	cases := []struct {
 		query string
 		want  bool
@@ -69,6 +96,13 @@ func TestPrefilterRefutes(t *testing.T) {
 		{"department/patient[not(visit)]", true},
 		// Disjunction: one present branch keeps the document in.
 		{"nosuchlabel | department/patient", true},
+		{"department/patient[visit/treatment/medication/diagnosis/text()='no such ailment' or visit]", true},
+		// Conjunction: one refuted conjunct refutes the guard, even next
+		// to a NOT or a label-only conjunct.
+		{"department/patient[visit/treatment/medication/diagnosis/text()='no such ailment' and visit]", false},
+		{"department/patient[visit/treatment/medication/diagnosis/text()='no such ailment' and not(pname)]", false},
+		// A TRANS needs its label: the constant exists, the path does not.
+		{"department/patient[nosuchlabel/diagnosis/text()='heart disease']", false},
 	}
 	for _, tc := range cases {
 		p := hype.NewPrefilter(mfa.MustCompile(xpath.MustParse(tc.query)))
@@ -76,37 +110,88 @@ func TestPrefilterRefutes(t *testing.T) {
 			t.Errorf("CanMatch(%q) = %v, want %v", tc.query, got, tc.want)
 		}
 	}
+
+	// Documents of the benchmark's largest size, hundreds of distinct text
+	// values each: without heart disease, every heart-disease query and
+	// the scurvy query are refuted; with it, only the scurvy query is.
+	ex11, err := rewrite.Rewrite(hospital.Sigma0(), xpath.MustParse(hospital.QExample11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines := []struct {
+		name  string
+		m     *mfa.MFA
+		heart bool // the query needs a heart-disease diagnosis
+	}{
+		{"XP-B", mfa.MustCompile(xpath.MustParse(hospital.XPB)), true},
+		{"RX-C", mfa.MustCompile(xpath.MustParse(hospital.RXC)), true},
+		{"Example 1.1 over σ0", ex11, true},
+		{"scurvy", mfa.MustCompile(xpath.MustParse(scurvyQuery)), false},
+	}
+	for _, heartFrac := range []float64{0, 0.12} {
+		fp := fingerprint(heartDoc(110, heartFrac))
+		for _, mc := range machines {
+			want := heartFrac > 0 && mc.heart
+			if got := hype.NewPrefilter(mc.m).CanMatch(fp); got != want {
+				t.Errorf("HeartFrac %v: CanMatch(%s) = %v, want %v", heartFrac, mc.name, got, want)
+			}
+		}
+	}
 }
 
 // TestPrefilterSound is the property that makes corpus prefiltering safe:
 // whenever CanMatch refutes a document, evaluating the query on it must
-// return no answers. Exercised over the sample corpus queries and a swarm
-// of generated ones, against both the hospital sample and synthetic
-// documents.
+// return no answers. Exercised over the sample corpus queries, a swarm of
+// generated source queries and a swarm of generated σ0-view queries
+// rewritten to the source, against the hospital sample and synthetic
+// documents with and without heart disease.
 func TestPrefilterSound(t *testing.T) {
 	docs := []*xmltree.Document{
 		hospital.SampleDocument(),
 		datagen.Generate(datagen.DefaultConfig(200)),
 		datagen.Generate(datagen.DefaultConfig(50)),
+		heartDoc(110, 0),
+		heartDoc(40, 0),
 	}
-	queries := append([]string{}, sourceQueries...)
-	g := qgen.New(hospital.DocDTD(), 1234, []string{"heart disease", "flu", "no such ailment"})
+	type query struct {
+		name string
+		m    *mfa.MFA
+	}
+	var queries []query
+	texts := []string{"heart disease", "flu", "no such ailment"}
+	srcGen := qgen.New(hospital.DocDTD(), 1234, texts)
+	srcs := append([]string{}, sourceQueries...)
 	for i := 0; i < 150; i++ {
-		queries = append(queries, g.QueryString())
+		srcs = append(srcs, srcGen.QueryString())
+	}
+	for _, src := range srcs {
+		queries = append(queries, query{src, mfa.MustCompile(xpath.MustParse(src))})
+	}
+	sigma0 := hospital.Sigma0()
+	viewGen := qgen.New(hospital.ViewDTD(), 4321, texts)
+	for i := 0; i < 80; i++ {
+		q := viewGen.Query()
+		m, err := rewrite.Rewrite(sigma0, q)
+		if err != nil {
+			t.Fatalf("view query %q: rewrite: %v", q, err)
+		}
+		queries = append(queries, query{fmt.Sprintf("σ0 view query %q", q), m})
+	}
+	fps := make([]hype.Fingerprint, len(docs))
+	for di, doc := range docs {
+		fps[di] = fingerprint(doc)
 	}
 	refuted := 0
-	for _, src := range queries {
-		m := mfa.MustCompile(xpath.MustParse(src))
-		p := hype.NewPrefilter(m)
-		eng := hype.New(m)
+	for _, q := range queries {
+		p := hype.NewPrefilter(q.m)
+		eng := hype.New(q.m)
 		for di, doc := range docs {
-			fp := hype.FingerprintDoc(doc)
-			got := answers(t, eng, doc.Root)
-			if !p.CanMatch(fp) {
-				refuted++
-				if len(got) != 0 {
-					t.Fatalf("unsound: CanMatch refuted doc %d for %q, but eval found %d answers", di, src, len(got))
-				}
+			if p.CanMatch(fps[di]) {
+				continue
+			}
+			refuted++
+			if got := answers(t, eng, doc.Root); len(got) != 0 {
+				t.Fatalf("unsound: CanMatch refuted doc %d for %s, but eval found %d answers", di, q.name, len(got))
 			}
 		}
 	}

@@ -66,7 +66,7 @@ type Index struct {
 	dict     []LabelSet
 
 	// textBloom[n.ID] fingerprints the text contents of n and all its
-	// descendants: two bits per distinct value (see TextMask). A query
+	// descendants: two bits per distinct value (see textMask). A query
 	// constant whose bits are not all set in a node's bloom provably does
 	// not occur in that subtree.
 	textBloom []uint64
@@ -76,10 +76,17 @@ type Index struct {
 	subSize []int32
 }
 
-// TextMask returns the two-bit Bloom mask of a text value. Derived from
+// textMask returns the two-bit Bloom mask of a text value. Derived from
 // FNV-1a 64; the two bit positions come from independent halves of the
 // hash.
-func TextMask(s string) uint64 {
+func textMask(s string) uint64 {
+	h := fnv64(s)
+	return 1<<(h&63) | 1<<((h>>32)&63)
+}
+
+// fnv64 is the FNV-1a 64 hash of s, the hash behind both text Blooms: the
+// per-node masks here and the per-document filter of a Fingerprint.
+func fnv64(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -89,7 +96,7 @@ func TextMask(s string) uint64 {
 		h ^= uint64(s[i])
 		h *= prime64
 	}
-	return 1<<(h&63) | 1<<((h>>32)&63)
+	return h
 }
 
 // BuildIndex constructs the index for doc. With compress it hash-conses
@@ -122,7 +129,7 @@ func BuildIndex(doc *xmltree.Document, compress bool) *Index {
 	build = func(n *xmltree.Node) (LabelSet, int32) {
 		var bloom uint64
 		if txt := n.TextContent(); txt != "" {
-			bloom = TextMask(txt)
+			bloom = textMask(txt)
 		}
 		var strict LabelSet
 		if compress {

@@ -240,11 +240,11 @@ func TestCloneConcurrent(t *testing.T) {
 // TestTextMaskProperties: the Bloom mask has 1–2 bits and is deterministic;
 // the index's per-node blooms are supersets of their descendants'.
 func TestTextMaskProperties(t *testing.T) {
-	if TextMask("heart disease") != TextMask("heart disease") {
+	if textMask("heart disease") != textMask("heart disease") {
 		t.Error("mask not deterministic")
 	}
 	for _, s := range []string{"", "a", "heart disease", "flu", "日本語"} {
-		m := TextMask(s)
+		m := textMask(s)
 		ones := 0
 		for i := 0; i < 64; i++ {
 			if m&(1<<i) != 0 {
@@ -252,7 +252,7 @@ func TestTextMaskProperties(t *testing.T) {
 			}
 		}
 		if ones < 1 || ones > 2 {
-			t.Errorf("TextMask(%q) has %d bits set", s, ones)
+			t.Errorf("textMask(%q) has %d bits set", s, ones)
 		}
 	}
 	doc, err := xmltree.ParseString(`<a><b>x</b><c><d>y</d></c></a>`)
@@ -267,7 +267,7 @@ func TestTextMaskProperties(t *testing.T) {
 				t.Errorf("root bloom not a superset at %s", n.Path())
 			}
 			if txt := n.TextContent(); txt != "" {
-				m := TextMask(txt)
+				m := textMask(txt)
 				if ix.TextBloom(n)&m != m {
 					t.Errorf("bloom at %s misses its own text %q", n.Path(), txt)
 				}

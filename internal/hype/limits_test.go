@@ -172,7 +172,7 @@ func TestColumnarLimitsMatchPointer(t *testing.T) {
 				ptrStats := ptrRes.Stats
 
 				col := limitEngine(t, src)
-				colRes, colErr := col.EvalColumnar(context.Background(), hype.BindColumnar(col.MFA(), cd), hype.Options{Limits: l})
+				colRes, colErr := col.EvalColumnar(context.Background(), cd, hype.Options{Limits: l})
 				colStats := colRes.Stats
 
 				var ptrLE, colLE *hype.LimitError

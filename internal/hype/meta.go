@@ -58,8 +58,7 @@ func (e *Engine) prepareIndexMeta() {
 	}
 
 	// Text analysis: which states can only become true through specific
-	// text constants (full-graph reachability to FINAL/NOT states). Shared
-	// with the corpus prefilter, see textAnalysis in fingerprint.go.
+	// text constants (full-graph reachability to FINAL/NOT states).
 	e.afaAlways = make([][]bool, len(e.m.AFAs))
 	e.afaTextMasks = make([][][]uint64, len(e.m.AFAs))
 	for g, a := range e.m.AFAs {
@@ -251,4 +250,69 @@ func (r *run) useful(c *xmltree.Node, cms nfaSet, cseeds []nfaSet) bool {
 		}
 	}
 	return false
+}
+
+// textAnalysis computes, for one guard AFA, which states can only become
+// true through specific text constants: always[t] marks states whose truth
+// never hinges on one (a NOT or a non-text final is reachable), masks[t]
+// lists the Bloom masks of the constants whose finals state t can reach
+// through the full Kids graph. If none of masks[t] occurs in a subtree and
+// always[t] is false, the state is provably false there. OptHyPE uses this
+// per subtree (see useful).
+func textAnalysis(a *mfa.AFA) (always []bool, masks [][]uint64) {
+	n := a.NumStates()
+	always = make([]bool, n)
+	masks = make([][]uint64, n)
+	for t := 0; t < n; t++ {
+		st := &a.States[t]
+		switch st.Kind {
+		case mfa.AFANot:
+			always[t] = true
+		case mfa.AFAFinal:
+			// text()='' holds at any node without text children, so
+			// only nonempty constants can be refuted by the bloom.
+			if st.Pred.Kind == mfa.PredText && st.Pred.Text != "" {
+				masks[t] = []uint64{textMask(st.Pred.Text)}
+			} else {
+				always[t] = true
+			}
+		}
+	}
+	const maskCap = 8
+	for changed := true; changed; {
+		changed = false
+		for t := 0; t < n; t++ {
+			if always[t] {
+				continue
+			}
+			for _, k := range a.States[t].Kids {
+				if always[k] {
+					always[t] = true
+					changed = true
+					break
+				}
+				for _, mk := range masks[k] {
+					found := false
+					for _, have := range masks[t] {
+						if have == mk {
+							found = true
+							break
+						}
+					}
+					if !found {
+						masks[t] = append(masks[t], mk)
+						changed = true
+					}
+				}
+			}
+			if len(masks[t]) > maskCap {
+				// Too many alternatives to track; give up on text
+				// pruning for this state (conservative).
+				always[t] = true
+				masks[t] = nil
+				changed = true
+			}
+		}
+	}
+	return always, masks
 }

@@ -268,13 +268,13 @@ func (s *Server) collectionQuery(ctx context.Context, w http.ResponseWriter, nam
 	if usePrefilter {
 		pf := plan.Prefilter()
 		for _, d := range docs {
-			if d.Tree != nil && pf.CanMatch(d.Fingerprint) {
+			if d.Col != nil && pf.CanMatch(d.Fingerprint) {
 				evalDocs = append(evalDocs, d)
 			}
 		}
 	} else {
 		for _, d := range docs {
-			if d.Tree != nil {
+			if d.Col != nil {
 				evalDocs = append(evalDocs, d)
 			}
 		}
@@ -315,7 +315,7 @@ func (s *Server) collectionQuery(ctx context.Context, w http.ResponseWriter, nam
 		}
 	}
 	out.finish(total)
-	s.met.observeQuery(req.View, EngineHyPE, time.Since(start))
+	s.met.observeQuery(req.View, EngineColumnar, time.Since(start))
 	return nil
 }
 
@@ -325,10 +325,12 @@ type docEval struct {
 	err error
 }
 
-// fanOut evaluates the documents on a bounded worker pool and returns one
+// fanOut evaluates the documents on a bounded worker pool, each on the
+// compiled columnar pass over its columnar form, and returns one
 // single-use buffered channel per document, so the caller can stream
 // results in document-name order while later documents are still
-// evaluating. Every channel receives exactly one value.
+// evaluating. Every channel receives exactly one value. Workers share the
+// immutable documents; each evaluation binds its own.
 func (s *Server) fanOut(ctx context.Context, plan *smoqe.PreparedQuery, docs []*corpus.Doc) []chan docEval {
 	results := make([]chan docEval, len(docs))
 	for i := range results {
@@ -349,15 +351,15 @@ func (s *Server) fanOut(ctx context.Context, plan *smoqe.PreparedQuery, docs []*
 				// surfaces as that document's error, not a killed daemon or
 				// a reader blocked on an unfilled channel.
 				perr := guard.Protect("corpus.eval", func() error {
-					_, dsp := trace.Start(ctx, "corpus.eval.doc")
+					dctx, dsp := trace.Start(ctx, "corpus.eval.doc")
 					defer dsp.End()
 					dsp.Attr("doc", docs[i].Name)
-					res, eerr := plan.Eval(ctx, docs[i].Tree.Root, smoqe.EvalOptions{Limits: s.cfg.EvalLimits})
+					res, eerr := plan.Eval(dctx, nil, smoqe.EvalOptions{Columnar: docs[i].Col, Limits: s.cfg.EvalLimits})
 					if eerr != nil {
 						dsp.Error(eerr)
 						return eerr
 					}
-					results[i] <- docEval{ids: smoqe.IDsOf(res.Nodes)}
+					results[i] <- docEval{ids: res.IDs}
 					return nil
 				})
 				if perr != nil {

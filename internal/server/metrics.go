@@ -3,6 +3,7 @@ package server
 import (
 	"runtime"
 	"runtime/debug"
+	rtmetrics "runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -130,7 +131,26 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(len(s.sem)) })
 	reg.GaugeFunc("smoqe_max_concurrent_evaluations", "Admission-control slot capacity (0 = unbounded).", nil,
 		func() float64 { return float64(cap(s.sem)) })
+	reg.GaugeFunc("smoqe_go_heap_live_bytes", "Heap bytes live after the last garbage collection.", nil,
+		runtimeGauge("/gc/heap/live:bytes"))
+	reg.GaugeFunc("smoqe_go_heap_goal_bytes", "Heap size the next garbage collection triggers at.", nil,
+		runtimeGauge("/gc/heap/goal:bytes"))
+	reg.GaugeFunc("smoqe_go_goroutines", "Live goroutines.", nil,
+		runtimeGauge("/sched/goroutines:goroutines"))
 	return m
+}
+
+// runtimeGauge reads one uint64 runtime/metrics sample per scrape (0 when
+// the runtime does not support it).
+func runtimeGauge(name string) func() float64 {
+	return func() float64 {
+		sample := []rtmetrics.Sample{{Name: name}}
+		rtmetrics.Read(sample)
+		if sample[0].Value.Kind() != rtmetrics.KindUint64 {
+			return 0
+		}
+		return float64(sample[0].Value.Uint64())
+	}
 }
 
 // observeQuery records one successful evaluation in the per-(view,engine)

@@ -109,9 +109,19 @@ func TestMetricsEndpoint(t *testing.T) {
 		"smoqe_documents 1",
 		"smoqe_views 1",
 		"smoqe_plan_cache_size 2",
+		"# TYPE smoqe_go_heap_live_bytes gauge",
+		"# TYPE smoqe_go_heap_goal_bytes gauge",
+		"# TYPE smoqe_go_goroutines gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in /metrics output:\n%s", want, text)
+		}
+	}
+	// The runtime gauges read real values: a serving process has a heap
+	// goal and goroutines.
+	for _, name := range []string{"smoqe_go_heap_goal_bytes", "smoqe_go_goroutines"} {
+		if strings.Contains(text, "\n"+name+" 0\n") || !strings.Contains(text, "\n"+name+" ") {
+			t.Errorf("%s missing or zero in /metrics output", name)
 		}
 	}
 	// Visited counter must be a positive cumulative number.
@@ -161,7 +171,8 @@ func TestSlowLogRecordsAndServes(t *testing.T) {
 // TestLatencyLabeledByEngineThatRan: an explain request for the columnar
 // engine runs on the pointer pass, and its response says so (engine hype,
 // fallback_from columnar). The latency histogram and the slow log record
-// that engine too, not the one the request asked for.
+// that engine too, not the one the request asked for. A collection
+// fan-out runs the columnar pass, and its latency is recorded as such.
 func TestLatencyLabeledByEngineThatRan(t *testing.T) {
 	s := New(Config{SlowQueryThreshold: time.Nanosecond})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
@@ -201,6 +212,24 @@ func TestLatencyLabeledByEngineThatRan(t *testing.T) {
 	getJSON(t, ts, "/slow", &slow)
 	if len(slow.Entries) != 1 || slow.Entries[0].Engine != EngineHyPE {
 		t.Errorf("/slow entries = %+v, want one entry with engine hype", slow.Entries)
+	}
+
+	_, cts := newCorpusServer(t, Config{})
+	if resp, body := postJSON(t, cts, "/collections/ward/query", CollectionQueryRequest{Query: "b"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /collections/ward/query: %d %s", resp.StatusCode, body)
+	}
+	cresp, err := http.Get(cts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cresp.Body.Close()
+	craw, _ := io.ReadAll(cresp.Body)
+	ctext := string(craw)
+	if want := `smoqe_query_duration_seconds_count{engine="columnar",view=""} 1`; !strings.Contains(ctext, want) {
+		t.Errorf("collection query: missing %q in /metrics output:\n%s", want, ctext)
+	}
+	if strings.Contains(ctext, `smoqe_query_duration_seconds_count{engine="hype"`) {
+		t.Errorf("collection query latency recorded under engine hype:\n%s", ctext)
 	}
 }
 

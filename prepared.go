@@ -23,9 +23,10 @@ import (
 // of goroutines may evaluate simultaneously against the same or different
 // documents. One plan serves every evaluation strategy — HyPE, OptHyPE
 // against any document's index, the columnar pass against any columnar
-// document — because the per-index pools and per-document columnar
-// bindings live inside it. This is the unit the serving layer
-// (internal/server) caches per (view, query) and shares across requests.
+// document — because the per-index pools live inside it (a columnar
+// evaluation binds its document afresh and keeps nothing). This is the
+// unit the serving layer (internal/server) caches per (view, query) and
+// shares across requests.
 //
 // Lifecycle:
 //
@@ -41,12 +42,9 @@ type PreparedQuery struct {
 	// opt maps a document's index to a pool of OptHyPE clones. All clones
 	// for one index share that single index (it is read-only after build);
 	// the map is tiny — one entry per distinct document the query has been
-	// evaluated against with indexing on. col likewise maps a columnar
-	// document to its label binding, built once and shared zero-copy by
-	// every pooled clone that evaluates against it.
+	// evaluated against with indexing on.
 	mu  sync.Mutex
-	opt map[*Index]*enginePool                 // guarded by mu
-	col map[*ColumnarDocument]*hype.ColBinding // guarded by mu
+	opt map[*Index]*enginePool // guarded by mu
 
 	// pf is the corpus-level document prefilter, built lazily (most
 	// prepared queries never query a collection) and shared — a Prefilter
@@ -219,7 +217,7 @@ func (p *PreparedQuery) Eval(ctx context.Context, n *Node, opts EvalOptions) (Re
 	err := withEngine(ep, func(e *hype.Engine) error {
 		var err error
 		if opts.Columnar != nil {
-			res, err = e.EvalColumnar(ctx, p.colBinding(opts.Columnar), hopts)
+			res, err = e.EvalColumnar(ctx, opts.Columnar, hopts)
 		} else {
 			res, err = e.Eval(ctx, n, hopts)
 		}
@@ -247,20 +245,6 @@ func withEngine(ep *enginePool, fn func(e *hype.Engine) error) (err error) {
 		ep.pool.Put(e)
 	}()
 	return fn(e)
-}
-
-func (p *PreparedQuery) colBinding(cd *ColumnarDocument) *hype.ColBinding {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b, ok := p.col[cd]
-	if !ok {
-		if p.col == nil {
-			p.col = make(map[*ColumnarDocument]*hype.ColBinding)
-		}
-		b = hype.BindColumnar(p.m, cd)
-		p.col[cd] = b
-	}
-	return b
 }
 
 func (p *PreparedQuery) indexPool(idx *Index) *enginePool {
