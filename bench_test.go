@@ -57,25 +57,20 @@ func benchEngines(b *testing.B, qsrc string, baseline bool) {
 			}
 		})
 	}
+	// HyPE runs on the columnar form, built once outside the timed loop.
+	cd := smoqe.BuildColumnar(doc)
 	b.Run("HyPE", func(b *testing.B) {
 		e := smoqe.PrepareMFA(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			evalWith(b, e, doc.Root, smoqe.EvalOptions{})
-		}
-	})
-	b.Run("OptHyPE", func(b *testing.B) {
-		e, opts := smoqe.PrepareMFA(m), smoqe.EvalOptions{Index: smoqe.BuildIndex(doc, false)}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			evalWith(b, e, doc.Root, opts)
+			evalWith(b, e, nil, smoqe.EvalOptions{Columnar: cd})
 		}
 	})
 	b.Run("OptHyPE-C", func(b *testing.B) {
-		e, opts := smoqe.PrepareMFA(m), smoqe.EvalOptions{Index: smoqe.BuildIndex(doc, true)}
+		e, opts := smoqe.PrepareMFA(m), smoqe.EvalOptions{Columnar: cd, Index: smoqe.BuildIndex(cd)}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			evalWith(b, e, doc.Root, opts)
+			evalWith(b, e, nil, opts)
 		}
 	})
 }
@@ -186,24 +181,15 @@ func BenchmarkAnswerOnView(b *testing.B) {
 	})
 }
 
-// BenchmarkIndexBuild measures OptHyPE index construction and reports the
-// compression ablation (OptHyPE vs OptHyPE-C memory).
+// BenchmarkIndexBuild measures OptHyPE-C index construction and reports
+// the index's memory.
 func BenchmarkIndexBuild(b *testing.B) {
-	doc := benchDoc(b, benchPatients)
-	b.Run("plain", func(b *testing.B) {
-		var idx *smoqe.Index
-		for i := 0; i < b.N; i++ {
-			idx = smoqe.BuildIndex(doc, false)
-		}
-		b.ReportMetric(float64(idx.MemoryBytes()), "index-bytes")
-	})
-	b.Run("compressed", func(b *testing.B) {
-		var idx *smoqe.Index
-		for i := 0; i < b.N; i++ {
-			idx = smoqe.BuildIndex(doc, true)
-		}
-		b.ReportMetric(float64(idx.MemoryBytes()), "index-bytes")
-	})
+	cd := smoqe.BuildColumnar(benchDoc(b, benchPatients))
+	var idx *smoqe.Index
+	for i := 0; i < b.N; i++ {
+		idx = smoqe.BuildIndex(cd)
+	}
+	b.ReportMetric(float64(idx.MemoryBytes()), "index-bytes")
 }
 
 // BenchmarkCompile measures Xreg-to-MFA compilation (it must be trivially

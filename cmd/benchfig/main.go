@@ -1,6 +1,6 @@
 // Command benchfig regenerates the evaluation of §7 of the paper: the
 // XPath figures (Fig. 8a–c, against the two-pass JAXP-class baseline), the
-// regular XPath figures (Fig. 9a–c, HyPE vs OptHyPE vs OptHyPE-C), the
+// regular XPath figures (Fig. 9a–c, HyPE vs OptHyPE-C), the
 // in-text pruning percentages, the Galax-stand-in comparison, and the
 // Theorem 5.1 size-bound table.
 //
@@ -86,8 +86,8 @@ type harness struct {
 	steps int
 	runs  int
 	docs  []*smoqe.Document // lazily generated, one per size step
+	cols  []*smoqe.ColumnarDocument
 	idxs  []*smoqe.Index
-	idxCs []*smoqe.Index
 }
 
 func (h *harness) doc(step int) *smoqe.Document {
@@ -95,26 +95,28 @@ func (h *harness) doc(step int) *smoqe.Document {
 		cfg := datagen.DefaultConfig(h.unit * (len(h.docs) + 1))
 		doc := datagen.Generate(cfg)
 		h.docs = append(h.docs, doc)
+		h.cols = append(h.cols, nil)
 		h.idxs = append(h.idxs, nil)
-		h.idxCs = append(h.idxCs, nil)
 	}
 	return h.docs[step]
 }
 
-func (h *harness) idx(step int) *smoqe.Index {
+// col returns the columnar form of step's document, the form HyPE
+// evaluates; it is built once, outside any timed region.
+func (h *harness) col(step int) *smoqe.ColumnarDocument {
 	h.doc(step)
-	if h.idxs[step] == nil {
-		h.idxs[step] = smoqe.BuildIndex(h.docs[step], false)
+	if h.cols[step] == nil {
+		h.cols[step] = smoqe.BuildColumnar(h.docs[step])
 	}
-	return h.idxs[step]
+	return h.cols[step]
 }
 
-func (h *harness) idxC(step int) *smoqe.Index {
-	h.doc(step)
-	if h.idxCs[step] == nil {
-		h.idxCs[step] = smoqe.BuildIndex(h.docs[step], true)
+// idx returns the OptHyPE-C index of step's document, built once.
+func (h *harness) idx(step int) *smoqe.Index {
+	if h.idxs[step] == nil {
+		h.idxs[step] = smoqe.BuildIndex(h.col(step))
 	}
-	return h.idxCs[step]
+	return h.idxs[step]
 }
 
 type figureSpec struct {
@@ -147,7 +149,7 @@ func (h *harness) runFigure(id string) error {
 		return err
 	}
 	fmt.Printf("Fig. %s — %s\n  query: %s\n", spec.id, spec.caption, spec.query)
-	cols := []string{"HyPE", "OptHyPE", "OptHyPE-C"}
+	cols := []string{"HyPE", "OptHyPE-C"}
 	if spec.baseline {
 		cols = append([]string{"TwoPass"}, cols...)
 	}
@@ -159,8 +161,7 @@ func (h *harness) runFigure(id string) error {
 	for step := 0; step < h.steps; step++ {
 		doc := h.doc(step)
 		mb := float64(doc.XMLSize()) / (1 << 20)
-		idx := h.idx(step)
-		idxC := h.idxC(step)
+		cd, idx := h.col(step), h.idx(step)
 
 		var answers int
 		times := make([]time.Duration, 0, len(cols))
@@ -169,8 +170,8 @@ func (h *harness) runFigure(id string) error {
 			times = append(times, h.time(func() { answers = len(tp.Eval(doc.Root)) }))
 		}
 		p := smoqe.PrepareMFA(m)
-		for _, opts := range []smoqe.EvalOptions{{}, {Index: idx}, {Index: idxC}} {
-			times = append(times, h.time(func() { answers = len(eval(p, doc, opts).Nodes) }))
+		for _, opts := range []smoqe.EvalOptions{{Columnar: cd}, {Columnar: cd, Index: idx}} {
+			times = append(times, h.time(func() { answers = len(eval(p, opts).IDs) }))
 		}
 
 		fmt.Printf("  %8.2f %9d", mb, answers)
@@ -183,10 +184,10 @@ func (h *harness) runFigure(id string) error {
 	return nil
 }
 
-// eval evaluates p at the document root; the experiment queries run
-// without budgets, so any error is fatal.
-func eval(p *smoqe.PreparedQuery, doc *smoqe.Document, opts smoqe.EvalOptions) smoqe.Result {
-	res, err := p.Eval(context.Background(), doc.Root, opts)
+// eval evaluates p over opts.Columnar; the experiment queries run without
+// budgets, so any error is fatal.
+func eval(p *smoqe.PreparedQuery, opts smoqe.EvalOptions) smoqe.Result {
+	res, err := p.Eval(context.Background(), nil, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchfig:", err)
 		os.Exit(1)
@@ -219,9 +220,9 @@ func (h *harness) time(fn func()) time.Duration {
 // prunes, on average, 78.2% (resp. 88%) of the element nodes for our
 // example queries."
 func (h *harness) runPruning() {
-	doc := h.doc(min(2, h.steps-1))
-	total := doc.ComputeStats().Elements
-	idx := h.idx(min(2, h.steps-1))
+	step := min(2, h.steps-1)
+	doc, cd, idx := h.doc(step), h.col(step), h.idx(step)
+	total := cd.Stats().Elements
 	fmt.Printf("Pruning rates (§7 in-text; paper: HyPE 78.2%%, OptHyPE 88%% on avg)\n")
 	fmt.Printf("  document: %.2f MB, %d element nodes\n", float64(doc.XMLSize())/(1<<20), total)
 	fmt.Printf("  %-6s %12s %12s\n", "query", "HyPE", "OptHyPE")
@@ -234,8 +235,8 @@ func (h *harness) runPruning() {
 			return
 		}
 		p := smoqe.PrepareMFA(m)
-		ph := 100 * float64(total-eval(p, doc, smoqe.EvalOptions{}).Stats.VisitedElements) / float64(total)
-		po := 100 * float64(total-eval(p, doc, smoqe.EvalOptions{Index: idx}).Stats.VisitedElements) / float64(total)
+		ph := 100 * float64(total-eval(p, smoqe.EvalOptions{Columnar: cd}).Stats.VisitedElements) / float64(total)
+		po := 100 * float64(total-eval(p, smoqe.EvalOptions{Columnar: cd, Index: idx}).Stats.VisitedElements) / float64(total)
 		sumH += ph
 		sumO += po
 		fmt.Printf("  %-6s %11.1f%% %11.1f%%\n", nq.Name, ph, po)
@@ -263,10 +264,10 @@ func (h *harness) runGalax() {
 			return
 		}
 		for _, step := range []int{0, h.steps - 1} {
-			doc := h.doc(step)
+			doc, cd := h.doc(step), h.col(step)
 			tRef := h.time(func() { xqsim.Eval(q, doc.Root) })
 			p := smoqe.PrepareMFA(m)
-			tHype := h.time(func() { eval(p, doc, smoqe.EvalOptions{}) })
+			tHype := h.time(func() { eval(p, smoqe.EvalOptions{Columnar: cd}) })
 			fmt.Printf("  %-6s %9.2f %11.4fs %11.4fs %7.1fx\n",
 				nq.Name, float64(doc.XMLSize())/(1<<20), tRef.Seconds(), tHype.Seconds(),
 				tRef.Seconds()/tHype.Seconds())
@@ -274,6 +275,7 @@ func (h *harness) runGalax() {
 	}
 	// The paper's cross-size statement.
 	small, large := h.doc(0), h.doc(h.steps-1)
+	largeCol := h.col(h.steps - 1)
 	fmt.Printf("  cross-size check (stand-in on %.1f MB vs HyPE on %.1f MB):\n",
 		float64(small.XMLSize())/(1<<20), float64(large.XMLSize())/(1<<20))
 	for _, nq := range hospital.RegularXPathQueries() {
@@ -281,7 +283,7 @@ func (h *harness) runGalax() {
 		m, _ := smoqe.Compile(q)
 		tRef := h.time(func() { xqsim.Eval(q, small.Root) })
 		p := smoqe.PrepareMFA(m)
-		tHype := h.time(func() { eval(p, large, smoqe.EvalOptions{}) })
+		tHype := h.time(func() { eval(p, smoqe.EvalOptions{Columnar: largeCol}) })
 		verdict := "stand-in slower (paper shape holds)"
 		if tRef <= tHype {
 			verdict = "stand-in faster (gap below Galax's interpretive constant)"

@@ -113,24 +113,23 @@ func runExplain(w io.Writer, qsrc string, v *smoqe.View, doc *smoqe.Document, en
 		return nil
 	}
 
-	opts := smoqe.EvalOptions{Trace: max(traceLimit, 1)}
+	cd := smoqe.BuildColumnar(doc)
+	opts := smoqe.EvalOptions{Columnar: cd, Trace: max(traceLimit, 1)}
 	switch engine {
 	case "hype":
-	case "opthype":
-		opts.Index = smoqe.BuildIndex(doc, false)
-	case "opthype-c":
-		opts.Index = smoqe.BuildIndex(doc, true)
+	case "opthype", "opthype-c":
+		opts.Index = smoqe.BuildIndex(cd)
 	default:
 		return fmt.Errorf("explain: unknown engine %q (want hype, opthype or opthype-c)", engine)
 	}
-	res, err := smoqe.PrepareMFA(m).Eval(context.Background(), doc.Root, opts)
+	res, err := smoqe.PrepareMFA(m).Eval(context.Background(), nil, opts)
 	if err != nil {
 		return err
 	}
-	nodes, st, tr := res.Nodes, res.Stats, res.Trace
-	total := doc.ComputeStats().Elements
+	st, tr := res.Stats, res.Trace
+	total := cd.Stats().Elements
 	fmt.Fprintf(w, "evaluation (%s):\n", engine)
-	fmt.Fprintf(w, "  %d answer(s)\n", len(nodes))
+	fmt.Fprintf(w, "  %d answer(s)\n", len(res.IDs))
 	fmt.Fprintf(w, "  visited %d of %d elements (%.1f%% pruned), %d subtrees skipped",
 		st.VisitedElements, total, 100*st.PruneRate(total), st.SkippedSubtrees)
 	if st.SkippedElements > 0 {

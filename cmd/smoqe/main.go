@@ -163,8 +163,9 @@ func cmdEval(args []string) error {
 		}
 		q = parsed
 	}
-	// A -doc ending in the snapshot extension is loaded in O(read) from its
-	// columnar form; pointer engines then evaluate the materialized tree.
+	// A -doc ending in the snapshot extension is loaded in O(read) in its
+	// columnar form, which the automaton engines evaluate directly; only
+	// the tree engines (ref, twopass) materialize a tree from it.
 	var doc *smoqe.Document
 	var cd *smoqe.ColumnarDocument
 	if strings.HasSuffix(*docPath, smoqe.SnapshotFileExt) {
@@ -173,7 +174,6 @@ func cmdEval(args []string) error {
 			return err
 		}
 		cd = loaded
-		doc = cd.Tree()
 	} else {
 		parsed, err := loadDoc(*docPath)
 		if err != nil {
@@ -181,9 +181,24 @@ func cmdEval(args []string) error {
 		}
 		doc = parsed
 	}
-	var err error
-	var nodes []*smoqe.Node
-	var res *smoqe.Result
+	treeEngine := func() error {
+		if q == nil {
+			return fmt.Errorf("eval: -mfa requires an automaton engine (hype, opthype, opthype-c, columnar)")
+		}
+		if *parallel != 0 && *parallel != 1 {
+			return fmt.Errorf("eval: -parallel requires an automaton engine (hype, opthype, opthype-c, columnar)")
+		}
+		if limits != (smoqe.EvalLimits{}) {
+			return fmt.Errorf("eval: -max-visited/-max-results require an automaton engine (hype, opthype, opthype-c, columnar)")
+		}
+		if doc == nil {
+			doc = cd.Tree()
+		}
+		return nil
+	}
+	var paths []string // filled with -paths
+	count := 0
+	var res *smoqe.Result // automaton engines only
 	switch *engine {
 	case "hype", "opthype", "opthype-c", "columnar":
 		m := precompiled
@@ -194,81 +209,57 @@ func cmdEval(args []string) error {
 			}
 			m = compiled
 		}
-		opts := smoqe.EvalOptions{Workers: workersFlag(*parallel), Limits: limits}
-		switch *engine {
-		case "opthype":
-			opts.Index = smoqe.BuildIndex(doc, false)
-		case "opthype-c":
-			opts.Index = smoqe.BuildIndex(doc, true)
-		case "columnar":
-			if opts.Workers > 0 {
-				return fmt.Errorf("eval: -parallel is not supported by the columnar engine (the pass is sequential)")
-			}
-			if cd == nil {
-				cd = smoqe.BuildColumnar(doc)
-			}
-			opts.Columnar = cd
+		if cd == nil {
+			cd = smoqe.BuildColumnar(doc)
 		}
-		r, err := smoqe.PrepareMFA(m).Eval(context.Background(), doc.Root, opts)
+		opts := smoqe.EvalOptions{Columnar: cd, Workers: workersFlag(*parallel), Limits: limits}
+		if *engine == "opthype" || *engine == "opthype-c" {
+			opts.Index = smoqe.BuildIndex(cd)
+		}
+		r, err := smoqe.PrepareMFA(m).Eval(context.Background(), nil, opts)
 		if err != nil {
 			return err
 		}
 		res = &r
-		nodes = r.Nodes
-		if opts.Columnar != nil {
-			// Map preorder ids back to nodes so -paths prints like every
-			// other engine.
-			byID := make([]*smoqe.Node, 0, doc.NumNodes())
-			doc.Walk(func(n *smoqe.Node) bool {
-				byID = append(byID, n)
-				return true
-			})
-			nodes = make([]*smoqe.Node, len(r.IDs))
-			for i, id := range r.IDs {
-				nodes[i] = byID[id]
+		count = len(res.IDs)
+		if *showPaths {
+			for _, id := range res.IDs {
+				paths = append(paths, cd.Path(int32(id)))
 			}
 		}
 		if opts.Workers > 0 && *stats {
 			fmt.Printf("parallel: %d shards on %d workers (%d spine nodes)\n",
-				r.Shards, r.Workers, r.SpineNodes)
+				res.Shards, res.Workers, res.SpineNodes)
 		}
-	case "ref":
-		if q == nil {
-			return fmt.Errorf("eval: -mfa requires an automaton engine (hype, opthype, opthype-c, columnar)")
-		}
-		if *parallel != 0 && *parallel != 1 {
-			return fmt.Errorf("eval: -parallel requires an automaton engine (hype, opthype, opthype-c, columnar)")
-		}
-		if limits != (smoqe.EvalLimits{}) {
-			return fmt.Errorf("eval: -max-visited/-max-results require an automaton engine (hype, opthype, opthype-c, columnar)")
-		}
-		nodes = smoqe.EvalReference(q, doc.Root)
-	case "twopass":
-		if q == nil {
-			return fmt.Errorf("eval: -mfa requires an automaton engine (hype, opthype, opthype-c, columnar)")
-		}
-		if *parallel != 0 && *parallel != 1 {
-			return fmt.Errorf("eval: -parallel requires an automaton engine (hype, opthype, opthype-c, columnar)")
-		}
-		if limits != (smoqe.EvalLimits{}) {
-			return fmt.Errorf("eval: -max-visited/-max-results require an automaton engine (hype, opthype, opthype-c, columnar)")
-		}
-		nodes, err = smoqe.EvalTwoPass(q, doc.Root)
-		if err != nil {
+	case "ref", "twopass":
+		if err := treeEngine(); err != nil {
 			return err
+		}
+		var nodes []*smoqe.Node
+		if *engine == "ref" {
+			nodes = smoqe.EvalReference(q, doc.Root)
+		} else {
+			var err error
+			if nodes, err = smoqe.EvalTwoPass(q, doc.Root); err != nil {
+				return err
+			}
+		}
+		count = len(nodes)
+		if *showPaths {
+			for _, n := range nodes {
+				paths = append(paths, n.Path())
+			}
 		}
 	default:
 		return fmt.Errorf("eval: unknown engine %q", *engine)
 	}
-	fmt.Printf("%d node(s)\n", len(nodes))
-	if *showPaths {
-		for _, n := range nodes {
-			fmt.Println(" ", n.Path())
-		}
+	fmt.Printf("%d node(s)\n", count)
+	for _, p := range paths {
+		fmt.Println(" ", p)
 	}
 	if *stats && res != nil {
 		st := res.Stats
-		total := doc.ComputeStats().Elements
+		total := cd.Stats().Elements
 		fmt.Printf("visited %d of %d elements (%.1f%% pruned), skipped %d subtrees, cans: %d vertices / %d edges, AFA evals: %d\n",
 			st.VisitedElements, total, 100*st.PruneRate(total),
 			st.SkippedSubtrees, st.CansVertices, st.CansEdges, st.AFAEvaluations)
@@ -533,16 +524,17 @@ func cmdBatch(args []string) error {
 	if err != nil {
 		return err
 	}
+	cd := smoqe.BuildColumnar(doc)
 	workers := workersFlag(*parallel)
-	res, err := smoqe.PrepareMFA(merged).Eval(context.Background(), doc.Root, smoqe.EvalOptions{Workers: workers})
+	res, err := smoqe.PrepareMFA(merged).Eval(context.Background(), nil, smoqe.EvalOptions{Columnar: cd, Workers: workers})
 	if err != nil {
 		return err
 	}
 	if workers > 0 {
 		fmt.Printf("parallel batch pass: %d shards on %d workers\n", res.Shards, res.Workers)
 	}
-	results, st := res.Tagged, res.Stats
-	total := doc.ComputeStats().Elements
+	results, st := res.TaggedIDs, res.Stats
+	total := cd.Stats().Elements
 	if *stats {
 		// §7-style experiment table: each query also runs on its own
 		// engine, so the visited/skipped/prune-rate columns are that
@@ -553,7 +545,7 @@ func cmdBatch(args []string) error {
 			if i < len(results) {
 				n = len(results[i])
 			}
-			qres, err := smoqe.PrepareMFA(ms[i]).Eval(context.Background(), doc.Root, smoqe.EvalOptions{})
+			qres, err := smoqe.PrepareMFA(ms[i]).Eval(context.Background(), nil, smoqe.EvalOptions{Columnar: cd})
 			if err != nil {
 				return err
 			}

@@ -40,29 +40,33 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The engines run on the document's columnar form and its subtree
+	// index, both built once, outside the timed runs.
+	cd := smoqe.BuildColumnar(doc)
+	idx := smoqe.BuildIndex(cd)
+
 	// HyPE.
 	plan := smoqe.PrepareMFA(m)
 	start := time.Now()
-	hres, err := plan.Eval(context.Background(), doc.Root, smoqe.EvalOptions{})
+	hres, err := plan.Eval(context.Background(), nil, smoqe.EvalOptions{Columnar: cd})
 	if err != nil {
 		log.Fatal(err)
 	}
 	tHype := time.Since(start)
-	res, es := hres.Nodes, hres.Stats
+	res, es := hres.IDs, hres.Stats
 	fmt.Printf("HyPE:      %4d matches in %8.3fms (visited %d/%d elements, %d subtrees pruned)\n",
 		len(res), ms(tHype), es.VisitedElements, st.Elements, es.SkippedSubtrees)
 
 	// OptHyPE with the subtree index.
-	idx := smoqe.BuildIndex(doc, true)
 	start = time.Now()
-	ores, err := plan.Eval(context.Background(), doc.Root, smoqe.EvalOptions{Index: idx})
+	ores, err := plan.Eval(context.Background(), nil, smoqe.EvalOptions{Columnar: cd, Index: idx})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2 := ores.Nodes
+	res2 := ores.IDs
 	tOpt := time.Since(start)
 	fmt.Printf("OptHyPE-C: %4d matches in %8.3fms (index: %d labels, %d distinct sets)\n",
-		len(res2), ms(tOpt), idx.NumLabels(), idx.DistinctSets())
+		len(res2), ms(tOpt), cd.NumLabels(), idx.DistinctSets())
 
 	// The XQuery-translation stand-in (how you'd run this without a
 	// regular XPath engine).
@@ -75,11 +79,11 @@ func main() {
 		log.Fatalf("engines disagree: %d vs %d vs %d", len(res), len(res2), len(res3))
 	}
 	fmt.Printf("all engines agree on %d matching patients; first few:\n", len(res))
-	for i, n := range res {
+	for i, id := range res {
 		if i == 5 {
 			break
 		}
-		fmt.Printf("    %s\n", n.TextContent())
+		fmt.Printf("    %s\n", cd.Text(int32(id)))
 	}
 }
 

@@ -15,6 +15,8 @@ package colstore
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"smoqe/internal/xmltree"
 )
@@ -50,17 +52,33 @@ func FromTree(d *xmltree.Document) *Document {
 	if d.Root == nil {
 		panic("colstore: FromTree on document without root")
 	}
-	b := &builder{cd: &Document{labelIDs: make(map[string]int32)}}
-	b.build(d.Root, -1, 0, 1)
+	cd, _ := fromNode(d.Root, false)
+	return cd
+}
+
+// FromNode builds the columnar form of n's subtree, with n as its root,
+// and returns the subtree's nodes in preorder: node i of the result is
+// nodes[i]. An evaluation at an arbitrary tree node runs on the result and
+// maps its answers back through nodes.
+func FromNode(n *xmltree.Node) (cd *Document, nodes []*xmltree.Node) {
+	return fromNode(n, true)
+}
+
+func fromNode(n *xmltree.Node, keepNodes bool) (*Document, []*xmltree.Node) {
+	b := &builder{cd: &Document{labelIDs: make(map[string]int32)}, keepNodes: keepNodes}
+	b.build(n, -1, 0, 1)
 	b.cd.arena = string(b.arena)
-	return b.cd
+	return b.cd, b.nodes
 }
 
 // builder accumulates the arena as a byte slice during construction; the
-// finished Document holds it as an immutable string.
+// finished Document holds it as an immutable string. With keepNodes it
+// also records the source node of every preorder id.
 type builder struct {
-	cd    *Document
-	arena []byte
+	cd        *Document
+	arena     []byte
+	keepNodes bool
+	nodes     []*xmltree.Node
 }
 
 // build appends node n (and its subtree) to the columns and returns n's
@@ -70,6 +88,9 @@ func (b *builder) build(n *xmltree.Node, parent int32, depth, pos int32) int32 {
 	cd := b.cd
 	id := cd.newNode(parent, depth, pos)
 	cd.label[id] = cd.intern(n.Label)
+	if b.keepNodes {
+		b.nodes = append(b.nodes, n)
+	}
 
 	// The element's text region: its direct text children, concatenated.
 	// Each text child's own slice lands inside this region, so both the
@@ -92,6 +113,9 @@ func (b *builder) build(n *xmltree.Node, parent int32, depth, pos int32) int32 {
 		if c.Kind == xmltree.Text {
 			textPos++
 			tid := cd.newNode(id, depth+1, textPos)
+			if b.keepNodes {
+				b.nodes = append(b.nodes, c)
+			}
 			cd.label[tid] = -1
 			cd.textOff[tid] = textOff
 			cd.textLen[tid] = int32(len(c.Data))
@@ -186,6 +210,36 @@ func (cd *Document) Pos(n int32) int32 { return cd.pos[n] }
 func (cd *Document) Text(n int32) string {
 	off := cd.textOff[n]
 	return cd.arena[off : off+cd.textLen[n]]
+}
+
+// Path returns n's slash path from the root, like /hospital[1]/patient[2]:
+// each element step carries its 1-based position among the element
+// siblings with the same label, and a text node's step is text(). It is
+// byte-identical to xmltree.Node.Path of the node.
+func (cd *Document) Path(n int32) string {
+	var steps []string
+	for cur := n; cur >= 0; cur = cd.parent[cur] {
+		lab := cd.label[cur]
+		if lab < 0 {
+			steps = append(steps, "text()")
+			continue
+		}
+		idx := 1
+		if p := cd.parent[cur]; p >= 0 {
+			for c := p + 1; c < cur; c = cd.end[c] + 1 {
+				if cd.label[c] == lab {
+					idx++
+				}
+			}
+		}
+		steps = append(steps, cd.labels[lab]+"["+strconv.Itoa(idx)+"]")
+	}
+	var b strings.Builder
+	for i := len(steps) - 1; i >= 0; i-- {
+		b.WriteByte('/')
+		b.WriteString(steps[i])
+	}
+	return b.String()
 }
 
 // Cursor is a positioned read pointer over a Document implementing

@@ -7,6 +7,7 @@ import (
 
 	"smoqe/internal/datagen"
 	"smoqe/internal/failpoint"
+	"smoqe/internal/hospital"
 	"smoqe/internal/xmltree"
 )
 
@@ -189,5 +190,41 @@ func TestSnapshotFailpoints(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); !errors.As(err, &fe) {
 		t.Fatalf("ReadSnapshot with armed failpoint: err = %v", err)
+	}
+}
+
+// TestPathMatchesNodePath: the columnar path of every node — elements,
+// text nodes, mixed content, and a document read back from its snapshot —
+// is byte-identical to the pointer tree's Node.Path.
+func TestPathMatchesNodePath(t *testing.T) {
+	mixed, err := xmltree.ParseString(`<a>x<b/>y<b>z<c/>w</b><c/>v<b><b/></b></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := map[string]*xmltree.Document{
+		"sample":  hospital.SampleDocument(),
+		"datagen": datagen.Generate(datagen.DefaultConfig(40)),
+		"mixed":   mixed,
+	}
+	for name, d := range docs {
+		cd := FromTree(d)
+		var buf bytes.Buffer
+		if err := cd.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, form := range []struct {
+			name string
+			cd   *Document
+		}{{"built", cd}, {"snapshot", loaded}} {
+			for id := 0; id < d.NumNodes(); id++ {
+				if got, want := form.cd.Path(int32(id)), d.NodeByID(id).Path(); got != want {
+					t.Fatalf("%s (%s): node %d: Path = %q, want %q", name, form.name, id, got, want)
+				}
+			}
+		}
 	}
 }

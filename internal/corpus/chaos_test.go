@@ -170,7 +170,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 // evaluation over cd. Such a run has no budget to exceed and a context
 // that is never done, so it cannot fail.
 func columnarIDs(e *hype.Engine, cd *colstore.Document) []int {
-	res, err := e.EvalColumnar(context.Background(), cd, hype.Options{})
+	res, err := e.Eval(context.Background(), cd, hype.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -129,7 +129,6 @@ func TestBibliographyDomain(t *testing.T) {
 		"pub[not(cite)]/title",
 		"**/title",
 	}
-	idx := hype.BuildIndex(doc, true)
 	for _, qsrc := range queries {
 		q := xpath.MustParse(qsrc)
 		want := mat.SourceOf(refeval.Eval(q, mat.Doc.Root))
@@ -140,7 +139,7 @@ func TestBibliographyDomain(t *testing.T) {
 		for name, got := range map[string][]*xmltree.Node{
 			"mfa":     mfa.Eval(m, doc.Root),
 			"hype":    hypeEval(t, hype.New(m), doc.Root),
-			"opthype": hypeEval(t, hype.NewOpt(m, idx), doc.Root),
+			"opthype": optEval(t, hype.New(m), doc.Root),
 		} {
 			if len(got) != len(want) {
 				t.Fatalf("query %q (%s): %d vs %d source nodes", qsrc, name, len(got), len(want))

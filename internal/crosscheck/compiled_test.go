@@ -1,14 +1,18 @@
 package crosscheck_test
 
-// The compiled-layer equivalence properties: the lazy subset-automaton /
-// bitset-AFA evaluation is a pure replay of the interpreted decision
-// procedure, so on ANY automaton — compiled directly, rewritten over a
-// hand-written view, or rewritten over a secview-derived policy view — the
-// compiled pointer pass and the columnar pass must return byte-identical
-// answers AND identical Stats to the interpreted pointer pass.
+// The compiled-pass properties. The one HyPE pass must return the answers
+// of an independent oracle on ANY automaton — refeval for queries compiled
+// directly, view.Materialize + refeval for rewritings over σ0, and the
+// naive MFA product evaluator (mfa.Eval) for rewritings over a
+// secview-derived policy view — and every configuration of the pass must
+// agree with the sequential default: a one-state subset cache and
+// shard-parallel workers on answers AND Stats, the subtree index and a
+// call at the tree's root node on answers.
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -17,62 +21,90 @@ import (
 	"smoqe/internal/hype"
 	"smoqe/internal/mfa"
 	"smoqe/internal/qgen"
+	"smoqe/internal/refeval"
 	"smoqe/internal/rewrite"
 	"smoqe/internal/secview"
+	"smoqe/internal/view"
 	"smoqe/internal/xmltree"
 	"smoqe/internal/xpath"
 )
 
-// checkCompiled runs m compiled on doc (and its columnar form) and fails on
-// any divergence in answers or Stats from the interpreted pointer pass.
-func checkCompiled(t *testing.T, tag string, m *mfa.MFA, doc *xmltree.Document, cd *colstore.Document) {
+// compiledCase is one document every property of this file evaluates:
+// its tree, columnar form, index and preorder map.
+type compiledCase struct {
+	doc *xmltree.Document
+	cd  *colstore.Document
+	ix  *hype.Index
+	pre map[*xmltree.Node]int
+}
+
+func newCompiledCase(doc *xmltree.Document) compiledCase {
+	cd := colstore.FromTree(doc)
+	return compiledCase{doc: doc, cd: cd, ix: hype.BuildIndex(cd), pre: preorderOf(doc)}
+}
+
+// checkCompiled runs m in every configuration over c and fails unless the
+// sequential run returns the oracle's answers want and every other
+// configuration agrees with it.
+func checkCompiled(t testing.TB, tag string, m *mfa.MFA, c compiledCase, want []*xmltree.Node) {
 	t.Helper()
-	interp := hype.New(m)
-	interp.SetCompiled(false)
-	want := hypeRun(t, interp, doc.Root, hype.Options{})
-	got := hypeRun(t, hype.New(m), doc.Root, hype.Options{})
-	if len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("%s: compiled %d nodes, interpreted %d", tag, len(got.Nodes), len(want.Nodes))
-	}
-	for j := range got.Nodes {
-		if got.Nodes[j] != want.Nodes[j] {
-			t.Fatalf("%s: node %d differs: %s vs %s", tag, j, got.Nodes[j].Path(), want.Nodes[j].Path())
-		}
-	}
-	if got.Stats != want.Stats {
-		t.Fatalf("%s: compiled Stats %+v, interpreted %+v", tag, got.Stats, want.Stats)
-	}
-	if cd == nil {
-		return
-	}
-	pre := preorderOf(doc)
-	wantIDs := make([]int, len(want.Nodes))
-	for j, n := range want.Nodes {
-		wantIDs[j] = pre[n]
+	wantIDs := make([]int, len(want))
+	for j, n := range want {
+		wantIDs[j] = c.pre[n]
 	}
 	sort.Ints(wantIDs)
-	col := columnarRun(t, m, cd)
-	if len(col.IDs) != len(wantIDs) {
-		t.Fatalf("%s: columnar %d ids, interpreted pointer %d", tag, len(col.IDs), len(wantIDs))
+	seq := columnarRun(t, m, c.cd, hype.Options{})
+	if !sameIDs(seq.IDs, wantIDs) {
+		t.Fatalf("%s: answers %v, oracle %v", tag, seq.IDs, wantIDs)
 	}
-	for j := range col.IDs {
-		if col.IDs[j] != wantIDs[j] {
-			t.Fatalf("%s: columnar id %d differs: %d vs %d", tag, j, col.IDs[j], wantIDs[j])
+	tiny := hype.New(m)
+	tiny.SetCompiledCacheCap(1)
+	for name, run := range map[string]func(hype.Options) hype.Result{
+		"workers=4":   func(o hype.Options) hype.Result { o.Workers = 4; return columnarRun(t, m, c.cd, o) },
+		"cache cap 1": func(o hype.Options) hype.Result { return colRun(t, tiny, c.cd, o) },
+	} {
+		for _, opts := range []hype.Options{{}, {Index: c.ix}} {
+			base := seq
+			if opts.Index != nil {
+				base = columnarRun(t, m, c.cd, opts)
+			}
+			got := run(opts)
+			if !sameIDs(got.IDs, base.IDs) || got.Stats != base.Stats {
+				t.Fatalf("%s: %s (index=%v) diverges: %v %+v, sequential %v %+v",
+					tag, name, opts.Index != nil, got.IDs, got.Stats, base.IDs, base.Stats)
+			}
 		}
 	}
-	if col.Stats != want.Stats {
-		t.Fatalf("%s: columnar Stats %+v, interpreted pointer %+v", tag, col.Stats, want.Stats)
+	if got := columnarRun(t, m, c.cd, hype.Options{Index: c.ix}).IDs; !sameIDs(got, wantIDs) {
+		t.Fatalf("%s: indexed answers %v, oracle %v", tag, got, wantIDs)
+	}
+	if got := hypeEval(t, hype.New(m), c.doc.Root); !reflect.DeepEqual(ids(got), ids(want)) {
+		t.Fatalf("%s: at the root node %v, oracle %v", tag, ids(got), ids(want))
 	}
 }
 
+// sameIDs compares two answer id lists, nil and empty alike.
+func sameIDs(a, b []int) bool { return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b)) }
+
+func ids(ns []*xmltree.Node) []int { return xmltree.IDsOf(ns) }
+
+// colRun evaluates e over cd with opts, failing the test on an error.
+func colRun(t testing.TB, e *hype.Engine, cd *colstore.Document, opts hype.Options) hype.Result {
+	t.Helper()
+	res, err := e.Eval(context.Background(), cd, opts)
+	if err != nil {
+		t.Fatalf("Eval: %v", err)
+	}
+	return res
+}
+
 // TestCompiledAgreesOnGeneratedQueries: direct compilation over generated
-// source queries.
+// source queries, against refeval.
 func TestCompiledAgreesOnGeneratedQueries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
 	}
-	doc := corpus(t, 60, 47)
-	cd := colstore.FromTree(doc)
+	c := newCompiledCase(corpus(t, 60, 47))
 	g := qgen.New(hospital.DocDTD(), 4242, corpusTexts)
 	for i := 0; i < 200; i++ {
 		q := g.Query()
@@ -80,20 +112,23 @@ func TestCompiledAgreesOnGeneratedQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d %q: compile: %v", i, q, err)
 		}
-		checkCompiled(t, fmt.Sprintf("query %d %q", i, q), m, doc, cd)
+		checkCompiled(t, fmt.Sprintf("query %d %q", i, q), m, c, refeval.Eval(q, c.doc.Root))
 	}
 }
 
 // TestCompiledAgreesOnViewRewritings: rewritten automata over σ0 — larger
 // NFAs with data-test AFAs, the Theorem 5.1 shape the subset cache must
-// handle.
+// handle — against the materialized view queried by refeval.
 func TestCompiledAgreesOnViewRewritings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
 	}
 	v := hospital.Sigma0()
-	doc := corpus(t, 50, 53)
-	cd := colstore.FromTree(doc)
+	c := newCompiledCase(corpus(t, 50, 53))
+	mat, err := view.Materialize(v, c.doc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := qgen.New(hospital.ViewDTD(), 777, []string{"heart disease", "flu", "lung disease"})
 	for i := 0; i < 150; i++ {
 		q := g.Query()
@@ -101,13 +136,14 @@ func TestCompiledAgreesOnViewRewritings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("view query %d %q: rewrite: %v", i, q, err)
 		}
-		checkCompiled(t, fmt.Sprintf("view query %d %q", i, q), m, doc, cd)
+		checkCompiled(t, fmt.Sprintf("view query %d %q", i, q), m, c, mat.SourceOf(refeval.Eval(q, mat.Doc.Root)))
 	}
 }
 
 // TestCompiledAgreesOnSecviewRewritings: automata rewritten over a
 // policy-derived (secview) security view — recursive view DTD, promoted
-// chains, the automata with the densest ε-structure in the repo.
+// chains, the automata with the densest ε-structure in the repo — against
+// the naive MFA product evaluator.
 func TestCompiledAgreesOnSecviewRewritings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
@@ -124,8 +160,7 @@ func TestCompiledAgreesOnSecviewRewritings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := corpus(t, 40, 59)
-	cd := colstore.FromTree(doc)
+	c := newCompiledCase(corpus(t, 40, 59))
 	g := qgen.New(v.Target, 313, corpusTexts)
 	for i := 0; i < 120; i++ {
 		q := g.Query()
@@ -133,18 +168,19 @@ func TestCompiledAgreesOnSecviewRewritings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("secview query %d %q: rewrite: %v", i, q, err)
 		}
-		checkCompiled(t, fmt.Sprintf("secview query %d %q", i, q), m, doc, cd)
+		checkCompiled(t, fmt.Sprintf("secview query %d %q", i, q), m, c, mfa.Eval(m, c.doc.Root))
 	}
 }
 
 // TestCompiledAgreesUnderTinyCache replays a slice of the generated-query
-// property with a cache cap of 1, so eviction and the NFA-simulation
-// fallback are exercised against generated (not hand-picked) automata.
+// property with a cache cap of 1 on one long-lived clone, so eviction and
+// the NFA-simulation fallback carry over from query to query: answers must
+// stay refeval's and Stats the default cache's.
 func TestCompiledAgreesUnderTinyCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
 	}
-	doc := corpus(t, 40, 61)
+	c := newCompiledCase(corpus(t, 40, 61))
 	g := qgen.New(hospital.DocDTD(), 6006, corpusTexts)
 	for i := 0; i < 60; i++ {
 		q := g.Query()
@@ -152,28 +188,27 @@ func TestCompiledAgreesUnderTinyCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d %q: compile: %v", i, q, err)
 		}
-		interp := hype.New(m)
-		interp.SetCompiled(false)
-		want := hypeRun(t, interp, doc.Root, hype.Options{})
+		want := columnarRun(t, m, c.cd, hype.Options{})
 		tiny := hype.New(m)
 		tiny.SetCompiledCacheCap(1)
-		got := hypeRun(t, tiny, doc.Root, hype.Options{})
-		gotNodes, gotStats, wantNodes, wantStats := got.Nodes, got.Stats, want.Nodes, want.Stats
-		if len(gotNodes) != len(wantNodes) || gotStats != wantStats {
-			t.Fatalf("query %d %q: cap-1 compiled diverges (%d/%d nodes, %+v vs %+v)",
-				i, q, len(gotNodes), len(wantNodes), gotStats, wantStats)
-		}
-		for j := range gotNodes {
-			if gotNodes[j] != wantNodes[j] {
-				t.Fatalf("query %d %q: cap-1 node %d differs", i, q, j)
+		for run := 0; run < 2; run++ {
+			got := colRun(t, tiny, c.cd, hype.Options{})
+			if !sameIDs(got.IDs, want.IDs) || got.Stats != want.Stats {
+				t.Fatalf("query %d %q run %d: cap-1 diverges (%v/%v, %+v vs %+v)",
+					i, q, run, got.IDs, want.IDs, got.Stats, want.Stats)
 			}
+		}
+		if ref := ids(refeval.Eval(q, c.doc.Root)); !sameIDs(want.IDs, ref) {
+			t.Fatalf("query %d %q: answers %v, reference %v", i, q, want.IDs, ref)
 		}
 	}
 }
 
 // FuzzCompiledAgreesWithInterpreted is the fuzz form: for any document and
-// query the parsers accept, the compiled evaluation must agree with the
-// interpreted one on answers and Stats — and neither may panic.
+// query the parsers accept, the compiled pass must agree with the
+// interpreting oracles — refeval's set semantics and mfa.Eval's product
+// semantics — and its configurations with each other (checkCompiled), and
+// nothing may panic.
 func FuzzCompiledAgreesWithInterpreted(f *testing.F) {
 	seeds := []struct{ xml, query string }{
 		{"<r><a><b>x</b></a><a/></r>", "a/b"},
@@ -205,23 +240,10 @@ func FuzzCompiledAgreesWithInterpreted(f *testing.F) {
 		if err != nil {
 			return
 		}
-		interp := hype.New(m)
-		interp.SetCompiled(false)
-		want := hypeRun(t, interp, doc.Root, hype.Options{})
-		got := hypeRun(t, hype.New(m), doc.Root, hype.Options{})
-		gotNodes, gotStats, wantNodes, wantStats := got.Nodes, got.Stats, want.Nodes, want.Stats
-		if len(gotNodes) != len(wantNodes) {
-			t.Fatalf("query %q on %q: compiled %d nodes, interpreted %d",
-				querySrc, xmlSrc, len(gotNodes), len(wantNodes))
+		want := refeval.Eval(q, doc.Root)
+		if got := mfa.Eval(m, doc.Root); !reflect.DeepEqual(ids(got), ids(want)) {
+			t.Fatalf("query %q on %q: mfa.Eval %v, refeval %v", querySrc, xmlSrc, ids(got), ids(want))
 		}
-		for i := range gotNodes {
-			if gotNodes[i] != wantNodes[i] {
-				t.Fatalf("query %q on %q: node %d differs", querySrc, xmlSrc, i)
-			}
-		}
-		if gotStats != wantStats {
-			t.Fatalf("query %q on %q: compiled Stats %+v, interpreted %+v",
-				querySrc, xmlSrc, gotStats, wantStats)
-		}
+		checkCompiled(t, fmt.Sprintf("query %q on %q", querySrc, xmlSrc), m, newCompiledCase(doc), want)
 	})
 }

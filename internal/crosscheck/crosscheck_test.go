@@ -35,22 +35,25 @@ func preorderOf(d *xmltree.Document) map[*xmltree.Node]int {
 	return idx
 }
 
-// checkColumnar evaluates m on the columnar form and demands the preorder
-// ids of the reference answer, exactly.
-func checkColumnar(t *testing.T, tag string, m *mfa.MFA, cd *colstore.Document, idx map[*xmltree.Node]int, want []*xmltree.Node) {
+// checkColumnar evaluates m over the columnar document cd, with and
+// without its index ix, and demands the preorder ids of the reference
+// answer, exactly.
+func checkColumnar(t *testing.T, tag string, m *mfa.MFA, cd *colstore.Document, ix *hype.Index, idx map[*xmltree.Node]int, want []*xmltree.Node) {
 	t.Helper()
-	got := columnarRun(t, m, cd).IDs
 	wantIDs := make([]int, len(want))
 	for j, n := range want {
 		wantIDs[j] = idx[n]
 	}
 	sort.Ints(wantIDs)
-	if len(got) != len(wantIDs) {
-		t.Fatalf("%s: columnar returned %d nodes, reference %d", tag, len(got), len(wantIDs))
-	}
-	for j := range got {
-		if got[j] != wantIDs[j] {
-			t.Fatalf("%s: columnar result %d is preorder id %d, want %d", tag, j, got[j], wantIDs[j])
+	for _, opts := range []hype.Options{{}, {Index: ix}} {
+		got := columnarRun(t, m, cd, opts).IDs
+		if len(got) != len(wantIDs) {
+			t.Fatalf("%s (index=%v): columnar returned %d nodes, reference %d", tag, opts.Index != nil, len(got), len(wantIDs))
+		}
+		for j := range got {
+			if got[j] != wantIDs[j] {
+				t.Fatalf("%s (index=%v): columnar result %d is preorder id %d, want %d", tag, opts.Index != nil, j, got[j], wantIDs[j])
+			}
 		}
 	}
 }
@@ -68,17 +71,16 @@ func corpus(t testing.TB, patients int, seed int64) *xmltree.Document {
 }
 
 // TestEnginesAgreeOnGeneratedQueries is the engine-equivalence property:
-// refeval (set semantics), the naive MFA product evaluator, HyPE, OptHyPE,
-// OptHyPE-C, the columnar pass and the two-pass baseline must return
-// identical answers.
+// refeval (set semantics), the naive MFA product evaluator, HyPE and
+// OptHyPE-C (at the root node and over the registered columnar form) and
+// the two-pass baseline must return identical answers.
 func TestEnginesAgreeOnGeneratedQueries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
 	}
 	doc := corpus(t, 60, 11)
-	idx := hype.BuildIndex(doc, false)
-	idxC := hype.BuildIndex(doc, true)
 	cd := colstore.FromTree(doc)
+	ix := hype.BuildIndex(cd)
 	pre := preorderOf(doc)
 	g := qgen.New(hospital.DocDTD(), 1234, corpusTexts)
 	nonEmpty := 0
@@ -106,10 +108,9 @@ func TestEnginesAgreeOnGeneratedQueries(t *testing.T) {
 		}
 		check("mfa.Eval", mfa.Eval(m, doc.Root))
 		check("HyPE", hypeEval(t, hype.New(m), doc.Root))
-		check("OptHyPE", hypeEval(t, hype.NewOpt(m, idx), doc.Root))
-		check("OptHyPE-C", hypeEval(t, hype.NewOpt(m, idxC), doc.Root))
+		check("OptHyPE-C", optEval(t, hype.New(m), doc.Root))
 		check("twopass", twopass.MustNew(q).Eval(doc.Root))
-		checkColumnar(t, fmt.Sprintf("query %d %q", i, src), m, cd, pre, want)
+		checkColumnar(t, fmt.Sprintf("query %d %q", i, src), m, cd, ix, pre, want)
 	}
 	if nonEmpty < 25 {
 		t.Errorf("only %d/250 generated queries had nonempty results; generator too weak", nonEmpty)
@@ -129,8 +130,8 @@ func TestRewriteCorrectnessOnGeneratedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := hype.BuildIndex(doc, false)
 	cd := colstore.FromTree(doc)
+	ix := hype.BuildIndex(cd)
 	pre := preorderOf(doc)
 	g := qgen.New(hospital.ViewDTD(), 999, []string{"heart disease", "flu", "lung disease"})
 	nonEmpty := 0
@@ -147,9 +148,9 @@ func TestRewriteCorrectnessOnGeneratedQueries(t *testing.T) {
 			t.Fatalf("query %d %q: rewrite: %v", i, src, err)
 		}
 		for name, got := range map[string][]*xmltree.Node{
-			"mfa.Eval": mfa.Eval(m, doc.Root),
-			"HyPE":     hypeEval(t, hype.New(m), doc.Root),
-			"OptHyPE":  hypeEval(t, hype.NewOpt(m, idx), doc.Root),
+			"mfa.Eval":  mfa.Eval(m, doc.Root),
+			"HyPE":      hypeEval(t, hype.New(m), doc.Root),
+			"OptHyPE-C": optEval(t, hype.New(m), doc.Root),
 		} {
 			if len(got) != len(want) {
 				t.Fatalf("query %d %q (%s): got %d source nodes, want %d",
@@ -164,7 +165,7 @@ func TestRewriteCorrectnessOnGeneratedQueries(t *testing.T) {
 		}
 		// The rewritten automaton must answer identically on the columnar
 		// source document.
-		checkColumnar(t, fmt.Sprintf("view query %d %q", i, src), m, cd, pre, want)
+		checkColumnar(t, fmt.Sprintf("view query %d %q", i, src), m, cd, ix, pre, want)
 	}
 	if nonEmpty < 15 {
 		t.Errorf("only %d/200 generated view queries nonempty; generator too weak", nonEmpty)
@@ -252,29 +253,47 @@ func TestToXregOnGeneratedQueries(t *testing.T) {
 	}
 }
 
-// hypeRun evaluates e at n with opts, failing the test on an error.
-func hypeRun(t testing.TB, e *hype.Engine, n *xmltree.Node, opts hype.Options) hype.Result {
+// hypeRun evaluates e at tree node n the way a library call does: over
+// the columnar form of n's subtree (with that form's index when indexed),
+// returning the Result and the answers mapped back to n's nodes. It fails
+// the test on an error.
+func hypeRun(t testing.TB, e *hype.Engine, n *xmltree.Node, indexed bool, opts hype.Options) (hype.Result, []*xmltree.Node) {
 	t.Helper()
-	res, err := e.Eval(context.Background(), n, opts)
+	cd, nodes := colstore.FromNode(n)
+	if indexed {
+		opts.Index = hype.BuildIndex(cd)
+	}
+	res, err := e.Eval(context.Background(), cd, opts)
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	return res
+	out := make([]*xmltree.Node, len(res.IDs))
+	for i, id := range res.IDs {
+		out[i] = nodes[id]
+	}
+	return res, out
 }
 
 // hypeEval is the answer set of a sequential, unlimited HyPE evaluation.
 func hypeEval(t testing.TB, e *hype.Engine, n *xmltree.Node) []*xmltree.Node {
 	t.Helper()
-	return hypeRun(t, e, n, hype.Options{}).Nodes
+	_, got := hypeRun(t, e, n, false, hype.Options{})
+	return got
 }
 
-// columnarRun evaluates m over cd with the columnar pass, failing the test
-// on an error.
-func columnarRun(t testing.TB, m *mfa.MFA, cd *colstore.Document) hype.Result {
+// optEval is hypeEval with the subtree index: OptHyPE-C.
+func optEval(t testing.TB, e *hype.Engine, n *xmltree.Node) []*xmltree.Node {
 	t.Helper()
-	res, err := hype.New(m).EvalColumnar(context.Background(), cd, hype.Options{})
+	_, got := hypeRun(t, e, n, true, hype.Options{})
+	return got
+}
+
+// columnarRun evaluates m over cd with opts, failing the test on an error.
+func columnarRun(t testing.TB, m *mfa.MFA, cd *colstore.Document, opts hype.Options) hype.Result {
+	t.Helper()
+	res, err := hype.New(m).Eval(context.Background(), cd, opts)
 	if err != nil {
-		t.Fatalf("EvalColumnar: %v", err)
+		t.Fatalf("Eval: %v", err)
 	}
 	return res
 }

@@ -67,8 +67,8 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	idx := hype.BuildIndex(doc, true)
-	results := hypeRun(t, hype.NewOpt(loaded, idx), doc.Root, hype.Options{}).Tagged
+	res, _ := hypeRun(t, hype.New(loaded), doc.Root, true, hype.Options{})
+	results := res.TaggedIDs
 	if len(results) != len(queries) {
 		t.Fatalf("buckets = %d, want %d", len(results), len(queries))
 	}
@@ -79,8 +79,8 @@ func TestFullPipeline(t *testing.T) {
 			continue
 		}
 		for j := range got {
-			if got[j].ID != want[i][j] {
-				t.Errorf("query %q: answer %d: node %d vs %d", src, j, got[j].ID, want[i][j])
+			if got[j] != want[i][j] {
+				t.Errorf("query %q: answer %d: node %d vs %d", src, j, got[j], want[i][j])
 			}
 		}
 	}

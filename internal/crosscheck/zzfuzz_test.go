@@ -88,8 +88,6 @@ func TestZZFuzzEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 4000; iter++ {
 		doc := genDoc(rng)
-		idx := hype.BuildIndex(doc, false)
-		idxC := hype.BuildIndex(doc, true)
 		q := genPath(rng, 3)
 		want := xmltree.IDsOf(refeval.Eval(q, doc.Root))
 		m, err := mfa.Compile(q)
@@ -107,8 +105,8 @@ func TestZZFuzzEngines(t *testing.T) {
 		check("mfa.Eval+simplify", mfa.Eval(ms, doc.Root))
 		check("hype", hypeEval(t, hype.New(m), doc.Root))
 		check("hype+simplify", hypeEval(t, hype.New(ms), doc.Root))
-		check("opthype", hypeEval(t, hype.NewOpt(m, idx), doc.Root))
-		check("opthype-c", hypeEval(t, hype.NewOpt(ms, idxC), doc.Root))
+		check("opthype-c", optEval(t, hype.New(m), doc.Root))
+		check("opthype-c+simplify", optEval(t, hype.New(ms), doc.Root))
 		check("twopass", twopass.MustNew(q).Eval(doc.Root))
 		check("xqsim", xqsim.Eval(q, doc.Root))
 	}

@@ -35,7 +35,7 @@ func TestBatchEvaluation(t *testing.T) {
 	if merged.NumTags() != len(queries) {
 		t.Fatalf("NumTags = %d, want %d", merged.NumTags(), len(queries))
 	}
-	results := eval(t, hype.New(merged), doc.Root, hype.Options{}).Tagged
+	results := eval(t, hype.New(merged), doc.Root, hype.Options{}).TaggedIDs
 	if len(results) != merged.NumTags() {
 		t.Fatalf("got %d buckets, want %d", len(results), merged.NumTags())
 	}
@@ -46,7 +46,7 @@ func TestBatchEvaluation(t *testing.T) {
 			t.Fatalf("results truncated: bucket %d (query %q) missing, got %d buckets for %d queries",
 				i, src, len(results), len(queries))
 		}
-		want := refeval.Eval(xpath.MustParse(src), doc.Root)
+		want := ids(refeval.Eval(xpath.MustParse(src), doc.Root))
 		got := results[i]
 		if len(got) != len(want) {
 			t.Errorf("query %d %q: batch %d vs direct %d", i, src, len(got), len(want))
@@ -79,9 +79,9 @@ func TestBatchRewrittenViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := eval(t, hype.New(merged), doc.Root, hype.Options{}).Tagged
+	results := eval(t, hype.New(merged), doc.Root, hype.Options{}).TaggedIDs
 	for i, src := range queries {
-		want := answers(t, hype.New(ms[i]), doc.Root)
+		want := eval(t, hype.New(ms[i]), doc.Root, hype.Options{}).IDs
 		got := results[i]
 		if len(got) != len(want) {
 			t.Errorf("query %d %q: batch %d vs single %d", i, src, len(got), len(want))
@@ -106,10 +106,9 @@ func TestBatchWithIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := hype.BuildIndex(doc, true)
-	results := eval(t, hype.NewOpt(merged, idx), doc.Root, hype.Options{}).Tagged
+	results := evalIndexed(t, hype.New(merged), doc.Root).TaggedIDs
 	for i, m := range ms {
-		want := answers(t, hype.New(m), doc.Root)
+		want := eval(t, hype.New(m), doc.Root, hype.Options{}).IDs
 		if len(results[i]) != len(want) {
 			t.Errorf("query %d: %d vs %d", i, len(results[i]), len(want))
 		}

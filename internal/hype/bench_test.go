@@ -3,6 +3,7 @@ package hype_test
 import (
 	"testing"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/datagen"
 	"smoqe/internal/hospital"
 	"smoqe/internal/hype"
@@ -15,17 +16,16 @@ import (
 // benchmarks live at the repository root).
 
 func benchEval(b *testing.B, qsrc string, opt bool) {
-	doc := datagen.Generate(datagen.DefaultConfig(3000))
+	cd := colstore.FromTree(datagen.Generate(datagen.DefaultConfig(3000)))
 	m := mfa.MustCompile(xpath.MustParse(qsrc))
-	var e *hype.Engine
+	var opts hype.Options
 	if opt {
-		e = hype.NewOpt(m, hype.BuildIndex(doc, true))
-	} else {
-		e = hype.New(m)
+		opts.Index = hype.BuildIndex(cd)
 	}
+	e := hype.New(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		answers(b, e, doc.Root)
+		colEval(b, e, cd, opts)
 	}
 }
 
@@ -38,27 +38,20 @@ func BenchmarkOptHyPEStarFilter(b *testing.B) { benchEval(b, hospital.RXC, true)
 // BenchmarkRewrittenMFA evaluates a view-rewritten automaton (ε-heavy,
 // shared product AFAs) — the pipeline's hot path.
 func BenchmarkRewrittenMFA(b *testing.B) {
-	doc := datagen.Generate(datagen.DefaultConfig(3000))
+	cd := colstore.FromTree(datagen.Generate(datagen.DefaultConfig(3000)))
 	v := hospital.Sigma0()
 	m := rewrite.MustRewrite(v, xpath.MustParse(hospital.QExample41))
 	e := hype.New(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		answers(b, e, doc.Root)
+		colEval(b, e, cd, hype.Options{})
 	}
 }
 
-// BenchmarkBuildIndex measures both index variants' construction.
+// BenchmarkBuildIndex measures the index construction.
 func BenchmarkBuildIndex(b *testing.B) {
-	doc := datagen.Generate(datagen.DefaultConfig(3000))
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hype.BuildIndex(doc, false)
-		}
-	})
-	b.Run("compressed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hype.BuildIndex(doc, true)
-		}
-	})
+	cd := colstore.FromTree(datagen.Generate(datagen.DefaultConfig(3000)))
+	for i := 0; i < b.N; i++ {
+		hype.BuildIndex(cd)
+	}
 }

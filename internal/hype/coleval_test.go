@@ -11,66 +11,78 @@ import (
 	"smoqe/internal/hospital"
 	"smoqe/internal/hype"
 	"smoqe/internal/mfa"
+	"smoqe/internal/refeval"
 	"smoqe/internal/xmltree"
 	"smoqe/internal/xpath"
 )
 
-// preorderIndex maps every node of d to its preorder rank — the id space of
-// the columnar store (xmltree IDs coincide for parsed documents but are not
-// guaranteed preorder for hand-built ones, so the test maps explicitly).
-func preorderIndex(d *xmltree.Document) map[*xmltree.Node]int {
-	idx := make(map[*xmltree.Node]int, d.NumNodes())
-	d.Walk(func(n *xmltree.Node) bool {
-		idx[n] = len(idx)
-		return true
-	})
-	return idx
-}
-
 // colEval evaluates e over cd with opts, failing the test on an error.
 func colEval(t testing.TB, e *hype.Engine, cd *colstore.Document, opts hype.Options) hype.Result {
 	t.Helper()
-	res, err := e.EvalColumnar(context.Background(), cd, opts)
+	res, err := e.Eval(context.Background(), cd, opts)
 	if err != nil {
-		t.Fatalf("EvalColumnar: %v", err)
+		t.Fatalf("Eval: %v", err)
 	}
 	return res
 }
 
-// TestColumnarMatchesPointerPath runs the full source-query workload on
-// both representations and demands identical answers AND identical
-// statistics — the columnar DFS must visit, prune and evaluate exactly
-// what the pointer DFS does.
+// TestColumnarMatchesPointerPath runs the source-query workload over a
+// document's columnar form and at its root node the way a tree caller
+// does (subtree conversion, ids mapped back to nodes), and demands the
+// reference answers from both, with identical statistics. The hand-built
+// document adds its nodes out of document order, so its Node IDs are not
+// preorder ids and the mapping back to nodes is exercised for real.
 func TestColumnarMatchesPointerPath(t *testing.T) {
+	built := xmltree.NewDocument("hospital")
+	dep := built.AddElement(built.Root, "department")
+	later := built.AddElement(built.Root, "department")
+	p := built.AddElement(dep, "patient")
+	built.AddText(built.AddElement(p, "pname"), "Ann")
+	built.AddElement(later, "patient")
+	built.AddElement(p, "visit")
 	docs := map[string]*xmltree.Document{
 		"sample":     hospital.SampleDocument(),
 		"datagen-60": datagen.Generate(datagen.DefaultConfig(60)),
+		"hand-built": built,
 	}
 	for name, doc := range docs {
-		idx := preorderIndex(doc)
 		cd := colstore.FromTree(doc)
 		for _, src := range sourceQueries {
 			q := xpath.MustParse(src)
-			m := mfa.MustCompile(q)
-			e := hype.New(m)
-			pres := eval(t, e, doc.Root, hype.Options{})
-			want := make([]int, len(pres.Nodes))
-			for i, n := range pres.Nodes {
-				want[i] = idx[n]
-			}
-			// candNodes sorts by xmltree ID; re-sort into preorder order.
-			for i := 1; i < len(want); i++ {
-				for j := i; j > 0 && want[j] < want[j-1]; j-- {
-					want[j], want[j-1] = want[j-1], want[j]
-				}
+			e := hype.New(mfa.MustCompile(q))
+			pres, got := evalAt(t, e, doc.Root, false, hype.Options{})
+			if want := xmltree.SortNodes(refeval.Eval(q, doc.Root)); !same(xmltree.SortNodes(got), want) {
+				t.Errorf("%s %q: answers %v, reference %v", name, src, ids(got), ids(want))
 			}
 			cres := colEval(t, e, cd, hype.Options{})
-			if got := cres.IDs; len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Errorf("%s %q: columnar ids = %v, want %v", name, src, got, want)
+			if !reflect.DeepEqual(cres.IDs, pres.IDs) {
+				t.Errorf("%s %q: columnar ids = %v, at the root node %v", name, src, cres.IDs, pres.IDs)
 			}
 			if pres.Stats != cres.Stats {
-				t.Errorf("%s %q: columnar stats = %+v, pointer stats = %+v", name, src, cres.Stats, pres.Stats)
+				t.Errorf("%s %q: columnar stats = %+v, at the root node %+v", name, src, cres.Stats, pres.Stats)
 			}
+		}
+	}
+}
+
+// TestIndexFromAnotherDocument: an index evaluates only the document it
+// was built from. An index of another document — even an identical copy —
+// is refused with an error instead of pruning by the wrong alphabet.
+func TestIndexFromAnotherDocument(t *testing.T) {
+	doc := hospital.SampleDocument()
+	cd, other := colstore.FromTree(doc), colstore.FromTree(doc)
+	q := xpath.MustParse("department/patient[visit]/pname")
+	e := hype.New(mfa.MustCompile(q))
+	res, err := e.Eval(context.Background(), cd, hype.Options{Index: hype.BuildIndex(cd)})
+	if err != nil {
+		t.Fatalf("own index: %v", err)
+	}
+	if want := ids(refeval.Eval(q, doc.Root)); !reflect.DeepEqual(res.IDs, want) {
+		t.Errorf("own index: answers %v, want %v", res.IDs, want)
+	}
+	for _, w := range []int{0, 4} {
+		if _, err := e.Eval(context.Background(), cd, hype.Options{Index: hype.BuildIndex(other), Workers: w}); err == nil {
+			t.Errorf("workers=%d: an index of another document was accepted", w)
 		}
 	}
 }
@@ -104,7 +116,7 @@ func TestColumnarCancellation(t *testing.T) {
 	m := mfa.MustCompile(xpath.MustParse("//patient"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := hype.New(m).EvalColumnar(ctx, cd, hype.Options{}); err == nil {
+	if _, err := hype.New(m).Eval(ctx, cd, hype.Options{}); err == nil {
 		t.Fatal("cancelled context: want error")
 	}
 }
@@ -113,7 +125,7 @@ func TestColumnarLimits(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(200))
 	cd := colstore.FromTree(doc)
 	m := mfa.MustCompile(xpath.MustParse("//patient"))
-	_, err := hype.New(m).EvalColumnar(context.Background(), cd, hype.Options{Limits: hype.Limits{MaxVisited: 50}})
+	_, err := hype.New(m).Eval(context.Background(), cd, hype.Options{Limits: hype.Limits{MaxVisited: 50}})
 	if err == nil {
 		t.Fatal("exceeded visit budget: want error")
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // benchColumnar evaluates qsrc over the columnar form of the same corpus
-// benchEval uses, head-to-head with the pointer traversal.
+// benchEval uses.
 func benchColumnar(b *testing.B, qsrc string) {
 	doc := datagen.Generate(datagen.DefaultConfig(3000))
 	cd := colstore.FromTree(doc)
@@ -21,7 +21,7 @@ func benchColumnar(b *testing.B, qsrc string) {
 	e := hype.New(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.EvalColumnar(context.Background(), cd, hype.Options{}); err != nil {
+		if _, err := e.Eval(context.Background(), cd, hype.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,8 @@
 package hype
 
-// Compiled evaluation: the interpretation-free fast path for the single-pass
-// HyPE algorithm. Two pieces are compiled ahead of a run, both bounded by the
-// Theorem 5.1 size accounting surfaced through CompiledStats:
+// Compiled evaluation: the automaton side of the single-pass HyPE
+// algorithm, compiled ahead of a run. Two pieces are compiled, both bounded
+// by the Theorem 5.1 size accounting surfaced through CompiledStats:
 //
 //   - Every AFA becomes an instruction program over uint64 bitset words
 //     (afaProg): per-state same-node closure masks replace the worklist
@@ -12,8 +12,8 @@ package hype
 //   - The selecting NFA's subset automaton is built lazily (dfaCache): subset
 //     states are interned by their ε-closed bitset, transitions are built on
 //     demand per label the way production regexp engines do, and each cached
-//     transition carries the precomputed cans link edges the interpreted
-//     linkChild loop would rediscover at every node. The cache is bounded:
+//     transition carries the precomputed cans link edges from the parent's
+//     vertex block into the child's. The cache is bounded:
 //     on overflow it is flushed wholesale, and after maxDFAFlushes flushes
 //     the run degrades to uncached (transient) subset states — NFA simulation
 //     with the same code path — so worst-case memory stays proportional to
@@ -22,14 +22,13 @@ package hype
 // Labels are interned into a dense alphabet with a single shared "other"
 // class for labels the automaton never mentions: all such labels behave
 // identically (only wildcard edges and seeds can fire on them), so they
-// share one cached transition per subset state. The columnar pass
-// translates document label ids to program label ids once per evaluation
-// (colBinding).
+// share one cached transition per subset state. Each evaluation translates
+// the document's label ids to program label ids once (program.bind).
 //
-// The compiled path replays the interpreted path's decisions exactly — same
-// visits, same prunes, same vertices, same edge multiset, same AFA
-// activations — so answers AND Stats are identical; internal/crosscheck
-// enforces this property over the generated corpus.
+// The compiled pass makes exactly the decisions of the §6 algorithm run
+// state by state — same visits, same prunes, same vertices, same edge
+// multiset, same AFA activations. testdata/golden.jsonl pins its answers,
+// Stats and traces to those of the interpreted evaluator it replaced.
 
 import (
 	"encoding/binary"
@@ -65,10 +64,8 @@ type program struct {
 	numLabels int
 	nfaWords  int
 	nfaEdges  [][]progEdge
-	// prodFilter bakes in the indexed engines' productive-state filter; it
-	// applies to subset-state targets only, never to link edges (matching
-	// the interpreted childStates/linkChild split).
-	prodFilter bool
+	// productive marks the NFA states from which a final state is
+	// reachable; indexed runs drop the others (see dfaCache.prodFilter).
 	productive []bool
 	epsAdj     [][]int32
 	afas       []afaProg
@@ -113,7 +110,6 @@ func buildProgram(e *Engine) *program {
 		m:          e.m,
 		labels:     internLabels(e.m),
 		nfaWords:   e.nfaWords,
-		prodFilter: e.idx != nil,
 		productive: e.productive,
 		epsAdj:     e.epsAdj,
 		emptySet:   make(nfaSet, e.nfaWords),
@@ -328,9 +324,9 @@ func (p *afaProg) close(set nfaSet) {
 	}
 }
 
-// evalMasked is the compiled EvalAtMasked: the truth vector of the member
-// states at node n, computed block by block into the zeroed bitset vals.
-// Non-member states stay false, exactly like the interpreted evaluator.
+// evalMasked is the compiled mfa.AFA.EvalAtMasked: the truth vector of the
+// member states at node n, computed block by block into the zeroed bitset
+// vals. Non-member states stay false, as in EvalAtMasked.
 func (p *afaProg) evalMasked(n mfa.NodeView, transVals []bool, member, vals nfaSet) {
 	for bi := range p.blocks {
 		b := &p.blocks[bi]
@@ -379,7 +375,8 @@ type dfaGuard struct {
 // dfaState is one interned subset of NFA states (ε-closed), with everything
 // a visit derives from the active state set precomputed: the sorted state
 // list (the cans vertex block), intra-node ε edges, final states, guard
-// seeds and the pointer-path has-transitions flag.
+// seeds and whether any member has a transition (the pass walks a node's
+// children only then, or when an AFA is active).
 type dfaState struct {
 	set      nfaSet
 	states   []int32
@@ -397,10 +394,10 @@ type dfaState struct {
 }
 
 // dfaTrans is one cached subset transition: the target state (nil when no
-// NFA transition fires on the label) plus the precomputed cans link edges —
-// the exact multiset the interpreted linkChild loop would emit, unfiltered
-// by productivity (a filtered target can re-enter the child block through
-// ε-closure from another transition).
+// NFA transition fires on the label) plus the precomputed cans link edges,
+// one per (parent vertex, transition) whose target has a vertex in the
+// child block — unfiltered by productivity (a filtered target can re-enter
+// the child block through ε-closure from another transition).
 type dfaTrans struct {
 	next      *dfaState
 	linkEdges []localEdge
@@ -410,8 +407,13 @@ type dfaTrans struct {
 // single-goroutine per clone (Clone resets the cache), so there is no
 // locking.
 type dfaCache struct {
-	prog   *program
-	states map[string]*dfaState
+	prog *program
+	// prodFilter drops unproductive NFA states from subset-state targets:
+	// the productive-state filter of indexed runs. It applies to targets
+	// only, never to link edges. It is why OptHyPE's cans statistics
+	// differ from HyPE's, so each mode keeps its own cache.
+	prodFilter bool
+	states     map[string]*dfaState
 	// empty is the canonical empty subset state, used when a child is
 	// visited for AFA seeds alone; it lives outside the map so flushes
 	// never orphan it.
@@ -426,15 +428,16 @@ type dfaCache struct {
 	disabled bool
 }
 
-func newDFACache(p *program, capacity int) *dfaCache {
+func newDFACache(p *program, prodFilter bool, capacity int) *dfaCache {
 	if capacity <= 0 {
 		capacity = defaultDFACacheCap
 	}
 	d := &dfaCache{
-		prog:   p,
-		states: make(map[string]*dfaState),
-		cap:    capacity,
-		keyBuf: make([]byte, 8*p.nfaWords),
+		prog:       p,
+		prodFilter: prodFilter,
+		states:     make(map[string]*dfaState),
+		cap:        capacity,
+		keyBuf:     make([]byte, 8*p.nfaWords),
 	}
 	d.empty = d.newState(p.emptySet)
 	d.empty.next = make([]*dfaTrans, p.numLabels+1)
@@ -537,7 +540,7 @@ func (d *dfaCache) buildTrans(ds *dfaState, lid int32) *dfaTrans {
 			if e.lab != -1 && e.lab != lid {
 				continue
 			}
-			if p.prodFilter && !p.productive[e.to] {
+			if d.prodFilter && !p.productive[e.to] {
 				continue
 			}
 			set.set(int(e.to))
@@ -563,7 +566,7 @@ func (d *dfaCache) buildTrans(ds *dfaState, lid int32) *dfaTrans {
 	return t
 }
 
-// closeNFAInto is the build-time ε-closure (no run pools involved).
+// closeNFAInto expands set to its ε-closure in place.
 func closeNFAInto(set nfaSet, epsAdj [][]int32) {
 	var stack []int32
 	set.forEach(func(s int) { stack = append(stack, int32(s)) })
@@ -612,10 +615,10 @@ func (d *dfaCache) delta(pre dfaSnapshot) CompiledStats {
 // is bounded by DFACacheCap and evicts instead of growing — and the per-run
 // counters show how much of it a concrete document actually materialized.
 // It is deliberately separate from Stats: Stats describes the algorithm's
-// decisions (identical compiled or interpreted), CompiledStats describes
-// the machinery.
+// decisions, CompiledStats describes the machinery.
 type CompiledStats struct {
-	// Enabled reports whether the run used the compiled layer at all.
+	// Enabled reports whether the statistics were filled in: true for a
+	// sequential run, false for a shard-parallel one.
 	Enabled bool `json:"enabled"`
 	// Alphabet is the number of distinct labels the automaton can consume;
 	// all other labels share one implicit "other" transition class.
@@ -666,27 +669,24 @@ func CompiledPlan(m *mfa.MFA) CompiledStats {
 
 // Engine knobs --------------------------------------------------------------
 
-// SetCompiled enables (the default) or disables the compiled evaluation
-// layer of the sequential pointer pass. Disabled, Eval runs the interpreted
-// pointer pass — the reference the compiled passes are tested against, with
-// identical answers and identical Stats. Shard-parallel runs are always
-// interpreted and columnar runs always compiled. Must not be called
-// concurrently with an evaluation.
-func (e *Engine) SetCompiled(on bool) { e.compiledOff = !on }
-
 // SetCompiledCacheCap overrides the subset-state cache bound (0 restores the
-// default). It resets the clone's cache; tests use tiny caps to exercise the
-// eviction and fallback paths.
+// default). It resets the clone's caches; tests use tiny caps to exercise
+// the eviction and fallback paths.
 func (e *Engine) SetCompiledCacheCap(n int) {
 	e.dfaCap = n
-	e.dfa = nil
+	e.caches = [2]*dfaCache{}
 }
 
-// ensureDFA returns the clone's lazy subset automaton, creating it on first
-// use so clones that never evaluate pay nothing.
-func (e *Engine) ensureDFA() *dfaCache {
-	if e.dfa == nil {
-		e.dfa = newDFACache(e.prog, e.dfaCap)
+// ensureDFA returns the clone's lazy subset automaton for plain or indexed
+// runs, creating it on first use so clones pay only for the modes they
+// run.
+func (e *Engine) ensureDFA(indexed bool) *dfaCache {
+	i := 0
+	if indexed {
+		i = 1
 	}
-	return e.dfa
+	if e.caches[i] == nil {
+		e.caches[i] = newDFACache(e.prog, indexed, e.dfaCap)
+	}
+	return e.caches[i]
 }

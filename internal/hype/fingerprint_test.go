@@ -190,7 +190,7 @@ func TestPrefilterSound(t *testing.T) {
 				continue
 			}
 			refuted++
-			if got := answers(t, eng, doc.Root); len(got) != 0 {
+			if got := answers(t, eng, doc.Root, false); len(got) != 0 {
 				t.Fatalf("unsound: CanMatch refuted doc %d for %s, but eval found %d answers", di, q.name, len(got))
 			}
 		}

@@ -5,60 +5,38 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/mfa"
-	"smoqe/internal/xmltree"
 )
 
-// Engine evaluates one MFA over documents. Without an index it is the
-// paper's HyPE; with an index (see BuildIndex) it is OptHyPE/OptHyPE-C.
-// An Engine is not safe for concurrent use (it keeps a private subset-state
-// cache and alive-set caches); Clone gives each goroutine its own.
+// Engine evaluates one MFA over columnar documents. Without an index it is
+// the paper's HyPE; with one (Options.Index) it is OptHyPE-C. An Engine is
+// not safe for concurrent use (it keeps private subset-state caches and
+// the metadata of the index it last ran on); Clone gives each goroutine
+// its own.
 type Engine struct {
-	m   *mfa.MFA
-	idx *Index
+	m *mfa.MFA
 
 	// Static automaton metadata, independent of any document.
 	nfaWords   int
 	epsAdj     [][]int32 // ε-successors per NFA state
 	productive []bool    // some final NFA state is reachable from s at all
 	afaClosure []afaMeta // per AFA: same-node metadata
-
-	// Index-bound metadata (only with idx != nil): afaNext[g][t] holds the
-	// labels TRANS states in the same-node closure of state t of AFA g may
-	// consume; afaWild marks wildcard steps; aliveCache memoizes
-	// aliveUnder per interned strict-subtree label set.
-	afaNext    [][]LabelSet
-	afaWild    [][]bool
-	aliveCache []*aliveInfo          // compressed index: by interned set id
-	aliveByKey map[string]*aliveInfo // plain index, >64 labels: by set content
-	aliveByW   map[uint64]*aliveInfo // plain index, ≤64 labels: by the single word
-	// Text analysis per AFA state (full-graph reachability): afaAlways
-	// marks states whose truth does not hinge on a specific text value (a
-	// NOT or a predicate-free/position final is reachable); afaTextMasks
-	// lists the Bloom masks of the text constants whose finals the state
-	// can reach — if none of them occurs in a subtree, the state is
-	// provably false there.
-	afaAlways    [][]bool
-	afaTextMasks [][][]uint64
-	// usedLabels is the union of all labels any automaton transition can
-	// consume (restricted to labels present in the indexed document);
-	// subtrees whose alphabet covers it can never be pruned by alphabet
-	// reasoning, which short-circuits the per-child useful() check.
-	usedLabels LabelSet
 	// numTags is the number of result tags (see mfa.Merge): 1 for a single
 	// query, one per merged machine for a batch automaton.
 	numTags int
-
 	// prog is the compiled evaluation program (compile.go), immutable and
-	// shared by clones; dfa is this clone's lazy subset-automaton cache
-	// (never shared — Clone resets it). compiledOff selects the interpreted
-	// pointer pass (SetCompiled) and dfaCap overrides the cache bound for
-	// tests.
-	prog        *program
-	dfa         *dfaCache
-	dfaCap      int
-	compiledOff bool
+	// shared by clones.
+	prog *program
+
+	// Per clone (Clone resets them): the lazy subset automata of plain and
+	// indexed runs (see ensureDFA), the cache bound tests may override,
+	// and the metadata of the index the clone last ran on (meta.go).
+	caches [2]*dfaCache
+	dfaCap int
+	im     *indexMeta
 }
 
 // afaMeta holds per-AFA static metadata.
@@ -91,40 +69,23 @@ type Stats struct {
 	AFAEvaluations int
 }
 
-// New returns a HyPE engine for the MFA (no index).
+// New returns an engine for the MFA.
 func New(m *mfa.MFA) *Engine {
 	e := &Engine{m: m}
 	e.precompute()
 	return e
 }
 
-// NewOpt returns an OptHyPE engine: HyPE plus index-based subtree skipping
-// and dead-state filtering. The index must have been built from the same
-// document that Eval will receive.
-func NewOpt(m *mfa.MFA, idx *Index) *Engine {
-	e := &Engine{m: m, idx: idx}
-	e.precompute()
-	e.prepareIndexMeta()
-	return e
-}
-
-// Clone returns an independent engine over the same automaton (and index):
-// the immutable automaton metadata is shared, while the subset-state cache
-// and the lazily built alive-set caches are private, so clones may evaluate
-// concurrently on different goroutines.
+// Clone returns an independent engine over the same automaton: the
+// immutable automaton metadata is shared, while the subset-state caches
+// and the index metadata are private, so clones may evaluate concurrently
+// on different goroutines.
 func (e *Engine) Clone() *Engine {
 	c := *e
-	if c.aliveCache != nil {
-		c.aliveCache = make([]*aliveInfo, len(e.aliveCache))
-	}
-	c.aliveByKey = nil
-	c.aliveByW = nil
-	c.dfa = nil
+	c.caches = [2]*dfaCache{}
+	c.im = nil
 	return &c
 }
-
-// MFA returns the automaton the engine evaluates.
-func (e *Engine) MFA() *mfa.MFA { return e.m }
 
 func (e *Engine) precompute() {
 	n := e.m.NumStates()
@@ -259,8 +220,12 @@ func (s nfaSet) forEach(fn func(i int)) {
 }
 
 // Options configures one evaluation run. The zero value is a sequential,
-// untraced run without resource budgets.
+// untraced run without index or resource budgets.
 type Options struct {
+	// Index, when set, evaluates with OptHyPE-C's subtree pruning. It must
+	// have been built (BuildIndex) from the document being evaluated; an
+	// index of another document is an error.
+	Index *Index
 	// Workers, when positive, evaluates shard-parallel: independent
 	// subtrees fan out to at most Workers goroutines (see parallel.go).
 	// Zero evaluates sequentially.
@@ -276,15 +241,12 @@ type Options struct {
 // exactly this run, so the value is exact no matter how many clones of the
 // engine evaluate concurrently.
 type Result struct {
-	// Nodes holds the answers in document order (pointer pass).
-	Nodes []*xmltree.Node
-	// Tagged holds the answers of every machine of a batch automaton (see
-	// mfa.Merge), indexed by tag, each in document order (pointer pass).
-	// A single query has one tag, so Tagged[0] is Nodes.
-	Tagged [][]*xmltree.Node
-	// IDs holds the preorder ids of the answers in document order
-	// (columnar pass).
+	// IDs holds the preorder ids of the answers in document order.
 	IDs []int
+	// TaggedIDs holds the answers of every machine of a batch automaton
+	// (see mfa.Merge), indexed by tag, each in document order. A single
+	// query has one tag, so TaggedIDs[0] is IDs.
+	TaggedIDs [][]int
 	// Stats are the run's pruning and cans statistics; an aborted run
 	// reports what it did before it stopped.
 	Stats Stats
@@ -296,26 +258,30 @@ type Result struct {
 	Shards     int
 	Workers    int
 	SpineNodes int
-	// Compiled reports what the compiled layer did; the zero value when
-	// the run was interpreted.
+	// Compiled reports what the compiled layer did in a sequential run;
+	// the zero value for a shard-parallel run, whose work spreads over
+	// clones.
 	Compiled CompiledStats
 	// Trace is the decision log requested by Options.Trace (nil
 	// otherwise); an aborted run keeps what it recorded.
 	Trace *Trace
 }
 
-// Eval computes n[[M]] with a single depth-first pass over the subtree of
-// n followed by one traversal of the cans DAG (Algorithm HyPE, Fig. 6).
-// The DFS polls ctx and the budgets of opts.Limits every
-// cancelCheckInterval visited elements and aborts promptly once either
-// trips, returning ctx's error or a *LimitError with the partial
-// statistics of the aborted run.
-func (e *Engine) Eval(ctx context.Context, n *xmltree.Node, opts Options) (Result, error) {
+// Eval computes the answers of the automaton at the root of cd with a
+// single depth-first pass over the columns followed by one traversal of
+// the cans DAG (Algorithm HyPE, Fig. 6). The DFS polls ctx and the budgets
+// of opts.Limits every cancelCheckInterval visited elements and aborts
+// promptly once either trips, returning ctx's error or a *LimitError with
+// the partial statistics of the aborted run.
+func (e *Engine) Eval(ctx context.Context, cd *colstore.Document, opts Options) (Result, error) {
+	if opts.Index != nil && opts.Index.cd != cd {
+		return Result{}, errors.New("hype: the index was built from another document")
+	}
 	if opts.Workers > 0 {
 		if opts.Trace > 0 {
 			return Result{}, errors.New("hype: a traced run is sequential; set Workers or Trace, not both")
 		}
-		return e.runParallel(ctx, n, opts)
+		return e.runParallel(ctx, cd, opts)
 	}
 	var res Result
 	if opts.Trace > 0 {
@@ -324,22 +290,15 @@ func (e *Engine) Eval(ctx context.Context, n *xmltree.Node, opts Options) (Resul
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	r := e.newRun(ctx, opts.Limits)
+	r := e.newRun(ctx, cd, opts)
 	r.trace = res.Trace
-	var vr visitResult
-	if e.compiledOff {
-		ms := r.startSet()
-		vr = r.visit(n, ms, r.guardSeeds(ms))
-	} else {
-		d := e.ensureDFA()
-		pre := d.snap()
-		root, seeds := r.rootStateC()
-		vr = r.visitC(n, root, seeds)
-		res.Compiled = d.delta(pre)
-		if res.Trace != nil {
-			cs := res.Compiled
-			res.Trace.Compiled = &cs
-		}
+	pre := r.dfa.snap()
+	root, seeds := r.rootState()
+	vr := r.walk(0, root, seeds)
+	res.Compiled = r.dfa.delta(pre)
+	if res.Trace != nil {
+		cs := res.Compiled
+		res.Trace.Compiled = &cs
 	}
 	hits, err := r.finish(vr, &res.Stats)
 	if err != nil {
@@ -349,21 +308,55 @@ func (e *Engine) Eval(ctx context.Context, n *xmltree.Node, opts Options) (Resul
 	return res, nil
 }
 
-// newRun starts the per-evaluation state of one run under ctx and lim.
-func (e *Engine) newRun(ctx context.Context, lim Limits) *run {
-	r := &run{Engine: e, ctx: ctx, limits: lim}
-	if lim.active() {
+// newRun starts the per-evaluation state of one run of e over cd: the
+// label binding, the subset cache of the run's mode and, with an index,
+// its metadata.
+func (e *Engine) newRun(ctx context.Context, cd *colstore.Document, opts Options) *run {
+	r := &run{
+		Engine:  e,
+		ctx:     ctx,
+		limits:  opts.Limits,
+		cd:      cd,
+		cur:     cd.At(0),
+		progLab: e.prog.bind(cd),
+		dfa:     e.ensureDFA(opts.Index != nil),
+	}
+	if opts.Limits.active() {
 		r.bud = &budget{}
+	}
+	if opts.Index != nil {
+		r.ixm = e.bindIndex(opts.Index)
 	}
 	return r
 }
 
-// startSet returns the run's initial NFA state set: {start}, ε-closed.
-func (r *run) startSet() nfaSet {
-	ms := r.getNFASet()
+// bind maps cd's label ids to program label ids (-1 for labels the
+// automaton never mentions, the shared "other" class). It costs
+// O(document labels), so every evaluation binds afresh and no plan or
+// engine keeps a reference to a document it once evaluated.
+func (p *program) bind(cd *colstore.Document) []int32 {
+	progLab := make([]int32, cd.NumLabels())
+	for id, lab := range cd.Labels() {
+		progLab[id] = p.labelOf(lab)
+	}
+	return progLab
+}
+
+// rootState interns the run's initial subset state ({start} ε-closed) and
+// collects its guard seeds.
+func (r *run) rootState() (*dfaState, []nfaSet) {
+	ms := make(nfaSet, r.nfaWords)
 	ms.set(r.m.Start)
-	r.closeNFA(ms)
-	return ms
+	closeNFAInto(ms, r.epsAdj)
+	root := r.dfa.canonical(ms)
+	seeds := r.getVecN()
+	for _, gs := range root.guards {
+		if seeds[gs.g] == nil {
+			seeds[gs.g] = r.getAFASet(int(gs.g))
+		}
+		seeds[gs.g].set(int(gs.entry))
+	}
+	return root, seeds
 }
 
 // finish ends a run whose DFS returned vr. An aborted run reports why —
@@ -385,36 +378,31 @@ func (r *run) finish(vr visitResult, st *Stats) ([]cand, error) {
 	return hits, nil
 }
 
-// answers fills the pointer-pass answer fields of res from the surviving
-// candidates.
+// answers fills the answer fields of res from the surviving candidates.
 func (e *Engine) answers(res *Result, hits []cand) {
-	res.Nodes = candNodes(hits)
+	res.IDs = candIDs(hits)
 	if e.numTags > 1 {
-		res.Tagged = taggedNodes(e.numTags, hits)
+		res.TaggedIDs = make([][]int, e.numTags)
+		for _, c := range hits {
+			res.TaggedIDs[c.tag] = append(res.TaggedIDs[c.tag], int(c.id))
+		}
+		for tag, ids := range res.TaggedIDs {
+			slices.Sort(ids)
+			res.TaggedIDs[tag] = slices.Compact(ids)
+		}
 	} else if e.numTags == 1 {
-		res.Tagged = [][]*xmltree.Node{res.Nodes}
+		res.TaggedIDs = [][]int{res.IDs}
 	}
 }
 
-// taggedNodes groups candidate hits by their result tag and normalizes each
-// group to sorted document order.
-func taggedNodes(numTags int, hits []cand) [][]*xmltree.Node {
-	out := make([][]*xmltree.Node, numTags)
+// candIDs extracts the hits' preorder ids, sorted and deduplicated.
+func candIDs(hits []cand) []int {
+	ids := make([]int, 0, len(hits))
 	for _, c := range hits {
-		out[c.tag] = append(out[c.tag], c.node)
+		ids = append(ids, int(c.id))
 	}
-	for i := range out {
-		out[i] = xmltree.SortNodes(out[i])
-	}
-	return out
-}
-
-func candNodes(hits []cand) []*xmltree.Node {
-	answers := make([]*xmltree.Node, 0, len(hits))
-	for _, c := range hits {
-		answers = append(answers, c.node)
-	}
-	return xmltree.SortNodes(answers)
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // liveCands walks the cans DAG from the initial vertex (the root's vertex
@@ -494,14 +482,25 @@ func (r *run) poll() {
 type run struct {
 	*Engine
 
+	// The document and its per-run views: the program label of every
+	// document label id, and one reusable cursor that AFA predicates read
+	// the current node through.
+	cd      *colstore.Document
+	progLab []int32
+	cur     *colstore.Cursor
+	// dfa is the clone's subset cache for the run's mode; ixm is the
+	// index metadata of an indexed run (nil otherwise).
+	dfa *dfaCache
+	ixm *indexMeta
+
 	// stats is this run's private statistics, so concurrent clones never
 	// write shared memory mid-run.
 	stats Stats
 	// trace, when non-nil, records per-node decisions (capped).
 	trace *Trace
-	// ctx lets the DFS abort early: visit polls ctx.Err() every
+	// ctx lets the DFS abort early: walk polls ctx.Err() every
 	// cancelCheckInterval elements and, once cancelled, every remaining
-	// visit returns immediately so the recursion unwinds fast.
+	// walk returns immediately so the recursion unwinds fast.
 	ctx        context.Context
 	sinceCheck int
 	cancelled  bool
@@ -518,37 +517,28 @@ type run struct {
 	// cans DAG, stored pointer-free so the GC never scans it: vertices
 	// are just indices (numVerts), edges live in a flat list (CSR built
 	// for the phase-2 traversal), dead marks guard-failed vertices, and
-	// cands records the few final-state vertices with their tree nodes.
+	// cands records the few final-state vertices with their nodes.
 	numVerts int
 	edgeList []edgePair
 	dead     []bool
 	cands    []cand
 
 	// Buffer pools: evaluation is single-goroutine, so plain freelists
-	// suffice and remove the per-node allocation churn. NFA bitsets all
-	// share one word count; AFA bitsets and bool vectors are pooled per
-	// AFA index.
-	poolNFA    []nfaSet
-	poolAFA    [][]nfaSet
-	poolBools  [][][]bool
-	poolStates [][]int32
-	vecNPool   [][]nfaSet
-	vecBPool   [][][]bool
-	stack      []int32 // shared closure worklist
-
+	// suffice and remove the per-node allocation churn. AFA bitsets and
+	// bool vectors are pooled per AFA index.
+	poolAFA   [][]nfaSet
+	poolBools [][][]bool
+	vecNPool  [][]nfaSet
+	vecBPool  [][][]bool
 }
 
 // cand is a candidate answer: a cans vertex at a final NFA state, with the
-// tree node it would contribute (the ν annotation of the paper) and the
-// final state's result tag (for batch evaluation). The pointer path fills
-// node; the columnar path (coleval.go) fills id — the preorder id in the
-// columnar document — and leaves node nil. Sharing the struct lets both
-// paths reuse the run's cans DAG, pools and budget accounting unchanged.
+// preorder id of the node it would contribute (the ν annotation of the
+// paper) and the final state's result tag (for batch evaluation).
 type cand struct {
-	vid  int32
-	tag  int32
-	id   int32
-	node *xmltree.Node
+	vid int32
+	tag int32
+	id  int32
 }
 
 // edgePair is one cans edge; edges are gathered flat and turned into CSR
@@ -557,7 +547,7 @@ type edgePair struct{ from, to int32 }
 
 // visitResult carries what a parent needs back from a visited child.
 type visitResult struct {
-	states []int32 // NFA states with vertices at this node (sorted)
+	states []int32 // NFA states with vertices at this node (sorted, read-only)
 	base   int32   // vertex id of states[0]
 	// afaVals[i] is the full truth vector of AFA i at this node, nil if
 	// the AFA was not active here.
@@ -566,24 +556,6 @@ type visitResult struct {
 
 // Pool helpers ------------------------------------------------------------
 
-func (r *run) getNFASet() nfaSet {
-	if n := len(r.poolNFA); n > 0 {
-		s := r.poolNFA[n-1]
-		r.poolNFA = r.poolNFA[:n-1]
-		for i := range s {
-			s[i] = 0
-		}
-		return s
-	}
-	return make(nfaSet, r.nfaWords)
-}
-
-func (r *run) putNFASet(s nfaSet) {
-	if s != nil {
-		r.poolNFA = append(r.poolNFA, s)
-	}
-}
-
 func (r *run) getAFASet(g int) nfaSet {
 	if r.poolAFA == nil {
 		r.poolAFA = make([][]nfaSet, len(r.m.AFAs))
@@ -591,9 +563,7 @@ func (r *run) getAFASet(g int) nfaSet {
 	if l := r.poolAFA[g]; len(l) > 0 {
 		s := l[len(l)-1]
 		r.poolAFA[g] = l[:len(l)-1]
-		for i := range s {
-			s[i] = 0
-		}
+		clear(s)
 		return s
 	}
 	return make(nfaSet, r.afaClosure[g].words)
@@ -605,6 +575,8 @@ func (r *run) putAFASet(g int, s nfaSet) {
 	}
 }
 
+// getBools returns a truth vector for AFA g; its contents are stale, so
+// callers overwrite every entry (evalAFA) or use getBoolsCleared.
 func (r *run) getBools(g int) []bool {
 	if r.poolBools == nil {
 		r.poolBools = make([][][]bool, len(r.m.AFAs))
@@ -612,16 +584,14 @@ func (r *run) getBools(g int) []bool {
 	if l := r.poolBools[g]; len(l) > 0 {
 		b := l[len(l)-1]
 		r.poolBools[g] = l[:len(l)-1]
-		return b // EvalAtInto clears; accumulators are cleared below
+		return b
 	}
 	return make([]bool, r.m.AFAs[g].NumStates())
 }
 
 func (r *run) getBoolsCleared(g int) []bool {
 	b := r.getBools(g)
-	for i := range b {
-		b[i] = false
-	}
+	clear(b)
 	return b
 }
 
@@ -631,29 +601,12 @@ func (r *run) putBools(g int, b []bool) {
 	}
 }
 
-func (r *run) getStates() []int32 {
-	if n := len(r.poolStates); n > 0 {
-		s := r.poolStates[n-1]
-		r.poolStates = r.poolStates[:n-1]
-		return s[:0]
-	}
-	return nil
-}
-
-func (r *run) putStates(s []int32) {
-	if cap(s) > 0 {
-		r.poolStates = append(r.poolStates, s)
-	}
-}
-
 // getVecN returns a nil-cleared []nfaSet of length len(AFAs).
 func (r *run) getVecN() []nfaSet {
 	if len(r.vecNPool) > 0 {
 		v := r.vecNPool[len(r.vecNPool)-1]
 		r.vecNPool = r.vecNPool[:len(r.vecNPool)-1]
-		for i := range v {
-			v[i] = nil
-		}
+		clear(v)
 		return v
 	}
 	return make([]nfaSet, len(r.m.AFAs))
@@ -665,9 +618,7 @@ func (r *run) getVecB() [][]bool {
 	if len(r.vecBPool) > 0 {
 		v := r.vecBPool[len(r.vecBPool)-1]
 		r.vecBPool = r.vecBPool[:len(r.vecBPool)-1]
-		for i := range v {
-			v[i] = nil
-		}
+		clear(v)
 		return v
 	}
 	return make([][]bool, len(r.m.AFAs))
@@ -675,70 +626,45 @@ func (r *run) getVecB() [][]bool {
 
 func (r *run) putVecB(v [][]bool) { r.vecBPool = append(r.vecBPool, v) }
 
-// guardSeeds collects, for every guarded state in ms, the guard AFA's entry
-// state into per-AFA seed sets.
-func (r *run) guardSeeds(ms nfaSet) []nfaSet {
-	seeds := r.getVecN()
-	ms.forEach(func(s int) {
-		g := r.m.States[s].Guard
-		if g < 0 {
-			return
-		}
-		if seeds[g] == nil {
-			seeds[g] = r.getAFASet(g)
-		}
-		seeds[g].set(r.m.GuardEntry(s))
-	})
-	return seeds
-}
-
-// closeNFA expands ms to its ε-closure in place.
-func (r *run) closeNFA(ms nfaSet) {
-	stack := r.stack[:0]
-	ms.forEach(func(s int) { stack = append(stack, int32(s)) })
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range r.epsAdj[s] {
-			if !ms.has(int(t)) {
-				ms.set(int(t))
-				stack = append(stack, t)
-			}
+// releaseSeeds returns a child's AFA seed sets to the run's pools.
+func (r *run) releaseSeeds(cseeds []nfaSet) {
+	for g := range cseeds {
+		if cseeds[g] != nil {
+			r.putAFASet(g, cseeds[g])
 		}
 	}
-	r.stack = stack[:0]
+	r.putVecN(cseeds)
 }
 
-// closeAFA expands an AFA seed set over same-node edges in place.
-func (r *run) closeAFA(g int, set nfaSet) {
-	meta := &r.afaClosure[g]
-	stack := r.stack[:0]
-	set.forEach(func(s int) { stack = append(stack, int32(s)) })
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range meta.sameKids[s] {
-			if !set.has(int(t)) {
-				set.set(int(t))
-				stack = append(stack, t)
+// recycle returns a visited child's result buffers to the run's pools.
+func (r *run) recycle(cres visitResult) {
+	if cres.afaVals != nil {
+		for g := range cres.afaVals {
+			if cres.afaVals[g] != nil {
+				r.putBools(g, cres.afaVals[g])
 			}
 		}
+		r.putVecB(cres.afaVals)
 	}
-	r.stack = stack[:0]
 }
 
-// visit processes node n with active NFA states ms (ε-closed) and AFA seed
-// sets fseeds (not yet closed). It fills in the cans vertices for n, visits
-// relevant children, evaluates active AFAs bottom-up and returns the
-// results the parent folds.
-func (r *run) visit(n *xmltree.Node, ms nfaSet, fseeds []nfaSet) visitResult {
+// The DFS --------------------------------------------------------------------
+
+// walk processes element n in the subset state ds (its ε-closed NFA
+// states) with the AFA seed sets fseeds (not yet closed): it allocates the
+// cans vertices for n, visits the children that can contribute, evaluates
+// the active AFAs bottom-up and returns what the parent folds. The per-node
+// NFA work — closure, finals, guards, ε edges, transitions and cans link
+// edges — comes precomputed from the subset cache (compile.go), and AFAs
+// run as bitset programs.
+func (r *run) walk(n int32, ds *dfaState, fseeds []nfaSet) visitResult {
 	if r.sinceCheck++; r.sinceCheck >= cancelCheckInterval {
 		r.poll()
 	}
 	if r.cancelled {
-		// Unwind without touching the tree: the empty result folds into
-		// the parent as if the subtree contributed nothing, and the whole
-		// run is discarded by the caller anyway.
+		// Unwind without touching the document: the empty result folds
+		// into the parent as if the subtree contributed nothing, and the
+		// whole run is discarded by the caller anyway.
 		return visitResult{base: int32(r.numVerts)}
 	}
 	r.stats.VisitedElements++
@@ -750,41 +676,26 @@ func (r *run) visit(n *xmltree.Node, ms nfaSet, fseeds []nfaSet) visitResult {
 	nAFA := 0
 	for g := range rel {
 		if rel[g] != nil {
-			r.closeAFA(g, rel[g])
+			r.prog.afas[g].close(rel[g])
 			anyAFA = true
 			nAFA++
 		}
 	}
 	if r.trace != nil {
-		r.trace.add(n, TraceVisit, fmt.Sprintf("nfa-states=%d active-afas=%d", ms.count(), nAFA))
+		r.trace.add(r.cd, n, TraceVisit, fmt.Sprintf("nfa-states=%d active-afas=%d", len(ds.states), nAFA))
 	}
 
-	res := r.openNode(n, ms)
+	res := r.openNode(n, ds)
 
-	// Per-AFA transition accumulators (the bottom-up inputs of EvalAt).
-	var transAcc [][]bool
-	if anyAFA {
-		transAcc = r.getVecB()
-		for g := range rel {
-			if rel[g] != nil {
-				transAcc[g] = r.getBoolsCleared(g)
+	// Per-AFA transition accumulators (the bottom-up inputs of the AFAs).
+	transAcc := r.newTransAcc(rel, anyAFA)
+
+	if ds.hasTrans || anyAFA {
+		cd := r.cd
+		for c := n + 1; c <= cd.End(n); c = cd.End(c) + 1 {
+			if cd.IsElement(c) {
+				r.walkChild(c, ds, rel, transAcc, &res)
 			}
-		}
-	}
-
-	hasTrans := false
-	ms.forEach(func(s int) {
-		if len(r.m.States[s].Trans) > 0 {
-			hasTrans = true
-		}
-	})
-
-	if hasTrans || anyAFA {
-		for _, c := range n.Children {
-			if c.Kind != xmltree.Element {
-				continue
-			}
-			r.visitChild(c, ms, rel, transAcc, &res)
 		}
 	}
 
@@ -797,9 +708,9 @@ func (r *run) visit(n *xmltree.Node, ms nfaSet, fseeds []nfaSet) visitResult {
 			}
 			r.stats.AFAEvaluations++
 			if r.trace != nil {
-				r.trace.add(n, TraceAFAEval, fmt.Sprintf("X%d states=%d", g, rel[g].count()))
+				r.trace.add(r.cd, n, TraceAFAEval, fmt.Sprintf("X%d states=%d", g, rel[g].count()))
 			}
-			res.afaVals[g] = r.m.AFAs[g].EvalAtMasked(n, transAcc[g], r.getBools(g), rel[g])
+			res.afaVals[g] = r.evalAFA(g, n, transAcc[g], rel[g])
 			r.putBools(g, transAcc[g])
 		}
 		r.putVecB(transAcc)
@@ -809,38 +720,168 @@ func (r *run) visit(n *xmltree.Node, ms nfaSet, fseeds []nfaSet) visitResult {
 	return res
 }
 
-// openNode allocates the cans vertices for the active NFA states at node n
-// (final states become candidate answers) together with the ε edges among
-// them, and returns the node's visitResult shell.
-func (r *run) openNode(n *xmltree.Node, ms nfaSet) visitResult {
-	res := visitResult{base: int32(r.numVerts), states: r.getStates()}
-	ms.forEach(func(s int) {
-		if r.m.States[s].Final {
-			r.cands = append(r.cands, cand{
-				vid:  int32(r.numVerts) + int32(len(res.states)),
-				tag:  int32(r.m.States[s].Tag),
-				node: n,
-			})
+// newTransAcc returns cleared transition accumulators for the active AFAs
+// of rel, or nil when none is active.
+func (r *run) newTransAcc(rel []nfaSet, anyAFA bool) [][]bool {
+	if !anyAFA {
+		return nil
+	}
+	transAcc := r.getVecB()
+	for g := range rel {
+		if rel[g] != nil {
+			transAcc[g] = r.getBoolsCleared(g)
 		}
-		res.states = append(res.states, int32(s))
+	}
+	return transAcc
+}
+
+// openNode allocates the cans vertices of node n in subset state ds: the
+// vertex block is ds.states (shared, never written), final states become
+// candidate answers, and ds.epsLocal supplies the ε edges among them.
+func (r *run) openNode(n int32, ds *dfaState) visitResult {
+	res := visitResult{base: int32(r.numVerts), states: ds.states}
+	for _, f := range ds.finals {
+		r.cands = append(r.cands, cand{vid: res.base + f.idx, tag: f.tag, id: n})
+	}
+	for range ds.states {
 		r.dead = append(r.dead, false)
-	})
-	r.numVerts += len(res.states)
-	// ε edges among this node's vertices.
-	for i, s := range res.states {
-		for _, t := range r.epsAdj[s] {
-			if j, ok := findState(res.states, t); ok {
-				r.edgeList = append(r.edgeList, edgePair{res.base + int32(i), res.base + int32(j)})
+	}
+	r.numVerts += len(ds.states)
+	for _, ep := range ds.epsLocal {
+		r.edgeList = append(r.edgeList, edgePair{res.base + ep.from, res.base + ep.to})
+	}
+	return res
+}
+
+// childStep decides whether child c of a node in subset state ds needs a
+// visit, given the node's closed AFA sets rel. It returns c's program
+// label, the subset transition into c and c's AFA seeds. When the child
+// would contribute nothing — no transition matches and no AFA descends
+// (HyPE's "no-transition" prune), or the index refutes progress (OptHyPE's
+// "index-alphabet" prune) — it records the prune, releases the seeds and
+// reports ok=false. On ok=true the caller owns the seeds.
+func (r *run) childStep(c int32, ds *dfaState, rel []nfaSet) (lid int32, tr *dfaTrans, cseeds []nfaSet, ok bool) {
+	lid = r.progLab[r.cd.LabelID(c)]
+	tr = r.dfa.step(ds, lid)
+	cseeds, anySeed := r.childSeeds(lid, rel, tr.next)
+	if tr.next == nil && !anySeed {
+		r.prune(c, "no-transition")
+		r.releaseSeeds(cseeds)
+		return lid, tr, nil, false
+	}
+	if r.ixm != nil {
+		cms := r.prog.emptySet
+		if tr.next != nil {
+			cms = tr.next.set
+		}
+		if !r.useful(c, cms, cseeds) {
+			r.prune(c, "index-alphabet")
+			r.releaseSeeds(cseeds)
+			return lid, tr, nil, false
+		}
+	}
+	return lid, tr, cseeds, true
+}
+
+// walkChild runs one child: the step decision, the recursive walk, then
+// the cans link edges and the fold of the child's AFA values into the
+// parent's accumulators.
+func (r *run) walkChild(c int32, ds *dfaState, rel []nfaSet, transAcc [][]bool, res *visitResult) {
+	lid, tr, cseeds, ok := r.childStep(c, ds, rel)
+	if !ok {
+		return
+	}
+	cds := tr.next
+	if cds == nil {
+		cds = r.dfa.empty
+	}
+	cres := r.walk(c, cds, cseeds)
+	r.link(res, tr, cres.base)
+	r.foldChildAFA(lid, rel, transAcc, cres.afaVals)
+	r.recycle(cres)
+	r.releaseSeeds(cseeds)
+}
+
+// link adds the cans edges of transition tr from res's vertices into the
+// child block starting at vertex childBase.
+func (r *run) link(res *visitResult, tr *dfaTrans, childBase int32) {
+	for _, le := range tr.linkEdges {
+		r.edgeList = append(r.edgeList, edgePair{res.base + le.from, childBase + le.to})
+	}
+}
+
+// childSeeds computes the child's AFA seed sets: descend targets of the
+// relevant TRANS states that fire on the child's label (the per-label seed
+// buckets), plus the guard entries of the child's subset state.
+func (r *run) childSeeds(lid int32, rel []nfaSet, next *dfaState) (cseeds []nfaSet, anySeed bool) {
+	cseeds = r.getVecN()
+	for g := range rel {
+		if rel[g] == nil {
+			continue
+		}
+		for _, sd := range r.prog.afas[g].seeds[lid+1] {
+			if !rel[g].has(int(sd.t)) {
+				continue
+			}
+			if cseeds[g] == nil {
+				cseeds[g] = r.getAFASet(g)
+			}
+			cseeds[g].set(int(sd.target))
+			anySeed = true
+		}
+	}
+	if next != nil {
+		for _, gs := range next.guards {
+			if cseeds[gs.g] == nil {
+				cseeds[gs.g] = r.getAFASet(int(gs.g))
+			}
+			cseeds[gs.g].set(int(gs.entry))
+			anySeed = true
+		}
+	}
+	return cseeds, anySeed
+}
+
+// evalAFA runs AFA g's compiled program at node n and converts the truth
+// bitset into the []bool vector the fold and guard code consume.
+func (r *run) evalAFA(g int, n int32, transVals []bool, member nfaSet) []bool {
+	r.cur.Seek(n)
+	vals := r.getAFASet(g)
+	r.prog.afas[g].evalMasked(r.cur, transVals, member, vals)
+	out := r.getBools(g)
+	for i := range out {
+		out[i] = vals.has(i)
+	}
+	r.putAFASet(g, vals)
+	return out
+}
+
+// foldChildAFA ORs a visited child's AFA truth vectors into the parent's
+// transition accumulators (the fstates↑ propagation of lines 19–21 of
+// HyPE), walking the per-label seed buckets. childVals may be nil (no AFA
+// active below the child).
+func (r *run) foldChildAFA(lid int32, rel []nfaSet, transAcc [][]bool, childVals [][]bool) {
+	for g := range rel {
+		if rel[g] == nil || childVals == nil || childVals[g] == nil {
+			continue
+		}
+		acc := transAcc[g]
+		vals := childVals[g]
+		for _, sd := range r.prog.afas[g].seeds[lid+1] {
+			if acc[sd.t] || !rel[g].has(int(sd.t)) {
+				continue
+			}
+			if vals[sd.target] {
+				acc[sd.t] = true
 			}
 		}
 	}
-	return res
 }
 
 // killGuardFailed marks the vertices of res whose guard AFA came out false
 // (lines 14–15 of PCans); res.afaVals must hold the node's bottom-up AFA
 // values.
-func (r *run) killGuardFailed(n *xmltree.Node, res *visitResult) {
+func (r *run) killGuardFailed(n int32, res *visitResult) {
 	for i, s := range res.states {
 		g := r.m.States[s].Guard
 		if g < 0 {
@@ -853,176 +894,18 @@ func (r *run) killGuardFailed(n *xmltree.Node, res *visitResult) {
 		if vals == nil || !vals[r.m.GuardEntry(int(s))] {
 			r.dead[res.base+int32(i)] = true
 			if r.trace != nil {
-				r.trace.add(n, TraceGuardFail, fmt.Sprintf("state s%d guard X%d false", s, g))
+				r.trace.add(r.cd, n, TraceGuardFail, fmt.Sprintf("state s%d guard X%d false", s, g))
 			}
 		}
 	}
 }
 
-// visitChild decides whether child c needs visiting, computes its mstates
-// and AFA seeds, recurses, and folds the child's AFA values and cans edges
-// into the parent's accumulators.
-func (r *run) visitChild(c *xmltree.Node, ms nfaSet, rel []nfaSet, transAcc [][]bool, res *visitResult) {
-	cms, cseeds, ok := r.childStates(c, ms, rel)
-	if !ok {
-		return
-	}
-
-	cres := r.visit(c, cms, cseeds)
-
-	r.linkChild(res, c.Label, cres.states, cres.base)
-	r.foldChildAFA(rel, transAcc, c.Label, cres.afaVals)
-
-	// Recycle the child's buffers.
-	if cres.afaVals != nil {
-		for g := range cres.afaVals {
-			if cres.afaVals[g] != nil {
-				r.putBools(g, cres.afaVals[g])
-			}
-		}
-		r.putVecB(cres.afaVals)
-	}
-	r.putStates(cres.states)
-	r.releaseChildStates(cms, cseeds)
-}
-
-// childStates computes the NFA state set and AFA seed sets a visit of child
-// c would start from, given the parent's active states ms and closed AFA
-// sets rel. When the child would contribute nothing — no transition matches
-// (HyPE's "no-transition" prune) or the subtree index refutes progress
-// (OptHyPE's "index-alphabet" prune) — it records the prune, releases the
-// sets and reports ok=false. On ok=true ownership of cms/cseeds passes to
-// the caller (release with releaseChildStates, or hand them to a shard).
-func (r *run) childStates(c *xmltree.Node, ms nfaSet, rel []nfaSet) (cms nfaSet, cseeds []nfaSet, ok bool) {
-	// Child mstates: targets of matching transitions, then ε-closure.
-	cms = r.getNFASet()
-	anyNFA := false
-	ms.forEach(func(s int) {
-		for _, tr := range r.m.States[s].Trans {
-			if !tr.Matches(c.Label) {
-				continue
-			}
-			if r.idx != nil && !r.productive[tr.To] {
-				continue
-			}
-			cms.set(tr.To)
-			anyNFA = true
-		}
-	})
-	if anyNFA {
-		r.closeNFA(cms)
-	}
-
-	// Child AFA seeds: targets of matching TRANS states in rel, plus
-	// guard entries of guarded states in cms.
-	cseeds = r.getVecN()
-	anySeed := false
-	for g := range rel {
-		if rel[g] == nil {
-			continue
-		}
-		a := r.m.AFAs[g]
-		rel[g].forEach(func(t int) {
-			st := &a.States[t]
-			if st.Kind != mfa.AFATrans {
-				return
-			}
-			if !st.Wild && st.Label != c.Label {
-				return
-			}
-			if cseeds[g] == nil {
-				cseeds[g] = r.getAFASet(g)
-			}
-			cseeds[g].set(st.Kids[0])
-			anySeed = true
-		})
-	}
-	cms.forEach(func(s int) {
-		g := r.m.States[s].Guard
-		if g < 0 {
-			return
-		}
-		if cseeds[g] == nil {
-			cseeds[g] = r.getAFASet(g)
-		}
-		cseeds[g].set(r.m.GuardEntry(s))
-		anySeed = true
-	})
-
-	if !anyNFA && !anySeed {
-		r.prune(c, "no-transition")
-		r.releaseChildStates(cms, cseeds)
-		return nil, nil, false
-	}
-
-	// Index-based pruning (OptHyPE): skip the subtree when no active
-	// state can make progress against the child's subtree alphabet.
-	if r.idx != nil && !r.useful(c, cms, cseeds) {
-		r.prune(c, "index-alphabet")
-		r.releaseChildStates(cms, cseeds)
-		return nil, nil, false
-	}
-	return cms, cseeds, true
-}
-
-// releaseChildStates returns a childStates result to the run's pools.
-func (r *run) releaseChildStates(cms nfaSet, cseeds []nfaSet) {
-	r.putNFASet(cms)
-	for g := range cseeds {
-		if cseeds[g] != nil {
-			r.putAFASet(g, cseeds[g])
-		}
-	}
-	r.putVecN(cseeds)
-}
-
-// linkChild adds the cans edges for transitions from res's vertices into a
-// visited child's vertices; childBase is the global vertex id of the
-// child's first state (shard merging passes an offset-adjusted base).
-func (r *run) linkChild(res *visitResult, childLabel string, childStates []int32, childBase int32) {
-	for i, s := range res.states {
-		for _, tr := range r.m.States[s].Trans {
-			if !tr.Matches(childLabel) {
-				continue
-			}
-			if j, ok := findState(childStates, int32(tr.To)); ok {
-				r.edgeList = append(r.edgeList, edgePair{res.base + int32(i), childBase + int32(j)})
-			}
-		}
-	}
-}
-
-// foldChildAFA ORs a visited child's bottom-up AFA truth vectors into the
-// parent's transition accumulators (the fstates↑ propagation of lines
-// 19–21 of HyPE). childVals may be nil (no AFA active below the child).
-func (r *run) foldChildAFA(rel []nfaSet, transAcc [][]bool, childLabel string, childVals [][]bool) {
-	for g := range rel {
-		if rel[g] == nil || childVals == nil || childVals[g] == nil {
-			continue
-		}
-		a := r.m.AFAs[g]
-		acc := transAcc[g]
-		vals := childVals[g]
-		rel[g].forEach(func(t int) {
-			st := &a.States[t]
-			if st.Kind != mfa.AFATrans || acc[t] {
-				return
-			}
-			if !st.Wild && st.Label != childLabel {
-				return
-			}
-			if vals[st.Kids[0]] {
-				acc[t] = true
-			}
-		})
-	}
-}
-
-func (r *run) prune(c *xmltree.Node, reason string) {
+// prune records that child subtree c is skipped.
+func (r *run) prune(c int32, reason string) {
 	r.stats.SkippedSubtrees++
 	skipped := 0
-	if r.idx != nil {
-		skipped = r.idx.SubtreeSize(c)
+	if r.ixm != nil {
+		skipped = r.ixm.ix.SubtreeSize(c)
 		r.stats.SkippedElements += skipped
 	}
 	if r.trace != nil {
@@ -1030,7 +913,7 @@ func (r *run) prune(c *xmltree.Node, reason string) {
 		if skipped > 0 {
 			detail = fmt.Sprintf("%s skipped-elements=%d", reason, skipped)
 		}
-		r.trace.add(c, TracePrune, detail)
+		r.trace.add(r.cd, c, TracePrune, detail)
 	}
 }
 

@@ -2,8 +2,10 @@ package hype_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/datagen"
 	"smoqe/internal/hospital"
 	"smoqe/internal/hype"
@@ -44,14 +46,15 @@ var sourceQueries = []string{
 	hospital.RXA, hospital.RXB, hospital.RXC,
 }
 
-func engines(t *testing.T, m *mfa.MFA, doc *xmltree.Document) map[string]*hype.Engine {
-	t.Helper()
-	return map[string]*hype.Engine{
-		"HyPE":      hype.New(m),
-		"OptHyPE":   hype.NewOpt(m, hype.BuildIndex(doc, false)),
-		"OptHyPE-C": hype.NewOpt(m, hype.BuildIndex(doc, true)),
-	}
+// variant is one evaluation strategy of the table tests.
+type variant struct {
+	name    string
+	indexed bool
 }
+
+// variants are the strategies the table tests run: HyPE, and OptHyPE-C
+// with the index of the evaluated document.
+var variants = []variant{{"HyPE", false}, {"OptHyPE-C", true}}
 
 func TestHyPEMatchesOraclesOnSample(t *testing.T) {
 	doc := hospital.SampleDocument()
@@ -62,10 +65,10 @@ func TestHyPEMatchesOraclesOnSample(t *testing.T) {
 		if got := mfa.Eval(m, doc.Root); !same(got, want) {
 			t.Fatalf("oracle disagreement for %q: mfa %v vs ref %v", src, ids(got), ids(want))
 		}
-		for name, eng := range engines(t, m, doc) {
-			got := answers(t, eng, doc.Root)
+		for _, v := range variants {
+			got := answers(t, hype.New(m), doc.Root, v.indexed)
 			if !same(got, want) {
-				t.Errorf("%s: query %q:\n got %v\nwant %v", name, src, ids(got), ids(want))
+				t.Errorf("%s: query %q:\n got %v\nwant %v", v.name, src, ids(got), ids(want))
 			}
 		}
 	}
@@ -78,9 +81,9 @@ func TestHyPEAtInteriorContext(t *testing.T) {
 		q := xpath.MustParse(src)
 		want := refeval.Eval(q, dep)
 		m := mfa.MustCompile(q)
-		for name, eng := range engines(t, m, doc) {
-			if got := answers(t, eng, dep); !same(got, want) {
-				t.Errorf("%s at %s: query %q: got %v want %v", name, dep.Path(), src, ids(got), ids(want))
+		for _, v := range variants {
+			if got := answers(t, hype.New(m), dep, v.indexed); !same(got, want) {
+				t.Errorf("%s at %s: query %q: got %v want %v", v.name, dep.Path(), src, ids(got), ids(want))
 			}
 		}
 	}
@@ -102,9 +105,9 @@ func TestHyPEOnRewrittenMFAs(t *testing.T) {
 	} {
 		m := rewrite.MustRewrite(v, xpath.MustParse(src))
 		want := mfa.Eval(m, doc.Root)
-		for name, eng := range engines(t, m, doc) {
-			if got := answers(t, eng, doc.Root); !same(got, want) {
-				t.Errorf("%s: rewritten %q: got %v want %v", name, src, ids(got), ids(want))
+		for _, v := range variants {
+			if got := answers(t, hype.New(m), doc.Root, v.indexed); !same(got, want) {
+				t.Errorf("%s: rewritten %q: got %v want %v", v.name, src, ids(got), ids(want))
 			}
 		}
 	}
@@ -125,7 +128,7 @@ func TestPruningHappens(t *testing.T) {
 		t.Error("HyPE skipped nothing")
 	}
 
-	opt := eval(t, hype.NewOpt(m, hype.BuildIndex(doc, false)), doc.Root, hype.Options{}).Stats
+	opt := evalIndexed(t, hype.New(m), doc.Root).Stats
 	if opt.VisitedElements > base.VisitedElements {
 		t.Errorf("OptHyPE visited more (%d) than HyPE (%d)", opt.VisitedElements, base.VisitedElements)
 	}
@@ -145,59 +148,61 @@ func TestOptHyPEPrunesMore(t *testing.T) {
 	q := xpath.MustParse("department/patient[parent/patient/parent/patient]/pname")
 	m := mfa.MustCompile(q)
 	h := eval(t, hype.New(m), doc.Root, hype.Options{}).Stats
-	o := eval(t, hype.NewOpt(m, hype.BuildIndex(doc, false)), doc.Root, hype.Options{}).Stats
+	o := evalIndexed(t, hype.New(m), doc.Root).Stats
 	if o.VisitedElements >= h.VisitedElements {
 		t.Errorf("OptHyPE visited %d, HyPE %d; index should prune more",
 			o.VisitedElements, h.VisitedElements)
 	}
 }
 
+// TestIndexBasics checks the preorder index columns against a walk of the
+// tree: every element's strict-subtree label set and element count, the
+// hash-consing of equal sets, and the root's count.
 func TestIndexBasics(t *testing.T) {
 	doc := hospital.SampleDocument()
-	plain := hype.BuildIndex(doc, false)
-	comp := hype.BuildIndex(doc, true)
-	if plain.NumLabels() != comp.NumLabels() {
-		t.Fatalf("label universes differ: %d vs %d", plain.NumLabels(), comp.NumLabels())
-	}
-	if comp.DistinctSets() >= plain.DistinctSets() {
-		t.Errorf("compressed index has %d sets, plain %d; compression should dedup",
-			comp.DistinctSets(), plain.DistinctSets())
-	}
-	if comp.MemoryBytes() >= plain.MemoryBytes() {
-		t.Errorf("compressed index uses %d bytes, plain %d", comp.MemoryBytes(), plain.MemoryBytes())
-	}
-	// Strict subtree sets agree between the two variants on every node.
+	cd := colstore.FromTree(doc)
+	ix := hype.BuildIndex(cd)
+	elements := 0
 	doc.Walk(func(n *xmltree.Node) bool {
 		if n.Kind != xmltree.Element {
 			return true
 		}
-		a, b := plain.StrictLabels(n), comp.StrictLabels(n)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("strict sets differ at %s", n.Path())
+		elements++
+		want := make(hype.LabelSet, len(ix.StrictLabels(0)))
+		size := 0
+		var below func(m *xmltree.Node)
+		below = func(m *xmltree.Node) {
+			size++
+			for _, c := range m.ElementChildren() {
+				id, _ := cd.LabelIDOf(c.Label)
+				want[id>>6] |= 1 << (uint(id) & 63)
+				below(c)
 			}
 		}
-		if plain.SubtreeSize(n) != comp.SubtreeSize(n) {
-			t.Fatalf("subtree sizes differ at %s", n.Path())
+		below(n)
+		id := int32(n.ID)
+		if got := ix.StrictLabels(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("strict set at %s = %v, want %v", n.Path(), got, want)
+		}
+		if got := ix.SubtreeSize(id); got != size {
+			t.Fatalf("subtree size at %s = %d, want %d", n.Path(), got, size)
 		}
 		return true
 	})
-	// Root subtree size equals the document's element count.
-	if got, want := plain.SubtreeSize(doc.Root), doc.ComputeStats().Elements; got != want {
+	if ix.DistinctSets() >= elements/2 {
+		t.Errorf("%d distinct sets for %d elements; equal sets must be shared", ix.DistinctSets(), elements)
+	}
+	if got, want := ix.SubtreeSize(0), doc.ComputeStats().Elements; got != want {
 		t.Errorf("root subtree size %d, want %d", got, want)
 	}
-	// Semantics: diagnosis occurs strictly below a patient with visits.
-	dep := doc.Root.ElementChildren()[0]
-	bit, ok := plain.LabelBit("diagnosis")
+	// Semantics: diagnosis occurs strictly below a department.
+	dep := int32(doc.Root.ElementChildren()[0].ID)
+	bit, ok := cd.LabelIDOf("diagnosis")
 	if !ok {
-		t.Fatal("diagnosis not in label universe")
+		t.Fatal("diagnosis not in the document's labels")
 	}
-	set := plain.StrictLabels(dep)
-	if !set.Has(bit) {
+	if !ix.StrictLabels(dep).Has(int(bit)) {
 		t.Error("diagnosis must be in department's strict subtree set")
-	}
-	if _, ok := plain.LabelBit("nonexistent"); ok {
-		t.Error("unknown label must not be in the universe")
 	}
 }
 
@@ -226,9 +231,9 @@ func TestEmptyResultQueries(t *testing.T) {
 		"department/patient[visit/treatment/medication/diagnosis/text()='no such disease']",
 	} {
 		m := mfa.MustCompile(xpath.MustParse(src))
-		for name, eng := range engines(t, m, doc) {
-			if got := answers(t, eng, doc.Root); len(got) != 0 {
-				t.Errorf("%s: %q must be empty, got %v", name, src, ids(got))
+		for _, v := range variants {
+			if got := answers(t, hype.New(m), doc.Root, v.indexed); len(got) != 0 {
+				t.Errorf("%s: %q must be empty, got %v", v.name, src, ids(got))
 			}
 		}
 	}
@@ -248,20 +253,50 @@ func same(a, b []*xmltree.Node) bool {
 
 func ids(ns []*xmltree.Node) []int { return xmltree.IDsOf(ns) }
 
-// eval evaluates e at n with opts, failing the test on an error.
-func eval(t testing.TB, e *hype.Engine, n *xmltree.Node, opts hype.Options) hype.Result {
+// evalAt evaluates e at tree node n the way a library call does: over the
+// columnar form of n's subtree (with that form's index when indexed),
+// mapping the answer ids back to n's nodes. It fails the test on an error.
+func evalAt(t testing.TB, e *hype.Engine, n *xmltree.Node, indexed bool, opts hype.Options) (hype.Result, []*xmltree.Node) {
 	t.Helper()
-	res, err := e.Eval(context.Background(), n, opts)
+	cd, nodes := colstore.FromNode(n)
+	if indexed {
+		opts.Index = hype.BuildIndex(cd)
+	}
+	res, err := e.Eval(context.Background(), cd, opts)
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
+	return res, nodesOf(nodes, res.IDs)
+}
+
+// nodesOf maps preorder ids to the nodes of a FromNode conversion.
+func nodesOf(nodes []*xmltree.Node, ids []int) []*xmltree.Node {
+	out := make([]*xmltree.Node, len(ids))
+	for i, id := range ids {
+		out[i] = nodes[id]
+	}
+	return out
+}
+
+// eval is evalAt without an index.
+func eval(t testing.TB, e *hype.Engine, n *xmltree.Node, opts hype.Options) hype.Result {
+	t.Helper()
+	res, _ := evalAt(t, e, n, false, opts)
+	return res
+}
+
+// evalIndexed is a sequential OptHyPE-C evaluation at n.
+func evalIndexed(t testing.TB, e *hype.Engine, n *xmltree.Node) hype.Result {
+	t.Helper()
+	res, _ := evalAt(t, e, n, true, hype.Options{})
 	return res
 }
 
 // answers is the answer set of a sequential, unlimited evaluation.
-func answers(t testing.TB, e *hype.Engine, n *xmltree.Node) []*xmltree.Node {
+func answers(t testing.TB, e *hype.Engine, n *xmltree.Node, indexed bool) []*xmltree.Node {
 	t.Helper()
-	return eval(t, e, n, hype.Options{}).Nodes
+	_, got := evalAt(t, e, n, indexed, hype.Options{})
+	return got
 }
 
 // TestHyPELinearity asserts Theorem 6.1's linear data complexity through a
@@ -305,9 +340,9 @@ func TestTextBloomPruning(t *testing.T) {
 	m := mfa.MustCompile(q)
 
 	h := eval(t, hype.New(m), doc.Root, hype.Options{})
-	o := eval(t, hype.NewOpt(m, hype.BuildIndex(doc, false)), doc.Root, hype.Options{})
-	if len(o.Nodes) != len(h.Nodes) {
-		t.Fatalf("answers differ: %d vs %d", len(o.Nodes), len(h.Nodes))
+	o := evalIndexed(t, hype.New(m), doc.Root)
+	if !reflect.DeepEqual(o.IDs, h.IDs) {
+		t.Fatalf("answers differ: %d vs %d", len(o.IDs), len(h.IDs))
 	}
 	hv, ov := h.Stats.VisitedElements, o.Stats.VisitedElements
 	if ov >= hv*3/4 {
@@ -317,9 +352,9 @@ func TestTextBloomPruning(t *testing.T) {
 	// A query whose constant appears nowhere prunes almost everything.
 	q2 := mfa.MustCompile(xpath.MustParse(
 		"department/patient[(parent/patient)*/visit/treatment/medication/diagnosis/text()='no such disease']/pname"))
-	o2 := eval(t, hype.NewOpt(q2, hype.BuildIndex(doc, false)), doc.Root, hype.Options{})
-	if len(o2.Nodes) != 0 {
-		t.Fatalf("phantom disease matched %d", len(o2.Nodes))
+	o2 := evalIndexed(t, hype.New(q2), doc.Root)
+	if len(o2.IDs) != 0 {
+		t.Fatalf("phantom disease matched %d", len(o2.IDs))
 	}
 	if v := o2.Stats.VisitedElements; v > total/10 {
 		t.Errorf("impossible constant should prune nearly everything: visited %d of %d", v, total)

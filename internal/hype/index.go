@@ -4,20 +4,23 @@
 // and bottom-up evaluates filter AFAs (fstates↓ / fstates↑), prunes
 // irrelevant subtrees, and builds the candidate-answer DAG cans; a final
 // traversal of cans (much smaller than the document) yields the answers.
+// The pass runs over columnar documents (internal/colstore).
 //
-// The package also provides the index behind the OptHyPE and OptHyPE-C
-// variants: a per-node summary of the element labels occurring in the
-// node's subtree, which lets HyPE skip subtrees that cannot advance any
-// active automaton state. OptHyPE-C stores the (heavily repeated) label
-// sets hash-consed, trading nothing for an order of magnitude less index
-// memory — the paper observes OptHyPE-C ≈ OptHyPE in speed.
+// The package also provides the index behind OptHyPE-C: a per-node
+// summary of the element labels occurring in the node's subtree, which
+// lets HyPE skip subtrees that cannot advance any active automaton state.
+// The label sets repeat heavily, so they are stored hash-consed (the "-C"
+// layout) — the paper observes OptHyPE-C ≈ OptHyPE in speed, at an order
+// of magnitude less index memory.
 package hype
 
 import (
-	"smoqe/internal/xmltree"
+	"encoding/binary"
+
+	"smoqe/internal/colstore"
 )
 
-// LabelSet is a bitset over the index's label universe.
+// LabelSet is a bitset over a document's label ids.
 type LabelSet []uint64
 
 func (s LabelSet) Has(bit int) bool {
@@ -43,37 +46,31 @@ func (s LabelSet) intersects(o LabelSet) bool {
 	return false
 }
 
-// Index is the OptHyPE subtree index over one document: for every element
-// node, the set of element labels occurring strictly below it, a 64-bit
-// Bloom fingerprint of the text values occurring at or below it (so
-// text()='c' obligations can be refuted wholesale), plus subtree element
-// counts (used for pruning statistics).
+// Index is the OptHyPE-C subtree index over one columnar document, held as
+// preorder columns: for every element node, the interned set of element
+// labels occurring strictly below it, a 64-bit Bloom fingerprint of the
+// text values occurring at or below it (so text()='c' obligations can be
+// refuted wholesale), and its subtree's element count (for the pruning
+// statistics). Label bits are the document's label ids. An Index is
+// immutable and safe for concurrent use.
 type Index struct {
-	labelID    map[string]int
-	words      int
-	compressed bool
-	numSets    int
+	cd    *colstore.Document
+	words int
 
-	// Plain (OptHyPE) layout: every node's strict-subtree set lives at
-	// arena[n.ID*words : (n.ID+1)*words] — one flat, cache-friendly block,
-	// but O(|T|·|Σ|) bits of memory.
-	arena []uint64
+	// setID[n] indexes sets: equal strict-subtree label sets are
+	// hash-consed, and typical documents have a few dozen distinct ones.
+	setID []int32
+	sets  []LabelSet
 
-	// Compressed (OptHyPE-C) layout: equal sets are hash-consed into dict
-	// and nodes store an id; typical documents have a few hundred distinct
-	// sets, shrinking the index by an order of magnitude.
-	strictID []int32
-	dict     []LabelSet
-
-	// textBloom[n.ID] fingerprints the text contents of n and all its
+	// bloom[n] fingerprints the text contents of n and all its
 	// descendants: two bits per distinct value (see textMask). A query
 	// constant whose bits are not all set in a node's bloom provably does
 	// not occur in that subtree.
-	textBloom []uint64
+	bloom []uint64
 
-	// subSize[n.ID] is the number of element nodes in n's subtree
-	// (including n itself); 0 for text nodes.
-	subSize []int32
+	// elems[n] is the number of element nodes in n's subtree, n included
+	// (End(n)−n would count text nodes too); 0 for text nodes.
+	elems []int32
 }
 
 // textMask returns the two-bit Bloom mask of a text value. Derived from
@@ -99,134 +96,74 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// BuildIndex constructs the index for doc. With compress it hash-conses
-// label sets (OptHyPE-C); pruning decisions are identical either way.
-func BuildIndex(doc *xmltree.Document, compress bool) *Index {
-	ix := &Index{labelID: make(map[string]int), compressed: compress}
-	// First pass: label universe.
-	doc.Walk(func(n *xmltree.Node) bool {
-		if n.Kind == xmltree.Element {
-			if _, ok := ix.labelID[n.Label]; !ok {
-				ix.labelID[n.Label] = len(ix.labelID)
-			}
-		}
-		return true
-	})
-	ix.words = (len(ix.labelID) + 63) / 64
-	if ix.words == 0 {
-		ix.words = 1
+// BuildIndex constructs the index of cd in one reverse-preorder pass: when
+// a node is reached, all of its descendants have been folded into it, so
+// it is final and is ORed into its parent. Strict label sets accumulate
+// per depth — the only nodes still open are the current node's ancestors.
+func BuildIndex(cd *colstore.Document) *Index {
+	n := cd.NumNodes()
+	ix := &Index{
+		cd:    cd,
+		words: max(1, (cd.NumLabels()+63)/64),
+		setID: make([]int32, n),
+		bloom: make([]uint64, n),
+		elems: make([]int32, n),
 	}
-	ix.subSize = make([]int32, doc.NumNodes())
-	ix.textBloom = make([]uint64, doc.NumNodes())
-	var intern map[string]int32
-	if compress {
-		ix.strictID = make([]int32, doc.NumNodes())
-		intern = make(map[string]int32)
-	} else {
-		ix.arena = make([]uint64, doc.NumNodes()*ix.words)
-	}
-	var build func(n *xmltree.Node) (LabelSet, int32)
-	build = func(n *xmltree.Node) (LabelSet, int32) {
-		var bloom uint64
-		if txt := n.TextContent(); txt != "" {
-			bloom = textMask(txt)
+	intern := make(map[string]int32)
+	key := make([]byte, 8*ix.words)
+	// open[d] collects the labels strictly below the open node at depth d.
+	var open []LabelSet
+	for c := int32(n - 1); c >= 0; c-- {
+		if !cd.IsElement(c) {
+			continue
 		}
-		var strict LabelSet
-		if compress {
-			strict = make(LabelSet, ix.words)
-		} else {
-			strict = ix.arena[n.ID*ix.words : (n.ID+1)*ix.words]
+		d := int(cd.Depth(c))
+		for len(open) <= d {
+			open = append(open, make(LabelSet, ix.words))
 		}
-		size := int32(1)
-		for _, c := range n.Children {
-			if c.Kind != xmltree.Element {
-				continue
-			}
-			cset, csz := build(c)
-			strict.orWith(cset)
-			strict.set(ix.labelID[c.Label])
-			size += csz
-			bloom |= ix.textBloom[c.ID]
+		strict := open[d]
+		for i, w := range strict {
+			binary.LittleEndian.PutUint64(key[8*i:], w)
 		}
-		ix.textBloom[n.ID] = bloom
-		ix.subSize[n.ID] = size
-		if compress {
-			key := string(bitsKey(strict))
-			id, ok := intern[key]
-			if !ok {
-				id = int32(len(ix.dict))
-				ix.dict = append(ix.dict, strict)
-				intern[key] = id
-			}
-			ix.strictID[n.ID] = id
-			ix.numSets = len(ix.dict)
-			return ix.dict[id], size
+		id, ok := intern[string(key)]
+		if !ok {
+			id = int32(len(ix.sets))
+			ix.sets = append(ix.sets, append(LabelSet(nil), strict...))
+			intern[string(key)] = id
 		}
-		ix.numSets++
-		return strict, size
-	}
-	if doc.Root != nil {
-		build(doc.Root)
+		ix.setID[c] = id
+		if txt := cd.Text(c); txt != "" {
+			ix.bloom[c] |= textMask(txt)
+		}
+		ix.elems[c]++
+		if p := cd.Parent(c); p >= 0 {
+			open[d-1].orWith(strict)
+			open[d-1].set(int(cd.LabelID(c)))
+			ix.bloom[p] |= ix.bloom[c]
+			ix.elems[p] += ix.elems[c]
+		}
+		clear(strict)
 	}
 	return ix
 }
 
-func bitsKey(s LabelSet) []byte {
-	out := make([]byte, len(s)*8)
-	for i, w := range s {
-		for b := 0; b < 8; b++ {
-			out[i*8+b] = byte(w >> (8 * uint(b)))
-		}
-	}
-	return out
-}
-
-// StrictLabels returns the label set occurring strictly below n.
-func (ix *Index) StrictLabels(n *xmltree.Node) LabelSet {
-	if ix.compressed {
-		return ix.dict[ix.strictID[n.ID]]
-	}
-	return ix.arena[n.ID*ix.words : (n.ID+1)*ix.words]
-}
-
-// SetID returns the interned id of n's strict-subtree set, or -1 for the
-// plain (uninterned) index variant.
-func (ix *Index) SetID(n *xmltree.Node) int32 {
-	if ix.compressed {
-		return ix.strictID[n.ID]
-	}
-	return -1
-}
+// StrictLabels returns the label set occurring strictly below element n;
+// bits are the document's label ids.
+func (ix *Index) StrictLabels(n int32) LabelSet { return ix.sets[ix.setID[n]] }
 
 // TextBloom returns the Bloom fingerprint of all text values at or below n.
-func (ix *Index) TextBloom(n *xmltree.Node) uint64 { return ix.textBloom[n.ID] }
+func (ix *Index) TextBloom(n int32) uint64 { return ix.bloom[n] }
 
 // SubtreeSize returns the number of element nodes in n's subtree, n
 // included.
-func (ix *Index) SubtreeSize(n *xmltree.Node) int {
-	return int(ix.subSize[n.ID])
-}
+func (ix *Index) SubtreeSize(n int32) int { return int(ix.elems[n]) }
 
-// LabelBit returns the bit assigned to a label and whether the label occurs
-// in the indexed document at all.
-func (ix *Index) LabelBit(label string) (int, bool) {
-	id, ok := ix.labelID[label]
-	return id, ok
-}
+// DistinctSets returns how many distinct strict-subtree label sets the
+// index stores.
+func (ix *Index) DistinctSets() int { return len(ix.sets) }
 
-// NumLabels returns the size of the label universe.
-func (ix *Index) NumLabels() int { return len(ix.labelID) }
-
-// DistinctSets returns how many label sets the index stores — one per node
-// in the plain variant, one per distinct set in the compressed variant
-// (typically orders of magnitude fewer).
-func (ix *Index) DistinctSets() int { return ix.numSets }
-
-// MemoryBytes estimates the index's label-set storage footprint, the
-// quantity OptHyPE-C compresses.
+// MemoryBytes estimates the index's footprint: the interned sets plus the
+// three per-node columns.
 func (ix *Index) MemoryBytes() int {
-	if ix.compressed {
-		return len(ix.dict)*ix.words*8 + len(ix.strictID)*4 + len(ix.textBloom)*8 + len(ix.subSize)*4
-	}
-	return len(ix.arena)*8 + len(ix.textBloom)*8 + len(ix.subSize)*4
+	return len(ix.sets)*ix.words*8 + len(ix.setID)*4 + len(ix.bloom)*8 + len(ix.elems)*4
 }

@@ -6,19 +6,32 @@ import (
 	"testing"
 	"testing/quick"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/mfa"
 	"smoqe/internal/xmltree"
 	"smoqe/internal/xpath"
 )
 
-// evalNodes is a sequential, unlimited Eval's answer set. Such a run has no
-// budget to exceed and a context that is never done, so it cannot fail.
-func evalNodes(e *Engine, n *xmltree.Node) []*xmltree.Node {
-	return evalResult(e, n).Nodes
+// evalNodes is the answer set of a sequential, unlimited run at tree node
+// n — over the columnar form of n's subtree, with the index of that form
+// when indexed — mapped back to n's nodes. Such a run has no budget to
+// exceed and a context that is never done, so it cannot fail.
+func evalNodes(e *Engine, n *xmltree.Node, indexed bool) []*xmltree.Node {
+	cd, nodes := colstore.FromNode(n)
+	res := evalResult(e, cd, indexed)
+	out := make([]*xmltree.Node, len(res.IDs))
+	for i, id := range res.IDs {
+		out[i] = nodes[id]
+	}
+	return out
 }
 
-func evalResult(e *Engine, n *xmltree.Node) Result {
-	res, err := e.Eval(context.Background(), n, Options{})
+func evalResult(e *Engine, cd *colstore.Document, indexed bool) Result {
+	var opts Options
+	if indexed {
+		opts.Index = BuildIndex(cd)
+	}
+	res, err := e.Eval(context.Background(), cd, opts)
 	if err != nil {
 		panic(err)
 	}
@@ -84,12 +97,12 @@ func TestEngineReuse(t *testing.T) {
 	}
 	m := mfa.MustCompile(xpath.MustParse("(*)*/b[c/text()='x']"))
 	e := New(m)
-	first := evalNodes(e, doc.Root)
+	first := evalNodes(e, doc.Root, false)
 	if len(first) != 2 {
 		t.Fatalf("expected 2 answers, got %d", len(first))
 	}
 	for i := 0; i < 10; i++ {
-		got := evalNodes(e, doc.Root)
+		got := evalNodes(e, doc.Root, i%2 == 1)
 		if len(got) != len(first) {
 			t.Fatalf("run %d: %d answers, want %d", i, len(got), len(first))
 		}
@@ -101,10 +114,10 @@ func TestEngineReuse(t *testing.T) {
 	}
 	// Interleave evaluations at different contexts.
 	d := doc.Root.ElementChildren()[2]
-	if got := evalNodes(e, d); len(got) != 1 {
+	if got := evalNodes(e, d, true); len(got) != 1 {
 		t.Fatalf("at <d>: %d answers, want 1", len(got))
 	}
-	if got := evalNodes(e, doc.Root); len(got) != 2 {
+	if got := evalNodes(e, doc.Root, false); len(got) != 2 {
 		t.Fatalf("back at root: %d answers, want 2", len(got))
 	}
 }
@@ -117,11 +130,11 @@ func TestGuardOnStartState(t *testing.T) {
 		t.Fatal(err)
 	}
 	yes := New(mfa.MustCompile(xpath.MustParse(".[b]")))
-	if got := evalNodes(yes, doc.Root); len(got) != 1 || got[0] != doc.Root {
+	if got := evalNodes(yes, doc.Root, false); len(got) != 1 || got[0] != doc.Root {
 		t.Errorf(".[b] at root: %v", xmltree.IDsOf(got))
 	}
 	no := New(mfa.MustCompile(xpath.MustParse(".[c]")))
-	if got := evalNodes(no, doc.Root); len(got) != 0 {
+	if got := evalNodes(no, doc.Root, false); len(got) != 0 {
 		t.Errorf(".[c] at root must be empty, got %v", xmltree.IDsOf(got))
 	}
 }
@@ -138,7 +151,7 @@ func TestDeepChain(t *testing.T) {
 	d.AddElement(cur, "leaf")
 	m := mfa.MustCompile(xpath.MustParse("(a)*[leaf]"))
 	e := New(m)
-	got := evalNodes(e, d.Root)
+	got := evalNodes(e, d.Root, false)
 	if len(got) != 1 {
 		t.Fatalf("(a)*[leaf] on a %d-deep chain: %d answers, want 1", depth, len(got))
 	}
@@ -147,7 +160,7 @@ func TestDeepChain(t *testing.T) {
 	}
 	// The descendant query selects the whole spine.
 	m2 := mfa.MustCompile(xpath.MustParse("(a)*"))
-	if got := evalNodes(New(m2), d.Root); len(got) != depth+1 {
+	if got := evalNodes(New(m2), d.Root, false); len(got) != depth+1 {
 		t.Errorf("(a)*: %d answers, want %d", len(got), depth+1)
 	}
 }
@@ -159,8 +172,9 @@ func TestStatsResetBetweenRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(mfa.MustCompile(xpath.MustParse("b")))
-	s1 := evalResult(e, doc.Root).Stats
-	s2 := evalResult(e, doc.Root).Stats
+	cd := colstore.FromTree(doc)
+	s1 := evalResult(e, cd, false).Stats
+	s2 := evalResult(e, cd, false).Stats
 	if s1 != s2 {
 		t.Errorf("stats differ across identical runs: %+v vs %+v", s1, s2)
 	}
@@ -187,21 +201,17 @@ func TestAliveUnderSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, both := range []bool{false, true} {
-			idx := BuildIndex(doc, both)
-			for _, qsrc := range queries {
-				m := mfa.MustCompile(xpath.MustParse(qsrc))
-				want := evalNodes(New(m), doc.Root)
-				got := evalNodes(NewOpt(m, idx), doc.Root)
-				if len(got) != len(want) {
-					t.Errorf("doc %s query %q compress=%v: opt %d vs hype %d",
-						dsrc, qsrc, both, len(got), len(want))
-					continue
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Errorf("doc %s query %q: node %d differs", dsrc, qsrc, i)
-					}
+		for _, qsrc := range queries {
+			m := mfa.MustCompile(xpath.MustParse(qsrc))
+			want := evalNodes(New(m), doc.Root, false)
+			got := evalNodes(New(m), doc.Root, true)
+			if len(got) != len(want) {
+				t.Errorf("doc %s query %q: opt %d vs hype %d", dsrc, qsrc, len(got), len(want))
+				continue
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("doc %s query %q: node %d differs", dsrc, qsrc, i)
 				}
 			}
 		}
@@ -216,15 +226,28 @@ func TestCloneConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mfa.MustCompile(xpath.MustParse("(*)*/b[c/text()='x']"))
-	base := NewOpt(m, BuildIndex(doc, true))
-	want := evalNodes(base.Clone(), doc.Root)
-	done := make(chan []*xmltree.Node, 8)
+	base := New(m)
+	cd := colstore.FromTree(doc)
+	idx := BuildIndex(cd)
+	run := func(e *Engine, j int) []int {
+		opts := Options{Index: idx}
+		if j%2 == 1 {
+			opts = Options{Workers: 2}
+		}
+		res, err := e.Eval(context.Background(), cd, opts)
+		if err != nil {
+			panic(err)
+		}
+		return res.IDs
+	}
+	want := run(base.Clone(), 0)
+	done := make(chan []int, 8)
 	for i := 0; i < 8; i++ {
 		e := base.Clone()
 		go func() {
-			var last []*xmltree.Node
+			var last []int
 			for j := 0; j < 50; j++ {
-				last = evalNodes(e, doc.Root)
+				last = run(e, j)
 			}
 			done <- last
 		}()
@@ -259,16 +282,16 @@ func TestTextMaskProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := BuildIndex(doc, false)
-	root := ix.TextBloom(doc.Root)
+	ix := BuildIndex(colstore.FromTree(doc))
+	root := ix.TextBloom(0)
 	doc.Walk(func(n *xmltree.Node) bool {
 		if n.Kind == xmltree.Element {
-			if b := ix.TextBloom(n); root&b != b {
+			if b := ix.TextBloom(int32(n.ID)); root&b != b {
 				t.Errorf("root bloom not a superset at %s", n.Path())
 			}
 			if txt := n.TextContent(); txt != "" {
 				m := textMask(txt)
-				if ix.TextBloom(n)&m != m {
+				if ix.TextBloom(int32(n.ID))&m != m {
 					t.Errorf("bloom at %s misses its own text %q", n.Path(), txt)
 				}
 			}
@@ -286,8 +309,8 @@ func TestEmptyTextPredicateNotPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mfa.MustCompile(xpath.MustParse("b[c/text()='']"))
-	want := evalNodes(New(m), doc.Root)
-	got := evalNodes(NewOpt(m, BuildIndex(doc, false)), doc.Root)
+	want := evalNodes(New(m), doc.Root, false)
+	got := evalNodes(New(m), doc.Root, true)
 	if len(want) != 1 {
 		t.Fatalf("reference answers = %d, want 1", len(want))
 	}
@@ -303,5 +326,125 @@ func TestPruneRate(t *testing.T) {
 	}
 	if got := s.PruneRate(0); got != 0 {
 		t.Errorf("PruneRate(0) = %v, want 0", got)
+	}
+}
+
+// fakeNode is a NodeView with fixed text and position.
+type fakeNode struct {
+	text string
+	pos  int
+}
+
+func (n fakeNode) TextContent() string { return n.text }
+func (n fakeNode) ElemPos() int        { return n.pos }
+
+// TestEvalMaskedMatchesEvalAtMasked checks the compiled AFA programs
+// against mfa.AFA.EvalAtMasked, the AFA semantics, on the AFAs of random
+// filter queries (plain and simplified): random same-node-closed member
+// sets, random transition inputs and random text and positions.
+func TestEvalMaskedMatchesEvalAtMasked(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	labels := []string{"a", "b", "c"}
+	texts := []string{"", "x", "y"}
+	var genPath func(depth int) xpath.Path
+	var genPred func(depth int) xpath.Pred
+	genPath = func(depth int) xpath.Path {
+		if depth <= 0 {
+			if rng.Intn(3) == 0 {
+				return xpath.Wildcard{}
+			}
+			return &xpath.Label{Name: labels[rng.Intn(len(labels))]}
+		}
+		switch rng.Intn(5) {
+		case 0:
+			return &xpath.Seq{Left: genPath(depth - 1), Right: genPath(depth - 1)}
+		case 1:
+			return &xpath.Union{Left: genPath(depth - 1), Right: genPath(depth - 1)}
+		case 2:
+			return &xpath.Star{Sub: genPath(depth - 1)}
+		default:
+			return &xpath.Filter{Path: genPath(depth - 1), Cond: genPred(depth - 1)}
+		}
+	}
+	genPred = func(depth int) xpath.Pred {
+		if depth <= 0 {
+			return &xpath.Exists{Path: genPath(0)}
+		}
+		switch rng.Intn(6) {
+		case 0:
+			return &xpath.Not{Sub: genPred(depth - 1)}
+		case 1:
+			return &xpath.And{Left: genPred(depth - 1), Right: genPred(depth - 1)}
+		case 2:
+			return &xpath.Or{Left: genPred(depth - 1), Right: genPred(depth - 1)}
+		case 3:
+			return &xpath.TextEq{Path: genPath(depth - 1), Value: texts[rng.Intn(len(texts))]}
+		case 4:
+			return &xpath.PosEq{Path: genPath(depth - 1), K: 1 + rng.Intn(3)}
+		default:
+			return &xpath.Exists{Path: genPath(depth - 1)}
+		}
+	}
+	afas := 0
+	for iter := 0; iter < 300; iter++ {
+		q := &xpath.Filter{Path: genPath(1), Cond: genPred(3)}
+		m, err := mfa.Compile(q)
+		if err != nil {
+			t.Fatalf("compile %s: %v", q, err)
+		}
+		for _, mm := range []*mfa.MFA{m, mfa.Simplify(m)} {
+			e := New(mm)
+			for g, a := range mm.AFAs {
+				afas++
+				p := &e.prog.afas[g]
+				n := a.NumStates()
+				for trial := 0; trial < 8; trial++ {
+					member := make(nfaSet, p.words)
+					for s := 0; s < n; s++ {
+						if rng.Intn(3) == 0 {
+							member.set(s)
+						}
+					}
+					closeSameNode(a, member)
+					trans := make([]bool, n)
+					for s := range trans {
+						trans[s] = rng.Intn(2) == 0
+					}
+					node := fakeNode{text: texts[rng.Intn(len(texts))], pos: 1 + rng.Intn(3)}
+					want := a.EvalAtMasked(node, trans, make([]bool, n), member)
+					got := make(nfaSet, p.words)
+					p.evalMasked(node, trans, member, got)
+					for s := 0; s < n; s++ {
+						if got.has(s) != want[s] {
+							t.Fatalf("query %s, AFA %d, state %d: compiled %v, EvalAtMasked %v\n%s",
+								q, g, s, got.has(s), want[s], a)
+						}
+					}
+				}
+			}
+		}
+	}
+	if afas == 0 {
+		t.Fatal("no AFA generated")
+	}
+}
+
+// closeSameNode closes member under the same-node edges of a (the kids of
+// NOT, AND and OR states), independently of the compiled closure masks.
+func closeSameNode(a *mfa.AFA, member nfaSet) {
+	for changed := true; changed; {
+		changed = false
+		for s := range a.States {
+			st := &a.States[s]
+			if !member.has(s) || st.Kind == mfa.AFATrans || st.Kind == mfa.AFAFinal {
+				continue
+			}
+			for _, k := range st.Kids {
+				if !member.has(k) {
+					member.set(k)
+					changed = true
+				}
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package hype_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"smoqe/internal/colstore"
@@ -11,6 +12,7 @@ import (
 	"smoqe/internal/guard"
 	"smoqe/internal/hype"
 	"smoqe/internal/mfa"
+	"smoqe/internal/refeval"
 	"smoqe/internal/xpath"
 )
 
@@ -26,7 +28,7 @@ func limitEngine(t *testing.T, query string) *hype.Engine {
 func TestMaxVisitedAbortsSequential(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(500))
 	e := limitEngine(t, "//diagnosis")
-	_, err := e.Eval(context.Background(), doc.Root, hype.Options{Limits: hype.Limits{MaxVisited: 512}})
+	_, err := e.Eval(context.Background(), colstore.FromTree(doc), hype.Options{Limits: hype.Limits{MaxVisited: 512}})
 	var le *hype.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *LimitError", err)
@@ -40,7 +42,7 @@ func TestMaxResultNodesAbortsSequential(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(500))
 	// ** selects every element — the candidate set grows with the walk.
 	e := limitEngine(t, "**")
-	_, err := e.Eval(context.Background(), doc.Root, hype.Options{Limits: hype.Limits{MaxResultNodes: 100}})
+	_, err := e.Eval(context.Background(), colstore.FromTree(doc), hype.Options{Limits: hype.Limits{MaxResultNodes: 100}})
 	var le *hype.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *LimitError", err)
@@ -53,13 +55,13 @@ func TestMaxResultNodesAbortsSequential(t *testing.T) {
 func TestGenerousLimitsDoNotDisturbResults(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(200))
 	e := limitEngine(t, "//diagnosis")
-	want := answers(t, e, doc.Root)
+	want := eval(t, e, doc.Root, hype.Options{}).IDs
 
-	res, err := e.Eval(context.Background(), doc.Root, hype.Options{Limits: hype.Limits{MaxVisited: 1 << 30, MaxResultNodes: 1 << 30}})
+	res, err := e.Eval(context.Background(), colstore.FromTree(doc), hype.Options{Limits: hype.Limits{MaxVisited: 1 << 30, MaxResultNodes: 1 << 30}})
 	if err != nil {
 		t.Fatalf("generous limits aborted: %v", err)
 	}
-	if got := res.Nodes; len(got) != len(want) {
+	if got := res.IDs; !reflect.DeepEqual(got, want) {
 		t.Errorf("got %d nodes, want %d", len(got), len(want))
 	}
 }
@@ -67,7 +69,7 @@ func TestGenerousLimitsDoNotDisturbResults(t *testing.T) {
 func TestMaxVisitedAbortsParallel(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(500))
 	e := limitEngine(t, "//diagnosis")
-	_, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: 4, Limits: hype.Limits{MaxVisited: 512}})
+	_, err := e.Eval(context.Background(), colstore.FromTree(doc), hype.Options{Workers: 4, Limits: hype.Limits{MaxVisited: 512}})
 	var le *hype.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("parallel err = %v, want *LimitError", err)
@@ -80,20 +82,14 @@ func TestMaxVisitedAbortsParallel(t *testing.T) {
 func TestParallelGenerousLimitsMatchSequential(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(300))
 	e := limitEngine(t, "//diagnosis")
-	want := answers(t, e, doc.Root)
+	want := eval(t, e, doc.Root, hype.Options{}).IDs
 
-	res, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: 4, Limits: hype.Limits{MaxVisited: 1 << 30}})
+	res, err := e.Eval(context.Background(), colstore.FromTree(doc), hype.Options{Workers: 4, Limits: hype.Limits{MaxVisited: 1 << 30}})
 	if err != nil {
 		t.Fatalf("parallel with generous limits: %v", err)
 	}
-	got := res.Nodes
-	if len(got) != len(want) {
-		t.Errorf("got %d nodes, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("node %d differs", i)
-		}
+	if !reflect.DeepEqual(res.IDs, want) {
+		t.Errorf("got %v, want %v", res.IDs, want)
 	}
 }
 
@@ -103,12 +99,13 @@ func TestParallelGenerousLimitsMatchSequential(t *testing.T) {
 func TestShardWorkerPanicIsIsolated(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	doc := datagen.Generate(datagen.DefaultConfig(300))
+	cd := colstore.FromTree(doc)
 	e := limitEngine(t, "//diagnosis")
 
 	if err := failpoint.Enable(failpoint.SiteHypeShardWorker, "panic"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: 4})
+	_, err := e.Eval(context.Background(), cd, hype.Options{Workers: 4})
 	var pe *guard.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *guard.PanicError", err)
@@ -119,13 +116,13 @@ func TestShardWorkerPanicIsIsolated(t *testing.T) {
 
 	// The engine must recover fully: disarm and evaluate again.
 	failpoint.DisableAll()
-	want := answers(t, limitEngine(t, "//diagnosis"), doc.Root)
-	res, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: 4})
+	want := eval(t, limitEngine(t, "//diagnosis"), doc.Root, hype.Options{}).IDs
+	res, err := e.Eval(context.Background(), cd, hype.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("after recovery: %v", err)
 	}
-	if len(res.Nodes) != len(want) {
-		t.Errorf("after recovery: %d nodes, want %d", len(res.Nodes), len(want))
+	if !reflect.DeepEqual(res.IDs, want) {
+		t.Errorf("after recovery: %d nodes, want %d", len(res.IDs), len(want))
 	}
 }
 
@@ -137,20 +134,21 @@ func TestShardWorkerErrorFailpoint(t *testing.T) {
 	if err := failpoint.Enable(failpoint.SiteHypeShardWorker, "error"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: 4})
+	_, err := e.Eval(context.Background(), colstore.FromTree(doc), hype.Options{Workers: 4})
 	var fe *failpoint.Error
 	if !errors.As(err, &fe) {
 		t.Fatalf("err = %v, want *failpoint.Error", err)
 	}
 }
 
-// TestColumnarLimitsMatchPointer is the satellite audit of EvalLimits on the
-// columnar path: at any budget, pointer and columnar evaluation must trip
-// the SAME limit (same *LimitError What/Limit) at the SAME point — both
-// paths flush consumption in identical cancelCheckInterval quanta over the
-// identical preorder DFS, so even the partial visited counts of aborted
-// runs must agree. The columnar pass is compiled; it is checked against the
-// compiled and the interpreted pointer pass.
+// TestColumnarLimitsMatchPointer audits EvalLimits across the ways one
+// document is evaluated: over its registered columnar form, over the
+// conversion a call at its root node makes, and with a subset cache of cap
+// 1 (NFA simulation). At any budget every way must trip the SAME limit
+// (same *LimitError What/Limit) at the SAME point — consumption is flushed
+// in identical cancelCheckInterval quanta over the identical preorder DFS,
+// so even the partial visited counts of aborted runs agree. Runs under a
+// generous budget must return the reference answers.
 func TestColumnarLimitsMatchPointer(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(500))
 	cd := colstore.FromTree(doc)
@@ -158,35 +156,40 @@ func TestColumnarLimitsMatchPointer(t *testing.T) {
 	budgets := []hype.Limits{
 		{MaxVisited: 256},
 		{MaxVisited: 512},
-		{MaxVisited: 1 << 30}, // generous: neither path may trip
+		{MaxVisited: 1 << 30}, // generous: no way may trip
 		{MaxResultNodes: 50},
 		{MaxResultNodes: 1 << 30},
 		{MaxVisited: 512, MaxResultNodes: 50},
 	}
 	for _, src := range queries {
+		ref := ids(refeval.Eval(xpath.MustParse(src), doc.Root))
 		for _, l := range budgets {
-			for _, compiled := range []bool{true, false} {
-				ptr := limitEngine(t, src)
-				ptr.SetCompiled(compiled)
-				ptrRes, ptrErr := ptr.Eval(context.Background(), doc.Root, hype.Options{Limits: l})
-				ptrStats := ptrRes.Stats
-
-				col := limitEngine(t, src)
-				colRes, colErr := col.EvalColumnar(context.Background(), cd, hype.Options{Limits: l})
-				colStats := colRes.Stats
-
-				var ptrLE, colLE *hype.LimitError
-				if errors.As(ptrErr, &ptrLE) != errors.As(colErr, &colLE) {
-					t.Fatalf("%q limits=%+v compiled=%v: pointer err=%v, columnar err=%v",
-						src, l, compiled, ptrErr, colErr)
+			want, wantErr := limitEngine(t, src).Eval(context.Background(), cd, hype.Options{Limits: l})
+			var wantLE *hype.LimitError
+			errors.As(wantErr, &wantLE)
+			if wantErr == nil && !reflect.DeepEqual(want.IDs, ref) {
+				t.Errorf("%q limits=%+v: answers %v, reference %v", src, l, want.IDs, ref)
+			}
+			node, _ := colstore.FromNode(doc.Root)
+			tiny := limitEngine(t, src)
+			tiny.SetCompiledCacheCap(1)
+			for way, run := range map[string]func() (hype.Result, error){
+				"node": func() (hype.Result, error) {
+					return limitEngine(t, src).Eval(context.Background(), node, hype.Options{Limits: l})
+				},
+				"cap 1": func() (hype.Result, error) { return tiny.Eval(context.Background(), cd, hype.Options{Limits: l}) },
+			} {
+				got, gotErr := run()
+				var gotLE *hype.LimitError
+				if errors.As(gotErr, &gotLE) != (wantLE != nil) {
+					t.Fatalf("%q limits=%+v %s: err=%v, columnar err=%v", src, l, way, gotErr, wantErr)
 				}
-				if ptrLE != nil && (ptrLE.What != colLE.What || ptrLE.Limit != colLE.Limit) {
-					t.Errorf("%q limits=%+v compiled=%v: pointer %+v vs columnar %+v",
-						src, l, compiled, ptrLE, colLE)
+				if gotLE != nil && (gotLE.What != wantLE.What || gotLE.Limit != wantLE.Limit) {
+					t.Errorf("%q limits=%+v %s: %+v vs columnar %+v", src, l, way, gotLE, wantLE)
 				}
-				if ptrStats.VisitedElements != colStats.VisitedElements {
-					t.Errorf("%q limits=%+v compiled=%v: visited %d (pointer) vs %d (columnar)",
-						src, l, compiled, ptrStats.VisitedElements, colStats.VisitedElements)
+				if got.Stats.VisitedElements != want.Stats.VisitedElements {
+					t.Errorf("%q limits=%+v %s: visited %d vs %d (columnar)",
+						src, l, way, got.Stats.VisitedElements, want.Stats.VisitedElements)
 				}
 			}
 		}
@@ -202,7 +205,7 @@ func TestMergeFailpoint(t *testing.T) {
 	if err := failpoint.Enable(failpoint.SiteHypeMerge, "error"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: 4})
+	_, err := e.Eval(context.Background(), colstore.FromTree(doc), hype.Options{Workers: 4})
 	var fe *failpoint.Error
 	if !errors.As(err, &fe) || fe.Site != failpoint.SiteHypeMerge {
 		t.Fatalf("err = %v, want merge failpoint error", err)

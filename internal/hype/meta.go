@@ -4,21 +4,58 @@ import (
 	"math/bits"
 
 	"smoqe/internal/mfa"
-	"smoqe/internal/xmltree"
 )
 
-// prepareIndexMeta computes, against the index's label universe, the label
-// sets each automaton state may consume next. Together with each node's
-// strict-subtree label set this drives OptHyPE's extra pruning: a child is
-// skipped when no active state can possibly accept inside its subtree.
-func (e *Engine) prepareIndexMeta() {
-	ix := e.idx
+// indexMeta is what an indexed run needs beyond the index itself: the
+// automaton's consumable labels resolved against the index's document,
+// plus the per-label-set usefulness summaries built so far. It drives
+// OptHyPE's extra pruning: a child is skipped when no active state can
+// possibly accept inside its subtree. A clone keeps the metadata of the
+// index it last ran on (Engine.bindIndex), so repeated runs on one
+// document pay for it once.
+type indexMeta struct {
+	ix *Index
+	// afaNext[g][t] holds the labels TRANS states in the same-node
+	// closure of state t of AFA g may consume; afaWild marks closures
+	// with a wildcard step.
+	afaNext [][]LabelSet
+	afaWild [][]bool
+	// Text analysis per AFA state (full-graph reachability): afaAlways
+	// marks states whose truth does not hinge on a specific text value (a
+	// NOT or a predicate-free/position final is reachable); afaTextMasks
+	// lists the Bloom masks of the text constants whose finals the state
+	// can reach — if none of them occurs in a subtree, the state is
+	// provably false there.
+	afaAlways    [][]bool
+	afaTextMasks [][][]uint64
+	// usedLabels is the union of all labels any automaton transition can
+	// consume (restricted to labels present in the indexed document);
+	// subtrees whose alphabet covers it can never be pruned by alphabet
+	// reasoning, which short-circuits the per-child useful() check.
+	usedLabels LabelSet
+	// alive memoizes aliveUnder per interned strict-subtree set id.
+	alive []*aliveInfo
+}
+
+// bindIndex returns the metadata of ix, rebuilding it when the clone last
+// ran on another index.
+func (e *Engine) bindIndex(ix *Index) *indexMeta {
+	if e.im == nil || e.im.ix != ix {
+		e.im = newIndexMeta(e, ix)
+	}
+	return e.im
+}
+
+// newIndexMeta computes, against the index's label universe, the label
+// sets each automaton state may consume next.
+func newIndexMeta(e *Engine, ix *Index) *indexMeta {
+	im := &indexMeta{ix: ix, alive: make([]*aliveInfo, len(ix.sets))}
 	words := ix.words
 	// AFA side: next[t] = labels of TRANS states in the same-node closure
 	// of t. Computed by fixpoint over the (possibly cyclic) same-node
 	// graph; label sets grow monotonically.
-	e.afaNext = make([][]LabelSet, len(e.m.AFAs))
-	e.afaWild = make([][]bool, len(e.m.AFAs))
+	im.afaNext = make([][]LabelSet, len(e.m.AFAs))
+	im.afaWild = make([][]bool, len(e.m.AFAs))
 	for g, a := range e.m.AFAs {
 		n := a.NumStates()
 		next := make([]LabelSet, n)
@@ -29,8 +66,8 @@ func (e *Engine) prepareIndexMeta() {
 			if st.Kind == mfa.AFATrans {
 				if st.Wild {
 					wild[t] = true
-				} else if bit, ok := ix.LabelBit(st.Label); ok {
-					next[t].set(bit)
+				} else if id, ok := ix.cd.LabelIDOf(st.Label); ok {
+					next[t].set(int(id))
 				}
 			}
 		}
@@ -53,44 +90,24 @@ func (e *Engine) prepareIndexMeta() {
 				}
 			}
 		}
-		e.afaNext[g] = next
-		e.afaWild[g] = wild
+		im.afaNext[g] = next
+		im.afaWild[g] = wild
 	}
 
-	// Text analysis: which states can only become true through specific
-	// text constants (full-graph reachability to FINAL/NOT states).
-	e.afaAlways = make([][]bool, len(e.m.AFAs))
-	e.afaTextMasks = make([][][]uint64, len(e.m.AFAs))
+	im.afaAlways = make([][]bool, len(e.m.AFAs))
+	im.afaTextMasks = make([][][]uint64, len(e.m.AFAs))
 	for g, a := range e.m.AFAs {
-		e.afaAlways[g], e.afaTextMasks[g] = textAnalysis(a)
+		im.afaAlways[g], im.afaTextMasks[g] = textAnalysis(a)
 	}
 
 	// Union of all consumable labels, for the useful() fast path.
-	e.usedLabels = make(LabelSet, words)
-	for i := range e.m.States {
-		for _, tr := range e.m.States[i].Trans {
-			if tr.Wild {
-				continue
-			}
-			if bit, ok := ix.LabelBit(tr.Label); ok {
-				e.usedLabels.set(bit)
-			}
+	im.usedLabels = make(LabelSet, words)
+	for lab := range e.prog.labels {
+		if id, ok := ix.cd.LabelIDOf(lab); ok {
+			im.usedLabels.set(int(id))
 		}
 	}
-	for _, a := range e.m.AFAs {
-		for t := range a.States {
-			st := &a.States[t]
-			if st.Kind != mfa.AFATrans || st.Wild {
-				continue
-			}
-			if bit, ok := ix.LabelBit(st.Label); ok {
-				e.usedLabels.set(bit)
-			}
-		}
-	}
-	if ix.compressed {
-		e.aliveCache = make([]*aliveInfo, ix.DistinctSets())
-	}
+	return im
 }
 
 // aliveInfo is the per-subtree-alphabet usefulness summary: the NFA states
@@ -102,35 +119,20 @@ type aliveInfo struct {
 	afa []nfaSet
 }
 
-// aliveUnder returns, memoized per strict-subtree label set, the aliveInfo
-// for that alphabet. An NFA state is alive if it is final, an ε-successor
-// is alive, or a transition whose label lies in the set (any label for
-// wildcards on nonempty sets) leads to an alive state; guards are ignored,
-// which only over-approximates — the check stays sound. An AFA state is
-// possibly true if a FINAL or NOT state is reachable from it through
-// same-node edges, or some TRANS in its same-node closure can consume a
-// label of the set.
-func (r *run) aliveUnder(c *xmltree.Node, strict LabelSet) *aliveInfo {
-	setID := r.idx.SetID(c)
-	var key string
-	if setID >= 0 {
-		if info := r.aliveCache[setID]; info != nil {
-			return info
-		}
-	} else if len(strict) == 1 {
-		// Plain index, label universe fits one word: key by the word
-		// itself (no allocation).
-		if info, ok := r.aliveByW[strict[0]]; ok {
-			return info
-		}
-	} else {
-		// Plain index: memoize by set content (sets repeat heavily even
-		// though they are stored per node).
-		key = string(bitsKey(strict))
-		if info, ok := r.aliveByKey[key]; ok {
-			return info
-		}
+// aliveUnder returns, memoized per interned strict-subtree label set, the
+// aliveInfo for that alphabet. An NFA state is alive if it is final, an
+// ε-successor is alive, or a transition whose label lies in the set (any
+// label for wildcards on nonempty sets) leads to an alive state; guards
+// are ignored, which only over-approximates — the check stays sound. An
+// AFA state is possibly true if a FINAL or NOT state is reachable from it
+// through same-node edges, or some TRANS in its same-node closure can
+// consume a label of the set.
+func (r *run) aliveUnder(setID int32) *aliveInfo {
+	im := r.ixm
+	if info := im.alive[setID]; info != nil {
+		return info
 	}
+	strict := im.ix.sets[setID]
 	strictNonEmpty := false
 	for _, w := range strict {
 		if w != 0 {
@@ -155,7 +157,7 @@ func (r *run) aliveUnder(c *xmltree.Node, strict LabelSet) *aliveInfo {
 				}
 				continue
 			}
-			if bit, ok := r.idx.LabelBit(tr.Label); ok && strict.Has(bit) {
+			if id, ok := im.ix.cd.LabelIDOf(tr.Label); ok && strict.Has(int(id)) {
 				mark(tr.To)
 			}
 		}
@@ -173,30 +175,17 @@ func (r *run) aliveUnder(c *xmltree.Node, strict LabelSet) *aliveInfo {
 			switch {
 			case meta.hasLocal[t]:
 				poss.set(t)
-			case r.afaWild[g][t]:
+			case im.afaWild[g][t]:
 				if strictNonEmpty {
 					poss.set(t)
 				}
-			case r.afaNext[g][t].intersects(strict):
+			case im.afaNext[g][t].intersects(strict):
 				poss.set(t)
 			}
 		}
 		info.afa[g] = poss
 	}
-	switch {
-	case setID >= 0:
-		r.aliveCache[setID] = info
-	case len(strict) == 1:
-		if r.aliveByW == nil {
-			r.Engine.aliveByW = make(map[uint64]*aliveInfo)
-		}
-		r.aliveByW[strict[0]] = info
-	default:
-		if r.aliveByKey == nil {
-			r.Engine.aliveByKey = make(map[string]*aliveInfo)
-		}
-		r.aliveByKey[key] = info
-	}
+	im.alive[setID] = info
 	return info
 }
 
@@ -206,15 +195,17 @@ func (r *run) aliveUnder(c *xmltree.Node, strict LabelSet) *aliveInfo {
 // (never skips a contributing subtree): acceptance below c only consumes
 // labels occurring strictly below c, and an AFA seed can only become true
 // locally (final predicate or NOT) or by consuming such a label.
-func (r *run) useful(c *xmltree.Node, cms nfaSet, cseeds []nfaSet) bool {
-	strict := r.idx.StrictLabels(c)
+func (r *run) useful(c int32, cms nfaSet, cseeds []nfaSet) bool {
+	im := r.ixm
+	setID := im.ix.setID[c]
+	strict := im.ix.sets[setID]
 	strictNonEmpty := false
 	covers := true
 	for i, w := range strict {
 		if w != 0 {
 			strictNonEmpty = true
 		}
-		if r.usedLabels[i]&^w != 0 {
+		if im.usedLabels[i]&^w != 0 {
 			covers = false
 		}
 	}
@@ -224,11 +215,11 @@ func (r *run) useful(c *xmltree.Node, cms nfaSet, cseeds []nfaSet) bool {
 		// productive by construction).
 		return true
 	}
-	info := r.aliveUnder(c, strict)
+	info := r.aliveUnder(setID)
 	if cms.intersects(info.nfa) {
 		return true
 	}
-	bloom := r.idx.TextBloom(c)
+	bloom := im.ix.bloom[c]
 	for g := range cseeds {
 		if cseeds[g] == nil {
 			continue
@@ -238,10 +229,10 @@ func (r *run) useful(c *xmltree.Node, cms nfaSet, cseeds []nfaSet) bool {
 			for cw != 0 {
 				t := w<<6 + bits.TrailingZeros64(cw)
 				cw &= cw - 1
-				if r.afaAlways[g][t] {
+				if im.afaAlways[g][t] {
 					return true
 				}
-				for _, mk := range r.afaTextMasks[g][t] {
+				for _, mk := range im.afaTextMasks[g][t] {
 					if bloom&mk == mk {
 						return true
 					}

@@ -1,12 +1,12 @@
 // Shard-parallel HyPE. In the downward Xreg fragment sibling subtrees are
 // independent: the NFA only consumes child steps and filter AFAs only walk
 // downwards, so once the states and AFA seed sets a child starts from are
-// known, its entire visit depends on nothing outside its subtree. That
-// makes the single-pass algorithm of §6 parallelizable without
-// approximation:
+// known, its entire visit depends on nothing outside its subtree — the
+// preorder interval [c, End(c)]. That makes the single-pass algorithm of
+// §6 parallelizable without approximation:
 //
 //  1. A sequential planner partially visits a small "spine" of nodes near
-//     the root, exactly the way visit() would (same pruning decisions, same
+//     the root, exactly the way walk() would (same pruning decisions, same
 //     vertex allocation), but instead of recursing it records each
 //     surviving element child as an independent shard task. When one shard
 //     holds most of the remaining work — the paper's hospital documents
@@ -15,13 +15,17 @@
 //     children, recursively, until no shard dominates.
 //  2. A bounded worker pool runs the shard visits on private Engine.Clone
 //     instances (shared immutable automaton metadata, private run state),
-//     honoring context cancellation.
+//     honoring context cancellation. A task carries the NFA state set its
+//     subtree starts from, never the planner's subset state: stepping a
+//     cached state writes its transition slots, so each worker interns
+//     the set in its own cache.
 //  3. A sequential merge folds the shard results back in document order:
-//     shard vertex ids are offset into the global cans DAG, cans edges from
-//     spine vertices into shard roots are added, shard AFA truth vectors
-//     are OR-folded into the spine accumulators, and the spine's bottom-up
-//     AFA evaluations and guard kills run exactly where the sequential
-//     pass would have run them. Phase 2 then walks the merged DAG once.
+//     shard vertex ids are offset into the global cans DAG, the compiled
+//     link edges from spine vertices into shard roots are added, shard AFA
+//     truth vectors are OR-folded into the spine accumulators, and the
+//     spine's bottom-up AFA evaluations and guard kills run exactly where
+//     the sequential pass would have run them. Phase 2 then walks the
+//     merged DAG once.
 //
 // The result — answers, their order, and every Stats counter — is
 // identical to the sequential Eval by construction; only vertex numbering
@@ -31,12 +35,13 @@ package hype
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/failpoint"
 	"smoqe/internal/guard"
 	"smoqe/internal/trace"
-	"smoqe/internal/xmltree"
 )
 
 // parallel-planner tuning knobs.
@@ -48,11 +53,14 @@ const (
 	maxSplitRounds = 64
 )
 
-// spineChild is one element child of a spine node after the partial visit:
-// either a shard task, a nested spine node (the shard dominated and was
-// split further), or pruned (both nil — already accounted in Stats).
+// spineChild is one surviving element child of a spine node after the
+// partial visit: either a shard task or a nested spine node (the shard
+// dominated and was split further). lid and tr are the planner's step into
+// the child: its program label and the subset transition whose link edges
+// the merge adds.
 type spineChild struct {
-	node  *xmltree.Node
+	lid   int32
+	tr    *dfaTrans
 	task  *shardTask
 	spine *spineNode
 }
@@ -62,7 +70,7 @@ type spineChild struct {
 // and guard kills — runs during the merge, after every child below it has
 // been folded.
 type spineNode struct {
-	node     *xmltree.Node
+	node     int32
 	rel      []nfaSet    // closed AFA seed sets at node (nil per inactive AFA)
 	res      visitResult // vertices in the planner's global numbering
 	transAcc [][]bool    // bottom-up accumulators, filled by the merge
@@ -72,10 +80,10 @@ type spineNode struct {
 // shardTask is one independent subtree evaluation: the child node and the
 // exact state sets a sequential visit would have entered it with.
 type shardTask struct {
-	node   *xmltree.Node
-	cms    nfaSet
+	node   int32
+	set    nfaSet // ε-closed NFA states; nil when only AFA seeds reach node
 	cseeds []nfaSet
-	size   int // subtree element count, for the domination heuristic
+	size   int // subtree size, for the domination heuristic
 
 	parent *spineNode
 	slot   int // index in parent.kids
@@ -104,17 +112,16 @@ type shardOut struct {
 // statistics are exactly those of the sequential pass. The engine itself
 // acts as the sequential planner, so — like Eval — it must not run
 // concurrently on one Engine; workers run on private clones.
-func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, opts Options) (Result, error) {
+func (e *Engine) runParallel(ctx context.Context, cd *colstore.Document, opts Options) (Result, error) {
 	// Plan: partially visit the root, then split dominating shards. The
 	// budget is shared with every worker run, so MaxVisited/MaxResultNodes
 	// bound the whole parallel evaluation, not each shard separately.
 	_, psp := trace.Start(ctx, "hype.plan")
-	r0 := e.newRun(ctx, opts.Limits)
-	ms := r0.startSet()
-	seeds := r0.guardSeeds(ms)
+	r0 := e.newRun(ctx, cd, opts)
+	root, seeds := r0.rootState()
 
 	var tasks []*shardTask
-	rootSpine := r0.expandSpine(root, ms, seeds, &tasks)
+	rootSpine := r0.expandSpine(0, root, seeds, &tasks)
 	spines := []*spineNode{rootSpine}
 
 	for rounds := 0; rounds < maxSplitRounds && len(tasks) > 0 && len(tasks) < maxShards; rounds++ {
@@ -133,9 +140,14 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, opts Optio
 		}
 		t := tasks[big]
 		tasks = append(tasks[:big], tasks[big+1:]...)
-		sp := r0.expandSpine(t.node, t.cms, t.cseeds, &tasks)
-		t.parent.kids[t.slot] = spineChild{node: t.node, spine: sp}
-		spines = append(spines, sp)
+		kc := &t.parent.kids[t.slot]
+		ds := kc.tr.next
+		if ds == nil {
+			ds = r0.dfa.empty
+		}
+		kc.spine = r0.expandSpine(t.node, ds, t.cseeds, &tasks)
+		kc.task = nil
+		spines = append(spines, kc.spine)
 	}
 
 	res := Result{Shards: len(tasks), SpineNodes: len(spines)}
@@ -151,10 +163,7 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, opts Optio
 	// whether from a poisoned document/automaton pair or an injected fault —
 	// becomes that task's out.err instead of killing the process, and the
 	// WaitGroup barrier always completes.
-	nw := opts.Workers
-	if nw > len(tasks) {
-		nw = len(tasks)
-	}
+	nw := min(opts.Workers, len(tasks))
 	if nw > 0 {
 		ch := make(chan *shardTask)
 		var wg sync.WaitGroup
@@ -162,7 +171,7 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, opts Optio
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				wr := &run{Engine: e.Clone(), ctx: ctx, limits: r0.limits, bud: r0.bud}
+				wr := r0.worker()
 				for t := range ch {
 					if wr.cancelled || ctx.Err() != nil {
 						t.out.cancelled = true
@@ -173,7 +182,7 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, opts Optio
 						// The run's internal state (pools, DAG buffers) is
 						// suspect after a panic or an aborted visit; start
 						// the next task from a fresh clone.
-						wr = &run{Engine: e.Clone(), ctx: ctx, limits: r0.limits, bud: r0.bud}
+						wr = r0.worker()
 					}
 				}
 			}()
@@ -212,6 +221,27 @@ func (e *Engine) runParallel(ctx context.Context, root *xmltree.Node, opts Optio
 	return res, nil
 }
 
+// worker returns a run on a fresh clone that evaluates shards of r's
+// evaluation: the same document, label binding, mode, limits and shared
+// budget.
+func (r *run) worker() *run {
+	e := r.Engine.Clone()
+	w := &run{
+		Engine:  e,
+		ctx:     r.ctx,
+		limits:  r.limits,
+		bud:     r.bud,
+		cd:      r.cd,
+		cur:     r.cd.At(0),
+		progLab: r.progLab,
+		dfa:     e.ensureDFA(r.ixm != nil),
+	}
+	if r.ixm != nil {
+		w.ixm = e.bindIndex(r.ixm.ix)
+	}
+	return w
+}
+
 // mergeParallel folds the shard results back into the planner run's global
 // DAG in document order — the sequential third phase of the parallel
 // evaluation (see the package comment). It runs under a "hype.merge" span
@@ -233,55 +263,47 @@ func mergeParallel(ctx context.Context, r0 *run, spines []*spineNode, tasks []*s
 		extraE += len(t.out.edges)
 		extraC += len(t.out.cands)
 	}
-	r0.dead = growBools(r0.dead, extraV)
-	r0.edgeList = growEdges(r0.edgeList, extraE)
-	r0.cands = growCands(r0.cands, extraC)
+	r0.dead = slices.Grow(r0.dead, extraV)
+	r0.edgeList = slices.Grow(r0.edgeList, extraE)
+	r0.cands = slices.Grow(r0.cands, extraC)
 
 	// Merge bottom-up: spines in reverse creation order puts every spine
 	// child before its parent, so a parent folds fully-evaluated children.
 	for i := len(spines) - 1; i >= 0; i-- {
 		sp := spines[i]
 		for _, kc := range sp.kids {
-			switch {
-			case kc.task != nil:
-				out := &kc.task.out
-				off := int32(r0.numVerts)
-				r0.numVerts += out.numVerts
-				r0.dead = append(r0.dead, out.dead...)
-				for _, ep := range out.edges {
-					r0.edgeList = append(r0.edgeList, edgePair{ep.from + off, ep.to + off})
-				}
-				for _, c := range out.cands {
-					c.vid += off
-					r0.cands = append(r0.cands, c)
-				}
-				r0.linkChild(&sp.res, kc.node.Label, out.res.states, off+out.res.base)
-				r0.foldChildAFA(sp.rel, sp.transAcc, kc.node.Label, out.res.afaVals)
-				// The shard's private DAG is folded in; drop it now so the
-				// GC reclaims it before the rest of the merge runs.
-				kc.task.out = shardOut{stats: out.stats}
-			case kc.spine != nil:
-				r0.linkChild(&sp.res, kc.node.Label, kc.spine.res.states, kc.spine.res.base)
-				r0.foldChildAFA(sp.rel, sp.transAcc, kc.node.Label, kc.spine.res.afaVals)
+			if kc.task == nil {
+				r0.link(&sp.res, kc.tr, kc.spine.res.base)
+				r0.foldChildAFA(kc.lid, sp.rel, sp.transAcc, kc.spine.res.afaVals)
+				continue
 			}
+			out := &kc.task.out
+			off := int32(r0.numVerts)
+			r0.numVerts += out.numVerts
+			r0.dead = append(r0.dead, out.dead...)
+			for _, ep := range out.edges {
+				r0.edgeList = append(r0.edgeList, edgePair{ep.from + off, ep.to + off})
+			}
+			for _, c := range out.cands {
+				c.vid += off
+				r0.cands = append(r0.cands, c)
+			}
+			r0.link(&sp.res, kc.tr, off+out.res.base)
+			r0.foldChildAFA(kc.lid, sp.rel, sp.transAcc, out.res.afaVals)
+			// The shard's private DAG is folded in; drop it now so the
+			// GC reclaims it before the rest of the merge runs.
+			kc.task.out = shardOut{stats: out.stats}
 		}
 		// Bottom-up AFA evaluation and guard kills at the spine node —
-		// the second half of visit(), run in merge order.
-		anyAFA := false
-		for g := range sp.rel {
-			if sp.rel[g] != nil {
-				anyAFA = true
-				break
-			}
-		}
-		if anyAFA {
+		// the second half of walk(), run in merge order.
+		if sp.transAcc != nil {
 			sp.res.afaVals = r0.getVecB()
 			for g := range sp.rel {
 				if sp.rel[g] == nil {
 					continue
 				}
 				r0.stats.AFAEvaluations++
-				sp.res.afaVals[g] = r0.m.AFAs[g].EvalAtMasked(sp.node, sp.transAcc[g], r0.getBools(g), sp.rel[g])
+				sp.res.afaVals[g] = r0.evalAFA(g, sp.node, sp.transAcc[g], sp.rel[g])
 			}
 		}
 		r0.killGuardFailed(sp.node, &sp.res)
@@ -290,7 +312,7 @@ func mergeParallel(ctx context.Context, r0 *run, spines []*spineNode, tasks []*s
 }
 
 // runShard evaluates one shard task on the worker's run, isolating panics:
-// a panic anywhere below visit() — including an injected ModePanic fault —
+// a panic anywhere below walk() — including an injected ModePanic fault —
 // is recovered here, inside the worker goroutine (a cross-goroutine panic
 // would kill the process), and reported as the task's error. A shard that
 // trips a resource budget reports its *LimitError the same way.
@@ -310,7 +332,11 @@ func runShard(wr *run, t *shardTask) {
 		t.out.err = err
 		return
 	}
-	t.out.res = wr.visit(t.node, t.cms, t.cseeds)
+	ds := wr.dfa.empty
+	if t.set != nil {
+		ds = wr.dfa.canonical(t.set)
+	}
+	t.out.res = wr.walk(t.node, ds, t.cseeds)
 	t.out.numVerts = wr.numVerts
 	t.out.edges = wr.edgeList
 	t.out.dead = wr.dead
@@ -350,107 +376,58 @@ func shardSpanOutcome(sp *trace.Span, t *shardTask) {
 	sp.Error(err)
 }
 
-// expandSpine partially visits node n the way visit() would — same stats,
+// expandSpine partially visits node n the way walk() would — same stats,
 // same vertex allocation, same per-child pruning — but instead of recursing
 // it records every surviving element child as a shard task appended to
 // tasks. The bottom-up half of the visit runs later, during the merge.
-func (r *run) expandSpine(n *xmltree.Node, ms nfaSet, fseeds []nfaSet, tasks *[]*shardTask) *spineNode {
+func (r *run) expandSpine(n int32, ds *dfaState, fseeds []nfaSet, tasks *[]*shardTask) *spineNode {
 	r.stats.VisitedElements++
 	rel := fseeds
 	anyAFA := false
 	for g := range rel {
 		if rel[g] != nil {
-			r.closeAFA(g, rel[g])
+			r.prog.afas[g].close(rel[g])
 			anyAFA = true
 		}
 	}
 	sp := &spineNode{node: n, rel: rel}
-	sp.res = r.openNode(n, ms)
-	if anyAFA {
-		sp.transAcc = r.getVecB()
-		for g := range rel {
-			if rel[g] != nil {
-				sp.transAcc[g] = r.getBoolsCleared(g)
-			}
-		}
+	sp.res = r.openNode(n, ds)
+	sp.transAcc = r.newTransAcc(rel, anyAFA)
+	if !ds.hasTrans && !anyAFA {
+		return sp
 	}
-	hasTrans := false
-	ms.forEach(func(s int) {
-		if len(r.m.States[s].Trans) > 0 {
-			hasTrans = true
+	cd := r.cd
+	for c := n + 1; c <= cd.End(n); c = cd.End(c) + 1 {
+		if !cd.IsElement(c) {
+			continue
 		}
-	})
-	if hasTrans || anyAFA {
-		for _, c := range n.Children {
-			if c.Kind != xmltree.Element {
-				continue
-			}
-			cms, cseeds, ok := r.childStates(c, ms, rel)
-			if !ok {
-				continue // pruned, already accounted
-			}
-			t := &shardTask{
-				node:   c,
-				cms:    cms,
-				cseeds: cseeds,
-				size:   r.subtreeSize(c),
-				parent: sp,
-				slot:   len(sp.kids),
-			}
-			sp.kids = append(sp.kids, spineChild{node: c, task: t})
-			*tasks = append(*tasks, t)
+		lid, tr, cseeds, ok := r.childStep(c, ds, rel)
+		if !ok {
+			continue // pruned, already accounted
 		}
+		t := &shardTask{node: c, cseeds: cseeds, size: r.subtreeSize(c), parent: sp, slot: len(sp.kids)}
+		if tr.next != nil {
+			t.set = append(nfaSet(nil), tr.next.set...)
+		}
+		sp.kids = append(sp.kids, spineChild{lid: lid, tr: tr, task: t})
+		*tasks = append(*tasks, t)
 	}
 	return sp
 }
 
 // subtreeSize returns a work estimate for c's subtree, used only to
-// balance shards (never for correctness): the index's exact element count
-// when present, the document-order ID span otherwise. IDs are dense
-// preorder, so the subtree occupies exactly [c.ID, rightmost descendant],
-// making the span an exact node count obtained in O(depth) — no walk.
-func (r *run) subtreeSize(c *xmltree.Node) int {
-	if r.idx != nil {
-		return r.idx.SubtreeSize(c)
+// balance shards (never for correctness): the index's element count when
+// present, the preorder interval's node count otherwise.
+func (r *run) subtreeSize(c int32) int {
+	if r.ixm != nil {
+		return r.ixm.ix.SubtreeSize(c)
 	}
-	last := c
-	for len(last.Children) > 0 {
-		last = last.Children[len(last.Children)-1]
-	}
-	return last.ID + 1 - c.ID
-}
-
-// growBools/growEdges/growCands ensure capacity for extra more entries.
-func growBools(s []bool, extra int) []bool {
-	if cap(s)-len(s) >= extra {
-		return s
-	}
-	ns := make([]bool, len(s), len(s)+extra)
-	copy(ns, s)
-	return ns
-}
-
-func growEdges(s []edgePair, extra int) []edgePair {
-	if cap(s)-len(s) >= extra {
-		return s
-	}
-	ns := make([]edgePair, len(s), len(s)+extra)
-	copy(ns, s)
-	return ns
-}
-
-func growCands(s []cand, extra int) []cand {
-	if cap(s)-len(s) >= extra {
-		return s
-	}
-	ns := make([]cand, len(s), len(s)+extra)
-	copy(ns, s)
-	return ns
+	return int(r.cd.End(c) - c + 1)
 }
 
 // addStats sums a shard's per-run counters into the merged statistics.
 // CansVertices/CansEdges are excluded: they are set once from the merged
-// DAG (shard runs never fill them; only run() does).
+// DAG (shard runs never fill them; only finish does).
 func addStats(dst *Stats, s Stats) {
 	dst.VisitedElements += s.VisitedElements
 	dst.SkippedSubtrees += s.SkippedSubtrees

@@ -1,15 +1,14 @@
 package hype_test
 
 import (
-	"context"
 	"sync"
 	"testing"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/datagen"
 	"smoqe/internal/hospital"
 	"smoqe/internal/hype"
 	"smoqe/internal/mfa"
-	"smoqe/internal/xmltree"
 	"smoqe/internal/xpath"
 )
 
@@ -21,24 +20,24 @@ import (
 
 var parallelBenchDoc struct {
 	once sync.Once
-	doc  *xmltree.Document
+	cd   *colstore.Document
 }
 
-func benchDoc() *xmltree.Document {
+func benchDoc() *colstore.Document {
 	parallelBenchDoc.once.Do(func() {
-		parallelBenchDoc.doc = datagen.Generate(datagen.DefaultConfig(20000))
+		parallelBenchDoc.cd = colstore.FromTree(datagen.Generate(datagen.DefaultConfig(20000)))
 	})
-	return parallelBenchDoc.doc
+	return parallelBenchDoc.cd
 }
 
 func benchParallel(b *testing.B, qsrc string) {
-	doc := benchDoc()
+	cd := benchDoc()
 	m := mfa.MustCompile(xpath.MustParse(qsrc))
 	b.Run("seq", func(b *testing.B) {
 		e := hype.New(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			answers(b, e, doc.Root)
+			colEval(b, e, cd, hype.Options{})
 		}
 	})
 	for _, w := range []int{2, 4, 8} {
@@ -46,9 +45,7 @@ func benchParallel(b *testing.B, qsrc string) {
 			e := hype.New(m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Eval(context.Background(), doc.Root, hype.Options{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
+				colEval(b, e, cd, hype.Options{Workers: w})
 			}
 		})
 	}

@@ -2,10 +2,12 @@ package hype_test
 
 import (
 	"context"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/datagen"
 	"smoqe/internal/hospital"
 	"smoqe/internal/hype"
@@ -14,20 +16,17 @@ import (
 	"smoqe/internal/xpath"
 )
 
-// assertParallelMatches runs both evaluation paths on a fresh engine pair
-// and demands exact agreement: the answer nodes, their order, and every
-// Stats counter. This is the contract parallel.go promises ("identical by
+// assertParallelMatches runs both evaluation paths on fresh engines and
+// demands exact agreement: the answers, their order, and every Stats
+// counter. This is the contract parallel.go promises ("identical by
 // construction"), so any drift is a bug, not noise.
-func assertParallelMatches(t *testing.T, name, src string, mk func() *hype.Engine, root *xmltree.Node, workers int) {
+func assertParallelMatches(t *testing.T, v variant, src string, m *mfa.MFA, root *xmltree.Node, workers int) {
 	t.Helper()
-	seq := eval(t, mk(), root, hype.Options{})
-	pst, err := mk().Eval(context.Background(), root, hype.Options{Workers: workers})
-	if err != nil {
-		t.Errorf("%s w=%d: query %q: unexpected error %v", name, workers, src, err)
-		return
-	}
-	if !same(pst.Nodes, seq.Nodes) {
-		t.Errorf("%s w=%d: query %q:\n got %v\nwant %v", name, workers, src, ids(pst.Nodes), ids(seq.Nodes))
+	name := v.name
+	seq, _ := evalAt(t, hype.New(m), root, v.indexed, hype.Options{})
+	pst, _ := evalAt(t, hype.New(m), root, v.indexed, hype.Options{Workers: workers})
+	if !reflect.DeepEqual(pst.IDs, seq.IDs) {
+		t.Errorf("%s w=%d: query %q:\n got %v\nwant %v", name, workers, src, pst.IDs, seq.IDs)
 	}
 	if pst.Stats != seq.Stats {
 		t.Errorf("%s w=%d: query %q: stats diverge:\n got %+v\nwant %+v", name, workers, src, pst.Stats, seq.Stats)
@@ -39,18 +38,11 @@ func assertParallelMatches(t *testing.T, name, src string, mk func() *hype.Engin
 
 func TestParallelMatchesSequentialOnSample(t *testing.T) {
 	doc := hospital.SampleDocument()
-	plain := hype.BuildIndex(doc, false)
-	comp := hype.BuildIndex(doc, true)
 	for _, src := range sourceQueries {
 		m := mfa.MustCompile(xpath.MustParse(src))
-		mks := map[string]func() *hype.Engine{
-			"HyPE":      func() *hype.Engine { return hype.New(m) },
-			"OptHyPE":   func() *hype.Engine { return hype.NewOpt(m, plain) },
-			"OptHyPE-C": func() *hype.Engine { return hype.NewOpt(m, comp) },
-		}
-		for name, mk := range mks {
+		for _, v := range variants {
 			for _, w := range []int{1, 4} {
-				assertParallelMatches(t, name, src, mk, doc.Root, w)
+				assertParallelMatches(t, v, src, m, doc.Root, w)
 			}
 		}
 	}
@@ -60,7 +52,6 @@ func TestParallelMatchesSequentialOnGenerated(t *testing.T) {
 	// A §7-style document: several departments (natural top-level shards)
 	// with enough skew that domination splitting fires on some seeds.
 	doc := datagen.Generate(datagen.DefaultConfig(3000))
-	idx := hype.BuildIndex(doc, true)
 	for _, src := range []string{
 		"department/patient/pname",
 		"//diagnosis",
@@ -70,8 +61,9 @@ func TestParallelMatchesSequentialOnGenerated(t *testing.T) {
 		hospital.RXB,
 	} {
 		m := mfa.MustCompile(xpath.MustParse(src))
-		assertParallelMatches(t, "HyPE", src, func() *hype.Engine { return hype.New(m) }, doc.Root, 4)
-		assertParallelMatches(t, "OptHyPE-C", src, func() *hype.Engine { return hype.NewOpt(m, idx) }, doc.Root, 4)
+		for _, v := range variants {
+			assertParallelMatches(t, v, src, m, doc.Root, 4)
+		}
 	}
 }
 
@@ -80,7 +72,7 @@ func TestParallelAtInteriorContext(t *testing.T) {
 	dep := doc.Root.ElementChildren()[0]
 	for _, src := range []string{"patient", "patient[visit/treatment/test]", "(patient | patient/parent/patient)/pname"} {
 		m := mfa.MustCompile(xpath.MustParse(src))
-		assertParallelMatches(t, "HyPE", src, func() *hype.Engine { return hype.New(m) }, dep, 4)
+		assertParallelMatches(t, variants[0], src, m, dep, 4)
 	}
 }
 
@@ -100,8 +92,8 @@ func TestParallelDominationSplit(t *testing.T) {
 	m := mfa.MustCompile(xpath.MustParse(src))
 	seq := eval(t, hype.New(m), wrapped.Root, hype.Options{})
 	pst := eval(t, hype.New(m), wrapped.Root, hype.Options{Workers: 4})
-	if !same(pst.Nodes, seq.Nodes) {
-		t.Fatalf("got %v want %v", ids(pst.Nodes), ids(seq.Nodes))
+	if !reflect.DeepEqual(pst.IDs, seq.IDs) {
+		t.Fatalf("got %v want %v", pst.IDs, seq.IDs)
 	}
 	if pst.Stats != seq.Stats {
 		t.Fatalf("stats diverge: got %+v want %+v", pst.Stats, seq.Stats)
@@ -127,13 +119,13 @@ func TestParallelTaggedMatchesSequential(t *testing.T) {
 	}
 	seq := eval(t, hype.New(merged), doc.Root, hype.Options{})
 	pst := eval(t, hype.New(merged), doc.Root, hype.Options{Workers: 4})
-	want, got := seq.Tagged, pst.Tagged
+	want, got := seq.TaggedIDs, pst.TaggedIDs
 	if len(got) != len(want) {
 		t.Fatalf("got %d buckets, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if !same(got[i], want[i]) {
-			t.Errorf("bucket %d (%q): got %v want %v", i, queries[i], ids(got[i]), ids(want[i]))
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("bucket %d (%q): got %v want %v", i, queries[i], got[i], want[i])
 		}
 	}
 	if pst.Stats != seq.Stats {
@@ -176,6 +168,7 @@ func (c *countdownCtx) Err() error {
 
 func TestEvalCtxCancellation(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(3000))
+	cd := colstore.FromTree(doc)
 	total := doc.ComputeStats().Elements
 	m := mfa.MustCompile(xpath.MustParse("//diagnosis"))
 
@@ -183,18 +176,18 @@ func TestEvalCtxCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	e := hype.New(m)
-	if _, err := e.Eval(cancelled, doc.Root, hype.Options{}); err == nil {
+	if _, err := e.Eval(cancelled, cd, hype.Options{}); err == nil {
 		t.Fatal("Eval with cancelled context returned nil error")
 	}
 
 	// Cancellation mid-run: the DFS must stop early, not finish the pass.
 	e = hype.New(m)
-	res, err := e.Eval(newCountdownCtx(3), doc.Root, hype.Options{})
+	res, err := e.Eval(newCountdownCtx(3), cd, hype.Options{})
 	if err == nil {
 		t.Fatal("Eval ignored mid-run cancellation")
 	}
-	if res.Nodes != nil {
-		t.Errorf("cancelled run returned %d nodes; want none", len(res.Nodes))
+	if res.IDs != nil {
+		t.Errorf("cancelled run returned %d nodes; want none", len(res.IDs))
 	}
 	if res.Stats.VisitedElements >= total {
 		t.Errorf("cancelled run visited all %d elements; cancellation did not abort the DFS", total)
@@ -203,6 +196,7 @@ func TestEvalCtxCancellation(t *testing.T) {
 
 func TestParallelCancellation(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(3000))
+	cd := colstore.FromTree(doc)
 	total := doc.ComputeStats().Elements
 	m := mfa.MustCompile(xpath.MustParse("//diagnosis"))
 
@@ -210,17 +204,17 @@ func TestParallelCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	par := hype.Options{Workers: 4}
-	if _, err := hype.New(m).Eval(cancelled, doc.Root, par); err == nil {
+	if _, err := hype.New(m).Eval(cancelled, cd, par); err == nil {
 		t.Fatal("parallel Eval with cancelled context returned nil error")
 	}
 
 	// Cancellation mid-run across workers.
-	pst, err := hype.New(m).Eval(newCountdownCtx(20), doc.Root, par)
+	pst, err := hype.New(m).Eval(newCountdownCtx(20), cd, par)
 	if err == nil {
 		t.Fatal("parallel Eval ignored mid-run cancellation")
 	}
-	if pst.Nodes != nil {
-		t.Errorf("cancelled run returned %d nodes; want none", len(pst.Nodes))
+	if pst.IDs != nil {
+		t.Errorf("cancelled run returned %d nodes; want none", len(pst.IDs))
 	}
 	if pst.Stats.VisitedElements >= total {
 		t.Errorf("cancelled run visited all %d elements", total)
@@ -233,10 +227,10 @@ func TestParallelCancellation(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		cancel2()
 	}()
-	big := datagen.Generate(datagen.DefaultConfig(20000))
+	big := colstore.FromTree(datagen.Generate(datagen.DefaultConfig(20000)))
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, err := hype.New(m).Eval(ctx, big.Root, par); err != nil {
+		if _, err := hype.New(m).Eval(ctx, big, par); err != nil {
 			return // cancelled, as required
 		}
 	}

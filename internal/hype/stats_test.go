@@ -43,7 +43,7 @@ func TestPruneRateIndexVsNoIndex(t *testing.T) {
 	m := mfa.MustCompile(xpath.MustParse(hospital.XPA))
 
 	stPlain := eval(t, hype.New(m), doc.Root, hype.Options{}).Stats
-	stOpt := eval(t, hype.NewOpt(m, hype.BuildIndex(doc, true)), doc.Root, hype.Options{}).Stats
+	stOpt := evalIndexed(t, hype.New(m), doc.Root).Stats
 
 	if stPlain.SkippedElements != 0 {
 		t.Errorf("no-index run filled SkippedElements = %d, want 0", stPlain.SkippedElements)
@@ -68,8 +68,8 @@ func TestEvalWithStatsPerRun(t *testing.T) {
 	if !reflect.DeepEqual(r1.Stats, r2.Stats) {
 		t.Errorf("second run stats %+v differ from first %+v", r2.Stats, r1.Stats)
 	}
-	if len(r1.Nodes) != len(r2.Nodes) {
-		t.Errorf("answers changed across runs: %d vs %d", len(r1.Nodes), len(r2.Nodes))
+	if !reflect.DeepEqual(r1.IDs, r2.IDs) {
+		t.Errorf("answers changed across runs: %d vs %d", len(r1.IDs), len(r2.IDs))
 	}
 	if r1.Stats.VisitedElements <= 0 {
 		t.Errorf("VisitedElements = %d, want > 0", r1.Stats.VisitedElements)
@@ -80,12 +80,12 @@ func TestEvalTraced(t *testing.T) {
 	doc := hospital.SampleDocument()
 	m := mfa.MustCompile(xpath.MustParse(hospital.XPA))
 	e := hype.New(m)
-	want := answers(t, e, doc.Root)
+	want := answers(t, e, doc.Root, false)
 
 	res := eval(t, e, doc.Root, hype.Options{Trace: hype.DefaultTraceLimit})
 	st, tr := res.Stats, res.Trace
-	if len(res.Nodes) != len(want) {
-		t.Fatalf("traced run returned %d nodes, want %d", len(res.Nodes), len(want))
+	if len(res.IDs) != len(want) {
+		t.Fatalf("traced run returned %d nodes, want %d", len(res.IDs), len(want))
 	}
 	if tr.Limit != hype.DefaultTraceLimit {
 		t.Errorf("limit = %d, want %d", tr.Limit, hype.DefaultTraceLimit)
@@ -126,7 +126,7 @@ func TestEvalTraced(t *testing.T) {
 func TestEvalTracedIndexPrunes(t *testing.T) {
 	doc := hospital.SampleDocument()
 	m := mfa.MustCompile(xpath.MustParse("department/patient/pname"))
-	res := eval(t, hype.NewOpt(m, hype.BuildIndex(doc, true)), doc.Root, hype.Options{Trace: 100000})
+	res, _ := evalAt(t, hype.New(m), doc.Root, true, hype.Options{Trace: 100000})
 	st, tr := res.Stats, res.Trace
 	if st.SkippedSubtrees == 0 {
 		t.Skip("query prunes nothing on the sample; pick a more selective one")

@@ -1,6 +1,6 @@
 package hype
 
-import "smoqe/internal/xmltree"
+import "smoqe/internal/colstore"
 
 // TraceKind classifies one recorded decision of a traced HyPE run.
 type TraceKind string
@@ -24,7 +24,7 @@ const (
 // TraceEvent is one recorded decision: what happened at which node.
 type TraceEvent struct {
 	Kind TraceKind `json:"kind"`
-	// Node is the document-order ID of the node the decision concerns.
+	// Node is the preorder id of the node the decision concerns.
 	Node int `json:"node"`
 	// Label is the node's element tag.
 	Label string `json:"label"`
@@ -52,21 +52,22 @@ type Trace struct {
 	// Dropped counts events beyond Limit that were discarded.
 	Dropped int `json:"dropped"`
 	// Compiled carries the run's compiled-layer statistics (subset-state
-	// cache counters, bitset sizing); nil when the run was interpreted.
+	// cache counters, bitset sizing).
 	Compiled *CompiledStats `json:"compiled,omitempty"`
 }
 
-func (t *Trace) add(n *xmltree.Node, kind TraceKind, detail string) {
+// add records one decision about node n of cd.
+func (t *Trace) add(cd *colstore.Document, n int32, kind TraceKind, detail string) {
 	if len(t.Events) >= t.Limit {
 		t.Dropped++
 		return
 	}
 	t.Events = append(t.Events, TraceEvent{
 		Kind:   kind,
-		Node:   n.ID,
-		Label:  n.Label,
-		Depth:  n.Depth,
-		Path:   n.Path(),
+		Node:   int(n),
+		Label:  cd.Label(n),
+		Depth:  int(cd.Depth(n)),
+		Path:   cd.Path(n),
 		Detail: detail,
 	})
 }

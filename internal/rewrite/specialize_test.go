@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/hospital"
 	"smoqe/internal/hype"
 	"smoqe/internal/mfa"
@@ -122,13 +123,18 @@ func TestSpecializeShrinksWildcards(t *testing.T) {
 	_ = generic // size comparison is informational; correctness is the test
 }
 
-// hypeEval is a sequential, unlimited HyPE evaluation's answer set. Such a
-// run has no budget to exceed and a context that is never done, so it
-// cannot fail.
+// hypeEval is the answer set of a sequential, unlimited HyPE evaluation
+// at n, run over the columnar form of n's subtree. Such a run has no
+// budget to exceed and a context that is never done, so it cannot fail.
 func hypeEval(e *hype.Engine, n *xmltree.Node) []*xmltree.Node {
-	res, err := e.Eval(context.Background(), n, hype.Options{})
+	cd, nodes := colstore.FromNode(n)
+	res, err := e.Eval(context.Background(), cd, hype.Options{})
 	if err != nil {
 		panic(err)
 	}
-	return res.Nodes
+	out := make([]*xmltree.Node, len(res.IDs))
+	for i, id := range res.IDs {
+		out[i] = nodes[id]
+	}
+	return out
 }

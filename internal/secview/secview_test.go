@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/dtd"
 	"smoqe/internal/hospital"
 	"smoqe/internal/hype"
@@ -292,13 +293,18 @@ func TestPolicyDescendantAxisNotAComment(t *testing.T) {
 	}
 }
 
-// hypeEval is a sequential, unlimited HyPE evaluation's answer set. Such a
-// run has no budget to exceed and a context that is never done, so it
-// cannot fail.
+// hypeEval is the answer set of a sequential, unlimited HyPE evaluation
+// at n, run over the columnar form of n's subtree. Such a run has no
+// budget to exceed and a context that is never done, so it cannot fail.
 func hypeEval(e *hype.Engine, n *xmltree.Node) []*xmltree.Node {
-	res, err := e.Eval(context.Background(), n, hype.Options{})
+	cd, nodes := colstore.FromNode(n)
+	res, err := e.Eval(context.Background(), cd, hype.Options{})
 	if err != nil {
 		panic(err)
 	}
-	return res.Nodes
+	out := make([]*xmltree.Node, len(res.IDs))
+	for i, id := range res.IDs {
+		out[i] = nodes[id]
+	}
+	return out
 }

@@ -27,7 +27,7 @@ func newLoadedServer(t *testing.T, cfg Config, patients int) *Server {
 func TestParallelQueryMatchesSequential(t *testing.T) {
 	s := newLoadedServer(t, Config{MaxParallelism: 4}, 2000)
 	for _, src := range []string{"//diagnosis", "department/patient[not(visit)]"} {
-		for _, engine := range []EngineKind{EngineHyPE, EngineOptHyPE} {
+		for _, engine := range []EngineKind{EngineHyPE, EngineOptHyPE, EngineColumnar} {
 			seq, err := s.Query(context.Background(), QueryRequest{Doc: "gen", Query: src, Engine: engine})
 			if err != nil {
 				t.Fatal(err)
@@ -46,9 +46,9 @@ func TestParallelQueryMatchesSequential(t *testing.T) {
 				t.Errorf("%s (%s): parallel response reports shards=%d workers=%d", src, engine, par.Shards, par.Workers)
 			}
 			// The per-run engine statistics must be the sequential ones.
-			if par.Visited != seq.Visited || par.AFAEvals != seq.AFAEvals {
-				t.Errorf("%s (%s): parallel stats differ: visited %d vs %d, afa %d vs %d",
-					src, engine, par.Visited, seq.Visited, par.AFAEvals, seq.AFAEvals)
+			if par.Visited != seq.Visited || par.Skipped != seq.Skipped || par.SkippedElements != seq.SkippedElements || par.AFAEvals != seq.AFAEvals {
+				t.Errorf("%s (%s): parallel stats differ: visited %d vs %d, skipped %d vs %d, afa %d vs %d",
+					src, engine, par.Visited, seq.Visited, par.Skipped, seq.Skipped, par.AFAEvals, seq.AFAEvals)
 			}
 		}
 	}

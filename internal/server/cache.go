@@ -15,8 +15,7 @@ import (
 // requests with the same key share one PreparedQuery — and therefore skip
 // the O(|Q|²|σ||D_V|²) rewrite — no matter which document they target or
 // which engine they ask for: a rewritten automaton depends only on the
-// view, and the per-document OptHyPE pools and columnar bindings live
-// inside the PreparedQuery.
+// view, and a PreparedQuery keeps no per-document state.
 type PlanKey struct {
 	View  string
 	Query string
@@ -26,16 +25,14 @@ type PlanKey struct {
 type EngineKind string
 
 const (
-	// EngineHyPE is plain single-pass evaluation (the default).
+	// EngineHyPE is plain single-pass evaluation (the default) over the
+	// document's columnar form.
 	EngineHyPE EngineKind = "hype"
 	// EngineOptHyPE adds index-driven subtree skipping; the document's
 	// OptHyPE-C index is built lazily on first use.
 	EngineOptHyPE EngineKind = "opthype"
-	// EngineColumnar evaluates on the document's columnar (struct-of-arrays)
-	// representation, built lazily on first use or registered from a binary
-	// snapshot. Answers and statistics are identical to EngineHyPE; traced
-	// (explain) requests fall back to the pointer path, and the request's
-	// Parallelism is ignored (the columnar pass is sequential).
+	// EngineColumnar runs the same evaluation as EngineHyPE; it stays a
+	// valid engine name for the clients that send it.
 	EngineColumnar EngineKind = "columnar"
 )
 

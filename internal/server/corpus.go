@@ -325,8 +325,8 @@ type docEval struct {
 	err error
 }
 
-// fanOut evaluates the documents on a bounded worker pool, each on the
-// compiled columnar pass over its columnar form, and returns one
+// fanOut evaluates the documents on a bounded worker pool, each over its
+// columnar form, and returns one
 // single-use buffered channel per document, so the caller can stream
 // results in document-name order while later documents are still
 // evaluating. Every channel receives exactly one value. Workers share the

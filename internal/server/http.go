@@ -496,7 +496,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("server: document %q not registered", name))
 		return
 	}
-	cd, _ := entry.Columnar()
+	cd := entry.Col
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", name+smoqe.SnapshotFileExt))
@@ -542,7 +542,7 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 }
 
 // registerSnapshot reads a binary snapshot and registers it under a
-// "snapshot.load" span covering read + validate + materialize (the same
+// "snapshot.load" span covering read + validate + register (the same
 // window smoqe_snapshot_load_seconds observes).
 func (s *Server) registerSnapshot(ctx context.Context, name string, body io.Reader) (*DocEntry, error) {
 	_, sp := trace.Start(ctx, "snapshot.load")

@@ -15,59 +15,30 @@ import (
 	"smoqe"
 )
 
-// DocEntry is one registered document. The document is cloned on
-// registration (copy-on-register), so no caller holds a reference to the
-// tree the server evaluates against — registration and evaluation can
-// never race on shared nodes. The subtree index for OptHyPE evaluation is
-// built lazily on first indexed use and then shared by every engine clone.
+// DocEntry is one registered document. It holds one in-memory form, the
+// columnar document, which no caller shares: documents registered as trees
+// are converted on registration (copy-on-register), and snapshots are used
+// as read. Registration and evaluation can therefore never race on shared
+// nodes. The OptHyPE-C subtree index is built lazily on first indexed use
+// and then shared by every engine clone.
 type DocEntry struct {
 	Name  string
-	Doc   *smoqe.Document
 	Stats smoqe.DocumentStats
+	// Col is the document, immutable and shared by every evaluation.
+	// Response ids are its preorder ids, which equal the Node IDs of a
+	// parsed document.
+	Col *smoqe.ColumnarDocument
 
 	once sync.Once
 	idx  *smoqe.Index
-
-	// colOnce guards the lazy columnar build below; a document registered
-	// from a snapshot arrives with both fields pre-populated.
-	colOnce sync.Once
-	// col is the columnar form of Doc, written exactly once inside
-	// colOnce.Do and shared (it is immutable) by every evaluation after.
-	col *smoqe.ColumnarDocument
-	// colNodes maps columnar preorder ids back to Doc's nodes, so columnar
-	// answers carry the same IDs and paths as pointer-path answers. Written
-	// exactly once inside colOnce.Do, immutable after.
-	colNodes []*smoqe.Node
 }
 
 // Index returns the document's OptHyPE-C subtree index, building it on
 // first use. Safe for concurrent callers; the index is immutable once
 // built.
 func (e *DocEntry) Index() *smoqe.Index {
-	e.once.Do(func() { e.idx = smoqe.BuildIndex(e.Doc, true) })
+	e.once.Do(func() { e.idx = smoqe.BuildIndex(e.Col) })
 	return e.idx
-}
-
-// Columnar returns the document's columnar form plus the preorder-id →
-// node mapping, building both on first use. Safe for concurrent callers;
-// both are immutable once built.
-func (e *DocEntry) Columnar() (*smoqe.ColumnarDocument, []*smoqe.Node) {
-	e.colOnce.Do(func() {
-		e.col = smoqe.BuildColumnar(e.Doc)
-		e.colNodes = preorderNodes(e.Doc)
-	})
-	return e.col, e.colNodes
-}
-
-// preorderNodes flattens a document into preorder — the id space of its
-// columnar form.
-func preorderNodes(d *smoqe.Document) []*smoqe.Node {
-	out := make([]*smoqe.Node, 0, d.NumNodes())
-	d.Walk(func(n *smoqe.Node) bool {
-		out = append(out, n)
-		return true
-	})
-	return out
 }
 
 // ViewEntry is one registered view. Views are effectively immutable after
@@ -108,8 +79,9 @@ func (r *Registry) SetParseLimits(lim smoqe.ParseLimits) {
 	r.mu.Unlock()
 }
 
-// RegisterDocument stores a deep copy of doc under name, replacing any
-// previous document with that name.
+// RegisterDocument stores the columnar form of doc under name, replacing
+// any previous document with that name. The conversion is the copy: the
+// registry keeps nothing of doc.
 func (r *Registry) RegisterDocument(name string, doc *smoqe.Document) (*DocEntry, error) {
 	if name == "" {
 		return nil, fmt.Errorf("server: document name must not be empty")
@@ -117,17 +89,20 @@ func (r *Registry) RegisterDocument(name string, doc *smoqe.Document) (*DocEntry
 	if doc == nil || doc.Root == nil {
 		return nil, fmt.Errorf("server: document %q is empty", name)
 	}
-	cp := doc.Clone()
-	entry := &DocEntry{Name: name, Doc: cp, Stats: cp.ComputeStats()}
+	return r.store(name, smoqe.BuildColumnar(doc)), nil
+}
+
+// store registers cd under name.
+func (r *Registry) store(name string, cd *smoqe.ColumnarDocument) *DocEntry {
+	entry := &DocEntry{Name: name, Stats: cd.Stats(), Col: cd}
 	r.mu.Lock()
 	r.docs[name] = entry
 	r.mu.Unlock()
-	return entry, nil
+	return entry
 }
 
-// RegisterDocumentXML parses xmlText and registers it under name. The
-// parsed tree is owned exclusively by the registry, so no extra copy is
-// needed.
+// RegisterDocumentXML parses xmlText and registers its columnar form
+// under name; the parsed tree is dropped.
 func (r *Registry) RegisterDocumentXML(name, xmlText string) (*DocEntry, error) {
 	if name == "" {
 		return nil, fmt.Errorf("server: document name must not be empty")
@@ -139,17 +114,11 @@ func (r *Registry) RegisterDocumentXML(name, xmlText string) (*DocEntry, error) 
 	if err != nil {
 		return nil, fmt.Errorf("server: document %q: %w", name, err)
 	}
-	entry := &DocEntry{Name: name, Doc: doc, Stats: doc.ComputeStats()}
-	r.mu.Lock()
-	r.docs[name] = entry
-	r.mu.Unlock()
-	return entry, nil
+	return r.store(name, smoqe.BuildColumnar(doc)), nil
 }
 
-// RegisterSnapshot registers a document from its columnar snapshot form:
-// the pointer tree is materialized from the columns (pointer-path and
-// traced evaluations need it), and the columnar form is installed directly
-// so columnar evaluations never rebuild it. The caller must not retain cd.
+// RegisterSnapshot registers a document from its columnar snapshot form,
+// installed as read. The caller must not retain cd.
 func (r *Registry) RegisterSnapshot(name string, cd *smoqe.ColumnarDocument) (*DocEntry, error) {
 	if name == "" {
 		return nil, fmt.Errorf("server: document name must not be empty")
@@ -157,18 +126,7 @@ func (r *Registry) RegisterSnapshot(name string, cd *smoqe.ColumnarDocument) (*D
 	if cd == nil || cd.NumNodes() == 0 {
 		return nil, fmt.Errorf("server: snapshot %q is empty", name)
 	}
-	doc := cd.Tree()
-	entry := &DocEntry{Name: name, Doc: doc, Stats: cd.Stats()}
-	// Tree() materializes in preorder, so the snapshot's ids line up with a
-	// preorder walk of the materialized tree.
-	entry.colOnce.Do(func() {
-		entry.col = cd
-		entry.colNodes = preorderNodes(doc)
-	})
-	r.mu.Lock()
-	r.docs[name] = entry
-	r.mu.Unlock()
-	return entry, nil
+	return r.store(name, cd), nil
 }
 
 // RegisterView stores v under name, replacing any previous view with that

@@ -382,14 +382,9 @@ type QueryResponse struct {
 	// document; both are zero for sequential runs.
 	Shards  int `json:"shards,omitempty"`
 	Workers int `json:"workers,omitempty"`
-	// Engine is the engine that actually evaluated the request. It normally
-	// echoes the requested engine; when the server substituted another path
-	// (a traced/EXPLAIN columnar request runs on the pointer evaluator),
-	// FallbackFrom names the engine that was asked for and FallbackReason
-	// says why the substitution happened.
-	Engine         EngineKind `json:"engine"`
-	FallbackFrom   EngineKind `json:"fallback_from,omitempty"`
-	FallbackReason string     `json:"fallback_reason,omitempty"`
+	// Engine echoes the engine that evaluated the request: the requested
+	// one, or hype by default.
+	Engine EngineKind `json:"engine"`
 	// Explain is present when the request set "explain": true.
 	Explain *QueryExplain `json:"explain,omitempty"`
 	// TraceID is present when the request set "trace": true: the retained
@@ -532,8 +527,8 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 	elapsed := time.Since(start)
 
 	resp = &QueryResponse{
-		Count:         len(res.Nodes),
-		IDs:           smoqe.IDsOf(res.Nodes),
+		Count:         len(res.IDs),
+		IDs:           res.IDs,
 		CacheHit:      hit,
 		ElapsedMicros: elapsed.Microseconds(),
 		// res.Stats came by value from this run's private engine clone,
@@ -544,9 +539,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 		AFAEvals:        res.Stats.AFAEvaluations,
 		Shards:          res.Shards,
 		Workers:         res.Workers,
-		Engine:          res.engine,
-		FallbackFrom:    res.fallbackFrom,
-		FallbackReason:  res.fallbackReason,
+		Engine:          engine,
 	}
 	if res.Shards > 0 {
 		s.met.parallelEvals.Inc()
@@ -556,8 +549,6 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 	s.met.skippedSub.Add(int64(resp.Skipped))
 	s.met.skippedEle.Add(int64(resp.SkippedElements))
 	s.met.afaEvals.Add(int64(resp.AFAEvals))
-	// Latency is labeled by the engine that ran, which differs from the
-	// requested one when a traced columnar request fell back.
 	s.met.observeQuery(req.View, resp.Engine, elapsed)
 	traceID := ""
 	if tid := trace.FromContext(ctx).TraceID(); !tid.IsZero() {
@@ -577,13 +568,10 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 		resp.Explain = s.explain(req, view, plan, res.Trace)
 	}
 	if req.Paths {
-		n := len(res.Nodes)
-		if n > s.cfg.MaxPaths {
-			n = s.cfg.MaxPaths
-		}
+		n := min(len(res.IDs), s.cfg.MaxPaths)
 		resp.Paths = make([]string, n)
-		for i := 0; i < n; i++ {
-			resp.Paths[i] = res.Nodes[i].Path()
+		for i, id := range res.IDs[:n] {
+			resp.Paths[i] = doc.Col.Path(int32(id))
 		}
 	}
 	// The respond fault site covers the window between a successful
@@ -739,66 +727,29 @@ func (s *Server) workersFor(ask int) int {
 	return w
 }
 
-// evalResult is one evaluation's outcome: the engine's Result — exactly
-// this run's answers and statistics, and its trace and shard accounting
-// when requested — with Nodes filled for columnar runs too.
-type evalResult struct {
-	smoqe.Result
-	// engine is the engine that actually evaluated the request. When it
-	// differs from the requested one (a traced columnar request runs on
-	// the pointer path), fallbackFrom names the requested engine and
-	// fallbackReason says why — the substitution is recorded, not silent.
-	engine         EngineKind
-	fallbackFrom   EngineKind
-	fallbackReason string
-}
-
-// fallbackReasonTrace is why a traced columnar request runs on the pointer
-// path: the per-node decision log is produced by the tree-walking
-// evaluator, and the columnar pass replays the identical decisions, so the
-// pointer trace is authoritative for both.
-const fallbackReasonTrace = "trace requires the pointer evaluator"
-
 // evaluate runs the plan against the document synchronously, honoring ctx:
 // the engine polls the context and aborts the DFS promptly when the client
 // disconnects or the request timeout fires, so cancelled requests stop
-// burning CPU (recorded in smoqe_cancelled_total). The request maps to one
-// set of evaluation options, always carrying the server's budgets. Traced
-// (EXPLAIN) runs stay sequential — a trace is a single decision log;
-// workers > 1 fans independent subtrees out to a bounded shard pool.
-// Columnar runs evaluate the document's columnar form (built lazily or
-// loaded from a snapshot) and map the preorder-id answers back to nodes,
-// so responses are byte-identical to the pointer path; a traced columnar
-// request falls back to the pointer trace — recorded in the result
-// (engine/fallbackFrom) and as an engine-fallback span event — and workers
-// are ignored (the pass is sequential).
-func (s *Server) evaluate(ctx context.Context, plan *smoqe.PreparedQuery, doc *DocEntry, engine EngineKind, traced bool, workers int) (evalResult, error) {
+// burning CPU (recorded in smoqe_cancelled_total). Every engine evaluates
+// the document's columnar form with the same pass; opthype adds the
+// document's index. The request maps to one set of evaluation options,
+// always carrying the server's budgets. Traced (EXPLAIN) runs stay
+// sequential — a trace is a single decision log; workers > 1 fans
+// independent subtrees out to a bounded shard pool.
+func (s *Server) evaluate(ctx context.Context, plan *smoqe.PreparedQuery, doc *DocEntry, engine EngineKind, traced bool, workers int) (smoqe.Result, error) {
 	ctx, sp := trace.Start(ctx, "eval")
 	defer sp.End()
 	sp.Attr("engine", string(engine))
-	res := evalResult{engine: engine}
-	opts := smoqe.EvalOptions{Limits: s.cfg.EvalLimits}
-	var byID []*smoqe.Node
-	switch {
-	case traced:
+	opts := smoqe.EvalOptions{Columnar: doc.Col, Limits: s.cfg.EvalLimits}
+	if traced {
 		opts.Trace = s.cfg.TraceLimit
-		if engine == EngineColumnar {
-			res.engine = EngineHyPE
-			res.fallbackFrom = EngineColumnar
-			res.fallbackReason = fallbackReasonTrace
-			sp.Event("engine-fallback",
-				"from", string(EngineColumnar), "to", string(EngineHyPE), "reason", fallbackReasonTrace)
-		}
-	case engine == EngineColumnar:
-		opts.Columnar, byID = doc.Columnar()
-	default:
+	} else {
 		opts.Workers = workers
 	}
 	if engine == EngineOptHyPE {
 		opts.Index = doc.Index()
 	}
-	var err error
-	res.Result, err = plan.Eval(ctx, doc.Doc.Root, opts)
+	res, err := plan.Eval(ctx, nil, opts)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			s.met.cancelled.Inc()
@@ -806,13 +757,7 @@ func (s *Server) evaluate(ctx context.Context, plan *smoqe.PreparedQuery, doc *D
 		}
 		err = fmt.Errorf("server: query on %q: %w", doc.Name, err)
 		sp.Error(err)
-		return evalResult{}, err
-	}
-	if opts.Columnar != nil {
-		res.Nodes = make([]*smoqe.Node, len(res.IDs))
-		for i, id := range res.IDs {
-			res.Nodes[i] = byID[id]
-		}
+		return smoqe.Result{}, err
 	}
 	if res.Shards > 0 {
 		sp.AttrInt("shards", int64(res.Shards))

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,8 +20,8 @@ import (
 )
 
 // columnarQueries exercises structural recursion, text predicates and
-// position predicates — the features whose columnar translation could
-// plausibly diverge from the pointer path.
+// position predicates — the features whose evaluation over columns could
+// plausibly diverge from the tree semantics.
 var columnarQueries = []string{
 	"//diagnosis",
 	hospital.XPA,
@@ -31,8 +32,8 @@ var columnarQueries = []string{
 }
 
 // TestColumnarEngineMatchesHype demands the columnar engine return the
-// same IDs, paths and statistics as the default pointer engine — the
-// response must be byte-identical up to the engine label.
+// same IDs, paths and statistics as the default engine — the response
+// must be byte-identical up to the engine label.
 func TestColumnarEngineMatchesHype(t *testing.T) {
 	s := newTestServer(t)
 	if _, err := s.Registry().RegisterDocument("corpus", datagen.Generate(datagen.DefaultConfig(80))); err != nil {
@@ -63,10 +64,9 @@ func TestColumnarEngineMatchesHype(t *testing.T) {
 	}
 }
 
-// TestColumnarOnViewAndExplain covers the two fallback contracts: view
-// queries evaluate their rewritten automaton on the columnar source, and a
-// traced (explain) columnar request falls back to the pointer path rather
-// than failing.
+// TestColumnarOnViewAndExplain: view queries evaluate their rewritten
+// automaton on the columnar source, and an explain request on the columnar
+// engine returns its trace.
 func TestColumnarOnViewAndExplain(t *testing.T) {
 	s := newTestServer(t)
 	want, err := s.Query(context.Background(), QueryRequest{
@@ -88,65 +88,59 @@ func TestColumnarOnViewAndExplain(t *testing.T) {
 		t.Fatalf("explain with columnar engine: %v", err)
 	}
 	if exp.Explain == nil || exp.Explain.Trace == nil {
-		t.Error("explain with columnar engine returned no trace (pointer fallback broken)")
+		t.Error("explain with columnar engine returned no trace")
 	}
 }
 
-// TestColumnarExplainFallbackRecorded: the columnar→pointer substitution a
-// traced (EXPLAIN) columnar request undergoes must be visible, not silent —
-// in the response (engine/fallback_from/fallback_reason) and as an
-// engine-fallback event on the eval span of the request's trace.
+// TestColumnarExplainFallbackRecorded: an EXPLAIN request on the columnar
+// engine runs on the columnar engine. The response reports engine
+// columnar with no fallback fields, the request's trace has no
+// engine-fallback event, and the decision log equals hype's event for
+// event — hype and columnar run the same pass.
 func TestColumnarExplainFallbackRecorded(t *testing.T) {
 	s := newTestServer(t)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Plain columnar: no substitution, no fallback fields.
-	plain, err := s.Query(context.Background(), QueryRequest{
-		Doc: "hospital", Query: "//diagnosis", Engine: EngineColumnar})
-	if err != nil {
-		t.Fatal(err)
+	explain := func(engine EngineKind) (QueryResponse, []byte) {
+		t.Helper()
+		req := QueryRequest{Doc: "hospital", Query: "//diagnosis", Engine: engine, Explain: true, Trace: true}
+		resp, body := postJSON(t, ts, "/query", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /query (%s+explain): %d %s", engine, resp.StatusCode, body)
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		if qr.Explain == nil || qr.Explain.Trace == nil {
+			t.Fatalf("%s: explain payload missing", engine)
+		}
+		return qr, body
 	}
-	if plain.Engine != EngineColumnar || plain.FallbackFrom != "" || plain.FallbackReason != "" {
-		t.Errorf("plain columnar response: engine=%q fallback_from=%q reason=%q",
-			plain.Engine, plain.FallbackFrom, plain.FallbackReason)
+	col, body := explain(EngineColumnar)
+	if col.Engine != EngineColumnar {
+		t.Errorf("engine = %q, want %q", col.Engine, EngineColumnar)
 	}
-
-	// Columnar + explain over HTTP: 200, pointer engine reported with the
-	// requested engine and the reason, and the span event in the trace.
-	req := QueryRequest{Doc: "hospital", Query: "//diagnosis",
-		Engine: EngineColumnar, Explain: true, Trace: true}
-	resp, body := postJSON(t, ts, "/query", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /query (columnar+explain): %d %s", resp.StatusCode, body)
+	for _, field := range []string{`"fallback_from"`, `"fallback_reason"`} {
+		if bytes.Contains(body, []byte(field)) {
+			t.Errorf("response carries %s: %s", field, body)
+		}
 	}
-	var qr QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Engine != EngineHyPE {
-		t.Errorf("engine = %q, want %q (pointer fallback)", qr.Engine, EngineHyPE)
-	}
-	if qr.FallbackFrom != EngineColumnar {
-		t.Errorf("fallback_from = %q, want %q", qr.FallbackFrom, EngineColumnar)
-	}
-	if qr.FallbackReason == "" {
-		t.Error("fallback_reason empty: the substitution is silent")
-	}
-	if qr.Explain == nil || qr.Explain.Trace == nil {
-		t.Fatal("explain payload missing on the fallback path")
-	}
-	if qr.TraceID == "" {
+	if col.TraceID == "" {
 		t.Fatal("traced request carries no trace_id")
 	}
-	d := waitForTrace(t, s, qr.TraceID)
-	if !spanHasEvent(d, "eval", "engine-fallback") {
-		t.Error("eval span lacks the engine-fallback event")
+	if d := waitForTrace(t, s, col.TraceID); spanHasEvent(d, "eval", "engine-fallback") {
+		t.Error("eval span has an engine-fallback event")
 	}
 
-	// The fallback must still answer exactly like the requested engine.
-	if fmt.Sprint(qr.IDs) != fmt.Sprint(plain.IDs) {
-		t.Errorf("fallback IDs %v differ from columnar IDs %v", qr.IDs, plain.IDs)
+	hype, _ := explain(EngineHyPE)
+	if !reflect.DeepEqual(col.Explain.Trace.Events, hype.Explain.Trace.Events) {
+		t.Errorf("columnar trace (%d events) differs from hype's (%d events)",
+			len(col.Explain.Trace.Events), len(hype.Explain.Trace.Events))
+	}
+	if fmt.Sprint(col.IDs) != fmt.Sprint(hype.IDs) {
+		t.Errorf("columnar IDs %v differ from hype IDs %v", col.IDs, hype.IDs)
 	}
 }
 
@@ -266,9 +260,8 @@ func TestSnapshotHTTPRoundTrip(t *testing.T) {
 	}
 	// The export is exactly the canonical snapshot of the document.
 	entry, _ := s.Registry().Document("hospital")
-	cd, _ := entry.Columnar()
 	var want bytes.Buffer
-	if err := smoqe.WriteSnapshot(cd, &want); err != nil {
+	if err := smoqe.WriteSnapshot(entry.Col, &want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, want.Bytes()) {

@@ -169,9 +169,8 @@ func TestSlowLogRecordsAndServes(t *testing.T) {
 }
 
 // TestLatencyLabeledByEngineThatRan: an explain request for the columnar
-// engine runs on the pointer pass, and its response says so (engine hype,
-// fallback_from columnar). The latency histogram and the slow log record
-// that engine too, not the one the request asked for. A collection
+// engine runs on the columnar engine, and its response says so. The
+// latency histogram and the slow log record that engine. A collection
 // fan-out runs the columnar pass, and its latency is recorded as such.
 func TestLatencyLabeledByEngineThatRan(t *testing.T) {
 	s := New(Config{SlowQueryThreshold: time.Nanosecond})
@@ -190,8 +189,8 @@ func TestLatencyLabeledByEngineThatRan(t *testing.T) {
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
-	if qr.Engine != EngineHyPE || qr.FallbackFrom != EngineColumnar {
-		t.Fatalf("explain columnar request did not report the pointer fallback: engine %q, fallback_from %q", qr.Engine, qr.FallbackFrom)
+	if qr.Engine != EngineColumnar {
+		t.Fatalf("explain columnar request reports engine %q", qr.Engine)
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -201,17 +200,17 @@ func TestLatencyLabeledByEngineThatRan(t *testing.T) {
 	defer mresp.Body.Close()
 	raw, _ := io.ReadAll(mresp.Body)
 	text := string(raw)
-	if want := `smoqe_query_duration_seconds_count{engine="hype",view=""} 1`; !strings.Contains(text, want) {
+	if want := `smoqe_query_duration_seconds_count{engine="columnar",view=""} 1`; !strings.Contains(text, want) {
 		t.Errorf("missing %q in /metrics output:\n%s", want, text)
 	}
-	if strings.Contains(text, `smoqe_query_duration_seconds_count{engine="columnar"`) {
-		t.Errorf("latency recorded under the requested engine, not the one that ran:\n%s", text)
+	if strings.Contains(text, `smoqe_query_duration_seconds_count{engine="hype"`) {
+		t.Errorf("latency recorded under an engine that did not run:\n%s", text)
 	}
 
 	var slow slowResponse
 	getJSON(t, ts, "/slow", &slow)
-	if len(slow.Entries) != 1 || slow.Entries[0].Engine != EngineHyPE {
-		t.Errorf("/slow entries = %+v, want one entry with engine hype", slow.Entries)
+	if len(slow.Entries) != 1 || slow.Entries[0].Engine != EngineColumnar {
+		t.Errorf("/slow entries = %+v, want one entry with engine columnar", slow.Entries)
 	}
 
 	_, cts := newCorpusServer(t, Config{})

@@ -2,14 +2,17 @@ package smoqe
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/guard"
 	"smoqe/internal/hype"
 	"smoqe/internal/mfa"
 	"smoqe/internal/rewrite"
 	"smoqe/internal/trace"
+	"smoqe/internal/xmltree"
 )
 
 // PreparedQuery is a query that has been parsed, (optionally) rewritten
@@ -21,12 +24,12 @@ import (
 // independent engine clone from an internal sync.Pool (clones share the
 // immutable automaton metadata but keep private run state), so any number
 // of goroutines may evaluate simultaneously against the same or different
-// documents. One plan serves every evaluation strategy — HyPE, OptHyPE
-// against any document's index, the columnar pass against any columnar
-// document — because the per-index pools live inside it (a columnar
-// evaluation binds its document afresh and keeps nothing). This is the
-// unit the serving layer (internal/server) caches per (view, query) and
-// shares across requests.
+// documents. One plan serves every evaluation strategy — HyPE, OptHyPE-C
+// against any document's index, sequential, traced or shard-parallel —
+// and keeps no document: every evaluation binds its document afresh, and
+// a clone keeps at most the metadata of the index it last ran on. This is
+// the unit the serving layer (internal/server) caches per (view, query)
+// and shares across requests.
 //
 // Lifecycle:
 //
@@ -38,13 +41,6 @@ type PreparedQuery struct {
 	m       *MFA
 	pool    *enginePool
 	timings PlanTimings
-
-	// opt maps a document's index to a pool of OptHyPE clones. All clones
-	// for one index share that single index (it is read-only after build);
-	// the map is tiny — one entry per distinct document the query has been
-	// evaluated against with indexing on.
-	mu  sync.Mutex
-	opt map[*Index]*enginePool // guarded by mu
 
 	// pf is the corpus-level document prefilter, built lazily (most
 	// prepared queries never query a collection) and shared — a Prefilter
@@ -164,15 +160,17 @@ func (p *PreparedQuery) MFA() *MFA { return p.m }
 func (p *PreparedQuery) Timings() PlanTimings { return p.timings }
 
 // EvalOptions selects how one PreparedQuery.Eval runs. The zero value is
-// sequential HyPE on the pointer tree, untraced and without budgets.
+// sequential HyPE at the given node, untraced and without budgets.
 type EvalOptions struct {
-	// Index, when set, evaluates with OptHyPE against this subtree index,
-	// which must have been built from the document n belongs to.
-	Index *Index
 	// Columnar, when set, evaluates over this columnar document from its
-	// root instead of over n; Result.IDs then holds the preorder ids of
-	// the answers. The columnar pass takes no Index, Workers or Trace.
+	// root instead of at a tree node; Result.IDs holds the preorder ids of
+	// the answers and Result.Nodes stays nil.
 	Columnar *ColumnarDocument
+	// Index, when set, evaluates with OptHyPE-C against this subtree
+	// index, which must have been built (BuildIndex) from Columnar; an
+	// index of any other document is an error. A call at a tree node
+	// converts the node's subtree afresh, so it takes no index.
+	Index *Index
 	// Workers, when positive, evaluates shard-parallel on at most Workers
 	// goroutines, with answers and statistics exactly those of the
 	// sequential pass.
@@ -185,19 +183,20 @@ type EvalOptions struct {
 	Limits EvalLimits
 }
 
-// Eval evaluates the prepared query at n. It honors ctx: the DFS polls the
-// context and aborts promptly once it is done, returning ctx's error and
-// the partial statistics of the aborted run. Safe to call from any number
-// of goroutines concurrently; the Result belongs to this call alone.
+// Eval evaluates the prepared query over opts.Columnar, or at tree node n
+// when opts.Columnar is nil. Evaluation always runs on columns: a call at
+// n converts n's subtree once and maps the answers back to its nodes
+// (Result.Nodes, Result.Tagged) and its trace events to their ids, depths
+// and paths. It honors ctx: the DFS polls the context and aborts promptly
+// once it is done, returning ctx's error and the partial statistics of the
+// aborted run. Safe to call from any number of goroutines concurrently;
+// the Result belongs to this call alone.
 //
 // The run is recorded as one span of ctx's trace, named after its
-// strategy: eval.columnar, eval.traced, eval.parallel, eval.opthype or
-// eval.hype.
+// strategy: eval.traced, eval.parallel, eval.opthype or eval.hype.
 func (p *PreparedQuery) Eval(ctx context.Context, n *Node, opts EvalOptions) (Result, error) {
 	var sp *trace.Span
 	switch {
-	case opts.Columnar != nil:
-		ctx, sp = trace.Start(ctx, "eval.columnar")
 	case opts.Trace > 0:
 		ctx, sp = trace.Start(ctx, "eval.traced")
 	case opts.Workers > 0:
@@ -208,25 +207,60 @@ func (p *PreparedQuery) Eval(ctx context.Context, n *Node, opts EvalOptions) (Re
 		ctx, sp = trace.Start(ctx, "eval.hype")
 	}
 	defer sp.End()
-	ep := p.pool
-	if opts.Index != nil {
-		ep = p.indexPool(opts.Index)
-	}
-	hopts := hype.Options{Workers: opts.Workers, Trace: opts.Trace, Limits: opts.Limits}
-	var res Result
-	err := withEngine(ep, func(e *hype.Engine) error {
-		var err error
-		if opts.Columnar != nil {
-			res, err = e.EvalColumnar(ctx, opts.Columnar, hopts)
-		} else {
-			res, err = e.Eval(ctx, n, hopts)
+	cd := opts.Columnar
+	var nodes []*Node
+	if cd == nil {
+		if n == nil {
+			err := errors.New("smoqe: Eval needs a node or EvalOptions.Columnar")
+			sp.Error(err)
+			return Result{}, err
 		}
+		cd, nodes = colstore.FromNode(n)
+	}
+	hopts := hype.Options{Index: opts.Index, Workers: opts.Workers, Trace: opts.Trace, Limits: opts.Limits}
+	var res Result
+	err := withEngine(p.pool, func(e *hype.Engine) error {
+		var err error
+		res.Result, err = e.Eval(ctx, cd, hopts)
 		return err
 	})
+	if nodes != nil {
+		res.mapToNodes(nodes)
+	}
 	if err != nil {
 		sp.Error(err)
 	}
 	return res, err
+}
+
+// mapToNodes fills the node answers of a run over the columnar form of a
+// tree subtree whose nodes, in preorder, are nodes, and rewrites its trace
+// events from preorder ids to the tree's nodes.
+func (res *Result) mapToNodes(nodes []*Node) {
+	byID := func(ids []int) []*Node {
+		if ids == nil {
+			return nil
+		}
+		out := make([]*Node, len(ids))
+		for i, id := range ids {
+			out[i] = nodes[id]
+		}
+		return xmltree.SortNodes(out)
+	}
+	res.Nodes = byID(res.IDs)
+	if res.TaggedIDs != nil {
+		res.Tagged = make([][]*Node, len(res.TaggedIDs))
+		for tag, ids := range res.TaggedIDs {
+			res.Tagged[tag] = byID(ids)
+		}
+	}
+	if res.Trace != nil {
+		for i := range res.Trace.Events {
+			ev := &res.Trace.Events[i]
+			nd := nodes[ev.Node]
+			ev.Node, ev.Depth, ev.Path = nd.ID, nd.Depth, nd.Path()
+		}
+	}
 }
 
 // withEngine runs fn with an engine clone borrowed from ep — the single
@@ -245,18 +279,4 @@ func withEngine(ep *enginePool, fn func(e *hype.Engine) error) (err error) {
 		ep.pool.Put(e)
 	}()
 	return fn(e)
-}
-
-func (p *PreparedQuery) indexPool(idx *Index) *enginePool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ep, ok := p.opt[idx]
-	if !ok {
-		if p.opt == nil {
-			p.opt = make(map[*Index]*enginePool)
-		}
-		ep = newEnginePool(hype.NewOpt(p.m, idx))
-		p.opt[idx] = ep
-	}
-	return ep
 }

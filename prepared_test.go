@@ -29,7 +29,8 @@ func TestPreparedQueryMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := smoqe.BuildIndex(doc, true)
+	cd := smoqe.BuildColumnar(doc)
+	idx := smoqe.BuildIndex(cd)
 	for _, src := range []string{
 		hospital.XPA,
 		hospital.QExample11,
@@ -48,8 +49,12 @@ func TestPreparedQueryMatchesReference(t *testing.T) {
 		if got := smoqe.IDsOf(evalWith(t, p, doc.Root, smoqe.EvalOptions{}).Nodes); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: prepared %v, reference %v", src, got, want)
 		}
-		if got := smoqe.IDsOf(evalWith(t, p, doc.Root, smoqe.EvalOptions{Index: idx}).Nodes); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := evalWith(t, p, nil, smoqe.EvalOptions{Columnar: cd, Index: idx}).IDs; fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: prepared indexed %v, reference %v", src, got, want)
+		}
+		// An index evaluates only the columnar document it was built from.
+		if _, err := p.Eval(context.Background(), doc.Root, smoqe.EvalOptions{Index: idx}); err == nil {
+			t.Errorf("%s: an index of another document was accepted", src)
 		}
 	}
 }
@@ -58,7 +63,8 @@ func TestPreparedQueryMatchesReference(t *testing.T) {
 // answers every time — run under -race this exercises the engine pool.
 func TestPreparedQueryConcurrent(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(120))
-	idx := smoqe.BuildIndex(doc, true)
+	cd := smoqe.BuildColumnar(doc)
+	idx := smoqe.BuildIndex(cd)
 	p, err := smoqe.PrepareString("//patient[visit/treatment/medication/diagnosis/text()='heart disease']")
 	if err != nil {
 		t.Fatal(err)
@@ -74,12 +80,11 @@ func TestPreparedQueryConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				var opts smoqe.EvalOptions
+				res, err := p.Eval(context.Background(), doc.Root, smoqe.EvalOptions{})
 				if (g+i)%2 != 0 {
-					opts.Index = idx
+					res, err = p.Eval(context.Background(), nil, smoqe.EvalOptions{Columnar: cd, Index: idx})
 				}
-				res, err := p.Eval(context.Background(), doc.Root, opts)
-				s := fmt.Sprint(smoqe.IDsOf(res.Nodes))
+				s := fmt.Sprint(res.IDs)
 				if err != nil || s != want || res.Stats.VisitedElements <= 0 {
 					select {
 					case errs <- fmt.Sprintf("goroutine %d round %d: %s != %s (err %v, stats %+v)", g, i, s, want, err, res.Stats):
@@ -124,7 +129,8 @@ func TestPreparedOnView(t *testing.T) {
 // indexed, from many goroutines at once.
 func TestPreparedParallelMatchesSequential(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(600))
-	idx := smoqe.BuildIndex(doc, true)
+	cd := smoqe.BuildColumnar(doc)
+	idx := smoqe.BuildIndex(cd)
 	for _, src := range []string{hospital.XPA, "//diagnosis", "department/patient[not(visit)]"} {
 		p, err := smoqe.PrepareString(src)
 		if err != nil {
@@ -148,12 +154,12 @@ func TestPreparedParallelMatchesSequential(t *testing.T) {
 				if pst.Stats != wantSt {
 					t.Errorf("%s: parallel stats %+v, sequential %+v", src, pst.Stats, wantSt)
 				}
-				ipst, err := p.Eval(context.Background(), doc.Root, smoqe.EvalOptions{Index: idx, Workers: 4})
+				ipst, err := p.Eval(context.Background(), nil, smoqe.EvalOptions{Columnar: cd, Index: idx, Workers: 4})
 				if err != nil {
 					t.Errorf("%s: indexed parallel: %v", src, err)
 					return
 				}
-				if fmt.Sprint(smoqe.IDsOf(ipst.Nodes)) != fmt.Sprint(smoqe.IDsOf(want)) {
+				if fmt.Sprint(ipst.IDs) != fmt.Sprint(smoqe.IDsOf(want)) {
 					t.Errorf("%s: indexed parallel answers differ", src)
 				}
 				if ipst.Stats.SkippedElements < pst.Stats.SkippedElements {

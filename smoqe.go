@@ -14,7 +14,7 @@
 //	Compile        – Xreg query → MFA (§4)
 //	Rewrite        – view query → source MFA (§5, algorithm rewrite)
 //	PrepareMFA     – a reusable plan; its Eval is HyPE single-pass evaluation (§6)
-//	BuildIndex     – the OptHyPE / OptHyPE-C subtree index
+//	BuildIndex     – the OptHyPE-C subtree index of a columnar document
 //	Materialize    – σ(T), mainly for testing and comparison
 //
 // Quick start:
@@ -105,14 +105,25 @@ type MFAStats = mfa.Stats
 // EngineStats reports pruning and cans statistics of an evaluation run.
 type EngineStats = hype.Stats
 
-// Index is the subtree-label index behind OptHyPE and OptHyPE-C.
+// Index is the subtree-label index behind OptHyPE-C, built over one
+// columnar document.
 type Index = hype.Index
 
-// Result is what one PreparedQuery.Eval produced: the answers (Nodes,
-// per tag for batch automata in Tagged, preorder ids in IDs for the
-// columnar pass), the run's EngineStats, the shard accounting of a
-// parallel run, the compiled-layer statistics and the optional trace.
-type Result = hype.Result
+// Result is what one PreparedQuery.Eval produced: the answers as preorder
+// ids (IDs, and per tag for batch automata in TaggedIDs), the run's
+// EngineStats, the shard accounting of a parallel run, the compiled-layer
+// statistics and the optional trace — plus, for a call at a tree node, the
+// answers as that tree's nodes.
+type Result struct {
+	hype.Result
+	// Nodes holds the answers in document order when Eval ran at a tree
+	// node; nil for a columnar call.
+	Nodes []*Node
+	// Tagged holds the answers of every machine of a batch automaton (see
+	// Merge), indexed by tag, when Eval ran at a tree node. A single query
+	// has one tag, so Tagged[0] is Nodes.
+	Tagged [][]*Node
+}
 
 // Trace is the capped per-node decision log of a traced HyPE run — the
 // EXPLAIN mode of the engine (see EvalOptions.Trace).
@@ -172,8 +183,9 @@ func ParseDocumentStringWithLimits(s string, lim ParseLimits) (*Document, error)
 // Columnar documents and snapshots ---------------------------------------
 
 // BuildColumnar converts a Document into its columnar representation. The
-// result evaluates queries via EvalOptions.Columnar and serializes with
-// WriteSnapshot/SaveSnapshot.
+// result evaluates queries via EvalOptions.Columnar, indexes with
+// BuildIndex and serializes with WriteSnapshot/SaveSnapshot. Preorder ids
+// equal the Node IDs of a parsed document.
 func BuildColumnar(d *Document) *ColumnarDocument { return colstore.FromTree(d) }
 
 // WriteSnapshot writes the versioned binary snapshot of cd to w (format:
@@ -296,11 +308,10 @@ func Materialize(v *View, doc *Document) (*Materialization, error) {
 
 // Evaluation ---------------------------------------------------------------
 
-// BuildIndex builds the OptHyPE subtree index for a document (pass it in
-// EvalOptions.Index); with compress it hash-conses the per-node label sets
-// (OptHyPE-C), typically shrinking the index by an order of magnitude at
-// identical pruning power.
-func BuildIndex(doc *Document, compress bool) *Index { return hype.BuildIndex(doc, compress) }
+// BuildIndex builds the OptHyPE-C subtree index of a columnar document;
+// pass both in EvalOptions (Columnar and Index). Equal per-node label sets
+// are stored once, so the index stays a few bytes per node.
+func BuildIndex(cd *ColumnarDocument) *Index { return hype.BuildIndex(cd) }
 
 // Eval compiles and evaluates q at ctx with HyPE. For repeated evaluation
 // of the same query, Prepare once and reuse the PreparedQuery.
@@ -314,7 +325,7 @@ func Eval(q Query, ctx *Node) ([]*Node, error) {
 
 // evalOnce evaluates m at n with sequential HyPE.
 func evalOnce(m *MFA, n *Node) ([]*Node, error) {
-	res, err := hype.New(m).Eval(context.Background(), n, hype.Options{})
+	res, err := PrepareMFA(m).Eval(context.Background(), n, EvalOptions{})
 	return res.Nodes, err
 }
 
