@@ -1,8 +1,8 @@
 // Command smoqed is the SMOQE query daemon: an HTTP/JSON service that
 // answers regular XPath queries over registered documents and views
 // without materializing the views. Plans (parse → rewrite → compile) are
-// cached in an LRU keyed by (view, query, engine); evaluation runs
-// concurrently on pooled HyPE engine clones.
+// cached in an LRU keyed by (view, query); evaluation runs concurrently on
+// pooled HyPE engine clones.
 //
 // Usage:
 //
@@ -12,13 +12,13 @@
 //	       [-corpus-retry-max 5s] [-corpus-max-retries 3]
 //	       [-corpus-max-queries 4] [-corpus-workers GOMAXPROCS≤8]
 //	       [-view name=spec.view,source.dtd,target.dtd ...]
-//	       [-sample] [-pprof] [-slow-threshold 250ms] [-slowlog 128]
+//	       [-sample] [-pprof]
 //	       [-parallelism 0] [-max-concurrent 4×GOMAXPROCS] [-queue-wait 100ms]
 //	       [-max-visited 0] [-max-results 0]
 //	       [-max-doc-depth 0] [-max-doc-nodes 0] [-max-doc-bytes 0] [-max-body 64MiB]
 //	       [-breaker-threshold 5] [-breaker-cooldown 5s]
 //	       [-read-timeout 30s] [-write-timeout timeout+30s] [-idle-timeout 2m]
-//	       [-trace-store 256] [-trace-sample 0.01] [-trace-latency slow-threshold]
+//	       [-trace-store 256] [-trace-sample 0.01] [-trace-latency 250ms]
 //
 // Fault injection for chaos testing (see docs/ROBUSTNESS.md):
 //
@@ -57,8 +57,6 @@ func main() {
 	maxPaths := flag.Int("maxpaths", 1000, "maximum node paths returned per response")
 	grace := flag.Duration("grace", 10*time.Second, "graceful shutdown window")
 	sample := flag.Bool("sample", false, "preload the paper's hospital sample document and σ0 view")
-	slowThreshold := flag.Duration("slow-threshold", 250*time.Millisecond, "latency at which a query enters the slow-query log (negative disables)")
-	slowLogSize := flag.Int("slowlog", 128, "slow-query log capacity (entries)")
 	traceLimit := flag.Int("trace-limit", 0, "per-node trace cap for explain requests (0 = engine default)")
 	enablePprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	parallelism := flag.Int("parallelism", 0, "shard-parallel worker cap per evaluation (0 disables, -1 = GOMAXPROCS)")
@@ -77,7 +75,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "HTTP idle connection timeout (0 = default 2m, negative disables)")
 	traceStore := flag.Int("trace-store", 0, "request-trace store capacity in traces (0 = default 256, negative disables tracing)")
 	traceSample := flag.Float64("trace-sample", 0, "probability an unremarkable trace is retained (0 = default 0.01, negative never samples)")
-	traceLatency := flag.Duration("trace-latency", 0, "retain every trace at least this slow (0 = slow-query threshold, negative disables)")
+	traceLatency := flag.Duration("trace-latency", 0, "slow threshold: retain every trace at least this slow and list slow /query evaluations at /slow (0 = 250ms, negative disables)")
 
 	snapshotDir := flag.String("snapshot-dir", "", "load every *"+smoqe.SnapshotFileExt+" file in this directory as a document at startup")
 	corpusDir := flag.String("corpus-dir", "", "serve collections from this directory (one collection per subdirectory of XML/snapshot files)")
@@ -97,8 +95,6 @@ func main() {
 		CacheSize:             *cacheSize,
 		RequestTimeout:        *timeout,
 		MaxPaths:              *maxPaths,
-		SlowQueryThreshold:    *slowThreshold,
-		SlowLogSize:           *slowLogSize,
 		TraceLimit:            *traceLimit,
 		EnablePprof:           *enablePprof,
 		MaxParallelism:        *parallelism,

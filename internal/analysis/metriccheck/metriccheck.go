@@ -1,6 +1,6 @@
 // Package metriccheck validates telemetry registrations program-wide:
 //
-//   - the name passed to Registry.Counter/Gauge/GaugeFunc/Histogram must
+//   - the name passed to Registry.Counter/CounterFunc/Gauge/GaugeFunc/Histogram must
 //     be a constant string matching the Prometheus metric-name grammar
 //     ([a-zA-Z_:][a-zA-Z0-9_:]*), so a typo cannot produce an exposition
 //     format that scrapers reject at 3am;
@@ -34,10 +34,11 @@ var Analyzer = &analysis.Analyzer{
 const telemetryPkgName = "telemetry"
 
 var registerMethods = map[string]bool{
-	"Counter":   true,
-	"Gauge":     true,
-	"GaugeFunc": true,
-	"Histogram": true,
+	"Counter":     true,
+	"CounterFunc": true,
+	"Gauge":       true,
+	"GaugeFunc":   true,
+	"Histogram":   true,
 }
 
 func run(pass *analysis.Pass) error {

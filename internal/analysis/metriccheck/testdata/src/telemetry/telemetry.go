@@ -19,6 +19,9 @@ type Registry struct{}
 // Counter registers or fetches a counter.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter { return nil }
 
+// CounterFunc registers a computed counter.
+func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() int64) {}
+
 // Gauge registers or fetches a gauge.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge { return nil }
 

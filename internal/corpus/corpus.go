@@ -233,6 +233,10 @@ func (m *Manager) Close() {
 // cancelled).
 func (m *Manager) Wait() { m.wg.Wait() }
 
+// ScanInterval returns the effective background rescan period, default
+// applied — the backoff a caller that lost a reindex race should wait.
+func (m *Manager) ScanInterval() time.Duration { return m.opt.ScanInterval }
+
 // loop is the background indexer: one full rescan per tick.
 func (m *Manager) loop(ctx context.Context) {
 	t := time.NewTicker(m.opt.ScanInterval)

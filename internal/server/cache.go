@@ -10,15 +10,17 @@ import (
 	"smoqe/internal/guard"
 )
 
-// PlanKey identifies one cached query plan: the view the query is posed
-// against (empty for direct queries on the source) and the query text. Two
-// requests with the same key share one PreparedQuery — and therefore skip
-// the O(|Q|²|σ||D_V|²) rewrite — no matter which document they target or
+// PlanKey identifies one cached query plan: the view registration the
+// query is posed against (name and generation; empty and 0 for direct
+// queries on the source) and the query text. Two requests with the same
+// key share one PreparedQuery — and therefore skip the
+// O(|Q|²|σ||D_V|²) rewrite — no matter which document they target or
 // which engine they ask for: a rewritten automaton depends only on the
 // view, and a PreparedQuery keeps no per-document state.
 type PlanKey struct {
-	View  string
-	Query string
+	View    string
+	ViewGen uint64
+	Query   string
 }
 
 // EngineKind selects the evaluation strategy for a request.
@@ -101,19 +103,11 @@ const (
 	PlanCacheWaited
 )
 
-// GetOrBuild returns the plan cached under key, building it with build on
-// a miss. The second result reports whether the plan came from the cache
-// (true) or was built by this or a concurrent call (false). Build errors
-// are not cached: a later request retries. A build that panics is reported
-// as a build error (to this caller and every waiter alike) rather than
-// left as a permanently hung in-flight slot.
-func (c *PlanCache) GetOrBuild(key PlanKey, build func() (*smoqe.PreparedQuery, error)) (*smoqe.PreparedQuery, bool, error) {
-	plan, outcome, err := c.GetOrBuildOutcome(key, build)
-	return plan, outcome == PlanCacheHit, err
-}
-
-// GetOrBuildOutcome is GetOrBuild distinguishing the two miss flavors
-// (built here vs waited on a concurrent build).
+// GetOrBuildOutcome returns the plan cached under key, building it with
+// build on a miss, and says how the lookup was satisfied. Build errors are
+// not cached: a later request retries. A build that panics is reported as
+// a build error (to this caller and every waiter alike) rather than left
+// as a permanently hung in-flight slot.
 func (c *PlanCache) GetOrBuildOutcome(key PlanKey, build func() (*smoqe.PreparedQuery, error)) (*smoqe.PreparedQuery, PlanOutcome, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -176,7 +170,8 @@ func (c *PlanCache) insert(key PlanKey, plan *smoqe.PreparedQuery) {
 }
 
 // RemoveView drops every cached plan rewritten over the named view. Called
-// when a view is re-registered: the old plans answer the old definition.
+// when a view is re-registered: the old plans answer the old definition
+// and, keyed by its generation, are unreachable anyway; this frees them.
 func (c *PlanCache) RemoveView(view string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

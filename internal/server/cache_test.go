@@ -18,21 +18,21 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 	k := func(q string) PlanKey { return PlanKey{Query: q} }
 
-	p1, hit, err := c.GetOrBuild(k("a"), build("a"))
-	if err != nil || hit {
-		t.Fatalf("first build: hit=%v err=%v", hit, err)
+	p1, out, err := c.GetOrBuildOutcome(k("a"), build("a"))
+	if err != nil || out == PlanCacheHit {
+		t.Fatalf("first build: outcome=%v err=%v", out, err)
 	}
-	if p2, hit, _ := c.GetOrBuild(k("a"), build("a")); !hit || p2 != p1 {
-		t.Fatalf("second get: hit=%v same=%v", hit, p2 == p1)
+	if p2, out, _ := c.GetOrBuildOutcome(k("a"), build("a")); out != PlanCacheHit || p2 != p1 {
+		t.Fatalf("second get: outcome=%v same=%v", out, p2 == p1)
 	}
-	c.GetOrBuild(k("b"), build("b"))
-	c.GetOrBuild(k("a"), build("a")) // refresh a, so b is now LRU
-	c.GetOrBuild(k("c"), build("c")) // evicts b
-	if _, hit, _ := c.GetOrBuild(k("a"), build("a")); !hit {
+	c.GetOrBuildOutcome(k("b"), build("b"))
+	c.GetOrBuildOutcome(k("a"), build("a")) // refresh a, so b is now LRU
+	c.GetOrBuildOutcome(k("c"), build("c")) // evicts b
+	if _, out, _ := c.GetOrBuildOutcome(k("a"), build("a")); out != PlanCacheHit {
 		t.Error("a should have survived (refreshed before eviction)")
 	}
 	// Checked after a: a miss re-inserts b and would evict a.
-	if _, hit, _ := c.GetOrBuild(k("b"), build("b")); hit {
+	if _, out, _ := c.GetOrBuildOutcome(k("b"), build("b")); out == PlanCacheHit {
 		t.Error("b should have been evicted")
 	}
 	st := c.Stats()
@@ -52,10 +52,10 @@ func TestPlanCacheErrorNotCached(t *testing.T) {
 	calls := 0
 	key := PlanKey{Query: "broken"}
 	bad := func() (*smoqe.PreparedQuery, error) { calls++; return nil, fmt.Errorf("boom") }
-	if _, _, err := c.GetOrBuild(key, bad); err == nil {
+	if _, _, err := c.GetOrBuildOutcome(key, bad); err == nil {
 		t.Fatal("want error")
 	}
-	if _, _, err := c.GetOrBuild(key, bad); err == nil {
+	if _, _, err := c.GetOrBuildOutcome(key, bad); err == nil {
 		t.Fatal("want error again (errors must not be cached)")
 	}
 	if calls != 2 {
@@ -88,7 +88,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, _, err := c.GetOrBuild(key, build)
+			p, _, err := c.GetOrBuildOutcome(key, build)
 			if err != nil {
 				t.Error(err)
 			}
@@ -111,7 +111,7 @@ func TestPlanCacheRemoveView(t *testing.T) {
 	c := NewPlanCache(8)
 	mk := func(view, q string) PlanKey { return PlanKey{View: view, Query: q} }
 	for _, k := range []PlanKey{mk("v1", "a"), mk("v1", "b"), mk("v2", "a"), mk("", "a")} {
-		if _, _, err := c.GetOrBuild(k, func() (*smoqe.PreparedQuery, error) { return smoqe.PrepareString("a") }); err != nil {
+		if _, _, err := c.GetOrBuildOutcome(k, func() (*smoqe.PreparedQuery, error) { return smoqe.PrepareString("a") }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,10 +119,10 @@ func TestPlanCacheRemoveView(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("after RemoveView: len=%d, want 2", c.Len())
 	}
-	if _, hit, _ := c.GetOrBuild(mk("v2", "a"), func() (*smoqe.PreparedQuery, error) { return smoqe.PrepareString("a") }); !hit {
+	if _, out, _ := c.GetOrBuildOutcome(mk("v2", "a"), func() (*smoqe.PreparedQuery, error) { return smoqe.PrepareString("a") }); out != PlanCacheHit {
 		t.Error("v2 plan should have survived")
 	}
-	if _, hit, _ := c.GetOrBuild(mk("", "a"), func() (*smoqe.PreparedQuery, error) { return smoqe.PrepareString("a") }); !hit {
+	if _, out, _ := c.GetOrBuildOutcome(mk("", "a"), func() (*smoqe.PreparedQuery, error) { return smoqe.PrepareString("a") }); out != PlanCacheHit {
 		t.Error("viewless plan should have survived")
 	}
 }
@@ -140,18 +140,18 @@ func TestPlanCacheFirstBuildFailsSecondSucceeds(t *testing.T) {
 		}
 		return smoqe.PrepareString("department/patient")
 	}
-	if _, _, err := c.GetOrBuild(key, build); err == nil {
+	if _, _, err := c.GetOrBuildOutcome(key, build); err == nil {
 		t.Fatal("first build should have failed")
 	}
-	plan, hit, err := c.GetOrBuild(key, build)
+	plan, out, err := c.GetOrBuildOutcome(key, build)
 	if err != nil || plan == nil {
 		t.Fatalf("second build: plan=%v err=%v", plan, err)
 	}
-	if hit {
+	if out == PlanCacheHit {
 		t.Error("second call reported a cache hit; the failure must not have been cached")
 	}
-	if plan2, hit, err := c.GetOrBuild(key, build); err != nil || !hit || plan2 != plan {
-		t.Errorf("third call: hit=%v err=%v same=%v, want cached success", hit, err, plan2 == plan)
+	if plan2, out, err := c.GetOrBuildOutcome(key, build); err != nil || out != PlanCacheHit || plan2 != plan {
+		t.Errorf("third call: outcome=%v err=%v same=%v, want cached success", out, err, plan2 == plan)
 	}
 	if calls != 2 {
 		t.Errorf("build called %d times, want 2", calls)
@@ -174,14 +174,14 @@ func TestPlanCacheBuildPanicReleasesWaiters(t *testing.T) {
 
 	builderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrBuild(key, panicking)
+		_, _, err := c.GetOrBuildOutcome(key, panicking)
 		builderErr <- err
 	}()
 	<-entered
 	waiterErr := make(chan error, 1)
 	go func() {
 		// This call joins the in-flight build and must not hang forever.
-		_, _, err := c.GetOrBuild(key, panicking)
+		_, _, err := c.GetOrBuildOutcome(key, panicking)
 		waiterErr <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the waiter park on the slot
@@ -201,7 +201,7 @@ func TestPlanCacheBuildPanicReleasesWaiters(t *testing.T) {
 		t.Errorf("panicked build occupies a cache slot, len=%d", c.Len())
 	}
 	// The slot is free again: a well-behaved build succeeds.
-	plan, _, err := c.GetOrBuild(key, func() (*smoqe.PreparedQuery, error) {
+	plan, _, err := c.GetOrBuildOutcome(key, func() (*smoqe.PreparedQuery, error) {
 		return smoqe.PrepareString("department/patient")
 	})
 	if err != nil || plan == nil {

@@ -127,8 +127,8 @@ func (s *Server) handleCollectionGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCollectionReindex runs a synchronous forced reindex. A scan
-// already in flight answers 503 with a Retry-After hint (one scan
-// interval), through the same helper every other Retry-After goes
+// already in flight answers 503 with a Retry-After hint (the manager's
+// scan interval), through the same helper every other Retry-After goes
 // through.
 func (s *Server) handleCollectionReindex(w http.ResponseWriter, r *http.Request) {
 	if s.corpus == nil {
@@ -139,7 +139,7 @@ func (s *Server) handleCollectionReindex(w http.ResponseWriter, r *http.Request)
 	info, err := s.corpus.Reindex(r.Context(), name)
 	if err != nil {
 		if errors.Is(err, corpus.ErrReindexInProgress) {
-			w.Header().Set("Retry-After", retryAfterSecs(s.corpusScanInterval()))
+			w.Header().Set("Retry-After", retryAfterSecs(s.corpus.ScanInterval()))
 			writeError(w, http.StatusServiceUnavailable, err)
 			return
 		}
@@ -147,15 +147,6 @@ func (s *Server) handleCollectionReindex(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
-}
-
-// corpusScanInterval is the configured scan cadence (the Retry-After hint
-// for reindex races), with the corpus package's default applied.
-func (s *Server) corpusScanInterval() time.Duration {
-	if s.cfg.CorpusScanInterval > 0 {
-		return s.cfg.CorpusScanInterval
-	}
-	return 2 * time.Second
 }
 
 // handleCollectionQuery fans one query over a collection's indexed
@@ -176,21 +167,10 @@ func (s *Server) handleCollectionQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.requests.Inc()
-	err := s.collectionQuery(r.Context(), w, name, req)
-	if err != nil {
+	if err := s.collectionQuery(r.Context(), w, name, req); err != nil {
 		s.recordError(err)
 		s.traceError(r.Context(), err)
-		status := statusFor(err)
-		switch status {
-		case http.StatusTooManyRequests:
-			w.Header().Set("Retry-After", retryAfterSecs(s.cfg.QueueWait))
-		case http.StatusServiceUnavailable:
-			var boe *BreakerOpenError
-			if errors.As(err, &boe) {
-				w.Header().Set("Retry-After", retryAfterSecs(boe.RetryAfter))
-			}
-		}
-		writeError(w, status, err)
+		s.writeQueryError(w, err)
 	}
 }
 
@@ -232,14 +212,9 @@ func (s *Server) collectionQuery(ctx context.Context, w http.ResponseWriter, nam
 		s.corpusBrk.record(bkey, serverFault || (err != nil && isServerFault(err)))
 	}()
 
-	plan, hit, err := s.plan(ctx, QueryRequest{Query: req.Query, View: req.View}, view)
+	plan, _, err := s.plan(ctx, QueryRequest{Query: req.Query, View: req.View}, view)
 	if err != nil {
 		return err
-	}
-	if hit {
-		s.met.cacheHits.Inc()
-	} else {
-		s.met.cacheMisses.Inc()
 	}
 
 	if s.cfg.RequestTimeout > 0 {
@@ -251,11 +226,15 @@ func (s *Server) collectionQuery(ctx context.Context, w http.ResponseWriter, nam
 	// Per-collection admission: a collection fan-out is one request but
 	// many evaluations, so each collection gets its own concurrency bound
 	// instead of competing slot-by-slot with single-document queries.
-	release, err := s.admitCollection(ctx, name)
-	if err != nil {
-		return fmt.Errorf("server: query on collection %q: %w", name, err)
+	if sem := s.collectionSem(name); sem != nil {
+		_, asp := trace.Start(ctx, "corpus.admit")
+		err = s.admit(ctx, sem, asp)
+		asp.End()
+		if err != nil {
+			return fmt.Errorf("server: query on collection %q: %w", name, err)
+		}
+		defer func() { <-sem }()
 	}
-	defer release()
 
 	info := s.corpus.Info(c)
 	docs := c.Docs(corpus.StatusIndexed)
@@ -389,48 +368,20 @@ func (s *Server) fanOut(ctx context.Context, plan *smoqe.PreparedQuery, docs []*
 	return results
 }
 
-// admitCollection acquires the collection's admission slot, queueing up to
-// QueueWait before shedding with ErrOverloaded — the same discipline as
-// the global evaluation semaphore, but per collection. The returned
-// release must be called exactly once.
-func (s *Server) admitCollection(ctx context.Context, name string) (release func(), err error) {
+// collectionSem returns the collection's admission semaphore, created on
+// first use, or nil when fan-outs are unbounded.
+func (s *Server) collectionSem(name string) chan struct{} {
 	if s.cfg.CorpusMaxConcurrentQueries <= 0 {
-		return func() {}, nil
+		return nil
 	}
 	s.corpusSemMu.Lock()
+	defer s.corpusSemMu.Unlock()
 	sem, ok := s.corpusSems[name]
 	if !ok {
 		sem = make(chan struct{}, s.cfg.CorpusMaxConcurrentQueries)
 		s.corpusSems[name] = sem
 	}
-	s.corpusSemMu.Unlock()
-	_, sp := trace.Start(ctx, "corpus.admit")
-	defer sp.End()
-	release = func() { <-sem }
-	select {
-	case sem <- struct{}{}: // fast path: a slot is free
-		s.met.queueWait.Observe(0)
-		return release, nil
-	default:
-	}
-	start := time.Now()
-	timer := time.NewTimer(s.cfg.QueueWait)
-	defer timer.Stop()
-	select {
-	case sem <- struct{}{}:
-		s.met.queueWait.Observe(time.Since(start).Seconds())
-		return release, nil
-	case <-timer.C:
-		s.met.shed.Inc()
-		sp.Event("shed")
-		sp.Error(ErrOverloaded)
-		return nil, ErrOverloaded
-	case <-ctx.Done():
-		s.met.cancelled.Inc()
-		sp.Event("cancelled")
-		sp.Error(ctx.Err())
-		return nil, ctx.Err()
-	}
+	return sem
 }
 
 // collectionStream writes the response body incrementally: a head with

@@ -195,6 +195,42 @@ func TestCollectionReindexRetryAfter(t *testing.T) {
 	}
 }
 
+// TestCollectionFanOutSheds: a fan-out that finds its collection's slots
+// busy past the queue wait is shed like a /query: 429 with Retry-After,
+// counted in smoqe_shed_total, and the collection's breaker is untouched.
+func TestCollectionFanOutSheds(t *testing.T) {
+	s, ts := newCorpusServer(t, Config{CorpusMaxConcurrentQueries: 1, QueueWait: 20 * time.Millisecond})
+	sem := s.collectionSem("ward")
+	sem <- struct{}{} // occupy the only slot
+	resp, body := postJSON(t, ts, "/collections/ward/query", CollectionQueryRequest{Query: "b"})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("shed fan-out: %d %s, want 429", resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(raw), "\nsmoqe_shed_total 1\n") {
+		t.Errorf("smoqe_shed_total is not 1 after one shed fan-out:\n%s", raw)
+	}
+	if st := s.Health().Breakers[corpusBreakerKey("ward")]; st != "" && st != breakerClosed {
+		t.Errorf("shed load moved the collection breaker to %q", st)
+	}
+
+	<-sem
+	if resp, body := postJSON(t, ts, "/collections/ward/query", CollectionQueryRequest{Query: "b"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fan-out after release: %d %s", resp.StatusCode, body)
+	}
+	if got := len(sem); got != 0 {
+		t.Errorf("slot leaked: %d in flight after completion", got)
+	}
+}
+
 // TestCollectionFanOutKeepsBudgets: the server's evaluation budgets bind
 // every document of a collection fan-out. A document larger than
 // MaxVisited ends the stream with the limit error and is counted under its

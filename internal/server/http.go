@@ -34,7 +34,7 @@ import (
 //	POST /collections/{name}/reindex                     → forced synchronous reindex
 //	GET  /stats                                          → Stats
 //	GET  /metrics                                        → Prometheus text format
-//	GET  /slow                                           → slow-query log
+//	GET  /slow                                           → slow queries with a retained trace
 //	GET  /traces                                         → retained trace summaries
 //	GET  /traces/{id}                                    → one trace's full span tree
 //	GET  /healthz                                        → HealthInfo (build/version/uptime)
@@ -143,28 +143,102 @@ func (s *Server) recoverer(next http.Handler) http.Handler {
 	})
 }
 
+// SlowQuery is one GET /slow entry: enough context to re-run the request
+// (doc, view, query, engine) plus what it cost.
+type SlowQuery struct {
+	// Time is when the request arrived (its trace's start).
+	Time          time.Time  `json:"time"`
+	Doc           string     `json:"doc"`
+	View          string     `json:"view,omitempty"`
+	Query         string     `json:"query"`
+	Engine        EngineKind `json:"engine"`
+	ElapsedMicros int64      `json:"elapsed_us"`
+	Count         int        `json:"count"`
+	Visited       int        `json:"visited_elements"`
+	CacheHit      bool       `json:"cache_hit"`
+	// TraceID links the entry to its request trace at GET /traces/{id}.
+	TraceID string `json:"trace_id,omitempty"`
+}
+
 // slowResponse is the GET /slow payload.
 type slowResponse struct {
-	// ThresholdMicros is the configured slowness bound; negative means
-	// the log is disabled.
+	// ThresholdMicros is the slow threshold (Config.TraceLatencyRetention);
+	// negative means slow queries are not recorded.
 	ThresholdMicros int64 `json:"threshold_us"`
-	// Total counts every slow query seen, including entries the ring has
-	// already overwritten.
+	// Total counts every slow query seen, including those whose trace the
+	// store has since evicted and direct Go callers, which have no trace.
 	Total int64 `json:"total"`
-	// Entries holds the retained slow queries, newest first.
+	// Entries lists the slow /query requests whose trace is still
+	// retained, newest first; empty when tracing is disabled.
 	Entries []SlowQuery `json:"entries"`
 }
 
+// handleSlow serves GET /slow as a view over the trace store: the retained
+// request traces whose root span carries a slow query's details.
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	// Entries and total come from one critical section so the payload is
-	// internally consistent under concurrent writers (total - len(entries)
-	// = overwritten entries, exactly).
-	entries, total := s.slow.SnapshotWithTotal()
-	writeJSON(w, http.StatusOK, slowResponse{
-		ThresholdMicros: s.slow.Threshold().Microseconds(),
-		Total:           total,
-		Entries:         entries,
-	})
+	out := slowResponse{ThresholdMicros: s.cfg.TraceLatencyRetention.Microseconds(), Entries: []SlowQuery{}}
+	if store := s.Traces(); store != nil {
+		for _, d := range store.Snapshot() {
+			if e, ok := slowEntry(d); ok {
+				out.Entries = append(out.Entries, e)
+			}
+		}
+	}
+	// Read after the snapshot: each listed query was counted before its
+	// trace was stored, so total >= len(entries) even under concurrent
+	// writers.
+	out.Total = s.met.slowQueries.Value()
+	writeJSON(w, http.StatusOK, out)
+}
+
+// markSlow copies a slow query's details onto its request's root span,
+// from which GET /slow reads them back (see slowEntry). The root span ran
+// longer than the evaluation, so latency retention keeps its trace. A nil
+// span (a direct Go caller, or tracing disabled) records nothing.
+func markSlow(root *trace.Span, req QueryRequest, resp *QueryResponse) {
+	root.Attr("doc", req.Doc)
+	if req.View != "" {
+		root.Attr("view", req.View)
+	}
+	root.Attr("query", req.Query)
+	root.Attr("engine", string(resp.Engine))
+	root.AttrInt("elapsed_us", resp.ElapsedMicros)
+	root.AttrInt("count", int64(resp.Count))
+	root.AttrInt("visited_elements", int64(resp.Visited))
+	root.Attr("cache_hit", strconv.FormatBool(resp.CacheHit))
+}
+
+// slowEntry reads back the details markSlow copied onto a retained
+// request's root span; ok is false for a request that was not slow.
+func slowEntry(d *trace.Data) (e SlowQuery, ok bool) {
+	for _, sp := range d.Spans {
+		if sp.Name != d.Root {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			switch a.Key {
+			case "doc":
+				e.Doc = a.Value
+			case "view":
+				e.View = a.Value
+			case "query":
+				e.Query = a.Value
+			case "engine":
+				e.Engine = EngineKind(a.Value)
+			case "elapsed_us":
+				e.ElapsedMicros, _ = strconv.ParseInt(a.Value, 10, 64)
+				ok = true
+			case "count":
+				e.Count, _ = strconv.Atoi(a.Value)
+			case "visited_elements":
+				e.Visited, _ = strconv.Atoi(a.Value)
+			case "cache_hit":
+				e.CacheHit = a.Value == "true"
+			}
+		}
+	}
+	e.Time, e.TraceID = d.Start, d.TraceID
+	return e, ok
 }
 
 // tracesResponse is the GET /traces payload: lifetime retention counters
@@ -358,20 +432,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.Query(r.Context(), req)
 	if err != nil {
-		status := statusFor(err)
-		switch status {
-		case http.StatusTooManyRequests:
-			w.Header().Set("Retry-After", retryAfterSecs(s.cfg.QueueWait))
-		case http.StatusServiceUnavailable:
-			var boe *BreakerOpenError
-			if errors.As(err, &boe) {
-				w.Header().Set("Retry-After", retryAfterSecs(boe.RetryAfter))
-			}
-		}
-		writeError(w, status, err)
+		s.writeQueryError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// writeQueryError answers a failed /query or collection fan-out with its
+// status, plus the Retry-After hint of a shed request (one queue wait) or
+// an open breaker (its remaining cooldown).
+func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
+	status := statusFor(err)
+	switch status {
+	case http.StatusTooManyRequests:
+		w.Header().Set("Retry-After", retryAfterSecs(s.cfg.QueueWait))
+	case http.StatusServiceUnavailable:
+		var boe *BreakerOpenError
+		if errors.As(err, &boe) {
+			w.Header().Set("Retry-After", retryAfterSecs(boe.RetryAfter))
+		}
+	}
+	writeError(w, status, err)
 }
 
 type docInfo struct {

@@ -20,8 +20,6 @@ type metrics struct {
 
 	requests    *telemetry.Counter
 	failures    *telemetry.Counter
-	cacheHits   *telemetry.Counter
-	cacheMisses *telemetry.Counter
 	visited     *telemetry.Counter
 	skippedSub  *telemetry.Counter
 	skippedEle  *telemetry.Counter
@@ -51,12 +49,6 @@ type metrics struct {
 	snapshotLoads    *telemetry.Counter
 	snapshotSaves    *telemetry.Counter
 	snapshotLoadTime *telemetry.Histogram
-	// Request tracing (PR 7): traceSpans counts spans recorded on finished
-	// traces; traceRetained/traceDropped count the tail-based retention
-	// decision's two outcomes. Fed by the tracer's OnFinish hook.
-	traceSpans    *telemetry.Counter
-	traceRetained *telemetry.Counter
-	traceDropped  *telemetry.Counter
 }
 
 func newMetrics(s *Server) *metrics {
@@ -67,10 +59,6 @@ func newMetrics(s *Server) *metrics {
 			"Query requests received.", nil),
 		failures: reg.Counter("smoqe_failures_total",
 			"Query requests that returned an error.", nil),
-		cacheHits: reg.Counter("smoqe_plan_cache_hits_total",
-			"Query requests answered by a cached plan.", nil),
-		cacheMisses: reg.Counter("smoqe_plan_cache_misses_total",
-			"Query requests that built (or waited for) a plan.", nil),
 		visited: reg.Counter("smoqe_visited_elements_total",
 			"Element nodes entered by HyPE evaluation runs.", nil),
 		skippedSub: reg.Counter("smoqe_skipped_subtrees_total",
@@ -80,7 +68,7 @@ func newMetrics(s *Server) *metrics {
 		afaEvals: reg.Counter("smoqe_afa_evaluations_total",
 			"Per-node AFA evaluations performed.", nil),
 		slowQueries: reg.Counter("smoqe_slow_queries_total",
-			"Queries at or above the slow-query threshold.", nil),
+			"Query evaluations at or above the slow threshold (-trace-latency); GET /slow lists those with a retained trace.", nil),
 		shed: reg.Counter("smoqe_shed_total",
 			"Requests rejected by admission control (HTTP 429).", nil),
 		cancelled: reg.Counter("smoqe_cancelled_total",
@@ -101,13 +89,30 @@ func newMetrics(s *Server) *metrics {
 		snapshotLoadTime: reg.Histogram("smoqe_snapshot_load_seconds",
 			"Time to load one snapshot into the registry (read, validate, materialize).",
 			[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}, nil),
-		traceSpans: reg.Counter("smoqe_trace_spans_total",
-			"Spans recorded on finished request traces.", nil),
-		traceRetained: reg.Counter("smoqe_trace_retained_total",
-			"Finished traces kept by tail-based retention (forced, error, latency or sampled).", nil),
-		traceDropped: reg.Counter("smoqe_trace_dropped_total",
-			"Finished traces not kept by tail-based retention.", nil),
 	}
+	// Counted once, where the fact lives: the plan cache counts its
+	// lookups and the trace store its finished traces.
+	reg.CounterFunc("smoqe_plan_cache_hits_total",
+		"Plan-cache lookups answered by a cached plan.", nil,
+		func() int64 { return s.cache.Stats().Hits })
+	reg.CounterFunc("smoqe_plan_cache_misses_total",
+		"Plan-cache lookups that built (or waited for) a plan.", nil,
+		func() int64 { return s.cache.Stats().Misses })
+	traceTotals := func() (retained, dropped, spans int64) {
+		if st := s.Traces(); st != nil {
+			return st.Totals()
+		}
+		return 0, 0, 0
+	}
+	reg.CounterFunc("smoqe_trace_spans_total",
+		"Spans recorded on finished request traces.", nil,
+		func() int64 { _, _, n := traceTotals(); return n })
+	reg.CounterFunc("smoqe_trace_retained_total",
+		"Finished traces kept by tail-based retention (forced, error, latency or sampled).", nil,
+		func() int64 { n, _, _ := traceTotals(); return n })
+	reg.CounterFunc("smoqe_trace_dropped_total",
+		"Finished traces not kept by tail-based retention.", nil,
+		func() int64 { _, n, _ := traceTotals(); return n })
 	version := "(devel)"
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
 		version = bi.Main.Version
@@ -180,17 +185,6 @@ func (m *metrics) limitExceeded(cause string) {
 	m.reg.Counter("smoqe_limit_exceeded_total",
 		"Requests refused over an exceeded resource limit, by cause.",
 		telemetry.Labels{"cause": cause}).Inc()
-}
-
-// traceFinished is the tracer's OnFinish hook: one finished trace with
-// its span count and the tail-based retention verdict.
-func (m *metrics) traceFinished(spans int, retained bool) {
-	m.traceSpans.Add(int64(spans))
-	if retained {
-		m.traceRetained.Inc()
-	} else {
-		m.traceDropped.Inc()
-	}
 }
 
 // corpusScanned is the corpus manager's OnScan hook: after every completed

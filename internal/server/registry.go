@@ -47,6 +47,10 @@ func (e *DocEntry) Index() *smoqe.Index {
 type ViewEntry struct {
 	Name string
 	View *smoqe.View
+	// Gen is unique per registration. Plans are cached under it, so a plan
+	// rewritten over a replaced definition never answers for the new one,
+	// even when its build finishes after the swap.
+	Gen uint64
 }
 
 // Registry holds the documents and views the server can answer queries
@@ -56,7 +60,8 @@ type Registry struct {
 	// docs is guarded by mu.
 	docs map[string]*DocEntry
 	// views is guarded by mu.
-	views map[string]*ViewEntry
+	views   map[string]*ViewEntry
+	viewGen uint64 // guarded by mu; the last ViewEntry.Gen handed out
 	// lim bounds documents registered from XML text (see SetParseLimits);
 	// the zero value accepts everything. guarded by mu.
 	lim smoqe.ParseLimits
@@ -146,6 +151,8 @@ func (r *Registry) RegisterView(name string, v *smoqe.View) (*ViewEntry, error) 
 	}
 	entry := &ViewEntry{Name: name, View: &cp}
 	r.mu.Lock()
+	r.viewGen++
+	entry.Gen = r.viewGen
 	r.views[name] = entry
 	r.mu.Unlock()
 	return entry, nil

@@ -31,11 +31,6 @@ type Config struct {
 	// MaxPaths caps how many node paths a response carries when the
 	// request asks for paths (default 1000).
 	MaxPaths int
-	// SlowQueryThreshold is the latency at which a query lands in the
-	// slow-query log (default 250ms; negative disables the log).
-	SlowQueryThreshold time.Duration
-	// SlowLogSize is the slow-query ring-buffer capacity (default 128).
-	SlowLogSize int
 	// TraceLimit caps the per-node trace returned for "explain" requests
 	// (default hype.DefaultTraceLimit).
 	TraceLimit int
@@ -88,10 +83,12 @@ type Config struct {
 	// trace (no error, under the latency threshold, no "trace": true) is
 	// retained anyway (default 0.01; negative disables sampling).
 	TraceSampleRate float64
-	// TraceLatencyRetention retains every trace whose root span ran at
-	// least this long — slow requests always keep their trace (default:
-	// SlowQueryThreshold, so every /slow entry has a retained trace;
-	// negative disables latency-based retention).
+	// TraceLatencyRetention is the one slow-request threshold (default
+	// 250ms; negative disables). A /query evaluation at least this long is
+	// slow: it is counted in smoqe_slow_queries_total and its details are
+	// copied onto the request's root span. Every trace whose root span ran
+	// at least this long is retained, so each slow HTTP query's trace is
+	// kept and GET /slow lists it.
 	TraceLatencyRetention time.Duration
 	// CorpusScanInterval is the corpus background rescan period (default
 	// 2s); CorpusRetryBase/CorpusRetryMax/CorpusMaxRetries tune the
@@ -122,12 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPaths == 0 {
 		c.MaxPaths = 1000
-	}
-	if c.SlowQueryThreshold == 0 {
-		c.SlowQueryThreshold = 250 * time.Millisecond
-	}
-	if c.SlowLogSize == 0 {
-		c.SlowLogSize = 128
 	}
 	if c.TraceLimit == 0 {
 		c.TraceLimit = hype.DefaultTraceLimit
@@ -175,7 +166,7 @@ func (c Config) withDefaults() Config {
 		c.TraceSampleRate = 0.01
 	}
 	if c.TraceLatencyRetention == 0 {
-		c.TraceLatencyRetention = c.SlowQueryThreshold
+		c.TraceLatencyRetention = 250 * time.Millisecond
 	}
 	return c
 }
@@ -195,7 +186,6 @@ type Server struct {
 	cache *PlanCache
 	start time.Time
 	met   *metrics
-	slow  *SlowLog
 	// sem is the admission-control semaphore (nil when unbounded): one
 	// slot per concurrently running evaluation.
 	sem chan struct{}
@@ -223,7 +213,6 @@ func New(cfg Config) *Server {
 		reg:        NewRegistry(),
 		cache:      NewPlanCache(cfg.CacheSize),
 		start:      time.Now(),
-		slow:       NewSlowLog(cfg.SlowLogSize, cfg.SlowQueryThreshold),
 		corpusSems: make(map[string]chan struct{}),
 	}
 	if cfg.MaxConcurrentEvals > 0 {
@@ -240,7 +229,6 @@ func New(cfg Config) *Server {
 			Capacity:         cfg.TraceStoreSize,
 			SampleRate:       cfg.TraceSampleRate,
 			LatencyThreshold: cfg.TraceLatencyRetention,
-			OnFinish:         s.met.traceFinished,
 		})
 	}
 	return s
@@ -255,11 +243,9 @@ func (s *Server) Cache() *PlanCache { return s.cache }
 // Telemetry exposes the server's metrics registry (served at /metrics).
 func (s *Server) Telemetry() *telemetry.Registry { return s.met.reg }
 
-// SlowLog exposes the slow-query log (served at /slow).
-func (s *Server) SlowLog() *SlowLog { return s.slow }
-
-// Traces exposes the tail-based trace store (served at /traces), or nil
-// when tracing is disabled (negative Config.TraceStoreSize).
+// Traces exposes the tail-based trace store (served at /traces, and
+// filtered to slow queries at /slow), or nil when tracing is disabled
+// (negative Config.TraceStoreSize).
 func (s *Server) Traces() *trace.Store {
 	if s.tracer == nil {
 		return nil
@@ -501,11 +487,6 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 	if err != nil {
 		return nil, err
 	}
-	if hit {
-		s.met.cacheHits.Inc()
-	} else {
-		s.met.cacheMisses.Inc()
-	}
 
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -513,11 +494,15 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 		defer cancel()
 	}
 
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("server: query on %q: %w", doc.Name, err)
+	if s.sem != nil {
+		_, asp := trace.Start(ctx, "admit")
+		err = s.admit(ctx, s.sem, asp)
+		asp.End()
+		if err != nil {
+			return nil, fmt.Errorf("server: query on %q: %w", doc.Name, err)
+		}
+		defer func() { <-s.sem }()
 	}
-	defer release()
 
 	start := time.Now()
 	res, err := s.evaluate(ctx, plan, doc, engine, req.Explain, s.workersFor(req.Parallelism))
@@ -550,19 +535,13 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 	s.met.skippedEle.Add(int64(resp.SkippedElements))
 	s.met.afaEvals.Add(int64(resp.AFAEvals))
 	s.met.observeQuery(req.View, resp.Engine, elapsed)
-	traceID := ""
-	if tid := trace.FromContext(ctx).TraceID(); !tid.IsZero() {
-		traceID = tid.String()
+	root := trace.FromContext(ctx)
+	if tid := root.TraceID(); req.Trace && !tid.IsZero() {
+		resp.TraceID = tid.String()
 	}
-	if req.Trace {
-		resp.TraceID = traceID
-	}
-	// Slow-log entries carry the trace ID so a /slow line links directly
-	// to its trace: with the default TraceLatencyRetention (= the slow
-	// threshold) every slow query's trace is retained, since the root span
-	// outlasts the evaluation the threshold measured.
-	if s.slow.Record(slowEntry(req, resp, time.Now(), traceID)) {
+	if s.isSlow(elapsed) {
 		s.met.slowQueries.Inc()
+		markSlow(root, req, resp)
 	}
 	if req.Explain {
 		resp.Explain = s.explain(req, view, plan, res.Trace)
@@ -614,6 +593,9 @@ func (s *Server) plan(ctx context.Context, req QueryRequest, view *ViewEntry) (*
 	ctx, sp := trace.Start(ctx, "plan")
 	defer sp.End()
 	key := PlanKey{View: req.View, Query: req.Query}
+	if view != nil {
+		key.ViewGen = view.Gen
+	}
 	plan, outcome, err := s.cache.GetOrBuildOutcome(key, func() (*smoqe.PreparedQuery, error) {
 		return s.buildPlan(ctx, req, view)
 	})
@@ -677,41 +659,45 @@ func (s *Server) explain(req QueryRequest, view *ViewEntry, plan *smoqe.Prepared
 	}
 }
 
-// admit acquires an evaluation slot (a no-op when admission control is
-// off). A request that finds every slot busy queues up to QueueWait and is
-// then shed with ErrOverloaded — bounded latency instead of unbounded
-// goroutine pile-up. The returned release must be called exactly once.
-func (s *Server) admit(ctx context.Context) (release func(), err error) {
-	if s.sem == nil {
-		return func() {}, nil
-	}
-	_, sp := trace.Start(ctx, "admit")
-	defer sp.End()
-	release = func() { <-s.sem }
+// admit takes a slot of the admission semaphore sem: the global one for
+// single-document evaluations, or a collection's for fan-outs. A request
+// that finds every slot busy queues up to QueueWait and is then shed with
+// ErrOverloaded — bounded latency instead of unbounded goroutine pile-up.
+// sp is the caller's admission span ("admit" or "corpus.admit"), which
+// records a shed or cancelled outcome. On success the caller owns the slot
+// and releases it with <-sem.
+func (s *Server) admit(ctx context.Context, sem chan struct{}, sp *trace.Span) error {
 	select {
-	case s.sem <- struct{}{}: // fast path: a slot is free
+	case sem <- struct{}{}: // fast path: a slot is free
 		s.met.queueWait.Observe(0)
-		return release, nil
+		return nil
 	default:
 	}
 	start := time.Now()
 	timer := time.NewTimer(s.cfg.QueueWait)
 	defer timer.Stop()
 	select {
-	case s.sem <- struct{}{}:
+	case sem <- struct{}{}:
 		s.met.queueWait.Observe(time.Since(start).Seconds())
-		return release, nil
+		return nil
 	case <-timer.C:
 		s.met.shed.Inc()
 		sp.Event("shed")
 		sp.Error(ErrOverloaded)
-		return nil, ErrOverloaded
+		return ErrOverloaded
 	case <-ctx.Done():
 		s.met.cancelled.Inc()
 		sp.Event("cancelled")
 		sp.Error(ctx.Err())
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
+}
+
+// isSlow reports whether an evaluation that took elapsed meets the slow
+// threshold (inclusive; a negative threshold disables it).
+func (s *Server) isSlow(elapsed time.Duration) bool {
+	t := s.cfg.TraceLatencyRetention
+	return t >= 0 && elapsed >= t
 }
 
 // workersFor clamps a request's parallelism ask against the server cap:

@@ -10,6 +10,7 @@ import (
 
 	"smoqe"
 	"smoqe/internal/datagen"
+	"smoqe/internal/failpoint"
 	"smoqe/internal/hospital"
 	"smoqe/internal/refeval"
 	"smoqe/internal/xpath"
@@ -150,6 +151,56 @@ func TestViewReplacementInvalidatesPlans(t *testing.T) {
 	}
 	if r2.Count != 2 {
 		t.Errorf("new definition: count=%d, want 2", r2.Count)
+	}
+}
+
+// TestViewSwapRacingPlanBuild: a view re-registered while a plan over its
+// old definition is still being built must not be answered by that plan.
+// The build finishes after the swap dropped the view's cached plans; keyed
+// by view name alone, it would be inserted and then hit by every later
+// request on the new definition.
+func TestViewSwapRacingPlanBuild(t *testing.T) {
+	s := New(Config{})
+	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RegisterView("v", smoqe.IdentityView(hospital.DocDTD())); err != nil {
+		t.Fatal(err)
+	}
+	if err := failpoint.Enable(failpoint.SiteServerPlanBuild, "sleep:300ms"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.DisableAll()
+	req := QueryRequest{Doc: "hospital", View: "v", Query: "patient"}
+	first := make(chan error, 1)
+	go func() {
+		_, err := s.Query(context.Background(), req)
+		first <- err
+	}()
+	// Swap only once the old definition's build is in flight.
+	for {
+		s.cache.mu.Lock()
+		building := len(s.cache.building)
+		s.cache.mu.Unlock()
+		if building > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := s.RegisterView("v", hospital.Sigma0()); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	failpoint.DisableAll()
+
+	resp, err := s.Query(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Count != 2 || resp.CacheHit {
+		t.Errorf("after the swap: count=%d cache_hit=%v, want σ0's 2 patients from a fresh plan", resp.Count, resp.CacheHit)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,50 +131,83 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestSlowLogRecordsAndServes: with a 1ns threshold every /query is
+// slow. GET /slow lists each HTTP request, newest first, with every field
+// taken from its response and its trace ID; total counts them, and a
+// direct Server.Query call counts without an entry (it has no trace).
 func TestSlowLogRecordsAndServes(t *testing.T) {
-	// Threshold 1ns: every query qualifies as slow.
-	s := New(Config{SlowQueryThreshold: time.Nanosecond, SlowLogSize: 2})
+	s := New(Config{TraceLatencyRetention: time.Nanosecond, TraceSampleRate: -1})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{"//diagnosis", "//pname", "//street"} {
-		if _, err := s.Query(context.Background(), QueryRequest{Doc: "hospital", Query: q}); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := s.RegisterView("sigma0", hospital.Sigma0()); err != nil {
+		t.Fatal(err)
 	}
-	if got := s.SlowLog().Total(); got != 3 {
-		t.Errorf("slow total = %d, want 3", got)
-	}
-	entries := s.SlowLog().Snapshot()
-	if len(entries) != 2 {
-		t.Fatalf("ring retained %d entries, want capacity 2", len(entries))
-	}
-	// Newest first; the oldest ("//diagnosis") was overwritten.
-	if entries[0].Query != "//street" || entries[1].Query != "//pname" {
-		t.Errorf("snapshot order = [%s, %s], want [//street, //pname]", entries[0].Query, entries[1].Query)
-	}
-	if st := s.Stats(); st.SlowQueries != 3 {
-		t.Errorf("stats slow queries = %d, want 3", st.SlowQueries)
-	}
-
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	var out slowResponse
-	getJSON(t, ts, "/slow", &out)
-	if out.Total != 3 || len(out.Entries) != 2 {
-		t.Errorf("GET /slow: total=%d entries=%d, want 3 and 2", out.Total, len(out.Entries))
+
+	reqs := []QueryRequest{
+		{Doc: "hospital", Query: "//diagnosis"},
+		{Doc: "hospital", View: "sigma0", Query: hospital.QExample11, Engine: EngineOptHyPE},
+		{Doc: "hospital", Query: "//diagnosis", Engine: EngineColumnar},
 	}
-	if out.Entries[0].ElapsedMicros < 0 || out.Entries[0].Doc != "hospital" {
-		t.Errorf("slow entry malformed: %+v", out.Entries[0])
+	var resps []QueryResponse
+	var traceIDs []string
+	for _, req := range reqs {
+		resp, body := postJSON(t, ts, "/query", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /query: %d %s", resp.StatusCode, body)
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		resps = append(resps, qr)
+		traceIDs = append(traceIDs, resp.Header.Get("X-Smoqe-Trace-Id"))
+	}
+	out := waitForSlow(t, ts, len(reqs))
+	if out.ThresholdMicros != 0 || out.Total != int64(len(reqs)) || len(out.Entries) != len(reqs) {
+		t.Fatalf("GET /slow: threshold_us=%d total=%d entries=%d, want 0, %d, %d",
+			out.ThresholdMicros, out.Total, len(out.Entries), len(reqs), len(reqs))
+	}
+	for i, e := range out.Entries {
+		j := len(reqs) - 1 - i // newest first
+		req, qr := reqs[j], resps[j]
+		want := SlowQuery{
+			Time: e.Time, Doc: req.Doc, View: req.View, Query: req.Query, Engine: qr.Engine,
+			ElapsedMicros: qr.ElapsedMicros, Count: qr.Count, Visited: qr.Visited,
+			CacheHit: qr.CacheHit, TraceID: traceIDs[j],
+		}
+		if e != want {
+			t.Errorf("entry %d = %+v, want %+v", i, e, want)
+		}
+		if e.Time.IsZero() || time.Since(e.Time) > time.Minute {
+			t.Errorf("entry %d time = %v", i, e.Time)
+		}
+	}
+	if !out.Entries[0].CacheHit || out.Entries[2].CacheHit {
+		t.Errorf("cache_hit flags = %v, %v; want the repeated query to hit", out.Entries[0].CacheHit, out.Entries[2].CacheHit)
+	}
+
+	if _, err := s.Query(context.Background(), QueryRequest{Doc: "hospital", Query: "//pname"}); err != nil {
+		t.Fatal(err)
+	}
+	var after slowResponse
+	getJSON(t, ts, "/slow", &after)
+	if after.Total != int64(len(reqs))+1 || len(after.Entries) != len(reqs) {
+		t.Errorf("after a Go call: total=%d entries=%d, want %d and %d", after.Total, len(after.Entries), len(reqs)+1, len(reqs))
+	}
+	if st := s.Stats(); st.SlowQueries != after.Total {
+		t.Errorf("stats slow queries = %d, /slow total = %d", st.SlowQueries, after.Total)
 	}
 }
 
 // TestLatencyLabeledByEngineThatRan: an explain request for the columnar
 // engine runs on the columnar engine, and its response says so. The
-// latency histogram and the slow log record that engine. A collection
+// latency histogram and GET /slow record that engine. A collection
 // fan-out runs the columnar pass, and its latency is recorded as such.
 func TestLatencyLabeledByEngineThatRan(t *testing.T) {
-	s := New(Config{SlowQueryThreshold: time.Nanosecond})
+	s := New(Config{TraceLatencyRetention: time.Nanosecond})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +241,7 @@ func TestLatencyLabeledByEngineThatRan(t *testing.T) {
 		t.Errorf("latency recorded under an engine that did not run:\n%s", text)
 	}
 
-	var slow slowResponse
-	getJSON(t, ts, "/slow", &slow)
+	slow := waitForSlow(t, ts, 1)
 	if len(slow.Entries) != 1 || slow.Entries[0].Engine != EngineColumnar {
 		t.Errorf("/slow entries = %+v, want one entry with engine columnar", slow.Entries)
 	}
@@ -232,13 +265,106 @@ func TestLatencyLabeledByEngineThatRan(t *testing.T) {
 	}
 }
 
+// TestSlowLogDisabled: a negative threshold disables slow queries; GET
+// /slow reports the negative threshold, a zero total and no entries, even
+// with every trace retained.
 func TestSlowLogDisabled(t *testing.T) {
-	l := NewSlowLog(4, -1)
-	if l.Record(SlowQuery{ElapsedMicros: 1 << 40}) {
-		t.Error("disabled log recorded an entry")
+	s := New(Config{TraceLatencyRetention: -time.Millisecond, TraceSampleRate: 1})
+	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
+		t.Fatal(err)
 	}
-	if len(l.Snapshot()) != 0 || l.Total() != 0 {
-		t.Error("disabled log retained entries")
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts, "/query", QueryRequest{Doc: "hospital", Query: "//diagnosis"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /query: %d %s", resp.StatusCode, body)
+	}
+	waitForTrace(t, s, resp.Header.Get("X-Smoqe-Trace-Id"))
+	var out slowResponse
+	getJSON(t, ts, "/slow", &out)
+	if out.ThresholdMicros >= 0 || out.Total != 0 || len(out.Entries) != 0 {
+		t.Errorf("disabled /slow = %+v, want a negative threshold, total 0 and no entries", out)
+	}
+	if st := s.Stats(); st.SlowQueries != 0 {
+		t.Errorf("stats slow queries = %d with the threshold disabled", st.SlowQueries)
+	}
+}
+
+// metricValue reads one unlabeled series from a Prometheus text scrape.
+func metricValue(t *testing.T, text, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s = %q: %v", name, v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%s missing from scrape:\n%s", name, text)
+	return 0
+}
+
+// TestCountsAgreeAcrossEndpoints: each fact has one count, so after one
+// unparsable query and a few traced ones /stats, /traces and /metrics
+// report the same plan-cache and trace totals. The handlers are called
+// directly so that reading them creates no traces of its own.
+func TestCountsAgreeAcrossEndpoints(t *testing.T) {
+	s := New(Config{TraceSampleRate: -1, TraceLatencyRetention: -1})
+	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	post := func(req QueryRequest) {
+		raw, _ := json.Marshal(req)
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(string(raw))))
+	}
+	post(QueryRequest{Doc: "hospital", Query: "//[bad"})
+	const traced = 3
+	for i := 0; i < traced; i++ {
+		post(QueryRequest{Doc: "hospital", Query: "//diagnosis", Trace: true})
+	}
+
+	var traces tracesResponse
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rec := httptest.NewRecorder()
+		s.handleTraces(rec, httptest.NewRequest(http.MethodGet, "/traces", nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &traces); err != nil {
+			t.Fatal(err)
+		}
+		if traces.RetainedTotal == traced+1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("retained_total = %d, want %d (forced + failed)", traces.RetainedTotal, traced+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var scrape strings.Builder
+	if err := s.Telemetry().WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	text := scrape.String()
+	st := s.Stats()
+	for _, c := range []struct {
+		name       string
+		got, other int64
+	}{
+		{"smoqe_plan_cache_hits_total", metricValue(t, text, "smoqe_plan_cache_hits_total"), st.Cache.Hits},
+		{"smoqe_plan_cache_misses_total", metricValue(t, text, "smoqe_plan_cache_misses_total"), st.Cache.Misses},
+		{"smoqe_trace_retained_total", metricValue(t, text, "smoqe_trace_retained_total"), traces.RetainedTotal},
+		{"smoqe_trace_dropped_total", metricValue(t, text, "smoqe_trace_dropped_total"), traces.DroppedTotal},
+		{"smoqe_trace_spans_total", metricValue(t, text, "smoqe_trace_spans_total"), traces.SpansTotal},
+		{"smoqe_requests_total", metricValue(t, text, "smoqe_requests_total"), st.Requests},
+	} {
+		if c.got != c.other {
+			t.Errorf("%s = %d in /metrics, %d in /stats or /traces", c.name, c.got, c.other)
+		}
+	}
+	if st.Cache.Misses != 2 || st.Cache.Hits != traced-1 || st.Requests != traced+1 {
+		t.Errorf("stats = %+v, want 2 misses (the bad query and the first build), %d hits, %d requests", st.Cache, traced-1, traced+1)
 	}
 }
 

@@ -261,11 +261,11 @@ func TestTracingDisabled(t *testing.T) {
 	}
 }
 
-// TestSlowLogLinksTrace: a slow query's /slow entry carries its trace ID,
-// and with the default latency retention (= the slow threshold) that trace
-// is retained.
+// TestSlowLogLinksTrace: a slow query's /slow entry is its retained
+// trace: the entry's trace_id is the request's, GET /traces/{id} serves
+// it, latency retention kept it, and its root span carries the details.
 func TestSlowLogLinksTrace(t *testing.T) {
-	s := New(Config{SlowQueryThreshold: time.Nanosecond, TraceSampleRate: -1})
+	s := New(Config{TraceLatencyRetention: time.Nanosecond, TraceSampleRate: -1})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +276,87 @@ func TestSlowLogLinksTrace(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /query: %d %s", resp.StatusCode, body)
 	}
-	entries := s.SlowLog().Snapshot()
-	if len(entries) != 1 || entries[0].TraceID == "" {
-		t.Fatalf("slow entry missing trace ID: %+v", entries)
+	entries := waitForSlow(t, ts, 1).Entries
+	if len(entries) != 1 || entries[0].TraceID != resp.Header.Get("X-Smoqe-Trace-Id") {
+		t.Fatalf("slow entries %+v, want one with trace ID %s", entries, resp.Header.Get("X-Smoqe-Trace-Id"))
 	}
-	d := waitForTrace(t, s, entries[0].TraceID)
+	var d trace.Data
+	if resp := getJSON(t, ts, "/traces/"+entries[0].TraceID, &d); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /traces/{id}: %d", resp.StatusCode)
+	}
 	if d.Retained != trace.RetainLatency {
 		t.Errorf("slow query's trace retained = %q, want %q", d.Retained, trace.RetainLatency)
+	}
+	e, ok := slowEntry(&d)
+	if e.Time.Equal(entries[0].Time) {
+		e.Time = entries[0].Time
+	}
+	if !ok || e != entries[0] {
+		t.Errorf("root span of the trace reads back as %+v (ok=%v), want %+v", e, ok, entries[0])
+	}
+}
+
+// TestSharedTraceIDKeepsEveryRequest: two forced, slow requests that
+// propagate one W3C trace ID from different caller spans are two entries
+// in /traces and /slow, and GET /traces/{id} serves both requests' spans.
+func TestSharedTraceIDKeepsEveryRequest(t *testing.T) {
+	s := New(Config{TraceLatencyRetention: time.Nanosecond, TraceSampleRate: -1})
+	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const remoteTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
+	parents := []string{"00f067aa0ba902b7", "00f067aa0ba902b8"}
+	for _, parent := range parents {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/query",
+			strings.NewReader(`{"doc":"hospital","query":"//diagnosis","trace":true}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("traceparent", "00-"+remoteTrace+"-"+parent+"-01")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /query: %d", resp.StatusCode)
+		}
+	}
+
+	slow := waitForSlow(t, ts, 2)
+	if len(slow.Entries) != 2 || slow.Entries[0].TraceID != remoteTrace || slow.Entries[1].TraceID != remoteTrace {
+		t.Errorf("/slow entries = %+v, want both requests under %s", slow.Entries, remoteTrace)
+	}
+	// The 1ns threshold also retains the GET /slow polls; count only the
+	// two propagated requests.
+	var list tracesResponse
+	getJSON(t, ts, "/traces", &list)
+	shared := 0
+	for _, tr := range list.Traces {
+		if tr.TraceID == remoteTrace {
+			shared++
+			if tr.Retained != trace.RetainForced {
+				t.Errorf("listed trace %+v, want it retained forced", tr)
+			}
+		}
+	}
+	if shared != 2 {
+		t.Fatalf("GET /traces lists %d entries for %s, want one per request (2)", shared, remoteTrace)
+	}
+	var d trace.Data
+	getJSON(t, ts, "/traces/"+remoteTrace, &d)
+	var roots []string
+	for _, sp := range d.Spans {
+		if sp.Name == "http" {
+			roots = append(roots, sp.Parent)
+		}
+	}
+	if fmt.Sprint(roots) != fmt.Sprint(parents) {
+		t.Errorf("GET /traces/{id} has http roots under %v, want one per request under %v", roots, parents)
 	}
 }
 

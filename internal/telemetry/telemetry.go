@@ -35,7 +35,8 @@ var DefBuckets = []float64{
 
 // Counter is a monotonically increasing metric.
 type Counter struct {
-	v atomic.Int64
+	v  atomic.Int64
+	fn func() int64 // if non-nil, the counter is read-only and computed at scrape time
 }
 
 // Inc adds 1.
@@ -48,8 +49,14 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Value returns the current count. Inc and Add do not move a func-backed
+// counter.
+func (c *Counter) Value() int64 {
+	if c.fn != nil {
+		return c.fn()
+	}
+	return c.v.Load()
+}
 
 // Gauge is a metric that can go up and down.
 type Gauge struct {
@@ -204,6 +211,17 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 		s.c = &Counter{}
 	}
 	return s.c
+}
+
+// CounterFunc registers a counter whose value is read from fn at scrape
+// time — for a lifetime count another subsystem already keeps (plan-cache
+// lookups, trace-store totals), so each fact is counted in one place. fn
+// must never decrease. Re-registering replaces the callback.
+func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.family(name, help, kindCounter).instance(labels)
+	s.c = &Counter{fn: fn}
 }
 
 // Gauge returns the settable gauge name{labels}, creating it on first use.

@@ -27,6 +27,20 @@ func TestCounter(t *testing.T) {
 	}
 }
 
+func TestCounterFunc(t *testing.T) {
+	r := New()
+	n := int64(7)
+	r.CounterFunc("hits_total", "hits", nil, func() int64 { return n })
+	n = 9
+	var out strings.Builder
+	if err := r.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "# TYPE hits_total counter\nhits_total 9\n") {
+		t.Errorf("func counter missing or stale:\n%s", out.String())
+	}
+}
+
 func TestGauge(t *testing.T) {
 	r := New()
 	g := r.Gauge("depth", "", nil)

@@ -13,7 +13,8 @@
 // Finished traces are submitted to a bounded Store with tail-based
 // retention: the decision to keep a trace is made when its root span ends,
 // so error traces and slow traces are always kept no matter how the
-// request started out (see Tracer).
+// request started out (see Tracer), and a full store evicts sampled traces
+// before them (see Store).
 package trace
 
 import (

@@ -209,18 +209,16 @@ func TestEndIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestOnFinishCallback(t *testing.T) {
-	var gotSpans int
-	var gotRetained bool
-	tr := New(Config{SampleRate: -1, OnFinish: func(spans int, retained bool) {
-		gotSpans, gotRetained = spans, retained
-	}})
+// TestTotalsCountFinishedTrace: a finished trace is counted once, with its
+// span count and the retention verdict, whether or not it was kept.
+func TestTotalsCountFinishedTrace(t *testing.T) {
+	tr := New(Config{SampleRate: -1})
 	ctx, root := tr.StartRoot(context.Background(), "http", Traceparent{})
 	_, sp := Start(ctx, "child")
 	sp.End()
 	root.End()
-	if gotSpans != 2 || gotRetained {
-		t.Errorf("OnFinish(%d, %v), want (2, false)", gotSpans, gotRetained)
+	if retained, dropped, spans := tr.Store().Totals(); retained != 0 || dropped != 1 || spans != 2 {
+		t.Errorf("totals = (%d, %d, %d), want (0, 1, 2)", retained, dropped, spans)
 	}
 }
 
@@ -373,5 +371,115 @@ func TestStoreConcurrentStress(t *testing.T) {
 	}
 	if tr.Store().Len() != 16 {
 		t.Errorf("store len = %d, want capacity 16", tr.Store().Len())
+	}
+}
+
+// TestStoreEvictsSampledFirst: a trace kept for a cause (here latency)
+// outlives capacity newer sampled traces, and only newer traces kept for a
+// cause push it out.
+func TestStoreEvictsSampledFirst(t *testing.T) {
+	const capacity = 4
+	tr := New(Config{Capacity: capacity, SampleRate: 1, LatencyThreshold: 100 * time.Millisecond})
+	finish := func(force bool) string {
+		_, root := tr.StartRoot(context.Background(), "http", Traceparent{})
+		if force {
+			root.Force()
+		}
+		root.End()
+		return root.TraceID().String()
+	}
+	_, slow := tr.StartRoot(context.Background(), "http", Traceparent{})
+	time.Sleep(110 * time.Millisecond)
+	slow.End()
+	slowID := slow.TraceID().String()
+	if d, ok := tr.Store().Get(slowID); !ok || d.Retained != RetainLatency {
+		t.Fatalf("slow trace not retained by latency (ok=%v)", ok)
+	}
+
+	var sampled []string
+	for i := 0; i < capacity; i++ {
+		sampled = append(sampled, finish(false))
+	}
+	if _, ok := tr.Store().Get(slowID); !ok {
+		t.Fatalf("latency trace evicted by %d newer sampled traces", capacity)
+	}
+	if _, ok := tr.Store().Get(sampled[0]); ok {
+		t.Error("oldest sampled trace survived; the latency trace should have outranked it")
+	}
+	if got := tr.Store().Len(); got != capacity {
+		t.Errorf("store holds %d traces, want %d", got, capacity)
+	}
+
+	for i := 0; i < capacity-1; i++ {
+		finish(true)
+	}
+	if _, ok := tr.Store().Get(slowID); !ok {
+		t.Fatal("latency trace evicted while sampled traces remained")
+	}
+	finish(true)
+	if _, ok := tr.Store().Get(slowID); ok {
+		t.Error("latency trace survived capacity newer forced traces")
+	}
+	for _, d := range tr.Store().Snapshot() {
+		if d.Retained != RetainForced {
+			t.Errorf("store kept a %s trace next to %d forced ones", d.Retained, capacity)
+		}
+	}
+}
+
+// TestStoreKeepsEveryRequestOfATraceID: two requests that propagate one
+// trace ID are two entries; Get merges their spans onto the earlier start.
+func TestStoreKeepsEveryRequestOfATraceID(t *testing.T) {
+	tr := New(Config{SampleRate: -1})
+	const id = "0123456789abcdef0123456789abcdef"
+	parents := []string{"00f067aa0ba902b7", "00f067aa0ba902b8"}
+	for _, parent := range parents {
+		remote, ok := ParseTraceparent("00-" + id + "-" + parent + "-01")
+		if !ok {
+			t.Fatal("valid traceparent rejected")
+		}
+		ctx, root := tr.StartRoot(context.Background(), "http", remote)
+		root.Force()
+		_, sp := Start(ctx, "eval")
+		sp.Event("ran")
+		sp.End()
+		root.End()
+		time.Sleep(time.Millisecond)
+	}
+
+	if got := tr.Store().Len(); got != 2 {
+		t.Fatalf("store holds %d entries, want one per request (2)", got)
+	}
+	snap := tr.Store().Snapshot()
+	if snap[0].TraceID != id || snap[1].TraceID != id || len(snap[0].Spans) != 2 || len(snap[1].Spans) != 2 {
+		t.Fatalf("snapshot entries do not each hold one request: %+v", snap)
+	}
+
+	d, ok := tr.Store().Get(id)
+	if !ok {
+		t.Fatal("shared trace ID not found")
+	}
+	if len(d.Spans) != 4 || d.Retained != RetainForced || d.Status != "ok" {
+		t.Fatalf("merged trace: %d spans, retained %q, status %q; want 4, forced, ok", len(d.Spans), d.Retained, d.Status)
+	}
+	var roots []string
+	for _, sp := range d.Spans {
+		if sp.Name == "http" {
+			roots = append(roots, sp.Parent)
+		}
+		if sp.StartMicros < 0 || sp.StartMicros+sp.DurationMicros > d.DurationMicros+1 {
+			t.Errorf("span %s [%d, +%d] outside the merged window %d", sp.Name, sp.StartMicros, sp.DurationMicros, d.DurationMicros)
+		}
+		for _, ev := range sp.Events {
+			if ev.AtMicros < sp.StartMicros {
+				t.Errorf("event %s at %dµs precedes its span's start %dµs", ev.Name, ev.AtMicros, sp.StartMicros)
+			}
+		}
+	}
+	if fmt.Sprint(roots) != fmt.Sprint(parents) {
+		t.Errorf("merged roots have parents %v, want %v (earlier request first)", roots, parents)
+	}
+	if !d.Start.Equal(snap[1].Start) {
+		t.Errorf("merged start %v, want the earlier request's %v", d.Start, snap[1].Start)
 	}
 }

@@ -25,8 +25,8 @@ const (
 // Config tunes a Tracer. The zero value of each bound falls back to the
 // default noted on the field.
 type Config struct {
-	// Capacity is how many retained traces the store holds before the
-	// oldest is evicted (default 256).
+	// Capacity is how many retained request traces the store holds before
+	// it evicts one, sampled traces first (default 256).
 	Capacity int
 	// SampleRate is the probability that a trace with nothing remarkable
 	// about it (no error, under the latency threshold, not forced) is
@@ -42,9 +42,6 @@ type Config struct {
 	MaxAttrsPerSpan int
 	// MaxEventsPerSpan bounds per-span events (default 16).
 	MaxEventsPerSpan int
-	// OnFinish, when set, observes every finished trace: how many spans it
-	// recorded and whether tail-based retention kept it (metrics hook).
-	OnFinish func(spans int, retained bool)
 }
 
 func (c Config) withDefaults() Config {
@@ -188,7 +185,7 @@ func (tr *activeTrace) finish(rootDur time.Duration) {
 		if failed {
 			status = "error"
 		}
-		t.store.add(tr.id, &Data{
+		t.store.add(&Data{
 			TraceID:        tr.id.String(),
 			Root:           root,
 			Start:          tr.start,
@@ -200,9 +197,6 @@ func (tr *activeTrace) finish(rootDur time.Duration) {
 		})
 	}
 	t.store.account(len(spans), reason != "")
-	if t.cfg.OnFinish != nil {
-		t.cfg.OnFinish(len(spans), reason != "")
-	}
 }
 
 // SpanData is one finished span as stored and served: offsets and
