@@ -54,7 +54,7 @@ func main() {
 	addr := flag.String("addr", ":8640", "listen address")
 	cacheSize := flag.Int("cache", 256, "plan cache capacity (plans)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request evaluation timeout")
-	maxPaths := flag.Int("maxpaths", 1000, "maximum node paths returned per response")
+	maxPaths := flag.Int("maxpaths", 1000, "maximum node paths returned per response (negative = unlimited)")
 	grace := flag.Duration("grace", 10*time.Second, "graceful shutdown window")
 	sample := flag.Bool("sample", false, "preload the paper's hospital sample document and σ0 view")
 	traceLimit := flag.Int("trace-limit", 0, "per-node trace cap for explain requests (0 = engine default)")

@@ -30,13 +30,19 @@ type Engine struct {
 	// prog is the compiled evaluation program (compile.go), immutable and
 	// shared by clones.
 	prog *program
+	// guarded reports whether some NFA state carries a guard. Only a failed
+	// guard kills a cans vertex, so without one every candidate survives
+	// phase 2 and runs count the DAG instead of storing it (see liveCands).
+	guarded bool
 
 	// Per clone (Clone resets them): the lazy subset automata of plain and
 	// indexed runs (see ensureDFA), the cache bound tests may override,
-	// and the metadata of the index the clone last ran on (meta.go).
+	// the metadata of the index the clone last ran on (meta.go), and the
+	// buffers of its last run (see runBufs).
 	caches [2]*dfaCache
 	dfaCap int
 	im     *indexMeta
+	bufs   *runBufs
 }
 
 // afaMeta holds per-AFA static metadata.
@@ -77,13 +83,14 @@ func New(m *mfa.MFA) *Engine {
 }
 
 // Clone returns an independent engine over the same automaton: the
-// immutable automaton metadata is shared, while the subset-state caches
-// and the index metadata are private, so clones may evaluate concurrently
-// on different goroutines.
+// immutable automaton metadata is shared, while the subset-state caches,
+// the index metadata and the run buffers are private, so clones may
+// evaluate concurrently on different goroutines.
 func (e *Engine) Clone() *Engine {
 	c := *e
 	c.caches = [2]*dfaCache{}
 	c.im = nil
+	c.bufs = nil
 	return &c
 }
 
@@ -106,6 +113,7 @@ func (e *Engine) precompute() {
 	e.productive = make([]bool, n)
 	for s := 0; s < n; s++ {
 		e.productive[s] = e.m.States[s].Final
+		e.guarded = e.guarded || e.m.States[s].Guard >= 0
 	}
 	fixpointReach(n, e.productive, func(s int, mark func(int)) {
 		for _, t := range e.m.States[s].Eps {
@@ -291,6 +299,7 @@ func (e *Engine) Eval(ctx context.Context, cd *colstore.Document, opts Options) 
 		return res, err
 	}
 	r := e.newRun(ctx, cd, opts)
+	defer e.releaseBufs()
 	r.trace = res.Trace
 	pre := r.dfa.snap()
 	root, seeds := r.rootState()
@@ -309,11 +318,18 @@ func (e *Engine) Eval(ctx context.Context, cd *colstore.Document, opts Options) 
 }
 
 // newRun starts the per-evaluation state of one run of e over cd: the
-// label binding, the subset cache of the run's mode and, with an index,
-// its metadata.
+// label binding, the subset cache of the run's mode, with an index its
+// metadata, and the clone's run buffers, truncated. The caller defers
+// e.releaseBufs.
 func (e *Engine) newRun(ctx context.Context, cd *colstore.Document, opts Options) *run {
+	if e.bufs == nil {
+		e.bufs = new(runBufs)
+	}
+	b := e.bufs
+	b.edgeList, b.dead, b.cands = b.edgeList[:0], b.dead[:0], b.cands[:0]
 	r := &run{
 		Engine:  e,
+		runBufs: b,
 		ctx:     ctx,
 		limits:  opts.Limits,
 		cd:      cd,
@@ -373,12 +389,13 @@ func (r *run) finish(vr visitResult, st *Stats) ([]cand, error) {
 	}
 	hits := r.liveCands(vr)
 	r.stats.CansVertices = r.numVerts
-	r.stats.CansEdges = len(r.edgeList)
+	r.stats.CansEdges = r.numEdges
 	*st = r.stats
 	return hits, nil
 }
 
-// answers fills the answer fields of res from the surviving candidates.
+// answers fills the answer fields of res from the surviving candidates,
+// which may be run buffers: every slice of res is fresh.
 func (e *Engine) answers(res *Result, hits []cand) {
 	res.IDs = candIDs(hits)
 	if e.numTags > 1 {
@@ -407,8 +424,16 @@ func candIDs(hits []cand) []int {
 
 // liveCands walks the cans DAG from the initial vertex (the root's vertex
 // at the NFA start state) and returns the candidate answers reachable
-// without crossing a guard-killed vertex — phase 2 of HyPE.
+// without crossing a guard-killed vertex — phase 2 of HyPE. Without a
+// guarded state every candidate is reachable: the root's block is the
+// ε-closure of the start vertex, each child's block the ε-closure of the
+// targets of link edges from its parent's block, and no vertex dies. The
+// result is a run buffer, so the caller consumes it before the clone runs
+// again.
 func (r *run) liveCands(res visitResult) []cand {
+	if !r.guarded {
+		return r.cands
+	}
 	if len(res.states) == 0 || len(r.cands) == 0 {
 		return nil
 	}
@@ -422,22 +447,26 @@ func (r *run) liveCands(res visitResult) []cand {
 	if startVid < 0 || r.dead[startVid] {
 		return nil
 	}
-	// Build CSR adjacency from the flat edge list.
-	offs := make([]int32, r.numVerts+1)
+	// CSR adjacency from the flat edge list: count each vertex's edges
+	// into offs[v+2], sum, then fill through the cursor offs[v+1], which
+	// ends at v's end, so v's edges are adj[offs[v]:offs[v+1]].
+	n := r.numVerts
+	offs := slices.Grow(r.offs[:0], n+2)[:n+2]
+	clear(offs)
 	for _, ep := range r.edgeList {
-		offs[ep.from+1]++
+		offs[ep.from+2]++
 	}
-	for i := 1; i < len(offs); i++ {
+	for i := 2; i < len(offs); i++ {
 		offs[i] += offs[i-1]
 	}
-	adj := make([]int32, len(r.edgeList))
-	fill := make([]int32, r.numVerts)
+	adj := slices.Grow(r.adj[:0], len(r.edgeList))[:len(r.edgeList)]
 	for _, ep := range r.edgeList {
-		adj[offs[ep.from]+fill[ep.from]] = ep.to
-		fill[ep.from]++
+		adj[offs[ep.from+1]] = ep.to
+		offs[ep.from+1]++
 	}
-	seen := make([]bool, r.numVerts)
-	stack := []int32{startVid}
+	seen := slices.Grow(r.seen[:0], n)[:n]
+	clear(seen)
+	stack := append(r.stack[:0], startVid)
 	seen[startVid] = true
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
@@ -449,7 +478,8 @@ func (r *run) liveCands(res visitResult) []cand {
 			}
 		}
 	}
-	var hits []cand
+	r.offs, r.adj, r.seen, r.stack = offs, adj, seen, stack
+	hits := r.cands[:0]
 	for _, c := range r.cands {
 		if seen[c.vid] {
 			hits = append(hits, c)
@@ -514,22 +544,64 @@ type run struct {
 	limitErr     error
 	flushedCands int
 
-	// cans DAG, stored pointer-free so the GC never scans it: vertices
-	// are just indices (numVerts), edges live in a flat list (CSR built
-	// for the phase-2 traversal), dead marks guard-failed vertices, and
-	// cands records the few final-state vertices with their nodes.
+	// The cans DAG's size: vertices are just indices, and numEdges counts
+	// the edges whether or not the run stores them (see runBufs).
 	numVerts int
+	numEdges int
+
+	// The run's buffers, on loan from the engine clone.
+	*runBufs
+}
+
+// runBufs holds a run's buffers. A clone keeps those of its last run, and
+// newRun truncates them, so a steady-state run allocates no DAG or pool
+// memory; releaseBufs drops them once they grow past maxRetainedBytes.
+// Shard workers start from fresh buffers and hand their DAG slices to the
+// merge. Nothing a Result holds aliases these buffers.
+type runBufs struct {
+	// cans DAG, stored pointer-free so the GC never scans it: edges live in
+	// a flat list (CSR built for the phase-2 traversal), dead marks
+	// guard-failed vertices, and cands records the few final-state
+	// vertices with their nodes. A guard-free automaton stores only cands.
 	edgeList []edgePair
 	dead     []bool
 	cands    []cand
 
-	// Buffer pools: evaluation is single-goroutine, so plain freelists
-	// suffice and remove the per-node allocation churn. AFA bitsets and
-	// bool vectors are pooled per AFA index.
+	// Freelists: evaluation is single-goroutine, so plain freelists suffice
+	// and remove the per-node allocation churn. AFA bitsets and bool
+	// vectors are pooled per AFA index. Every get clears or the caller
+	// overwrites, so an aborted run leaves them usable.
 	poolAFA   [][]nfaSet
 	poolBools [][][]bool
 	vecNPool  [][]nfaSet
 	vecBPool  [][][]bool
+
+	// Phase 2's CSR, visited marks and DFS stack.
+	offs, adj []int32
+	seen      []bool
+	stack     []int32
+}
+
+// maxRetainedBytes bounds the run buffers an engine clone keeps between
+// runs, so one huge evaluation does not pin its DAG in the engine pool.
+const maxRetainedBytes = 4 << 20
+
+// releaseBufs ends a run's loan of the clone's buffers: it drops them when
+// they grew past maxRetainedBytes.
+func (e *Engine) releaseBufs() {
+	b := e.bufs
+	n := 8*cap(b.edgeList) + cap(b.dead) + 12*cap(b.cands) +
+		4*(cap(b.offs)+cap(b.adj)+cap(b.stack)) + cap(b.seen) +
+		24*(len(b.vecNPool)+len(b.vecBPool))
+	for g := range b.poolAFA {
+		n += len(b.poolAFA[g]) * (24 + 8*e.afaClosure[g].words)
+	}
+	for g := range b.poolBools {
+		n += len(b.poolBools[g]) * (24 + e.m.AFAs[g].NumStates())
+	}
+	if n > maxRetainedBytes {
+		e.bufs = nil
+	}
 }
 
 // cand is a candidate answer: a cans vertex at a final NFA state, with the
@@ -743,10 +815,12 @@ func (r *run) openNode(n int32, ds *dfaState) visitResult {
 	for _, f := range ds.finals {
 		r.cands = append(r.cands, cand{vid: res.base + f.idx, tag: f.tag, id: n})
 	}
-	for range ds.states {
-		r.dead = append(r.dead, false)
-	}
 	r.numVerts += len(ds.states)
+	r.numEdges += len(ds.epsLocal)
+	if !r.guarded {
+		return res
+	}
+	r.dead = append(r.dead, make([]bool, len(ds.states))...)
 	for _, ep := range ds.epsLocal {
 		r.edgeList = append(r.edgeList, edgePair{res.base + ep.from, res.base + ep.to})
 	}
@@ -805,6 +879,10 @@ func (r *run) walkChild(c int32, ds *dfaState, rel []nfaSet, transAcc [][]bool, 
 // link adds the cans edges of transition tr from res's vertices into the
 // child block starting at vertex childBase.
 func (r *run) link(res *visitResult, tr *dfaTrans, childBase int32) {
+	r.numEdges += len(tr.linkEdges)
+	if !r.guarded {
+		return
+	}
 	for _, le := range tr.linkEdges {
 		r.edgeList = append(r.edgeList, edgePair{res.base + le.from, childBase + le.to})
 	}

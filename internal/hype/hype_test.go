@@ -16,35 +16,9 @@ import (
 	"smoqe/internal/xpath"
 )
 
-var sourceQueries = []string{
-	".",
-	"department",
-	"department/patient",
-	"department/patient/pname",
-	"*",
-	"**",
-	"//diagnosis",
-	"//patient",
-	"department/patient[visit]",
-	"department/patient[visit/treatment/medication/diagnosis/text()='heart disease']",
-	"department/patient[not(visit)]",
-	"department/patient[visit and parent]",
-	"department/patient[visit or parent]",
-	"department/patient[visit/treatment/test or visit/treatment/medication/diagnosis/text()='flu']",
-	"department/patient/(parent/patient)*",
-	"department/patient/(parent/patient)*[visit/treatment/medication/diagnosis/text()='heart disease']/pname",
-	"department/patient/(parent/patient[visit/treatment/medication])*/pname",
-	"department/patient[(parent/patient)*/visit/treatment/medication/diagnosis/text()='heart disease']/pname",
-	"department/patient[sibling/patient[visit/treatment/medication/diagnosis/text()='heart disease']]/pname",
-	"department/patient[parent/patient[not(visit)]]",
-	"department/*/street | department/patient/pname",
-	"department/patient[address[city/text()='Edinburgh']]",
-	"department/patient[visit[date/text()='2006-07-01']][visit/treatment/medication]",
-	"department/patient[visit/position()=1]",
-	hospital.QExample21,
-	hospital.XPA, hospital.XPB, hospital.XPC,
-	hospital.RXA, hospital.RXB, hospital.RXC,
-}
+// sourceQueries are the source-side queries of the table tests and of the
+// golden pin (see hype.SourceQueries).
+var sourceQueries = hype.SourceQueries
 
 // variant is one evaluation strategy of the table tests.
 type variant struct {

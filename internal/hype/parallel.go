@@ -98,6 +98,7 @@ type shardTask struct {
 // whole evaluation without ever taking down the worker pool.
 type shardOut struct {
 	numVerts  int
+	numEdges  int
 	edges     []edgePair
 	dead      []bool
 	cands     []cand
@@ -118,6 +119,7 @@ func (e *Engine) runParallel(ctx context.Context, cd *colstore.Document, opts Op
 	// bound the whole parallel evaluation, not each shard separately.
 	_, psp := trace.Start(ctx, "hype.plan")
 	r0 := e.newRun(ctx, cd, opts)
+	defer e.releaseBufs()
 	root, seeds := r0.rootState()
 
 	var tasks []*shardTask
@@ -228,6 +230,7 @@ func (r *run) worker() *run {
 	e := r.Engine.Clone()
 	w := &run{
 		Engine:  e,
+		runBufs: new(runBufs),
 		ctx:     r.ctx,
 		limits:  r.limits,
 		bud:     r.bud,
@@ -259,7 +262,7 @@ func mergeParallel(ctx context.Context, r0 *run, spines []*spineNode, tasks []*s
 	// reallocations while folding shard edge lists in.
 	extraV, extraE, extraC := 0, 0, 0
 	for _, t := range tasks {
-		extraV += t.out.numVerts
+		extraV += len(t.out.dead)
 		extraE += len(t.out.edges)
 		extraC += len(t.out.cands)
 	}
@@ -280,6 +283,7 @@ func mergeParallel(ctx context.Context, r0 *run, spines []*spineNode, tasks []*s
 			out := &kc.task.out
 			off := int32(r0.numVerts)
 			r0.numVerts += out.numVerts
+			r0.numEdges += out.numEdges
 			r0.dead = append(r0.dead, out.dead...)
 			for _, ep := range out.edges {
 				r0.edgeList = append(r0.edgeList, edgePair{ep.from + off, ep.to + off})
@@ -338,6 +342,7 @@ func runShard(wr *run, t *shardTask) {
 	}
 	t.out.res = wr.walk(t.node, ds, t.cseeds)
 	t.out.numVerts = wr.numVerts
+	t.out.numEdges = wr.numEdges
 	t.out.edges = wr.edgeList
 	t.out.dead = wr.dead
 	t.out.cands = wr.cands
@@ -346,7 +351,7 @@ func runShard(wr *run, t *shardTask) {
 	t.out.err = wr.limitErr
 	// Reset per-shard state; the buffer pools stay (the handed-out result
 	// slices are never re-pooled).
-	wr.numVerts, wr.edgeList, wr.dead, wr.cands = 0, nil, nil, nil
+	wr.numVerts, wr.numEdges, wr.edgeList, wr.dead, wr.cands = 0, 0, nil, nil, nil
 	wr.stats = Stats{}
 }
 

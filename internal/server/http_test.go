@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"smoqe/internal/hospital"
@@ -134,5 +135,39 @@ func TestHTTPErrors(t *testing.T) {
 	resp, _ = postJSON(t, ts, "/query", map[string]string{"bogus_field": "x"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestNegativeMaxPathsIsUncapped: a negative Config.MaxPaths (smoqed
+// -maxpaths -1) means no cap, as a negative MaxBodyBytes does: a paths
+// request gets one path per answer, and a request with no answers an
+// empty list, never an error.
+func TestNegativeMaxPathsIsUncapped(t *testing.T) {
+	s := New(Config{MaxPaths: -1})
+	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		query   string
+		answers bool
+	}{{"department/patient", true}, {"department/nosuchlabel", false}} {
+		resp, body := postJSON(t, ts, "/query", map[string]any{"doc": "hospital", "query": tc.query, "paths": true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: POST /query: %d %s", tc.query, resp.StatusCode, body)
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		if (qr.Count > 0) != tc.answers || len(qr.Paths) != qr.Count {
+			t.Errorf("%q: %d answers, %d paths", tc.query, qr.Count, len(qr.Paths))
+		}
+		for _, p := range qr.Paths {
+			if !strings.HasPrefix(p, "/hospital[1]/department[") || !strings.Contains(p, "/patient[") {
+				t.Errorf("%q: path %q", tc.query, p)
+			}
+		}
 	}
 }

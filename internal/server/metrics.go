@@ -142,20 +142,33 @@ func newMetrics(s *Server) *metrics {
 		runtimeGauge("/gc/heap/goal:bytes"))
 	reg.GaugeFunc("smoqe_go_goroutines", "Live goroutines.", nil,
 		runtimeGauge("/sched/goroutines:goroutines"))
+	reg.CounterFunc("smoqe_go_alloc_bytes_total", "Heap bytes allocated since the process started.", nil,
+		runtimeCounter("/gc/heap/allocs:bytes"))
+	reg.CounterFunc("smoqe_go_gc_cycles_total", "Completed garbage-collection cycles.", nil,
+		runtimeCounter("/gc/cycles/total:gc-cycles"))
 	return m
 }
 
-// runtimeGauge reads one uint64 runtime/metrics sample per scrape (0 when
-// the runtime does not support it).
+// runtimeGauge reads one runtime/metrics sample per scrape (see
+// readRuntimeMetric).
 func runtimeGauge(name string) func() float64 {
-	return func() float64 {
-		sample := []rtmetrics.Sample{{Name: name}}
-		rtmetrics.Read(sample)
-		if sample[0].Value.Kind() != rtmetrics.KindUint64 {
-			return 0
-		}
-		return float64(sample[0].Value.Uint64())
+	return func() float64 { return float64(readRuntimeMetric(name)) }
+}
+
+// runtimeCounter is runtimeGauge for a cumulative sample.
+func runtimeCounter(name string) func() int64 {
+	return func() int64 { return int64(readRuntimeMetric(name)) }
+}
+
+// readRuntimeMetric reads one uint64 runtime/metrics sample (0 when the
+// runtime does not support it).
+func readRuntimeMetric(name string) uint64 {
+	sample := []rtmetrics.Sample{{Name: name}}
+	rtmetrics.Read(sample)
+	if sample[0].Value.Kind() != rtmetrics.KindUint64 {
+		return 0
 	}
+	return sample[0].Value.Uint64()
 }
 
 // observeQuery records one successful evaluation in the per-(view,engine)

@@ -29,7 +29,7 @@ type Config struct {
 	// the default, negative disables the bound).
 	RequestTimeout time.Duration
 	// MaxPaths caps how many node paths a response carries when the
-	// request asks for paths (default 1000).
+	// request asks for paths (default 1000; negative disables the cap).
 	MaxPaths int
 	// TraceLimit caps the per-node trace returned for "explain" requests
 	// (default hype.DefaultTraceLimit).
@@ -547,7 +547,10 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 		resp.Explain = s.explain(req, view, plan, res.Trace)
 	}
 	if req.Paths {
-		n := min(len(res.IDs), s.cfg.MaxPaths)
+		n := len(res.IDs)
+		if s.cfg.MaxPaths >= 0 {
+			n = min(n, s.cfg.MaxPaths)
+		}
 		resp.Paths = make([]string, n)
 		for i, id := range res.IDs[:n] {
 			resp.Paths[i] = doc.Col.Path(int32(id))

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -128,6 +129,55 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Visited counter must be a positive cumulative number.
 	if strings.Contains(text, "smoqe_visited_elements_total 0\n") {
 		t.Error("visited counter stayed 0 after three queries")
+	}
+}
+
+// TestMetricsRuntimeCounters: the allocation and GC-cycle counters are
+// exported as counters and grow after the process allocates and
+// collects.
+func TestMetricsRuntimeCounters(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	names := []string{"smoqe_go_alloc_bytes_total", "smoqe_go_gc_cycles_total"}
+	scrape := func() map[string]int64 {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		text := string(raw)
+		vals := make(map[string]int64)
+		for _, name := range names {
+			if !strings.Contains(text, "# TYPE "+name+" counter\n") {
+				t.Fatalf("%s is not exported as a counter:\n%s", name, text)
+			}
+			i := strings.Index(text, "\n"+name+" ")
+			if i < 0 {
+				t.Fatalf("%s has no sample", name)
+			}
+			line, _, _ := strings.Cut(text[i+len(name)+2:], "\n")
+			v, err := strconv.ParseInt(line, 10, 64)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, line, err)
+			}
+			vals[name] = v
+		}
+		return vals
+	}
+	before := scrape()
+	sink := make([][]byte, 0, 64)
+	for i := 0; i < 64; i++ {
+		sink = append(sink, make([]byte, 64<<10))
+	}
+	runtime.KeepAlive(sink)
+	runtime.GC()
+	after := scrape()
+	if after["smoqe_go_alloc_bytes_total"]-before["smoqe_go_alloc_bytes_total"] < 64*64<<10 {
+		t.Errorf("alloc bytes grew %d → %d after allocating 4 MiB", before["smoqe_go_alloc_bytes_total"], after["smoqe_go_alloc_bytes_total"])
+	}
+	if after["smoqe_go_gc_cycles_total"] <= before["smoqe_go_gc_cycles_total"] {
+		t.Errorf("GC cycles %d → %d after runtime.GC", before["smoqe_go_gc_cycles_total"], after["smoqe_go_gc_cycles_total"])
 	}
 }
 

@@ -226,3 +226,64 @@ func TestPreparedTaggedParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedBufferReuseConcurrent: pooled engine clones keep their run
+// buffers between evaluations and move between goroutines. Eight
+// goroutines evaluate one plan 50 times each, alternating two documents
+// and the index; every answer must equal the reference evaluator's.
+func TestPreparedBufferReuseConcurrent(t *testing.T) {
+	type doc struct {
+		root *smoqe.Node
+		cd   *smoqe.ColumnarDocument
+		ix   *smoqe.Index
+		want map[string]string
+	}
+	var docs []doc
+	for _, d := range []*smoqe.Document{datagen.Generate(datagen.DefaultConfig(60)), hospital.SampleDocument()} {
+		cd := smoqe.BuildColumnar(d)
+		docs = append(docs, doc{d.Root, cd, smoqe.BuildIndex(cd), map[string]string{}})
+	}
+	queries := []string{hospital.XPB, "//diagnosis"}
+	for _, src := range queries {
+		q, err := smoqe.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range docs {
+			d.want[src] = fmt.Sprint(smoqe.IDsOf(smoqe.EvalReference(q, d.root)))
+		}
+	}
+	for _, src := range queries {
+		p, err := smoqe.PrepareString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const goroutines = 8
+		const rounds = 50
+		var wg sync.WaitGroup
+		errs := make(chan string, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					d := docs[(g+i)%2]
+					opts := smoqe.EvalOptions{Columnar: d.cd}
+					if i%3 == 0 {
+						opts.Index = d.ix
+					}
+					res, err := p.Eval(context.Background(), nil, opts)
+					if got := fmt.Sprint(res.IDs); err != nil || got != d.want[src] {
+						errs <- fmt.Sprintf("%q goroutine %d round %d: %s, want %s (err %v)", src, g, i, got, d.want[src], err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+	}
+}
