@@ -304,6 +304,25 @@ func (cd *Document) Stats() xmltree.Stats {
 	return st
 }
 
+// CheckLimits refuses a document beyond lim's depth or node bound, with
+// the meaning xmltree.ParseWithLimits gives them: depth is element
+// nesting, the root counting 1 and text nodes not counting; nodes are
+// elements plus text. It holds a snapshot to the bounds the parser holds
+// XML to. MaxBytes bounds raw XML and is not checked here. The error is a
+// *xmltree.LimitError for the bound preorder exceeds first, as in the
+// parser.
+func CheckLimits(cd *Document, lim xmltree.ParseLimits) error {
+	for i, d := range cd.depth {
+		if lim.MaxDepth > 0 && cd.label[i] >= 0 && int(d) >= lim.MaxDepth {
+			return &xmltree.LimitError{What: xmltree.LimitDepth, Limit: int64(lim.MaxDepth)}
+		}
+		if lim.MaxNodes > 0 && i >= lim.MaxNodes {
+			return &xmltree.LimitError{What: xmltree.LimitNodes, Limit: int64(lim.MaxNodes)}
+		}
+	}
+	return nil
+}
+
 // validate checks the structural invariants a loaded snapshot must satisfy
 // before the columns are trusted, and (re)derives parent, depth and pos —
 // the derived columns are not stored (see snapshot.go).

@@ -70,7 +70,8 @@ type Options struct {
 	// MaxRetries bounds transient retries per file change before the
 	// document is quarantined (default 3).
 	MaxRetries int
-	// ParseLimits bounds XML documents admitted into the corpus.
+	// ParseLimits bounds the documents admitted into the corpus: XML as
+	// it is parsed, snapshots by depth and node count once read.
 	ParseLimits xmltree.ParseLimits
 	// Logf receives operational messages (quarantines, manifest recovery
 	// fallbacks). Nil means silent.
@@ -688,8 +689,9 @@ func (m *Manager) indexDoc(ctx context.Context, c *Collection, name string, fi f
 
 // parseDoc decodes one document by extension into its columnar form: XML
 // is parsed under lim and converted (the pointer tree is dropped), a
-// snapshot is used as read. Malformed content is a permanent
-// quarantineError; only infrastructure failures stay retryable.
+// snapshot is used as read once it fits lim's depth and node bounds.
+// Malformed or over-limit content is a permanent quarantineError; only
+// infrastructure failures stay retryable.
 func parseDoc(name string, data []byte, lim xmltree.ParseLimits) (*colstore.Document, error) {
 	switch filepath.Ext(name) {
 	case extXML:
@@ -709,6 +711,9 @@ func parseDoc(name string, data []byte, lim xmltree.ParseLimits) (*colstore.Docu
 			if errors.As(err, &fe) {
 				return nil, err
 			}
+			return nil, &quarantineError{reason: "snapshot: " + err.Error()}
+		}
+		if err := colstore.CheckLimits(cd, lim); err != nil {
 			return nil, &quarantineError{reason: "snapshot: " + err.Error()}
 		}
 		return cd, nil

@@ -165,6 +165,35 @@ func TestQuarantineCorrupt(t *testing.T) {
 	}
 }
 
+// TestOverLimitSnapshotQuarantined: a collection snapshot beyond
+// Options.ParseLimits is quarantined with a reason naming the limit, as
+// the same document in XML is; the documents within the limits index.
+func TestOverLimitSnapshotQuarantined(t *testing.T) {
+	root, col := newCorpusDir(t)
+	deep := strings.Repeat("<a>", 6) + "x" + strings.Repeat("</a>", 6)
+	writeSnapshot(t, col, "deep.smoqe-snapshot", deep)
+	writeXML(t, col, "deep.xml", deep)
+	opt := testOptions(newFakeClock())
+	opt.ParseLimits = xmltree.ParseLimits{MaxDepth: 5}
+	m, err := Open(context.Background(), root, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := m.Collection("col")
+	q := c.Docs(StatusQuarantined)
+	if len(q) != 2 {
+		t.Fatalf("quarantined %d docs, want 2: %+v", len(q), c.Docs())
+	}
+	for _, d := range q {
+		if !strings.Contains(d.Reason, "depth limit (5)") {
+			t.Errorf("%s: quarantine reason %q does not name the depth limit", d.Name, d.Reason)
+		}
+	}
+	if n := len(c.Docs(StatusIndexed)); n != 3 {
+		t.Errorf("indexed %d docs, want 3", n)
+	}
+}
+
 func TestChangeAndDeleteDetection(t *testing.T) {
 	root, col := newCorpusDir(t)
 	clk := newFakeClock()

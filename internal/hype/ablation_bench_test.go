@@ -56,6 +56,6 @@ func BenchmarkColumnarBind(b *testing.B) {
 	e := New(mfa.MustCompile(xpath.MustParse(hospital.XPA)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bindSink = e.prog.bind(cd)
+		bindSink = e.bind(cd)
 	}
 }

@@ -55,8 +55,9 @@ type progEdge struct {
 	lab int32
 }
 
-// program is the per-engine compiled form of the automaton. It is immutable
-// after precompute and shared by all clones; the mutable subset-state cache
+// program is the compiled form of the automaton: everything a run reads
+// that depends on the automaton alone. It is immutable once built and
+// shared by an engine and all its clones; the mutable subset-state cache
 // lives per clone (dfaCache).
 type program struct {
 	m         *mfa.MFA
@@ -64,16 +65,27 @@ type program struct {
 	numLabels int
 	nfaWords  int
 	nfaEdges  [][]progEdge
+	epsAdj    [][]int32 // ε-successors per NFA state
 	// productive marks the NFA states from which a final state is
 	// reachable; indexed runs drop the others (see dfaCache.prodFilter).
 	productive []bool
-	epsAdj     [][]int32
-	afas       []afaProg
-	afaWords   int // total bitset words across all AFAs
+	// guarded reports whether some NFA state carries a guard. Only a failed
+	// guard kills a cans vertex, so without one every candidate survives
+	// phase 2 and runs count the DAG instead of storing it (see liveCands).
+	guarded bool
+	// numTags is the number of result tags (see mfa.Merge): 1 for a single
+	// query, one per merged machine for a batch automaton.
+	numTags  int
+	afas     []afaProg
+	afaWords int // total bitset words across all AFAs
 	// emptySet is the all-zero NFA set handed to useful() when a child is
 	// visited for AFA seeds alone; it is shared and must never be written.
 	emptySet nfaSet
 }
+
+// bitWords is the number of uint64 words of a bitset over n members; a
+// bitset has at least one word.
+func bitWords(n int) int { return max(1, (n+63)/64) }
 
 // internLabels assigns dense ids to every label the automaton's transitions
 // (NFA edges and AFA TRANS steps) can consume, in a deterministic order:
@@ -103,34 +115,53 @@ func internLabels(m *mfa.MFA) map[string]int32 {
 	return labels
 }
 
-// buildProgram compiles the engine's automaton; called once from precompute,
-// after nfaWords/epsAdj/productive/afaClosure exist.
-func buildProgram(e *Engine) *program {
+// buildProgram compiles m.
+func buildProgram(m *mfa.MFA) *program {
+	n := m.NumStates()
 	p := &program{
-		m:          e.m,
-		labels:     internLabels(e.m),
-		nfaWords:   e.nfaWords,
-		productive: e.productive,
-		epsAdj:     e.epsAdj,
-		emptySet:   make(nfaSet, e.nfaWords),
+		m:          m,
+		labels:     internLabels(m),
+		nfaWords:   bitWords(n),
+		nfaEdges:   make([][]progEdge, n),
+		epsAdj:     make([][]int32, n),
+		productive: make([]bool, n),
+		numTags:    m.NumTags(),
+		afas:       make([]afaProg, len(m.AFAs)),
 	}
 	p.numLabels = len(p.labels)
-	p.nfaEdges = make([][]progEdge, e.m.NumStates())
-	for s := range e.m.States {
-		trans := e.m.States[s].Trans
-		edges := make([]progEdge, len(trans))
-		for i, tr := range trans {
-			if tr.Wild {
-				edges[i] = progEdge{to: int32(tr.To), lab: -1}
-			} else {
-				edges[i] = progEdge{to: int32(tr.To), lab: p.labels[tr.Label]}
+	p.emptySet = make(nfaSet, p.nfaWords)
+	for s := range m.States {
+		st := &m.States[s]
+		edges := make([]progEdge, len(st.Trans))
+		for i, tr := range st.Trans {
+			edges[i] = progEdge{to: int32(tr.To), lab: -1}
+			if !tr.Wild {
+				edges[i].lab = p.labels[tr.Label]
 			}
 		}
 		p.nfaEdges[s] = edges
+		eps := make([]int32, len(st.Eps))
+		for i, t := range st.Eps {
+			eps[i] = int32(t)
+		}
+		p.epsAdj[s] = eps
+		p.productive[s] = st.Final
+		p.guarded = p.guarded || st.Guard >= 0
 	}
-	p.afas = make([]afaProg, len(e.m.AFAs))
-	for g, a := range e.m.AFAs {
-		p.afas[g] = buildAFAProg(a, &e.afaClosure[g], p.labels, p.numLabels)
+	// productive: any final reachable through ε and label edges. Guarded
+	// states need their AFA evaluated even if unproductive paths hang off
+	// them — but an unproductive state can never contribute an answer, so
+	// filtering it (and its guard work) is sound.
+	fixpointReach(n, p.productive, func(s int, mark func(int)) {
+		for _, t := range m.States[s].Eps {
+			mark(t)
+		}
+		for _, tr := range m.States[s].Trans {
+			mark(tr.To)
+		}
+	})
+	for g, a := range m.AFAs {
+		p.afas[g] = buildAFAProg(a, p.labels, p.numLabels)
 		p.afaWords += p.afas[g].words
 	}
 	return p
@@ -180,33 +211,47 @@ type afaSeed struct {
 	t, target int32
 }
 
-// afaProg is one AFA compiled to bitset instructions.
+// afaProg is one AFA compiled to bitset instructions, together with the
+// same-node facts the pass and the index binding read.
 type afaProg struct {
 	words int
 	// closure[t] is the transitive same-node closure of {t} (including t),
 	// precomputed so relevance sets close by OR-ing masks.
 	closure []nfaSet
-	blocks  []afaBlock
+	// local marks the FINAL and NOT states: their truth at a node can be
+	// decided without a child step (NOT can be true because its kid is
+	// false). A state whose closure meets local may be true at a leaf.
+	local  nfaSet
+	blocks []afaBlock
 	// seeds[lid+1] lists the TRANS states that can fire on program label
 	// lid; seeds[0] is the "other" class and holds exactly the wildcard
 	// TRANS states, which also appear in every labeled bucket.
 	seeds [][]afaSeed
 }
 
-func buildAFAProg(a *mfa.AFA, meta *afaMeta, labels map[string]int32, numLabels int) afaProg {
+func buildAFAProg(a *mfa.AFA, labels map[string]int32, numLabels int) afaProg {
 	n := a.NumStates()
-	p := afaProg{words: meta.words}
-	p.closure = make([]nfaSet, n)
+	p := afaProg{words: bitWords(n), closure: make([]nfaSet, n)}
+	p.local = make(nfaSet, p.words)
+	var stack []int
 	for t := 0; t < n; t++ {
-		mask := make(nfaSet, meta.words)
+		if k := a.States[t].Kind; k == mfa.AFAFinal || k == mfa.AFANot {
+			p.local.set(t)
+		}
+		// Same-node edges are the Kids of the operator states NOT, AND
+		// and OR; a TRANS kid lies at a child node.
+		mask := make(nfaSet, p.words)
 		mask.set(t)
-		stack := []int32{int32(t)}
+		stack = append(stack[:0], t)
 		for len(stack) > 0 {
-			s := stack[len(stack)-1]
+			st := &a.States[stack[len(stack)-1]]
 			stack = stack[:len(stack)-1]
-			for _, k := range meta.sameKids[s] {
-				if !mask.has(int(k)) {
-					mask.set(int(k))
+			if st.Kind == mfa.AFATrans || st.Kind == mfa.AFAFinal {
+				continue
+			}
+			for _, k := range st.Kids {
+				if !mask.has(k) {
+					mask.set(k)
 					stack = append(stack, k)
 				}
 			}
@@ -218,7 +263,7 @@ func buildAFAProg(a *mfa.AFA, meta *afaMeta, labels map[string]int32, numLabels 
 	for ci, comp := range comps {
 		instrs := make([]afaInstr, 0, len(comp))
 		for _, s := range comp {
-			instrs = append(instrs, buildAFAInstr(a, s, meta.words))
+			instrs = append(instrs, buildAFAInstr(a, s, p.words))
 		}
 		// Consecutive acyclic components fuse into one straight-line block
 		// (they are already in dependency order).
@@ -280,14 +325,14 @@ func buildAFAInstr(a *mfa.AFA, s int, words int) afaInstr {
 }
 
 // eval computes one instruction against the partially filled truth bitset.
-func (ins *afaInstr) eval(n mfa.NodeView, transVals []bool, vals nfaSet) bool {
+func (ins *afaInstr) eval(n mfa.NodeView, transVals, vals nfaSet) bool {
 	switch ins.op {
 	case opFinalTrue:
 		return true
 	case opFinalPred:
 		return ins.pred.Holds(n)
 	case opTrans:
-		return transVals[ins.s]
+		return transVals.has(int(ins.s))
 	case opNot:
 		return !vals.has(int(ins.kid))
 	case opAnd:
@@ -324,10 +369,11 @@ func (p *afaProg) close(set nfaSet) {
 	}
 }
 
-// evalMasked is the compiled mfa.AFA.EvalAtMasked: the truth vector of the
+// evalMasked is the compiled mfa.AFA.EvalAtMasked: the truth values of the
 // member states at node n, computed block by block into the zeroed bitset
-// vals. Non-member states stay false, as in EvalAtMasked.
-func (p *afaProg) evalMasked(n mfa.NodeView, transVals []bool, member, vals nfaSet) {
+// vals from the bottom-up TRANS values transVals. Non-member states stay
+// false, as in EvalAtMasked.
+func (p *afaProg) evalMasked(n mfa.NodeView, transVals, member, vals nfaSet) {
 	for bi := range p.blocks {
 		b := &p.blocks[bi]
 		if !b.cyclic {
@@ -646,22 +692,14 @@ type CompiledStats struct {
 // the part of CompiledStats known before any document is seen. The EXPLAIN
 // layer prints it next to the Theorem 5.1 automaton sizes.
 func CompiledPlan(m *mfa.MFA) CompiledStats {
-	nfaWords := (m.NumStates() + 63) / 64
-	if nfaWords == 0 {
-		nfaWords = 1
-	}
 	afaWords := 0
 	for _, a := range m.AFAs {
-		w := (a.NumStates() + 63) / 64
-		if w == 0 {
-			w = 1
-		}
-		afaWords += w
+		afaWords += bitWords(a.NumStates())
 	}
 	return CompiledStats{
 		Enabled:     true,
 		Alphabet:    len(internLabels(m)),
-		NFAWords:    nfaWords,
+		NFAWords:    bitWords(m.NumStates()),
 		AFAWords:    afaWords,
 		DFACacheCap: defaultDFACacheCap,
 	}
@@ -686,7 +724,7 @@ func (e *Engine) ensureDFA(indexed bool) *dfaCache {
 		i = 1
 	}
 	if e.caches[i] == nil {
-		e.caches[i] = newDFACache(e.prog, indexed, e.dfaCap)
+		e.caches[i] = newDFACache(e.program, indexed, e.dfaCap)
 	}
 	return e.caches[i]
 }

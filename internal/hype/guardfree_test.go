@@ -81,7 +81,7 @@ func TestGuardFreeShortcutMatchesDAG(t *testing.T) {
 			for _, opts := range []Options{{}, {Index: ix}, {Workers: 2}, {Index: ix, Workers: 2}} {
 				short := New(m)
 				dag := New(m)
-				dag.guarded = true
+				dag.program.guarded = true // dag owns its program: nothing else shares it
 				want, err := dag.Eval(ctx, doc, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -107,7 +107,7 @@ func TestRunBufferRetentionBound(t *testing.T) {
 	small := colstore.FromTree(hospital.SampleDocument())
 	big := colstore.FromTree(datagen.Generate(datagen.DefaultConfig(2000)))
 	e := New(mfa.MustCompile(xpath.MustParse("//diagnosis")))
-	e.guarded = true
+	e.program.guarded = true // e owns its program: nothing else shares it
 	for _, step := range []struct {
 		cd   *colstore.Document
 		kept bool

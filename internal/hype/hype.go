@@ -17,44 +17,18 @@ import (
 // the metadata of the index it last ran on); Clone gives each goroutine
 // its own.
 type Engine struct {
-	m *mfa.MFA
+	// The compiled automaton (compile.go), immutable and shared by clones.
+	*program
 
-	// Static automaton metadata, independent of any document.
-	nfaWords   int
-	epsAdj     [][]int32 // ε-successors per NFA state
-	productive []bool    // some final NFA state is reachable from s at all
-	afaClosure []afaMeta // per AFA: same-node metadata
-	// numTags is the number of result tags (see mfa.Merge): 1 for a single
-	// query, one per merged machine for a batch automaton.
-	numTags int
-	// prog is the compiled evaluation program (compile.go), immutable and
-	// shared by clones.
-	prog *program
-	// guarded reports whether some NFA state carries a guard. Only a failed
-	// guard kills a cans vertex, so without one every candidate survives
-	// phase 2 and runs count the DAG instead of storing it (see liveCands).
-	guarded bool
-
-	// Per clone (Clone resets them): the lazy subset automata of plain and
-	// indexed runs (see ensureDFA), the cache bound tests may override,
-	// the metadata of the index the clone last ran on (meta.go), and the
-	// buffers of its last run (see runBufs).
+	// Per clone (a clone starts without them and keeps only the cache
+	// bound): the lazy subset automata of plain and indexed runs (see
+	// ensureDFA), the cache bound tests may override, the metadata of the
+	// index the clone last ran on (meta.go), and the buffers of its last
+	// run (see runBufs).
 	caches [2]*dfaCache
 	dfaCap int
 	im     *indexMeta
 	bufs   *runBufs
-}
-
-// afaMeta holds per-AFA static metadata.
-type afaMeta struct {
-	words int
-	// sameKids[t] lists same-node successors of state t.
-	sameKids [][]int32
-	// hasLocal[t] reports whether t's truth at a node can be decided
-	// without consuming a child step: a FINAL or NOT state is reachable
-	// from t through same-node edges (NOT can be true because its child
-	// is false).
-	hasLocal []bool
 }
 
 // Stats reports what one Eval run did; the §7 pruning percentages come
@@ -76,64 +50,13 @@ type Stats struct {
 }
 
 // New returns an engine for the MFA.
-func New(m *mfa.MFA) *Engine {
-	e := &Engine{m: m}
-	e.precompute()
-	return e
-}
+func New(m *mfa.MFA) *Engine { return &Engine{program: buildProgram(m)} }
 
 // Clone returns an independent engine over the same automaton: the
-// immutable automaton metadata is shared, while the subset-state caches,
-// the index metadata and the run buffers are private, so clones may
-// evaluate concurrently on different goroutines.
-func (e *Engine) Clone() *Engine {
-	c := *e
-	c.caches = [2]*dfaCache{}
-	c.im = nil
-	c.bufs = nil
-	return &c
-}
-
-func (e *Engine) precompute() {
-	n := e.m.NumStates()
-	e.nfaWords = (n + 63) / 64
-	if e.nfaWords == 0 {
-		e.nfaWords = 1
-	}
-	e.epsAdj = make([][]int32, n)
-	for s := 0; s < n; s++ {
-		eps := e.m.States[s].Eps
-		adj := make([]int32, len(eps))
-		for i, t := range eps {
-			adj[i] = int32(t)
-		}
-		e.epsAdj[s] = adj
-	}
-	// productive: any final reachable through ε and label edges.
-	e.productive = make([]bool, n)
-	for s := 0; s < n; s++ {
-		e.productive[s] = e.m.States[s].Final
-		e.guarded = e.guarded || e.m.States[s].Guard >= 0
-	}
-	fixpointReach(n, e.productive, func(s int, mark func(int)) {
-		for _, t := range e.m.States[s].Eps {
-			mark(t)
-		}
-		for _, tr := range e.m.States[s].Trans {
-			mark(tr.To)
-		}
-	})
-	// Guarded states need their AFA evaluated even if unproductive paths
-	// hang off them — but an unproductive state can never contribute an
-	// answer, so filtering it (and its guard work) is sound.
-
-	e.numTags = e.m.NumTags()
-	e.afaClosure = make([]afaMeta, len(e.m.AFAs))
-	for i, a := range e.m.AFAs {
-		e.afaClosure[i] = buildAFAMeta(a)
-	}
-	e.prog = buildProgram(e)
-}
+// compiled program is shared, while the subset-state caches, the index
+// metadata and the run buffers are private, so clones may evaluate
+// concurrently on different goroutines.
+func (e *Engine) Clone() *Engine { return &Engine{program: e.program, dfaCap: e.dfaCap} }
 
 // fixpointReach marks, in marked, every state from which a marked state is
 // reachable via the successor relation succ (i.e. backwards closure done
@@ -154,41 +77,6 @@ func fixpointReach(n int, marked []bool, succ func(s int, mark func(int))) {
 			})
 		}
 	}
-}
-
-func buildAFAMeta(a *mfa.AFA) afaMeta {
-	n := a.NumStates()
-	meta := afaMeta{
-		words:    (n + 63) / 64,
-		sameKids: make([][]int32, n),
-		hasLocal: make([]bool, n),
-	}
-	if meta.words == 0 {
-		meta.words = 1
-	}
-	for t := 0; t < n; t++ {
-		st := a.States[t]
-		switch st.Kind {
-		case mfa.AFAFinal:
-			meta.hasLocal[t] = true
-		case mfa.AFANot:
-			meta.hasLocal[t] = true
-			meta.sameKids[t] = []int32{int32(st.Kids[0])}
-		case mfa.AFAAnd, mfa.AFAOr:
-			kids := make([]int32, len(st.Kids))
-			for i, k := range st.Kids {
-				kids[i] = int32(k)
-			}
-			meta.sameKids[t] = kids
-		}
-	}
-	// Propagate hasLocal backwards over same-node edges.
-	fixpointReach(n, meta.hasLocal, func(s int, mark func(int)) {
-		for _, t := range meta.sameKids[s] {
-			mark(int(t))
-		}
-	})
-	return meta
 }
 
 // nfaSet is a bitset over NFA states.
@@ -334,7 +222,7 @@ func (e *Engine) newRun(ctx context.Context, cd *colstore.Document, opts Options
 		limits:  opts.Limits,
 		cd:      cd,
 		cur:     cd.At(0),
-		progLab: e.prog.bind(cd),
+		progLab: e.bind(cd),
 		dfa:     e.ensureDFA(opts.Index != nil),
 	}
 	if opts.Limits.active() {
@@ -568,13 +456,11 @@ type runBufs struct {
 	cands    []cand
 
 	// Freelists: evaluation is single-goroutine, so plain freelists suffice
-	// and remove the per-node allocation churn. AFA bitsets and bool
-	// vectors are pooled per AFA index. Every get clears or the caller
-	// overwrites, so an aborted run leaves them usable.
-	poolAFA   [][]nfaSet
-	poolBools [][][]bool
-	vecNPool  [][]nfaSet
-	vecBPool  [][][]bool
+	// and remove the per-node allocation churn. AFA bitsets (seeds, truth
+	// values, accumulators) are pooled per AFA index. Every get clears, so
+	// an aborted run leaves them usable.
+	poolAFA  [][]nfaSet
+	vecNPool [][]nfaSet
 
 	// Phase 2's CSR, visited marks and DFS stack.
 	offs, adj []int32
@@ -591,13 +477,9 @@ const maxRetainedBytes = 4 << 20
 func (e *Engine) releaseBufs() {
 	b := e.bufs
 	n := 8*cap(b.edgeList) + cap(b.dead) + 12*cap(b.cands) +
-		4*(cap(b.offs)+cap(b.adj)+cap(b.stack)) + cap(b.seen) +
-		24*(len(b.vecNPool)+len(b.vecBPool))
+		4*(cap(b.offs)+cap(b.adj)+cap(b.stack)) + cap(b.seen) + 24*len(b.vecNPool)
 	for g := range b.poolAFA {
-		n += len(b.poolAFA[g]) * (24 + 8*e.afaClosure[g].words)
-	}
-	for g := range b.poolBools {
-		n += len(b.poolBools[g]) * (24 + e.m.AFAs[g].NumStates())
+		n += len(b.poolAFA[g]) * (24 + 8*e.afas[g].words)
 	}
 	if n > maxRetainedBytes {
 		e.bufs = nil
@@ -621,9 +503,9 @@ type edgePair struct{ from, to int32 }
 type visitResult struct {
 	states []int32 // NFA states with vertices at this node (sorted, read-only)
 	base   int32   // vertex id of states[0]
-	// afaVals[i] is the full truth vector of AFA i at this node, nil if
-	// the AFA was not active here.
-	afaVals [][]bool
+	// afaVals[g] holds the truth values of AFA g's states at this node,
+	// nil if the AFA was not active here.
+	afaVals []nfaSet
 }
 
 // Pool helpers ------------------------------------------------------------
@@ -638,39 +520,7 @@ func (r *run) getAFASet(g int) nfaSet {
 		clear(s)
 		return s
 	}
-	return make(nfaSet, r.afaClosure[g].words)
-}
-
-func (r *run) putAFASet(g int, s nfaSet) {
-	if s != nil {
-		r.poolAFA[g] = append(r.poolAFA[g], s)
-	}
-}
-
-// getBools returns a truth vector for AFA g; its contents are stale, so
-// callers overwrite every entry (evalAFA) or use getBoolsCleared.
-func (r *run) getBools(g int) []bool {
-	if r.poolBools == nil {
-		r.poolBools = make([][][]bool, len(r.m.AFAs))
-	}
-	if l := r.poolBools[g]; len(l) > 0 {
-		b := l[len(l)-1]
-		r.poolBools[g] = l[:len(l)-1]
-		return b
-	}
-	return make([]bool, r.m.AFAs[g].NumStates())
-}
-
-func (r *run) getBoolsCleared(g int) []bool {
-	b := r.getBools(g)
-	clear(b)
-	return b
-}
-
-func (r *run) putBools(g int, b []bool) {
-	if b != nil {
-		r.poolBools[g] = append(r.poolBools[g], b)
-	}
+	return make(nfaSet, r.afas[g].words)
 }
 
 // getVecN returns a nil-cleared []nfaSet of length len(AFAs).
@@ -686,38 +536,18 @@ func (r *run) getVecN() []nfaSet {
 
 func (r *run) putVecN(v []nfaSet) { r.vecNPool = append(r.vecNPool, v) }
 
-func (r *run) getVecB() [][]bool {
-	if len(r.vecBPool) > 0 {
-		v := r.vecBPool[len(r.vecBPool)-1]
-		r.vecBPool = r.vecBPool[:len(r.vecBPool)-1]
-		clear(v)
-		return v
+// releaseSets returns a vector of AFA sets — a child's seeds, a node's
+// accumulators or its truth values — to the run's pools; nil is a no-op.
+func (r *run) releaseSets(sets []nfaSet) {
+	if sets == nil {
+		return
 	}
-	return make([][]bool, len(r.m.AFAs))
-}
-
-func (r *run) putVecB(v [][]bool) { r.vecBPool = append(r.vecBPool, v) }
-
-// releaseSeeds returns a child's AFA seed sets to the run's pools.
-func (r *run) releaseSeeds(cseeds []nfaSet) {
-	for g := range cseeds {
-		if cseeds[g] != nil {
-			r.putAFASet(g, cseeds[g])
+	for g, s := range sets {
+		if s != nil {
+			r.poolAFA[g] = append(r.poolAFA[g], s)
 		}
 	}
-	r.putVecN(cseeds)
-}
-
-// recycle returns a visited child's result buffers to the run's pools.
-func (r *run) recycle(cres visitResult) {
-	if cres.afaVals != nil {
-		for g := range cres.afaVals {
-			if cres.afaVals[g] != nil {
-				r.putBools(g, cres.afaVals[g])
-			}
-		}
-		r.putVecB(cres.afaVals)
-	}
+	r.putVecN(sets)
 }
 
 // The DFS --------------------------------------------------------------------
@@ -748,7 +578,7 @@ func (r *run) walk(n int32, ds *dfaState, fseeds []nfaSet) visitResult {
 	nAFA := 0
 	for g := range rel {
 		if rel[g] != nil {
-			r.prog.afas[g].close(rel[g])
+			r.afas[g].close(rel[g])
 			anyAFA = true
 			nAFA++
 		}
@@ -773,7 +603,7 @@ func (r *run) walk(n int32, ds *dfaState, fseeds []nfaSet) visitResult {
 
 	// Bottom-up AFA evaluation at n (fstates↑).
 	if anyAFA {
-		res.afaVals = r.getVecB()
+		res.afaVals = r.getVecN()
 		for g := range rel {
 			if rel[g] == nil {
 				continue
@@ -783,9 +613,8 @@ func (r *run) walk(n int32, ds *dfaState, fseeds []nfaSet) visitResult {
 				r.trace.add(r.cd, n, TraceAFAEval, fmt.Sprintf("X%d states=%d", g, rel[g].count()))
 			}
 			res.afaVals[g] = r.evalAFA(g, n, transAcc[g], rel[g])
-			r.putBools(g, transAcc[g])
 		}
-		r.putVecB(transAcc)
+		r.releaseSets(transAcc)
 	}
 
 	r.killGuardFailed(n, &res)
@@ -794,14 +623,14 @@ func (r *run) walk(n int32, ds *dfaState, fseeds []nfaSet) visitResult {
 
 // newTransAcc returns cleared transition accumulators for the active AFAs
 // of rel, or nil when none is active.
-func (r *run) newTransAcc(rel []nfaSet, anyAFA bool) [][]bool {
+func (r *run) newTransAcc(rel []nfaSet, anyAFA bool) []nfaSet {
 	if !anyAFA {
 		return nil
 	}
-	transAcc := r.getVecB()
+	transAcc := r.getVecN()
 	for g := range rel {
 		if rel[g] != nil {
-			transAcc[g] = r.getBoolsCleared(g)
+			transAcc[g] = r.getAFASet(g)
 		}
 	}
 	return transAcc
@@ -840,17 +669,17 @@ func (r *run) childStep(c int32, ds *dfaState, rel []nfaSet) (lid int32, tr *dfa
 	cseeds, anySeed := r.childSeeds(lid, rel, tr.next)
 	if tr.next == nil && !anySeed {
 		r.prune(c, "no-transition")
-		r.releaseSeeds(cseeds)
+		r.releaseSets(cseeds)
 		return lid, tr, nil, false
 	}
 	if r.ixm != nil {
-		cms := r.prog.emptySet
+		cms := r.emptySet
 		if tr.next != nil {
 			cms = tr.next.set
 		}
 		if !r.useful(c, cms, cseeds) {
 			r.prune(c, "index-alphabet")
-			r.releaseSeeds(cseeds)
+			r.releaseSets(cseeds)
 			return lid, tr, nil, false
 		}
 	}
@@ -860,7 +689,7 @@ func (r *run) childStep(c int32, ds *dfaState, rel []nfaSet) (lid int32, tr *dfa
 // walkChild runs one child: the step decision, the recursive walk, then
 // the cans link edges and the fold of the child's AFA values into the
 // parent's accumulators.
-func (r *run) walkChild(c int32, ds *dfaState, rel []nfaSet, transAcc [][]bool, res *visitResult) {
+func (r *run) walkChild(c int32, ds *dfaState, rel, transAcc []nfaSet, res *visitResult) {
 	lid, tr, cseeds, ok := r.childStep(c, ds, rel)
 	if !ok {
 		return
@@ -872,8 +701,8 @@ func (r *run) walkChild(c int32, ds *dfaState, rel []nfaSet, transAcc [][]bool, 
 	cres := r.walk(c, cds, cseeds)
 	r.link(res, tr, cres.base)
 	r.foldChildAFA(lid, rel, transAcc, cres.afaVals)
-	r.recycle(cres)
-	r.releaseSeeds(cseeds)
+	r.releaseSets(cres.afaVals)
+	r.releaseSets(cseeds)
 }
 
 // link adds the cans edges of transition tr from res's vertices into the
@@ -897,7 +726,7 @@ func (r *run) childSeeds(lid int32, rel []nfaSet, next *dfaState) (cseeds []nfaS
 		if rel[g] == nil {
 			continue
 		}
-		for _, sd := range r.prog.afas[g].seeds[lid+1] {
+		for _, sd := range r.afas[g].seeds[lid+1] {
 			if !rel[g].has(int(sd.t)) {
 				continue
 			}
@@ -920,37 +749,29 @@ func (r *run) childSeeds(lid int32, rel []nfaSet, next *dfaState) (cseeds []nfaS
 	return cseeds, anySeed
 }
 
-// evalAFA runs AFA g's compiled program at node n and converts the truth
-// bitset into the []bool vector the fold and guard code consume.
-func (r *run) evalAFA(g int, n int32, transVals []bool, member nfaSet) []bool {
+// evalAFA runs AFA g's compiled program at node n and returns the truth
+// values of the member states, a pooled set.
+func (r *run) evalAFA(g int, n int32, transVals, member nfaSet) nfaSet {
 	r.cur.Seek(n)
 	vals := r.getAFASet(g)
-	r.prog.afas[g].evalMasked(r.cur, transVals, member, vals)
-	out := r.getBools(g)
-	for i := range out {
-		out[i] = vals.has(i)
-	}
-	r.putAFASet(g, vals)
-	return out
+	r.afas[g].evalMasked(r.cur, transVals, member, vals)
+	return vals
 }
 
-// foldChildAFA ORs a visited child's AFA truth vectors into the parent's
+// foldChildAFA ORs a visited child's AFA truth values into the parent's
 // transition accumulators (the fstates↑ propagation of lines 19–21 of
 // HyPE), walking the per-label seed buckets. childVals may be nil (no AFA
 // active below the child).
-func (r *run) foldChildAFA(lid int32, rel []nfaSet, transAcc [][]bool, childVals [][]bool) {
+func (r *run) foldChildAFA(lid int32, rel, transAcc, childVals []nfaSet) {
 	for g := range rel {
 		if rel[g] == nil || childVals == nil || childVals[g] == nil {
 			continue
 		}
 		acc := transAcc[g]
 		vals := childVals[g]
-		for _, sd := range r.prog.afas[g].seeds[lid+1] {
-			if acc[sd.t] || !rel[g].has(int(sd.t)) {
-				continue
-			}
-			if vals[sd.target] {
-				acc[sd.t] = true
+		for _, sd := range r.afas[g].seeds[lid+1] {
+			if vals.has(int(sd.target)) && rel[g].has(int(sd.t)) {
+				acc.set(int(sd.t))
 			}
 		}
 	}
@@ -965,11 +786,7 @@ func (r *run) killGuardFailed(n int32, res *visitResult) {
 		if g < 0 {
 			continue
 		}
-		var vals []bool
-		if res.afaVals != nil {
-			vals = res.afaVals[g]
-		}
-		if vals == nil || !vals[r.m.GuardEntry(int(s))] {
+		if res.afaVals == nil || res.afaVals[g] == nil || !res.afaVals[g].has(r.m.GuardEntry(int(s))) {
 			r.dead[res.base+int32(i)] = true
 			if r.trace != nil {
 				r.trace.add(r.cd, n, TraceGuardFail, fmt.Sprintf("state s%d guard X%d false", s, g))

@@ -104,7 +104,7 @@ func BuildIndex(cd *colstore.Document) *Index {
 	n := cd.NumNodes()
 	ix := &Index{
 		cd:    cd,
-		words: max(1, (cd.NumLabels()+63)/64),
+		words: bitWords(cd.NumLabels()),
 		setID: make([]int32, n),
 		bloom: make([]uint64, n),
 		elems: make([]int32, n),

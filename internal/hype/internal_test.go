@@ -396,7 +396,7 @@ func TestEvalMaskedMatchesEvalAtMasked(t *testing.T) {
 			e := New(mm)
 			for g, a := range mm.AFAs {
 				afas++
-				p := &e.prog.afas[g]
+				p := &e.afas[g]
 				n := a.NumStates()
 				for trial := 0; trial < 8; trial++ {
 					member := make(nfaSet, p.words)
@@ -407,13 +407,16 @@ func TestEvalMaskedMatchesEvalAtMasked(t *testing.T) {
 					}
 					closeSameNode(a, member)
 					trans := make([]bool, n)
+					transSet := make(nfaSet, p.words)
 					for s := range trans {
-						trans[s] = rng.Intn(2) == 0
+						if trans[s] = rng.Intn(2) == 0; trans[s] {
+							transSet.set(s)
+						}
 					}
 					node := fakeNode{text: texts[rng.Intn(len(texts))], pos: 1 + rng.Intn(3)}
 					want := a.EvalAtMasked(node, trans, make([]bool, n), member)
 					got := make(nfaSet, p.words)
-					p.evalMasked(node, trans, member, got)
+					p.evalMasked(node, transSet, member, got)
 					for s := 0; s < n; s++ {
 						if got.has(s) != want[s] {
 							t.Fatalf("query %s, AFA %d, state %d: compiled %v, EvalAtMasked %v\n%s",

@@ -50,59 +50,41 @@ func (e *Engine) bindIndex(ix *Index) *indexMeta {
 // sets each automaton state may consume next.
 func newIndexMeta(e *Engine, ix *Index) *indexMeta {
 	im := &indexMeta{ix: ix, alive: make([]*aliveInfo, len(ix.sets))}
-	words := ix.words
-	// AFA side: next[t] = labels of TRANS states in the same-node closure
-	// of t. Computed by fixpoint over the (possibly cyclic) same-node
-	// graph; label sets grow monotonically.
-	im.afaNext = make([][]LabelSet, len(e.m.AFAs))
-	im.afaWild = make([][]bool, len(e.m.AFAs))
+	// AFA side: next[t] holds the labels of the TRANS states in t's
+	// same-node closure, wild[t] whether one of them is a wildcard.
+	nAFA := len(e.m.AFAs)
+	im.afaNext, im.afaWild = make([][]LabelSet, nAFA), make([][]bool, nAFA)
+	im.afaAlways, im.afaTextMasks = make([][]bool, nAFA), make([][][]uint64, nAFA)
 	for g, a := range e.m.AFAs {
-		n := a.NumStates()
-		next := make([]LabelSet, n)
-		wild := make([]bool, n)
-		for t := 0; t < n; t++ {
-			next[t] = make(LabelSet, words)
-			st := &a.States[t]
-			if st.Kind == mfa.AFATrans {
-				if st.Wild {
+		closure := e.afas[g].closure
+		next := make([]LabelSet, len(closure))
+		wild := make([]bool, len(closure))
+		for t := range next {
+			next[t] = make(LabelSet, ix.words)
+		}
+		for s := range a.States {
+			st := &a.States[s]
+			if st.Kind != mfa.AFATrans {
+				continue
+			}
+			id, ok := ix.cd.LabelIDOf(st.Label)
+			for t := range closure {
+				switch {
+				case !closure[t].has(s):
+				case st.Wild:
 					wild[t] = true
-				} else if id, ok := ix.cd.LabelIDOf(st.Label); ok {
+				case ok:
 					next[t].set(int(id))
 				}
 			}
 		}
-		meta := &e.afaClosure[g]
-		for changed := true; changed; {
-			changed = false
-			for t := 0; t < n; t++ {
-				for _, k := range meta.sameKids[t] {
-					if wild[k] && !wild[t] {
-						wild[t] = true
-						changed = true
-					}
-					for w := range next[t] {
-						nw := next[t][w] | next[k][w]
-						if nw != next[t][w] {
-							next[t][w] = nw
-							changed = true
-						}
-					}
-				}
-			}
-		}
-		im.afaNext[g] = next
-		im.afaWild[g] = wild
-	}
-
-	im.afaAlways = make([][]bool, len(e.m.AFAs))
-	im.afaTextMasks = make([][][]uint64, len(e.m.AFAs))
-	for g, a := range e.m.AFAs {
+		im.afaNext[g], im.afaWild[g] = next, wild
 		im.afaAlways[g], im.afaTextMasks[g] = textAnalysis(a)
 	}
 
 	// Union of all consumable labels, for the useful() fast path.
-	im.usedLabels = make(LabelSet, words)
-	for lab := range e.prog.labels {
+	im.usedLabels = make(LabelSet, ix.words)
+	for lab := range e.labels {
 		if id, ok := ix.cd.LabelIDOf(lab); ok {
 			im.usedLabels.set(int(id))
 		}
@@ -124,9 +106,8 @@ type aliveInfo struct {
 // ε-successor is alive, or a transition whose label lies in the set (any
 // label for wildcards on nonempty sets) leads to an alive state; guards
 // are ignored, which only over-approximates — the check stays sound. An
-// AFA state is possibly true if a FINAL or NOT state is reachable from it
-// through same-node edges, or some TRANS in its same-node closure can
-// consume a label of the set.
+// AFA state is possibly true if its same-node closure holds a FINAL or NOT
+// state, or a TRANS that can consume a label of the set.
 func (r *run) aliveUnder(setID int32) *aliveInfo {
 	im := r.ixm
 	if info := im.alive[setID]; info != nil {
@@ -168,12 +149,12 @@ func (r *run) aliveUnder(setID int32) *aliveInfo {
 			info.nfa.set(s)
 		}
 	}
-	for g := range r.m.AFAs {
-		meta := &r.afaClosure[g]
-		poss := make(nfaSet, meta.words)
-		for t := 0; t < r.m.AFAs[g].NumStates(); t++ {
+	for g := range r.afas {
+		p := &r.afas[g]
+		poss := make(nfaSet, p.words)
+		for t := range p.closure {
 			switch {
-			case meta.hasLocal[t]:
+			case p.closure[t].intersects(p.local):
 				poss.set(t)
 			case im.afaWild[g][t]:
 				if strictNonEmpty {

@@ -22,7 +22,7 @@
 //  3. A sequential merge folds the shard results back in document order:
 //     shard vertex ids are offset into the global cans DAG, the compiled
 //     link edges from spine vertices into shard roots are added, shard AFA
-//     truth vectors are OR-folded into the spine accumulators, and the
+//     truth values are OR-folded into the spine accumulators, and the
 //     spine's bottom-up AFA evaluations and guard kills run exactly where
 //     the sequential pass would have run them. Phase 2 then walks the
 //     merged DAG once.
@@ -73,7 +73,7 @@ type spineNode struct {
 	node     int32
 	rel      []nfaSet    // closed AFA seed sets at node (nil per inactive AFA)
 	res      visitResult // vertices in the planner's global numbering
-	transAcc [][]bool    // bottom-up accumulators, filled by the merge
+	transAcc []nfaSet    // bottom-up accumulators, filled by the merge
 	kids     []spineChild
 }
 
@@ -301,7 +301,7 @@ func mergeParallel(ctx context.Context, r0 *run, spines []*spineNode, tasks []*s
 		// Bottom-up AFA evaluation and guard kills at the spine node —
 		// the second half of walk(), run in merge order.
 		if sp.transAcc != nil {
-			sp.res.afaVals = r0.getVecB()
+			sp.res.afaVals = r0.getVecN()
 			for g := range sp.rel {
 				if sp.rel[g] == nil {
 					continue
@@ -391,7 +391,7 @@ func (r *run) expandSpine(n int32, ds *dfaState, fseeds []nfaSet, tasks *[]*shar
 	anyAFA := false
 	for g := range rel {
 		if rel[g] != nil {
-			r.prog.afas[g].close(rel[g])
+			r.afas[g].close(rel[g])
 			anyAFA = true
 		}
 	}

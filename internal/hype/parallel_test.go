@@ -3,6 +3,7 @@ package hype_test
 import (
 	"context"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -78,7 +79,9 @@ func TestParallelAtInteriorContext(t *testing.T) {
 
 // TestParallelDominationSplit forces the single-dominating-shard shape: a
 // root whose one element child holds everything. The planner must split
-// through the chain instead of degenerating into one sequential shard.
+// through the chain instead of degenerating into one sequential shard,
+// and the merge must decide filters at the spine nodes it split as the
+// sequential pass does.
 func TestParallelDominationSplit(t *testing.T) {
 	doc := hospital.SampleDocument()
 	// Rebuild the sample document under a chain of two singleton elements,
@@ -88,21 +91,39 @@ func TestParallelDominationSplit(t *testing.T) {
 	inner := wrapped.AddElement(wrapped.Root, "inner")
 	graft(wrapped, inner, doc.Root)
 
-	src := "inner/" + doc.Root.Label + "/department/patient/pname"
-	m := mfa.MustCompile(xpath.MustParse(src))
-	seq := eval(t, hype.New(m), wrapped.Root, hype.Options{})
-	pst := eval(t, hype.New(m), wrapped.Root, hype.Options{Workers: 4})
-	if !reflect.DeepEqual(pst.IDs, seq.IDs) {
-		t.Fatalf("got %v want %v", pst.IDs, seq.IDs)
-	}
-	if pst.Stats != seq.Stats {
-		t.Fatalf("stats diverge: got %+v want %+v", pst.Stats, seq.Stats)
-	}
-	if pst.SpineNodes < 2 {
-		t.Errorf("SpineNodes = %d; the dominating chain should have been split", pst.SpineNodes)
-	}
-	if pst.Shards < 2 {
-		t.Errorf("Shards = %d; splitting should expose the departments", pst.Shards)
+	// The filtered queries make the merge decide guards at spine nodes:
+	// at inner (true, false and negated) and at the document root.
+	for _, tc := range []struct {
+		src     string
+		answers int
+	}{
+		{"inner/hospital/department/patient/pname", 3},
+		{"inner[hospital/department/patient/visit]/hospital/department/patient/pname", 3},
+		{"inner[hospital/nosuch]/hospital/department/patient/pname", 0},
+		{"inner[not(hospital/department)]/hospital/department/patient/pname", 0},
+		{"inner/hospital[department/patient/visit/treatment/medication/diagnosis/text()='heart disease']/department/patient/pname", 3},
+	} {
+		m := mfa.MustCompile(xpath.MustParse(tc.src))
+		seq := eval(t, hype.New(m), wrapped.Root, hype.Options{})
+		pst := eval(t, hype.New(m), wrapped.Root, hype.Options{Workers: 4})
+		if len(seq.IDs) != tc.answers {
+			t.Errorf("%s: %d sequential answers, want %d", tc.src, len(seq.IDs), tc.answers)
+		}
+		if !reflect.DeepEqual(pst.IDs, seq.IDs) {
+			t.Errorf("%s: got %v want %v", tc.src, pst.IDs, seq.IDs)
+		}
+		if pst.Stats != seq.Stats {
+			t.Errorf("%s: stats diverge: got %+v want %+v", tc.src, pst.Stats, seq.Stats)
+		}
+		if pst.SpineNodes < 2 {
+			t.Errorf("%s: SpineNodes = %d; the dominating chain should have been split", tc.src, pst.SpineNodes)
+		}
+		if pst.Shards < 2 {
+			t.Errorf("%s: Shards = %d; splitting should expose the departments", tc.src, pst.Shards)
+		}
+		if strings.Contains(tc.src, "[") && pst.Stats.AFAEvaluations == 0 {
+			t.Errorf("%s: no AFA evaluation; the filter was never decided", tc.src)
+		}
 	}
 }
 

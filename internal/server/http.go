@@ -487,14 +487,8 @@ func (s *Server) handleRegisterDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	entry, err := s.registerDocumentXML(r.Context(), req.Name, req.XML)
 	if err != nil {
-		status := statusFor(err)
-		if status == http.StatusRequestEntityTooLarge {
-			var ple *smoqe.ParseLimitError
-			if errors.As(err, &ple) {
-				s.met.limitExceeded("doc-" + ple.What)
-			}
-		}
-		writeError(w, status, err)
+		s.countDocLimit(err)
+		writeError(w, statusFor(err), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, docInfo{
@@ -503,6 +497,15 @@ func (s *Server) handleRegisterDoc(w http.ResponseWriter, r *http.Request) {
 		Texts:    entry.Stats.Texts,
 		MaxDepth: entry.Stats.MaxDepth,
 	})
+}
+
+// countDocLimit counts a document registration refused over a parse
+// limit, by cause.
+func (s *Server) countDocLimit(err error) {
+	var ple *smoqe.ParseLimitError
+	if errors.As(err, &ple) {
+		s.met.limitExceeded("doc-" + ple.What)
+	}
 }
 
 // registerDocumentXML parses and registers one document under a "parse"
@@ -611,6 +614,7 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("snapshot exceeds the %d-byte limit", mbe.Limit))
 			return
 		}
+		s.countDocLimit(err)
 		writeError(w, statusFor(err), err)
 		return
 	}

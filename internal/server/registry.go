@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"smoqe"
+	"smoqe/internal/colstore"
 )
 
 // DocEntry is one registered document. It holds one in-memory form, the
@@ -62,8 +63,8 @@ type Registry struct {
 	// views is guarded by mu.
 	views   map[string]*ViewEntry
 	viewGen uint64 // guarded by mu; the last ViewEntry.Gen handed out
-	// lim bounds documents registered from XML text (see SetParseLimits);
-	// the zero value accepts everything. guarded by mu.
+	// lim bounds documents registered from XML text or a snapshot (see
+	// SetParseLimits); the zero value accepts everything. guarded by mu.
 	lim smoqe.ParseLimits
 }
 
@@ -75,9 +76,10 @@ func NewRegistry() *Registry {
 	}
 }
 
-// SetParseLimits bounds every future RegisterDocumentXML: parsing stops
-// with a *smoqe.ParseLimitError (HTTP 413) as soon as a document exceeds a
-// bound. Intended for server construction, before traffic arrives.
+// SetParseLimits bounds every future RegisterDocumentXML and
+// RegisterSnapshot: a document beyond a bound is refused with a
+// *smoqe.ParseLimitError (HTTP 413). Intended for server construction,
+// before traffic arrives.
 func (r *Registry) SetParseLimits(lim smoqe.ParseLimits) {
 	r.mu.Lock()
 	r.lim = lim
@@ -112,10 +114,7 @@ func (r *Registry) RegisterDocumentXML(name, xmlText string) (*DocEntry, error) 
 	if name == "" {
 		return nil, fmt.Errorf("server: document name must not be empty")
 	}
-	r.mu.RLock()
-	lim := r.lim
-	r.mu.RUnlock()
-	doc, err := smoqe.ParseDocumentStringWithLimits(xmlText, lim)
+	doc, err := smoqe.ParseDocumentStringWithLimits(xmlText, r.parseLimits())
 	if err != nil {
 		return nil, fmt.Errorf("server: document %q: %w", name, err)
 	}
@@ -123,7 +122,8 @@ func (r *Registry) RegisterDocumentXML(name, xmlText string) (*DocEntry, error) 
 }
 
 // RegisterSnapshot registers a document from its columnar snapshot form,
-// installed as read. The caller must not retain cd.
+// installed as read once it passes the parse limits' depth and node
+// bounds. The caller must not retain cd.
 func (r *Registry) RegisterSnapshot(name string, cd *smoqe.ColumnarDocument) (*DocEntry, error) {
 	if name == "" {
 		return nil, fmt.Errorf("server: document name must not be empty")
@@ -131,7 +131,17 @@ func (r *Registry) RegisterSnapshot(name string, cd *smoqe.ColumnarDocument) (*D
 	if cd == nil || cd.NumNodes() == 0 {
 		return nil, fmt.Errorf("server: snapshot %q is empty", name)
 	}
+	if err := colstore.CheckLimits(cd, r.parseLimits()); err != nil {
+		return nil, fmt.Errorf("server: snapshot %q: %w", name, err)
+	}
 	return r.store(name, cd), nil
+}
+
+// parseLimits returns the bounds SetParseLimits set.
+func (r *Registry) parseLimits() smoqe.ParseLimits {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.lim
 }
 
 // RegisterView stores v under name, replacing any previous view with that

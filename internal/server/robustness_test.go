@@ -135,6 +135,70 @@ func TestDocRegistrationOverHTTPReturns413(t *testing.T) {
 	}
 }
 
+// TestSnapshotParseLimits: POST /snapshot holds a snapshot to the depth
+// and node bounds POST /docs holds the same document's XML to. At a bound
+// both accept; one over it both refuse with 413, counted by cause. In the
+// depth cases the deepest node is a text node, which element nesting does
+// not count.
+func TestSnapshotParseLimits(t *testing.T) {
+	nest := func(n int) string { return strings.Repeat("<a>", n) + "x" + strings.Repeat("</a>", n) }
+	s := New(Config{CacheSize: 32, ParseLimits: smoqe.ParseLimits{MaxDepth: 5, MaxNodes: 8}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(path, ctype string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+	refused := map[string]int{}
+	for i, tc := range []struct {
+		xml   string
+		cause string // "" when the document fits the limits
+	}{
+		{nest(5), ""},          // five elements, the text one level deeper
+		{nest(6), "doc-depth"}, // seven nodes: only the depth is over
+		{"<r><a>x</a><a>x</a><a>x</a><b/></r>", ""},
+		{"<r><a>x</a><a>x</a><a>x</a><b/><c/></r>", "doc-nodes"},
+	} {
+		doc, err := smoqe.ParseDocumentString(tc.xml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := smoqe.WriteSnapshot(smoqe.BuildColumnar(doc), &snap); err != nil {
+			t.Fatal(err)
+		}
+		want := http.StatusCreated
+		if tc.cause != "" {
+			want = http.StatusRequestEntityTooLarge
+			refused[tc.cause] += 2
+		}
+		body, _ := json.Marshal(map[string]string{"name": fmt.Sprintf("xml%d", i), "xml": tc.xml})
+		if got, raw := post("/docs", "application/json", body); got != want {
+			t.Errorf("POST /docs %s: status %d (%s), want %d", tc.xml, got, raw, want)
+		}
+		if got, raw := post(fmt.Sprintf("/snapshot?name=snap%d", i), "application/octet-stream", snap.Bytes()); got != want {
+			t.Errorf("POST /snapshot of %s: status %d (%s), want %d", tc.xml, got, raw, want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for cause, n := range refused {
+		if line := fmt.Sprintf(`smoqe_limit_exceeded_total{cause=%q} %d`, cause, n); !strings.Contains(string(raw), line) {
+			t.Errorf("/metrics lacks %s", line)
+		}
+	}
+}
+
 // TestRequestBodyCapReturns413: decodeBody's MaxBytesReader turns an
 // oversized request body into an explicit 413, not a JSON syntax error.
 func TestRequestBodyCapReturns413(t *testing.T) {

@@ -56,7 +56,9 @@ type Config struct {
 	EvalLimits smoqe.EvalLimits
 	// ParseLimits bounds the documents clients may register (nesting
 	// depth, node count, raw bytes); oversized documents are refused with
-	// a structured error (HTTP 413). Zero fields are unlimited.
+	// a structured error (HTTP 413). Snapshots are held to the depth and
+	// node bounds; the body cap bounds their bytes. Zero fields are
+	// unlimited.
 	ParseLimits smoqe.ParseLimits
 	// MaxBodyBytes caps one HTTP request body (default 64 MiB; negative
 	// disables the cap). Oversized bodies get HTTP 413.
@@ -275,10 +277,10 @@ func (s *Server) RegisterViewSpec(name, spec, sourceDTD, targetDTD string) (*Vie
 // LoadSnapshotDir registers every "*.smoqe-snapshot" file in dir as a
 // document named after its base name (corpus.smoqe-snapshot → "corpus").
 // It returns how many snapshots were registered, plus one error per
-// unreadable or corrupt snapshot that was skipped: a single bad file
-// must not keep the daemon (and every healthy snapshot) down. Only an
-// unreadable directory fails the scan itself. Intended for startup
-// (smoqed -snapshot-dir), before traffic arrives.
+// unreadable, corrupt or over-limit (Config.ParseLimits) snapshot that was
+// skipped: a single bad file must not keep the daemon (and every healthy
+// snapshot) down. Only an unreadable directory fails the scan itself.
+// Intended for startup (smoqed -snapshot-dir), before traffic arrives.
 func (s *Server) LoadSnapshotDir(dir string) (loaded int, skipped []error, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

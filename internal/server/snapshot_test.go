@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -232,6 +233,48 @@ func TestLoadSnapshotDir(t *testing.T) {
 	}
 	if _, ok := s2.Registry().Document("alpha"); !ok {
 		t.Error("healthy snapshot alpha not registered despite corrupt sibling")
+	}
+}
+
+// TestLoadSnapshotDirSkipsOverLimit: -snapshot-dir holds snapshots to
+// Config.ParseLimits and skips one beyond a bound, naming the limit, while
+// its siblings load.
+func TestLoadSnapshotDirSkipsOverLimit(t *testing.T) {
+	dir := t.TempDir()
+	for name, xml := range map[string]string{
+		"fits": "<a><b><c>x</c></b></a>",
+		"deep": "<a><b><c><d>x</d></c></b></a>",
+		"wide": "<a><b/><b/><b/><b/><b/><b/></a>",
+	} {
+		doc, err := smoqe.ParseDocumentString(xml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := smoqe.SaveSnapshot(smoqe.BuildColumnar(doc), filepath.Join(dir, name+smoqe.SnapshotFileExt)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(Config{ParseLimits: smoqe.ParseLimits{MaxDepth: 3, MaxNodes: 6}})
+	n, skipped, err := s.LoadSnapshotDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 || len(skipped) != 2 {
+		t.Fatalf("loaded %d snapshots (skipped %v), want 1 (2 skipped)", n, skipped)
+	}
+	for _, err := range skipped {
+		var ple *smoqe.ParseLimitError
+		if !errors.As(err, &ple) {
+			t.Errorf("skip error %v is not a *ParseLimitError", err)
+		}
+	}
+	if _, ok := s.Registry().Document("fits"); !ok {
+		t.Error("snapshot within the limits not registered")
+	}
+	for _, name := range []string{"deep", "wide"} {
+		if _, ok := s.Registry().Document(name); ok {
+			t.Errorf("over-limit snapshot %s registered", name)
+		}
 	}
 }
 
