@@ -8,8 +8,7 @@
 //
 //	smoqed [-addr :8640] [-cache 256] [-timeout 30s]
 //	       [-doc name=file.xml ...] [-snapshot-dir DIR]
-//	       [-corpus-dir DIR] [-corpus-scan 2s] [-corpus-retry-base 100ms]
-//	       [-corpus-retry-max 5s] [-corpus-max-retries 3]
+//	       [-corpus-dir DIR] [-corpus-scan 2s]
 //	       [-corpus-max-queries 4] [-corpus-workers GOMAXPROCS≤8]
 //	       [-view name=spec.view,source.dtd,target.dtd ...]
 //	       [-sample] [-pprof]
@@ -79,10 +78,7 @@ func main() {
 
 	snapshotDir := flag.String("snapshot-dir", "", "load every *"+smoqe.SnapshotFileExt+" file in this directory as a document at startup")
 	corpusDir := flag.String("corpus-dir", "", "serve collections from this directory (one collection per subdirectory of XML/snapshot files)")
-	corpusScan := flag.Duration("corpus-scan", 0, "corpus background rescan interval (0 = default 2s)")
-	corpusRetryBase := flag.Duration("corpus-retry-base", 0, "first retry backoff for a transiently failing corpus document (0 = default 100ms)")
-	corpusRetryMax := flag.Duration("corpus-retry-max", 0, "retry backoff cap for corpus documents (0 = default 5s)")
-	corpusMaxRetries := flag.Int("corpus-max-retries", 0, "transient index failures per document before quarantine (0 = default 3)")
+	corpusScan := flag.Duration("corpus-scan", 0, "corpus background rescan interval, which also paces retries of failing documents (0 = default 2s)")
 	corpusMaxQueries := flag.Int("corpus-max-queries", 0, "concurrent fan-out queries per collection (0 = default 4, negative unbounded)")
 	corpusWorkers := flag.Int("corpus-workers", 0, "documents evaluated concurrently per fan-out query (0 = GOMAXPROCS capped at 8)")
 
@@ -113,9 +109,6 @@ func main() {
 		TraceLatencyRetention: *traceLatency,
 
 		CorpusScanInterval:         *corpusScan,
-		CorpusRetryBase:            *corpusRetryBase,
-		CorpusRetryMax:             *corpusRetryMax,
-		CorpusMaxRetries:           *corpusMaxRetries,
 		CorpusMaxConcurrentQueries: *corpusMaxQueries,
 		CorpusWorkers:              *corpusWorkers,
 		CorpusLogf:                 log.Printf,

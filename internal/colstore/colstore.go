@@ -304,16 +304,37 @@ func (cd *Document) Stats() xmltree.Stats {
 	return st
 }
 
+// nesting returns node n's element nesting, the depth
+// xmltree.ParseLimits.MaxDepth bounds: the root element counts 1, each
+// element one more than its parent, and a text node 0 (text does not nest).
+func (cd *Document) nesting(n int) int {
+	if cd.label[n] < 0 {
+		return 0
+	}
+	return int(cd.depth[n]) + 1
+}
+
+// ElementDepth returns the document's deepest element nesting (the root
+// counts 1, text nodes do not count): the figure CheckLimits compares with
+// xmltree.ParseLimits.MaxDepth. Stats().MaxDepth counts edges from the
+// root instead, text nodes included.
+func ElementDepth(cd *Document) int {
+	depth := 0
+	for i := range cd.label {
+		depth = max(depth, cd.nesting(i))
+	}
+	return depth
+}
+
 // CheckLimits refuses a document beyond lim's depth or node bound, with
 // the meaning xmltree.ParseWithLimits gives them: depth is element
-// nesting, the root counting 1 and text nodes not counting; nodes are
-// elements plus text. It holds a snapshot to the bounds the parser holds
-// XML to. MaxBytes bounds raw XML and is not checked here. The error is a
-// *xmltree.LimitError for the bound preorder exceeds first, as in the
-// parser.
+// nesting (see ElementDepth); nodes are elements plus text. It holds a
+// snapshot to the bounds the parser holds XML to. MaxBytes bounds raw XML
+// and is not checked here. The error is a *xmltree.LimitError for the
+// bound preorder exceeds first, as in the parser.
 func CheckLimits(cd *Document, lim xmltree.ParseLimits) error {
-	for i, d := range cd.depth {
-		if lim.MaxDepth > 0 && cd.label[i] >= 0 && int(d) >= lim.MaxDepth {
+	for i := range cd.label {
+		if lim.MaxDepth > 0 && cd.nesting(i) > lim.MaxDepth {
 			return &xmltree.LimitError{What: xmltree.LimitDepth, Limit: int64(lim.MaxDepth)}
 		}
 		if lim.MaxNodes > 0 && i >= lim.MaxNodes {

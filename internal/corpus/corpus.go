@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,7 +23,7 @@ import (
 )
 
 // Status is a document's lifecycle state. Only indexed documents are
-// served; pending documents are awaiting (re)indexing or a retry window;
+// served; pending documents are awaiting a retry on the next scan;
 // quarantined documents failed validation and are never answered from
 // until a file change or an explicit reindex clears them.
 type Status string
@@ -53,23 +52,22 @@ type quarantineError struct {
 
 func (e *quarantineError) Error() string { return e.reason }
 
+// maxRetries bounds transient retries per file change: the failure after
+// the third retry quarantines the document.
+const maxRetries = 3
+
+// staleScans is how many scan intervals may pass without a completed scan
+// before a collection is stale. Stale collections keep serving their last
+// good generation, flagged as degraded.
+const staleScans = 3
+
 // Options tunes a Manager. The zero value is usable; zero fields take the
 // defaults documented on each.
 type Options struct {
-	// ScanInterval is the background rescan period (default 2s).
+	// ScanInterval is the background rescan period (default 2s). It also
+	// paces retries: a document whose indexing failed is retried on the
+	// next scan.
 	ScanInterval time.Duration
-	// StaleAfter marks a collection stale when its last completed scan is
-	// older than this (default 3×ScanInterval). Stale collections keep
-	// serving their last good generation, flagged as degraded.
-	StaleAfter time.Duration
-	// RetryBase is the first retry backoff for a transiently failing
-	// document (default 100ms); doubled per retry up to RetryMax (default
-	// 5s), with ±25% jitter to spread herds.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// MaxRetries bounds transient retries per file change before the
-	// document is quarantined (default 3).
-	MaxRetries int
 	// ParseLimits bounds the documents admitted into the corpus: XML as
 	// it is parsed, snapshots by depth and node count once read.
 	ParseLimits xmltree.ParseLimits
@@ -87,18 +85,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.ScanInterval <= 0 {
 		o.ScanInterval = 2 * time.Second
-	}
-	if o.StaleAfter <= 0 {
-		o.StaleAfter = 3 * o.ScanInterval
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 100 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 5 * time.Second
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 3
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -122,9 +108,6 @@ type Doc struct {
 	// Retries counts transient failures since the last successful index
 	// or file change.
 	Retries int
-	// NextRetry gates the next indexing attempt of a transiently failing
-	// document (zero when none is scheduled).
-	NextRetry time.Time
 	// Size, MtimeNS and CRC identify the validated file content; a
 	// matching size+mtime with a differing CRC quarantines the document
 	// (silent corruption).
@@ -314,7 +297,7 @@ func (m *Manager) Info(c *Collection) CollectionInfo {
 	}
 	// A corpus without a background loop is only as fresh as its last
 	// explicit scan; staleness is not meaningful there.
-	if started && m.opt.Now().Sub(c.lastScan) > m.opt.StaleAfter {
+	if started && m.opt.Now().Sub(c.lastScan) > staleScans*m.opt.ScanInterval {
 		info.Stale = true
 	}
 	return info
@@ -463,7 +446,7 @@ func (m *Manager) recoverCollection(name string) *Collection {
 }
 
 // scanCollection revalidates one collection: stat every eligible file,
-// (re)index what changed or is due for retry, drop records of deleted
+// (re)index what changed or is pending a retry, drop records of deleted
 // files, and publish a new manifest generation when anything moved.
 // The caller must have set c.scanning; scanCollection clears it.
 func (m *Manager) scanCollection(ctx context.Context, c *Collection, force bool) {
@@ -521,7 +504,6 @@ func (m *Manager) scanDocs(ctx context.Context, c *Collection, force bool) bool 
 		m.opt.Logf("corpus: %s: %v", c.name, err)
 		return false
 	}
-	now := m.opt.Now()
 	changed := false
 	live := make(map[string]bool)
 	for _, ent := range ents {
@@ -545,7 +527,7 @@ func (m *Manager) scanDocs(ctx context.Context, c *Collection, force bool) bool 
 		c.mu.RLock()
 		prev := c.docs[name]
 		c.mu.RUnlock()
-		next := m.checkDoc(ctx, c, name, fi, prev, now, force)
+		next := m.checkDoc(ctx, c, name, fi, prev, force)
 		if next == nil {
 			continue
 		}
@@ -572,7 +554,7 @@ func (m *Manager) scanDocs(ctx context.Context, c *Collection, force bool) bool 
 
 // checkDoc decides one document's fate for this scan: nil means the
 // existing record stands; otherwise the returned record replaces it.
-func (m *Manager) checkDoc(ctx context.Context, c *Collection, name string, fi fs.FileInfo, prev *Doc, now time.Time, force bool) *Doc {
+func (m *Manager) checkDoc(ctx context.Context, c *Collection, name string, fi fs.FileInfo, prev *Doc, force bool) *Doc {
 	same := prev != nil && prev.Size == fi.Size() && prev.MtimeNS == fi.ModTime().UnixNano()
 	if same && !force {
 		switch prev.Status {
@@ -585,10 +567,6 @@ func (m *Manager) checkDoc(ctx context.Context, c *Collection, name string, fi f
 			// The verdict stands until the file changes (size/mtime) or an
 			// explicit reindex forces revalidation.
 			return nil
-		case StatusPending:
-			if !prev.NextRetry.IsZero() && now.Before(prev.NextRetry) {
-				return nil // in backoff; not due yet
-			}
 		}
 	}
 	retries := 0
@@ -601,7 +579,7 @@ func (m *Manager) checkDoc(ctx context.Context, c *Collection, name string, fi f
 		return doc
 	}
 	var qe *quarantineError
-	if errors.As(err, &qe) || retries >= m.opt.MaxRetries {
+	if errors.As(err, &qe) || retries >= maxRetries {
 		m.opt.Logf("corpus: %s/%s quarantined: %v", c.name, name, err)
 		return &Doc{
 			Name: name, Status: StatusQuarantined, Reason: err.Error(),
@@ -612,8 +590,8 @@ func (m *Manager) checkDoc(ctx context.Context, c *Collection, name string, fi f
 	m.opt.Logf("corpus: %s/%s index attempt %d failed (will retry): %v", c.name, name, retries+1, err)
 	return &Doc{
 		Name: name, Status: StatusPending, Reason: err.Error(),
-		Retries: retries + 1, NextRetry: now.Add(m.backoff(retries)),
-		Size: fi.Size(), MtimeNS: fi.ModTime().UnixNano(), CRC: crcOf(prev),
+		Retries: retries + 1, Size: fi.Size(), MtimeNS: fi.ModTime().UnixNano(),
+		CRC: crcOf(prev),
 	}
 }
 
@@ -631,20 +609,6 @@ func crcOf(prev *Doc) uint32 {
 		return 0
 	}
 	return prev.CRC
-}
-
-// backoff returns the delay before retry number retries+1: exponential
-// from RetryBase, capped at RetryMax, with ±25% jitter.
-func (m *Manager) backoff(retries int) time.Duration {
-	d := m.opt.RetryBase
-	for i := 0; i < retries && d < m.opt.RetryMax; i++ {
-		d *= 2
-	}
-	if d > m.opt.RetryMax {
-		d = m.opt.RetryMax
-	}
-	jitter := time.Duration(rand.Int63n(int64(d)/2+1)) - d/4
-	return d + jitter
 }
 
 // indexDoc validates and indexes one file: read, checksum, parse,
@@ -724,7 +688,7 @@ func parseDoc(name string, data []byte, lim xmltree.ParseLimits) (*colstore.Docu
 
 // toManifestDoc converts an in-memory record to its durable form.
 func toManifestDoc(d *Doc) manifestDoc {
-	md := manifestDoc{
+	return manifestDoc{
 		File:    d.Name,
 		Size:    d.Size,
 		MtimeNS: d.MtimeNS,
@@ -733,9 +697,4 @@ func toManifestDoc(d *Doc) manifestDoc {
 		Reason:  d.Reason,
 		Retries: d.Retries,
 	}
-	if d.Status == StatusIndexed {
-		md.Labels = d.Fingerprint.Labels
-		md.Elements = d.Fingerprint.Elements
-	}
-	return md
 }

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"smoqe/internal/colstore"
 	"smoqe/internal/failpoint"
+	"smoqe/internal/hype"
 	"smoqe/internal/xmltree"
 )
 
@@ -70,7 +72,7 @@ func newCorpusDir(t *testing.T) (root, col string) {
 }
 
 func testOptions(clk *fakeClock) Options {
-	return Options{Now: clk.Now, RetryBase: 10 * time.Millisecond, RetryMax: 100 * time.Millisecond}
+	return Options{Now: clk.Now}
 }
 
 func TestOpenIndexesAndPersists(t *testing.T) {
@@ -233,50 +235,43 @@ func TestChangeAndDeleteDetection(t *testing.T) {
 	}
 }
 
+// TestTransientRetryThenQuarantine: a document whose indexing keeps
+// failing is retried on every scan, with no time gate (the clock never
+// moves), and the fourth consecutive failure quarantines it.
 func TestTransientRetryThenQuarantine(t *testing.T) {
 	root, _ := newCorpusDir(t)
 	if err := failpoint.Enable(failpoint.SiteCorpusIndexDoc, "error"); err != nil {
 		t.Fatal(err)
 	}
 	defer failpoint.DisableAll()
-	clk := newFakeClock()
-	opt := testOptions(clk)
-	m, err := Open(context.Background(), root, opt)
+	m, err := Open(context.Background(), root, testOptions(newFakeClock()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c, _ := m.Collection("col")
-	if n := len(c.Docs(StatusPending)); n != 3 {
-		t.Fatalf("pending %d docs after injected failures, want 3: %+v", n, c.Docs())
-	}
-	for _, d := range c.Docs(StatusPending) {
-		if d.Retries != 1 {
-			t.Errorf("%s: retries = %d, want 1", d.Name, d.Retries)
-		}
-		if d.NextRetry.IsZero() {
-			t.Errorf("%s: no retry scheduled", d.Name)
-		}
-	}
-
-	// Not yet due: a scan before the backoff window leaves retries alone.
-	if err := m.scanAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range c.Docs(StatusPending) {
-		if d.Retries != 1 {
-			t.Errorf("%s: early rescan bumped retries to %d", d.Name, d.Retries)
-		}
-	}
-
-	// Exhaust the retry budget: each due attempt still fails.
-	for i := 0; i < 10; i++ {
-		clk.Advance(time.Second)
+	rescan := func() {
+		t.Helper()
 		if err := m.scanAll(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for scan := 1; scan <= 3; scan++ { // Open ran scan 1
+		if scan > 1 {
+			rescan()
+		}
+		pending := c.Docs(StatusPending)
+		if len(pending) != 3 {
+			t.Fatalf("scan %d: pending %d docs, want 3: %+v", scan, len(pending), c.Docs())
+		}
+		for _, d := range pending {
+			if d.Retries != scan {
+				t.Errorf("scan %d: %s: retries = %d, want %d", scan, d.Name, d.Retries, scan)
+			}
+		}
+	}
+	rescan()
 	if n := len(c.Docs(StatusQuarantined)); n != 3 {
-		t.Fatalf("quarantined %d docs after retry exhaustion, want 3: %+v", n, c.Docs())
+		t.Fatalf("quarantined %d docs after scan 4, want 3: %+v", n, c.Docs())
 	}
 
 	// Reindex is the manual escape hatch once the fault is gone.
@@ -382,8 +377,10 @@ func TestManifestWithTextBloomRecovers(t *testing.T) {
 	}
 
 	gen, docs, skipped := recoverManifest(col)
+	// The record also carries "labels", "elements" and "text_bloom",
+	// which decoding ignores.
 	want := manifestDoc{File: "ward.xml", Size: 28, MtimeNS: mtime.UnixNano(), CRC: 660788394,
-		Status: "indexed", Labels: []string{"a", "b", "c"}, Elements: 3}
+		Status: "indexed"}
 	if gen != 1 || len(skipped) != 0 || len(docs) != 1 || !reflect.DeepEqual(docs[0], want) {
 		t.Fatalf("recovered gen %d, docs %+v, skipped %v; want gen 1, docs [%+v]", gen, docs, skipped, want)
 	}
@@ -406,13 +403,22 @@ func TestManifestWithTextBloomRecovers(t *testing.T) {
 }
 
 func TestManifestRoundTrip(t *testing.T) {
+	cd := colstore.FromTree(xmltree.NewDocument("a"))
+	indexed := &Doc{Name: "b.xml", Status: StatusIndexed, Size: 10, MtimeNS: 123, CRC: 7,
+		Fingerprint: hype.FingerprintDoc(cd), Col: cd}
 	docs := []manifestDoc{
-		{File: "b.xml", Size: 10, MtimeNS: 123, CRC: 7, Status: "indexed", Labels: []string{"a"}, Elements: 2},
+		toManifestDoc(indexed),
 		{File: "a.xml", Size: 5, MtimeNS: 456, CRC: 9, Status: "quarantined", Reason: "parse: bad", Retries: 3},
 	}
 	buf, err := encodeManifest(42, docs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// An indexed record keeps only what recovery reads: no fingerprint.
+	for _, member := range []string{`"labels"`, `"elements"`} {
+		if bytes.Contains(buf, []byte(member)) {
+			t.Errorf("manifest carries a %s member: %s", member, buf)
+		}
 	}
 	gen, got, err := decodeManifest("t", buf)
 	if err != nil {
@@ -482,7 +488,7 @@ func TestBackgroundLoopPicksUpChanges(t *testing.T) {
 	root, col := newCorpusDir(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opt := Options{ScanInterval: 10 * time.Millisecond, RetryBase: 5 * time.Millisecond}
+	opt := Options{ScanInterval: 10 * time.Millisecond}
 	m, err := Open(ctx, root, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,7 @@ import (
 // inputs on every go test.
 func FuzzManifestDecode(f *testing.F) {
 	docs := []manifestDoc{
-		{File: "b.xml", Size: 31, MtimeNS: 1700000000, CRC: 0xdeadbeef, Status: "indexed",
-			Labels: []string{"a", "b"}, Elements: 3},
+		{File: "b.xml", Size: 31, MtimeNS: 1700000000, CRC: 0xdeadbeef, Status: "indexed"},
 		{File: "a.xml", Size: 12, Status: "quarantined", Reason: "parse: unexpected EOF", Retries: 2},
 	}
 	var seeds [][]byte
@@ -58,8 +57,9 @@ func FuzzManifestDecode(f *testing.F) {
 	notJSON = binary.LittleEndian.AppendUint32(notJSON, 3)
 	notJSON = append(notJSON, "{{{"...)
 	f.Add(binary.LittleEndian.AppendUint32(notJSON, crc32.ChecksumIEEE(notJSON)))
-	// A manifest carrying the retired "text_bloom" member (see
-	// TestManifestWithTextBloomRecovers): accepted, the member ignored.
+	// A manifest carrying the retired "labels", "elements" and
+	// "text_bloom" members (see TestManifestWithTextBloomRecovers):
+	// accepted, the members ignored.
 	old, err := os.ReadFile(filepath.Join(textBloomFixture, manifestName(1)))
 	if err != nil {
 		f.Fatal(err)

@@ -45,21 +45,19 @@ const (
 	maxManifestPayload = 1 << 28
 )
 
-// manifestDoc is one document's durable record. The fingerprint fields
-// (labels, elements) are only present for indexed documents and are
-// informational: recovery re-fingerprints every document from its file.
-// Manifests written before the text filter was sized per document also
-// carry a "text_bloom" member; decoding ignores it.
+// manifestDoc is one document's durable record: what recovery reads.
+// Recovery re-fingerprints every document from its file, so no fingerprint
+// is stored. Older manifests also carry "labels" and "elements" for
+// indexed documents, and older still a "text_bloom" member; decoding
+// ignores all three.
 type manifestDoc struct {
-	File     string   `json:"file"`
-	Size     int64    `json:"size"`
-	MtimeNS  int64    `json:"mtime_ns"`
-	CRC      uint32   `json:"crc32"`
-	Status   string   `json:"status"`
-	Reason   string   `json:"reason,omitempty"`
-	Retries  int      `json:"retries,omitempty"`
-	Labels   []string `json:"labels,omitempty"`
-	Elements int      `json:"elements,omitempty"`
+	File    string `json:"file"`
+	Size    int64  `json:"size"`
+	MtimeNS int64  `json:"mtime_ns"`
+	CRC     uint32 `json:"crc32"`
+	Status  string `json:"status"`
+	Reason  string `json:"reason,omitempty"`
+	Retries int    `json:"retries,omitempty"`
 }
 
 // manifestPayload is the JSON body of a manifest generation.

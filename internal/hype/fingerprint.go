@@ -1,19 +1,18 @@
 package hype
 
-// Corpus-level prefiltering: a per-document fingerprint (element alphabet +
-// a text Bloom filter sized to the document) cheap enough to keep for every
-// document of a corpus, and a per-query Prefilter that refutes whole
-// documents from the fingerprint alone — the corpus generalization of
-// OptHyPE's per-subtree pruning. A document that fails the prefilter
-// provably contains no answer, so the collection layer (internal/corpus)
-// skips it without evaluating it; a document that passes is evaluated
-// normally. The test is sound, never complete: prefilter-on and
-// prefilter-off evaluations return identical answers by construction (and
-// the HTTP differential crosscheck enforces it).
+// Corpus-level prefiltering: a per-document fingerprint (element count + a
+// text Bloom filter sized to the document) cheap enough to keep for every
+// document of a corpus, and CanMatch, which refutes whole documents from
+// the fingerprint and the document's own label table alone — the corpus
+// generalization of OptHyPE's per-subtree pruning. A document CanMatch
+// refutes provably contains no answer, so the collection layer
+// (internal/corpus) skips it without evaluating it; a document that passes
+// is evaluated normally. The test is sound, never complete: prefilter-on
+// and prefilter-off evaluations return identical answers by construction
+// (and the HTTP differential crosscheck enforces it).
 
 import (
 	"slices"
-	"sort"
 
 	"smoqe/internal/colstore"
 	"smoqe/internal/mfa"
@@ -28,25 +27,16 @@ const (
 	textProbes       = 8
 )
 
-// Fingerprint summarizes one document for corpus-level prefiltering: the
-// set of element labels occurring anywhere in the document, a Bloom filter
-// over the distinct direct text contents of its elements (the values
-// text()='c' predicates test), and the element count.
+// Fingerprint summarizes one document for corpus-level prefiltering: a
+// Bloom filter over the distinct direct text contents of its elements (the
+// values text()='c' predicates test) and the element count. The labels the
+// document uses are its columnar label table.
 type Fingerprint struct {
-	// Labels is the sorted set of element labels in the document.
-	Labels []string
 	// Elements is the number of element nodes (the root included).
 	Elements int
 	// text is the Bloom filter, textBitsPerValue bits per distinct
 	// nonempty text value; empty when no element has text.
 	text []uint64
-}
-
-// HasLabel reports whether the fingerprinted document contains an element
-// labeled l.
-func (f Fingerprint) HasLabel(l string) bool {
-	i := sort.SearchStrings(f.Labels, l)
-	return i < len(f.Labels) && f.Labels[i] == l
 }
 
 // MayHaveText reports whether some element of the document may have direct
@@ -78,29 +68,21 @@ func probePair(h uint64) (h1, h2 uint64) {
 }
 
 // FingerprintDoc computes the document's fingerprint in one pass over its
-// columns. Each element contributes its label and, when nonempty, its
+// columns. Each element counts once and contributes, when nonempty, its
 // direct text content cd.Text(n) — exactly the value a text()='c'
 // predicate compares at that element.
 func FingerprintDoc(cd *colstore.Document) Fingerprint {
 	var f Fingerprint
-	used := make([]bool, cd.NumLabels())
 	var hashes []uint64
 	for n := int32(0); n < int32(cd.NumNodes()); n++ {
 		if !cd.IsElement(n) {
 			continue
 		}
 		f.Elements++
-		used[cd.LabelID(n)] = true
 		if txt := cd.Text(n); txt != "" {
 			hashes = append(hashes, fnv64(txt))
 		}
 	}
-	for id, lab := range cd.Labels() {
-		if used[id] {
-			f.Labels = append(f.Labels, lab)
-		}
-	}
-	sort.Strings(f.Labels)
 	slices.Sort(hashes)
 	hashes = slices.Compact(hashes)
 	f.text = make([]uint64, (len(hashes)*textBitsPerValue+63)/64)
@@ -115,44 +97,34 @@ func FingerprintDoc(cd *colstore.Document) Fingerprint {
 	return f
 }
 
-// Prefilter is the document-level admission test of one MFA: CanMatch
-// reports whether a document with a given fingerprint can possibly contain
-// an answer. The test is sound (a false return proves the answer set is
-// empty) and cheap — O(|MFA|) per document, no document access. Build one
-// per prepared plan and share it: a Prefilter is immutable and safe for
-// concurrent use.
-type Prefilter struct {
-	m *mfa.MFA
-}
-
-// NewPrefilter returns the prefilter of m.
-func NewPrefilter(m *mfa.MFA) *Prefilter { return &Prefilter{m: m} }
-
-// CanMatch reports whether a document with fingerprint f can contain an
-// answer: some final NFA state must be reachable from the start state
-// consuming only labels the document has (a wildcard step needs some
-// non-root element to consume), through states whose guards can hold
-// somewhere in the document (see guardPossible). A true return means
-// "evaluate", never "match".
-func (p *Prefilter) CanMatch(f Fingerprint) bool {
+// CanMatch is the document-level admission test of m: it reports whether
+// document cd, with fingerprint f, can contain an answer. Some final NFA
+// state must be reachable from the start state consuming only labels in
+// cd's label table (a wildcard step needs some non-root element to
+// consume), through states whose guards can hold somewhere in the document
+// (see guardPossible). A true return means "evaluate", never "match"; a
+// false return proves the answer set empty. The cost is O(|m|) label
+// lookups, no document traversal. A label table listing a label no element
+// uses (possible in a snapshot) only admits more documents.
+func CanMatch(m *mfa.MFA, cd *colstore.Document, f Fingerprint) bool {
 	if f.Elements == 0 {
 		return false
 	}
 	// Any consumed label is the label of a non-root element, so wildcard
 	// steps are only satisfiable when one exists.
 	wildOK := f.Elements >= 2
-	possible := make([][]bool, len(p.m.AFAs)) // per guard AFA, on first use
-	n := len(p.m.States)
+	possible := make([][]bool, len(m.AFAs)) // per guard AFA, on first use
+	n := len(m.States)
 	seen := make([]bool, n)
 	queue := make([]int, 0, n)
 	push := func(s int) {
 		if seen[s] {
 			return
 		}
-		if entry := p.m.GuardEntry(s); entry >= 0 {
-			g := p.m.States[s].Guard
+		if entry := m.GuardEntry(s); entry >= 0 {
+			g := m.States[s].Guard
 			if possible[g] == nil {
-				possible[g] = guardPossible(p.m.AFAs[g], f, wildOK)
+				possible[g] = guardPossible(m.AFAs[g], cd, f, wildOK)
 			}
 			if !possible[g][entry] {
 				return
@@ -161,11 +133,11 @@ func (p *Prefilter) CanMatch(f Fingerprint) bool {
 		seen[s] = true
 		queue = append(queue, s)
 	}
-	push(p.m.Start)
+	push(m.Start)
 	for len(queue) > 0 {
 		s := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		st := &p.m.States[s]
+		st := &m.States[s]
 		if st.Final {
 			return true
 		}
@@ -173,13 +145,7 @@ func (p *Prefilter) CanMatch(f Fingerprint) bool {
 			push(t)
 		}
 		for _, tr := range st.Trans {
-			if tr.Wild {
-				if wildOK {
-					push(tr.To)
-				}
-				continue
-			}
-			if f.HasLabel(tr.Label) {
+			if tr.Wild && wildOK || !tr.Wild && hasLabel(cd, tr.Label) {
 				push(tr.To)
 			}
 		}
@@ -187,16 +153,22 @@ func (p *Prefilter) CanMatch(f Fingerprint) bool {
 	return false
 }
 
+// hasLabel reports whether l is in cd's label table.
+func hasLabel(cd *colstore.Document, l string) bool {
+	_, ok := cd.LabelIDOf(l)
+	return ok
+}
+
 // guardPossible decides, for every state of guard AFA a, whether it can be
-// true at some element of a document with fingerprint f. It is the least
+// true at some element of document cd with fingerprint f. It is the least
 // fixpoint of an abstraction of the AFA's own semantics: a FINAL
 // text()='c' (c nonempty) needs c in the text filter; a TRANS needs its
-// label in the document (a wildcard needs a non-root element) and its
+// label in cd's label table (a wildcard needs a non-root element) and its
 // target possible; AND needs every kid, OR some kid; NOT and every other
 // FINAL always qualify. Each rule holds whenever the concrete state is
 // true at some node, so the result over-approximates "true somewhere" and
 // a false entry proves the state false at every node.
-func guardPossible(a *mfa.AFA, f Fingerprint, wildOK bool) []bool {
+func guardPossible(a *mfa.AFA, cd *colstore.Document, f Fingerprint, wildOK bool) []bool {
 	n := a.NumStates()
 	poss := make([]bool, n)
 	for t := range a.States {
@@ -217,7 +189,7 @@ func guardPossible(a *mfa.AFA, f Fingerprint, wildOK bool) []bool {
 			ok := false
 			switch st.Kind {
 			case mfa.AFATrans:
-				ok = (st.Wild && wildOK || !st.Wild && f.HasLabel(st.Label)) && poss[st.Kids[0]]
+				ok = (st.Wild && wildOK || !st.Wild && hasLabel(cd, st.Label)) && poss[st.Kids[0]]
 			case mfa.AFAAnd:
 				ok = true
 				for _, k := range st.Kids {

@@ -11,6 +11,7 @@ import (
 	"smoqe"
 	"smoqe/internal/corpus"
 	"smoqe/internal/guard"
+	"smoqe/internal/hype"
 	"smoqe/internal/trace"
 )
 
@@ -22,9 +23,6 @@ import (
 func (s *Server) OpenCorpus(ctx context.Context, dir string) error {
 	mgr, err := corpus.Open(ctx, dir, corpus.Options{
 		ScanInterval: s.cfg.CorpusScanInterval,
-		RetryBase:    s.cfg.CorpusRetryBase,
-		RetryMax:     s.cfg.CorpusRetryMax,
-		MaxRetries:   s.cfg.CorpusMaxRetries,
 		ParseLimits:  s.cfg.ParseLimits,
 		Logf:         s.cfg.CorpusLogf,
 		OnScan:       s.met.corpusScanned,
@@ -239,23 +237,16 @@ func (s *Server) collectionQuery(ctx context.Context, w http.ResponseWriter, nam
 	info := s.corpus.Info(c)
 	docs := c.Docs(corpus.StatusIndexed)
 
-	// Prefilter: refute whole documents from their fingerprints alone. A
-	// refuted document provably has no answers, so skipping it cannot
-	// change the results array.
+	// Prefilter: refute whole documents from their fingerprints and label
+	// tables alone. A refuted document provably has no answers, so skipping
+	// it cannot change the results array. A record recovered from a
+	// manifest stays indexed without a document until a scan re-reads its
+	// file; it is not evaluated either way.
 	usePrefilter := req.Prefilter == nil || *req.Prefilter
 	var evalDocs []*corpus.Doc
-	if usePrefilter {
-		pf := plan.Prefilter()
-		for _, d := range docs {
-			if d.Col != nil && pf.CanMatch(d.Fingerprint) {
-				evalDocs = append(evalDocs, d)
-			}
-		}
-	} else {
-		for _, d := range docs {
-			if d.Col != nil {
-				evalDocs = append(evalDocs, d)
-			}
+	for _, d := range docs {
+		if d.Col != nil && (!usePrefilter || hype.CanMatch(plan.MFA(), d.Col, d.Fingerprint)) {
+			evalDocs = append(evalDocs, d)
 		}
 	}
 	s.met.corpusPrefilterSkipped(name, len(docs)-len(evalDocs))
@@ -282,6 +273,10 @@ func (s *Server) collectionQuery(ctx context.Context, w http.ResponseWriter, nam
 	for i := range evalDocs {
 		res := <-results[i]
 		if res.err != nil {
+			if ctx.Err() != nil && errors.Is(res.err, ctx.Err()) {
+				s.met.cancelled.Inc()
+				sp.Event("cancelled")
+			}
 			return fmt.Errorf("server: query on collection %q, doc %q: %w", name, evalDocs[i].Name, res.err)
 		}
 		if len(res.ids) == 0 {

@@ -277,3 +277,47 @@ func TestCollectionFanOutKeepsBudgets(t *testing.T) {
 		t.Errorf("missing %q in /metrics output:\n%s", want, raw)
 	}
 }
+
+// TestCollectionFanOutTimeoutCancelled: a fan-out stopped by the request
+// timeout is counted once in smoqe_cancelled_total and /stats "cancelled",
+// as a /query stopped by it is, and its corpus.query span records a
+// cancelled event.
+func TestCollectionFanOutTimeoutCancelled(t *testing.T) {
+	dir := t.TempDir()
+	col := filepath.Join(dir, "ward")
+	if err := os.Mkdir(col, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	big := "<a>" + strings.Repeat("<b/>", 200000) + "</a>"
+	if err := os.WriteFile(filepath.Join(col, "big.xml"), []byte(big), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{RequestTimeout: time.Microsecond})
+	if err := s.OpenCorpus(context.Background(), dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.CloseCorpus)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	resp, body := postJSON(t, ts, "/collections/ward/query", map[string]any{"query": "b"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST query: %d %s", resp.StatusCode, body)
+	}
+	var qr struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatalf("decoding %s: %v", body, err)
+	}
+	if !strings.Contains(qr.Error, context.DeadlineExceeded.Error()) {
+		t.Fatalf("stream did not end with the deadline error: %s", body)
+	}
+	if st := s.Stats(); st.Failures != 1 || st.Cancelled != 1 {
+		t.Errorf("failures %d, cancelled %d; want 1 and 1", st.Failures, st.Cancelled)
+	}
+	d := waitForTrace(t, s, resp.Header.Get("X-Smoqe-Trace-Id"))
+	if !spanHasEvent(d, "corpus.query", "cancelled") {
+		t.Error("corpus.query span lacks a cancelled event")
+	}
+}

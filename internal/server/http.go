@@ -455,6 +455,8 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	writeError(w, status, err)
 }
 
+// docInfo describes one registered document. MaxDepth is its element
+// nesting with the root at 1, the figure -max-doc-depth bounds.
 type docInfo struct {
 	Name     string `json:"name"`
 	Elements int    `json:"elements"`
@@ -462,16 +464,15 @@ type docInfo struct {
 	MaxDepth int    `json:"max_depth"`
 }
 
+func docInfoOf(e *DocEntry) docInfo {
+	return docInfo{Name: e.Name, Elements: e.Stats.Elements, Texts: e.Stats.Texts, MaxDepth: e.depth}
+}
+
 func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	entries := s.reg.Documents()
 	out := make([]docInfo, 0, len(entries))
 	for _, e := range entries {
-		out = append(out, docInfo{
-			Name:     e.Name,
-			Elements: e.Stats.Elements,
-			Texts:    e.Stats.Texts,
-			MaxDepth: e.Stats.MaxDepth,
-		})
+		out = append(out, docInfoOf(e))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	writeJSON(w, http.StatusOK, out)
@@ -491,12 +492,7 @@ func (s *Server) handleRegisterDoc(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, docInfo{
-		Name:     entry.Name,
-		Elements: entry.Stats.Elements,
-		Texts:    entry.Stats.Texts,
-		MaxDepth: entry.Stats.MaxDepth,
-	})
+	writeJSON(w, http.StatusCreated, docInfoOf(entry))
 }
 
 // countDocLimit counts a document registration refused over a parse
@@ -618,12 +614,7 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, docInfo{
-		Name:     entry.Name,
-		Elements: entry.Stats.Elements,
-		Texts:    entry.Stats.Texts,
-		MaxDepth: entry.Stats.MaxDepth,
-	})
+	writeJSON(w, http.StatusCreated, docInfoOf(entry))
 }
 
 // registerSnapshot reads a binary snapshot and registers it under a

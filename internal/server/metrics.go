@@ -212,7 +212,7 @@ func (m *metrics) corpusScanned(info corpus.CollectionInfo, elapsed time.Duratio
 		"Documents indexed and serveable, by collection.", labels).
 		Set(float64(info.Indexed))
 	m.reg.Gauge("smoqe_corpus_docs_pending",
-		"Documents awaiting (re)indexing or in retry backoff, by collection.", labels).
+		"Documents awaiting (re)indexing or a retry on the next scan, by collection.", labels).
 		Set(float64(info.Pending))
 	m.reg.Gauge("smoqe_corpus_docs_quarantined",
 		"Documents quarantined after failed validation, by collection.", labels).

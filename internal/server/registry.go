@@ -30,6 +30,10 @@ type DocEntry struct {
 	// parsed document.
 	Col *smoqe.ColumnarDocument
 
+	// depth is Col's element nesting (colstore.ElementDepth), the figure
+	// ParseLimits.MaxDepth bounds.
+	depth int
+
 	once sync.Once
 	idx  *smoqe.Index
 }
@@ -101,7 +105,7 @@ func (r *Registry) RegisterDocument(name string, doc *smoqe.Document) (*DocEntry
 
 // store registers cd under name.
 func (r *Registry) store(name string, cd *smoqe.ColumnarDocument) *DocEntry {
-	entry := &DocEntry{Name: name, Stats: cd.Stats(), Col: cd}
+	entry := &DocEntry{Name: name, Stats: cd.Stats(), Col: cd, depth: colstore.ElementDepth(cd)}
 	r.mu.Lock()
 	r.docs[name] = entry
 	r.mu.Unlock()

@@ -199,6 +199,65 @@ func TestSnapshotParseLimits(t *testing.T) {
 	}
 }
 
+// TestDocsMaxDepthMatchesLimit: the max_depth POST /docs, POST /snapshot
+// and GET /docs report is element nesting with the root at 1, the figure
+// ParseLimits.MaxDepth bounds. Five nested elements report 5 with or
+// without a text node inside, and both fit MaxDepth 5; six are refused.
+func TestDocsMaxDepthMatchesLimit(t *testing.T) {
+	s := New(Config{ParseLimits: smoqe.ParseLimits{MaxDepth: 5}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	check := func(what string, resp *http.Response, err error, status int) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var info docInfo
+		json.NewDecoder(resp.Body).Decode(&info)
+		if resp.StatusCode != status {
+			t.Errorf("%s: status %d, want %d", what, resp.StatusCode, status)
+		} else if status == http.StatusCreated && info.MaxDepth != 5 {
+			t.Errorf("%s: max_depth %d, want 5", what, info.MaxDepth)
+		}
+	}
+	nest := func(n int, text string) string {
+		return strings.Repeat("<a>", n) + text + strings.Repeat("</a>", n)
+	}
+	for i, tc := range []struct {
+		xml    string
+		status int
+	}{
+		{nest(5, "x"), http.StatusCreated},
+		{nest(5, ""), http.StatusCreated},
+		{nest(6, ""), http.StatusRequestEntityTooLarge},
+	} {
+		doc, err := smoqe.ParseDocumentString(tc.xml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := smoqe.WriteSnapshot(smoqe.BuildColumnar(doc), &snap); err != nil {
+			t.Fatal(err)
+		}
+		body, _ := json.Marshal(map[string]string{"name": fmt.Sprintf("xml%d", i), "xml": tc.xml})
+		resp, err := http.Post(ts.URL+"/docs", "application/json", bytes.NewReader(body))
+		check("POST /docs "+tc.xml, resp, err, tc.status)
+		resp, err = http.Post(fmt.Sprintf("%s/snapshot?name=snap%d", ts.URL, i), "application/octet-stream", &snap)
+		check("POST /snapshot "+tc.xml, resp, err, tc.status)
+	}
+	var listed []docInfo
+	getJSON(t, ts, "/docs", &listed)
+	if len(listed) != 4 {
+		t.Fatalf("GET /docs lists %+v, want the four accepted documents", listed)
+	}
+	for _, info := range listed {
+		if info.MaxDepth != 5 {
+			t.Errorf("GET /docs: %s max_depth %d, want 5", info.Name, info.MaxDepth)
+		}
+	}
+}
+
 // TestRequestBodyCapReturns413: decodeBody's MaxBytesReader turns an
 // oversized request body into an explicit 413, not a JSON syntax error.
 func TestRequestBodyCapReturns413(t *testing.T) {

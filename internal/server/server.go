@@ -93,13 +93,9 @@ type Config struct {
 	// kept and GET /slow lists it.
 	TraceLatencyRetention time.Duration
 	// CorpusScanInterval is the corpus background rescan period (default
-	// 2s); CorpusRetryBase/CorpusRetryMax/CorpusMaxRetries tune the
-	// indexer's per-document retry backoff. Zero fields take the corpus
-	// package defaults. Only meaningful after OpenCorpus.
+	// 2s). It also paces retries: a document whose indexing failed is
+	// retried on the next scan. Only meaningful after OpenCorpus.
 	CorpusScanInterval time.Duration
-	CorpusRetryBase    time.Duration
-	CorpusRetryMax     time.Duration
-	CorpusMaxRetries   int
 	// CorpusMaxConcurrentQueries bounds concurrent fan-out queries per
 	// collection (default 4; negative disables the bound). Excess requests
 	// queue up to QueueWait and are then shed with ErrOverloaded.

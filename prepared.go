@@ -41,12 +41,6 @@ type PreparedQuery struct {
 	m       *MFA
 	pool    *enginePool
 	timings PlanTimings
-
-	// pf is the corpus-level document prefilter, built lazily (most
-	// prepared queries never query a collection) and shared — a Prefilter
-	// is immutable.
-	pfOnce sync.Once
-	pf     *hype.Prefilter
 }
 
 // PlanTimings records how long each preparation phase of a plan took —
@@ -67,14 +61,6 @@ type PlanTimings struct {
 
 // Total sums the recorded phases.
 func (t PlanTimings) Total() time.Duration { return t.Parse + t.Rewrite + t.Compile }
-
-// Prefilter returns the query's document-level prefilter: a sound,
-// fingerprint-only test that a document cannot contain an answer. Built on
-// first use and cached; safe for concurrent use.
-func (p *PreparedQuery) Prefilter() *hype.Prefilter {
-	p.pfOnce.Do(func() { p.pf = hype.NewPrefilter(p.m) })
-	return p.pf
-}
 
 // enginePool hands out independent clones of one prototype engine.
 type enginePool struct {
