@@ -138,12 +138,8 @@ func runExplain(w io.Writer, qsrc string, v *smoqe.View, doc *smoqe.Document, en
 	fmt.Fprintf(w, "\n  %d AFA evaluations, cans DAG: %d vertices / %d edges\n",
 		st.AFAEvaluations, st.CansVertices, st.CansEdges)
 	if cs := tr.Compiled; cs != nil && cs.Enabled {
-		mode := "subset DFA"
-		if cs.DFAFallback {
-			mode = "NFA-simulation fallback"
-		}
-		fmt.Fprintf(w, "  compiled run (%s): %d subset state(s) built, %d hit(s) / %d miss(es), %d flush(es)\n",
-			mode, cs.DFAStates, cs.DFAHits, cs.DFAMisses, cs.DFAFlushes)
+		fmt.Fprintf(w, "  compiled run: %d hybrid state(s) built, %d hit(s) / %d miss(es), %d flush(es)\n",
+			cs.DFAStates, cs.DFAHits, cs.DFAMisses, cs.DFAFlushes)
 	}
 	if traceLimit > 0 {
 		fmt.Fprintf(w, "trace (first %d events):\n", len(tr.Events))

@@ -17,7 +17,7 @@
 //	       [-max-doc-depth 0] [-max-doc-nodes 0] [-max-doc-bytes 0] [-max-body 64MiB]
 //	       [-breaker-threshold 5] [-breaker-cooldown 5s]
 //	       [-read-timeout 30s] [-write-timeout timeout+30s] [-idle-timeout 2m]
-//	       [-trace-store 256] [-trace-sample 0.01] [-trace-latency 250ms]
+//	       [-trace-store 256] [-trace-sample-every 1s] [-trace-latency 250ms]
 //
 // Fault injection for chaos testing (see docs/ROBUSTNESS.md):
 //
@@ -73,7 +73,7 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 0, "HTTP write timeout (0 = default timeout+30s, negative disables)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "HTTP idle connection timeout (0 = default 2m, negative disables)")
 	traceStore := flag.Int("trace-store", 0, "request-trace store capacity in traces (0 = default 256, negative disables tracing)")
-	traceSample := flag.Float64("trace-sample", 0, "probability an unremarkable trace is retained (0 = default 0.01, negative never samples)")
+	traceSampleEvery := flag.Duration("trace-sample-every", 0, "retain one unremarkable trace per this interval (0 = default 1s, negative never samples)")
 	traceLatency := flag.Duration("trace-latency", 0, "slow threshold: retain every trace at least this slow and list slow /query evaluations at /slow (0 = 250ms, negative disables)")
 
 	snapshotDir := flag.String("snapshot-dir", "", "load every *"+smoqe.SnapshotFileExt+" file in this directory as a document at startup")
@@ -105,7 +105,7 @@ func main() {
 		WriteTimeout:          *writeTimeout,
 		IdleTimeout:           *idleTimeout,
 		TraceStoreSize:        *traceStore,
-		TraceSampleRate:       *traceSample,
+		TraceSampleEvery:      *traceSampleEvery,
 		TraceLatencyRetention: *traceLatency,
 
 		CorpusScanInterval:         *corpusScan,

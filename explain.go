@@ -30,10 +30,10 @@ type PlanExplain struct {
 	MFASize   int `json:"mfa_size"`
 	// Compiled is the static sizing of the compiled evaluation layer for
 	// this automaton: the interned transition alphabet, the uint64 words
-	// encoding the NFA and AFA state sets, and the subset-state cache cap
-	// that bounds the lazily built DFA (the full subset automaton may have
-	// up to 2^NFAStates states — the cache cap plus eviction is what keeps
-	// the Theorem 5.1 accounting finite at run time). Per-run counters
+	// encoding the NFA and AFA state sets, and the hybrid-state cache cap
+	// that bounds the lazily built automaton (the full hybrid automaton is
+	// exponential in the NFA and AFA sizes — the cache cap plus flushing is
+	// what keeps the Theorem 5.1 accounting finite at run time). Per-run counters
 	// appear on traced runs as Trace.Compiled.
 	Compiled CompiledStats `json:"compiled"`
 }

@@ -322,7 +322,7 @@ func TestFailpointRequestsYieldRetainedTraces(t *testing.T) {
 		CacheSize:        64,
 		MaxParallelism:   4,
 		BreakerThreshold: -1, // breakers off: every request must reach its fault site
-		TraceSampleRate:  -1, // only error retention keeps these traces
+		TraceSampleEvery: -1, // only error retention keeps these traces
 	})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,7 @@ package crosscheck_test
 // directly, view.Materialize + refeval for rewritings over σ0, and the
 // naive MFA product evaluator (mfa.Eval) for rewritings over a
 // secview-derived policy view — and every configuration of the pass must
-// agree with the sequential default: a one-state subset cache and
+// agree with the sequential default: a one-entry hybrid cache and
 // shard-parallel workers on answers AND Stats, the subtree index and a
 // call at the tree's root node on answers.
 
@@ -117,7 +117,7 @@ func TestCompiledAgreesOnGeneratedQueries(t *testing.T) {
 }
 
 // TestCompiledAgreesOnViewRewritings: rewritten automata over σ0 — larger
-// NFAs with data-test AFAs, the Theorem 5.1 shape the subset cache must
+// NFAs with data-test AFAs, the Theorem 5.1 shape the hybrid cache must
 // handle — against the materialized view queried by refeval.
 func TestCompiledAgreesOnViewRewritings(t *testing.T) {
 	if testing.Short() {

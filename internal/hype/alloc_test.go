@@ -23,7 +23,7 @@ func TestSteadyStateRunAllocations(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	// maxObjects covers the run's fixed cost: its state, label binding,
-	// cursor, root subset set and closure stack, and the answer slices.
+	// cursor, predicate outcomes and the answer slices.
 	const maxObjects = 10
 	const slackBytes = 4 << 10
 	cd := colstore.FromTree(datagen.Generate(datagen.DefaultConfig(300)))
@@ -40,7 +40,7 @@ func TestSteadyStateRunAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			run() // warm the subset cache and the run buffers
+			run() // warm the hybrid cache and the run buffers
 			if len(res.IDs) == 0 {
 				t.Fatalf("%q: no answers; the guard measures nothing", src)
 			}

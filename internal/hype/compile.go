@@ -9,20 +9,25 @@ package hype
 //     closure, and the per-node truth computation walks the frozen SCC order
 //     as straight-line instructions whose AND/OR tests are word operations.
 //
-//   - The selecting NFA's subset automaton is built lazily (dfaCache): subset
-//     states are interned by their ε-closed bitset, transitions are built on
-//     demand per label the way production regexp engines do, and each cached
-//     transition carries the precomputed cans link edges from the parent's
-//     vertex block into the child's. The cache is bounded:
-//     on overflow it is flushed wholesale, and after maxDFAFlushes flushes
-//     the run degrades to uncached (transient) subset states — NFA simulation
-//     with the same code path — so worst-case memory stays proportional to
-//     the cache cap plus the DFS depth.
+//   - The filter side is determinized lazily with the NFA side (hcache), in
+//     the manner of XPush (Gupta & Suciu) and the lazy XPath DFAs of Green
+//     et al. A hybrid state is an ε-closed NFA subset plus the closed AFA
+//     seed sets active beside it (the paper's mstates and fstates↓).
+//     Transitions are built on demand per label, the way production regexp
+//     engines do; each cached one carries the child's hybrid state, the
+//     cans link edges from the parent's vertex block into the child's and
+//     the rules folding the child's AFA values back. AFA value sets are
+//     interned, so folding a child into its parent's accumulator and the
+//     bottom-up evaluation at a node are memo lookups keyed by interned
+//     pointers and the node's predicate outcomes; only text()='c' and
+//     position()=k are still tested per element. States, values and memo
+//     entries share one bound: on overflow the cache is flushed wholesale,
+//     so memory stays proportional to the cap plus the DFS depth.
 //
 // Labels are interned into a dense alphabet with a single shared "other"
 // class for labels the automaton never mentions: all such labels behave
 // identically (only wildcard edges and seeds can fire on them), so they
-// share one cached transition per subset state. Each evaluation translates
+// share one cached transition per hybrid state. Each evaluation translates
 // the document's label ids to program label ids once (program.bind).
 //
 // The compiled pass makes exactly the decisions of the §6 algorithm run
@@ -33,20 +38,16 @@ package hype
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"smoqe/internal/mfa"
 )
 
-// defaultDFACacheCap bounds the subset states one engine clone caches; at
-// ~100 bytes a state plus per-label transition slots this keeps the cache in
-// the hundreds of kilobytes for realistic alphabets.
-const defaultDFACacheCap = 2048
-
-// maxDFAFlushes is how many full-cache evictions a clone tolerates before it
-// stops caching subset states entirely (transient states, pure NFA
-// simulation): a query whose reachable subset automaton keeps overflowing
-// the cache would otherwise thrash rebuild work forever.
-const maxDFAFlushes = 3
+// defaultCacheCap bounds the hybrid states, interned AFA values and memo
+// entries one engine clone caches; at a few hundred bytes an entry plus
+// per-label transition slots this keeps the cache in the hundreds of
+// kilobytes for realistic alphabets.
+const defaultCacheCap = 2048
 
 // progEdge is one NFA transition with its label interned; lab -1 is a
 // wildcard (matches every element label).
@@ -57,8 +58,8 @@ type progEdge struct {
 
 // program is the compiled form of the automaton: everything a run reads
 // that depends on the automaton alone. It is immutable once built and
-// shared by an engine and all its clones; the mutable subset-state cache
-// lives per clone (dfaCache).
+// shared by an engine and all its clones; the mutable hybrid-state cache
+// lives per clone (hcache).
 type program struct {
 	m         *mfa.MFA
 	labels    map[string]int32 // interned transition alphabet
@@ -67,7 +68,7 @@ type program struct {
 	nfaEdges  [][]progEdge
 	epsAdj    [][]int32 // ε-successors per NFA state
 	// productive marks the NFA states from which a final state is
-	// reachable; indexed runs drop the others (see dfaCache.prodFilter).
+	// reachable; indexed runs drop the others (see hcache.prodFilter).
 	productive []bool
 	// guarded reports whether some NFA state carries a guard. Only a failed
 	// guard kills a cans vertex, so without one every candidate survives
@@ -75,12 +76,12 @@ type program struct {
 	guarded bool
 	// numTags is the number of result tags (see mfa.Merge): 1 for a single
 	// query, one per merged machine for a batch automaton.
-	numTags  int
-	afas     []afaProg
-	afaWords int // total bitset words across all AFAs
-	// emptySet is the all-zero NFA set handed to useful() when a child is
-	// visited for AFA seeds alone; it is shared and must never be written.
-	emptySet nfaSet
+	numTags int
+	afas    []afaProg
+	// AFA sets of all AFAs live in one flat bitset of afaWords words, AFA
+	// g's from word afaOff[g] (see afaSeg).
+	afaOff   []int
+	afaWords int
 }
 
 // bitWords is the number of uint64 words of a bitset over n members; a
@@ -127,9 +128,9 @@ func buildProgram(m *mfa.MFA) *program {
 		productive: make([]bool, n),
 		numTags:    m.NumTags(),
 		afas:       make([]afaProg, len(m.AFAs)),
+		afaOff:     make([]int, len(m.AFAs)),
 	}
 	p.numLabels = len(p.labels)
-	p.emptySet = make(nfaSet, p.nfaWords)
 	for s := range m.States {
 		st := &m.States[s]
 		edges := make([]progEdge, len(st.Trans))
@@ -162,6 +163,7 @@ func buildProgram(m *mfa.MFA) *program {
 	})
 	for g, a := range m.AFAs {
 		p.afas[g] = buildAFAProg(a, p.labels, p.numLabels)
+		p.afaOff[g] = p.afaWords
 		p.afaWords += p.afas[g].words
 	}
 	return p
@@ -180,7 +182,7 @@ func (p *program) labelOf(label string) int32 {
 
 const (
 	opFinalTrue = uint8(iota) // FINAL without predicate: constant true
-	opFinalPred               // FINAL with predicate: evaluate at the node
+	opFinalPred               // FINAL with predicate: read its outcome
 	opTrans                   // TRANS: read the bottom-up accumulator
 	opNot                     // NOT: negate the kid bit
 	opAnd                     // AND: vals ⊇ mask
@@ -194,7 +196,6 @@ type afaInstr struct {
 	s    int32
 	kid  int32
 	mask nfaSet
-	pred mfa.Pred
 }
 
 // afaBlock groups consecutive instructions that evaluate in one pass;
@@ -298,11 +299,9 @@ func buildAFAInstr(a *mfa.AFA, s int, words int) afaInstr {
 	ins := afaInstr{s: int32(s)}
 	switch st.Kind {
 	case mfa.AFAFinal:
+		ins.op = opFinalPred
 		if st.Pred.Kind == mfa.PredNone {
 			ins.op = opFinalTrue
-		} else {
-			ins.op = opFinalPred
-			ins.pred = st.Pred
 		}
 	case mfa.AFATrans:
 		ins.op = opTrans
@@ -324,13 +323,14 @@ func buildAFAInstr(a *mfa.AFA, s int, words int) afaInstr {
 	return ins
 }
 
-// eval computes one instruction against the partially filled truth bitset.
-func (ins *afaInstr) eval(n mfa.NodeView, transVals, vals nfaSet) bool {
+// eval computes one instruction against the partially filled truth bitset;
+// predTrue holds the predicate outcomes at the node.
+func (ins *afaInstr) eval(transVals, predTrue, vals nfaSet) bool {
 	switch ins.op {
 	case opFinalTrue:
 		return true
 	case opFinalPred:
-		return ins.pred.Holds(n)
+		return predTrue.has(int(ins.s))
 	case opTrans:
 		return transVals.has(int(ins.s))
 	case opNot:
@@ -370,16 +370,17 @@ func (p *afaProg) close(set nfaSet) {
 }
 
 // evalMasked is the compiled mfa.AFA.EvalAtMasked: the truth values of the
-// member states at node n, computed block by block into the zeroed bitset
-// vals from the bottom-up TRANS values transVals. Non-member states stay
-// false, as in EvalAtMasked.
-func (p *afaProg) evalMasked(n mfa.NodeView, transVals, member, vals nfaSet) {
+// member states at a node, computed block by block into the zeroed bitset
+// vals from the bottom-up TRANS values transVals and the outcomes predTrue
+// of the node's predicate states. Non-member states stay false, as in
+// EvalAtMasked.
+func (p *afaProg) evalMasked(transVals, member, predTrue, vals nfaSet) {
 	for bi := range p.blocks {
 		b := &p.blocks[bi]
 		if !b.cyclic {
 			for ii := range b.instrs {
 				ins := &b.instrs[ii]
-				if member.has(int(ins.s)) && ins.eval(n, transVals, vals) {
+				if member.has(int(ins.s)) && ins.eval(transVals, predTrue, vals) {
 					vals.set(int(ins.s))
 				}
 			}
@@ -390,7 +391,7 @@ func (p *afaProg) evalMasked(n mfa.NodeView, transVals, member, vals nfaSet) {
 			changed = false
 			for ii := range b.instrs {
 				ins := &b.instrs[ii]
-				if !vals.has(int(ins.s)) && member.has(int(ins.s)) && ins.eval(n, transVals, vals) {
+				if !vals.has(int(ins.s)) && member.has(int(ins.s)) && ins.eval(transVals, predTrue, vals) {
 					vals.set(int(ins.s))
 					changed = true
 				}
@@ -399,207 +400,295 @@ func (p *afaProg) evalMasked(n mfa.NodeView, transVals, member, vals nfaSet) {
 	}
 }
 
-// Lazy subset automaton -----------------------------------------------------
+// Lazy hybrid automaton ------------------------------------------------------
 
-// localEdge is a cans edge between a parent subset state's vertex block and
+// localEdge is a cans edge between a parent hybrid state's vertex block and
 // a child's, by position within each block.
 type localEdge struct {
 	from, to int32
 }
 
-// dfaFinal marks states[idx] as final with its result tag.
-type dfaFinal struct {
+// finalVertex marks states[idx] as final with its result tag.
+type finalVertex struct {
 	idx, tag int32
 }
 
-// dfaGuard records that the subset state contains a guarded NFA state whose
-// guard AFA g must be seeded at entry.
-type dfaGuard struct {
-	g, entry int32
+// hpred is a FINAL state with a text()='c' or position()=k predicate among
+// a hybrid state's closed AFA sets, at bit of the flat AFA layout.
+type hpred struct {
+	pred *mfa.Pred
+	bit  int32
 }
 
-// dfaState is one interned subset of NFA states (ε-closed), with everything
-// a visit derives from the active state set precomputed: the sorted state
-// list (the cans vertex block), intra-node ε edges, final states, guard
-// seeds and whether any member has a transition (the pass walks a node's
-// children only then, or when an AFA is active).
-type dfaState struct {
-	set      nfaSet
+// hstate is one interned hybrid state: an ε-closed subset of NFA states
+// (the paper's mstates) with the closed AFA seed sets active beside it
+// (fstates↓), so a visit derives nothing from them at run time. It holds
+// the sorted NFA state list (the cans vertex block), intra-node ε edges,
+// final states, the active AFAs and their predicate states.
+type hstate struct {
+	nfa      nfaSet // ε-closed NFA states
+	rel      nfaSet // closed AFA seed sets, AFA g at word program.afaOff[g]
 	states   []int32
 	epsLocal []localEdge
-	finals   []dfaFinal
-	guards   []dfaGuard
-	hasTrans bool
-	// transient states are built after the cache disabled itself: they are
-	// never interned and carry no transition slots, so repeated labels
-	// rebuild transitions — plain NFA simulation through the same code.
-	transient bool
-	// next[lid+1] caches the transition on program label lid; next[0] is
-	// the shared "other" class. nil entries are not yet built.
-	next []*dfaTrans
+	finals   []finalVertex
+	active   []int32 // AFAs with a nonempty closed set, ascending
+	preds    []hpred
+	// walks: the pass visits the children only when an NFA state has a
+	// transition or an AFA is active.
+	walks bool
+	// next[lid+1] caches the transition on program label lid (next[0] is
+	// the "other" class) and evals the bottom-up evaluations; next is nil
+	// once a flush evicted the state, and the state then caches nothing.
+	next  []*htrans
+	evals map[evalKey]*evalOut
+	// last is the most recent evaluation, checked before the map.
+	lastKey evalKey
+	last    *evalOut
 }
 
-// dfaTrans is one cached subset transition: the target state (nil when no
-// NFA transition fires on the label) plus the precomputed cans link edges,
-// one per (parent vertex, transition) whose target has a vertex in the
-// child block — unfiltered by productivity (a filtered target can re-enter
-// the child block through ε-closure from another transition).
-type dfaTrans struct {
-	next      *dfaState
+// htrans is one cached hybrid transition: the child's hybrid state (nil
+// when no NFA transition and no AFA step fires on the label — the
+// "no-transition" prune), the cans link edges, one per (parent vertex, NFA
+// transition) whose target has a vertex in the child block — unfiltered by
+// productivity, since a filtered target can re-enter the child block
+// through ε-closure — and the rules folding the child's AFA values into
+// the parent's accumulator, with their memo (nil once flushed).
+type htrans struct {
+	next      *hstate
 	linkEdges []localEdge
+	rules     []foldRule
+	fold      map[foldKey]*afaVal
 }
 
-// dfaCache is one clone's lazy subset automaton. Evaluation is
-// single-goroutine per clone (Clone resets the cache), so there is no
-// locking.
-type dfaCache struct {
+// foldRule: bit child of the child's AFA values sets bit acc of the
+// parent's accumulator (a descend target and its TRANS state, lines 19–21
+// of HyPE).
+type foldRule struct{ child, acc int32 }
+
+// afaVal is an interned set of AFA truth values (or accumulated TRANS
+// values), in the flat layout of hstate.rel; nil is the all-false set.
+type afaVal struct{ bits nfaSet }
+
+func (v *afaVal) has(i int) bool { return v != nil && v.bits.has(i) }
+
+// evalKey is what the bottom-up evaluation at a node reads besides its
+// hybrid state: the accumulator and the outcomes of the state's predicates.
+type evalKey struct {
+	acc   *afaVal
+	preds uint64
+}
+
+// evalOut is one memoized evaluation: the node's AFA values and the
+// positions in its vertex block whose guard came out false.
+type evalOut struct {
+	vals  *afaVal
+	kills []int32
+}
+
+type foldKey struct{ acc, child *afaVal }
+
+// hcache is one clone's lazy hybrid automaton and its memo tables.
+// Evaluation is single-goroutine per clone (Clone starts empty), so there
+// is no locking. States, values and memo entries share one bound: an
+// insertion into a full cache flushes it wholesale. States and transitions
+// the DFS still holds stay usable; they stop caching and are re-interned
+// fresh on the next lookup.
+type hcache struct {
 	prog *program
-	// prodFilter drops unproductive NFA states from subset-state targets:
+	// prodFilter drops unproductive NFA states from transition targets:
 	// the productive-state filter of indexed runs. It applies to targets
 	// only, never to link edges. It is why OptHyPE's cans statistics
 	// differ from HyPE's, so each mode keeps its own cache.
 	prodFilter bool
-	states     map[string]*dfaState
-	// empty is the canonical empty subset state, used when a child is
-	// visited for AFA seeds alone; it lives outside the map so flushes
-	// never orphan it.
-	empty  *dfaState
-	cap    int
+	states     map[string]*hstate
+	vals       map[string]*afaVal
+	root       *hstate
+	cap, size  int
+	// keyBuf and tmp are scratch for keys and for the sets a miss builds
+	// before interning copies them.
 	keyBuf []byte
-
-	built    int
-	flushes  int
-	hits     int64
-	misses   int64
-	disabled bool
+	tmp    nfaSet
+	cacheCounters
 }
 
-func newDFACache(p *program, prodFilter bool, capacity int) *dfaCache {
-	if capacity <= 0 {
-		capacity = defaultDFACacheCap
-	}
-	d := &dfaCache{
-		prog:       p,
-		prodFilter: prodFilter,
-		states:     make(map[string]*dfaState),
-		cap:        capacity,
-		keyBuf:     make([]byte, 8*p.nfaWords),
-	}
-	d.empty = d.newState(p.emptySet)
-	d.empty.next = make([]*dfaTrans, p.numLabels+1)
-	return d
+// cacheCounters are a cache's running totals; a run reports the difference
+// from a copy taken at its start (see delta).
+type cacheCounters struct {
+	built, flushes int
+	hits, misses   int64
 }
 
-func (d *dfaCache) key(set nfaSet) []byte {
-	for i, w := range set {
-		binary.LittleEndian.PutUint64(d.keyBuf[8*i:], w)
+// room makes space for one insertion, flushing a full cache.
+func (d *hcache) room() {
+	if d.size < d.cap {
+		return
+	}
+	for _, h := range d.states {
+		for _, t := range h.next {
+			if t != nil {
+				t.fold = nil
+			}
+		}
+		h.next, h.evals = nil, nil
+	}
+	clear(d.states)
+	clear(d.vals)
+	d.root, d.size = nil, 0
+	d.flushes++
+}
+
+// scratch returns n cleared words of the miss-path scratch.
+func (d *hcache) scratch(n int) nfaSet {
+	d.tmp = slices.Grow(d.tmp[:0], n)[:n]
+	clear(d.tmp)
+	return d.tmp
+}
+
+func (d *hcache) key(a, b nfaSet) []byte {
+	d.keyBuf = d.keyBuf[:0]
+	for _, w := range a {
+		d.keyBuf = binary.LittleEndian.AppendUint64(d.keyBuf, w)
+	}
+	for _, w := range b {
+		d.keyBuf = binary.LittleEndian.AppendUint64(d.keyBuf, w)
 	}
 	return d.keyBuf
 }
 
-// canonical interns the ε-closed state set, evicting on overflow. The set is
-// copied on insertion, so callers may pass pooled or scratch sets.
-func (d *dfaCache) canonical(set nfaSet) *dfaState {
-	if st, ok := d.states[string(d.key(set))]; ok {
-		return st
+// intern returns the hybrid state of the ε-closed NFA set and the closed
+// AFA sets rel, building it on a miss. Both sets are copied on insertion.
+func (d *hcache) intern(nfa, rel nfaSet) *hstate {
+	if h, ok := d.states[string(d.key(nfa, rel))]; ok {
+		return h
 	}
-	if !d.disabled && len(d.states) >= d.cap {
-		d.flush()
-	}
-	st := d.newState(append(nfaSet(nil), set...))
-	if d.disabled {
-		st.transient = true
-		return st
-	}
-	st.next = make([]*dfaTrans, d.prog.numLabels+1)
-	d.states[string(d.key(st.set))] = st
+	d.room()
+	h := d.newState(slices.Clone(nfa), slices.Clone(rel))
+	h.next = make([]*htrans, d.prog.numLabels+1)
+	d.states[string(d.key(nfa, rel))] = h
+	d.size++
 	d.built++
-	return st
+	return h
 }
 
-// flush evicts every cached subset state wholesale (the caller is about to
-// insert into a full cache). States still referenced by the DFS recursion
-// stay usable — their transition slots are nilled so they stop caching, and
-// they are re-interned fresh on the next canonical lookup.
-func (d *dfaCache) flush() {
-	for _, st := range d.states {
-		st.next = nil
+// internVal returns the interned value of bits (nil when all false).
+func (d *hcache) internVal(bits nfaSet) *afaVal {
+	if bits.count() == 0 {
+		return nil
 	}
-	d.states = make(map[string]*dfaState)
-	d.flushes++
-	if d.flushes >= maxDFAFlushes {
-		d.disabled = true
+	if v, ok := d.vals[string(d.key(bits, nil))]; ok {
+		return v
 	}
+	d.room()
+	v := &afaVal{bits: slices.Clone(bits)}
+	d.vals[string(d.key(bits, nil))] = v
+	d.size++
+	return v
 }
 
-// newState derives the visit-time metadata from the ε-closed set.
-func (d *dfaCache) newState(set nfaSet) *dfaState {
+// newState derives the visit-time metadata of a hybrid state.
+func (d *hcache) newState(nfa, rel nfaSet) *hstate {
 	p := d.prog
-	st := &dfaState{set: set}
-	set.forEach(func(s int) {
+	h := &hstate{nfa: nfa, rel: rel}
+	nfa.forEach(func(s int) {
 		ns := &p.m.States[s]
 		if ns.Final {
-			st.finals = append(st.finals, dfaFinal{idx: int32(len(st.states)), tag: int32(ns.Tag)})
+			h.finals = append(h.finals, finalVertex{idx: int32(len(h.states)), tag: int32(ns.Tag)})
 		}
-		if g := ns.Guard; g >= 0 {
-			st.guards = append(st.guards, dfaGuard{g: int32(g), entry: int32(p.m.GuardEntry(s))})
-		}
-		if len(ns.Trans) > 0 {
-			st.hasTrans = true
-		}
-		st.states = append(st.states, int32(s))
+		h.walks = h.walks || len(ns.Trans) > 0
+		h.states = append(h.states, int32(s))
 	})
-	for i, s := range st.states {
+	for i, s := range h.states {
 		for _, t := range p.epsAdj[s] {
-			if j, ok := findState(st.states, t); ok {
-				st.epsLocal = append(st.epsLocal, localEdge{from: int32(i), to: int32(j)})
+			if j, ok := findState(h.states, t); ok {
+				h.epsLocal = append(h.epsLocal, localEdge{from: int32(i), to: int32(j)})
 			}
 		}
 	}
-	return st
+	for g, a := range p.m.AFAs {
+		seg := p.afaSeg(rel, g)
+		if seg.count() == 0 {
+			continue
+		}
+		h.active = append(h.active, int32(g))
+		h.walks = true
+		seg.forEach(func(s int) {
+			if st := &a.States[s]; st.Kind == mfa.AFAFinal && st.Pred.Kind != mfa.PredNone {
+				h.preds = append(h.preds, hpred{pred: &st.Pred, bit: int32(p.afaOff[g]<<6 + s)})
+			}
+		})
+	}
+	return h
 }
 
-// step returns the subset transition of ds on program label lid (-1 for the
-// "other" class), building and caching it on demand.
-func (d *dfaCache) step(ds *dfaState, lid int32) *dfaTrans {
-	if ds.next != nil {
-		if t := ds.next[lid+1]; t != nil {
+// rootState returns the hybrid state of the context node: {start}
+// ε-closed, with the closed entries of its guards.
+func (d *hcache) rootState() *hstate {
+	if d.root == nil {
+		p := d.prog
+		buf := d.scratch(p.nfaWords + p.afaWords)
+		nfa, rel := buf[:p.nfaWords], buf[p.nfaWords:]
+		nfa.set(p.m.Start)
+		closeNFAInto(nfa, p.epsAdj)
+		p.seedGuards(nfa, rel)
+		p.closeAFAs(rel)
+		d.root = d.intern(nfa, rel)
+	}
+	return d.root
+}
+
+// step returns the hybrid transition of h on program label lid (-1 for
+// the "other" class), building and caching it on demand.
+func (d *hcache) step(h *hstate, lid int32) *htrans {
+	if h.next != nil {
+		if t := h.next[lid+1]; t != nil {
 			d.hits++
 			return t
 		}
 	}
 	d.misses++
-	t := d.buildTrans(ds, lid)
-	// Re-check: buildTrans may have flushed the cache (nilling ds.next).
-	if ds.next != nil && !d.disabled {
-		ds.next[lid+1] = t
+	t := d.buildTrans(h, lid)
+	// Re-check: buildTrans may have flushed the cache (nilling h.next).
+	if h.next != nil {
+		h.next[lid+1] = t
+		if len(t.rules) > 0 {
+			t.fold = make(map[foldKey]*afaVal)
+		}
 	}
 	return t
 }
 
-func (d *dfaCache) buildTrans(ds *dfaState, lid int32) *dfaTrans {
+// buildTrans computes the child's hybrid state: the NFA targets on lid,
+// ε-closed, and as AFA seeds the descend targets of h's TRANS states that
+// fire on lid plus the guard entries of the child's NFA states, closed.
+func (d *hcache) buildTrans(h *hstate, lid int32) *htrans {
 	p := d.prog
-	set := make(nfaSet, p.nfaWords)
-	any := false
-	for _, s := range ds.states {
+	t := &htrans{}
+	buf := d.scratch(p.nfaWords + p.afaWords)
+	nfa, rel := buf[:p.nfaWords], buf[p.nfaWords:]
+	for _, s := range h.states {
 		for _, e := range p.nfaEdges[s] {
-			if e.lab != -1 && e.lab != lid {
-				continue
+			if (e.lab == -1 || e.lab == lid) && (!d.prodFilter || p.productive[e.to]) {
+				nfa.set(int(e.to))
 			}
-			if d.prodFilter && !p.productive[e.to] {
-				continue
-			}
-			set.set(int(e.to))
-			any = true
 		}
 	}
-	t := &dfaTrans{}
-	if !any {
+	closeNFAInto(nfa, p.epsAdj)
+	for _, g := range h.active {
+		off := int32(p.afaOff[g] << 6)
+		for _, sd := range p.afas[g].seeds[lid+1] {
+			if h.rel.has(int(off + sd.t)) {
+				rel.set(int(off + sd.target))
+				t.rules = append(t.rules, foldRule{child: off + sd.target, acc: off + sd.t})
+			}
+		}
+	}
+	p.seedGuards(nfa, rel)
+	if nfa.count() == 0 && rel.count() == 0 {
 		return t
 	}
-	closeNFAInto(set, p.epsAdj)
-	t.next = d.canonical(set)
-	for i, s := range ds.states {
+	p.closeAFAs(rel)
+	t.next = d.intern(nfa, rel)
+	for i, s := range h.states {
 		for _, e := range p.nfaEdges[s] {
 			if e.lab != -1 && e.lab != lid {
 				continue
@@ -610,6 +699,106 @@ func (d *dfaCache) buildTrans(ds *dfaState, lid int32) *dfaTrans {
 		}
 	}
 	return t
+}
+
+// fold ORs a child's AFA values into the parent's accumulator acc through
+// the rules of t (the fstates↑ propagation), memoized per (acc, child).
+func (d *hcache) fold(t *htrans, acc, child *afaVal) *afaVal {
+	k := foldKey{acc, child}
+	if v, ok := t.fold[k]; ok {
+		return v
+	}
+	bits := d.scratch(d.prog.afaWords)
+	if acc != nil {
+		copy(bits, acc.bits)
+	}
+	for _, r := range t.rules {
+		if child.has(int(r.child)) {
+			bits.set(int(r.acc))
+		}
+	}
+	v := d.internVal(bits)
+	if t.fold != nil {
+		d.room()
+		if t.fold != nil {
+			t.fold[k] = v
+			d.size++
+		}
+	}
+	return v
+}
+
+// eval is the bottom-up evaluation of h's active AFAs at a node whose
+// accumulator is acc and whose predicate states came out as preds (bit i
+// for h.preds[i]), with the guard kills it implies. It is memoized while
+// the outcomes fit one word.
+func (d *hcache) eval(h *hstate, acc *afaVal, preds nfaSet) *evalOut {
+	memo := h.next != nil && len(preds) <= 1
+	k := evalKey{acc: acc}
+	if len(preds) == 1 {
+		k.preds = preds[0]
+	}
+	if memo && h.last != nil && h.lastKey == k {
+		return h.last
+	}
+	if out, ok := h.evals[k]; ok && memo {
+		h.lastKey, h.last = k, out
+		return out
+	}
+	p := d.prog
+	w := p.afaWords
+	buf := d.scratch(3 * w)
+	predTrue, trans, vals := buf[:w], buf[w:2*w], buf[2*w:]
+	for i, hp := range h.preds {
+		if preds.has(i) {
+			predTrue.set(int(hp.bit))
+		}
+	}
+	if acc != nil {
+		copy(trans, acc.bits)
+	}
+	for _, g := range h.active {
+		g := int(g)
+		p.afas[g].evalMasked(p.afaSeg(trans, g), p.afaSeg(h.rel, g), p.afaSeg(predTrue, g), p.afaSeg(vals, g))
+	}
+	out := &evalOut{vals: d.internVal(vals)}
+	for i, s := range h.states {
+		if g := p.m.States[s].Guard; g >= 0 && !out.vals.has(p.afaOff[g]<<6+p.m.GuardEntry(int(s))) {
+			out.kills = append(out.kills, int32(i))
+		}
+	}
+	if memo {
+		d.room()
+		if h.next != nil {
+			if h.evals == nil {
+				h.evals = make(map[evalKey]*evalOut)
+			}
+			h.evals[k] = out
+			d.size++
+		}
+	}
+	return out
+}
+
+// seedGuards sets in rel the entry of every guard of an NFA state in nfa.
+func (p *program) seedGuards(nfa, rel nfaSet) {
+	nfa.forEach(func(s int) {
+		if g := p.m.States[s].Guard; g >= 0 {
+			rel.set(p.afaOff[g]<<6 + p.m.GuardEntry(s))
+		}
+	})
+}
+
+// closeAFAs closes every AFA's seed set in rel over same-node edges.
+func (p *program) closeAFAs(rel nfaSet) {
+	for g := range p.afas {
+		p.afas[g].close(p.afaSeg(rel, g))
+	}
+}
+
+// afaSeg is AFA g's words of a set in the flat AFA layout.
+func (p *program) afaSeg(set nfaSet, g int) nfaSet {
+	return set[p.afaOff[g] : p.afaOff[g]+p.afas[g].words]
 }
 
 // closeNFAInto expands set to its ε-closure in place.
@@ -628,18 +817,9 @@ func closeNFAInto(set nfaSet, epsAdj [][]int32) {
 	}
 }
 
-// dfaSnapshot captures the cache counters so run() can report per-run deltas.
-type dfaSnapshot struct {
-	built, flushes int
-	hits, misses   int64
-}
-
-func (d *dfaCache) snap() dfaSnapshot {
-	return dfaSnapshot{built: d.built, flushes: d.flushes, hits: d.hits, misses: d.misses}
-}
-
-// delta reports one run's compiled-layer statistics relative to a snapshot.
-func (d *dfaCache) delta(pre dfaSnapshot) CompiledStats {
+// delta reports one run's compiled-layer statistics relative to the
+// counters pre taken at its start.
+func (d *hcache) delta(pre cacheCounters) CompiledStats {
 	p := d.prog
 	return CompiledStats{
 		Enabled:     true,
@@ -651,15 +831,15 @@ func (d *dfaCache) delta(pre dfaSnapshot) CompiledStats {
 		DFAHits:     d.hits - pre.hits,
 		DFAMisses:   d.misses - pre.misses,
 		DFAFlushes:  d.flushes - pre.flushes,
-		DFAFallback: d.disabled,
 	}
 }
 
 // CompiledStats reports what the compiled evaluation layer did (and costs):
-// the static sizing ties back to Theorem 5.1 — the subset automaton over an
-// MFA of size |M| has at most 2^|NFA states| states, which is why the cache
-// is bounded by DFACacheCap and evicts instead of growing — and the per-run
-// counters show how much of it a concrete document actually materialized.
+// the static sizing ties back to Theorem 5.1 — the hybrid automaton over an
+// MFA of size |M| has exponentially many states in the NFA and AFA state
+// counts, which is why the cache is bounded by DFACacheCap and flushes
+// instead of growing — and the per-run counters show how much of it a
+// concrete document actually materialized.
 // It is deliberately separate from Stats: Stats describes the algorithm's
 // decisions, CompiledStats describes the machinery.
 type CompiledStats struct {
@@ -673,19 +853,17 @@ type CompiledStats struct {
 	// selecting NFA's state set and (summed) the AFAs' state sets.
 	NFAWords int `json:"nfa_words"`
 	AFAWords int `json:"afa_words,omitempty"`
-	// DFACacheCap bounds how many subset (DFA) states one engine clone
-	// caches before evicting.
+	// DFACacheCap bounds how many hybrid states, interned AFA values and
+	// memo entries one engine clone caches before flushing.
 	DFACacheCap int `json:"dfa_cache_cap"`
-	// DFAStates counts subset states built during this run; DFAHits and
-	// DFAMisses count cached-transition lookups.
+	// DFAStates counts hybrid states (an NFA subset with its closed AFA
+	// seed sets) built during this run; DFAHits and DFAMisses count
+	// cached-transition lookups.
 	DFAStates int   `json:"dfa_states"`
 	DFAHits   int64 `json:"dfa_hits"`
 	DFAMisses int64 `json:"dfa_misses"`
-	// DFAFlushes counts whole-cache evictions; after maxDFAFlushes of them
-	// the clone stops caching (DFAFallback) and runs uncached NFA
-	// simulation through the same code path.
-	DFAFlushes  int  `json:"dfa_flushes,omitempty"`
-	DFAFallback bool `json:"dfa_fallback,omitempty"`
+	// DFAFlushes counts whole-cache flushes.
+	DFAFlushes int `json:"dfa_flushes,omitempty"`
 }
 
 // CompiledPlan reports the static compiled-layer sizing for an automaton —
@@ -701,30 +879,35 @@ func CompiledPlan(m *mfa.MFA) CompiledStats {
 		Alphabet:    len(internLabels(m)),
 		NFAWords:    bitWords(m.NumStates()),
 		AFAWords:    afaWords,
-		DFACacheCap: defaultDFACacheCap,
+		DFACacheCap: defaultCacheCap,
 	}
 }
 
 // Engine knobs --------------------------------------------------------------
 
-// SetCompiledCacheCap overrides the subset-state cache bound (0 restores the
-// default). It resets the clone's caches; tests use tiny caps to exercise
-// the eviction and fallback paths.
+// SetCompiledCacheCap overrides the hybrid-state cache bound (0 restores
+// the default). It resets the clone's caches; tests use tiny caps to
+// exercise the flush path.
 func (e *Engine) SetCompiledCacheCap(n int) {
-	e.dfaCap = n
-	e.caches = [2]*dfaCache{}
+	e.cacheCap = n
+	e.caches = [2]*hcache{}
 }
 
-// ensureDFA returns the clone's lazy subset automaton for plain or indexed
-// runs, creating it on first use so clones pay only for the modes they
-// run.
-func (e *Engine) ensureDFA(indexed bool) *dfaCache {
+// ensureCache returns the clone's lazy hybrid automaton for plain or
+// indexed runs, creating it on first use so clones pay only for the modes
+// they run.
+func (e *Engine) ensureCache(indexed bool) *hcache {
 	i := 0
 	if indexed {
 		i = 1
 	}
 	if e.caches[i] == nil {
-		e.caches[i] = newDFACache(e.program, indexed, e.dfaCap)
+		c := &hcache{prog: e.program, prodFilter: indexed, cap: e.cacheCap}
+		if c.cap <= 0 {
+			c.cap = defaultCacheCap
+		}
+		c.states, c.vals = make(map[string]*hstate), make(map[string]*afaVal)
+		e.caches[i] = c
 	}
 	return e.caches[i]
 }

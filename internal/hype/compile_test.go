@@ -12,13 +12,11 @@ import (
 	"smoqe/internal/xpath"
 )
 
-// TestCompiledCacheEvictionAndFallback forces the subset-state cache through
-// its whole lifecycle with a tiny cap: flushes must happen, the cache must
-// eventually disable itself (NFA-simulation fallback), and none of it may
+// TestCompiledCacheEviction forces the hybrid-state cache through flushes
+// with a tiny cap: flushes must happen on every run, and none of them may
 // change answers (the reference's) or Stats (the default cache's).
-func TestCompiledCacheEvictionAndFallback(t *testing.T) {
+func TestCompiledCacheEviction(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(300))
-	sawFallback := false
 	for _, src := range []string{hospital.RXC, "//patient", "department/patient[visit and parent]"} {
 		q := xpath.MustParse(src)
 		m := mfa.MustCompile(q)
@@ -29,43 +27,32 @@ func TestCompiledCacheEvictionAndFallback(t *testing.T) {
 
 		tiny := hype.New(m)
 		tiny.SetCompiledCacheCap(1)
-		got := eval(t, tiny, doc.Root, hype.Options{})
-		if !reflect.DeepEqual(got.IDs, want.IDs) || got.Stats != want.Stats {
-			t.Fatalf("%q: answers/Stats diverge under cache cap 1", src)
+		for run := range 2 {
+			got := eval(t, tiny, doc.Root, hype.Options{})
+			if !reflect.DeepEqual(got.IDs, want.IDs) || got.Stats != want.Stats {
+				t.Fatalf("%q, run %d: answers/Stats diverge under cache cap 1", src, run)
+			}
+			cs := got.Compiled
+			if !cs.Enabled || cs.DFACacheCap != 1 {
+				t.Fatalf("%q: compiled stats %+v, want enabled with cap 1", src, cs)
+			}
+			if cs.DFAFlushes == 0 {
+				t.Errorf("%q, run %d: expected cache flushes under cap 1, got none (states=%d)", src, run, cs.DFAStates)
+			}
 		}
-		cs := got.Compiled
-		if !cs.Enabled {
-			t.Fatalf("%q: compiled layer not used", src)
-		}
-		if cs.DFACacheCap != 1 {
-			t.Errorf("%q: DFACacheCap = %d, want 1", src, cs.DFACacheCap)
-		}
-		if cs.DFAFlushes == 0 {
-			t.Errorf("%q: expected cache flushes under cap 1, got none (states=%d)", src, cs.DFAStates)
-		}
-		sawFallback = sawFallback || cs.DFAFallback
-
-		// A second run on the same (now fallback) clone must still agree.
-		got = eval(t, tiny, doc.Root, hype.Options{})
-		if !reflect.DeepEqual(got.IDs, want.IDs) || got.Stats != want.Stats {
-			t.Fatalf("%q: post-fallback rerun diverges", src)
-		}
-	}
-	if !sawFallback {
-		t.Error("no query reached the NFA-simulation fallback under cache cap 1")
 	}
 }
 
-// TestCompiledCacheWarmsAcrossRuns: the subset automaton is per clone, so a
-// second run on the same clone reuses cached states (near-zero misses) and
-// a fresh clone starts cold.
+// TestCompiledCacheWarmsAcrossRuns: the hybrid automaton is per clone, so
+// a second run on the same clone reuses cached states (no misses) and a
+// fresh clone starts cold.
 func TestCompiledCacheWarmsAcrossRuns(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(200))
 	m := mfa.MustCompile(xpath.MustParse(hospital.XPA))
 	e := hype.New(m)
 	first := eval(t, e, doc.Root, hype.Options{}).Compiled
 	if first.DFAStates == 0 {
-		t.Fatalf("first run built no subset states: %+v", first)
+		t.Fatalf("first run built no hybrid states: %+v", first)
 	}
 	second := eval(t, e, doc.Root, hype.Options{}).Compiled
 	if second.DFAStates != 0 || second.DFAMisses != 0 {

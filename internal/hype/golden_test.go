@@ -67,7 +67,7 @@ func loadGolden(t *testing.T) golden {
 type goldenConfig struct {
 	name    string
 	workers int
-	tinyDFA bool // subset cache of cap 1: eviction, then NFA simulation
+	tinyDFA bool // hybrid cache of cap 1: a flush on nearly every insertion
 }
 
 var goldenConfigs = []goldenConfig{{"sequential", 0, false}, {"workers=4", 4, false}, {"cache cap 1", 0, true}}
@@ -75,7 +75,7 @@ var goldenConfigs = []goldenConfig{{"sequential", 0, false}, {"workers=4", 4, fa
 // TestCompiledMatchesInterpreted checks the one pass against the answers
 // and Stats the interpreted pointer pass recorded in the pin, for every
 // pinned case, with and without the index, sequentially, shard-parallel
-// and with a one-state subset cache. It also pins, explicitly, a node
+// and with a one-entry hybrid cache. It also pins, explicitly, a node
 // whose states have transitions only on labels the document lacks: its
 // children are still walked, and each counts as a "no-transition" prune.
 func TestCompiledMatchesInterpreted(t *testing.T) {

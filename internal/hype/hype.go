@@ -13,7 +13,7 @@ import (
 
 // Engine evaluates one MFA over columnar documents. Without an index it is
 // the paper's HyPE; with one (Options.Index) it is OptHyPE-C. An Engine is
-// not safe for concurrent use (it keeps private subset-state caches and
+// not safe for concurrent use (it keeps private hybrid-state caches and
 // the metadata of the index it last ran on); Clone gives each goroutine
 // its own.
 type Engine struct {
@@ -21,14 +21,14 @@ type Engine struct {
 	*program
 
 	// Per clone (a clone starts without them and keeps only the cache
-	// bound): the lazy subset automata of plain and indexed runs (see
-	// ensureDFA), the cache bound tests may override, the metadata of the
-	// index the clone last ran on (meta.go), and the buffers of its last
-	// run (see runBufs).
-	caches [2]*dfaCache
-	dfaCap int
-	im     *indexMeta
-	bufs   *runBufs
+	// bound): the lazy hybrid automata of plain and indexed runs (see
+	// ensureCache), the cache bound tests may override, the metadata of
+	// the index the clone last ran on (meta.go), and the buffers of its
+	// last run (see runBufs).
+	caches   [2]*hcache
+	cacheCap int
+	im       *indexMeta
+	bufs     *runBufs
 }
 
 // Stats reports what one Eval run did; the §7 pruning percentages come
@@ -53,10 +53,10 @@ type Stats struct {
 func New(m *mfa.MFA) *Engine { return &Engine{program: buildProgram(m)} }
 
 // Clone returns an independent engine over the same automaton: the
-// compiled program is shared, while the subset-state caches, the index
+// compiled program is shared, while the hybrid-state caches, the index
 // metadata and the run buffers are private, so clones may evaluate
 // concurrently on different goroutines.
-func (e *Engine) Clone() *Engine { return &Engine{program: e.program, dfaCap: e.dfaCap} }
+func (e *Engine) Clone() *Engine { return &Engine{program: e.program, cacheCap: e.cacheCap} }
 
 // fixpointReach marks, in marked, every state from which a marked state is
 // reachable via the successor relation succ (i.e. backwards closure done
@@ -189,10 +189,9 @@ func (e *Engine) Eval(ctx context.Context, cd *colstore.Document, opts Options) 
 	r := e.newRun(ctx, cd, opts)
 	defer e.releaseBufs()
 	r.trace = res.Trace
-	pre := r.dfa.snap()
-	root, seeds := r.rootState()
-	vr := r.walk(0, root, seeds)
-	res.Compiled = r.dfa.delta(pre)
+	pre := r.hc.cacheCounters
+	vr := r.walk(0, r.hc.rootState())
+	res.Compiled = r.hc.delta(pre)
 	if res.Trace != nil {
 		cs := res.Compiled
 		res.Trace.Compiled = &cs
@@ -206,7 +205,7 @@ func (e *Engine) Eval(ctx context.Context, cd *colstore.Document, opts Options) 
 }
 
 // newRun starts the per-evaluation state of one run of e over cd: the
-// label binding, the subset cache of the run's mode, with an index its
+// label binding, the hybrid cache of the run's mode, with an index its
 // metadata, and the clone's run buffers, truncated. The caller defers
 // e.releaseBufs.
 func (e *Engine) newRun(ctx context.Context, cd *colstore.Document, opts Options) *run {
@@ -223,7 +222,7 @@ func (e *Engine) newRun(ctx context.Context, cd *colstore.Document, opts Options
 		cd:      cd,
 		cur:     cd.At(0),
 		progLab: e.bind(cd),
-		dfa:     e.ensureDFA(opts.Index != nil),
+		hc:      e.ensureCache(opts.Index != nil),
 	}
 	if opts.Limits.active() {
 		r.bud = &budget{}
@@ -244,23 +243,6 @@ func (p *program) bind(cd *colstore.Document) []int32 {
 		progLab[id] = p.labelOf(lab)
 	}
 	return progLab
-}
-
-// rootState interns the run's initial subset state ({start} ε-closed) and
-// collects its guard seeds.
-func (r *run) rootState() (*dfaState, []nfaSet) {
-	ms := make(nfaSet, r.nfaWords)
-	ms.set(r.m.Start)
-	closeNFAInto(ms, r.epsAdj)
-	root := r.dfa.canonical(ms)
-	seeds := r.getVecN()
-	for _, gs := range root.guards {
-		if seeds[gs.g] == nil {
-			seeds[gs.g] = r.getAFASet(int(gs.g))
-		}
-		seeds[gs.g].set(int(gs.entry))
-	}
-	return root, seeds
 }
 
 // finish ends a run whose DFS returned vr. An aborted run reports why —
@@ -406,9 +388,9 @@ type run struct {
 	cd      *colstore.Document
 	progLab []int32
 	cur     *colstore.Cursor
-	// dfa is the clone's subset cache for the run's mode; ixm is the
-	// index metadata of an indexed run (nil otherwise).
-	dfa *dfaCache
+	// hc is the clone's hybrid cache for the run's mode; ixm is the index
+	// metadata of an indexed run (nil otherwise).
+	hc  *hcache
 	ixm *indexMeta
 
 	// stats is this run's private statistics, so concurrent clones never
@@ -442,8 +424,8 @@ type run struct {
 }
 
 // runBufs holds a run's buffers. A clone keeps those of its last run, and
-// newRun truncates them, so a steady-state run allocates no DAG or pool
-// memory; releaseBufs drops them once they grow past maxRetainedBytes.
+// newRun truncates them, so a steady-state run allocates no DAG memory;
+// releaseBufs drops them once they grow past maxRetainedBytes.
 // Shard workers start from fresh buffers and hand their DAG slices to the
 // merge. Nothing a Result holds aliases these buffers.
 type runBufs struct {
@@ -455,12 +437,8 @@ type runBufs struct {
 	dead     []bool
 	cands    []cand
 
-	// Freelists: evaluation is single-goroutine, so plain freelists suffice
-	// and remove the per-node allocation churn. AFA bitsets (seeds, truth
-	// values, accumulators) are pooled per AFA index. Every get clears, so
-	// an aborted run leaves them usable.
-	poolAFA  [][]nfaSet
-	vecNPool [][]nfaSet
+	// preds holds the predicate outcomes at the node being evaluated.
+	preds nfaSet
 
 	// Phase 2's CSR, visited marks and DFS stack.
 	offs, adj []int32
@@ -477,10 +455,7 @@ const maxRetainedBytes = 4 << 20
 func (e *Engine) releaseBufs() {
 	b := e.bufs
 	n := 8*cap(b.edgeList) + cap(b.dead) + 12*cap(b.cands) +
-		4*(cap(b.offs)+cap(b.adj)+cap(b.stack)) + cap(b.seen) + 24*len(b.vecNPool)
-	for g := range b.poolAFA {
-		n += len(b.poolAFA[g]) * (24 + 8*e.afas[g].words)
-	}
+		4*(cap(b.offs)+cap(b.adj)+cap(b.stack)) + cap(b.seen)
 	if n > maxRetainedBytes {
 		e.bufs = nil
 	}
@@ -503,63 +478,18 @@ type edgePair struct{ from, to int32 }
 type visitResult struct {
 	states []int32 // NFA states with vertices at this node (sorted, read-only)
 	base   int32   // vertex id of states[0]
-	// afaVals[g] holds the truth values of AFA g's states at this node,
-	// nil if the AFA was not active here.
-	afaVals []nfaSet
-}
-
-// Pool helpers ------------------------------------------------------------
-
-func (r *run) getAFASet(g int) nfaSet {
-	if r.poolAFA == nil {
-		r.poolAFA = make([][]nfaSet, len(r.m.AFAs))
-	}
-	if l := r.poolAFA[g]; len(l) > 0 {
-		s := l[len(l)-1]
-		r.poolAFA[g] = l[:len(l)-1]
-		clear(s)
-		return s
-	}
-	return make(nfaSet, r.afas[g].words)
-}
-
-// getVecN returns a nil-cleared []nfaSet of length len(AFAs).
-func (r *run) getVecN() []nfaSet {
-	if len(r.vecNPool) > 0 {
-		v := r.vecNPool[len(r.vecNPool)-1]
-		r.vecNPool = r.vecNPool[:len(r.vecNPool)-1]
-		clear(v)
-		return v
-	}
-	return make([]nfaSet, len(r.m.AFAs))
-}
-
-func (r *run) putVecN(v []nfaSet) { r.vecNPool = append(r.vecNPool, v) }
-
-// releaseSets returns a vector of AFA sets — a child's seeds, a node's
-// accumulators or its truth values — to the run's pools; nil is a no-op.
-func (r *run) releaseSets(sets []nfaSet) {
-	if sets == nil {
-		return
-	}
-	for g, s := range sets {
-		if s != nil {
-			r.poolAFA[g] = append(r.poolAFA[g], s)
-		}
-	}
-	r.putVecN(sets)
+	vals   *afaVal // the node's AFA truth values (nil: all false)
 }
 
 // The DFS --------------------------------------------------------------------
 
-// walk processes element n in the subset state ds (its ε-closed NFA
-// states) with the AFA seed sets fseeds (not yet closed): it allocates the
-// cans vertices for n, visits the children that can contribute, evaluates
-// the active AFAs bottom-up and returns what the parent folds. The per-node
-// NFA work — closure, finals, guards, ε edges, transitions and cans link
-// edges — comes precomputed from the subset cache (compile.go), and AFAs
-// run as bitset programs.
-func (r *run) walk(n int32, ds *dfaState, fseeds []nfaSet) visitResult {
+// walk processes element n in hybrid state h: it allocates the cans
+// vertices for n, visits the children that can contribute, evaluates the
+// active AFAs bottom-up and returns what the parent folds. Everything that
+// depends on the states alone — closures, finals, ε and link edges, child
+// states and AFA seeds — comes from the cached transitions, and the AFA
+// folds and evaluations are memo lookups (compile.go).
+func (r *run) walk(n int32, h *hstate) visitResult {
 	if r.sinceCheck++; r.sinceCheck >= cancelCheckInterval {
 		r.poll()
 	}
@@ -570,227 +500,113 @@ func (r *run) walk(n int32, ds *dfaState, fseeds []nfaSet) visitResult {
 		return visitResult{base: int32(r.numVerts)}
 	}
 	r.stats.VisitedElements++
-
-	// Close AFA seed sets: rel[g] is the paper's fstates↓(n)[g] extended
-	// with same-node consequences.
-	rel := fseeds
-	anyAFA := false
-	nAFA := 0
-	for g := range rel {
-		if rel[g] != nil {
-			r.afas[g].close(rel[g])
-			anyAFA = true
-			nAFA++
-		}
-	}
 	if r.trace != nil {
-		r.trace.add(r.cd, n, TraceVisit, fmt.Sprintf("nfa-states=%d active-afas=%d", len(ds.states), nAFA))
+		r.trace.add(r.cd, n, TraceVisit, fmt.Sprintf("nfa-states=%d active-afas=%d", len(h.states), len(h.active)))
 	}
-
-	res := r.openNode(n, ds)
-
-	// Per-AFA transition accumulators (the bottom-up inputs of the AFAs).
-	transAcc := r.newTransAcc(rel, anyAFA)
-
-	if ds.hasTrans || anyAFA {
-		cd := r.cd
-		for c := n + 1; c <= cd.End(n); c = cd.End(c) + 1 {
-			if cd.IsElement(c) {
-				r.walkChild(c, ds, rel, transAcc, &res)
+	res := r.openNode(n, h)
+	if !h.walks {
+		return res
+	}
+	var acc *afaVal // the AFAs' bottom-up TRANS inputs
+	cd := r.cd
+	for c := n + 1; c <= cd.End(n); c = cd.End(c) + 1 {
+		if !cd.IsElement(c) {
+			continue
+		}
+		if t := r.childStep(c, h); t != nil {
+			cres := r.walk(c, t.next)
+			r.link(&res, t, cres.base)
+			if len(t.rules) > 0 && cres.vals != nil {
+				acc = r.hc.fold(t, acc, cres.vals)
 			}
 		}
 	}
-
-	// Bottom-up AFA evaluation at n (fstates↑).
-	if anyAFA {
-		res.afaVals = r.getVecN()
-		for g := range rel {
-			if rel[g] == nil {
-				continue
-			}
-			r.stats.AFAEvaluations++
-			if r.trace != nil {
-				r.trace.add(r.cd, n, TraceAFAEval, fmt.Sprintf("X%d states=%d", g, rel[g].count()))
-			}
-			res.afaVals[g] = r.evalAFA(g, n, transAcc[g], rel[g])
-		}
-		r.releaseSets(transAcc)
+	if len(h.active) > 0 {
+		r.evalAt(n, h, acc, &res)
 	}
-
-	r.killGuardFailed(n, &res)
 	return res
 }
 
-// newTransAcc returns cleared transition accumulators for the active AFAs
-// of rel, or nil when none is active.
-func (r *run) newTransAcc(rel []nfaSet, anyAFA bool) []nfaSet {
-	if !anyAFA {
-		return nil
-	}
-	transAcc := r.getVecN()
-	for g := range rel {
-		if rel[g] != nil {
-			transAcc[g] = r.getAFASet(g)
-		}
-	}
-	return transAcc
-}
-
-// openNode allocates the cans vertices of node n in subset state ds: the
-// vertex block is ds.states (shared, never written), final states become
-// candidate answers, and ds.epsLocal supplies the ε edges among them.
-func (r *run) openNode(n int32, ds *dfaState) visitResult {
-	res := visitResult{base: int32(r.numVerts), states: ds.states}
-	for _, f := range ds.finals {
+// openNode allocates the cans vertices of node n in hybrid state h: the
+// vertex block is h.states (shared, never written), final states become
+// candidate answers, and h.epsLocal supplies the ε edges among them.
+func (r *run) openNode(n int32, h *hstate) visitResult {
+	res := visitResult{base: int32(r.numVerts), states: h.states}
+	for _, f := range h.finals {
 		r.cands = append(r.cands, cand{vid: res.base + f.idx, tag: f.tag, id: n})
 	}
-	r.numVerts += len(ds.states)
-	r.numEdges += len(ds.epsLocal)
+	r.numVerts += len(h.states)
+	r.numEdges += len(h.epsLocal)
 	if !r.guarded {
 		return res
 	}
-	r.dead = append(r.dead, make([]bool, len(ds.states))...)
-	for _, ep := range ds.epsLocal {
+	r.dead = append(r.dead, make([]bool, len(h.states))...)
+	for _, ep := range h.epsLocal {
 		r.edgeList = append(r.edgeList, edgePair{res.base + ep.from, res.base + ep.to})
 	}
 	return res
 }
 
-// childStep decides whether child c of a node in subset state ds needs a
-// visit, given the node's closed AFA sets rel. It returns c's program
-// label, the subset transition into c and c's AFA seeds. When the child
-// would contribute nothing — no transition matches and no AFA descends
-// (HyPE's "no-transition" prune), or the index refutes progress (OptHyPE's
-// "index-alphabet" prune) — it records the prune, releases the seeds and
-// reports ok=false. On ok=true the caller owns the seeds.
-func (r *run) childStep(c int32, ds *dfaState, rel []nfaSet) (lid int32, tr *dfaTrans, cseeds []nfaSet, ok bool) {
-	lid = r.progLab[r.cd.LabelID(c)]
-	tr = r.dfa.step(ds, lid)
-	cseeds, anySeed := r.childSeeds(lid, rel, tr.next)
-	if tr.next == nil && !anySeed {
+// childStep decides whether child c of a node in hybrid state h needs a
+// visit and returns the transition into c, or nil when c would contribute
+// nothing — no NFA transition and no AFA step fires (HyPE's
+// "no-transition" prune), or the index refutes progress (OptHyPE's
+// "index-alphabet" prune) — after recording the prune.
+func (r *run) childStep(c int32, h *hstate) *htrans {
+	t := r.hc.step(h, r.progLab[r.cd.LabelID(c)])
+	switch {
+	case t.next == nil:
 		r.prune(c, "no-transition")
-		r.releaseSets(cseeds)
-		return lid, tr, nil, false
+	case r.ixm != nil && !r.useful(c, t.next):
+		r.prune(c, "index-alphabet")
+	default:
+		return t
 	}
-	if r.ixm != nil {
-		cms := r.emptySet
-		if tr.next != nil {
-			cms = tr.next.set
-		}
-		if !r.useful(c, cms, cseeds) {
-			r.prune(c, "index-alphabet")
-			r.releaseSets(cseeds)
-			return lid, tr, nil, false
-		}
-	}
-	return lid, tr, cseeds, true
+	return nil
 }
 
-// walkChild runs one child: the step decision, the recursive walk, then
-// the cans link edges and the fold of the child's AFA values into the
-// parent's accumulators.
-func (r *run) walkChild(c int32, ds *dfaState, rel, transAcc []nfaSet, res *visitResult) {
-	lid, tr, cseeds, ok := r.childStep(c, ds, rel)
-	if !ok {
-		return
-	}
-	cds := tr.next
-	if cds == nil {
-		cds = r.dfa.empty
-	}
-	cres := r.walk(c, cds, cseeds)
-	r.link(res, tr, cres.base)
-	r.foldChildAFA(lid, rel, transAcc, cres.afaVals)
-	r.releaseSets(cres.afaVals)
-	r.releaseSets(cseeds)
-}
-
-// link adds the cans edges of transition tr from res's vertices into the
+// link adds the cans edges of transition t from res's vertices into the
 // child block starting at vertex childBase.
-func (r *run) link(res *visitResult, tr *dfaTrans, childBase int32) {
-	r.numEdges += len(tr.linkEdges)
+func (r *run) link(res *visitResult, t *htrans, childBase int32) {
+	r.numEdges += len(t.linkEdges)
 	if !r.guarded {
 		return
 	}
-	for _, le := range tr.linkEdges {
+	for _, le := range t.linkEdges {
 		r.edgeList = append(r.edgeList, edgePair{res.base + le.from, childBase + le.to})
 	}
 }
 
-// childSeeds computes the child's AFA seed sets: descend targets of the
-// relevant TRANS states that fire on the child's label (the per-label seed
-// buckets), plus the guard entries of the child's subset state.
-func (r *run) childSeeds(lid int32, rel []nfaSet, next *dfaState) (cseeds []nfaSet, anySeed bool) {
-	cseeds = r.getVecN()
-	for g := range rel {
-		if rel[g] == nil {
-			continue
-		}
-		for _, sd := range r.afas[g].seeds[lid+1] {
-			if !rel[g].has(int(sd.t)) {
-				continue
-			}
-			if cseeds[g] == nil {
-				cseeds[g] = r.getAFASet(g)
-			}
-			cseeds[g].set(int(sd.target))
-			anySeed = true
+// evalAt evaluates the active AFAs of h bottom-up at node n from the
+// accumulator acc (fstates↑) and kills the vertices whose guard came out
+// false (lines 14–15 of PCans).
+func (r *run) evalAt(n int32, h *hstate, acc *afaVal, res *visitResult) {
+	r.stats.AFAEvaluations += len(h.active)
+	if r.trace != nil {
+		for _, g := range h.active {
+			r.trace.add(r.cd, n, TraceAFAEval, fmt.Sprintf("X%d states=%d", g, r.afaSeg(h.rel, int(g)).count()))
 		}
 	}
-	if next != nil {
-		for _, gs := range next.guards {
-			if cseeds[gs.g] == nil {
-				cseeds[gs.g] = r.getAFASet(int(gs.g))
+	var preds nfaSet
+	if len(h.preds) > 0 {
+		w := bitWords(len(h.preds))
+		preds = slices.Grow(r.preds[:0], w)[:w]
+		clear(preds)
+		r.cur.Seek(n)
+		for i := range h.preds {
+			if h.preds[i].pred.Holds(r.cur) {
+				preds.set(i)
 			}
-			cseeds[gs.g].set(int(gs.entry))
-			anySeed = true
 		}
+		r.preds = preds
 	}
-	return cseeds, anySeed
-}
-
-// evalAFA runs AFA g's compiled program at node n and returns the truth
-// values of the member states, a pooled set.
-func (r *run) evalAFA(g int, n int32, transVals, member nfaSet) nfaSet {
-	r.cur.Seek(n)
-	vals := r.getAFASet(g)
-	r.afas[g].evalMasked(r.cur, transVals, member, vals)
-	return vals
-}
-
-// foldChildAFA ORs a visited child's AFA truth values into the parent's
-// transition accumulators (the fstates↑ propagation of lines 19–21 of
-// HyPE), walking the per-label seed buckets. childVals may be nil (no AFA
-// active below the child).
-func (r *run) foldChildAFA(lid int32, rel, transAcc, childVals []nfaSet) {
-	for g := range rel {
-		if rel[g] == nil || childVals == nil || childVals[g] == nil {
-			continue
-		}
-		acc := transAcc[g]
-		vals := childVals[g]
-		for _, sd := range r.afas[g].seeds[lid+1] {
-			if vals.has(int(sd.target)) && rel[g].has(int(sd.t)) {
-				acc.set(int(sd.t))
-			}
-		}
-	}
-}
-
-// killGuardFailed marks the vertices of res whose guard AFA came out false
-// (lines 14–15 of PCans); res.afaVals must hold the node's bottom-up AFA
-// values.
-func (r *run) killGuardFailed(n int32, res *visitResult) {
-	for i, s := range res.states {
-		g := r.m.States[s].Guard
-		if g < 0 {
-			continue
-		}
-		if res.afaVals == nil || res.afaVals[g] == nil || !res.afaVals[g].has(r.m.GuardEntry(int(s))) {
-			r.dead[res.base+int32(i)] = true
-			if r.trace != nil {
-				r.trace.add(r.cd, n, TraceGuardFail, fmt.Sprintf("state s%d guard X%d false", s, g))
-			}
+	out := r.hc.eval(h, acc, preds)
+	res.vals = out.vals
+	for _, i := range out.kills {
+		r.dead[res.base+i] = true
+		if r.trace != nil {
+			s := h.states[i]
+			r.trace.add(r.cd, n, TraceGuardFail, fmt.Sprintf("state s%d guard X%d false", s, r.m.States[s].Guard))
 		}
 	}
 }

@@ -1,13 +1,18 @@
 package hype
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"smoqe/internal/colstore"
+	"smoqe/internal/datagen"
+	"smoqe/internal/hospital"
 	"smoqe/internal/mfa"
+	"smoqe/internal/rewrite"
 	"smoqe/internal/xmltree"
 	"smoqe/internal/xpath"
 )
@@ -415,8 +420,14 @@ func TestEvalMaskedMatchesEvalAtMasked(t *testing.T) {
 					}
 					node := fakeNode{text: texts[rng.Intn(len(texts))], pos: 1 + rng.Intn(3)}
 					want := a.EvalAtMasked(node, trans, make([]bool, n), member)
+					predTrue := make(nfaSet, p.words)
+					for s := range a.States {
+						if a.States[s].Kind == mfa.AFAFinal && a.States[s].Pred.Holds(node) {
+							predTrue.set(s)
+						}
+					}
 					got := make(nfaSet, p.words)
-					p.evalMasked(node, transSet, member, got)
+					p.evalMasked(transSet, member, predTrue, got)
 					for s := 0; s < n; s++ {
 						if got.has(s) != want[s] {
 							t.Fatalf("query %s, AFA %d, state %d: compiled %v, EvalAtMasked %v\n%s",
@@ -448,6 +459,56 @@ func closeSameNode(a *mfa.AFA, member nfaSet) {
 					changed = true
 				}
 			}
+		}
+	}
+}
+
+// TestProgramStaysImmutable: evaluation never writes the compiled program,
+// which an engine shares with all its clones. Memo state belongs on the
+// clone, whose pool the GC empties; state kept on the program would stay
+// live for as long as the plan. The copy is a program built from a
+// serialized round trip of the automaton, so it shares no memory with the
+// engine's.
+func TestProgramStaysImmutable(t *testing.T) {
+	docs := []*colstore.Document{
+		colstore.FromTree(hospital.SampleDocument()),
+		colstore.FromTree(datagen.Generate(datagen.DefaultConfig(150))),
+	}
+	ixs := []*Index{BuildIndex(docs[0]), BuildIndex(docs[1])}
+	machines := []*mfa.MFA{
+		mfa.MustCompile(xpath.MustParse(hospital.XPB)),
+		mfa.MustCompile(xpath.MustParse(hospital.RXC)),
+		mfa.MustCompile(xpath.MustParse("//diagnosis")),
+		rewrite.MustRewrite(hospital.Sigma0(), xpath.MustParse(hospital.QExample41)),
+	}
+	for mi, m := range machines {
+		var buf bytes.Buffer
+		if err := m.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		mc, err := mfa.ReadBinary(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(m)
+		want := buildProgram(mc)
+		if !reflect.DeepEqual(want, e.program) {
+			t.Fatalf("machine %d: the copy differs before any evaluation", mi)
+		}
+		for i := range 50 {
+			opts := Options{}
+			if i/2%2 == 1 {
+				opts.Index = ixs[i%2]
+			}
+			if i/4%2 == 1 {
+				opts.Workers = 4
+			}
+			if _, err := e.Eval(context.Background(), docs[i%2], opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(want, e.program) {
+			t.Errorf("machine %d: 50 evaluations changed the shared program", mi)
 		}
 	}
 }

@@ -143,8 +143,8 @@ func TestShardWorkerErrorFailpoint(t *testing.T) {
 
 // TestColumnarLimitsMatchPointer audits EvalLimits across the ways one
 // document is evaluated: over its registered columnar form, over the
-// conversion a call at its root node makes, and with a subset cache of cap
-// 1 (NFA simulation). At any budget every way must trip the SAME limit
+// conversion a call at its root node makes, and with a hybrid cache of cap
+// 1 (constant flushing). At any budget every way must trip the SAME limit
 // (same *LimitError What/Limit) at the SAME point — consumption is flushed
 // in identical cancelCheckInterval quanta over the identical preorder DFS,
 // so even the partial visited counts of aborted runs agree. Runs under a

@@ -170,13 +170,16 @@ func (r *run) aliveUnder(setID int32) *aliveInfo {
 	return info
 }
 
-// useful reports whether visiting child c can contribute anything: an
-// answer somewhere in c's subtree (a state alive under the subtree's
-// alphabet), or an AFA value that is not trivially false. It is sound
-// (never skips a contributing subtree): acceptance below c only consumes
-// labels occurring strictly below c, and an AFA seed can only become true
-// locally (final predicate or NOT) or by consuming such a label.
-func (r *run) useful(c int32, cms nfaSet, cseeds []nfaSet) bool {
+// useful reports whether visiting child c in hybrid state h can contribute
+// anything: an answer somewhere in c's subtree (a state alive under the
+// subtree's alphabet), or an AFA value that is not trivially false. It is
+// sound (never skips a contributing subtree): acceptance below c only
+// consumes labels occurring strictly below c, and an AFA seed can only
+// become true locally (final predicate or NOT) or by consuming such a
+// label. It reads h's closed AFA sets; a member of a seed's same-node
+// closure passes the tests only if the seed does, so the verdict is the
+// seeds' own.
+func (r *run) useful(c int32, h *hstate) bool {
 	im := r.ixm
 	setID := im.ix.setID[c]
 	strict := im.ix.sets[setID]
@@ -197,16 +200,14 @@ func (r *run) useful(c int32, cms nfaSet, cseeds []nfaSet) bool {
 		return true
 	}
 	info := r.aliveUnder(setID)
-	if cms.intersects(info.nfa) {
+	if h.nfa.intersects(info.nfa) {
 		return true
 	}
 	bloom := im.ix.bloom[c]
-	for g := range cseeds {
-		if cseeds[g] == nil {
-			continue
-		}
-		for w := range cseeds[g] {
-			cw := cseeds[g][w] & info.afa[g][w]
+	for _, g := range h.active {
+		rel := r.afaSeg(h.rel, int(g))
+		for w := range rel {
+			cw := rel[w] & info.afa[g][w]
 			for cw != 0 {
 				t := w<<6 + bits.TrailingZeros64(cw)
 				cw &= cw - 1

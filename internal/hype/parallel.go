@@ -15,14 +15,15 @@
 //     children, recursively, until no shard dominates.
 //  2. A bounded worker pool runs the shard visits on private Engine.Clone
 //     instances (shared immutable automaton metadata, private run state),
-//     honoring context cancellation. A task carries the NFA state set its
-//     subtree starts from, never the planner's subset state: stepping a
-//     cached state writes its transition slots, so each worker interns
-//     the set in its own cache.
+//     honoring context cancellation. A task carries the NFA and AFA sets
+//     its subtree starts from as bitsets, never the planner's hybrid
+//     state: stepping a cached state writes its transition slots, so each
+//     worker interns the sets in its own cache.
 //  3. A sequential merge folds the shard results back in document order:
 //     shard vertex ids are offset into the global cans DAG, the compiled
 //     link edges from spine vertices into shard roots are added, shard AFA
-//     truth values are OR-folded into the spine accumulators, and the
+//     truth values (bitsets, interned anew by the planner) are folded into
+//     the spine accumulators through the planner's transitions, and the
 //     spine's bottom-up AFA evaluations and guard kills run exactly where
 //     the sequential pass would have run them. Phase 2 then walks the
 //     merged DAG once.
@@ -55,12 +56,10 @@ const (
 
 // spineChild is one surviving element child of a spine node after the
 // partial visit: either a shard task or a nested spine node (the shard
-// dominated and was split further). lid and tr are the planner's step into
-// the child: its program label and the subset transition whose link edges
-// the merge adds.
+// dominated and was split further). tr is the planner's hybrid transition
+// into the child, whose link edges and fold rules the merge applies.
 type spineChild struct {
-	lid   int32
-	tr    *dfaTrans
+	tr    *htrans
 	task  *shardTask
 	spine *spineNode
 }
@@ -70,20 +69,20 @@ type spineChild struct {
 // and guard kills — runs during the merge, after every child below it has
 // been folded.
 type spineNode struct {
-	node     int32
-	rel      []nfaSet    // closed AFA seed sets at node (nil per inactive AFA)
-	res      visitResult // vertices in the planner's global numbering
-	transAcc []nfaSet    // bottom-up accumulators, filled by the merge
-	kids     []spineChild
+	node int32
+	h    *hstate
+	res  visitResult // vertices in the planner's global numbering
+	acc  *afaVal     // bottom-up accumulator, filled by the merge
+	kids []spineChild
 }
 
 // shardTask is one independent subtree evaluation: the child node and the
 // exact state sets a sequential visit would have entered it with.
 type shardTask struct {
-	node   int32
-	set    nfaSet // ε-closed NFA states; nil when only AFA seeds reach node
-	cseeds []nfaSet
-	size   int // subtree size, for the domination heuristic
+	node int32
+	nfa  nfaSet // ε-closed NFA states
+	rel  nfaSet // closed AFA seed sets
+	size int    // subtree size, for the domination heuristic
 
 	parent *spineNode
 	slot   int // index in parent.kids
@@ -92,7 +91,8 @@ type shardTask struct {
 }
 
 // shardOut is what a worker hands back: the shard's private cans DAG (local
-// vertex numbering starting at 0), its root visitResult and run statistics.
+// vertex numbering starting at 0), its root's first vertex and AFA values
+// (a bitset, nil when all false) and its run statistics.
 // err carries a shard-local failure — a recovered panic (*guard.PanicError),
 // an exceeded budget (*LimitError) or an injected fault — that fails the
 // whole evaluation without ever taking down the worker pool.
@@ -102,7 +102,8 @@ type shardOut struct {
 	edges     []edgePair
 	dead      []bool
 	cands     []cand
-	res       visitResult
+	base      int32
+	vals      nfaSet
 	stats     Stats
 	cancelled bool
 	err       error
@@ -120,10 +121,8 @@ func (e *Engine) runParallel(ctx context.Context, cd *colstore.Document, opts Op
 	_, psp := trace.Start(ctx, "hype.plan")
 	r0 := e.newRun(ctx, cd, opts)
 	defer e.releaseBufs()
-	root, seeds := r0.rootState()
-
 	var tasks []*shardTask
-	rootSpine := r0.expandSpine(0, root, seeds, &tasks)
+	rootSpine := r0.expandSpine(0, r0.hc.rootState(), &tasks)
 	spines := []*spineNode{rootSpine}
 
 	for rounds := 0; rounds < maxSplitRounds && len(tasks) > 0 && len(tasks) < maxShards; rounds++ {
@@ -143,11 +142,7 @@ func (e *Engine) runParallel(ctx context.Context, cd *colstore.Document, opts Op
 		t := tasks[big]
 		tasks = append(tasks[:big], tasks[big+1:]...)
 		kc := &t.parent.kids[t.slot]
-		ds := kc.tr.next
-		if ds == nil {
-			ds = r0.dfa.empty
-		}
-		kc.spine = r0.expandSpine(t.node, ds, t.cseeds, &tasks)
+		kc.spine = r0.expandSpine(t.node, kc.tr.next, &tasks)
 		kc.task = nil
 		spines = append(spines, kc.spine)
 	}
@@ -237,7 +232,7 @@ func (r *run) worker() *run {
 		cd:      r.cd,
 		cur:     r.cd.At(0),
 		progLab: r.progLab,
-		dfa:     e.ensureDFA(r.ixm != nil),
+		hc:      e.ensureCache(r.ixm != nil),
 	}
 	if r.ixm != nil {
 		w.ixm = e.bindIndex(r.ixm.ix)
@@ -275,42 +270,38 @@ func mergeParallel(ctx context.Context, r0 *run, spines []*spineNode, tasks []*s
 	for i := len(spines) - 1; i >= 0; i-- {
 		sp := spines[i]
 		for _, kc := range sp.kids {
+			var base int32
+			var vals *afaVal
 			if kc.task == nil {
-				r0.link(&sp.res, kc.tr, kc.spine.res.base)
-				r0.foldChildAFA(kc.lid, sp.rel, sp.transAcc, kc.spine.res.afaVals)
-				continue
+				base, vals = kc.spine.res.base, kc.spine.res.vals
+			} else {
+				out := &kc.task.out
+				off := int32(r0.numVerts)
+				r0.numVerts += out.numVerts
+				r0.numEdges += out.numEdges
+				r0.dead = append(r0.dead, out.dead...)
+				for _, ep := range out.edges {
+					r0.edgeList = append(r0.edgeList, edgePair{ep.from + off, ep.to + off})
+				}
+				for _, c := range out.cands {
+					c.vid += off
+					r0.cands = append(r0.cands, c)
+				}
+				base, vals = off+out.base, r0.hc.internVal(out.vals)
+				// The shard's private DAG is folded in; drop it now so the
+				// GC reclaims it before the rest of the merge runs.
+				kc.task.out = shardOut{stats: out.stats}
 			}
-			out := &kc.task.out
-			off := int32(r0.numVerts)
-			r0.numVerts += out.numVerts
-			r0.numEdges += out.numEdges
-			r0.dead = append(r0.dead, out.dead...)
-			for _, ep := range out.edges {
-				r0.edgeList = append(r0.edgeList, edgePair{ep.from + off, ep.to + off})
+			r0.link(&sp.res, kc.tr, base)
+			if len(kc.tr.rules) > 0 && vals != nil {
+				sp.acc = r0.hc.fold(kc.tr, sp.acc, vals)
 			}
-			for _, c := range out.cands {
-				c.vid += off
-				r0.cands = append(r0.cands, c)
-			}
-			r0.link(&sp.res, kc.tr, off+out.res.base)
-			r0.foldChildAFA(kc.lid, sp.rel, sp.transAcc, out.res.afaVals)
-			// The shard's private DAG is folded in; drop it now so the
-			// GC reclaims it before the rest of the merge runs.
-			kc.task.out = shardOut{stats: out.stats}
 		}
 		// Bottom-up AFA evaluation and guard kills at the spine node —
 		// the second half of walk(), run in merge order.
-		if sp.transAcc != nil {
-			sp.res.afaVals = r0.getVecN()
-			for g := range sp.rel {
-				if sp.rel[g] == nil {
-					continue
-				}
-				r0.stats.AFAEvaluations++
-				sp.res.afaVals[g] = r0.evalAFA(g, sp.node, sp.transAcc[g], sp.rel[g])
-			}
+		if len(sp.h.active) > 0 {
+			r0.evalAt(sp.node, sp.h, sp.acc, &sp.res)
 		}
-		r0.killGuardFailed(sp.node, &sp.res)
 	}
 	return nil
 }
@@ -336,11 +327,11 @@ func runShard(wr *run, t *shardTask) {
 		t.out.err = err
 		return
 	}
-	ds := wr.dfa.empty
-	if t.set != nil {
-		ds = wr.dfa.canonical(t.set)
+	res := wr.walk(t.node, wr.hc.intern(t.nfa, t.rel))
+	t.out.base = res.base
+	if res.vals != nil {
+		t.out.vals = slices.Clone(res.vals.bits)
 	}
-	t.out.res = wr.walk(t.node, ds, t.cseeds)
 	t.out.numVerts = wr.numVerts
 	t.out.numEdges = wr.numEdges
 	t.out.edges = wr.edgeList
@@ -349,8 +340,8 @@ func runShard(wr *run, t *shardTask) {
 	t.out.stats = wr.stats
 	t.out.cancelled = wr.cancelled
 	t.out.err = wr.limitErr
-	// Reset per-shard state; the buffer pools stay (the handed-out result
-	// slices are never re-pooled).
+	// Reset per-shard state (the handed-out result slices are the
+	// merge's now).
 	wr.numVerts, wr.numEdges, wr.edgeList, wr.dead, wr.cands = 0, 0, nil, nil, nil
 	wr.stats = Stats{}
 }
@@ -385,20 +376,10 @@ func shardSpanOutcome(sp *trace.Span, t *shardTask) {
 // same vertex allocation, same per-child pruning — but instead of recursing
 // it records every surviving element child as a shard task appended to
 // tasks. The bottom-up half of the visit runs later, during the merge.
-func (r *run) expandSpine(n int32, ds *dfaState, fseeds []nfaSet, tasks *[]*shardTask) *spineNode {
+func (r *run) expandSpine(n int32, h *hstate, tasks *[]*shardTask) *spineNode {
 	r.stats.VisitedElements++
-	rel := fseeds
-	anyAFA := false
-	for g := range rel {
-		if rel[g] != nil {
-			r.afas[g].close(rel[g])
-			anyAFA = true
-		}
-	}
-	sp := &spineNode{node: n, rel: rel}
-	sp.res = r.openNode(n, ds)
-	sp.transAcc = r.newTransAcc(rel, anyAFA)
-	if !ds.hasTrans && !anyAFA {
+	sp := &spineNode{node: n, h: h, res: r.openNode(n, h)}
+	if !h.walks {
 		return sp
 	}
 	cd := r.cd
@@ -406,15 +387,12 @@ func (r *run) expandSpine(n int32, ds *dfaState, fseeds []nfaSet, tasks *[]*shar
 		if !cd.IsElement(c) {
 			continue
 		}
-		lid, tr, cseeds, ok := r.childStep(c, ds, rel)
-		if !ok {
+		tr := r.childStep(c, h)
+		if tr == nil {
 			continue // pruned, already accounted
 		}
-		t := &shardTask{node: c, cseeds: cseeds, size: r.subtreeSize(c), parent: sp, slot: len(sp.kids)}
-		if tr.next != nil {
-			t.set = append(nfaSet(nil), tr.next.set...)
-		}
-		sp.kids = append(sp.kids, spineChild{lid: lid, tr: tr, task: t})
+		t := &shardTask{node: c, nfa: tr.next.nfa, rel: tr.next.rel, size: r.subtreeSize(c), parent: sp, slot: len(sp.kids)}
+		sp.kids = append(sp.kids, spineChild{tr: tr, task: t})
 		*tasks = append(*tasks, t)
 	}
 	return sp

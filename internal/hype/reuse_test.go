@@ -1,6 +1,7 @@
 package hype_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -154,6 +155,55 @@ func TestBufferReuseAfterAbort(t *testing.T) {
 				got := colEval(t, e, big.cd, hype.Options{Workers: workers})
 				if !slices.Equal(got.IDs, want) || got.Stats != fresh.Stats {
 					t.Errorf("%q workers=%d after %v: %d answers %+v, want %d %+v", src, workers, err, len(got.IDs), got.Stats, len(want), fresh.Stats)
+				}
+			}
+		}
+	}
+}
+
+// TestOneCloneAcrossLabelTables: a clone's caches are keyed by program
+// label ids and interned pointers, never by a document's own label ids, so
+// one engine alternating between two documents whose label tables list the
+// same labels in different id orders — the sample document, and a datagen
+// document read back from a snapshot — answers each exactly as a fresh
+// engine and refeval do, with the default cache and at cache cap 1.
+func TestOneCloneAcrossLabelTables(t *testing.T) {
+	sample := newReuseDoc("sample", hospital.SampleDocument())
+	gen := datagen.Generate(datagen.DefaultConfig(150))
+	var buf bytes.Buffer
+	if err := colstore.FromTree(gen).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cd, err := colstore.ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reuseDoc{"datagen-150 snapshot", gen, cd, hype.BuildIndex(cd)}
+	a, b := sample.cd.Labels(), snap.cd.Labels()
+	sa, sb := slices.Clone(a), slices.Clone(b)
+	slices.Sort(sa)
+	slices.Sort(sb)
+	if slices.Equal(a, b) || !slices.Equal(sa, sb) {
+		t.Fatalf("the label tables must list the same labels in different orders:\n%v\n%v", a, b)
+	}
+	for _, cacheCap := range []int{0, 1} {
+		for _, src := range sourceQueries {
+			m := mfa.MustCompile(xpath.MustParse(src))
+			want := map[string][]int{sample.name: refIDs(src, sample.tree), snap.name: refIDs(src, snap.tree)}
+			for _, indexed := range []bool{false, true} {
+				e := hype.New(m)
+				e.SetCompiledCacheCap(cacheCap)
+				for _, d := range []reuseDoc{sample, snap, sample, snap} {
+					var opts hype.Options
+					if indexed {
+						opts.Index = d.ix
+					}
+					got := colEval(t, e, d.cd, opts)
+					fresh := colEval(t, hype.New(m), d.cd, opts)
+					if !slices.Equal(got.IDs, want[d.name]) || !slices.Equal(got.IDs, fresh.IDs) || got.Stats != fresh.Stats {
+						t.Errorf("cap %d, %s, index=%v, %q: %d answers %+v; fresh engine %d %+v; refeval %d",
+							cacheCap, d.name, indexed, src, len(got.IDs), got.Stats, len(fresh.IDs), fresh.Stats, len(want[d.name]))
+					}
 				}
 			}
 		}

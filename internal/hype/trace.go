@@ -51,7 +51,7 @@ type Trace struct {
 	Events []TraceEvent `json:"events"`
 	// Dropped counts events beyond Limit that were discarded.
 	Dropped int `json:"dropped"`
-	// Compiled carries the run's compiled-layer statistics (subset-state
+	// Compiled carries the run's compiled-layer statistics (hybrid-state
 	// cache counters, bitset sizing).
 	Compiled *CompiledStats `json:"compiled,omitempty"`
 }

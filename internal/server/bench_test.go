@@ -83,9 +83,10 @@ func BenchmarkCachedPreparedTracingOff(b *testing.B) {
 
 // BenchmarkCachedPreparedTraced measures a fully traced request: a root
 // span per iteration, child spans recorded at every layer, the tail-based
-// retention decision run at the end (sample rate -1, so nothing is stored).
+// retention decision run at the end (sampling disabled, so nothing is
+// stored).
 func BenchmarkCachedPreparedTraced(b *testing.B) {
-	s := New(Config{CacheSize: 16, TraceSampleRate: -1})
+	s := New(Config{CacheSize: 16, TraceSampleEvery: -1})
 	doc := datagen.Generate(datagen.DefaultConfig(200))
 	if _, err := s.Registry().RegisterDocument("d", doc); err != nil {
 		b.Fatal(err)

@@ -81,10 +81,11 @@ type Config struct {
 	// store retains, served at GET /traces (default 256; negative disables
 	// tracing entirely — requests pay zero tracing cost).
 	TraceStoreSize int
-	// TraceSampleRate is the probability that an unremarkable request
-	// trace (no error, under the latency threshold, no "trace": true) is
-	// retained anyway (default 0.01; negative disables sampling).
-	TraceSampleRate float64
+	// TraceSampleEvery paces the retention of unremarkable request traces
+	// (no error, under the latency threshold, no "trace": true): one is
+	// kept when at least this long has passed since the last sampled one
+	// ended (default 1s; negative disables sampling).
+	TraceSampleEvery time.Duration
 	// TraceLatencyRetention is the one slow-request threshold (default
 	// 250ms; negative disables). A /query evaluation at least this long is
 	// slow: it is counted in smoqe_slow_queries_total and its details are
@@ -160,9 +161,6 @@ func (c Config) withDefaults() Config {
 	if c.TraceStoreSize == 0 {
 		c.TraceStoreSize = 256
 	}
-	if c.TraceSampleRate == 0 {
-		c.TraceSampleRate = 0.01
-	}
 	if c.TraceLatencyRetention == 0 {
 		c.TraceLatencyRetention = 250 * time.Millisecond
 	}
@@ -225,7 +223,7 @@ func New(cfg Config) *Server {
 	if cfg.TraceStoreSize > 0 {
 		s.tracer = trace.New(trace.Config{
 			Capacity:         cfg.TraceStoreSize,
-			SampleRate:       cfg.TraceSampleRate,
+			SampleEvery:      cfg.TraceSampleEvery,
 			LatencyThreshold: cfg.TraceLatencyRetention,
 		})
 	}

@@ -53,7 +53,7 @@ func TestSlowEntrySurvivesSampledTraffic(t *testing.T) {
 	s := newLoadedServer(t, Config{
 		MaxParallelism:        2,
 		TraceStoreSize:        storeSize,
-		TraceSampleRate:       1,
+		TraceSampleEvery:      time.Nanosecond,
 		TraceLatencyRetention: 200 * time.Millisecond,
 	}, 2000)
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {

@@ -186,7 +186,7 @@ func TestMetricsRuntimeCounters(t *testing.T) {
 // taken from its response and its trace ID; total counts them, and a
 // direct Server.Query call counts without an entry (it has no trace).
 func TestSlowLogRecordsAndServes(t *testing.T) {
-	s := New(Config{TraceLatencyRetention: time.Nanosecond, TraceSampleRate: -1})
+	s := New(Config{TraceLatencyRetention: time.Nanosecond, TraceSampleEvery: -1})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestLatencyLabeledByEngineThatRan(t *testing.T) {
 // /slow reports the negative threshold, a zero total and no entries, even
 // with every trace retained.
 func TestSlowLogDisabled(t *testing.T) {
-	s := New(Config{TraceLatencyRetention: -time.Millisecond, TraceSampleRate: 1})
+	s := New(Config{TraceLatencyRetention: -time.Millisecond, TraceSampleEvery: time.Nanosecond})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func metricValue(t *testing.T, text, name string) int64 {
 // report the same plan-cache and trace totals. The handlers are called
 // directly so that reading them creates no traces of its own.
 func TestCountsAgreeAcrossEndpoints(t *testing.T) {
-	s := New(Config{TraceSampleRate: -1, TraceLatencyRetention: -1})
+	s := New(Config{TraceSampleEvery: -1, TraceLatencyRetention: -1})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 		t.Fatal(err)
 	}

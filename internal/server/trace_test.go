@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -32,6 +33,47 @@ func waitForTrace(t *testing.T, s *Server, id string) *trace.Data {
 	}
 }
 
+// TestSampledRetentionPacedByTime: at the default config, sampled
+// retention is paced by time, not by requests served. N cached /query
+// requests through Handler() keep at most one sampled trace per elapsed
+// second plus the first, whether N is 200 or 2,000.
+func TestSampledRetentionPacedByTime(t *testing.T) {
+	for _, n := range []int{200, 2000} {
+		s := New(Config{})
+		if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RegisterView("sigma0", hospital.Sigma0()); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(QueryRequest{Doc: "hospital", View: "sigma0", Query: hospital.QExample11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		start := time.Now()
+		for i := range n {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(string(body))))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body)
+			}
+		}
+		elapsed := time.Since(start)
+		sampled := 0
+		for _, d := range s.Traces().Snapshot() {
+			if d.Retained == trace.RetainSampled {
+				sampled++
+			}
+		}
+		bound := int(math.Ceil(elapsed.Seconds())) + 1
+		t.Logf("%d requests in %v: %d sampled traces", n, elapsed, sampled)
+		if sampled == 0 || sampled > bound {
+			t.Errorf("%d requests in %v kept %d sampled traces, want 1..%d", n, elapsed, sampled, bound)
+		}
+	}
+}
+
 // TestTracedQueryEndToEnd is the tracing acceptance test: a "trace": true
 // request over HTTP yields a retained trace, fetchable from
 // GET /traces/{id}, whose span tree covers admission, the plan-cache
@@ -40,7 +82,7 @@ func TestTracedQueryEndToEnd(t *testing.T) {
 	s := newLoadedServer(t, Config{
 		MaxParallelism:        4,
 		MaxConcurrentEvals:    4,
-		TraceSampleRate:       -1, // only forced retention keeps traces here...
+		TraceSampleEvery:      -1, // only forced retention keeps traces here...
 		TraceLatencyRetention: -1, // ...even when -race makes every query slow
 	}, 2000)
 	ts := httptest.NewServer(s.Handler())
@@ -265,7 +307,7 @@ func TestTracingDisabled(t *testing.T) {
 // trace: the entry's trace_id is the request's, GET /traces/{id} serves
 // it, latency retention kept it, and its root span carries the details.
 func TestSlowLogLinksTrace(t *testing.T) {
-	s := New(Config{TraceLatencyRetention: time.Nanosecond, TraceSampleRate: -1})
+	s := New(Config{TraceLatencyRetention: time.Nanosecond, TraceSampleEvery: -1})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +342,7 @@ func TestSlowLogLinksTrace(t *testing.T) {
 // propagate one W3C trace ID from different caller spans are two entries
 // in /traces and /slow, and GET /traces/{id} serves both requests' spans.
 func TestSharedTraceIDKeepsEveryRequest(t *testing.T) {
-	s := New(Config{TraceLatencyRetention: time.Nanosecond, TraceSampleRate: -1})
+	s := New(Config{TraceLatencyRetention: time.Nanosecond, TraceSampleEvery: -1})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +430,7 @@ func TestRetryAfterSecs(t *testing.T) {
 // TestTraceMetricsRoundTrip: the smoqe_trace_* counters and the
 // smoqe_build_info gauge survive the Prometheus exposition round trip.
 func TestTraceMetricsRoundTrip(t *testing.T) {
-	s := New(Config{TraceSampleRate: -1, TraceLatencyRetention: -1})
+	s := New(Config{TraceSampleEvery: -1, TraceLatencyRetention: -1})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 		t.Fatal(err)
 	}

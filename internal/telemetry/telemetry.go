@@ -325,7 +325,9 @@ func labelKey(l Labels) string {
 	return b.String()
 }
 
+// labelEscaper escapes label values per the Prometheus text format. A
+// Replacer is safe for concurrent use and builds its lookup table once.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // escapeLabel escapes a label value per the Prometheus text format.
-func escapeLabel(v string) string {
-	return strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(v)
-}
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }

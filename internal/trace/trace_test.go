@@ -35,7 +35,7 @@ func TestNilSpanIsNoOp(t *testing.T) {
 }
 
 func TestSpanTreeAndForcedRetention(t *testing.T) {
-	tr := New(Config{SampleRate: -1})
+	tr := New(Config{SampleEvery: -1})
 	ctx, root := tr.StartRoot(context.Background(), "http", Traceparent{})
 	root.Attr("method", "POST")
 	root.Force()
@@ -111,7 +111,7 @@ func TestSpanTreeAndForcedRetention(t *testing.T) {
 }
 
 func TestErrorRetention(t *testing.T) {
-	tr := New(Config{SampleRate: -1})
+	tr := New(Config{SampleEvery: -1})
 	ctx, root := tr.StartRoot(context.Background(), "http", Traceparent{})
 	_, sp := Start(ctx, "eval")
 	sp.Error(errors.New("shard panic"))
@@ -133,7 +133,7 @@ func TestErrorRetention(t *testing.T) {
 }
 
 func TestLatencyRetention(t *testing.T) {
-	tr := New(Config{SampleRate: -1, LatencyThreshold: time.Nanosecond})
+	tr := New(Config{SampleEvery: -1, LatencyThreshold: time.Nanosecond})
 	_, root := tr.StartRoot(context.Background(), "http", Traceparent{})
 	time.Sleep(time.Millisecond)
 	root.End()
@@ -144,18 +144,20 @@ func TestLatencyRetention(t *testing.T) {
 }
 
 func TestSamplingBounds(t *testing.T) {
-	always := New(Config{SampleRate: 1})
-	_, root := always.StartRoot(context.Background(), "http", Traceparent{})
-	root.End()
-	if _, ok := always.Store().Get(root.TraceID().String()); !ok {
-		t.Error("SampleRate=1 dropped a trace")
+	always := New(Config{SampleEvery: time.Nanosecond})
+	for range 3 {
+		_, root := always.StartRoot(context.Background(), "http", Traceparent{})
+		root.End()
+		if _, ok := always.Store().Get(root.TraceID().String()); !ok {
+			t.Error("SampleEvery=1ns dropped a trace")
+		}
 	}
 
-	never := New(Config{SampleRate: -1})
-	_, root = never.StartRoot(context.Background(), "http", Traceparent{})
+	never := New(Config{SampleEvery: -1})
+	_, root := never.StartRoot(context.Background(), "http", Traceparent{})
 	root.End()
 	if _, ok := never.Store().Get(root.TraceID().String()); ok {
-		t.Error("SampleRate=-1 retained an unremarkable trace")
+		t.Error("SampleEvery=-1 retained an unremarkable trace")
 	}
 	retained, dropped, spans := never.Store().Totals()
 	if retained != 0 || dropped != 1 || spans != 1 {
@@ -163,8 +165,48 @@ func TestSamplingBounds(t *testing.T) {
 	}
 }
 
+// TestSamplingPacedByTime: at most one unremarkable trace is sampled per
+// SampleEvery, the first one included, and concurrent finishes keep
+// exactly one between them.
+func TestSamplingPacedByTime(t *testing.T) {
+	finish := func(tr *Tracer) bool {
+		_, root := tr.StartRoot(context.Background(), "http", Traceparent{})
+		root.End()
+		_, ok := tr.Store().Get(root.TraceID().String())
+		return ok
+	}
+	paced := New(Config{SampleEvery: 20 * time.Millisecond})
+	if !finish(paced) {
+		t.Fatal("the first unremarkable trace was not sampled")
+	}
+	if finish(paced) {
+		t.Error("a second trace within SampleEvery was sampled")
+	}
+	time.Sleep(25 * time.Millisecond)
+	if !finish(paced) {
+		t.Error("no trace sampled once SampleEvery had passed")
+	}
+
+	hourly := New(Config{SampleEvery: time.Hour})
+	const writers, perWriter = 8, 50
+	var wg sync.WaitGroup
+	for range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perWriter {
+				finish(hourly)
+			}
+		}()
+	}
+	wg.Wait()
+	if retained, dropped, _ := hourly.Store().Totals(); retained != 1 || dropped != writers*perWriter-1 {
+		t.Errorf("concurrent finishes under a 1h interval: retained=%d dropped=%d, want 1/%d", retained, dropped, writers*perWriter-1)
+	}
+}
+
 func TestBoundedAttrsEventsSpans(t *testing.T) {
-	tr := New(Config{SampleRate: -1, MaxSpansPerTrace: 4, MaxAttrsPerSpan: 2, MaxEventsPerSpan: 2})
+	tr := New(Config{SampleEvery: -1, MaxSpansPerTrace: 4, MaxAttrsPerSpan: 2, MaxEventsPerSpan: 2})
 	ctx, root := tr.StartRoot(context.Background(), "http", Traceparent{})
 	root.Force()
 	for i := 0; i < 10; i++ {
@@ -198,7 +240,7 @@ func TestBoundedAttrsEventsSpans(t *testing.T) {
 }
 
 func TestEndIsIdempotent(t *testing.T) {
-	tr := New(Config{SampleRate: 1})
+	tr := New(Config{SampleEvery: time.Nanosecond})
 	_, root := tr.StartRoot(context.Background(), "http", Traceparent{})
 	root.End()
 	root.End()
@@ -212,7 +254,7 @@ func TestEndIsIdempotent(t *testing.T) {
 // TestTotalsCountFinishedTrace: a finished trace is counted once, with its
 // span count and the retention verdict, whether or not it was kept.
 func TestTotalsCountFinishedTrace(t *testing.T) {
-	tr := New(Config{SampleRate: -1})
+	tr := New(Config{SampleEvery: -1})
 	ctx, root := tr.StartRoot(context.Background(), "http", Traceparent{})
 	_, sp := Start(ctx, "child")
 	sp.End()
@@ -223,7 +265,7 @@ func TestTotalsCountFinishedTrace(t *testing.T) {
 }
 
 func TestRemoteParentAdopted(t *testing.T) {
-	tr := New(Config{SampleRate: -1})
+	tr := New(Config{SampleEvery: -1})
 	remote, ok := ParseTraceparent("00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7-01")
 	if !ok {
 		t.Fatal("valid traceparent rejected")
@@ -280,7 +322,7 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 }
 
 func TestStoreEvictionAndLookup(t *testing.T) {
-	tr := New(Config{Capacity: 2, SampleRate: 1})
+	tr := New(Config{Capacity: 2, SampleEvery: time.Nanosecond})
 	var ids []string
 	for i := 0; i < 3; i++ {
 		_, root := tr.StartRoot(context.Background(), "http", Traceparent{})
@@ -305,9 +347,10 @@ func TestStoreEvictionAndLookup(t *testing.T) {
 
 // TestStoreConcurrentStress races writers (finishing traces, some with
 // concurrent shard spans) against snapshot readers; run under -race it is
-// the trace store's data-race gate.
+// the trace store's data-race gate. Every trace is forced, so the totals
+// are exact however the writers' root spans interleave.
 func TestStoreConcurrentStress(t *testing.T) {
-	tr := New(Config{Capacity: 16, SampleRate: 1})
+	tr := New(Config{Capacity: 16, SampleEvery: -1})
 	const writers = 8
 	const perWriter = 50
 	var wg, writerWG sync.WaitGroup
@@ -319,6 +362,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 			defer writerWG.Done()
 			for i := 0; i < perWriter; i++ {
 				ctx, root := tr.StartRoot(context.Background(), "http", Traceparent{})
+				root.Force()
 				ctx2, eval := Start(ctx, "eval")
 				var shards sync.WaitGroup
 				for s := 0; s < 3; s++ {
@@ -379,7 +423,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 // cause push it out.
 func TestStoreEvictsSampledFirst(t *testing.T) {
 	const capacity = 4
-	tr := New(Config{Capacity: capacity, SampleRate: 1, LatencyThreshold: 100 * time.Millisecond})
+	tr := New(Config{Capacity: capacity, SampleEvery: time.Nanosecond, LatencyThreshold: 100 * time.Millisecond})
 	finish := func(force bool) string {
 		_, root := tr.StartRoot(context.Background(), "http", Traceparent{})
 		if force {
@@ -430,7 +474,7 @@ func TestStoreEvictsSampledFirst(t *testing.T) {
 // TestStoreKeepsEveryRequestOfATraceID: two requests that propagate one
 // trace ID are two entries; Get merges their spans onto the earlier start.
 func TestStoreKeepsEveryRequestOfATraceID(t *testing.T) {
-	tr := New(Config{SampleRate: -1})
+	tr := New(Config{SampleEvery: -1})
 	const id = "0123456789abcdef0123456789abcdef"
 	parents := []string{"00f067aa0ba902b7", "00f067aa0ba902b8"}
 	for _, parent := range parents {

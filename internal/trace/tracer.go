@@ -2,9 +2,9 @@ package trace
 
 import (
 	"context"
-	"math/rand/v2"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,7 +18,7 @@ const (
 	RetainError = "error"
 	// RetainLatency: the root span met the latency threshold.
 	RetainLatency = "latency"
-	// RetainSampled: an unremarkable trace kept by probabilistic sampling.
+	// RetainSampled: an unremarkable trace kept by time-paced sampling.
 	RetainSampled = "sampled"
 )
 
@@ -28,10 +28,13 @@ type Config struct {
 	// Capacity is how many retained request traces the store holds before
 	// it evicts one, sampled traces first (default 256).
 	Capacity int
-	// SampleRate is the probability that a trace with nothing remarkable
-	// about it (no error, under the latency threshold, not forced) is
-	// retained anyway. <= 0 never samples; >= 1 retains everything.
-	SampleRate float64
+	// SampleEvery paces the retention of traces with nothing remarkable
+	// about them (no error, under the latency threshold, not forced): one
+	// is kept when at least SampleEvery has passed between the end of the
+	// last sampled root span and its own (default 1s; negative never
+	// samples). The store then covers a fixed span of time however busy
+	// the server is.
+	SampleEvery time.Duration
 	// LatencyThreshold retains every trace whose root span ran at least
 	// this long; <= 0 disables latency-based retention.
 	LatencyThreshold time.Duration
@@ -47,6 +50,9 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Capacity == 0 {
 		c.Capacity = 256
+	}
+	if c.SampleEvery == 0 {
+		c.SampleEvery = time.Second
 	}
 	if c.MaxSpansPerTrace == 0 {
 		c.MaxSpansPerTrace = 512
@@ -64,12 +70,36 @@ func (c Config) withDefaults() Config {
 type Tracer struct {
 	cfg   Config
 	store *Store
+	// epoch anchors nextSample, the earliest root-span end (monotonic
+	// nanoseconds since epoch) at which an unremarkable trace is sampled.
+	epoch      time.Time
+	nextSample atomic.Int64
 }
 
 // New returns a tracer with the given configuration.
 func New(cfg Config) *Tracer {
 	cfg = cfg.withDefaults()
-	return &Tracer{cfg: cfg, store: NewStore(cfg.Capacity)}
+	return &Tracer{cfg: cfg, store: NewStore(cfg.Capacity), epoch: time.Now()}
+}
+
+// sample decides whether an unremarkable trace whose root span ended at
+// end is kept: when at least SampleEvery has passed since the end of the
+// last sampled root span. Concurrent finishes race on one compare-and-swap,
+// so each interval keeps one trace.
+func (t *Tracer) sample(end time.Time) bool {
+	if t.cfg.SampleEvery < 0 {
+		return false
+	}
+	at := int64(end.Sub(t.epoch))
+	for {
+		next := t.nextSample.Load()
+		if at < next {
+			return false
+		}
+		if t.nextSample.CompareAndSwap(next, at+int64(t.cfg.SampleEvery)) {
+			return true
+		}
+	}
 }
 
 // Store returns the tracer's trace store (the /traces backing).
@@ -174,7 +204,7 @@ func (tr *activeTrace) finish(rootDur time.Duration) {
 		reason = RetainError
 	case t.cfg.LatencyThreshold > 0 && rootDur >= t.cfg.LatencyThreshold:
 		reason = RetainLatency
-	case t.cfg.SampleRate > 0 && rand.Float64() < t.cfg.SampleRate:
+	case t.sample(tr.start.Add(rootDur)):
 		reason = RetainSampled
 	}
 	if reason != "" {

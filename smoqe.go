@@ -132,11 +132,10 @@ type Trace = hype.Trace
 // TraceEvent is one recorded decision of a traced run.
 type TraceEvent = hype.TraceEvent
 
-// CompiledStats reports what the compiled evaluation layer (lazy subset
-// automaton + bitset AFAs) did during a run: cache sizing, subset states
-// built, hit/miss/eviction counters and whether the run fell back to NFA
-// simulation. Reported per run in Result.Compiled and attached to traced
-// runs (Trace.Compiled).
+// CompiledStats reports what the compiled evaluation layer (lazy hybrid
+// automaton + bitset AFAs) did during a run: cache sizing, hybrid states
+// built, and hit/miss/flush counters. Reported per run in Result.Compiled
+// and attached to traced runs (Trace.Compiled).
 type CompiledStats = hype.CompiledStats
 
 // EvalLimits bounds how much work one evaluation may do (visited elements,
