@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"time"
+
+	"smoqe/internal/corpus"
+	api "smoqe/internal/server"
 )
 
 // cmdCorpus talks to a running smoqed's collection endpoints:
@@ -33,29 +35,6 @@ func cmdCorpus(args []string) error {
 	}
 }
 
-// collectionInfo mirrors the GET /collections payload.
-type collectionInfo struct {
-	Name        string    `json:"name"`
-	Generation  uint64    `json:"generation"`
-	Indexed     int       `json:"indexed"`
-	Pending     int       `json:"pending"`
-	Quarantined int       `json:"quarantined"`
-	Stale       bool      `json:"stale"`
-	LastScan    time.Time `json:"last_scan"`
-}
-
-// collectionDetail mirrors the GET /collections/{name} payload.
-type collectionDetail struct {
-	collectionInfo
-	Docs []struct {
-		Name     string `json:"name"`
-		Status   string `json:"status"`
-		Reason   string `json:"reason"`
-		Retries  int    `json:"retries"`
-		Elements int    `json:"elements"`
-	} `json:"docs"`
-}
-
 func cmdCorpusLs(args []string) error {
 	fs := flag.NewFlagSet("corpus ls", flag.ExitOnError)
 	server := fs.String("server", "http://localhost:8640", "base URL of a running smoqed")
@@ -65,7 +44,7 @@ func cmdCorpusLs(args []string) error {
 	}
 	base := strings.TrimSuffix(*server, "/")
 	if *name == "" {
-		var infos []collectionInfo
+		var infos []corpus.CollectionInfo
 		if err := getJSON(base+"/collections", &infos); err != nil {
 			return err
 		}
@@ -74,14 +53,14 @@ func cmdCorpusLs(args []string) error {
 		}
 		return nil
 	}
-	var d collectionDetail
+	var d api.CollectionDetail
 	if err := getJSON(base+"/collections/"+*name, &d); err != nil {
 		return err
 	}
-	fmt.Fprintln(os.Stdout, formatCollection(d.collectionInfo))
+	fmt.Fprintln(os.Stdout, formatCollection(d.CollectionInfo))
 	for _, doc := range d.Docs {
 		fmt.Fprintf(os.Stdout, "  %-30s  %-11s", doc.Name, doc.Status)
-		if doc.Status == "indexed" {
+		if doc.Status == corpus.StatusIndexed {
 			fmt.Fprintf(os.Stdout, "  %d elements", doc.Elements)
 		}
 		if doc.Reason != "" {
@@ -96,9 +75,9 @@ func cmdCorpusLs(args []string) error {
 	return nil
 }
 
-func formatCollection(ci collectionInfo) string {
+func formatCollection(ci corpus.CollectionInfo) string {
 	state := "ok"
-	if ci.Quarantined > 0 || ci.Stale {
+	if ci.Degraded() {
 		state = "degraded"
 	}
 	return fmt.Sprintf("%-20s  gen %-6d  %d indexed  %d pending  %d quarantined  %s",
@@ -116,7 +95,7 @@ func cmdCorpusReindex(args []string) error {
 		return fmt.Errorf("corpus reindex: -name is required")
 	}
 	base := strings.TrimSuffix(*server, "/")
-	var info collectionInfo
+	var info corpus.CollectionInfo
 	if err := postJSON(base+"/collections/"+*name+"/reindex", nil, &info); err != nil {
 		return err
 	}

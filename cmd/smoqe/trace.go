@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	api "smoqe/internal/server"
 	"smoqe/internal/trace"
 )
 
@@ -25,7 +26,7 @@ func cmdTrace(args []string) error {
 	}
 	base := strings.TrimSuffix(*server, "/")
 	if *id == "" {
-		var list traceList
+		var list api.TracesResponse
 		if err := getJSON(base+"/traces", &list); err != nil {
 			return err
 		}
@@ -44,22 +45,6 @@ func cmdTrace(args []string) error {
 	}
 	fmt.Fprint(os.Stdout, renderTrace(&d))
 	return nil
-}
-
-// traceList mirrors the GET /traces payload.
-type traceList struct {
-	RetainedTotal int64 `json:"retained_total"`
-	DroppedTotal  int64 `json:"dropped_total"`
-	SpansTotal    int64 `json:"spans_total"`
-	Traces        []struct {
-		TraceID        string    `json:"trace_id"`
-		Root           string    `json:"root"`
-		Start          time.Time `json:"start"`
-		DurationMicros int64     `json:"duration_us"`
-		Status         string    `json:"status"`
-		Retained       string    `json:"retained"`
-		Spans          int       `json:"spans"`
-	} `json:"traces"`
 }
 
 func getJSON(url string, v any) error {

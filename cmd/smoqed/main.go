@@ -9,7 +9,7 @@
 //	smoqed [-addr :8640] [-cache 256] [-timeout 30s]
 //	       [-doc name=file.xml ...] [-snapshot-dir DIR]
 //	       [-corpus-dir DIR] [-corpus-scan 2s]
-//	       [-corpus-max-queries 4] [-corpus-workers GOMAXPROCS≤8]
+//	       [-corpus-max-queries 4]
 //	       [-view name=spec.view,source.dtd,target.dtd ...]
 //	       [-sample] [-pprof]
 //	       [-parallelism 0] [-max-concurrent 4×GOMAXPROCS] [-queue-wait 100ms]
@@ -80,7 +80,6 @@ func main() {
 	corpusDir := flag.String("corpus-dir", "", "serve collections from this directory (one collection per subdirectory of XML/snapshot files)")
 	corpusScan := flag.Duration("corpus-scan", 0, "corpus background rescan interval, which also paces retries of failing documents (0 = default 2s)")
 	corpusMaxQueries := flag.Int("corpus-max-queries", 0, "concurrent fan-out queries per collection (0 = default 4, negative unbounded)")
-	corpusWorkers := flag.Int("corpus-workers", 0, "documents evaluated concurrently per fan-out query (0 = GOMAXPROCS capped at 8)")
 
 	var docFlags, viewFlags multiFlag
 	flag.Var(&docFlags, "doc", "register a document at startup: name=file.xml (repeatable)")
@@ -110,7 +109,6 @@ func main() {
 
 		CorpusScanInterval:         *corpusScan,
 		CorpusMaxConcurrentQueries: *corpusMaxQueries,
-		CorpusWorkers:              *corpusWorkers,
 		CorpusLogf:                 log.Printf,
 	})
 

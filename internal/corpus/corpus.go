@@ -44,6 +44,10 @@ const (
 // already running for the collection; callers retry after a scan interval.
 var ErrReindexInProgress = errors.New("corpus: reindex already in progress")
 
+// ErrUnknownCollection reports a request naming no collection of the
+// corpus.
+var ErrUnknownCollection = errors.New("corpus: unknown collection")
+
 // quarantineError marks a validation failure as permanent: no retries, the
 // document goes straight to quarantine.
 type quarantineError struct {
@@ -132,6 +136,10 @@ type CollectionInfo struct {
 	Stale       bool      `json:"stale"`
 	LastScan    time.Time `json:"last_scan"`
 }
+
+// Degraded reports whether some document is quarantined or the index is
+// stale. A degraded collection keeps serving its last good generation.
+func (ci CollectionInfo) Degraded() bool { return ci.Quarantined > 0 || ci.Stale }
 
 // Collection is one directory of documents plus its manifest state.
 type Collection struct {
@@ -346,7 +354,7 @@ func (c *Collection) Name() string { return c.name }
 func (m *Manager) Reindex(ctx context.Context, name string) (CollectionInfo, error) {
 	c, ok := m.Collection(name)
 	if !ok {
-		return CollectionInfo{}, fmt.Errorf("corpus: unknown collection %q", name)
+		return CollectionInfo{}, fmt.Errorf("%w %q", ErrUnknownCollection, name)
 	}
 	c.mu.Lock()
 	if c.scanning {

@@ -3,6 +3,7 @@ package corpus
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -536,7 +537,7 @@ func TestReindexInProgress(t *testing.T) {
 	if _, err := m.Reindex(context.Background(), "col"); err != nil {
 		t.Errorf("Reindex after scan: %v", err)
 	}
-	if _, err := m.Reindex(context.Background(), "nope"); err == nil || !strings.Contains(err.Error(), "unknown collection") {
+	if _, err := m.Reindex(context.Background(), "nope"); !errors.Is(err, ErrUnknownCollection) || !strings.Contains(err.Error(), `unknown collection "nope"`) {
 		t.Errorf("Reindex(unknown) err = %v", err)
 	}
 }

@@ -31,7 +31,7 @@ import (
 )
 
 // elapsedRe masks the only nondeterministic field of a QueryResponse.
-var elapsedRe = regexp.MustCompile(`"elapsed_us": \d+`)
+var elapsedRe = regexp.MustCompile(`"elapsed_us": ?\d+`)
 
 func maskElapsed(b []byte) string {
 	return string(elapsedRe.ReplaceAll(b, []byte(`"elapsed_us": X`)))

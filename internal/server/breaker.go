@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 )
@@ -13,13 +14,14 @@ const (
 	breakerHalfOpen = "half-open"
 )
 
-// BreakerOpenError rejects a request because the target view's circuit
-// breaker is open: recent requests against it kept failing with server
-// faults (panics, injected faults, timeouts), so the server sheds load on
-// that view until a probe succeeds. The HTTP layer maps it to 503 Service
-// Unavailable with a Retry-After header.
+// BreakerOpenError rejects a request because the target view's or
+// collection's circuit breaker is open: recent requests against it kept
+// failing with server faults (panics, injected faults, timeouts), so the
+// server sheds load on it until a probe succeeds. The HTTP layer maps it
+// to 503 Service Unavailable with a Retry-After header.
 type BreakerOpenError struct {
-	// View names the tripped breaker ("" is the direct-document breaker).
+	// View names the tripped breaker: "" is the direct-document breaker,
+	// "collection/<name>" a collection's, any other key a view's.
 	View string
 	// RetryAfter is how long until the breaker will admit a probe.
 	RetryAfter time.Duration
@@ -27,19 +29,22 @@ type BreakerOpenError struct {
 
 func (e *BreakerOpenError) Error() string {
 	which := "document queries"
-	if e.View != "" {
+	if name, ok := strings.CutPrefix(e.View, collectionBreakerPrefix); ok {
+		which = fmt.Sprintf("collection %q", name)
+	} else if e.View != "" {
 		which = fmt.Sprintf("view %q", e.View)
 	}
 	return fmt.Sprintf("server: circuit breaker open for %s (retry in %s)", which, e.RetryAfter.Round(time.Millisecond))
 }
 
 // breakerGroup holds one circuit breaker per view (the empty view name
-// covers direct document queries). A breaker trips open after threshold
-// consecutive server faults; an open breaker rejects requests for the
-// cooldown, then admits a single half-open probe whose outcome decides:
-// success closes the breaker, failure re-opens it for another cooldown.
-// Client-caused failures (bad queries, budget violations, cancellations)
-// never count — a breaker guards against a *view* whose evaluations break
+// covers direct document queries) and one per collection, keyed
+// "collection/<name>". A breaker trips open after threshold consecutive
+// server faults; an open breaker rejects requests for the cooldown, then
+// admits a single half-open probe whose outcome decides: success closes
+// the breaker, failure re-opens it for another cooldown. Client-caused
+// failures (bad queries, budget violations, cancellations) never count —
+// a breaker guards against a *view* or collection whose evaluations break
 // the server, not against clients who send garbage.
 type breakerGroup struct {
 	threshold int           // consecutive faults to trip; <= 0 disables

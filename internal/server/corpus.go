@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"time"
 
 	"smoqe"
@@ -85,19 +86,20 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.corpus.Infos())
 }
 
-// collectionDetail is the GET /collections/{name} payload: the summary
+// CollectionDetail is the GET /collections/{name} payload: the summary
 // plus every document's status (quarantine reasons included).
-type collectionDetail struct {
+type CollectionDetail struct {
 	corpus.CollectionInfo
-	Docs []collectionDocInfo `json:"docs"`
+	Docs []CollectionDoc `json:"docs"`
 }
 
-type collectionDocInfo struct {
-	Name     string `json:"name"`
-	Status   string `json:"status"`
-	Reason   string `json:"reason,omitempty"`
-	Retries  int    `json:"retries,omitempty"`
-	Elements int    `json:"elements,omitempty"`
+// CollectionDoc is one document's entry in a CollectionDetail.
+type CollectionDoc struct {
+	Name     string        `json:"name"`
+	Status   corpus.Status `json:"status"`
+	Reason   string        `json:"reason,omitempty"`
+	Retries  int           `json:"retries,omitempty"`
+	Elements int           `json:"elements,omitempty"`
 }
 
 func (s *Server) handleCollectionGet(w http.ResponseWriter, r *http.Request) {
@@ -108,14 +110,14 @@ func (s *Server) handleCollectionGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	c, ok := s.corpus.Collection(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("server: collection %q not registered", name))
+		writeError(w, http.StatusNotFound, fmt.Errorf("server: collection %q %w", name, errNotRegistered))
 		return
 	}
-	detail := collectionDetail{CollectionInfo: s.corpus.Info(c)}
+	detail := CollectionDetail{CollectionInfo: s.corpus.Info(c)}
 	for _, d := range c.Docs() {
-		detail.Docs = append(detail.Docs, collectionDocInfo{
+		detail.Docs = append(detail.Docs, CollectionDoc{
 			Name:     d.Name,
-			Status:   string(d.Status),
+			Status:   d.Status,
 			Reason:   d.Reason,
 			Retries:  d.Retries,
 			Elements: d.Fingerprint.Elements,
@@ -172,9 +174,9 @@ func (s *Server) handleCollectionQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// corpusBreakerKey namespaces collection breakers away from view breakers
-// in health and metric labels.
-func corpusBreakerKey(collection string) string { return "collection/" + collection }
+// collectionBreakerPrefix namespaces collection breakers away from view
+// breakers in the one breaker group, health and metric labels.
+const collectionBreakerPrefix = "collection/"
 
 // collectionQuery is the fan-out path. Errors before the first body byte
 // return to the handler for a proper status; once streaming has started
@@ -188,26 +190,26 @@ func (s *Server) collectionQuery(ctx context.Context, w http.ResponseWriter, nam
 	}
 	c, ok := s.corpus.Collection(name)
 	if !ok {
-		return fmt.Errorf("server: collection %q not registered", name)
+		return fmt.Errorf("server: collection %q %w", name, errNotRegistered)
 	}
 	var view *ViewEntry
 	if req.View != "" {
 		if view, ok = s.reg.View(req.View); !ok {
-			return fmt.Errorf("server: view %q not registered", req.View)
+			return fmt.Errorf("server: view %q %w", req.View, errNotRegistered)
 		}
 	}
 
 	// Per-collection circuit breaker: a collection whose fan-outs keep
 	// failing with server faults is short-circuited before any plan or
 	// admission slot is spent on it.
-	bkey := corpusBreakerKey(name)
-	if ok, retry := s.corpusBrk.allow(bkey); !ok {
+	bkey := collectionBreakerPrefix + name
+	if ok, retry := s.brk.allow(bkey); !ok {
 		s.met.breakerRejected.Inc()
 		return &BreakerOpenError{View: bkey, RetryAfter: retry}
 	}
 	serverFault := false
 	defer func() {
-		s.corpusBrk.record(bkey, serverFault || (err != nil && isServerFault(err)))
+		s.brk.record(bkey, serverFault || (err != nil && isServerFault(err)))
 	}()
 
 	plan, _, err := s.plan(ctx, QueryRequest{Query: req.Query, View: req.View}, view)
@@ -299,46 +301,38 @@ type docEval struct {
 	err error
 }
 
-// fanOut evaluates the documents on a bounded worker pool, each over its
-// columnar form, and returns one
-// single-use buffered channel per document, so the caller can stream
-// results in document-name order while later documents are still
-// evaluating. Every channel receives exactly one value. Workers share the
-// immutable documents; each evaluation binds its own.
+// fanOut evaluates the documents on a worker pool of GOMAXPROCS workers,
+// at most 8 and never more than the documents, each over its columnar
+// form, and returns one single-use buffered channel per document, so the
+// caller can stream results in document-name order while later documents
+// are still evaluating. Every channel receives exactly one value. Workers
+// share the immutable documents; each evaluation binds its own.
 func (s *Server) fanOut(ctx context.Context, plan *smoqe.PreparedQuery, docs []*corpus.Doc) []chan docEval {
 	results := make([]chan docEval, len(docs))
 	for i := range results {
 		results[i] = make(chan docEval, 1)
 	}
-	workers := s.cfg.CorpusWorkers
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(runtime.GOMAXPROCS(0), 8, len(docs))
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := range idx {
 				// Panic isolation per document: a poisoned evaluation
 				// surfaces as that document's error, not a killed daemon or
-				// a reader blocked on an unfilled channel.
-				perr := guard.Protect("corpus.eval", func() error {
+				// a reader blocked on an unfilled channel. The document's
+				// span ends before its result is handed over, so it is
+				// recorded before the request's root span can end.
+				var ids []int
+				err := guard.Protect("corpus.eval", func() error {
 					dctx, dsp := trace.Start(ctx, "corpus.eval.doc")
 					defer dsp.End()
 					dsp.Attr("doc", docs[i].Name)
-					res, eerr := plan.Eval(dctx, nil, smoqe.EvalOptions{Columnar: docs[i].Col, Limits: s.cfg.EvalLimits})
-					if eerr != nil {
-						dsp.Error(eerr)
-						return eerr
-					}
-					results[i] <- docEval{ids: res.IDs}
-					return nil
+					res, err := plan.Eval(dctx, nil, smoqe.EvalOptions{Columnar: docs[i].Col, Limits: s.cfg.EvalLimits})
+					dsp.Error(err)
+					ids = res.IDs
+					return err
 				})
-				if perr != nil {
-					results[i] <- docEval{err: perr}
-				}
+				results[i] <- docEval{ids: ids, err: err}
 			}
 		}()
 	}
@@ -394,10 +388,9 @@ func newCollectionStream(w http.ResponseWriter, name string, info corpus.Collect
 	cs := &collectionStream{w: w}
 	cs.flusher, _ = w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/json")
-	degraded := info.Quarantined > 0 || info.Stale
 	fmt.Fprintf(w, "{\"collection\":%s,\"generation\":%d,\"stale\":%t,\"degraded\":%t,"+
 		"\"docs_indexed\":%d,\"docs_pending\":%d,\"docs_quarantined\":%d,\"docs_skipped_prefilter\":%d,\"results\":[",
-		jsonString(name), info.Generation, info.Stale, degraded,
+		jsonString(name), info.Generation, info.Stale, info.Degraded(),
 		info.Indexed, info.Pending, info.Quarantined, skipped)
 	return cs
 }
@@ -449,35 +442,18 @@ func (cs *collectionStream) finishError(err error) {
 	}
 }
 
-// CorpusHealth is one collection's health summary inside /healthz.
-type CorpusHealth struct {
-	Generation  uint64 `json:"generation"`
-	Indexed     int    `json:"indexed"`
-	Pending     int    `json:"pending,omitempty"`
-	Quarantined int    `json:"quarantined"`
-	Stale       bool   `json:"stale"`
-}
-
 // corpusHealth assembles the per-collection health map and reports whether
 // any collection degrades the server (quarantined documents or a stale
 // index keep serving their last good generation, but visibly so).
-func (s *Server) corpusHealth() (map[string]CorpusHealth, bool) {
+func (s *Server) corpusHealth() (map[string]corpus.CollectionInfo, bool) {
 	if s.corpus == nil {
 		return nil, false
 	}
 	degraded := false
-	out := make(map[string]CorpusHealth)
+	out := make(map[string]corpus.CollectionInfo)
 	for _, info := range s.corpus.Infos() {
-		out[info.Name] = CorpusHealth{
-			Generation:  info.Generation,
-			Indexed:     info.Indexed,
-			Pending:     info.Pending,
-			Quarantined: info.Quarantined,
-			Stale:       info.Stale,
-		}
-		if info.Quarantined > 0 || info.Stale {
-			degraded = true
-		}
+		out[info.Name] = info
+		degraded = degraded || info.Degraded()
 	}
 	return out, degraded
 }

@@ -73,13 +73,13 @@ func TestCollectionEndpoints(t *testing.T) {
 	}
 
 	var detail struct {
-		Docs []collectionDocInfo `json:"docs"`
+		Docs []CollectionDoc `json:"docs"`
 	}
 	getJSON(t, ts, "/collections/ward", &detail)
 	if len(detail.Docs) != 4 {
 		t.Fatalf("GET /collections/ward docs = %+v", detail.Docs)
 	}
-	byName := map[string]collectionDocInfo{}
+	byName := map[string]CollectionDoc{}
 	for _, d := range detail.Docs {
 		byName[d.Name] = d
 	}
@@ -134,12 +134,71 @@ func TestCollectionEndpoints(t *testing.T) {
 	if resp, _ := postJSON(t, ts, "/collections/ward/query", map[string]any{"query": ""}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty query: %d, want 400", resp.StatusCode)
 	}
+	if resp, _ := postJSON(t, ts, "/collections/nowhere/reindex", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("reindex of unknown collection: %d, want 404", resp.StatusCode)
+	}
 
 	// The quarantined document degrades health, with corpus counts visible.
+	// Each /healthz corpus entry is the collection's CollectionInfo.
 	var h HealthInfo
 	getJSON(t, ts, "/healthz", &h)
-	if h.Status != "degraded" || h.Corpus["ward"].Quarantined != 1 || h.Corpus["ward"].Indexed != 3 {
+	if w := h.Corpus["ward"]; h.Status != "degraded" || w.Name != "ward" || w.LastScan.IsZero() ||
+		w.Quarantined != 1 || w.Indexed != 3 || !w.Degraded() {
 		t.Fatalf("healthz = %+v", h)
+	}
+	var raw struct {
+		Corpus map[string]map[string]any `json:"corpus"`
+	}
+	getJSON(t, ts, "/healthz", &raw)
+	for _, key := range []string{"name", "generation", "indexed", "pending", "quarantined", "stale", "last_scan"} {
+		if _, ok := raw.Corpus["ward"][key]; !ok {
+			t.Errorf("/healthz corpus entry lacks %q: %v", key, raw.Corpus["ward"])
+		}
+	}
+}
+
+// TestTracedFanOutOneSpanPerDocument: a fan-out's trace holds one
+// corpus.eval.doc span per evaluated document, naming it, and no eval.*
+// span under it: the document span is that evaluation's only span.
+func TestTracedFanOutOneSpanPerDocument(t *testing.T) {
+	s, ts := newCorpusServer(t, Config{TraceLatencyRetention: time.Nanosecond, TraceSampleEvery: -1})
+	for _, prefilter := range []bool{true, false} {
+		resp, body := postJSON(t, ts, "/collections/ward/query", map[string]any{"query": "b", "prefilter": prefilter})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST query: %d %s", resp.StatusCode, body)
+		}
+		var qr struct {
+			Indexed int `json:"docs_indexed"`
+			Skipped int `json:"docs_skipped_prefilter"`
+		}
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatalf("decoding %s: %v", body, err)
+		}
+		d := waitForTrace(t, s, resp.Header.Get("X-Smoqe-Trace-Id"))
+		evalDocs := map[string]bool{}
+		docSpans := map[string]bool{}
+		for _, sp := range d.Spans {
+			if sp.Name == "corpus.eval.doc" {
+				docSpans[sp.ID] = true
+				for _, a := range sp.Attrs {
+					if a.Key == "doc" {
+						evalDocs[a.Value] = true
+					}
+				}
+			}
+			if strings.HasPrefix(sp.Name, "eval") {
+				t.Errorf("prefilter %v: fan-out trace has a %q span", prefilter, sp.Name)
+			}
+		}
+		if want := qr.Indexed - qr.Skipped; len(docSpans) != want || len(evalDocs) != want {
+			t.Errorf("prefilter %v: %d corpus.eval.doc spans over %d documents, want one per evaluated document (%d)",
+				prefilter, len(docSpans), len(evalDocs), want)
+		}
+		for _, sp := range d.Spans {
+			if docSpans[sp.Parent] {
+				t.Errorf("prefilter %v: corpus.eval.doc has a child span %q", prefilter, sp.Name)
+			}
+		}
 	}
 }
 
@@ -218,7 +277,7 @@ func TestCollectionFanOutSheds(t *testing.T) {
 	if !strings.Contains(string(raw), "\nsmoqe_shed_total 1\n") {
 		t.Errorf("smoqe_shed_total is not 1 after one shed fan-out:\n%s", raw)
 	}
-	if st := s.Health().Breakers[corpusBreakerKey("ward")]; st != "" && st != breakerClosed {
+	if st := s.Health().Breakers["collection/ward"]; st != "" && st != breakerClosed {
 		t.Errorf("shed load moved the collection breaker to %q", st)
 	}
 
@@ -228,6 +287,36 @@ func TestCollectionFanOutSheds(t *testing.T) {
 	}
 	if got := len(sem); got != 0 {
 		t.Errorf("slot leaked: %d in flight after completion", got)
+	}
+}
+
+// TestCollectionBreakerSharesGroup: a collection's breaker lives in the
+// server's one breaker group under "collection/<name>": server faults on
+// fan-outs open it, /healthz lists it next to the view breakers, and the
+// rejection names the collection.
+func TestCollectionBreakerSharesGroup(t *testing.T) {
+	t.Cleanup(failpoint.DisableAll)
+	s, ts := newCorpusServer(t, Config{BreakerThreshold: 2})
+	if err := failpoint.Enable(failpoint.SiteServerPlanBuild, "error"); err != nil {
+		t.Fatal(err)
+	}
+	// Failed builds are never cached, so each fan-out builds and faults.
+	for _, q := range []string{"b", "c"} {
+		if resp, body := postJSON(t, ts, "/collections/ward/query", CollectionQueryRequest{Query: q}); resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("faulted fan-out: %d %s, want 500", resp.StatusCode, body)
+		}
+	}
+	failpoint.DisableAll()
+	h := s.Health()
+	if h.Breakers["collection/ward"] != breakerOpen || len(h.Breakers) != 1 || h.Status != "degraded" {
+		t.Fatalf("health after faults: breakers %v, status %q", h.Breakers, h.Status)
+	}
+	resp, body := postJSON(t, ts, "/collections/ward/query", CollectionQueryRequest{Query: "b"})
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("fan-out on an open breaker: %d %s, want 503 with Retry-After", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), `circuit breaker open for collection \"ward\"`) {
+		t.Errorf("rejection does not name the collection: %s", body)
 	}
 }
 

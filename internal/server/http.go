@@ -10,10 +10,10 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"smoqe"
+	"smoqe/internal/corpus"
 	"smoqe/internal/failpoint"
 	"smoqe/internal/guard"
 	"smoqe/internal/trace"
@@ -241,17 +241,17 @@ func slowEntry(d *trace.Data) (e SlowQuery, ok bool) {
 	return e, ok
 }
 
-// tracesResponse is the GET /traces payload: lifetime retention counters
+// TracesResponse is the GET /traces payload: lifetime retention counters
 // plus a summary of every retained trace, newest first.
-type tracesResponse struct {
+type TracesResponse struct {
 	RetainedTotal int64          `json:"retained_total"`
 	DroppedTotal  int64          `json:"dropped_total"`
 	SpansTotal    int64          `json:"spans_total"`
-	Traces        []traceSummary `json:"traces"`
+	Traces        []TraceSummary `json:"traces"`
 }
 
-// traceSummary is one retained trace without its spans.
-type traceSummary struct {
+// TraceSummary is one retained trace without its spans.
+type TraceSummary struct {
 	TraceID        string    `json:"trace_id"`
 	Root           string    `json:"root"`
 	Start          time.Time `json:"start"`
@@ -269,14 +269,14 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	retained, dropped, spans := store.Totals()
 	all := store.Snapshot()
-	out := tracesResponse{
+	out := TracesResponse{
 		RetainedTotal: retained,
 		DroppedTotal:  dropped,
 		SpansTotal:    spans,
-		Traces:        make([]traceSummary, 0, len(all)),
+		Traces:        make([]TraceSummary, 0, len(all)),
 	}
 	for _, d := range all {
-		out.Traces = append(out.Traces, traceSummary{
+		out.Traces = append(out.Traces, TraceSummary{
 			TraceID:        d.TraceID,
 			Root:           d.Root,
 			Start:          d.Start,
@@ -382,7 +382,7 @@ func statusFor(err error) int {
 		return http.StatusRequestEntityTooLarge
 	case errors.As(err, &pe), errors.As(err, &fe):
 		return http.StatusInternalServerError
-	case strings.Contains(err.Error(), "not registered"):
+	case errors.Is(err, errNotRegistered), errors.Is(err, corpus.ErrUnknownCollection):
 		return http.StatusNotFound
 	default:
 		return http.StatusBadRequest
@@ -392,9 +392,7 @@ func statusFor(err error) int {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -573,7 +571,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	}
 	entry, ok := s.reg.Document(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("server: document %q not registered", name))
+		writeError(w, http.StatusNotFound, fmt.Errorf("server: document %q %w", name, errNotRegistered))
 		return
 	}
 	cd := entry.Col

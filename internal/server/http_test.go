@@ -128,9 +128,13 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("register without name: %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts, "/docs", map[string]string{"name": "d", "xml": "<not-xml"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("register bad xml: %d, want 400", resp.StatusCode)
+	// Malformed XML is a client error whatever the document is called,
+	// even when the parse error quotes a name that reads "not registered".
+	for _, name := range []string{"d", "not registered"} {
+		resp, _ = postJSON(t, ts, "/docs", map[string]string{"name": name, "xml": "<not-xml"})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("register bad xml as %q: %d, want 400", name, resp.StatusCode)
+		}
 	}
 	resp, _ = postJSON(t, ts, "/query", map[string]string{"bogus_field": "x"})
 	if resp.StatusCode != http.StatusBadRequest {

@@ -101,9 +101,6 @@ type Config struct {
 	// collection (default 4; negative disables the bound). Excess requests
 	// queue up to QueueWait and are then shed with ErrOverloaded.
 	CorpusMaxConcurrentQueries int
-	// CorpusWorkers is the per-query document fan-out worker count
-	// (default GOMAXPROCS capped at 8; negative means 1).
-	CorpusWorkers int
 	// CorpusLogf receives corpus operational messages (quarantines,
 	// manifest recovery fallbacks). Nil means silent.
 	CorpusLogf func(format string, args ...any)
@@ -127,12 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CorpusMaxConcurrentQueries == 0 {
 		c.CorpusMaxConcurrentQueries = 4
-	}
-	if c.CorpusWorkers == 0 {
-		c.CorpusWorkers = runtime.GOMAXPROCS(0)
-		if c.CorpusWorkers > 8 {
-			c.CorpusWorkers = 8
-		}
 	}
 	if (c.MaxConcurrentEvals > 0 || c.CorpusMaxConcurrentQueries > 0) && c.QueueWait == 0 {
 		c.QueueWait = 100 * time.Millisecond
@@ -172,6 +163,10 @@ func (c Config) withDefaults() Config {
 // layer maps it to 429 Too Many Requests with a Retry-After header.
 var ErrOverloaded = errors.New("server: overloaded, retry later")
 
+// errNotRegistered marks a request that names an unknown document, view
+// or collection; the HTTP layer answers it with 404.
+var errNotRegistered = errors.New("not registered")
+
 // Server answers regular XPath queries over registered documents and
 // views. It is safe for concurrent use: the registry copy-on-registers,
 // plans are cached and shared, and every evaluation runs on a pooled
@@ -185,16 +180,13 @@ type Server struct {
 	// sem is the admission-control semaphore (nil when unbounded): one
 	// slot per concurrently running evaluation.
 	sem chan struct{}
-	// brk holds the per-view circuit breakers (nil threshold ⇒ disabled).
+	// brk holds the circuit breakers, one per view and one per collection
+	// (keyed "collection/<name>"); a non-positive threshold disables them.
 	brk *breakerGroup
 	// tracer starts per-request traces (nil when tracing is disabled).
 	tracer *trace.Tracer
 	// corpus is the attached collection manager (nil until OpenCorpus).
 	corpus *corpus.Manager
-	// corpusBrk holds the per-collection circuit breakers for fan-out
-	// queries, keyed "collection/<name>" to stay distinguishable from view
-	// breakers in health and metric labels.
-	corpusBrk *breakerGroup
 	// corpusSems holds the per-collection admission semaphores, created
 	// lazily on first query.
 	corpusSemMu sync.Mutex
@@ -216,10 +208,8 @@ func New(cfg Config) *Server {
 	}
 	s.reg.SetParseLimits(cfg.ParseLimits)
 	s.brk = newBreakerGroup(cfg.BreakerThreshold, cfg.BreakerCooldown)
-	s.corpusBrk = newBreakerGroup(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	s.met = newMetrics(s)
 	s.brk.onTransition = s.met.breakerTransition
-	s.corpusBrk.onTransition = s.met.breakerTransition
 	if cfg.TraceStoreSize > 0 {
 		s.tracer = trace.New(trace.Config{
 			Capacity:         cfg.TraceStoreSize,
@@ -570,14 +560,14 @@ func (s *Server) resolve(ctx context.Context, req QueryRequest) (*DocEntry, *Vie
 	defer sp.End()
 	doc, ok := s.reg.Document(req.Doc)
 	if !ok {
-		err := fmt.Errorf("server: document %q not registered", req.Doc)
+		err := fmt.Errorf("server: document %q %w", req.Doc, errNotRegistered)
 		sp.Error(err)
 		return nil, nil, err
 	}
 	var view *ViewEntry
 	if req.View != "" {
 		if view, ok = s.reg.View(req.View); !ok {
-			err := fmt.Errorf("server: view %q not registered", req.View)
+			err := fmt.Errorf("server: view %q %w", req.View, errNotRegistered)
 			sp.Error(err)
 			return nil, nil, err
 		}
@@ -818,10 +808,10 @@ type HealthInfo struct {
 	// open breaker degrades Status to "degraded".
 	Breakers map[string]string `json:"breakers,omitempty"`
 	// Corpus maps each collection to its serving state. Present only when
-	// a corpus is attached. A collection with quarantined documents or a
-	// stale index keeps serving its last good generation but degrades
+	// a corpus is attached. A degraded collection (quarantined documents or
+	// a stale index) keeps serving its last good generation but degrades
 	// Status to "degraded".
-	Corpus map[string]CorpusHealth `json:"corpus,omitempty"`
+	Corpus map[string]corpus.CollectionInfo `json:"corpus,omitempty"`
 }
 
 // Health returns the server's build/version/uptime report.
@@ -832,12 +822,6 @@ func (s *Server) Health() HealthInfo {
 		Started:       s.start,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Breakers:      s.brk.snapshot(),
-	}
-	for key, state := range s.corpusBrk.snapshot() {
-		if h.Breakers == nil {
-			h.Breakers = make(map[string]string)
-		}
-		h.Breakers[key] = state
 	}
 	for _, state := range h.Breakers {
 		if state != breakerClosed {

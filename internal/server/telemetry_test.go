@@ -376,7 +376,7 @@ func TestCountsAgreeAcrossEndpoints(t *testing.T) {
 		post(QueryRequest{Doc: "hospital", Query: "//diagnosis", Trace: true})
 	}
 
-	var traces tracesResponse
+	var traces TracesResponse
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		rec := httptest.NewRecorder()

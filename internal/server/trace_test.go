@@ -77,7 +77,8 @@ func TestSampledRetentionPacedByTime(t *testing.T) {
 // TestTracedQueryEndToEnd is the tracing acceptance test: a "trace": true
 // request over HTTP yields a retained trace, fetchable from
 // GET /traces/{id}, whose span tree covers admission, the plan-cache
-// outcome, every shard worker, the merge and the root.
+// outcome, every shard worker, the merge and the root. The evaluation is
+// one span, eval, with the shard planner, workers and merge as children.
 func TestTracedQueryEndToEnd(t *testing.T) {
 	s := newLoadedServer(t, Config{
 		MaxParallelism:        4,
@@ -128,13 +129,21 @@ func TestTracedQueryEndToEnd(t *testing.T) {
 		byName[sp.Name]++
 		ids[sp.ID] = sp
 	}
-	for _, want := range []string{"http", "registry", "plan", "plan.build", "admit", "eval", "eval.parallel", "hype.plan", "hype.merge"} {
+	for _, want := range []string{"http", "registry", "plan", "plan.build", "admit", "eval", "hype.plan", "hype.merge"} {
 		if byName[want] != 1 {
 			t.Errorf("span %q appears %d times, want 1 (spans: %v)", want, byName[want], byName)
 		}
 	}
 	if byName["hype.shard"] != qr.Shards {
 		t.Errorf("%d hype.shard spans, want one per shard (%d)", byName["hype.shard"], qr.Shards)
+	}
+	for _, sp := range d.Spans {
+		if strings.HasPrefix(sp.Name, "eval.") {
+			t.Errorf("span %q: an evaluation is the one eval span", sp.Name)
+		}
+		if strings.HasPrefix(sp.Name, "hype.") && ids[sp.Parent].Name != "eval" {
+			t.Errorf("span %s is a child of %q, want eval", sp.Name, ids[sp.Parent].Name)
+		}
 	}
 
 	// Parent links form a tree rooted at the http span, and every child's
@@ -180,7 +189,7 @@ func TestTracedQueryEndToEnd(t *testing.T) {
 	}
 
 	// Both traces show up in the GET /traces listing, newest first.
-	var list tracesResponse
+	var list TracesResponse
 	getJSON(t, ts, "/traces", &list)
 	if list.RetainedTotal < 2 || len(list.Traces) < 2 {
 		t.Fatalf("GET /traces: retained=%d listed=%d, want >= 2", list.RetainedTotal, len(list.Traces))
@@ -375,7 +384,7 @@ func TestSharedTraceIDKeepsEveryRequest(t *testing.T) {
 	}
 	// The 1ns threshold also retains the GET /slow polls; count only the
 	// two propagated requests.
-	var list tracesResponse
+	var list TracesResponse
 	getJSON(t, ts, "/traces", &list)
 	shared := 0
 	for _, tr := range list.Traces {

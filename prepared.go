@@ -11,7 +11,6 @@ import (
 	"smoqe/internal/hype"
 	"smoqe/internal/mfa"
 	"smoqe/internal/rewrite"
-	"smoqe/internal/trace"
 	"smoqe/internal/xmltree"
 )
 
@@ -177,29 +176,12 @@ type EvalOptions struct {
 // once it is done, returning ctx's error and the partial statistics of the
 // aborted run. Safe to call from any number of goroutines concurrently;
 // the Result belongs to this call alone.
-//
-// The run is recorded as one span of ctx's trace, named after its
-// strategy: eval.traced, eval.parallel, eval.opthype or eval.hype.
 func (p *PreparedQuery) Eval(ctx context.Context, n *Node, opts EvalOptions) (Result, error) {
-	var sp *trace.Span
-	switch {
-	case opts.Trace > 0:
-		ctx, sp = trace.Start(ctx, "eval.traced")
-	case opts.Workers > 0:
-		ctx, sp = trace.Start(ctx, "eval.parallel")
-	case opts.Index != nil:
-		ctx, sp = trace.Start(ctx, "eval.opthype")
-	default:
-		ctx, sp = trace.Start(ctx, "eval.hype")
-	}
-	defer sp.End()
 	cd := opts.Columnar
 	var nodes []*Node
 	if cd == nil {
 		if n == nil {
-			err := errors.New("smoqe: Eval needs a node or EvalOptions.Columnar")
-			sp.Error(err)
-			return Result{}, err
+			return Result{}, errors.New("smoqe: Eval needs a node or EvalOptions.Columnar")
 		}
 		cd, nodes = colstore.FromNode(n)
 	}
@@ -212,9 +194,6 @@ func (p *PreparedQuery) Eval(ctx context.Context, n *Node, opts EvalOptions) (Re
 	})
 	if nodes != nil {
 		res.mapToNodes(nodes)
-	}
-	if err != nil {
-		sp.Error(err)
 	}
 	return res, err
 }
