@@ -118,6 +118,9 @@ func main() {
 		log.Printf("WARNING: failpoints armed (%s): %s", failpoint.EnvVar, strings.Join(failpoint.Armed(), " "))
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	if *sample {
 		if _, err := srv.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 			log.Fatalf("smoqed: -sample: %v", err)
@@ -132,11 +135,12 @@ func main() {
 		if !ok {
 			log.Fatalf("smoqed: -doc %q: want name=file.xml", spec)
 		}
-		raw, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err != nil {
 			log.Fatalf("smoqed: -doc %s: %v", name, err)
 		}
-		entry, err := srv.Registry().RegisterDocumentXML(name, string(raw))
+		entry, err := srv.LoadDocument(ctx, name, f, false)
+		f.Close()
 		if err != nil {
 			log.Fatalf("smoqed: -doc %s: %v", name, err)
 		}
@@ -174,9 +178,6 @@ func main() {
 		}
 		log.Printf("registered view %q (recursive=%v, |σ|=%d)", name, entry.View.IsRecursive(), entry.View.Size())
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	if *corpusDir != "" {
 		if err := srv.OpenCorpus(ctx, *corpusDir); err != nil {

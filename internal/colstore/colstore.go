@@ -14,6 +14,7 @@ package colstore
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -342,6 +343,30 @@ func CheckLimits(cd *Document, lim xmltree.ParseLimits) error {
 		}
 	}
 	return nil
+}
+
+// Decode reads one document from r into columns, held to lim: the one
+// decoder of outside bytes, which the server's intake and the corpus
+// indexer both call. A snapshot is read with ReadSnapshot and then held to
+// the depth and node bounds with CheckLimits; XML is parsed under every
+// bound with xmltree.ParseWithLimits and converted, and the tree dropped.
+// A bound exceeded is a *xmltree.LimitError.
+func Decode(r io.Reader, snapshot bool, lim xmltree.ParseLimits) (*Document, error) {
+	if snapshot {
+		cd, err := ReadSnapshot(r)
+		if err != nil {
+			return nil, err
+		}
+		if err := CheckLimits(cd, lim); err != nil {
+			return nil, err
+		}
+		return cd, nil
+	}
+	d, err := xmltree.ParseWithLimits(r, lim)
+	if err != nil {
+		return nil, err
+	}
+	return FromTree(d), nil
 }
 
 // validate checks the structural invariants a loaded snapshot must satisfy

@@ -659,39 +659,26 @@ func (m *Manager) indexDoc(ctx context.Context, c *Collection, name string, fi f
 	}, nil
 }
 
-// parseDoc decodes one document by extension into its columnar form: XML
-// is parsed under lim and converted (the pointer tree is dropped), a
-// snapshot is used as read once it fits lim's depth and node bounds.
-// Malformed or over-limit content is a permanent quarantineError; only
-// infrastructure failures stay retryable.
+// parseDoc decodes one document with colstore.Decode under lim, as a
+// snapshot when the name carries the snapshot extension and as XML
+// otherwise (the scan admits no other), and maps the decoder's error:
+// malformed or over-limit content is a permanent quarantineError; only an
+// injected fault, not a property of the bytes, stays retryable.
 func parseDoc(name string, data []byte, lim xmltree.ParseLimits) (*colstore.Document, error) {
-	switch filepath.Ext(name) {
-	case extXML:
-		tree, err := xmltree.ParseWithLimits(bytes.NewReader(data), lim)
-		if err != nil {
-			var fe *failpoint.Error
-			if errors.As(err, &fe) {
-				return nil, err // injected fault, not a property of the bytes
-			}
-			return nil, &quarantineError{reason: "parse: " + err.Error()}
+	snapshot := filepath.Ext(name) == extSnapshot
+	cd, err := colstore.Decode(bytes.NewReader(data), snapshot, lim)
+	if err != nil {
+		var fe *failpoint.Error
+		if errors.As(err, &fe) {
+			return nil, err
 		}
-		return colstore.FromTree(tree), nil
-	case extSnapshot:
-		cd, err := colstore.ReadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			var fe *failpoint.Error
-			if errors.As(err, &fe) {
-				return nil, err
-			}
-			return nil, &quarantineError{reason: "snapshot: " + err.Error()}
+		prefix := "parse: "
+		if snapshot {
+			prefix = "snapshot: "
 		}
-		if err := colstore.CheckLimits(cd, lim); err != nil {
-			return nil, &quarantineError{reason: "snapshot: " + err.Error()}
-		}
-		return cd, nil
-	default:
-		return nil, &quarantineError{reason: "unsupported extension"}
+		return nil, &quarantineError{reason: prefix + err.Error()}
 	}
+	return cd, nil
 }
 
 // toManifestDoc converts an in-memory record to its durable form.

@@ -14,7 +14,7 @@ import (
 func TestPlanCacheLRU(t *testing.T) {
 	c := NewPlanCache(2)
 	build := func(src string) func() (*smoqe.PreparedQuery, error) {
-		return func() (*smoqe.PreparedQuery, error) { return smoqe.PrepareString(src) }
+		return func() (*smoqe.PreparedQuery, error) { return smoqe.Prepare(nil, src) }
 	}
 	k := func(q string) PlanKey { return PlanKey{Query: q} }
 
@@ -78,7 +78,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 		builds++
 		mu.Unlock()
 		<-gate // hold every builder until all goroutines have arrived
-		return smoqe.PrepareString("//x")
+		return smoqe.Prepare(nil, "//x")
 	}
 	key := PlanKey{Query: "//x"}
 	const n = 8
@@ -111,7 +111,7 @@ func TestPlanCacheRemoveView(t *testing.T) {
 	c := NewPlanCache(8)
 	mk := func(view, q string) PlanKey { return PlanKey{View: view, Query: q} }
 	for _, k := range []PlanKey{mk("v1", "a"), mk("v1", "b"), mk("v2", "a"), mk("", "a")} {
-		if _, _, err := c.GetOrBuildOutcome(k, func() (*smoqe.PreparedQuery, error) { return smoqe.PrepareString("a") }); err != nil {
+		if _, _, err := c.GetOrBuildOutcome(k, func() (*smoqe.PreparedQuery, error) { return smoqe.Prepare(nil, "a") }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,10 +119,10 @@ func TestPlanCacheRemoveView(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("after RemoveView: len=%d, want 2", c.Len())
 	}
-	if _, out, _ := c.GetOrBuildOutcome(mk("v2", "a"), func() (*smoqe.PreparedQuery, error) { return smoqe.PrepareString("a") }); out != PlanCacheHit {
+	if _, out, _ := c.GetOrBuildOutcome(mk("v2", "a"), func() (*smoqe.PreparedQuery, error) { return smoqe.Prepare(nil, "a") }); out != PlanCacheHit {
 		t.Error("v2 plan should have survived")
 	}
-	if _, out, _ := c.GetOrBuildOutcome(mk("", "a"), func() (*smoqe.PreparedQuery, error) { return smoqe.PrepareString("a") }); out != PlanCacheHit {
+	if _, out, _ := c.GetOrBuildOutcome(mk("", "a"), func() (*smoqe.PreparedQuery, error) { return smoqe.Prepare(nil, "a") }); out != PlanCacheHit {
 		t.Error("viewless plan should have survived")
 	}
 }
@@ -138,7 +138,7 @@ func TestPlanCacheFirstBuildFailsSecondSucceeds(t *testing.T) {
 		if calls == 1 {
 			return nil, fmt.Errorf("transient failure")
 		}
-		return smoqe.PrepareString("department/patient")
+		return smoqe.Prepare(nil, "department/patient")
 	}
 	if _, _, err := c.GetOrBuildOutcome(key, build); err == nil {
 		t.Fatal("first build should have failed")
@@ -202,7 +202,7 @@ func TestPlanCacheBuildPanicReleasesWaiters(t *testing.T) {
 	}
 	// The slot is free again: a well-behaved build succeeds.
 	plan, _, err := c.GetOrBuildOutcome(key, func() (*smoqe.PreparedQuery, error) {
-		return smoqe.PrepareString("department/patient")
+		return smoqe.Prepare(nil, "department/patient")
 	})
 	if err != nil || plan == nil {
 		t.Fatalf("rebuild after panic: plan=%v err=%v", plan, err)

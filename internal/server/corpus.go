@@ -175,7 +175,8 @@ func (s *Server) handleCollectionQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // collectionBreakerPrefix namespaces collection breakers away from view
-// breakers in the one breaker group, health and metric labels.
+// breakers in the one breaker group, health and metric labels. It is
+// reserved: RegisterView refuses a view name that begins with it.
 const collectionBreakerPrefix = "collection/"
 
 // collectionQuery is the fan-out path. Errors before the first body byte

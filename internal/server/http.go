@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"smoqe"
@@ -484,41 +484,12 @@ func (s *Server) handleRegisterDoc(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	entry, err := s.registerDocumentXML(r.Context(), req.Name, req.XML)
+	entry, err := s.LoadDocument(r.Context(), req.Name, strings.NewReader(req.XML), false)
 	if err != nil {
-		s.countDocLimit(err)
 		writeError(w, statusFor(err), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, docInfoOf(entry))
-}
-
-// countDocLimit counts a document registration refused over a parse
-// limit, by cause.
-func (s *Server) countDocLimit(err error) {
-	var ple *smoqe.ParseLimitError
-	if errors.As(err, &ple) {
-		s.met.limitExceeded("doc-" + ple.What)
-	}
-}
-
-// registerDocumentXML parses and registers one document under a "parse"
-// span (the XML parse dominates the handler's cost).
-func (s *Server) registerDocumentXML(ctx context.Context, name, xmlText string) (*DocEntry, error) {
-	_, sp := trace.Start(ctx, "parse")
-	defer sp.End()
-	sp.Attr("doc", name)
-	entry, err := s.reg.RegisterDocumentXML(name, xmlText)
-	if err != nil {
-		var fe *failpoint.Error
-		if errors.As(err, &fe) {
-			sp.Event("failpoint", "site", fe.Site)
-		}
-		sp.Error(err)
-		return nil, err
-	}
-	sp.AttrInt("elements", int64(entry.Stats.Elements))
-	return entry, nil
 }
 
 type viewInfo struct {
@@ -600,7 +571,7 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.MaxBodyBytes > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	}
-	entry, err := s.registerSnapshot(r.Context(), name, body)
+	entry, err := s.LoadDocument(r.Context(), name, body, true)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -608,36 +579,10 @@ func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("snapshot exceeds the %d-byte limit", mbe.Limit))
 			return
 		}
-		s.countDocLimit(err)
 		writeError(w, statusFor(err), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, docInfoOf(entry))
-}
-
-// registerSnapshot reads a binary snapshot and registers it under a
-// "snapshot.load" span covering read + validate + register (the same
-// window smoqe_snapshot_load_seconds observes).
-func (s *Server) registerSnapshot(ctx context.Context, name string, body io.Reader) (*DocEntry, error) {
-	_, sp := trace.Start(ctx, "snapshot.load")
-	defer sp.End()
-	sp.Attr("doc", name)
-	start := time.Now()
-	cd, err := smoqe.ReadSnapshot(body)
-	if err != nil {
-		err = fmt.Errorf("server: snapshot %q: %w", name, err)
-		sp.Error(err)
-		return nil, err
-	}
-	entry, err := s.reg.RegisterSnapshot(name, cd)
-	if err != nil {
-		sp.Error(err)
-		return nil, err
-	}
-	s.met.snapshotLoads.Inc()
-	s.met.snapshotLoadTime.Observe(time.Since(start).Seconds())
-	sp.AttrInt("elements", int64(entry.Stats.Elements))
-	return entry, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -175,3 +175,33 @@ func TestNegativeMaxPathsIsUncapped(t *testing.T) {
 		}
 	}
 }
+
+// TestViewNameReservedPrefix: collection breakers are keyed
+// "collection/<name>", so a view so named would share that collection's
+// breaker. POST /views refuses the name with 400 and GET /views never
+// lists it; other names still register.
+func TestViewNameReservedPrefix(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	register := func(name string) int {
+		resp, _ := postJSON(t, ts, "/views", map[string]string{
+			"name":       name,
+			"spec":       hospital.Sigma0Source,
+			"source_dtd": hospital.DocDTDSource,
+			"target_dtd": hospital.ViewDTDSource,
+		})
+		return resp.StatusCode
+	}
+	if got := register("collection/ward"); got != http.StatusBadRequest {
+		t.Errorf("POST /views collection/ward: %d, want 400", got)
+	}
+	if got := register("ward"); got != http.StatusCreated {
+		t.Errorf("POST /views ward: %d, want 201", got)
+	}
+	var views []viewInfo
+	getJSON(t, ts, "/views", &views)
+	if len(views) != 1 || views[0].Name != "ward" {
+		t.Errorf("GET /views = %+v, want only ward", views)
+	}
+}

@@ -9,6 +9,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -59,7 +60,8 @@ type ViewEntry struct {
 }
 
 // Registry holds the documents and views the server can answer queries
-// against. All methods are safe for concurrent use.
+// against. All methods are safe for concurrent use. Outside bytes reach it
+// decoded, through Server.LoadDocument; views through Server.RegisterView.
 type Registry struct {
 	mu sync.RWMutex
 	// docs is guarded by mu.
@@ -67,9 +69,6 @@ type Registry struct {
 	// views is guarded by mu.
 	views   map[string]*ViewEntry
 	viewGen uint64 // guarded by mu; the last ViewEntry.Gen handed out
-	// lim bounds documents registered from XML text or a snapshot (see
-	// SetParseLimits); the zero value accepts everything. guarded by mu.
-	lim smoqe.ParseLimits
 }
 
 // NewRegistry returns an empty registry.
@@ -80,78 +79,35 @@ func NewRegistry() *Registry {
 	}
 }
 
-// SetParseLimits bounds every future RegisterDocumentXML and
-// RegisterSnapshot: a document beyond a bound is refused with a
-// *smoqe.ParseLimitError (HTTP 413). Intended for server construction,
-// before traffic arrives.
-func (r *Registry) SetParseLimits(lim smoqe.ParseLimits) {
-	r.mu.Lock()
-	r.lim = lim
-	r.mu.Unlock()
-}
+// errNoDocName refuses a document registered without a name.
+var errNoDocName = errors.New("server: document name must not be empty")
 
-// RegisterDocument stores the columnar form of doc under name, replacing
-// any previous document with that name. The conversion is the copy: the
-// registry keeps nothing of doc.
-func (r *Registry) RegisterDocument(name string, doc *smoqe.Document) (*DocEntry, error) {
+// Register stores the decoded document cd under name, replacing any
+// previous document with that name. The caller must not retain cd.
+func (r *Registry) Register(name string, cd *smoqe.ColumnarDocument) (*DocEntry, error) {
 	if name == "" {
-		return nil, fmt.Errorf("server: document name must not be empty")
+		return nil, errNoDocName
 	}
-	if doc == nil || doc.Root == nil {
-		return nil, fmt.Errorf("server: document %q is empty", name)
-	}
-	return r.store(name, smoqe.BuildColumnar(doc)), nil
-}
-
-// store registers cd under name.
-func (r *Registry) store(name string, cd *smoqe.ColumnarDocument) *DocEntry {
 	entry := &DocEntry{Name: name, Stats: cd.Stats(), Col: cd, depth: colstore.ElementDepth(cd)}
 	r.mu.Lock()
 	r.docs[name] = entry
 	r.mu.Unlock()
-	return entry
+	return entry, nil
 }
 
-// RegisterDocumentXML parses xmlText and registers its columnar form
-// under name; the parsed tree is dropped.
-func (r *Registry) RegisterDocumentXML(name, xmlText string) (*DocEntry, error) {
-	if name == "" {
-		return nil, fmt.Errorf("server: document name must not be empty")
+// RegisterDocument stores the columnar form of doc under name (see
+// Register). The conversion is the copy: the registry keeps nothing of doc.
+func (r *Registry) RegisterDocument(name string, doc *smoqe.Document) (*DocEntry, error) {
+	if doc == nil || doc.Root == nil {
+		return nil, fmt.Errorf("server: document %q is empty", name)
 	}
-	doc, err := smoqe.ParseDocumentStringWithLimits(xmlText, r.parseLimits())
-	if err != nil {
-		return nil, fmt.Errorf("server: document %q: %w", name, err)
-	}
-	return r.store(name, smoqe.BuildColumnar(doc)), nil
+	return r.Register(name, smoqe.BuildColumnar(doc))
 }
 
-// RegisterSnapshot registers a document from its columnar snapshot form,
-// installed as read once it passes the parse limits' depth and node
-// bounds. The caller must not retain cd.
-func (r *Registry) RegisterSnapshot(name string, cd *smoqe.ColumnarDocument) (*DocEntry, error) {
-	if name == "" {
-		return nil, fmt.Errorf("server: document name must not be empty")
-	}
-	if cd == nil || cd.NumNodes() == 0 {
-		return nil, fmt.Errorf("server: snapshot %q is empty", name)
-	}
-	if err := colstore.CheckLimits(cd, r.parseLimits()); err != nil {
-		return nil, fmt.Errorf("server: snapshot %q: %w", name, err)
-	}
-	return r.store(name, cd), nil
-}
-
-// parseLimits returns the bounds SetParseLimits set.
-func (r *Registry) parseLimits() smoqe.ParseLimits {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.lim
-}
-
-// RegisterView stores v under name, replacing any previous view with that
+// registerView stores v under name, replacing any previous view with that
 // name. The view's top-level structure is copied; the annotation queries
 // themselves are immutable after parsing and are shared.
-func (r *Registry) RegisterView(name string, v *smoqe.View) (*ViewEntry, error) {
+func (r *Registry) registerView(name string, v *smoqe.View) (*ViewEntry, error) {
 	if name == "" {
 		return nil, fmt.Errorf("server: view name must not be empty")
 	}
@@ -170,24 +126,6 @@ func (r *Registry) RegisterView(name string, v *smoqe.View) (*ViewEntry, error) 
 	r.views[name] = entry
 	r.mu.Unlock()
 	return entry, nil
-}
-
-// RegisterViewSpec parses the DTDs and the view specification and
-// registers the result under name.
-func (r *Registry) RegisterViewSpec(name, spec, sourceDTD, targetDTD string) (*ViewEntry, error) {
-	src, err := smoqe.ParseDTD(sourceDTD)
-	if err != nil {
-		return nil, fmt.Errorf("server: view %q: source DTD: %w", name, err)
-	}
-	tgt, err := smoqe.ParseDTD(targetDTD)
-	if err != nil {
-		return nil, fmt.Errorf("server: view %q: target DTD: %w", name, err)
-	}
-	v, err := smoqe.ParseView(spec, src, tgt)
-	if err != nil {
-		return nil, fmt.Errorf("server: view %q: %w", name, err)
-	}
-	return r.RegisterView(name, v)
 }
 
 // Document returns the entry registered under name.

@@ -98,7 +98,7 @@ func TestEvalBudgetReturns422(t *testing.T) {
 // parse limits are refused at registration with a structured 413.
 func TestParseLimitsRefuseOversizedDocument(t *testing.T) {
 	s := New(Config{CacheSize: 32, ParseLimits: smoqe.ParseLimits{MaxNodes: 10}})
-	_, err := s.Registry().RegisterDocumentXML("big", hospital.SampleXML)
+	_, err := s.LoadDocument(context.Background(), "big", strings.NewReader(hospital.SampleXML), false)
 	var ple *smoqe.ParseLimitError
 	if !errors.As(err, &ple) {
 		t.Fatalf("err = %v, want *ParseLimitError", err)
@@ -107,7 +107,7 @@ func TestParseLimitsRefuseOversizedDocument(t *testing.T) {
 		t.Errorf("statusFor = %d, want 413", got)
 	}
 	// Small documents still register.
-	if _, err := s.Registry().RegisterDocumentXML("tiny", "<r><a>x</a></r>"); err != nil {
+	if _, err := s.LoadDocument(context.Background(), "tiny", strings.NewReader("<r><a>x</a></r>"), false); err != nil {
 		t.Fatalf("tiny document refused: %v", err)
 	}
 }

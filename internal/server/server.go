@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"smoqe"
+	"smoqe/internal/colstore"
 	"smoqe/internal/corpus"
 	"smoqe/internal/failpoint"
 	"smoqe/internal/guard"
@@ -206,7 +208,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxConcurrentEvals > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrentEvals)
 	}
-	s.reg.SetParseLimits(cfg.ParseLimits)
 	s.brk = newBreakerGroup(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	s.met = newMetrics(s)
 	s.brk.onTransition = s.met.breakerTransition
@@ -240,9 +241,13 @@ func (s *Server) Traces() *trace.Store {
 }
 
 // RegisterView registers (or replaces) a view and invalidates every cached
-// plan that was rewritten over its previous definition.
+// plan that was rewritten over its previous definition. A name that begins
+// with "collection/" is refused: it would share that collection's breaker.
 func (s *Server) RegisterView(name string, v *smoqe.View) (*ViewEntry, error) {
-	e, err := s.reg.RegisterView(name, v)
+	if strings.HasPrefix(name, collectionBreakerPrefix) {
+		return nil, fmt.Errorf("server: view %q: the %q prefix is reserved for collections", name, collectionBreakerPrefix)
+	}
+	e, err := s.reg.registerView(name, v)
 	if err == nil {
 		s.cache.RemoveView(name)
 	}
@@ -251,11 +256,68 @@ func (s *Server) RegisterView(name string, v *smoqe.View) (*ViewEntry, error) {
 
 // RegisterViewSpec is RegisterView from textual DTDs and specification.
 func (s *Server) RegisterViewSpec(name, spec, sourceDTD, targetDTD string) (*ViewEntry, error) {
-	e, err := s.reg.RegisterViewSpec(name, spec, sourceDTD, targetDTD)
-	if err == nil {
-		s.cache.RemoveView(name)
+	src, err := smoqe.ParseDTD(sourceDTD)
+	if err != nil {
+		return nil, fmt.Errorf("server: view %q: source DTD: %w", name, err)
 	}
-	return e, err
+	tgt, err := smoqe.ParseDTD(targetDTD)
+	if err != nil {
+		return nil, fmt.Errorf("server: view %q: target DTD: %w", name, err)
+	}
+	v, err := smoqe.ParseView(spec, src, tgt)
+	if err != nil {
+		return nil, fmt.Errorf("server: view %q: %w", name, err)
+	}
+	return s.RegisterView(name, v)
+}
+
+// LoadDocument decodes a snapshot or XML document from r under
+// Config.ParseLimits (colstore.Decode) and registers it under name: the one
+// way outside bytes become a served document (POST /docs, POST /snapshot,
+// LoadSnapshotDir, smoqed -doc). It runs under a "snapshot.load" or "parse"
+// span, counts a parse-limit refusal in smoqe_limit_exceeded_total and a
+// loaded snapshot in smoqe_snapshot_loads_total and _load_seconds.
+func (s *Server) LoadDocument(ctx context.Context, name string, r io.Reader, snapshot bool) (*DocEntry, error) {
+	var sp *trace.Span
+	if snapshot {
+		_, sp = trace.Start(ctx, "snapshot.load")
+	} else {
+		_, sp = trace.Start(ctx, "parse")
+	}
+	defer sp.End()
+	sp.Attr("doc", name)
+	start := time.Now()
+	entry, err := s.loadDocument(name, r, snapshot)
+	if err != nil {
+		var fe *failpoint.Error
+		var ple *smoqe.ParseLimitError
+		switch {
+		case errors.As(err, &fe):
+			sp.Event("failpoint", "site", fe.Site)
+		case errors.As(err, &ple):
+			s.met.limitExceeded("doc-" + ple.What)
+		}
+		sp.Error(err)
+		return nil, err
+	}
+	if snapshot {
+		s.met.snapshotLoads.Inc()
+		s.met.snapshotLoadTime.Observe(time.Since(start).Seconds())
+	}
+	sp.AttrInt("elements", int64(entry.Stats.Elements))
+	return entry, nil
+}
+
+// loadDocument is LoadDocument without its span and metrics.
+func (s *Server) loadDocument(name string, r io.Reader, snapshot bool) (*DocEntry, error) {
+	if name == "" {
+		return nil, errNoDocName
+	}
+	cd, err := colstore.Decode(r, snapshot, s.cfg.ParseLimits)
+	if err != nil {
+		return nil, fmt.Errorf("server: document %q: %w", name, err)
+	}
+	return s.reg.Register(name, cd)
 }
 
 // LoadSnapshotDir registers every "*.smoqe-snapshot" file in dir as a
@@ -274,19 +336,16 @@ func (s *Server) LoadSnapshotDir(dir string) (loaded int, skipped []error, err e
 		if de.IsDir() || !strings.HasSuffix(de.Name(), smoqe.SnapshotFileExt) {
 			continue
 		}
-		start := time.Now()
-		cd, err := smoqe.LoadSnapshot(filepath.Join(dir, de.Name()))
+		f, err := os.Open(filepath.Join(dir, de.Name()))
+		if err == nil {
+			name := strings.TrimSuffix(de.Name(), smoqe.SnapshotFileExt)
+			_, err = s.LoadDocument(context.Background(), name, f, true)
+			f.Close()
+		}
 		if err != nil {
-			skipped = append(skipped, fmt.Errorf("server: snapshot %s: %w", de.Name(), err))
+			skipped = append(skipped, fmt.Errorf("%s: %w", de.Name(), err))
 			continue
 		}
-		name := strings.TrimSuffix(de.Name(), smoqe.SnapshotFileExt)
-		if _, err := s.reg.RegisterSnapshot(name, cd); err != nil {
-			skipped = append(skipped, err)
-			continue
-		}
-		s.met.snapshotLoads.Inc()
-		s.met.snapshotLoadTime.Observe(time.Since(start).Seconds())
 		loaded++
 	}
 	return loaded, skipped, nil
@@ -614,13 +673,11 @@ func (s *Server) buildPlan(ctx context.Context, req QueryRequest, view *ViewEntr
 		sp.Error(err)
 		return nil, err
 	}
-	var p *smoqe.PreparedQuery
-	var err error
+	var v *smoqe.View
 	if view != nil {
-		p, err = smoqe.PrepareStringOnView(view.View, req.Query)
-	} else {
-		p, err = smoqe.PrepareString(req.Query)
+		v = view.View
 	}
+	p, err := smoqe.Prepare(v, req.Query)
 	if err != nil {
 		err = fmt.Errorf("server: query: %w", err)
 		sp.Error(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -122,7 +123,7 @@ func TestQueryErrors(t *testing.T) {
 // cached plans — answers follow the new definition immediately.
 func TestViewReplacementInvalidatesPlans(t *testing.T) {
 	s := New(Config{CacheSize: 16})
-	if _, err := s.Registry().RegisterDocumentXML("d", `<r><a>x</a><b>y</b></r>`); err != nil {
+	if _, err := s.LoadDocument(context.Background(), "d", strings.NewReader(`<r><a>x</a><b>y</b></r>`), false); err != nil {
 		t.Fatal(err)
 	}
 	srcDTD := `dtd src { root r; r -> a*, b*; a -> #text; b -> #text; }`

@@ -162,7 +162,7 @@ func TestRegisterSnapshotAnswersIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, err := s.Registry().RegisterSnapshot("snap", cd)
+	entry, err := s.Registry().Register("snap", cd)
 	if err != nil {
 		t.Fatal(err)
 	}

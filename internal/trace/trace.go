@@ -135,7 +135,7 @@ func (s *Span) TraceID() TraceID {
 
 // Attr annotates the span; attrs beyond the tracer's bound are dropped.
 func (s *Span) Attr(key, value string) {
-	if s == nil || s.ended || len(s.attrs) >= s.tr.tracer.cfg.MaxAttrsPerSpan {
+	if s == nil || s.ended || len(s.attrs) >= maxAttrsPerSpan {
 		return
 	}
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
@@ -149,7 +149,7 @@ func (s *Span) AttrInt(key string, value int64) {
 // Event records a named point-in-time annotation with optional key/value
 // attribute pairs; events beyond the tracer's bound are dropped.
 func (s *Span) Event(name string, kv ...string) {
-	if s == nil || s.ended || len(s.events) >= s.tr.tracer.cfg.MaxEventsPerSpan {
+	if s == nil || s.ended || len(s.events) >= maxEventsPerSpan {
 		return
 	}
 	ev := Event{Name: name, AtMicros: time.Since(s.tr.start).Microseconds()}
@@ -178,17 +178,16 @@ func (s *Span) Force() {
 }
 
 // End finishes the span: its snapshot is published into the owning trace,
-// and ending the root span finishes the trace (retention decision +
-// store submission). End is idempotent; a nil span ends for free.
+// and the last of the root and the spans under it to end finishes the
+// trace (retention decision + store submission). End is idempotent; a nil
+// span ends for free.
 func (s *Span) End() {
 	if s == nil || s.ended {
 		return
 	}
 	s.ended = true
-	d := time.Since(s.start)
-	s.tr.record(s, d)
-	if s.root {
-		s.tr.finish(d)
+	if s.tr.record(s, time.Since(s.start)) {
+		s.tr.finish()
 	}
 }
 
@@ -208,11 +207,12 @@ func FromContext(ctx context.Context) *Span {
 
 // Start begins a child of the context's current span and returns a
 // context carrying it. When the context holds no span (tracing disabled,
-// a nil context, or a background caller), it returns the context
-// unchanged and a nil span — every method of which is a no-op.
+// a nil context, or a background caller), or its trace has completed, it
+// returns the context unchanged and a nil span — every method of which is
+// a no-op.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
 	parent := FromContext(ctx)
-	if parent == nil {
+	if parent == nil || !parent.tr.join() {
 		return ctx, nil
 	}
 	s := &Span{

@@ -206,14 +206,16 @@ func TestSamplingPacedByTime(t *testing.T) {
 }
 
 func TestBoundedAttrsEventsSpans(t *testing.T) {
-	tr := New(Config{SampleEvery: -1, MaxSpansPerTrace: 4, MaxAttrsPerSpan: 2, MaxEventsPerSpan: 2})
+	tr := New(Config{SampleEvery: -1})
 	ctx, root := tr.StartRoot(context.Background(), "http", Traceparent{})
 	root.Force()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxAttrsPerSpan+1; i++ {
 		root.Attr("k", "v")
+	}
+	for i := 0; i < maxEventsPerSpan+1; i++ {
 		root.Event("e")
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpansPerTrace+1; i++ {
 		_, sp := Start(ctx, "child")
 		sp.End()
 	}
@@ -223,19 +225,48 @@ func TestBoundedAttrsEventsSpans(t *testing.T) {
 	if d == nil {
 		t.Fatal("forced trace missing")
 	}
-	// Root always recorded, so 4 bounded children + root.
-	if len(d.Spans) != 5 {
-		t.Errorf("got %d spans, want 5 (4 children + root)", len(d.Spans))
+	// Root always recorded, so the bounded children + root.
+	if len(d.Spans) != maxSpansPerTrace+1 {
+		t.Errorf("got %d spans, want %d (%d children + root)", len(d.Spans), maxSpansPerTrace+1, maxSpansPerTrace)
 	}
-	if d.DroppedSpans != 6 {
-		t.Errorf("dropped_spans = %d, want 6", d.DroppedSpans)
+	if d.DroppedSpans != 1 {
+		t.Errorf("dropped_spans = %d, want 1", d.DroppedSpans)
 	}
 	for _, sd := range d.Spans {
 		if sd.Name == "http" {
-			if len(sd.Attrs) != 2 || len(sd.Events) != 2 {
+			if len(sd.Attrs) != maxAttrsPerSpan || len(sd.Events) != maxEventsPerSpan {
 				t.Errorf("bounds not applied: %d attrs, %d events", len(sd.Attrs), len(sd.Events))
 			}
 		}
+	}
+}
+
+// TestChildEndingAfterRoot: a span that ends after its root (a shard
+// worker outliving a cancelled request) belongs to the stored trace, which
+// completes only when the root and every span under it have ended. A span
+// started after completion joins no trace.
+func TestChildEndingAfterRoot(t *testing.T) {
+	tr := New(Config{SampleEvery: -1})
+	ctx, root := tr.StartRoot(context.Background(), "http", Traceparent{})
+	root.Force()
+	_, child := Start(ctx, "late")
+	root.End()
+	if retained, dropped, _ := tr.Store().Totals(); retained+dropped != 0 {
+		t.Fatalf("trace finished with a span still open: retained=%d dropped=%d", retained, dropped)
+	}
+	child.End()
+	d, ok := tr.Store().Get(root.TraceID().String())
+	if !ok {
+		t.Fatal("forced trace missing after its last span ended")
+	}
+	if len(d.Spans) != 2 || d.Spans[1].Name != "late" || d.Root != "http" {
+		t.Errorf("stored trace %+v, want the root and the late child", d)
+	}
+	if _, dropped, spans := tr.Store().Totals(); dropped != 0 || spans != 2 {
+		t.Errorf("totals: dropped=%d spans=%d, want 0 and 2", dropped, spans)
+	}
+	if _, sp := Start(ctx, "after"); sp != nil {
+		t.Error("a span started after the trace completed joined it")
 	}
 }
 

@@ -38,14 +38,16 @@ type Config struct {
 	// LatencyThreshold retains every trace whose root span ran at least
 	// this long; <= 0 disables latency-based retention.
 	LatencyThreshold time.Duration
-	// MaxSpansPerTrace bounds the spans one trace records; further
-	// non-root spans are counted as dropped (default 512).
-	MaxSpansPerTrace int
-	// MaxAttrsPerSpan bounds per-span attributes (default 16).
-	MaxAttrsPerSpan int
-	// MaxEventsPerSpan bounds per-span events (default 16).
-	MaxEventsPerSpan int
 }
+
+// What one trace records is bounded: spans beyond maxSpansPerTrace (the
+// root aside) are counted as dropped, and attributes and events beyond
+// their per-span bounds are dropped.
+const (
+	maxSpansPerTrace = 512
+	maxAttrsPerSpan  = 16
+	maxEventsPerSpan = 16
+)
 
 func (c Config) withDefaults() Config {
 	if c.Capacity == 0 {
@@ -53,15 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleEvery == 0 {
 		c.SampleEvery = time.Second
-	}
-	if c.MaxSpansPerTrace == 0 {
-		c.MaxSpansPerTrace = 512
-	}
-	if c.MaxAttrsPerSpan == 0 {
-		c.MaxAttrsPerSpan = 16
-	}
-	if c.MaxEventsPerSpan == 0 {
-		c.MaxEventsPerSpan = 16
 	}
 	return c
 }
@@ -113,7 +106,7 @@ func (t *Tracer) StartRoot(ctx context.Context, name string, remote Traceparent)
 	if t == nil {
 		return ctx, nil
 	}
-	tr := &activeTrace{tracer: t, start: time.Now()}
+	tr := &activeTrace{tracer: t, start: time.Now(), rootName: name, open: 1}
 	if remote.TraceID.IsZero() {
 		tr.id = newTraceID()
 	} else {
@@ -131,25 +124,41 @@ func (t *Tracer) StartRoot(ctx context.Context, name string, remote Traceparent)
 }
 
 // activeTrace accumulates the finished spans of one in-flight trace.
-// Spans on concurrent goroutines (shard workers) End against the same
-// trace, hence the lock.
+// Spans on concurrent goroutines (shard workers) start and End against the
+// same trace, hence the lock. The trace completes when its root and every
+// span started under it have ended, in any order.
 type activeTrace struct {
-	tracer *Tracer
-	id     TraceID
-	start  time.Time
+	tracer   *Tracer
+	id       TraceID
+	start    time.Time
+	rootName string
 
-	mu       sync.Mutex
-	spans    []SpanData // guarded by mu; finished spans, End order
-	dropped  int        // guarded by mu; spans lost to MaxSpansPerTrace
-	forced   bool       // guarded by mu; unconditional retention requested
-	failed   bool       // guarded by mu; some span ended with an error
-	rootName string     // guarded by mu; the root span's name, set by its End
+	mu      sync.Mutex
+	spans   []SpanData    // guarded by mu; finished spans, End order
+	dropped int           // guarded by mu; spans lost to maxSpansPerTrace
+	open    int           // guarded by mu; started spans not yet ended, the root included: 0 once complete
+	rootDur time.Duration // guarded by mu; the root span's duration, set by its End
+	forced  bool          // guarded by mu; unconditional retention requested
+	failed  bool          // guarded by mu; some span ended with an error
 }
 
-// record publishes one ended span's snapshot. The root span is always
-// recorded (the trace is useless without it); other spans beyond the
-// bound are counted as dropped.
-func (tr *activeTrace) record(s *Span, d time.Duration) {
+// join counts a span starting under the trace as open, unless the trace
+// has completed: such a span has no trace to join.
+func (tr *activeTrace) join() bool {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.open == 0 {
+		return false
+	}
+	tr.open++
+	return true
+}
+
+// record publishes one ended span's snapshot and reports whether it
+// completed the trace. The root span is always recorded (the trace is
+// useless without it); other spans beyond the bound are counted as
+// dropped.
+func (tr *activeTrace) record(s *Span, d time.Duration) (completed bool) {
 	data := SpanData{
 		ID:             s.id.String(),
 		Name:           s.name,
@@ -168,13 +177,15 @@ func (tr *activeTrace) record(s *Span, d time.Duration) {
 		tr.failed = true
 	}
 	if s.root {
-		tr.rootName = s.name
+		tr.rootDur = d
 	}
-	if !s.root && len(tr.spans) >= tr.tracer.cfg.MaxSpansPerTrace {
+	if !s.root && len(tr.spans) >= maxSpansPerTrace {
 		tr.dropped++
-		return
+	} else {
+		tr.spans = append(tr.spans, data)
 	}
-	tr.spans = append(tr.spans, data)
+	tr.open--
+	return tr.open == 0
 }
 
 // force requests unconditional retention.
@@ -184,16 +195,17 @@ func (tr *activeTrace) force() {
 	tr.forced = true
 }
 
-// finish runs the tail-based retention decision once the root span has
-// ended, submits kept traces to the store, and accounts the rest.
-func (tr *activeTrace) finish(rootDur time.Duration) {
+// finish runs the tail-based retention decision, on the root span's
+// duration, once the trace has completed; it submits kept traces to the
+// store and accounts the rest.
+func (tr *activeTrace) finish() {
 	t := tr.tracer
 	tr.mu.Lock()
 	spans := tr.spans
 	dropped := tr.dropped
 	forced := tr.forced
 	failed := tr.failed
-	root := tr.rootName
+	rootDur := tr.rootDur
 	tr.mu.Unlock()
 
 	reason := ""
@@ -217,7 +229,7 @@ func (tr *activeTrace) finish(rootDur time.Duration) {
 		}
 		t.store.add(&Data{
 			TraceID:        tr.id.String(),
-			Root:           root,
+			Root:           tr.rootName,
 			Start:          tr.start,
 			DurationMicros: rootDur.Microseconds(),
 			Status:         status,

@@ -32,7 +32,7 @@ import (
 //
 // Lifecycle:
 //
-//	p, _ := smoqe.PrepareOnView(v, q)   // once: parse → rewrite → compile
+//	p, _ := smoqe.Prepare(v, qsrc)   // once: parse → rewrite → compile
 //	...
 //	res, err := p.Eval(ctx, doc.Root, smoqe.EvalOptions{})   // many times, from any goroutine
 //	nodes := res.Nodes
@@ -45,11 +45,11 @@ type PreparedQuery struct {
 // PlanTimings records how long each preparation phase of a plan took —
 // the per-phase cost breakdown the §7 experiments (and the EXPLAIN
 // output) report. Phases that did not run for this plan stay zero: a
-// direct Prepare has no Rewrite, a PrepareOnView folds compilation into
-// the rewrite, a PrepareMFA did all its work elsewhere.
+// direct Prepare has no Rewrite, a Prepare over a view folds compilation
+// into the rewrite, a PrepareMFA did all its work elsewhere.
 type PlanTimings struct {
-	// Parse is the query parsing time (only when the plan was prepared
-	// from concrete syntax).
+	// Parse is the query parsing time (only when Prepare parsed the
+	// query).
 	Parse time.Duration `json:"parse_ns"`
 	// Rewrite is the view rewriting time, including the internal compile
 	// and simplification passes (Algorithm rewrite, §5).
@@ -72,63 +72,35 @@ func newEnginePool(proto *hype.Engine) *enginePool {
 	return ep
 }
 
-// Prepare compiles q into a reusable, concurrency-safe prepared query.
-func Prepare(q Query) (*PreparedQuery, error) {
-	start := time.Now()
-	m, err := mfa.Compile(q)
-	if err != nil {
-		return nil, err
-	}
-	p := PrepareMFA(m)
-	p.timings.Compile = time.Since(start)
-	return p, nil
-}
-
-// PrepareString is Prepare for a query in concrete syntax.
-func PrepareString(qsrc string) (*PreparedQuery, error) {
+// Prepare parses qsrc and compiles it into a reusable, concurrency-safe
+// plan. With a non-nil v the query is posed on the view and rewritten over
+// it instead (Algorithm rewrite, §5): each Eval then returns the source
+// nodes backing Q(σ(T)) without materializing the view. The plan records
+// the parse time plus the rewrite or compile time. A caller holding a
+// parsed query uses PrepareMFA(Compile(q)) or PrepareMFA(Rewrite(v, q)).
+func Prepare(v *View, qsrc string) (*PreparedQuery, error) {
 	start := time.Now()
 	q, err := ParseQuery(qsrc)
 	if err != nil {
 		return nil, err
 	}
-	parse := time.Since(start)
-	p, err := Prepare(q)
-	if err != nil {
-		return nil, err
+	parsed := time.Now()
+	var m *MFA
+	if v != nil {
+		m, err = rewrite.Rewrite(v, q)
+	} else {
+		m, err = mfa.Compile(q)
 	}
-	p.timings.Parse = parse
-	return p, nil
-}
-
-// PrepareOnView rewrites q (posed on the view) into a source automaton and
-// prepares it: each Eval then returns the source nodes backing Q(σ(T))
-// without materializing the view.
-func PrepareOnView(v *View, q Query) (*PreparedQuery, error) {
-	start := time.Now()
-	m, err := rewrite.Rewrite(v, q)
 	if err != nil {
 		return nil, err
 	}
 	p := PrepareMFA(m)
-	p.timings.Rewrite = time.Since(start)
-	return p, nil
-}
-
-// PrepareStringOnView parses qsrc and rewrites it over v, recording both
-// phase timings — the form the serving layer uses so EXPLAIN can report
-// the parse/rewrite cost split of a cached plan.
-func PrepareStringOnView(v *View, qsrc string) (*PreparedQuery, error) {
-	start := time.Now()
-	q, err := ParseQuery(qsrc)
-	if err != nil {
-		return nil, err
+	p.timings.Parse = parsed.Sub(start)
+	if v != nil {
+		p.timings.Rewrite = time.Since(parsed)
+	} else {
+		p.timings.Compile = time.Since(parsed)
 	}
-	parse := time.Since(start)
-	p, err := PrepareOnView(v, q)
-	if err != nil {
-		return nil, err
-	}
-	p.timings.Parse = parse
 	return p, nil
 }
 

@@ -41,7 +41,7 @@ func TestPreparedQueryMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := smoqe.Prepare(q)
+		p, err := smoqe.Prepare(nil, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestPreparedQueryConcurrent(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(120))
 	cd := smoqe.BuildColumnar(doc)
 	idx := smoqe.BuildIndex(cd)
-	p, err := smoqe.PrepareString("//patient[visit/treatment/medication/diagnosis/text()='heart disease']")
+	p, err := smoqe.Prepare(nil, "//patient[visit/treatment/medication/diagnosis/text()='heart disease']")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPreparedOnView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := smoqe.PrepareOnView(v, q)
+	p, err := smoqe.Prepare(v, hospital.QExample11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPreparedParallelMatchesSequential(t *testing.T) {
 	cd := smoqe.BuildColumnar(doc)
 	idx := smoqe.BuildIndex(cd)
 	for _, src := range []string{hospital.XPA, "//diagnosis", "department/patient[not(visit)]"} {
-		p, err := smoqe.PrepareString(src)
+		p, err := smoqe.Prepare(nil, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestPreparedParallelMatchesSequential(t *testing.T) {
 // an error, and the plan stays usable.
 func TestPreparedEvalCtxCancelled(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(600))
-	p, err := smoqe.PrepareString("//diagnosis")
+	p, err := smoqe.Prepare(nil, "//diagnosis")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestPreparedBufferReuseConcurrent(t *testing.T) {
 		}
 	}
 	for _, src := range queries {
-		p, err := smoqe.PrepareString(src)
+		p, err := smoqe.Prepare(nil, src)
 		if err != nil {
 			t.Fatal(err)
 		}

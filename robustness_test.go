@@ -20,7 +20,7 @@ import (
 func TestPreparedQueryPanicRecovery(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	doc := datagen.Generate(datagen.DefaultConfig(120))
-	p, err := smoqe.PrepareString("//diagnosis")
+	p, err := smoqe.Prepare(nil, "//diagnosis")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPreparedQueryPanicRecovery(t *testing.T) {
 // engine and surface as *EvalLimitError, without touching later calls.
 func TestPreparedQueryEvalLimits(t *testing.T) {
 	doc := datagen.Generate(datagen.DefaultConfig(500))
-	p, err := smoqe.PrepareString("//diagnosis")
+	p, err := smoqe.Prepare(nil, "//diagnosis")
 	if err != nil {
 		t.Fatal(err)
 	}
