@@ -33,6 +33,22 @@ import (
 	"sync"
 )
 
+// servingPaths are the import-path fragments of the serving packages.
+var servingPaths = []string{"internal/server", "internal/hype", "internal/corpus"}
+
+// Serving reports whether the package at import path is a serving package,
+// one whose path contains internal/server, internal/hype or
+// internal/corpus: the request paths that ctxcheck, guardcheck, leakcheck
+// and spancheck hold to their stricter rules.
+func Serving(path string) bool {
+	for _, sub := range servingPaths {
+		if strings.Contains(path, sub) {
+			return true
+		}
+	}
+	return false
+}
+
 // Analyzer is one named check. Exactly one of Run and RunProgram must be
 // set: Run sees one package at a time, RunProgram sees the whole loaded
 // program (for invariants that span packages).

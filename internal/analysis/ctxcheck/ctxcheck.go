@@ -11,17 +11,15 @@
 //
 //   - anywhere: a ctx-taking callee must not be handed context.Background()
 //     / context.TODO() / nil as its context argument — forward ctx;
-//   - in the restricted packages (import path containing internal/server,
-//     internal/hype or internal/corpus — the request paths), calling context.Background()
-//     or context.TODO() at all is flagged, even when the fresh context is
-//     only stored. The rare legitimate case (detaching shutdown from an
+//   - in the serving packages (analysis.Serving — the request paths),
+//     calling context.Background() or context.TODO() at all is flagged,
+//     even when the fresh context is only stored. The rare legitimate case (detaching shutdown from an
 //     already-dead request ctx) carries a //lint:ignore with its reason.
 package ctxcheck
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"smoqe/internal/analysis"
 )
@@ -33,19 +31,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// restricted marks the request-path packages where minting a root context
-// is never acceptable without an explicit ignore.
-var restricted = []string{"internal/server", "internal/hype", "internal/corpus"}
-
 func run(pass *analysis.Pass) error {
-	isRestricted := false
-	for _, sub := range restricted {
-		if strings.Contains(pass.Pkg.Path, sub) {
-			isRestricted = true
-			break
-		}
-	}
-	c := &checker{pass: pass, restricted: isRestricted}
+	c := &checker{pass: pass, restricted: analysis.Serving(pass.Pkg.Path)}
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -57,7 +44,9 @@ func run(pass *analysis.Pass) error {
 }
 
 type checker struct {
-	pass       *analysis.Pass
+	pass *analysis.Pass
+	// restricted marks a serving package, where minting a root context is
+	// never acceptable without an explicit ignore.
 	restricted bool
 }
 

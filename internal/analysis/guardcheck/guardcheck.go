@@ -1,9 +1,8 @@
 // Package guardcheck enforces panic isolation on goroutines launched in
-// the serving packages (import paths containing internal/server,
-// internal/hype or internal/corpus). A panic in an unguarded goroutine kills the whole
-// daemon — and in the shard-parallel evaluator it also strands the
-// WaitGroup barrier, deadlocking the merge. Every `go` statement there
-// must recover, in one of the accepted shapes:
+// the serving packages (see analysis.Serving). A panic in an unguarded
+// goroutine kills the whole daemon — and in the shard-parallel evaluator
+// it also strands the WaitGroup barrier, deadlocking the merge. Every `go`
+// statement there must recover, in one of the accepted shapes:
 //
 //	go func() { defer guard.Recover("site", &err); ... }()
 //	go func() { defer func() { ...recover()... }(); ... }()
@@ -19,7 +18,6 @@ package guardcheck
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"smoqe/internal/analysis"
 )
@@ -31,21 +29,11 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// restricted marks the packages whose goroutines must be panic-isolated.
-var restricted = []string{"internal/server", "internal/hype", "internal/corpus"}
-
 // guardPkgName is the package providing the recovery primitives.
 const guardPkgName = "guard"
 
 func run(pass *analysis.Pass) error {
-	inScope := false
-	for _, sub := range restricted {
-		if strings.Contains(pass.Pkg.Path, sub) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+	if !analysis.Serving(pass.Pkg.Path) {
 		return nil
 	}
 	c := &checker{pass: pass, decls: make(map[types.Object]*ast.FuncDecl)}

@@ -1,16 +1,15 @@
 // Package leakcheck finds goroutines that can never terminate and cancel
 // functions that are not called on every path.
 //
-// Goroutine termination applies to the serving packages (import paths
-// containing internal/server, internal/hype or internal/corpus): for every
-// go statement, each unconditional `for` loop in the goroutine's body —
-// including bodies reached through static calls and through function
-// literals invoked synchronously — must have a reachable exit: a return, a
-// break that targets the loop, or a terminating call (panic, os.Exit,
-// log.Fatal*). A loop that only selects on <-ctx.Done(), or ranges over a
-// channel that will be closed, satisfies this by construction; a bare
-// `break` inside a select does not (it exits the select, not the loop) and
-// gets its own wording.
+// Goroutine termination applies to the serving packages (see
+// analysis.Serving): for every go statement, each unconditional `for`
+// loop in the goroutine's body — including bodies reached through static
+// calls and through function literals invoked synchronously — must have a
+// reachable exit: a return, a break that targets the loop, or a
+// terminating call (panic, os.Exit, log.Fatal*). A loop that only selects
+// on <-ctx.Done(), or ranges over a channel that will be closed, satisfies
+// this by construction; a bare `break` inside a select does not (it exits
+// the select, not the loop) and gets its own wording.
 //
 // The cancel check applies module-wide: every context.WithCancel /
 // WithTimeout / WithDeadline result must have its cancel reachable on all
@@ -32,7 +31,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"strings"
 
 	"smoqe/internal/analysis"
 )
@@ -43,9 +41,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc:        "goroutines must be able to terminate; context cancel functions must run on all paths",
 	RunProgram: run,
 }
-
-// restricted marks the packages whose goroutines must provably terminate.
-var restricted = []string{"internal/server", "internal/hype", "internal/corpus"}
 
 type checker struct {
 	pass     *analysis.Pass
@@ -68,13 +63,7 @@ func run(pass *analysis.Pass) error {
 		Transfer: c.transfer,
 	}
 	for _, pkg := range pass.Program.Packages {
-		inScope := false
-		for _, sub := range restricted {
-			if strings.Contains(pkg.Path, sub) {
-				inScope = true
-				break
-			}
-		}
+		inScope := analysis.Serving(pkg.Path)
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)

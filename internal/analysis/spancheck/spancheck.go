@@ -1,14 +1,13 @@
-// Package spancheck enforces span hygiene in the serving packages (import
-// paths containing internal/server, internal/hype or internal/corpus). A span started with
-// trace.Start or Tracer.StartRoot and never ended is worse than no span:
-// its trace never finishes (root) or silently loses the subtree's timing
-// (child), and nothing at runtime notices. Every started span must be
-// ended by a shape the checker can see dominates the function's exits:
+// Package spancheck enforces span hygiene in the serving packages (see
+// analysis.Serving). A span started with trace.Start or Tracer.StartRoot
+// and never ended is worse than no span: its trace never finishes (root)
+// or silently loses the subtree's timing (child), and nothing at runtime
+// notices. Every started span must be ended by a defer of the function
+// that started it, so no return and no panic between Start and End can
+// leave it open:
 //
 //	_, sp := trace.Start(ctx, "name"); defer sp.End()
 //	defer func() { ...; sp.End() }()
-//	_, sp := trace.Start(ctx, "name"); ...; sp.End()   // same block, no
-//	                                                   // return in between
 //
 // Span and event names must be string literals — names assembled at run
 // time explode the cardinality of any downstream aggregation and defeat
@@ -19,7 +18,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"smoqe/internal/analysis"
 )
@@ -31,21 +29,11 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// restricted marks the packages whose spans are checked.
-var restricted = []string{"internal/server", "internal/hype", "internal/corpus"}
-
 // tracePkgName is the package providing the tracing primitives.
 const tracePkgName = "trace"
 
 func run(pass *analysis.Pass) error {
-	inScope := false
-	for _, sub := range restricted {
-		if strings.Contains(pass.Pkg.Path, sub) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+	if !analysis.Serving(pass.Pkg.Path) {
 		return nil
 	}
 	c := &checker{pass: pass}
@@ -91,49 +79,18 @@ func (c *checker) checkNames(f *ast.File) {
 }
 
 // checkFunc verifies every span started directly in this function body is
-// reliably ended. Nested function literals are their own scope: their
-// spans, defers and returns are checked independently.
+// ended by a defer of that body. Nested function literals are their own
+// scope: their spans and defers are checked independently. Start calls
+// anywhere in the body (an if init, a call argument) are caught.
 func (c *checker) checkFunc(body *ast.BlockStmt) {
-	c.checkBlock(body, body.List)
-}
-
-// checkBlock walks one statement list, handling span starts whose
-// straight-line End (if any) must live in the same list, and recursing
-// into nested blocks and function literals.
-func (c *checker) checkBlock(fn *ast.BlockStmt, list []ast.Stmt) {
-	for i, stmt := range list {
-		switch s := stmt.(type) {
-		case *ast.AssignStmt:
-			if call := c.startCall(s); call != nil {
-				c.checkStart(fn, s, call, list, i)
-				continue
-			}
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok && c.isStartCall(call) {
-				c.pass.Reportf(call.Pos(), "span result discarded: assign the span and End it")
-				continue
-			}
-		}
-		c.recurse(fn, stmt)
-	}
-}
-
-// recurse visits the nested statement lists and function literals of one
-// statement. Start calls hiding outside a plain block position (an if
-// init, a call argument) are still caught, with only the defer shapes
-// accepted for their End.
-func (c *checker) recurse(fn *ast.BlockStmt, stmt ast.Stmt) {
-	ast.Inspect(stmt, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			c.checkFunc(n.Body)
 			return false
-		case *ast.BlockStmt:
-			c.checkBlock(fn, n.List)
-			return false
 		case *ast.AssignStmt:
 			if call := c.startCall(n); call != nil {
-				c.checkStart(fn, n, call, nil, 0)
+				c.checkStart(body, n, call)
 				return false
 			}
 		case *ast.CallExpr:
@@ -148,9 +105,8 @@ func (c *checker) recurse(fn *ast.BlockStmt, stmt ast.Stmt) {
 
 // checkStart verifies one `_, sp := trace.Start(...)` (or StartRoot)
 // assignment: the span variable must not be blank, and must be ended by a
-// defer or by a straight-line End later in the same block with no return
-// in between.
-func (c *checker) checkStart(fn *ast.BlockStmt, as *ast.AssignStmt, call *ast.CallExpr, list []ast.Stmt, idx int) {
+// defer of the function body fn.
+func (c *checker) checkStart(fn *ast.BlockStmt, as *ast.AssignStmt, call *ast.CallExpr) {
 	if len(as.Lhs) != 2 {
 		c.pass.Reportf(call.Pos(), "span result discarded: assign the span and End it")
 		return
@@ -164,16 +120,10 @@ func (c *checker) checkStart(fn *ast.BlockStmt, as *ast.AssignStmt, call *ast.Ca
 	if obj == nil {
 		obj = c.pass.Pkg.Info.Uses[id]
 	}
-	if obj == nil {
+	if obj == nil || c.deferEnds(fn, obj) {
 		return
 	}
-	if c.deferEnds(fn, obj) {
-		return
-	}
-	if list != nil && c.straightLineEnds(list, idx, obj) {
-		return
-	}
-	c.pass.Reportf(call.Pos(), "span %s is not ended on every path: defer %s.End() or end it before every return", id.Name, id.Name)
+	c.pass.Reportf(call.Pos(), "span %s is not ended by defer: defer %s.End() right after starting it", id.Name, id.Name)
 }
 
 // deferEnds reports whether the function body defers an End of obj's span:
@@ -208,41 +158,6 @@ func (c *checker) deferEnds(fn *ast.BlockStmt, obj types.Object) bool {
 			}
 		}
 		return true
-	})
-	return found
-}
-
-// straightLineEnds reports whether list[idx+1:] ends obj's span on the
-// straight line: an `sp.End()` statement at the same block level, with no
-// return statement anywhere in the statements between (a nested return
-// would leave the span open on that path).
-func (c *checker) straightLineEnds(list []ast.Stmt, idx int, obj types.Object) bool {
-	for j := idx + 1; j < len(list); j++ {
-		if es, ok := list[j].(*ast.ExprStmt); ok {
-			if call, ok := es.X.(*ast.CallExpr); ok && c.isEndCall(call, obj) {
-				return true
-			}
-		}
-		if containsReturn(list[j]) {
-			return false
-		}
-	}
-	return false
-}
-
-// containsReturn reports whether the statement contains a return outside
-// any nested function literal.
-func containsReturn(stmt ast.Stmt) bool {
-	found := false
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			found = true
-			return false
-		}
-		return !found
 	})
 	return found
 }

@@ -1,5 +1,5 @@
-// Package hype is a spancheck fixture: every accepted End shape, the
-// rejected ones, and non-literal span/event names.
+// Package hype is a spancheck fixture: both accepted End shapes (each a
+// defer), the rejected ones, and non-literal span/event names.
 package hype
 
 import (
@@ -26,7 +26,7 @@ func viaDeferredClosure(ctx context.Context) {
 }
 
 func viaStraightLine(ctx context.Context) {
-	_, sp := trace.Start(ctx, "hype.plan")
+	_, sp := trace.Start(ctx, "hype.plan") // want `span sp is not ended by defer: defer sp\.End\(\) right after starting it`
 	work()
 	sp.Attr("shards", "8")
 	sp.End()
@@ -43,13 +43,13 @@ func viaRoot(ctx context.Context, t *trace.Tracer) {
 }
 
 func leaked(ctx context.Context) {
-	_, sp := trace.Start(ctx, "leak") // want `span sp is not ended on every path: defer sp\.End\(\) or end it before every return`
+	_, sp := trace.Start(ctx, "leak") // want `span sp is not ended by defer: defer sp\.End\(\) right after starting it`
 	sp.Attr("k", "v")
 	work()
 }
 
 func returnBeforeEnd(ctx context.Context, bad bool) {
-	_, sp := trace.Start(ctx, "maybe") // want `span sp is not ended on every path: defer sp\.End\(\) or end it before every return`
+	_, sp := trace.Start(ctx, "maybe") // want `span sp is not ended by defer: defer sp\.End\(\) right after starting it`
 	if bad {
 		return
 	}

@@ -3,6 +3,8 @@ package colstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"smoqe/internal/datagen"
@@ -164,6 +166,35 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	for _, n := range []int{0, 4, 8, len(orig) / 2, len(orig) - 1} {
 		if _, err := ReadSnapshot(bytes.NewReader(orig[:n])); err == nil {
 			t.Fatalf("truncation to %d bytes: snapshot accepted", n)
+		}
+	}
+}
+
+// TestSnapshotTruncationReportsWhereInputEnded: a truncated field is
+// reported at the offset where it starts, with the bytes of it that were
+// read, so offset plus "have" is the input's length: for a body shorter
+// than the magic, and for a column cut past its first 64 KiB chunk.
+func TestSnapshotTruncationReportsWhereInputEnded(t *testing.T) {
+	d, err := xmltree.ParseString("<a>" + strings.Repeat("<b/>", 60000) + "</a>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := FromTree(d).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range [][]byte{[]byte("garbage"), buf.Bytes()[:100000]} {
+		_, err := ReadSnapshot(bytes.NewReader(in))
+		var fe *FormatError
+		if !errors.As(err, &fe) {
+			t.Fatalf("%d-byte input: err = %v, want a *FormatError", len(in), err)
+		}
+		var want, have int64
+		if _, serr := fmt.Sscanf(fe.Reason, "truncated input: want %d bytes, have %d", &want, &have); serr != nil {
+			t.Fatalf("%d-byte input: %v is not a truncation (%v)", len(in), err, serr)
+		}
+		if fe.Offset+have != int64(len(in)) || have >= want {
+			t.Errorf("%d-byte input: %v; want offset plus have = %d", len(in), err, len(in))
 		}
 	}
 }

@@ -263,17 +263,22 @@ func (d *decoder) corrupt(format string, args ...any) {
 // so a forged header cannot demand gigabytes before truncation surfaces.
 const decodeChunk = 1 << 16
 
+// bytes reads an n-byte field. A truncated one is reported at the offset
+// where the field starts, with the bytes of it that were read, so offset
+// plus "have" is where the input ended.
 func (d *decoder) bytes(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
+	at := d.n
 	b := make([]byte, 0, min(n, decodeChunk))
 	for len(b) < n {
 		c := min(n-len(b), decodeChunk)
 		start := len(b)
 		b = append(b, make([]byte, c)...)
-		if _, err := io.ReadFull(d.r, b[start:]); err != nil {
-			d.corrupt("truncated input: want %d bytes, have %d (%v)", n, start, err)
+		if got, err := io.ReadFull(d.r, b[start:]); err != nil {
+			d.fail(&FormatError{Offset: int64(at),
+				Reason: fmt.Sprintf("truncated input: want %d bytes, have %d (%v)", n, start+got, err)})
 			return nil
 		}
 		d.crc.Write(b[start:])

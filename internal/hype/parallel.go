@@ -115,42 +115,13 @@ type shardOut struct {
 // acts as the sequential planner, so — like Eval — it must not run
 // concurrently on one Engine; workers run on private clones.
 func (e *Engine) runParallel(ctx context.Context, cd *colstore.Document, opts Options) (Result, error) {
-	// Plan: partially visit the root, then split dominating shards. The
-	// budget is shared with every worker run, so MaxVisited/MaxResultNodes
-	// bound the whole parallel evaluation, not each shard separately.
-	_, psp := trace.Start(ctx, "hype.plan")
+	// The budget is shared with every worker run, so MaxVisited and
+	// MaxResultNodes bound the whole parallel evaluation, not each shard
+	// separately.
 	r0 := e.newRun(ctx, cd, opts)
 	defer e.releaseBufs()
-	var tasks []*shardTask
-	rootSpine := r0.expandSpine(0, r0.hc.rootState(), &tasks)
-	spines := []*spineNode{rootSpine}
-
-	for rounds := 0; rounds < maxSplitRounds && len(tasks) > 0 && len(tasks) < maxShards; rounds++ {
-		total, big := 0, 0
-		for i, t := range tasks {
-			total += t.size
-			if t.size > tasks[big].size {
-				big = i
-			}
-		}
-		// Split while one shard holds over half the remaining work (a
-		// single shard always dominates). Splitting a leaf just moves it
-		// onto the spine, which is how chains bottom out.
-		if len(tasks) >= 2 && tasks[big].size*2 <= total {
-			break
-		}
-		t := tasks[big]
-		tasks = append(tasks[:big], tasks[big+1:]...)
-		kc := &t.parent.kids[t.slot]
-		kc.spine = r0.expandSpine(t.node, kc.tr.next, &tasks)
-		kc.task = nil
-		spines = append(spines, kc.spine)
-	}
-
+	tasks, spines := r0.planShards(ctx)
 	res := Result{Shards: len(tasks), SpineNodes: len(spines)}
-	psp.AttrInt("shards", int64(len(tasks)))
-	psp.AttrInt("spine_nodes", int64(len(spines)))
-	psp.End()
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
@@ -210,12 +181,46 @@ func (e *Engine) runParallel(ctx context.Context, cd *colstore.Document, opts Op
 	for _, t := range tasks {
 		addStats(&r0.stats, t.out.stats)
 	}
-	hits, err := r0.finish(rootSpine.res, &res.Stats)
+	hits, err := r0.finish(spines[0].res, &res.Stats)
 	if err != nil {
 		return res, err
 	}
 	e.answers(&res, hits)
 	return res, nil
+}
+
+// planShards is the sequential planner of a parallel evaluation — the
+// "hype.plan" span: it partially visits the root, then splits dominating
+// shards. It returns the shard tasks and the spine nodes, the root's first.
+func (r0 *run) planShards(ctx context.Context) ([]*shardTask, []*spineNode) {
+	_, sp := trace.Start(ctx, "hype.plan")
+	defer sp.End()
+	var tasks []*shardTask
+	spines := []*spineNode{r0.expandSpine(0, r0.hc.rootState(), &tasks)}
+	for rounds := 0; rounds < maxSplitRounds && len(tasks) > 0 && len(tasks) < maxShards; rounds++ {
+		total, big := 0, 0
+		for i, t := range tasks {
+			total += t.size
+			if t.size > tasks[big].size {
+				big = i
+			}
+		}
+		// Split while one shard holds over half the remaining work (a
+		// single shard always dominates). Splitting a leaf just moves it
+		// onto the spine, which is how chains bottom out.
+		if len(tasks) >= 2 && tasks[big].size*2 <= total {
+			break
+		}
+		t := tasks[big]
+		tasks = append(tasks[:big], tasks[big+1:]...)
+		kc := &t.parent.kids[t.slot]
+		kc.spine = r0.expandSpine(t.node, kc.tr.next, &tasks)
+		kc.task = nil
+		spines = append(spines, kc.spine)
+	}
+	sp.AttrInt("shards", int64(len(tasks)))
+	sp.AttrInt("spine_nodes", int64(len(spines)))
+	return tasks, spines
 }
 
 // worker returns a run on a fresh clone that evaluates shards of r's

@@ -155,7 +155,8 @@ func (s *Server) handleCollectionReindex(w http.ResponseWriter, r *http.Request)
 // first evaluation finishes; a fan-out failure after that terminates the
 // "results" array and reports the failure in a trailing "error" member —
 // the status line is long gone, but the JSON stays well formed and the
-// partial results stay usable.
+// partial results stay usable. A failure before the head answers with its
+// status, as a failed /query does.
 func (s *Server) handleCollectionQuery(w http.ResponseWriter, r *http.Request) {
 	if s.corpus == nil {
 		writeError(w, http.StatusNotFound, errCorpusDisabled)
@@ -167,10 +168,14 @@ func (s *Server) handleCollectionQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.requests.Inc()
-	if err := s.collectionQuery(r.Context(), w, name, req); err != nil {
-		s.recordError(err)
-		s.traceError(r.Context(), err)
-		s.writeQueryError(w, err)
+	out := &collectionStream{w: w, rc: http.NewResponseController(w)}
+	if err := s.collectionQuery(r.Context(), out, name, req); err != nil {
+		s.failed(r.Context(), err)
+		if out.streaming {
+			out.finishError(err)
+		} else {
+			s.writeQueryError(w, err)
+		}
 	}
 }
 
@@ -179,10 +184,10 @@ func (s *Server) handleCollectionQuery(w http.ResponseWriter, r *http.Request) {
 // reserved: RegisterView refuses a view name that begins with it.
 const collectionBreakerPrefix = "collection/"
 
-// collectionQuery is the fan-out path. Errors before the first body byte
-// return to the handler for a proper status; once streaming has started
-// they are folded into the body instead.
-func (s *Server) collectionQuery(ctx context.Context, w http.ResponseWriter, name string, req CollectionQueryRequest) (err error) {
+// collectionQuery is the fan-out path: one guarded request under the
+// collection's breaker and admission semaphore, whose run streams each
+// evaluated document's answers to out.
+func (s *Server) collectionQuery(ctx context.Context, out *collectionStream, name string, req CollectionQueryRequest) error {
 	ctx, sp := trace.Start(ctx, "corpus.query")
 	defer sp.End()
 	sp.Attr("collection", name)
@@ -199,101 +204,53 @@ func (s *Server) collectionQuery(ctx context.Context, w http.ResponseWriter, nam
 			return fmt.Errorf("server: view %q %w", req.View, errNotRegistered)
 		}
 	}
+	return s.guarded(ctx, collectionBreakerPrefix+name, view, req.Query, s.collectionSem(name), func(ctx context.Context, plan *smoqe.PreparedQuery, _ bool) error {
+		info := s.corpus.Info(c)
+		docs := c.Docs(corpus.StatusIndexed)
 
-	// Per-collection circuit breaker: a collection whose fan-outs keep
-	// failing with server faults is short-circuited before any plan or
-	// admission slot is spent on it.
-	bkey := collectionBreakerPrefix + name
-	if ok, retry := s.brk.allow(bkey); !ok {
-		s.met.breakerRejected.Inc()
-		return &BreakerOpenError{View: bkey, RetryAfter: retry}
-	}
-	serverFault := false
-	defer func() {
-		s.brk.record(bkey, serverFault || (err != nil && isServerFault(err)))
-	}()
-
-	plan, _, err := s.plan(ctx, QueryRequest{Query: req.Query, View: req.View}, view)
-	if err != nil {
-		return err
-	}
-
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-
-	// Per-collection admission: a collection fan-out is one request but
-	// many evaluations, so each collection gets its own concurrency bound
-	// instead of competing slot-by-slot with single-document queries.
-	if sem := s.collectionSem(name); sem != nil {
-		_, asp := trace.Start(ctx, "corpus.admit")
-		err = s.admit(ctx, sem, asp)
-		asp.End()
-		if err != nil {
-			return fmt.Errorf("server: query on collection %q: %w", name, err)
-		}
-		defer func() { <-sem }()
-	}
-
-	info := s.corpus.Info(c)
-	docs := c.Docs(corpus.StatusIndexed)
-
-	// Prefilter: refute whole documents from their fingerprints and label
-	// tables alone. A refuted document provably has no answers, so skipping
-	// it cannot change the results array. A record recovered from a
-	// manifest stays indexed without a document until a scan re-reads its
-	// file; it is not evaluated either way.
-	usePrefilter := req.Prefilter == nil || *req.Prefilter
-	var evalDocs []*corpus.Doc
-	for _, d := range docs {
-		if d.Col != nil && (!usePrefilter || hype.CanMatch(plan.MFA(), d.Col, d.Fingerprint)) {
-			evalDocs = append(evalDocs, d)
-		}
-	}
-	s.met.corpusPrefilterSkipped(name, len(docs)-len(evalDocs))
-	sp.AttrInt("docs_indexed", int64(len(docs)))
-	sp.AttrInt("docs_evaluated", int64(len(evalDocs)))
-
-	// Everything that can fail with a status code has; start the body.
-	out := newCollectionStream(w, name, info, len(docs)-len(evalDocs))
-	defer func() {
-		// A failure after this point surfaces inside the stream; the
-		// handler must not also write a JSON error response.
-		if err != nil {
-			serverFault = isServerFault(err)
-			out.finishError(err)
-			s.recordError(err)
-			s.traceError(ctx, err)
-			err = nil
-		}
-	}()
-
-	start := time.Now()
-	total := 0
-	results := s.fanOut(ctx, plan, evalDocs)
-	for i := range evalDocs {
-		res := <-results[i]
-		if res.err != nil {
-			if ctx.Err() != nil && errors.Is(res.err, ctx.Err()) {
-				s.met.cancelled.Inc()
-				sp.Event("cancelled")
+		// Prefilter: refute whole documents from their fingerprints and label
+		// tables alone. A refuted document provably has no answers, so
+		// skipping it cannot change the results array. A record recovered
+		// from a manifest stays indexed without a document until a scan
+		// re-reads its file; it is not evaluated either way.
+		usePrefilter := req.Prefilter == nil || *req.Prefilter
+		var evalDocs []*corpus.Doc
+		for _, d := range docs {
+			if d.Col != nil && (!usePrefilter || hype.CanMatch(plan.MFA(), d.Col, d.Fingerprint)) {
+				evalDocs = append(evalDocs, d)
 			}
-			return fmt.Errorf("server: query on collection %q, doc %q: %w", name, evalDocs[i].Name, res.err)
 		}
-		if len(res.ids) == 0 {
-			continue
+		s.met.corpusPrefilterSkipped(name, len(docs)-len(evalDocs))
+		sp.AttrInt("docs_indexed", int64(len(docs)))
+		sp.AttrInt("docs_evaluated", int64(len(evalDocs)))
+
+		// Everything that can fail with a status code has; start the body.
+		out.head(name, info, len(docs)-len(evalDocs))
+		start := time.Now()
+		total := 0
+		results := s.fanOut(ctx, plan, evalDocs)
+		for i := range evalDocs {
+			res := <-results[i]
+			if res.err != nil {
+				if ctx.Err() != nil && errors.Is(res.err, ctx.Err()) {
+					s.met.cancelled.Inc()
+					sp.Event("cancelled")
+				}
+				return fmt.Errorf("server: query on collection %q, doc %q: %w", name, evalDocs[i].Name, res.err)
+			}
+			if len(res.ids) == 0 {
+				continue
+			}
+			total += len(res.ids)
+			if werr := out.result(collectionDocResult{Doc: evalDocs[i].Name, Count: len(res.ids), IDs: res.ids}); werr != nil {
+				// The client is gone; there is nothing left to stream to.
+				return nil
+			}
 		}
-		total += len(res.ids)
-		if werr := out.result(collectionDocResult{Doc: evalDocs[i].Name, Count: len(res.ids), IDs: res.ids}); werr != nil {
-			// The client is gone; there is nothing left to stream to.
-			return nil
-		}
-	}
-	out.finish(total)
-	s.met.observeQuery(req.View, EngineColumnar, time.Since(start))
-	return nil
+		out.finish(total)
+		s.met.observeQuery(req.View, EngineColumnar, time.Since(start))
+		return nil
+	})
 }
 
 // docEval is one document's fan-out outcome.
@@ -378,22 +335,25 @@ func (s *Server) collectionSem(name string) chan struct{} {
 // the collection's serving state, a streamed results array, then totals
 // (or a trailing error). Field order is fixed so responses are
 // byte-comparable across runs — the crash-recovery crosscheck depends on
-// that.
+// that. It flushes through rc, which reaches the connection under the
+// root span's status writer.
 type collectionStream struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	nres    int
+	w  http.ResponseWriter
+	rc *http.ResponseController
+	// streaming is set once the head is written: the 200 status line is
+	// committed, so a failure can only go in the body.
+	streaming bool
+	nres      int
 }
 
-func newCollectionStream(w http.ResponseWriter, name string, info corpus.CollectionInfo, skipped int) *collectionStream {
-	cs := &collectionStream{w: w}
-	cs.flusher, _ = w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"collection\":%s,\"generation\":%d,\"stale\":%t,\"degraded\":%t,"+
+// head writes the response head and opens the results array.
+func (cs *collectionStream) head(name string, info corpus.CollectionInfo, skipped int) {
+	cs.streaming = true
+	cs.w.Header().Set("Content-Type", "application/json")
+	fmt.Fprintf(cs.w, "{\"collection\":%s,\"generation\":%d,\"stale\":%t,\"degraded\":%t,"+
 		"\"docs_indexed\":%d,\"docs_pending\":%d,\"docs_quarantined\":%d,\"docs_skipped_prefilter\":%d,\"results\":[",
 		jsonString(name), info.Generation, info.Stale, info.Degraded(),
 		info.Indexed, info.Pending, info.Quarantined, skipped)
-	return cs
 }
 
 func jsonString(s string) string {
@@ -420,27 +380,21 @@ func (cs *collectionStream) result(r collectionDocResult) error {
 	if _, err := cs.w.Write(b); err != nil {
 		return err
 	}
-	if cs.flusher != nil {
-		cs.flusher.Flush()
-	}
+	_ = cs.rc.Flush() // a writer that cannot flush still gets the whole body
 	return nil
 }
 
 // finish closes the results array and writes the totals.
 func (cs *collectionStream) finish(total int) {
 	fmt.Fprintf(cs.w, "],\"count\":%d}\n", total)
-	if cs.flusher != nil {
-		cs.flusher.Flush()
-	}
+	_ = cs.rc.Flush()
 }
 
 // finishError closes the results array and reports the fan-out failure in
 // the body (the 200 status line was already committed).
 func (cs *collectionStream) finishError(err error) {
 	fmt.Fprintf(cs.w, "],\"error\":%s}\n", jsonString(err.Error()))
-	if cs.flusher != nil {
-		cs.flusher.Flush()
-	}
+	_ = cs.rc.Flush()
 }
 
 // corpusHealth assembles the per-collection health map and reports whether

@@ -15,6 +15,7 @@ import (
 
 	"smoqe"
 	"smoqe/internal/failpoint"
+	"smoqe/internal/trace"
 )
 
 // newCorpusServer builds a corpus directory with one collection ("ward":
@@ -323,7 +324,9 @@ func TestCollectionBreakerSharesGroup(t *testing.T) {
 // TestCollectionFanOutKeepsBudgets: the server's evaluation budgets bind
 // every document of a collection fan-out. A document larger than
 // MaxVisited ends the stream with the limit error and is counted under its
-// cause.
+// cause. The failure is recorded as a /query's is, on the request's root
+// span (error and limit-exceeded event), not on corpus.query, though the
+// head had streamed; the fan-out's admission span is "admit".
 func TestCollectionFanOutKeepsBudgets(t *testing.T) {
 	dir := t.TempDir()
 	col := filepath.Join(dir, "ward")
@@ -364,6 +367,53 @@ func TestCollectionFanOutKeepsBudgets(t *testing.T) {
 	raw, _ := io.ReadAll(mresp.Body)
 	if want := `smoqe_limit_exceeded_total{cause="eval-visited-elements"} 1`; !strings.Contains(string(raw), want) {
 		t.Errorf("missing %q in /metrics output:\n%s", want, raw)
+	}
+
+	d := waitForTrace(t, s, resp.Header.Get("X-Smoqe-Trace-Id"))
+	spans := map[string]trace.SpanData{}
+	for _, sp := range d.Spans {
+		spans[sp.Name] = sp
+	}
+	root, cq, admit := spans["http"], spans["corpus.query"], spans["admit"]
+	if !strings.Contains(root.Error, "visited-elements") || cq.Error != "" {
+		t.Errorf("root span error %q, corpus.query error %q; want the limit error on the root alone", root.Error, cq.Error)
+	}
+	if admit.ID == "" || admit.Parent != cq.ID {
+		t.Errorf("admit span %+v, want one under corpus.query", admit)
+	}
+	if !spanHasEvent(d, "http", "limit-exceeded") || spanHasEvent(d, "corpus.query", "limit-exceeded") {
+		t.Error("the limit-exceeded event is not on the root span alone")
+	}
+}
+
+// flushCounter is a response recorder that counts flushes.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestCollectionStreamFlushesPerDocument: through Handler() at the default
+// config, tracing on, a fan-out flushes at least once per streamed
+// document, so clients see per-document progress through the root span's
+// status writer.
+func TestCollectionStreamFlushesPerDocument(t *testing.T) {
+	s, _ := newCorpusServer(t, Config{})
+	req := httptest.NewRequest(http.MethodPost, "/collections/ward/query", strings.NewReader(`{"query":"b"}`))
+	rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	s.Handler().ServeHTTP(rec, req)
+	var qr struct {
+		Results []collectionDocResult `json:"results"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &qr); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("fan-out: %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	if len(qr.Results) == 0 || rec.flushes < len(qr.Results) {
+		t.Errorf("%d flushes for %d streamed documents, want at least one each", rec.flushes, len(qr.Results))
 	}
 }
 

@@ -71,46 +71,60 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	return s.recoverer(s.traced(mux))
+	return s.boundary(mux)
 }
 
-// traced wraps the API in the root request span: it adopts an incoming W3C
-// traceparent header, reflects the trace ID back on X-Smoqe-Trace-Id (and
-// a traceparent for downstream hops), and records the method, path and
-// final status. It sits inside recoverer so a panic that escapes every
-// inner boundary still ends the root span (marked failed) before the
-// recoverer turns it into a 500. A nil tracer makes this a pass-through.
-func (s *Server) traced(next http.Handler) http.Handler {
-	if s.tracer == nil {
-		return next
-	}
+// boundary is the one HTTP middleware around the API, with two jobs. It
+// owns the request's root span: it adopts an incoming W3C traceparent
+// header, reflects the trace ID back on X-Smoqe-Trace-Id (and a
+// traceparent for downstream hops), and records the method, path and
+// final status; with tracing disabled the span is nil and records nothing.
+// It is also the outermost panic boundary: whatever slipped past the
+// per-evaluation recovery becomes a counted 500 with a JSON error instead
+// of a killed connection (net/http would swallow the panic per connection,
+// but without typing, counting or a JSON error). http.ErrAbortHandler, the
+// sanctioned way to abort a response, is re-raised once the root span has
+// recorded it as failed.
+func (s *Server) boundary(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		remote, _ := trace.ParseTraceparent(r.Header.Get("traceparent"))
 		ctx, sp := s.tracer.StartRoot(r.Context(), "http", remote)
-		sp.Attr("method", r.Method)
-		sp.Attr("path", r.URL.Path)
-		w.Header().Set("X-Smoqe-Trace-Id", sp.TraceID().String())
-		w.Header().Set("traceparent",
-			trace.Traceparent{TraceID: sp.TraceID(), SpanID: sp.ID(), Sampled: true}.String())
+		if sp != nil {
+			sp.Attr("method", r.Method)
+			sp.Attr("path", r.URL.Path)
+			w.Header().Set("X-Smoqe-Trace-Id", sp.TraceID().String())
+			w.Header().Set("traceparent",
+				trace.Traceparent{TraceID: sp.TraceID(), SpanID: sp.ID(), Sampled: true}.String())
+			r = r.WithContext(ctx)
+		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		defer func() {
-			if rec := recover(); rec != nil {
+			rec := recover()
+			if rec != nil {
 				sp.Event("panic")
 				sp.Error(fmt.Errorf("panic: %v", rec))
-				sp.End()
-				panic(rec)
+				if rec != http.ErrAbortHandler {
+					pe := guard.Recovered("http", rec)
+					s.met.panicked(pe.Site)
+					writeError(sw, http.StatusInternalServerError, pe)
+				}
 			}
 			sp.AttrInt("status", int64(sw.status))
 			if sw.status >= http.StatusInternalServerError {
 				sp.Error(fmt.Errorf("http status %d", sw.status))
 			}
 			sp.End()
+			if rec == http.ErrAbortHandler {
+				panic(rec)
+			}
 		}()
-		next.ServeHTTP(sw, r.WithContext(ctx))
+		next.ServeHTTP(sw, r)
 	})
 }
 
-// statusWriter captures the response status for the root span.
+// statusWriter captures the response status for the root span. Unwrap
+// lets http.ResponseController reach the connection's writer through it,
+// so a streamed response still flushes.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -121,27 +135,7 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
-// recoverer is the outermost panic boundary of the HTTP API: whatever
-// slipped past the per-evaluation recovery becomes a 500 with a counted
-// panic instead of a killed connection (net/http would swallow the panic
-// per-connection, but without typing, counting or a JSON error).
-// http.ErrAbortHandler is re-raised — it is the sanctioned way to abort a
-// response, not a fault.
-func (s *Server) recoverer(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if rec == http.ErrAbortHandler {
-					panic(rec)
-				}
-				pe := guard.Recovered("http", rec)
-				s.met.panicked(pe.Site)
-				writeError(w, http.StatusInternalServerError, pe)
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // SlowQuery is one GET /slow entry: enough context to re-run the request
 // (doc, view, query, engine) plus what it cost.

@@ -282,8 +282,11 @@ func TestRequestBodyCapReturns413(t *testing.T) {
 	}
 }
 
-// TestHandlerRecoversPanics: a panic escaping a handler is converted to a
-// 500 by the recovery middleware instead of killing the connection.
+// TestHandlerRecoversPanics: a panicking plan build answers 500 and the
+// server keeps serving. A panic that escapes every inner boundary (the
+// respond site runs under no recover of its own) is converted to a
+// counted 500 by the HTTP middleware instead of killing the connection,
+// and the request's root span records the panic and status 500.
 func TestHandlerRecoversPanics(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	s := newTestServer(t)
@@ -314,6 +317,29 @@ func TestHandlerRecoversPanics(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status after recovery = %d, want 200", resp.StatusCode)
+	}
+
+	if err := failpoint.Enable(failpoint.SiteServerRespond, "panic"); err != nil {
+		t.Fatal(err)
+	}
+	panics := s.Stats().Panics
+	resp, err = http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || s.Stats().Panics != panics+1 {
+		t.Fatalf("respond panic: status %d, %d panics counted; want 500 and one", resp.StatusCode, s.Stats().Panics-panics)
+	}
+	d := waitForTrace(t, s, resp.Header.Get("X-Smoqe-Trace-Id"))
+	status := ""
+	for _, a := range d.Spans[0].Attrs {
+		if a.Key == "status" {
+			status = a.Value
+		}
+	}
+	if d.Spans[0].Name != "http" || status != "500" || !spanHasEvent(d, "http", "panic") {
+		t.Errorf("root span %+v, want http with status 500 and a panic event", d.Spans[0])
 	}
 }
 

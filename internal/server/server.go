@@ -436,21 +436,20 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 	}
 	resp, err := s.query(ctx, req)
 	if err != nil {
-		s.recordError(err)
-		s.traceError(ctx, err)
+		s.failed(ctx, err)
 	}
 	return resp, err
 }
 
-// traceError records a failed request's outcome on its root span: the
-// error itself (which makes the trace eligible for unconditional
-// retention) plus the classified event the tail-based rules key on —
-// shed, breaker-open, panic, failpoint, limit-exceeded.
-func (s *Server) traceError(ctx context.Context, err error) {
+// failed records one failed request, /query or collection fan-out: in the
+// failure metrics (recovered panics by site, exceeded limits by cause) and
+// on its root span, the span of ctx — the error itself, which makes the
+// trace eligible for unconditional retention, plus the classified event
+// the tail-based rules key on: shed, breaker-open, panic, failpoint,
+// limit-exceeded.
+func (s *Server) failed(ctx context.Context, err error) {
+	s.met.failures.Inc()
 	sp := trace.FromContext(ctx)
-	if sp == nil {
-		return
-	}
 	sp.Error(err)
 	var boe *BreakerOpenError
 	var pe *guard.PanicError
@@ -462,28 +461,13 @@ func (s *Server) traceError(ctx context.Context, err error) {
 	case errors.As(err, &boe):
 		sp.Event("breaker-open", "view", boe.View)
 	case errors.As(err, &pe):
+		s.met.panicked(pe.Site)
 		sp.Event("panic", "site", pe.Site)
 	case errors.As(err, &fe):
 		sp.Event("failpoint", "site", fe.Site)
 	case errors.As(err, &ele):
+		s.met.limitExceeded("eval-" + ele.What)
 		sp.Event("limit-exceeded", "what", ele.What)
-	}
-}
-
-// recordError classifies one failed request into the failure metrics:
-// recovered panics by site, exceeded resource limits by cause.
-func (s *Server) recordError(err error) {
-	s.met.failures.Inc()
-	var pe *guard.PanicError
-	var el *smoqe.EvalLimitError
-	var pl *smoqe.ParseLimitError
-	switch {
-	case errors.As(err, &pe):
-		s.met.panicked(pe.Site)
-	case errors.As(err, &el):
-		s.met.limitExceeded("eval-" + el.What)
-	case errors.As(err, &pl):
-		s.met.limitExceeded("doc-" + pl.What)
 	}
 }
 
@@ -497,6 +481,40 @@ func isServerFault(err error) bool {
 	var pe *guard.PanicError
 	var fe *failpoint.Error
 	return errors.As(err, &pe) || errors.As(err, &fe) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// guarded is the one request path of /query and collection fan-outs. In
+// order: an open breaker bkey refuses the request before any plan or slot
+// is spent on it; the plan of (view, query) comes from the plan cache; ctx
+// is bounded by Config.RequestTimeout; a slot of sem is taken (nil:
+// unbounded); then run runs. Every admitted request reports its outcome
+// back to breaker bkey, a server fault counting against it, including the
+// half-open probe that decides recovery.
+func (s *Server) guarded(ctx context.Context, bkey string, view *ViewEntry, query string, sem chan struct{},
+	run func(ctx context.Context, plan *smoqe.PreparedQuery, hit bool) error) (err error) {
+	if ok, retry := s.brk.allow(bkey); !ok {
+		s.met.breakerRejected.Inc()
+		return &BreakerOpenError{View: bkey, RetryAfter: retry}
+	}
+	defer func() {
+		s.brk.record(bkey, err != nil && isServerFault(err))
+	}()
+	plan, hit, err := s.plan(ctx, view, query)
+	if err != nil {
+		return err
+	}
+	if s.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
+	if sem != nil {
+		if err := s.admit(ctx, sem); err != nil {
+			return err
+		}
+		defer func() { <-sem }()
+	}
+	return run(ctx, plan, hit)
 }
 
 func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryResponse, err error) {
@@ -515,99 +533,68 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 	if err != nil {
 		return nil, err
 	}
-
-	// Circuit breaker: a view whose evaluations keep failing with server
-	// faults is short-circuited here, before any plan or slot is spent on
-	// it. Every admitted request reports its outcome back (the deferred
-	// record), including the half-open probe that decides recovery.
-	if ok, retry := s.brk.allow(req.View); !ok {
-		s.met.breakerRejected.Inc()
-		return nil, &BreakerOpenError{View: req.View, RetryAfter: retry}
-	}
-	defer func() {
-		s.brk.record(req.View, err != nil && isServerFault(err))
-	}()
-
-	plan, hit, err := s.plan(ctx, req, view)
-	if err != nil {
-		return nil, err
-	}
-
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-
-	if s.sem != nil {
-		_, asp := trace.Start(ctx, "admit")
-		err = s.admit(ctx, s.sem, asp)
-		asp.End()
+	err = s.guarded(ctx, req.View, view, req.Query, s.sem, func(ctx context.Context, plan *smoqe.PreparedQuery, hit bool) error {
+		start := time.Now()
+		res, err := s.evaluate(ctx, plan, doc, engine, req.Explain, s.workersFor(req.Parallelism))
 		if err != nil {
-			return nil, fmt.Errorf("server: query on %q: %w", doc.Name, err)
+			return err
 		}
-		defer func() { <-s.sem }()
-	}
+		elapsed := time.Since(start)
 
-	start := time.Now()
-	res, err := s.evaluate(ctx, plan, doc, engine, req.Explain, s.workersFor(req.Parallelism))
+		resp = &QueryResponse{
+			Count:         len(res.IDs),
+			IDs:           res.IDs,
+			CacheHit:      hit,
+			ElapsedMicros: elapsed.Microseconds(),
+			// res.Stats came by value from this run's private engine clone,
+			// so these are exact even with concurrent requests on the plan.
+			Visited:         res.Stats.VisitedElements,
+			Skipped:         res.Stats.SkippedSubtrees,
+			SkippedElements: res.Stats.SkippedElements,
+			AFAEvals:        res.Stats.AFAEvaluations,
+			Shards:          res.Shards,
+			Workers:         res.Workers,
+			Engine:          engine,
+		}
+		if res.Shards > 0 {
+			s.met.parallelEvals.Inc()
+			s.met.shards.Add(int64(res.Shards))
+		}
+		s.met.visited.Add(int64(resp.Visited))
+		s.met.skippedSub.Add(int64(resp.Skipped))
+		s.met.skippedEle.Add(int64(resp.SkippedElements))
+		s.met.afaEvals.Add(int64(resp.AFAEvals))
+		s.met.observeQuery(req.View, resp.Engine, elapsed)
+		root := trace.FromContext(ctx)
+		if tid := root.TraceID(); req.Trace && !tid.IsZero() {
+			resp.TraceID = tid.String()
+		}
+		if s.isSlow(elapsed) {
+			s.met.slowQueries.Inc()
+			markSlow(root, req, resp)
+		}
+		if req.Explain {
+			resp.Explain = s.explain(req, view, plan, res.Trace)
+		}
+		if req.Paths {
+			n := len(res.IDs)
+			if s.cfg.MaxPaths >= 0 {
+				n = min(n, s.cfg.MaxPaths)
+			}
+			resp.Paths = make([]string, n)
+			for i, id := range res.IDs[:n] {
+				resp.Paths[i] = doc.Col.Path(int32(id))
+			}
+		}
+		// The respond fault site covers the window between a successful
+		// evaluation and handing the response back: the evaluation was fine
+		// but the client never gets its answer. Injected here — not in the
+		// HTTP handler — so the guard's breaker record sees the fault and
+		// consecutive respond faults accumulate toward the threshold.
+		return failpoint.Inject(failpoint.SiteServerRespond)
+	})
 	if err != nil {
 		return nil, err
-	}
-	elapsed := time.Since(start)
-
-	resp = &QueryResponse{
-		Count:         len(res.IDs),
-		IDs:           res.IDs,
-		CacheHit:      hit,
-		ElapsedMicros: elapsed.Microseconds(),
-		// res.Stats came by value from this run's private engine clone,
-		// so these are exact even with concurrent requests on the plan.
-		Visited:         res.Stats.VisitedElements,
-		Skipped:         res.Stats.SkippedSubtrees,
-		SkippedElements: res.Stats.SkippedElements,
-		AFAEvals:        res.Stats.AFAEvaluations,
-		Shards:          res.Shards,
-		Workers:         res.Workers,
-		Engine:          engine,
-	}
-	if res.Shards > 0 {
-		s.met.parallelEvals.Inc()
-		s.met.shards.Add(int64(res.Shards))
-	}
-	s.met.visited.Add(int64(resp.Visited))
-	s.met.skippedSub.Add(int64(resp.Skipped))
-	s.met.skippedEle.Add(int64(resp.SkippedElements))
-	s.met.afaEvals.Add(int64(resp.AFAEvals))
-	s.met.observeQuery(req.View, resp.Engine, elapsed)
-	root := trace.FromContext(ctx)
-	if tid := root.TraceID(); req.Trace && !tid.IsZero() {
-		resp.TraceID = tid.String()
-	}
-	if s.isSlow(elapsed) {
-		s.met.slowQueries.Inc()
-		markSlow(root, req, resp)
-	}
-	if req.Explain {
-		resp.Explain = s.explain(req, view, plan, res.Trace)
-	}
-	if req.Paths {
-		n := len(res.IDs)
-		if s.cfg.MaxPaths >= 0 {
-			n = min(n, s.cfg.MaxPaths)
-		}
-		resp.Paths = make([]string, n)
-		for i, id := range res.IDs[:n] {
-			resp.Paths[i] = doc.Col.Path(int32(id))
-		}
-	}
-	// The respond fault site covers the window between a successful
-	// evaluation and handing the response back: the evaluation was fine but
-	// the client never gets its answer. Injected here — not in the HTTP
-	// handler — so the deferred breaker record above sees the fault and
-	// consecutive respond faults accumulate toward the threshold.
-	if ferr := failpoint.Inject(failpoint.SiteServerRespond); ferr != nil {
-		return nil, ferr
 	}
 	return resp, nil
 }
@@ -634,18 +621,18 @@ func (s *Server) resolve(ctx context.Context, req QueryRequest) (*DocEntry, *Vie
 	return doc, view, nil
 }
 
-// plan fetches or builds the request's prepared plan — the "plan" span of
-// a traced request, with the cache outcome (hit, single-flight build or
-// wait) recorded as an event.
-func (s *Server) plan(ctx context.Context, req QueryRequest, view *ViewEntry) (*smoqe.PreparedQuery, bool, error) {
+// plan fetches or builds the prepared plan of query over view (nil: the
+// source) — the "plan" span of a traced request, with the cache outcome
+// (hit, single-flight build or wait) recorded as an event.
+func (s *Server) plan(ctx context.Context, view *ViewEntry, query string) (*smoqe.PreparedQuery, bool, error) {
 	ctx, sp := trace.Start(ctx, "plan")
 	defer sp.End()
-	key := PlanKey{View: req.View, Query: req.Query}
+	key := PlanKey{Query: query}
 	if view != nil {
-		key.ViewGen = view.Gen
+		key.View, key.ViewGen = view.Name, view.Gen
 	}
 	plan, outcome, err := s.cache.GetOrBuildOutcome(key, func() (*smoqe.PreparedQuery, error) {
-		return s.buildPlan(ctx, req, view)
+		return s.buildPlan(ctx, view, query)
 	})
 	switch outcome {
 	case PlanCacheHit:
@@ -664,7 +651,7 @@ func (s *Server) plan(ctx context.Context, req QueryRequest, view *ViewEntry) (*
 
 // buildPlan runs the parse → rewrite → compile pipeline for one cache
 // miss — the "plan.build" span, which only the single-flight winner runs.
-func (s *Server) buildPlan(ctx context.Context, req QueryRequest, view *ViewEntry) (*smoqe.PreparedQuery, error) {
+func (s *Server) buildPlan(ctx context.Context, view *ViewEntry, query string) (*smoqe.PreparedQuery, error) {
 	_, sp := trace.Start(ctx, "plan.build")
 	defer sp.End()
 	if err := failpoint.Inject(failpoint.SiteServerPlanBuild); err != nil {
@@ -677,7 +664,7 @@ func (s *Server) buildPlan(ctx context.Context, req QueryRequest, view *ViewEntr
 	if view != nil {
 		v = view.View
 	}
-	p, err := smoqe.Prepare(v, req.Query)
+	p, err := smoqe.Prepare(v, query)
 	if err != nil {
 		err = fmt.Errorf("server: query: %w", err)
 		sp.Error(err)
@@ -705,14 +692,15 @@ func (s *Server) explain(req QueryRequest, view *ViewEntry, plan *smoqe.Prepared
 	}
 }
 
-// admit takes a slot of the admission semaphore sem: the global one for
-// single-document evaluations, or a collection's for fan-outs. A request
-// that finds every slot busy queues up to QueueWait and is then shed with
+// admit takes a slot of the admission semaphore sem — the global one for
+// single-document evaluations, or a collection's for fan-outs — under the
+// "admit" span, which records a shed or cancelled outcome. A request that
+// finds every slot busy queues up to QueueWait and is then shed with
 // ErrOverloaded — bounded latency instead of unbounded goroutine pile-up.
-// sp is the caller's admission span ("admit" or "corpus.admit"), which
-// records a shed or cancelled outcome. On success the caller owns the slot
-// and releases it with <-sem.
-func (s *Server) admit(ctx context.Context, sem chan struct{}, sp *trace.Span) error {
+// On success the caller owns the slot and releases it with <-sem.
+func (s *Server) admit(ctx context.Context, sem chan struct{}) error {
+	_, sp := trace.Start(ctx, "admit")
+	defer sp.End()
 	select {
 	case sem <- struct{}{}: // fast path: a slot is free
 		s.met.queueWait.Observe(0)
