@@ -223,9 +223,7 @@ func cmdEval(args []string) error {
 		res = &r
 		count = len(res.IDs)
 		if *showPaths {
-			for _, id := range res.IDs {
-				paths = append(paths, cd.Path(int32(id)))
-			}
+			paths = cd.Paths(res.IDs)
 		}
 		if opts.Workers > 0 && *stats {
 			fmt.Printf("parallel: %d shards on %d workers (%d spine nodes)\n",

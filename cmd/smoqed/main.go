@@ -12,7 +12,7 @@
 //	       [-corpus-max-queries 4]
 //	       [-view name=spec.view,source.dtd,target.dtd ...]
 //	       [-sample] [-pprof]
-//	       [-parallelism 0] [-max-concurrent 4×GOMAXPROCS] [-queue-wait 100ms]
+//	       [-max-concurrent 4×GOMAXPROCS] [-queue-wait 100ms]
 //	       [-max-visited 0] [-max-results 0]
 //	       [-max-doc-depth 0] [-max-doc-nodes 0] [-max-doc-bytes 0] [-max-body 64MiB]
 //	       [-breaker-threshold 5] [-breaker-cooldown 5s]
@@ -58,7 +58,6 @@ func main() {
 	sample := flag.Bool("sample", false, "preload the paper's hospital sample document and σ0 view")
 	traceLimit := flag.Int("trace-limit", 0, "per-node trace cap for explain requests (0 = engine default)")
 	enablePprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	parallelism := flag.Int("parallelism", 0, "shard-parallel worker cap per evaluation (0 disables, -1 = GOMAXPROCS)")
 	maxConcurrent := flag.Int("max-concurrent", 4*runtime.GOMAXPROCS(0), "admission control: evaluations running at once (0 = unbounded)")
 	queueWait := flag.Duration("queue-wait", 100*time.Millisecond, "how long a request may wait for an evaluation slot before a 429")
 	maxVisited := flag.Int("max-visited", 0, "per-evaluation budget: element nodes visited (0 = unlimited, exceeded = 422)")
@@ -92,7 +91,6 @@ func main() {
 		MaxPaths:              *maxPaths,
 		TraceLimit:            *traceLimit,
 		EnablePprof:           *enablePprof,
-		MaxParallelism:        *parallelism,
 		MaxConcurrentEvals:    *maxConcurrent,
 		QueueWait:             *queueWait,
 		EvalLimits:            smoqe.EvalLimits{MaxVisited: *maxVisited, MaxResultNodes: *maxResults},

@@ -17,7 +17,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"smoqe/internal/xmltree"
 )
@@ -217,31 +216,99 @@ func (cd *Document) Text(n int32) string {
 // each element step carries its 1-based position among the element
 // siblings with the same label, and a text node's step is text(). It is
 // byte-identical to xmltree.Node.Path of the node.
-func (cd *Document) Path(n int32) string {
-	var steps []string
-	for cur := n; cur >= 0; cur = cd.parent[cur] {
-		lab := cd.label[cur]
-		if lab < 0 {
-			steps = append(steps, "text()")
-			continue
-		}
-		idx := 1
-		if p := cd.parent[cur]; p >= 0 {
-			for c := p + 1; c < cur; c = cd.end[c] + 1 {
-				if cd.label[c] == lab {
-					idx++
-				}
+func (cd *Document) Path(n int32) string { return cd.Paths([]int{int(n)})[0] }
+
+// Paths returns the Path of every node of ids, which must be in document
+// order, as answers are. It keeps the chain of ancestors of the last node
+// and, for each, how far its children have been counted, so it scans each
+// parent's children at most once: the work is linear in the children
+// scanned and the paths written.
+func (cd *Document) Paths(ids []int) []string {
+	out := make([]string, len(ids))
+	var (
+		stack []pathFrame
+		buf   []byte
+		chain []int32
+		// Same-label child counts of the frames on the stack, one slot
+		// per label: a slot belongs to the frame whose id is in its
+		// stamp, and a frame saves what it overwrites in undo, so popping
+		// it restores its ancestors' counts.
+		counts, stamps []int32
+		undo           []pathUndo
+		serial         int32
+	)
+	for i, id := range ids {
+		n := int32(id)
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			if f.node <= n && n <= cd.end[f.node] {
+				break
 			}
+			for len(undo) > f.undo {
+				u := undo[len(undo)-1]
+				counts[u.label], stamps[u.label] = u.count, u.stamp
+				undo = undo[:len(undo)-1]
+			}
+			stack = stack[:len(stack)-1]
 		}
-		steps = append(steps, cd.labels[lab]+"["+strconv.Itoa(idx)+"]")
+		buf = buf[:0]
+		if len(stack) > 0 {
+			buf = buf[:stack[len(stack)-1].pathLen]
+		}
+		// The ancestors-or-self of n below the stack's top, deepest first.
+		chain = chain[:0]
+		for c := n; c >= 0 && (len(stack) == 0 || c != stack[len(stack)-1].node); c = cd.parent[c] {
+			chain = append(chain, c)
+		}
+		for j := len(chain) - 1; j >= 0; j-- {
+			c := chain[j]
+			lab := cd.label[c]
+			buf = append(buf, '/')
+			if lab < 0 {
+				buf = append(buf, "text()"...)
+			} else {
+				idx := int32(1)
+				if len(stack) > 0 {
+					if counts == nil {
+						counts, stamps = make([]int32, len(cd.labels)), make([]int32, len(cd.labels))
+					}
+					// Count the parent's children up to and including c.
+					f := &stack[len(stack)-1]
+					for x := f.next; x <= c; x = cd.end[x] + 1 {
+						if l := cd.label[x]; l >= 0 {
+							if stamps[l] != f.id {
+								undo = append(undo, pathUndo{label: l, count: counts[l], stamp: stamps[l]})
+								counts[l], stamps[l] = 0, f.id
+							}
+							counts[l]++
+						}
+					}
+					f.next = cd.end[c] + 1
+					idx = counts[lab]
+				}
+				buf = append(buf, cd.labels[lab]...)
+				buf = append(buf, '[')
+				buf = strconv.AppendInt(buf, int64(idx), 10)
+				buf = append(buf, ']')
+			}
+			serial++
+			stack = append(stack, pathFrame{node: c, next: c + 1, id: serial, undo: len(undo), pathLen: len(buf)})
+		}
+		out[i] = string(buf)
 	}
-	var b strings.Builder
-	for i := len(steps) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(steps[i])
-	}
-	return b.String()
+	return out
 }
+
+// pathFrame is one ancestor on Paths' stack: the first of its children
+// not yet counted, the stamp of its counts, the undo entries below its
+// own, and the length of its path.
+type pathFrame struct {
+	node, next, id int32
+	undo, pathLen  int
+}
+
+// pathUndo is a count slot as it was before a frame took it over.
+type pathUndo struct{ label, count, stamp int32 }
 
 // Cursor is a positioned read pointer over a Document implementing
 // mfa.NodeView, so AFA predicate evaluation runs on the columns without

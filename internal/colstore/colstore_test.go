@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -226,7 +227,8 @@ func TestSnapshotFailpoints(t *testing.T) {
 
 // TestPathMatchesNodePath: the columnar path of every node — elements,
 // text nodes, mixed content, and a document read back from its snapshot —
-// is byte-identical to the pointer tree's Node.Path.
+// is byte-identical to the pointer tree's Node.Path, asked one node at a
+// time, for all nodes at once, and for sorted random subsets.
 func TestPathMatchesNodePath(t *testing.T) {
 	mixed, err := xmltree.ParseString(`<a>x<b/>y<b>z<c/>w</b><c/>v<b><b/></b></a>`)
 	if err != nil {
@@ -251,9 +253,29 @@ func TestPathMatchesNodePath(t *testing.T) {
 			name string
 			cd   *Document
 		}{{"built", cd}, {"snapshot", loaded}} {
-			for id := 0; id < d.NumNodes(); id++ {
+			all := make([]int, d.NumNodes())
+			for id := range all {
+				all[id] = id
 				if got, want := form.cd.Path(int32(id)), d.NodeByID(id).Path(); got != want {
 					t.Fatalf("%s (%s): node %d: Path = %q, want %q", name, form.name, id, got, want)
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(len(all))))
+			subsets := [][]int{all}
+			for k := 0; k < 20; k++ {
+				var sub []int
+				for _, id := range all {
+					if rng.Intn(1+k) == 0 {
+						sub = append(sub, id)
+					}
+				}
+				subsets = append(subsets, sub)
+			}
+			for _, ids := range subsets {
+				for i, got := range form.cd.Paths(ids) {
+					if want := d.NodeByID(ids[i]).Path(); got != want {
+						t.Fatalf("%s (%s): Paths of %d ids: node %d: %q, want %q", name, form.name, len(ids), ids[i], got, want)
+					}
 				}
 			}
 		}

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,12 +31,25 @@ import (
 	"smoqe/internal/trace"
 )
 
-// elapsedRe masks the only nondeterministic field of a QueryResponse.
-var elapsedRe = regexp.MustCompile(`"elapsed_us": ?\d+`)
+// elapsedRe and shardsRe mask the fields of a QueryResponse that differ
+// between runs of one request: the evaluation time, and the shard cut and
+// worker count of a "corpus" query, which the server sizes from the Ps the
+// other evaluations leave idle (the golden run's lone client leaves more
+// than eight chaos clients do).
+var (
+	elapsedRe = regexp.MustCompile(`"elapsed_us": ?\d+`)
+	shardsRe  = regexp.MustCompile(`,"shards":\d+,"workers":\d+`)
+)
 
-func maskElapsed(b []byte) string {
+func maskVarying(b []byte) string {
+	b = shardsRe.ReplaceAll(b, nil)
 	return string(elapsedRe.ReplaceAll(b, []byte(`"elapsed_us": X`)))
 }
+
+// chaosCorpusPatients sizes the "corpus" document for at least two shard
+// workers (over 9,000 elements), so its queries reach the shard and merge
+// fault sites.
+const chaosCorpusPatients = 250
 
 type chaosClient struct {
 	t    *testing.T
@@ -61,7 +75,7 @@ func (cc *chaosClient) post(path string, payload any) (int, string) {
 		cc.t.Errorf("truncated response: %v", err)
 		return 0, ""
 	}
-	return resp.StatusCode, maskElapsed(raw)
+	return resp.StatusCode, maskVarying(raw)
 }
 
 func chaosQueries() []server.QueryRequest {
@@ -92,16 +106,16 @@ func TestChaosServerSurvivesFailpoints(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	failpoint.DisableAll()
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	s := server.New(server.Config{
 		CacheSize:        64,
-		MaxParallelism:   4,
 		BreakerThreshold: 3,
 		BreakerCooldown:  200 * time.Millisecond,
 	})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Registry().RegisterDocument("corpus", datagen.Generate(datagen.DefaultConfig(120))); err != nil {
+	if _, err := s.Registry().RegisterDocument("corpus", datagen.Generate(datagen.DefaultConfig(chaosCorpusPatients))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.RegisterView("sigma0", hospital.Sigma0()); err != nil {
@@ -318,16 +332,16 @@ func TestFailpointRequestsYieldRetainedTraces(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	failpoint.DisableAll()
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	s := server.New(server.Config{
 		CacheSize:        64,
-		MaxParallelism:   4,
 		BreakerThreshold: -1, // breakers off: every request must reach its fault site
 		TraceSampleEvery: -1, // only error retention keeps these traces
 	})
 	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Registry().RegisterDocument("corpus", datagen.Generate(datagen.DefaultConfig(120))); err != nil {
+	if _, err := s.Registry().RegisterDocument("corpus", datagen.Generate(datagen.DefaultConfig(chaosCorpusPatients))); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"smoqe/internal/colstore"
@@ -48,6 +49,7 @@ type httpStats struct {
 type httpQueryResponse struct {
 	httpAnswer
 	httpStats
+	Workers int `json:"workers"`
 }
 
 // diffQuery is one generated query with its oracle answer per document.
@@ -118,12 +120,16 @@ func httpPostJSON(t *testing.T, ts *httptest.Server, path string, payload any) [
 // document DTD, half over σ0's view DTD — through POST /query under every
 // combination of engine, parallelism, explain, trace and registration
 // form, and through POST /collections/{name}/query with the prefilter on
-// and off.
+// and off. Parallelism 1 evaluates sequentially; 0 lets the server
+// evaluate shard-parallel.
 func TestHTTPDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
 	}
-	docXML := corpus(t, 10, 41).XMLString()
+	// Large enough for the server to evaluate it shard-parallel, which
+	// every request that allows it does, one at a time on at least 2 Ps.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	docXML := corpus(t, 220, 41).XMLString()
 	var snap bytes.Buffer
 	if err := colstore.FromTree(parseCopy(t, docXML)).WriteSnapshot(&snap); err != nil {
 		t.Fatal(err)
@@ -143,7 +149,7 @@ func TestHTTPDifferential(t *testing.T) {
 		}
 	}
 
-	srv := server.New(server.Config{MaxParallelism: 2})
+	srv := server.New(server.Config{})
 	if err := srv.OpenCorpus(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +184,7 @@ func TestHTTPDifferential(t *testing.T) {
 		}
 	}
 
-	nonEmpty := 0
+	nonEmpty, parallelRuns := 0, 0
 	for qi, dq := range queries {
 		if dq.want.Count > 0 {
 			nonEmpty++
@@ -186,7 +192,7 @@ func TestHTTPDifferential(t *testing.T) {
 		stats := map[string]httpStats{}
 		for _, doc := range []string{"xml", "snap"} {
 			for _, engine := range []string{"hype", "opthype", "columnar"} {
-				for _, par := range []int{0, 2} {
+				for _, par := range []int{0, 1} {
 					for _, explain := range []bool{false, true} {
 						for _, forceTrace := range []bool{false, true} {
 							req := map[string]any{
@@ -205,8 +211,14 @@ func TestHTTPDifferential(t *testing.T) {
 							if !reflect.DeepEqual(got.httpAnswer, dq.want) && !(got.Count == 0 && dq.want.Count == 0) {
 								t.Fatalf("%s: got %+v, reference %+v", tag, got.httpAnswer, dq.want)
 							}
+							if (par == 1 || explain) && got.Workers != 0 {
+								t.Fatalf("%s: evaluated on %d workers", tag, got.Workers)
+							}
+							if got.Workers >= 2 {
+								parallelRuns++
+							}
 							// Statistics agree between hype and columnar and
-							// between parallelism 0 and 2; opthype prunes
+							// between parallelism 0 and 1; opthype prunes
 							// with its index, so it is compared only across
 							// parallelism.
 							family := "pointer"
@@ -254,6 +266,9 @@ func TestHTTPDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+	if parallelRuns == 0 {
+		t.Error("no request evaluated shard-parallel")
 	}
 	if nonEmpty < 8 {
 		t.Errorf("only %d/%d generated queries had nonempty answers; generator too weak", nonEmpty, len(queries))

@@ -728,6 +728,19 @@ func (d *hcache) fold(t *htrans, acc, child *afaVal) *afaVal {
 	return v
 }
 
+// union returns the interned OR of a (nil when all false) and b, which may
+// be another cache's value.
+func (d *hcache) union(a, b *afaVal) *afaVal {
+	bits := d.scratch(d.prog.afaWords)
+	if a != nil {
+		copy(bits, a.bits)
+	}
+	for i, w := range b.bits {
+		bits[i] |= w
+	}
+	return d.internVal(bits)
+}
+
 // eval is the bottom-up evaluation of h's active AFAs at a node whose
 // accumulator is acc and whose predicate states came out as preds (bit i
 // for h.preds[i]), with the guard kills it implies. It is memoized while
@@ -886,11 +899,13 @@ func CompiledPlan(m *mfa.MFA) CompiledStats {
 // Engine knobs --------------------------------------------------------------
 
 // SetCompiledCacheCap overrides the hybrid-state cache bound (0 restores
-// the default). It resets the clone's caches; tests use tiny caps to
-// exercise the flush path.
+// the default). It resets the clone's caches and drops its shard workers,
+// which are cloned anew with the bound; tests use tiny caps to exercise
+// the flush path.
 func (e *Engine) SetCompiledCacheCap(n int) {
 	e.cacheCap = n
 	e.caches = [2]*hcache{}
+	e.workers = nil
 }
 
 // ensureCache returns the clone's lazy hybrid automaton for plain or

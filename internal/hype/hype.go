@@ -23,12 +23,14 @@ type Engine struct {
 	// Per clone (a clone starts without them and keeps only the cache
 	// bound): the lazy hybrid automata of plain and indexed runs (see
 	// ensureCache), the cache bound tests may override, the metadata of
-	// the index the clone last ran on (meta.go), and the buffers of its
-	// last run (see runBufs).
+	// the index the clone last ran on (meta.go), the buffers of its last
+	// run (see runBufs), and the warm shard-worker clones it plans for
+	// (parallel.go), at most GOMAXPROCS of them.
 	caches   [2]*hcache
 	cacheCap int
 	im       *indexMeta
 	bufs     *runBufs
+	workers  []*Engine
 }
 
 // Stats reports what one Eval run did; the §7 pruning percentages come
@@ -54,8 +56,8 @@ func New(m *mfa.MFA) *Engine { return &Engine{program: buildProgram(m)} }
 
 // Clone returns an independent engine over the same automaton: the
 // compiled program is shared, while the hybrid-state caches, the index
-// metadata and the run buffers are private, so clones may evaluate
-// concurrently on different goroutines.
+// metadata, the run buffers and the shard workers are private, so clones
+// may evaluate concurrently on different goroutines.
 func (e *Engine) Clone() *Engine { return &Engine{program: e.program, cacheCap: e.cacheCap} }
 
 // fixpointReach marks, in marked, every state from which a marked state is
@@ -147,10 +149,9 @@ type Result struct {
 	// reports what it did before it stopped.
 	Stats Stats
 	// Shards, Workers and SpineNodes report how a shard-parallel run cut
-	// the document: the independent subtree tasks, the worker goroutines
-	// actually used, and the nodes the sequential planner visited itself
-	// (the root plus every dominating shard it split). Zero for a
-	// sequential run.
+	// the document: the range tasks, the workers that ran them, and the
+	// nodes the sequential planner visited itself (the root plus every
+	// child too large for one task). Zero for a sequential run.
 	Shards     int
 	Workers    int
 	SpineNodes int
@@ -209,18 +210,13 @@ func (e *Engine) Eval(ctx context.Context, cd *colstore.Document, opts Options) 
 // metadata, and the clone's run buffers, truncated. The caller defers
 // e.releaseBufs.
 func (e *Engine) newRun(ctx context.Context, cd *colstore.Document, opts Options) *run {
-	if e.bufs == nil {
-		e.bufs = new(runBufs)
-	}
-	b := e.bufs
-	b.edgeList, b.dead, b.cands = b.edgeList[:0], b.dead[:0], b.cands[:0]
 	r := &run{
 		Engine:  e,
-		runBufs: b,
+		runBufs: e.takeBufs(),
 		ctx:     ctx,
 		limits:  opts.Limits,
 		cd:      cd,
-		cur:     cd.At(0),
+		cur:     *cd.At(0),
 		progLab: e.bind(cd),
 		hc:      e.ensureCache(opts.Index != nil),
 	}
@@ -231,6 +227,16 @@ func (e *Engine) newRun(ctx context.Context, cd *colstore.Document, opts Options
 		r.ixm = e.bindIndex(opts.Index)
 	}
 	return r
+}
+
+// takeBufs lends the clone's run buffers to a new run, truncated.
+func (e *Engine) takeBufs() *runBufs {
+	if e.bufs == nil {
+		e.bufs = new(runBufs)
+	}
+	b := e.bufs
+	b.edgeList, b.dead, b.cands, b.links = b.edgeList[:0], b.dead[:0], b.cands[:0], b.links[:0]
+	return b
 }
 
 // bind maps cd's label ids to program label ids (-1 for labels the
@@ -371,10 +377,26 @@ func (r *run) poll() {
 	if r.cancelled {
 		return
 	}
-	if r.ctx.Err() != nil {
+	if r.ctxDone() {
 		r.cancelled = true
 	} else if r.bud != nil {
 		r.checkBudget()
+	}
+}
+
+// ctxDone reports whether the run's context is done. A parallel run reads
+// it through its Done channel, which writes no memory: Err locks the
+// context's mutex, whose cache line shard workers polling together would
+// pass back and forth. A sequential run, the only poller, calls Err.
+func (r *run) ctxDone() bool {
+	if r.done == nil {
+		return r.ctx.Err() != nil
+	}
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -382,28 +404,22 @@ func (r *run) poll() {
 type run struct {
 	*Engine
 
-	// The document and its per-run views: the program label of every
-	// document label id, and one reusable cursor that AFA predicates read
-	// the current node through.
+	// The document and the program label of every document label id.
 	cd      *colstore.Document
 	progLab []int32
-	cur     *colstore.Cursor
 	// hc is the clone's hybrid cache for the run's mode; ixm is the index
 	// metadata of an indexed run (nil otherwise).
 	hc  *hcache
 	ixm *indexMeta
 
-	// stats is this run's private statistics, so concurrent clones never
-	// write shared memory mid-run.
-	stats Stats
 	// trace, when non-nil, records per-node decisions (capped).
 	trace *Trace
-	// ctx lets the DFS abort early: walk polls ctx.Err() every
-	// cancelCheckInterval elements and, once cancelled, every remaining
-	// walk returns immediately so the recursion unwinds fast.
-	ctx        context.Context
-	sinceCheck int
-	cancelled  bool
+	// ctx lets the DFS abort early: walk polls it (ctxDone; a parallel
+	// run through its Done channel, done) every cancelCheckInterval
+	// elements and, once cancelled, every remaining walk returns
+	// immediately so the recursion unwinds fast.
+	ctx  context.Context
+	done <-chan struct{}
 	// limits are the run's resource budgets and bud, when non-nil, their
 	// shared consumption counters (see Limits); the poll window flushes
 	// consumption into bud and sets limitErr (plus cancelled, to unwind)
@@ -414,20 +430,36 @@ type run struct {
 	limitErr     error
 	flushedCands int
 
-	// The cans DAG's size: vertices are just indices, and numEdges counts
-	// the edges whether or not the run stores them (see runBufs).
-	numVerts int
-	numEdges int
-
 	// The run's buffers, on loan from the engine clone.
 	*runBufs
+
+	// The fields below are written for every visited element. A shard
+	// worker's run is allocated by the worker's own goroutine (see
+	// shardPool.worker), from its P's allocation span, so it shares no
+	// cache line with another worker's run.
+	// stats is this run's private statistics, so concurrent clones never
+	// write shared memory mid-run.
+	stats Stats
+	// The cans DAG's size: vertices are just indices, and numEdges counts
+	// the edges whether or not the run stores them (see runBufs).
+	numVerts   int
+	numEdges   int
+	sinceCheck int
+	cancelled  bool
+	// cur is the reusable cursor that AFA predicates read the current
+	// node through.
+	cur colstore.Cursor
+	// from and fromState memoize, for a shard worker, the spine state of
+	// its last task and the worker's own interned copy of it.
+	from, fromState *hstate
 }
 
 // runBufs holds a run's buffers. A clone keeps those of its last run, and
-// newRun truncates them, so a steady-state run allocates no DAG memory;
-// releaseBufs drops them once they grow past maxRetainedBytes.
-// Shard workers start from fresh buffers and hand their DAG slices to the
-// merge. Nothing a Result holds aliases these buffers.
+// takeBufs truncates them, so a steady-state run allocates no DAG memory;
+// releaseBufs drops them once they grow past maxRetainedBytes. A shard
+// worker numbers its vertices continuously across its tasks in its own
+// buffers, which the merge reads before the planner engine runs again.
+// Nothing a Result holds aliases these buffers.
 type runBufs struct {
 	// cans DAG, stored pointer-free so the GC never scans it: edges live in
 	// a flat list (CSR built for the phase-2 traversal), dead marks
@@ -436,6 +468,10 @@ type runBufs struct {
 	edgeList []edgePair
 	dead     []bool
 	cands    []cand
+
+	// links holds a shard worker's link edges from spine vertices, in the
+	// planner's numbering, into the children its range tasks visited.
+	links []edgePair
 
 	// preds holds the predicate outcomes at the node being evaluated.
 	preds nfaSet
@@ -454,7 +490,7 @@ const maxRetainedBytes = 4 << 20
 // they grew past maxRetainedBytes.
 func (e *Engine) releaseBufs() {
 	b := e.bufs
-	n := 8*cap(b.edgeList) + cap(b.dead) + 12*cap(b.cands) +
+	n := 8*(cap(b.edgeList)+cap(b.links)) + cap(b.dead) + 12*cap(b.cands) +
 		4*(cap(b.offs)+cap(b.adj)+cap(b.stack)) + cap(b.seen)
 	if n > maxRetainedBytes {
 		e.bufs = nil
@@ -594,7 +630,7 @@ func (r *run) evalAt(n int32, h *hstate, acc *afaVal, res *visitResult) {
 		clear(preds)
 		r.cur.Seek(n)
 		for i := range h.preds {
-			if h.preds[i].pred.Holds(r.cur) {
+			if h.preds[i].pred.Holds(&r.cur) {
 				preds.set(i)
 			}
 		}

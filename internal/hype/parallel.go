@@ -7,26 +7,31 @@
 //
 //  1. A sequential planner partially visits a small "spine" of nodes near
 //     the root, exactly the way walk() would (same pruning decisions, same
-//     vertex allocation), but instead of recursing it records each
-//     surviving element child as an independent shard task. When one shard
-//     holds most of the remaining work — the paper's hospital documents
-//     often hang everything below one or two departments — the planner
-//     expands that shard into a spine node of its own and re-shards its
-//     children, recursively, until no shard dominates.
-//  2. A bounded worker pool runs the shard visits on private Engine.Clone
-//     instances (shared immutable automaton metadata, private run state),
-//     honoring context cancellation. A task carries the NFA and AFA sets
-//     its subtree starts from as bitsets, never the planner's hybrid
+//     vertex allocation), but instead of recursing it cuts the children
+//     into parts of at most about a (4·workers)-th of the document, for
+//     the workers that can run at once (at most GOMAXPROCS). A larger
+//     child is stepped into and becomes a spine node of its own,
+//     recursively; every other part is a range task, a contiguous run of
+//     siblings under one spine node.
+//  2. The planner engine keeps warm worker clones (shared immutable
+//     automaton metadata, private hybrid caches, index metadata and run
+//     buffers). The calling goroutine is worker 0, the others are
+//     goroutines, and each takes the next task from the list until none is
+//     left, honoring context cancellation. A worker steps into a range's
+//     children the way walk() does, from its own copy of the spine node's
 //     state: stepping a cached state writes its transition slots, so each
-//     worker interns the sets in its own cache.
-//  3. A sequential merge folds the shard results back in document order:
-//     shard vertex ids are offset into the global cans DAG, the compiled
-//     link edges from spine vertices into shard roots are added, shard AFA
-//     truth values (bitsets, interned anew by the planner) are folded into
-//     the spine accumulators through the planner's transitions, and the
-//     spine's bottom-up AFA evaluations and guard kills run exactly where
-//     the sequential pass would have run them. Phase 2 then walks the
-//     merged DAG once.
+//     worker interns the planner's sets in its own cache. It numbers cans
+//     vertices continuously across its tasks; a task records its first
+//     vertex and its bounds in the worker's buffers, the link edges from
+//     the spine node's vertices, and its children's share of the spine
+//     node's AFA accumulator.
+//  3. A sequential merge folds the results back: each task's vertices,
+//     edges and candidates are shifted into the global cans DAG, its
+//     accumulator share (a bitset, interned anew by the planner) is ORed
+//     into the spine node's, split children are linked and folded through
+//     the planner's transitions, and the spine's bottom-up AFA evaluations
+//     and guard kills run exactly where the sequential pass would have run
+//     them. Phase 2 then walks the merged DAG once.
 //
 // The result — answers, their order, and every Stats counter — is
 // identical to the sequential Eval by construction; only vertex numbering
@@ -34,10 +39,13 @@
 package hype
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"smoqe/internal/colstore"
 	"smoqe/internal/failpoint"
@@ -45,141 +53,118 @@ import (
 	"smoqe/internal/trace"
 )
 
-// parallel-planner tuning knobs.
-const (
-	// maxShards caps how many tasks domination splitting may create.
-	maxShards = 256
-	// maxSplitRounds bounds the splitting loop (each round replaces one
-	// task by its children, so this also bounds spine depth).
-	maxSplitRounds = 64
-)
-
-// spineChild is one surviving element child of a spine node after the
-// partial visit: either a shard task or a nested spine node (the shard
-// dominated and was split further). tr is the planner's hybrid transition
-// into the child, whose link edges and fold rules the merge applies.
-type spineChild struct {
-	tr    *htrans
-	task  *shardTask
-	spine *spineNode
-}
+// maxSplits bounds how many children the planner expands onto the spine,
+// which also bounds spine depth on chains.
+const maxSplits = 64
 
 // spineNode is a node the planner visits sequentially. Its vertices live in
 // the planner run's (global) numbering; its bottom-up half — AFA evaluation
 // and guard kills — runs during the merge, after every child below it has
-// been folded.
+// been folded. parts cover its surviving element children in document
+// order.
 type spineNode struct {
-	node int32
-	h    *hstate
-	res  visitResult // vertices in the planner's global numbering
-	acc  *afaVal     // bottom-up accumulator, filled by the merge
-	kids []spineChild
+	node  int32
+	h     *hstate
+	res   visitResult // vertices in the planner's global numbering
+	acc   *afaVal     // bottom-up accumulator, filled by the merge
+	parts []spinePart
 }
 
-// shardTask is one independent subtree evaluation: the child node and the
-// exact state sets a sequential visit would have entered it with.
-type shardTask struct {
-	node int32
-	nfa  nfaSet // ε-closed NFA states
-	rel  nfaSet // closed AFA seed sets
-	size int    // subtree size, for the domination heuristic
-
-	parent *spineNode
-	slot   int // index in parent.kids
-
-	out shardOut
+// spinePart is one child split onto the spine, entered through the
+// planner's transition tr, or one range task.
+type spinePart struct {
+	tr    *htrans
+	spine *spineNode
+	task  *shardTask
 }
 
-// shardOut is what a worker hands back: the shard's private cans DAG (local
-// vertex numbering starting at 0), its root's first vertex and AFA values
-// (a bitset, nil when all false) and its run statistics.
-// err carries a shard-local failure — a recovered panic (*guard.PanicError),
-// an exceeded budget (*LimitError) or an injected fault — that fails the
+// shardTask is one range task: the element children of sp in the preorder
+// interval [from, to), a run of siblings that one worker steps into and
+// visits in order, exactly as walk() would. The worker fills in the rest:
+// its run, the task's first vertex and its bounds in the run's buffers
+// (the dead marks of a guarded automaton are the task's vertices), the
+// children's share of sp's accumulator, or why it did not finish. err
+// carries a task-local failure — a recovered panic (*guard.PanicError), an
+// exceeded budget (*LimitError) or an injected fault — that fails the
 // whole evaluation without ever taking down the worker pool.
-type shardOut struct {
-	numVerts  int
-	numEdges  int
-	edges     []edgePair
-	dead      []bool
-	cands     []cand
-	base      int32
-	vals      nfaSet
-	stats     Stats
-	cancelled bool
-	err       error
+type shardTask struct {
+	sp       *spineNode
+	from, to int32
+
+	wr                     *run
+	v0, v1                 int32
+	e0, e1, c0, c1, l0, l1 int
+	acc                    *afaVal // in the worker's cache
+	cancelled              bool
+	err                    error
 }
 
-// runParallel is Eval with opts.Workers > 0: it fans independent subtrees
-// out to a bounded pool of at most opts.Workers goroutines. The answers and
-// statistics are exactly those of the sequential pass. The engine itself
-// acts as the sequential planner, so — like Eval — it must not run
-// concurrently on one Engine; workers run on private clones.
+// shardPool is the task list of one parallel evaluation and the runs of
+// its workers, each created by the worker's own goroutine. The workers
+// start before the plan exists, so waking them overlaps planning; ready
+// publishes the tasks and the run slots.
+type shardPool struct {
+	r0    *run
+	tasks []*shardTask
+	ready atomic.Bool
+	next  atomic.Int32
+	runs  []*run
+	wg    sync.WaitGroup
+}
+
+// runParallel is Eval with opts.Workers > 0: it fans range tasks out to
+// at most opts.Workers workers. The answers and statistics are exactly
+// those of the sequential pass. The engine itself acts as the sequential
+// planner, so — like Eval — it must not run concurrently on one Engine;
+// workers run on its private worker clones.
 func (e *Engine) runParallel(ctx context.Context, cd *colstore.Document, opts Options) (Result, error) {
 	// The budget is shared with every worker run, so MaxVisited and
-	// MaxResultNodes bound the whole parallel evaluation, not each shard
+	// MaxResultNodes bound the whole parallel evaluation, not each task
 	// separately.
 	r0 := e.newRun(ctx, cd, opts)
 	defer e.releaseBufs()
-	tasks, spines := r0.planShards(ctx)
-	res := Result{Shards: len(tasks), SpineNodes: len(spines)}
-	if err := ctx.Err(); err != nil {
+	r0.done = ctx.Done()
+	nw := opts.Workers
+	// Workers that can run now — one per P — start before the plan
+	// exists, so waking them overlaps planning, keep warm clones, and are
+	// the count the plan cuts tasks for. The rest could only take turns on
+	// those Ps: they start once the plan shows there are tasks for them,
+	// on transient clones.
+	early := min(nw, runtime.GOMAXPROCS(0))
+	if len(e.workers) < early {
+		e.workers = append(e.workers, make([]*Engine, early-len(e.workers))...)
+	}
+	p := &shardPool{r0: r0}
+	p.wg.Add(early)
+	for i := 1; i < early; i++ {
+		go p.work(i)
+	}
+	spines, err := p.plan(ctx, early, nw)
+	late := max(early, len(p.runs))
+	p.wg.Add(late - early)
+	for i := early; i < late; i++ {
+		go p.work(i)
+	}
+	p.work(0)
+	p.wg.Wait()
+	defer p.release()
+
+	res := Result{Shards: len(p.tasks), SpineNodes: len(spines), Workers: min(nw, len(p.tasks))}
+	if err != nil {
 		return res, err
 	}
-
-	// Execute the shards on a bounded pool of engine clones. Each task runs
-	// under its own recover (see runShard): a panic inside one shard —
-	// whether from a poisoned document/automaton pair or an injected fault —
-	// becomes that task's out.err instead of killing the process, and the
-	// WaitGroup barrier always completes.
-	nw := min(opts.Workers, len(tasks))
-	if nw > 0 {
-		ch := make(chan *shardTask)
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				wr := r0.worker()
-				for t := range ch {
-					if wr.cancelled || ctx.Err() != nil {
-						t.out.cancelled = true
-						continue
-					}
-					runShard(wr, t)
-					if t.out.err != nil {
-						// The run's internal state (pools, DAG buffers) is
-						// suspect after a panic or an aborted visit; start
-						// the next task from a fresh clone.
-						wr = r0.worker()
-					}
-				}
-			}()
-		}
-		for _, t := range tasks {
-			ch <- t
-		}
-		close(ch)
-		wg.Wait()
-	}
-	res.Workers = nw
-	for _, t := range tasks {
-		if t.out.err != nil {
-			return res, t.out.err
+	for _, t := range p.tasks {
+		if t.err != nil {
+			return res, t.err
 		}
 	}
-	for _, t := range tasks {
-		if t.out.cancelled {
-			return res, ctx.Err()
+	for _, t := range p.tasks {
+		if t.cancelled {
+			return res, cmp.Or(ctx.Err(), context.Canceled)
 		}
 	}
-
-	if err := mergeParallel(ctx, r0, spines, tasks); err != nil {
+	if err := mergeParallel(ctx, r0, spines, p.tasks, p.runs); err != nil {
 		return res, err
-	}
-
-	// Phase 2 over the merged DAG, then the merged statistics.
-	for _, t := range tasks {
-		addStats(&r0.stats, t.out.stats)
 	}
 	hits, err := r0.finish(spines[0].res, &res.Stats)
 	if err != nil {
@@ -189,177 +174,186 @@ func (e *Engine) runParallel(ctx context.Context, cd *colstore.Document, opts Op
 	return res, nil
 }
 
-// planShards is the sequential planner of a parallel evaluation — the
-// "hype.plan" span: it partially visits the root, then splits dominating
-// shards. It returns the shard tasks and the spine nodes, the root's first.
-func (r0 *run) planShards(ctx context.Context) ([]*shardTask, []*spineNode) {
-	_, sp := trace.Start(ctx, "hype.plan")
-	defer sp.End()
+// plan runs the planner for procs workers running at once and publishes
+// its tasks, none when ctx is done — even when planning panics, so no
+// worker waits forever — with a run slot for each of at most workers
+// workers: however many are asked for, no more run than there are tasks.
+func (p *shardPool) plan(ctx context.Context, procs, workers int) (spines []*spineNode, err error) {
 	var tasks []*shardTask
-	spines := []*spineNode{r0.expandSpine(0, r0.hc.rootState(), &tasks)}
-	for rounds := 0; rounds < maxSplitRounds && len(tasks) > 0 && len(tasks) < maxShards; rounds++ {
-		total, big := 0, 0
-		for i, t := range tasks {
-			total += t.size
-			if t.size > tasks[big].size {
-				big = i
-			}
-		}
-		// Split while one shard holds over half the remaining work (a
-		// single shard always dominates). Splitting a leaf just moves it
-		// onto the spine, which is how chains bottom out.
-		if len(tasks) >= 2 && tasks[big].size*2 <= total {
-			break
-		}
-		t := tasks[big]
-		tasks = append(tasks[:big], tasks[big+1:]...)
-		kc := &t.parent.kids[t.slot]
-		kc.spine = r0.expandSpine(t.node, kc.tr.next, &tasks)
-		kc.task = nil
-		spines = append(spines, kc.spine)
+	defer func() {
+		p.tasks = tasks
+		p.runs = make([]*run, min(workers, len(tasks)))
+		p.ready.Store(true)
+	}()
+	tasks, spines = p.r0.planShards(ctx, procs)
+	if err = ctx.Err(); err != nil {
+		tasks = nil
 	}
-	sp.AttrInt("shards", int64(len(tasks)))
-	sp.AttrInt("spine_nodes", int64(len(spines)))
-	return tasks, spines
+	return spines, err
 }
 
-// worker returns a run on a fresh clone that evaluates shards of r's
-// evaluation: the same document, label binding, mode, limits and shared
-// budget.
-func (r *run) worker() *run {
-	e := r.Engine.Clone()
-	w := &run{
-		Engine:  e,
-		runBufs: new(runBufs),
-		ctx:     r.ctx,
-		limits:  r.limits,
-		bud:     r.bud,
-		cd:      r.cd,
-		cur:     r.cd.At(0),
-		progLab: r.progLab,
-		hc:      e.ensureCache(r.ixm != nil),
+// work is worker i: once the plan is published, it takes tasks from the
+// list until none is left, under one "hype.shard" span when it is one of
+// the Result's Workers (i below the task count). Each task runs under its
+// own recover (see runShard), so a panic inside one becomes that task's
+// err instead of killing the process, and the barrier always completes.
+// Once its run aborted or ctx is done, the worker only marks the tasks it
+// takes as cancelled, so the list drains fast.
+func (p *shardPool) work(i int) {
+	defer p.wg.Done()
+	for !p.ready.Load() {
+		runtime.Gosched()
 	}
-	if r.ixm != nil {
-		w.ixm = e.bindIndex(r.ixm.ix)
+	if i >= len(p.tasks) {
+		return
 	}
-	return w
-}
-
-// mergeParallel folds the shard results back into the planner run's global
-// DAG in document order — the sequential third phase of the parallel
-// evaluation (see the package comment). It runs under a "hype.merge" span
-// when the evaluation is traced.
-func mergeParallel(ctx context.Context, r0 *run, spines []*spineNode, tasks []*shardTask) error {
-	_, msp := trace.Start(ctx, "hype.merge")
-	defer msp.End()
-	if err := failpoint.Inject(failpoint.SiteHypeMerge); err != nil {
-		msp.Event("failpoint", "site", failpoint.SiteHypeMerge)
-		msp.Error(err)
-		return err
-	}
-
-	// Presize the merged DAG: one growth step instead of log-many
-	// reallocations while folding shard edge lists in.
-	extraV, extraE, extraC := 0, 0, 0
-	for _, t := range tasks {
-		extraV += len(t.out.dead)
-		extraE += len(t.out.edges)
-		extraC += len(t.out.cands)
-	}
-	r0.dead = slices.Grow(r0.dead, extraV)
-	r0.edgeList = slices.Grow(r0.edgeList, extraE)
-	r0.cands = slices.Grow(r0.cands, extraC)
-
-	// Merge bottom-up: spines in reverse creation order puts every spine
-	// child before its parent, so a parent folds fully-evaluated children.
-	for i := len(spines) - 1; i >= 0; i-- {
-		sp := spines[i]
-		for _, kc := range sp.kids {
-			var base int32
-			var vals *afaVal
-			if kc.task == nil {
-				base, vals = kc.spine.res.base, kc.spine.res.vals
-			} else {
-				out := &kc.task.out
-				off := int32(r0.numVerts)
-				r0.numVerts += out.numVerts
-				r0.numEdges += out.numEdges
-				r0.dead = append(r0.dead, out.dead...)
-				for _, ep := range out.edges {
-					r0.edgeList = append(r0.edgeList, edgePair{ep.from + off, ep.to + off})
-				}
-				for _, c := range out.cands {
-					c.vid += off
-					r0.cands = append(r0.cands, c)
-				}
-				base, vals = off+out.base, r0.hc.internVal(out.vals)
-				// The shard's private DAG is folded in; drop it now so the
-				// GC reclaims it before the rest of the merge runs.
-				kc.task.out = shardOut{stats: out.stats}
-			}
-			r0.link(&sp.res, kc.tr, base)
-			if len(kc.tr.rules) > 0 && vals != nil {
-				sp.acc = r0.hc.fold(kc.tr, sp.acc, vals)
-			}
-		}
-		// Bottom-up AFA evaluation and guard kills at the spine node —
-		// the second half of walk(), run in merge order.
-		if len(sp.h.active) > 0 {
-			r0.evalAt(sp.node, sp.h, sp.acc, &sp.res)
-		}
-	}
-	return nil
-}
-
-// runShard evaluates one shard task on the worker's run, isolating panics:
-// a panic anywhere below walk() — including an injected ModePanic fault —
-// is recovered here, inside the worker goroutine (a cross-goroutine panic
-// would kill the process), and reported as the task's error. A shard that
-// trips a resource budget reports its *LimitError the same way.
-func runShard(wr *run, t *shardTask) {
-	// Defer order matters (LIFO): the recover closure runs first so a panic
-	// is already in t.out.err when shardSpanOutcome annotates the span, and
-	// sp.End runs last so the published snapshot is complete.
-	_, sp := trace.Start(wr.ctx, "hype.shard")
+	_, sp := trace.Start(p.r0.ctx, "hype.shard")
 	defer sp.End()
-	defer shardSpanOutcome(sp, t)
+	var tasks, nodes int64
+	cancelled := false
+	defer func() {
+		sp.AttrInt("tasks", tasks)
+		sp.AttrInt("nodes", nodes)
+		if cancelled {
+			sp.Event("cancelled")
+		}
+	}()
+	for {
+		k := int(p.next.Add(1)) - 1
+		if k >= len(p.tasks) {
+			return
+		}
+		t := p.tasks[k]
+		tasks++
+		if wr := p.runs[i]; (wr != nil && wr.cancelled) || p.r0.ctxDone() {
+			t.cancelled = true
+		} else {
+			nodes += int64(t.to - t.from)
+			p.runShard(i, t)
+			shardError(sp, t.err)
+		}
+		cancelled = cancelled || t.cancelled
+	}
+}
+
+// worker returns worker i's run, first creating it on the planner's warm
+// worker clone i (a fresh clone when there is none yet, or a transient one
+// for a worker beyond the warm ones): the same document, label binding,
+// mode, limits and shared budget as the planner run. It runs on worker
+// i's goroutine, so each run is allocated by the goroutine that writes it.
+func (p *shardPool) worker(i int) *run {
+	if wr := p.runs[i]; wr != nil {
+		return wr
+	}
+	r0 := p.r0
+	var e *Engine
+	if i < len(r0.workers) {
+		e = r0.workers[i]
+	}
+	if e == nil {
+		e = r0.Engine.Clone()
+		if i < len(r0.workers) {
+			r0.workers[i] = e
+		}
+	}
+	wr := &run{
+		Engine:  e,
+		runBufs: e.takeBufs(),
+		ctx:     r0.ctx,
+		done:    r0.done,
+		limits:  r0.limits,
+		bud:     r0.bud,
+		cd:      r0.cd,
+		cur:     *r0.cd.At(0),
+		progLab: r0.progLab,
+		hc:      e.ensureCache(r0.ixm != nil),
+	}
+	if r0.ixm != nil {
+		wr.ixm = e.bindIndex(r0.ixm.ix)
+	}
+	p.runs[i] = wr
+	return wr
+}
+
+// release ends the workers' loan of their clones' buffers, after the
+// merge has read them.
+func (p *shardPool) release() {
+	for _, wr := range p.runs {
+		if wr != nil {
+			wr.releaseBufs()
+		}
+	}
+}
+
+// runShard evaluates task t on worker i, isolating panics: a panic
+// anywhere below walk() — including an injected ModePanic fault — is
+// recovered here, inside the worker goroutine (a cross-goroutine panic
+// would kill the process), and reported as the task's error. A task that
+// trips a resource budget reports its *LimitError the same way. Either
+// way the worker stops and its clone is replaced by a fresh one for the
+// next evaluation: its internal state is suspect after an aborted visit.
+func (p *shardPool) runShard(i int, t *shardTask) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			t.out.err = guard.Recovered(failpoint.SiteHypeShardWorker, rec)
+			t.err = guard.Recovered(failpoint.SiteHypeShardWorker, rec)
+		}
+		if t.err != nil {
+			if i < len(p.r0.workers) {
+				p.r0.workers[i] = nil
+			}
+			if wr := p.runs[i]; wr != nil {
+				wr.cancelled = true
+			}
 		}
 	}()
 	if err := failpoint.Inject(failpoint.SiteHypeShardWorker); err != nil {
-		t.out.err = err
+		t.err = err
 		return
 	}
-	res := wr.walk(t.node, wr.hc.intern(t.nfa, t.rel))
-	t.out.base = res.base
-	if res.vals != nil {
-		t.out.vals = slices.Clone(res.vals.bits)
+	wr := p.worker(i)
+	h, spineBase := wr.enter(t.sp.h), t.sp.res.base
+	t.wr = wr
+	t.v0, t.e0, t.c0, t.l0 = int32(wr.numVerts), len(wr.edgeList), len(wr.cands), len(wr.links)
+	cd := wr.cd
+	for c := t.from; c < t.to; c = cd.End(c) + 1 {
+		if !cd.IsElement(c) {
+			continue
+		}
+		// walk's child step, with link edges from the spine node's
+		// vertices and the accumulator kept for the merge.
+		tr := wr.childStep(c, h)
+		if tr == nil {
+			continue
+		}
+		cres := wr.walk(c, tr.next)
+		wr.numEdges += len(tr.linkEdges)
+		if wr.guarded {
+			for _, le := range tr.linkEdges {
+				wr.links = append(wr.links, edgePair{spineBase + le.from, cres.base + le.to})
+			}
+		}
+		if len(tr.rules) > 0 && cres.vals != nil {
+			t.acc = wr.hc.fold(tr, t.acc, cres.vals)
+		}
 	}
-	t.out.numVerts = wr.numVerts
-	t.out.numEdges = wr.numEdges
-	t.out.edges = wr.edgeList
-	t.out.dead = wr.dead
-	t.out.cands = wr.cands
-	t.out.stats = wr.stats
-	t.out.cancelled = wr.cancelled
-	t.out.err = wr.limitErr
-	// Reset per-shard state (the handed-out result slices are the
-	// merge's now).
-	wr.numVerts, wr.numEdges, wr.edgeList, wr.dead, wr.cands = 0, 0, nil, nil, nil
-	wr.stats = Stats{}
+	t.v1, t.e1, t.c1, t.l1 = int32(wr.numVerts), len(wr.edgeList), len(wr.cands), len(wr.links)
+	t.cancelled = wr.cancelled
+	t.err = wr.limitErr
 }
 
-// shardSpanOutcome annotates a shard span from its task's outcome: the
-// subtree size estimate always, plus an event per abnormal ending —
-// recovered panic, injected fault, exceeded budget, or cancellation.
-func shardSpanOutcome(sp *trace.Span, t *shardTask) {
-	sp.AttrInt("subtree_elements", int64(t.size))
-	if t.out.cancelled {
-		sp.Event("cancelled")
+// enter returns the worker's own state for the planner state h: its NFA
+// and AFA sets interned in the worker's cache.
+func (wr *run) enter(h *hstate) *hstate {
+	if wr.from != h {
+		wr.from, wr.fromState = h, wr.hc.intern(h.nfa, h.rel)
 	}
-	err := t.out.err
+	return wr.fromState
+}
+
+// shardError annotates a worker's shard span with a task's failure, if
+// any: an event for a recovered panic, an injected fault or an exceeded
+// budget, and the error.
+func shardError(sp *trace.Span, err error) {
 	if err == nil {
 		return
 	}
@@ -377,45 +371,178 @@ func shardSpanOutcome(sp *trace.Span, t *shardTask) {
 	sp.Error(err)
 }
 
-// expandSpine partially visits node n the way walk() would — same stats,
-// same vertex allocation, same per-child pruning — but instead of recursing
-// it records every surviving element child as a shard task appended to
-// tasks. The bottom-up half of the visit runs later, during the merge.
-func (r *run) expandSpine(n int32, h *hstate, tasks *[]*shardTask) *spineNode {
-	r.stats.VisitedElements++
-	sp := &spineNode{node: n, h: h, res: r.openNode(n, h)}
-	if !h.walks {
-		return sp
+// planShards is the sequential planner of a parallel evaluation for the
+// given worker count — the "hype.plan" span. It partially visits the root
+// and cuts the preorder interval of its children in halves until no part
+// holds more than about a (4·workers)-th of the document's nodes. A part
+// that is one larger child is stepped into here and expanded onto the
+// spine, recursively; the others become range tasks, which the workers
+// step into themselves. Splitting a leaf just moves it onto the spine,
+// which is how chains bottom out. It returns the tasks, in document
+// order, and the spine nodes, the root's first and every spine node after
+// its parent.
+//
+// Four tasks per worker, not two, let the worker that starts first (the
+// calling goroutine; the others wake 66–239 µs later on a 2-vCPU VM) take
+// more of them: on doc_hot's nine automata at 2,000 patients, in process,
+// the median speedup of two workers over the sequential pass was
+// 1.57–1.63× with twelve tasks and 1.50–1.54× with six, at the same CPU.
+func (r0 *run) planShards(ctx context.Context, workers int) ([]*shardTask, []*spineNode) {
+	_, sp := trace.Start(ctx, "hype.plan")
+	defer sp.End()
+	pl := planner{r: r0, limit: max(1, int(r0.cd.End(0))/(4*workers))}
+	pl.spines = []*spineNode{r0.openSpine(0, r0.hc.rootState())}
+	for i := 0; i < len(pl.spines); i++ {
+		if s := pl.spines[i]; s.h.walks {
+			pl.cut(s, s.node+1, r0.cd.End(s.node)+1)
+		}
 	}
-	cd := r.cd
-	for c := n + 1; c <= cd.End(n); c = cd.End(c) + 1 {
-		if !cd.IsElement(c) {
+	// In document order, the merge appends the tasks' candidates in
+	// preorder, as the sequential pass does, so sorting the answers finds
+	// them sorted.
+	slices.SortFunc(pl.tasks, func(a, b *shardTask) int { return cmp.Compare(a.from, b.from) })
+	sp.AttrInt("shards", int64(len(pl.tasks)))
+	sp.AttrInt("spine_nodes", int64(len(pl.spines)))
+	return pl.tasks, pl.spines
+}
+
+// planner is planShards' state: the part size limit and what it built.
+type planner struct {
+	r      *run
+	limit  int
+	splits int
+	tasks  []*shardTask
+	spines []*spineNode
+}
+
+// cut divides the children of spine node sp whose subtrees tile the
+// preorder interval [from, to), appending to sp.parts in document order.
+func (pl *planner) cut(sp *spineNode, from, to int32) {
+	if from >= to {
+		return
+	}
+	cd := pl.r.cd
+	if int(to-from) > pl.limit {
+		// The child holding the middle node: an ancestor-or-self of it.
+		c := from + (to-from)/2
+		for cd.Parent(c) != sp.node {
+			c = cd.Parent(c)
+		}
+		end := cd.End(c) + 1
+		if int(end-c) > pl.limit && pl.splits < maxSplits && cd.IsElement(c) {
+			pl.splits++
+			pl.cut(sp, from, c)
+			if tr := pl.r.childStep(c, sp.h); tr != nil {
+				kid := pl.r.openSpine(c, tr.next)
+				pl.spines = append(pl.spines, kid)
+				sp.parts = append(sp.parts, spinePart{tr: tr, spine: kid})
+			}
+			pl.cut(sp, end, to)
+			return
+		}
+		if c == from {
+			c = end
+		}
+		if c < to {
+			pl.cut(sp, from, c)
+			pl.cut(sp, c, to)
+			return
+		}
+	}
+	t := &shardTask{sp: sp, from: from, to: to}
+	pl.tasks = append(pl.tasks, t)
+	sp.parts = append(sp.parts, spinePart{task: t})
+}
+
+// openSpine visits node n in state h the way walk() opens it — same stats,
+// same vertex allocation — leaving its children to the planner.
+func (r *run) openSpine(n int32, h *hstate) *spineNode {
+	r.stats.VisitedElements++
+	return &spineNode{node: n, h: h, res: r.openNode(n, h)}
+}
+
+// mergeParallel folds the task results back into the planner run's global
+// DAG — the sequential third phase of the parallel evaluation (see the
+// package comment), under a "hype.merge" span. tasks are in document
+// order; runs are the workers' runs, whose buffers the tasks index.
+func mergeParallel(ctx context.Context, r0 *run, spines []*spineNode, tasks []*shardTask, runs []*run) error {
+	_, msp := trace.Start(ctx, "hype.merge")
+	defer msp.End()
+	if err := failpoint.Inject(failpoint.SiteHypeMerge); err != nil {
+		msp.Event("failpoint", "site", failpoint.SiteHypeMerge)
+		msp.Error(err)
+		return err
+	}
+
+	// Presize the merged DAG: one growth step instead of log-many
+	// reallocations while folding the workers' lists in.
+	extraV, extraE, extraC := 0, 0, 0
+	for _, wr := range runs {
+		if wr == nil {
 			continue
 		}
-		tr := r.childStep(c, h)
-		if tr == nil {
-			continue // pruned, already accounted
+		extraV += len(wr.dead)
+		extraE += len(wr.edgeList) + len(wr.links)
+		extraC += len(wr.cands)
+		r0.numEdges += wr.numEdges
+		addStats(&r0.stats, wr.stats)
+	}
+	r0.dead = slices.Grow(r0.dead, extraV)
+	r0.edgeList = slices.Grow(r0.edgeList, extraE)
+	r0.cands = slices.Grow(r0.cands, extraC)
+
+	for _, t := range tasks {
+		r0.appendTask(t)
+	}
+	// Fold bottom-up: spines in reverse creation order puts every spine
+	// child before its parent, so a parent folds fully-evaluated children.
+	// A task already linked and folded its children; its part of the
+	// accumulator, an OR over them, joins the others'.
+	for i := len(spines) - 1; i >= 0; i-- {
+		sp := spines[i]
+		for _, pt := range sp.parts {
+			if pt.spine != nil {
+				r0.link(&sp.res, pt.tr, pt.spine.res.base)
+				if vals := pt.spine.res.vals; len(pt.tr.rules) > 0 && vals != nil {
+					sp.acc = r0.hc.fold(pt.tr, sp.acc, vals)
+				}
+			} else if t := pt.task; t.acc != nil {
+				sp.acc = r0.hc.union(sp.acc, t.acc)
+			}
 		}
-		t := &shardTask{node: c, nfa: tr.next.nfa, rel: tr.next.rel, size: r.subtreeSize(c), parent: sp, slot: len(sp.kids)}
-		sp.kids = append(sp.kids, spineChild{tr: tr, task: t})
-		*tasks = append(*tasks, t)
+		// Bottom-up AFA evaluation and guard kills at the spine node —
+		// the second half of walk(), run in merge order.
+		if len(sp.h.active) > 0 {
+			r0.evalAt(sp.node, sp.h, sp.acc, &sp.res)
+		}
 	}
-	return sp
+	return nil
 }
 
-// subtreeSize returns a work estimate for c's subtree, used only to
-// balance shards (never for correctness): the index's element count when
-// present, the preorder interval's node count otherwise.
-func (r *run) subtreeSize(c int32) int {
-	if r.ixm != nil {
-		return r.ixm.ix.SubtreeSize(c)
+// appendTask copies task t's part of its worker's cans DAG into the
+// planner run's, shifted past the vertices already there.
+func (r0 *run) appendTask(t *shardTask) {
+	wr := t.wr
+	off := int32(r0.numVerts) - t.v0
+	r0.numVerts += int(t.v1 - t.v0)
+	if r0.guarded {
+		r0.dead = append(r0.dead, wr.dead[t.v0:t.v1]...)
+		for _, ep := range wr.edgeList[t.e0:t.e1] {
+			r0.edgeList = append(r0.edgeList, edgePair{ep.from + off, ep.to + off})
+		}
+		for _, ep := range wr.links[t.l0:t.l1] {
+			r0.edgeList = append(r0.edgeList, edgePair{ep.from, ep.to + off})
+		}
 	}
-	return int(r.cd.End(c) - c + 1)
+	for _, c := range wr.cands[t.c0:t.c1] {
+		c.vid += off
+		r0.cands = append(r0.cands, c)
+	}
 }
 
-// addStats sums a shard's per-run counters into the merged statistics.
+// addStats sums a worker's per-run counters into the merged statistics.
 // CansVertices/CansEdges are excluded: they are set once from the merged
-// DAG (shard runs never fill them; only finish does).
+// DAG (worker runs never fill them; only finish does).
 func addStats(dst *Stats, s Stats) {
 	dst.VisitedElements += s.VisitedElements
 	dst.SkippedSubtrees += s.SkippedSubtrees

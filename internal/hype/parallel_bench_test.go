@@ -9,6 +9,7 @@ import (
 	"smoqe/internal/hospital"
 	"smoqe/internal/hype"
 	"smoqe/internal/mfa"
+	"smoqe/internal/rewrite"
 	"smoqe/internal/xpath"
 )
 
@@ -54,3 +55,49 @@ func benchParallel(b *testing.B, qsrc string) {
 func BenchmarkParallelDescendant(b *testing.B)  { benchParallel(b, "//diagnosis") }
 func BenchmarkParallelLargeFilter(b *testing.B) { benchParallel(b, hospital.XPA) }
 func BenchmarkParallelStarFilter(b *testing.B)  { benchParallel(b, hospital.RXC) }
+
+// BenchmarkParallelDocHot evaluates the nine automata of the serving
+// benchmark's doc_hot workload — the six Fig. 8/9 queries, //diagnosis,
+// and Examples 1.1 and 4.1 rewritten over σ0 — on a 2,000-patient
+// document, one op per pass over all nine on warm engines, sequentially
+// and on 2 workers, without and with the index.
+func BenchmarkParallelDocHot(b *testing.B) {
+	cfg := datagen.DefaultConfig(2000)
+	cfg.HeartFrac = 0.12
+	cd := colstore.FromTree(datagen.Generate(cfg))
+	ix := hype.BuildIndex(cd)
+	var ms []*mfa.MFA
+	for _, src := range []string{hospital.XPA, hospital.XPB, hospital.XPC, hospital.RXA, hospital.RXB, hospital.RXC, "//diagnosis"} {
+		ms = append(ms, mfa.MustCompile(xpath.MustParse(src)))
+	}
+	for _, src := range []string{hospital.QExample11, hospital.QExample41} {
+		m, err := rewrite.Rewrite(hospital.Sigma0(), xpath.MustParse(src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	for _, bc := range []struct {
+		name string
+		opts hype.Options
+	}{
+		{"seq", hype.Options{}},
+		{"par2", hype.Options{Workers: 2}},
+		{"seq-index", hype.Options{Index: ix}},
+		{"par2-index", hype.Options{Workers: 2, Index: ix}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			es := make([]*hype.Engine, len(ms))
+			for i, m := range ms {
+				es[i] = hype.New(m)
+				colEval(b, es[i], cd, bc.opts)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, e := range es {
+					colEval(b, e, cd, bc.opts)
+				}
+			}
+		})
+	}
+}

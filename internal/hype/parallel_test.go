@@ -3,6 +3,8 @@ package hype_test
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -34,6 +36,34 @@ func assertParallelMatches(t *testing.T, v variant, src string, m *mfa.MFA, root
 	}
 	if pst.Shards > 0 && pst.Workers == 0 {
 		t.Errorf("%s w=%d: query %q: %d shards but zero workers", name, workers, src, pst.Shards)
+	}
+}
+
+// TestWorkersBeyondProcs: Workers above GOMAXPROCS all run, those beyond
+// the warm clones on transient ones, and agree with the sequential pass
+// evaluation after evaluation on one planner engine. However many workers
+// are asked for, no more run than there are tasks.
+func TestWorkersBeyondProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cd := colstore.FromTree(datagen.Generate(datagen.DefaultConfig(150)))
+	four := 0
+	for _, src := range sourceQueries {
+		m := mfa.MustCompile(xpath.MustParse(src))
+		want := colEval(t, hype.New(m), cd, hype.Options{})
+		e := hype.New(m)
+		for run, workers := range []int{4, 4, 1 << 30, 4} {
+			got := colEval(t, e, cd, hype.Options{Workers: workers})
+			if got.Workers != min(workers, got.Shards) || !slices.Equal(got.IDs, want.IDs) || got.Stats != want.Stats {
+				t.Errorf("%q, run %d: %d answers %+v on %d shards and %d workers, want the sequential %d %+v",
+					src, run, len(got.IDs), got.Stats, got.Shards, got.Workers, len(want.IDs), want.Stats)
+			}
+			if got.Workers == 4 {
+				four++
+			}
+		}
+	}
+	if four == 0 {
+		t.Error("no evaluation ran on 4 workers")
 	}
 }
 

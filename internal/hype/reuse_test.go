@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
 	"smoqe/internal/colstore"
 	"smoqe/internal/datagen"
+	"smoqe/internal/failpoint"
+	"smoqe/internal/guard"
 	"smoqe/internal/hospital"
 	"smoqe/internal/hype"
 	"smoqe/internal/mfa"
@@ -204,6 +207,76 @@ func TestOneCloneAcrossLabelTables(t *testing.T) {
 						t.Errorf("cap %d, %s, index=%v, %q: %d answers %+v; fresh engine %d %+v; refeval %d",
 							cacheCap, d.name, indexed, src, len(got.IDs), got.Stats, len(fresh.IDs), fresh.Stats, len(want[d.name]))
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestShardWorkerReuse: a planner engine keeps its shard workers warm
+// between parallel runs — their hybrid caches, index metadata and run
+// buffers. One planner alternates between two documents whose label
+// tables list the same labels in different id orders, with and without
+// the index, at the default cache and at cache cap 1, and again after a
+// run whose shard worker panicked. Every run answers as a fresh
+// sequential engine and refeval do, with the same Stats.
+func TestShardWorkerReuse(t *testing.T) {
+	t.Cleanup(failpoint.DisableAll)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	sample := newReuseDoc("sample", hospital.SampleDocument())
+	gen := datagen.Generate(datagen.DefaultConfig(150))
+	var buf bytes.Buffer
+	if err := colstore.FromTree(gen).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cd, err := colstore.ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reuseDoc{"datagen-150 snapshot", gen, cd, hype.BuildIndex(cd)}
+	if slices.Equal(sample.cd.Labels(), snap.cd.Labels()) {
+		t.Fatal("the two documents must number their labels differently")
+	}
+	for _, cacheCap := range []int{0, 1} {
+		for _, src := range sourceQueries {
+			m := mfa.MustCompile(xpath.MustParse(src))
+			want := map[string][]int{sample.name: refIDs(src, sample.tree), snap.name: refIDs(src, snap.tree)}
+			for _, indexed := range []bool{false, true} {
+				e := hype.New(m)
+				e.SetCompiledCacheCap(cacheCap)
+				check := func(d reuseDoc, when string) {
+					t.Helper()
+					opts := hype.Options{}
+					if indexed {
+						opts.Index = d.ix
+					}
+					fresh := colEval(t, hype.New(m), d.cd, opts)
+					opts.Workers = 2
+					got := colEval(t, e, d.cd, opts)
+					if !slices.Equal(got.IDs, want[d.name]) || !slices.Equal(got.IDs, fresh.IDs) || got.Stats != fresh.Stats {
+						t.Errorf("cap %d, %s, index=%v, %q, %s: %d answers %+v on %d shards; fresh sequential engine %d %+v; refeval %d",
+							cacheCap, d.name, indexed, src, when, len(got.IDs), got.Stats, got.Shards, len(fresh.IDs), fresh.Stats, len(want[d.name]))
+					}
+				}
+				for _, d := range []reuseDoc{sample, snap, sample, snap} {
+					check(d, "warm")
+				}
+				if err := failpoint.Enable(failpoint.SiteHypeShardWorker, "panic"); err != nil {
+					t.Fatal(err)
+				}
+				var opts hype.Options
+				if indexed {
+					opts.Index = sample.ix
+				}
+				opts.Workers = 2
+				res, err := e.Eval(context.Background(), sample.cd, opts)
+				failpoint.DisableAll()
+				var pe *guard.PanicError
+				if (res.Shards > 0) != errors.As(err, &pe) {
+					t.Fatalf("%q: the faulted run on %d shards returned %v", src, res.Shards, err)
+				}
+				for _, d := range []reuseDoc{snap, sample} {
+					check(d, "after a worker panic")
 				}
 			}
 		}

@@ -260,8 +260,9 @@ type docEval struct {
 }
 
 // fanOut evaluates the documents on a worker pool of GOMAXPROCS workers,
-// at most 8 and never more than the documents, each over its columnar
-// form, and returns one single-use buffered channel per document, so the
+// at most 8 and never more than the documents, each sequentially over its
+// columnar form (a worker counts in s.busy while it evaluates), and
+// returns one single-use buffered channel per document, so the
 // caller can stream results in document-name order while later documents
 // are still evaluating. Every channel receives exactly one value. Workers
 // share the immutable documents; each evaluation binds its own.
@@ -285,6 +286,8 @@ func (s *Server) fanOut(ctx context.Context, plan *smoqe.PreparedQuery, docs []*
 					dctx, dsp := trace.Start(ctx, "corpus.eval.doc")
 					defer dsp.End()
 					dsp.Attr("doc", docs[i].Name)
+					s.busy.Add(1)
+					defer s.busy.Add(-1)
 					res, err := plan.Eval(dctx, nil, smoqe.EvalOptions{Columnar: docs[i].Col, Limits: s.cfg.EvalLimits})
 					dsp.Error(err)
 					ids = res.IDs

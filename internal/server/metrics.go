@@ -132,8 +132,8 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.cache.Stats().Capacity) })
 	reg.GaugeFunc("smoqe_plan_cache_evictions", "Plans evicted from the cache.", nil,
 		func() float64 { return float64(s.cache.Stats().Evictions) })
-	reg.GaugeFunc("smoqe_inflight_evaluations", "Evaluations currently holding an admission slot.", nil,
-		func() float64 { return float64(len(s.sem)) })
+	reg.GaugeFunc("smoqe_inflight_evaluations", "Goroutines running an evaluation pass: 1 per sequential /query, its workers for a shard-parallel one, 1 per fan-out pool worker evaluating a document.", nil,
+		func() float64 { return float64(s.busy.Load()) })
 	reg.GaugeFunc("smoqe_max_concurrent_evaluations", "Admission-control slot capacity (0 = unbounded).", nil,
 		func() float64 { return float64(cap(s.sem)) })
 	reg.GaugeFunc("smoqe_go_heap_live_bytes", "Heap bytes live after the last garbage collection.", nil,

@@ -27,8 +27,9 @@ import (
 // panic counter — and the server must keep answering afterwards.
 func TestShardPanicReturns500AndServerSurvives(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
-	s := New(Config{CacheSize: 32, MaxParallelism: 4})
-	doc := datagen.Generate(datagen.DefaultConfig(120))
+	withProcs(t, 2)
+	s := New(Config{CacheSize: 32})
+	doc := datagen.Generate(datagen.DefaultConfig(300))
 	if _, err := s.Registry().RegisterDocument("big", doc); err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +284,9 @@ func TestRequestBodyCapReturns413(t *testing.T) {
 }
 
 // TestHandlerRecoversPanics: a panicking plan build answers 500 and the
-// server keeps serving. A panic that escapes every inner boundary (the
-// respond site runs under no recover of its own) is converted to a
-// counted 500 by the HTTP middleware instead of killing the connection,
-// and the request's root span records the panic and status 500.
+// server keeps serving. A panic at the respond site, after the evaluation,
+// is recovered by the request's guard: a counted 500 whose root span
+// records the panic and status 500.
 func TestHandlerRecoversPanics(t *testing.T) {
 	t.Cleanup(failpoint.DisableAll)
 	s := newTestServer(t)
@@ -340,6 +340,38 @@ func TestHandlerRecoversPanics(t *testing.T) {
 	}
 	if d.Spans[0].Name != "http" || status != "500" || !spanHasEvent(d, "http", "panic") {
 		t.Errorf("root span %+v, want http with status 500 and a panic event", d.Spans[0])
+	}
+}
+
+// TestRespondPanicCountsAgainstBreaker: a panic that escapes a guarded
+// request — here at the respond site, after a good evaluation — is that
+// request's failure: the breaker counts it, /stats counts it once as a
+// failure and once as a panic, and the handler answers 500 until the
+// breaker opens and answers 503.
+func TestRespondPanicCountsAgainstBreaker(t *testing.T) {
+	t.Cleanup(failpoint.DisableAll)
+	s := New(Config{CacheSize: 32, BreakerThreshold: 2, BreakerCooldown: time.Minute})
+	if _, err := s.Registry().RegisterDocument("hospital", hospital.SampleDocument()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if err := failpoint.Enable(failpoint.SiteServerRespond, "panic"); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{http.StatusInternalServerError, http.StatusInternalServerError, http.StatusServiceUnavailable} {
+		resp, body := postJSON(t, ts, "/query", QueryRequest{Doc: "hospital", Query: "//diagnosis"})
+		if resp.StatusCode != want {
+			t.Fatalf("request %d: %d %s, want %d", i+1, resp.StatusCode, body, want)
+		}
+	}
+	st := s.Stats()
+	if st.Requests != 3 || st.Failures != 3 || st.Panics != 2 || st.BreakerRejected != 1 {
+		t.Errorf("/stats after two respond panics and one rejection: %d requests, %d failures, %d panics, %d rejected; want 3, 3, 2, 1",
+			st.Requests, st.Failures, st.Panics, st.BreakerRejected)
+	}
+	if got := s.Health().Breakers[""]; got != breakerOpen {
+		t.Errorf("direct-document breaker is %q, want %q", got, breakerOpen)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"smoqe"
@@ -39,10 +40,6 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// handler. Off by default: profiles expose internals and cost CPU.
 	EnablePprof bool
-	// MaxParallelism caps the shard-parallel workers one evaluation may
-	// use (see QueryRequest.Parallelism). 0 disables parallel evaluation;
-	// negative means GOMAXPROCS.
-	MaxParallelism int
 	// MaxConcurrentEvals bounds how many evaluations run at once
 	// (admission control). 0 disables the bound; requests beyond the limit
 	// queue up to QueueWait and are then shed with ErrOverloaded (HTTP
@@ -121,9 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.TraceLimit == 0 {
 		c.TraceLimit = hype.DefaultTraceLimit
 	}
-	if c.MaxParallelism < 0 {
-		c.MaxParallelism = runtime.GOMAXPROCS(0)
-	}
 	if c.CorpusMaxConcurrentQueries == 0 {
 		c.CorpusMaxConcurrentQueries = 4
 	}
@@ -182,6 +176,11 @@ type Server struct {
 	// sem is the admission-control semaphore (nil when unbounded): one
 	// slot per concurrently running evaluation.
 	sem chan struct{}
+	// busy counts the goroutines running an evaluation pass: 1 for a
+	// sequential /query, its workers for a shard-parallel one, and each
+	// fan-out pool worker while it evaluates a document. A /query that
+	// leaves the choice to the server uses the Ps the others leave idle.
+	busy atomic.Int64
 	// brk holds the circuit breakers, one per view and one per collection
 	// (keyed "collection/<name>"); a non-positive threshold disables them.
 	brk *breakerGroup
@@ -368,11 +367,13 @@ type QueryRequest struct {
 	// Explain asks for the plan's Theorem 5.1 size accounting, phase
 	// timings and a capped per-node evaluation trace in the response.
 	Explain bool `json:"explain,omitempty"`
-	// Parallelism asks for shard-parallel evaluation with up to this many
-	// workers, capped by the server's MaxParallelism. 0 or 1 evaluates
-	// sequentially; negative uses the server's cap itself. Ignored (the
-	// request stays sequential) when the server disables parallelism or
-	// the request asks for a trace.
+	// Parallelism caps the shard-parallel workers of this evaluation: 1
+	// evaluates sequentially, N uses at most N. 0 or negative leaves the
+	// choice to the server, which uses the Ps no other evaluation is
+	// using (GOMAXPROCS minus the goroutines evaluating), at most one per
+	// elementsPerWorker elements of the document. The evaluation is
+	// sequential when that leaves fewer than two workers or when the
+	// request asks for explain.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Trace forces this request's trace to be retained regardless of the
 	// tail-based sampling decision, and echoes the trace ID in the
@@ -410,7 +411,8 @@ type QueryResponse struct {
 	SkippedElements int `json:"skipped_elements,omitempty"`
 	AFAEvals        int `json:"afa_evaluations"`
 	// Shards/Workers report how a shard-parallel evaluation cut the
-	// document; both are zero for sequential runs.
+	// document and how many workers ran it; both are zero for sequential
+	// runs.
 	Shards  int `json:"shards,omitempty"`
 	Workers int `json:"workers,omitempty"`
 	// Engine echoes the engine that evaluated the request: the requested
@@ -487,8 +489,9 @@ func isServerFault(err error) bool {
 // order: an open breaker bkey refuses the request before any plan or slot
 // is spent on it; the plan of (view, query) comes from the plan cache; ctx
 // is bounded by Config.RequestTimeout; a slot of sem is taken (nil:
-// unbounded); then run runs. Every admitted request reports its outcome
-// back to breaker bkey, a server fault counting against it, including the
+// unbounded); then run runs. A panic becomes the returned
+// *guard.PanicError. Every admitted request reports its outcome back to
+// breaker bkey, a server fault counting against it, including the
 // half-open probe that decides recovery.
 func (s *Server) guarded(ctx context.Context, bkey string, view *ViewEntry, query string, sem chan struct{},
 	run func(ctx context.Context, plan *smoqe.PreparedQuery, hit bool) error) (err error) {
@@ -499,6 +502,10 @@ func (s *Server) guarded(ctx context.Context, bkey string, view *ViewEntry, quer
 	defer func() {
 		s.brk.record(bkey, err != nil && isServerFault(err))
 	}()
+	// A panic that escapes run — the respond fault site, or anything the
+	// evaluation boundary does not cover — is this request's failure: the
+	// breaker counts it, and the caller records and answers it.
+	defer guard.Recover("server.request", &err)
 	plan, hit, err := s.plan(ctx, view, query)
 	if err != nil {
 		return err
@@ -535,7 +542,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 	}
 	err = s.guarded(ctx, req.View, view, req.Query, s.sem, func(ctx context.Context, plan *smoqe.PreparedQuery, hit bool) error {
 		start := time.Now()
-		res, err := s.evaluate(ctx, plan, doc, engine, req.Explain, s.workersFor(req.Parallelism))
+		res, err := s.evaluate(ctx, plan, doc, engine, req.Explain, req.Parallelism)
 		if err != nil {
 			return err
 		}
@@ -581,10 +588,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest) (resp *QueryRespon
 			if s.cfg.MaxPaths >= 0 {
 				n = min(n, s.cfg.MaxPaths)
 			}
-			resp.Paths = make([]string, n)
-			for i, id := range res.IDs[:n] {
-				resp.Paths[i] = doc.Col.Path(int32(id))
-			}
+			resp.Paths = doc.Col.Paths(res.IDs[:n])
 		}
 		// The respond fault site covers the window between a successful
 		// evaluation and handing the response back: the evaluation was fine
@@ -734,17 +738,40 @@ func (s *Server) isSlow(elapsed time.Duration) bool {
 	return t >= 0 && elapsed >= t
 }
 
-// workersFor clamps a request's parallelism ask against the server cap:
-// the effective shard-parallel worker count, or 0 for sequential.
-func (s *Server) workersFor(ask int) int {
-	w := s.cfg.MaxParallelism
-	if ask >= 0 && ask < w {
-		w = ask
+// elementsPerWorker is how many document elements each shard worker of a
+// /query needs: a document of n elements evaluates with at most
+// n/elementsPerWorker workers, sequentially below 2. It is the measured
+// break-even of two workers, in process on a 2-vCPU VM (Go 1.24,
+// GOMAXPROCS 2), summing the median times of the nine doc_hot queries with
+// and without the index: two workers ran 0.98× as fast as the sequential
+// pass on a 150-patient datagen document (6,721 elements) and 1.05–1.11× as
+// fast on a 200-patient one (9,075 elements). Bounding each worker's share,
+// not the document, keeps more Ps from cutting a document finer than that
+// break-even. The 175-node sample document and the 40–110-patient corpus
+// documents evaluate sequentially.
+const elementsPerWorker = 4500
+
+// reserveWorkers counts one /query evaluation's goroutines into s.busy and
+// returns how many: 1 (sequential) for an explain request or an ask of 1;
+// otherwise the Ps no other evaluation is using, at most one per
+// elementsPerWorker elements of the document and at most a positive ask,
+// and 1 when that leaves fewer than 2. The caller releases them with
+// s.busy.Add(-n).
+func (s *Server) reserveWorkers(ask int, explain bool, doc *DocEntry) int {
+	for {
+		b := s.busy.Load()
+		n := 1
+		if !explain && ask != 1 {
+			n = min(runtime.GOMAXPROCS(0)-int(b), doc.Stats.Elements/elementsPerWorker)
+			if ask > 1 {
+				n = min(n, ask)
+			}
+			n = max(n, 1)
+		}
+		if s.busy.CompareAndSwap(b, b+int64(n)) {
+			return n
+		}
 	}
-	if w <= 1 {
-		return 0
-	}
-	return w
 }
 
 // evaluate runs the plan against the document synchronously, honoring ctx:
@@ -754,21 +781,26 @@ func (s *Server) workersFor(ask int) int {
 // the document's columnar form with the same pass; opthype adds the
 // document's index. The request maps to one set of evaluation options,
 // always carrying the server's budgets. Traced (EXPLAIN) runs stay
-// sequential — a trace is a single decision log; workers > 1 fans
-// independent subtrees out to a bounded shard pool.
-func (s *Server) evaluate(ctx context.Context, plan *smoqe.PreparedQuery, doc *DocEntry, engine EngineKind, traced bool, workers int) (smoqe.Result, error) {
+// sequential — a trace is a single decision log; otherwise the evaluation
+// fans independent subtrees out to the workers reserveWorkers grants,
+// which count as busy until evaluate returns, before the response is
+// built.
+func (s *Server) evaluate(ctx context.Context, plan *smoqe.PreparedQuery, doc *DocEntry, engine EngineKind, traced bool, ask int) (smoqe.Result, error) {
 	ctx, sp := trace.Start(ctx, "eval")
 	defer sp.End()
 	sp.Attr("engine", string(engine))
 	opts := smoqe.EvalOptions{Columnar: doc.Col, Limits: s.cfg.EvalLimits}
 	if traced {
 		opts.Trace = s.cfg.TraceLimit
-	} else {
-		opts.Workers = workers
 	}
 	if engine == EngineOptHyPE {
 		opts.Index = doc.Index()
 	}
+	n := s.reserveWorkers(ask, traced, doc)
+	if n > 1 {
+		opts.Workers = n
+	}
+	defer s.busy.Add(-int64(n))
 	res, err := plan.Eval(ctx, nil, opts)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -49,9 +49,9 @@ func TestSlowLogThreshold(t *testing.T) {
 // outlives TraceStoreSize newer sampled requests, because the store evicts
 // sampled traces first.
 func TestSlowEntrySurvivesSampledTraffic(t *testing.T) {
+	withProcs(t, 2)
 	const storeSize = 4
 	s := newLoadedServer(t, Config{
-		MaxParallelism:        2,
 		TraceStoreSize:        storeSize,
 		TraceSampleEvery:      time.Nanosecond,
 		TraceLatencyRetention: 200 * time.Millisecond,

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -80,8 +81,8 @@ func TestSampledRetentionPacedByTime(t *testing.T) {
 // outcome, every shard worker, the merge and the root. The evaluation is
 // one span, eval, with the shard planner, workers and merge as children.
 func TestTracedQueryEndToEnd(t *testing.T) {
+	withProcs(t, 2)
 	s := newLoadedServer(t, Config{
-		MaxParallelism:        4,
 		MaxConcurrentEvals:    4,
 		TraceSampleEvery:      -1, // only forced retention keeps traces here...
 		TraceLatencyRetention: -1, // ...even when -race makes every query slow
@@ -122,7 +123,7 @@ func TestTracedQueryEndToEnd(t *testing.T) {
 		t.Errorf("root = %q, want http", d.Root)
 	}
 
-	// The span tree covers every serving layer, one shard span per shard.
+	// The span tree covers every serving layer, one shard span per worker.
 	byName := map[string]int{}
 	ids := map[string]trace.SpanData{}
 	for _, sp := range d.Spans {
@@ -134,8 +135,22 @@ func TestTracedQueryEndToEnd(t *testing.T) {
 			t.Errorf("span %q appears %d times, want 1 (spans: %v)", want, byName[want], byName)
 		}
 	}
-	if byName["hype.shard"] != qr.Shards {
-		t.Errorf("%d hype.shard spans, want one per shard (%d)", byName["hype.shard"], qr.Shards)
+	if byName["hype.shard"] != qr.Workers {
+		t.Errorf("%d hype.shard spans, want one per worker (%d)", byName["hype.shard"], qr.Workers)
+	}
+	tasks := int64(0)
+	for _, sp := range d.Spans {
+		if sp.Name == "hype.shard" {
+			for _, a := range sp.Attrs {
+				if a.Key == "tasks" {
+					n, _ := strconv.ParseInt(a.Value, 10, 64)
+					tasks += n
+				}
+			}
+		}
+	}
+	if tasks != int64(qr.Shards) {
+		t.Errorf("the hype.shard spans ran %d tasks, want every shard (%d)", tasks, qr.Shards)
 	}
 	for _, sp := range d.Spans {
 		if strings.HasPrefix(sp.Name, "eval.") {

@@ -22,6 +22,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"time"
 )
 
@@ -141,9 +142,12 @@ func (s *Span) Attr(key, value string) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// AttrInt is Attr for integer values.
+// AttrInt is Attr for integer values. A nil span formats nothing.
 func (s *Span) AttrInt(key string, value int64) {
-	s.Attr(key, fmt.Sprintf("%d", value))
+	if s == nil {
+		return
+	}
+	s.Attr(key, strconv.FormatInt(value, 10))
 }
 
 // Event records a named point-in-time annotation with optional key/value
