@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"smoqe"
+	"smoqe/internal/colstore"
 )
 
 func main() {
@@ -96,6 +97,17 @@ func loadDoc(path string) (*smoqe.Document, error) {
 	}
 	defer f.Close()
 	return smoqe.ParseDocument(f)
+}
+
+// loadColumnar decodes an XML document file straight into columns, with
+// no pointer tree in between, for the commands that only need columns.
+func loadColumnar(path string) (*smoqe.ColumnarDocument, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return colstore.Decode(f, false, smoqe.ParseLimits{})
 }
 
 func loadDTD(path string) (*smoqe.DTD, error) {
@@ -518,11 +530,10 @@ func cmdBatch(args []string) error {
 	if err != nil {
 		return err
 	}
-	doc, err := loadDoc(*docPath)
+	cd, err := loadColumnar(*docPath)
 	if err != nil {
 		return err
 	}
-	cd := smoqe.BuildColumnar(doc)
 	workers := workersFlag(*parallel)
 	res, err := smoqe.PrepareMFA(merged).Eval(context.Background(), nil, smoqe.EvalOptions{Columnar: cd, Workers: workers})
 	if err != nil {
@@ -592,7 +603,7 @@ func cmdValidate(args []string) error {
 }
 
 // cmdSnapshot converts between XML documents and columnar binary
-// snapshots: "save" parses a document once and writes the snapshot a
+// snapshots: "save" decodes a document once and writes the snapshot a
 // daemon (smoqed -snapshot-dir) or later eval loads in O(read); "load"
 // verifies a snapshot and reports its shape (optionally writing the
 // round-tripped XML).
@@ -620,7 +631,7 @@ func cmdSnapshotSave(args []string) error {
 	if *docPath == "" {
 		return fmt.Errorf("snapshot save: -doc is required")
 	}
-	doc, err := loadDoc(*docPath)
+	cd, err := loadColumnar(*docPath)
 	if err != nil {
 		return err
 	}
@@ -628,7 +639,6 @@ func cmdSnapshotSave(args []string) error {
 	if path == "" {
 		path = strings.TrimSuffix(*docPath, ".xml") + smoqe.SnapshotFileExt
 	}
-	cd := smoqe.BuildColumnar(doc)
 	if err := smoqe.SaveSnapshot(cd, path); err != nil {
 		return err
 	}

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"smoqe/internal/colstore"
 	"smoqe/internal/hospital"
 )
 
@@ -140,6 +142,34 @@ func TestCmdBatch(t *testing.T) {
 	os.WriteFile(bad, []byte("a[[\n"), 0o644)
 	if err := cmdBatch([]string{"-queries", bad, "-doc", doc}); err == nil {
 		t.Error("bad query must fail")
+	}
+}
+
+// TestCmdSnapshotSave: snapshot save decodes the XML straight into
+// columns and writes exactly the bytes of the snapshot of the sample
+// document's tree, and snapshot load reads them back.
+func TestCmdSnapshotSave(t *testing.T) {
+	_, _, _, doc := writeFixtures(t)
+	out := filepath.Join(t.TempDir(), "sample"+colstore.FileExt)
+	if err := cmdSnapshot([]string{"save", "-doc", doc, "-o", out}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := colstore.FromTree(hospital.SampleDocument()).WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("snapshot save wrote %d bytes that differ from the tree's %d-byte snapshot", len(got), want.Len())
+	}
+	if err := cmdSnapshot([]string{"load", "-in", out}); err != nil {
+		t.Errorf("snapshot load: %v", err)
+	}
+	if err := cmdSnapshot([]string{"save", "-doc", "/nonexistent.xml", "-o", out}); err == nil {
+		t.Error("missing file must fail")
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 
 	"smoqe/internal/xmltree"
 )
@@ -415,9 +416,11 @@ func CheckLimits(cd *Document, lim xmltree.ParseLimits) error {
 // Decode reads one document from r into columns, held to lim: the one
 // decoder of outside bytes, which the server's intake and the corpus
 // indexer both call. A snapshot is read with ReadSnapshot and then held to
-// the depth and node bounds with CheckLimits; XML is parsed under every
-// bound with xmltree.ParseWithLimits and converted, and the tree dropped.
-// A bound exceeded is a *xmltree.LimitError.
+// the depth and node bounds with CheckLimits; XML goes straight into
+// columns through xmltree.ParseInto under every bound, with no pointer
+// tree in between, and comes out identical to FromTree of
+// xmltree.ParseWithLimits of the same bytes. A bound exceeded is a
+// *xmltree.LimitError.
 func Decode(r io.Reader, snapshot bool, lim xmltree.ParseLimits) (*Document, error) {
 	if snapshot {
 		cd, err := ReadSnapshot(r)
@@ -429,11 +432,86 @@ func Decode(r io.Reader, snapshot bool, lim xmltree.ParseLimits) (*Document, err
 		}
 		return cd, nil
 	}
-	d, err := xmltree.ParseWithLimits(r, lim)
-	if err != nil {
+	b := &columnBuilder{cd: &Document{labelIDs: make(map[string]int32)}}
+	if err := xmltree.ParseInto(r, lim, b); err != nil {
 		return nil, err
 	}
-	return FromTree(d), nil
+	return b.finish(), nil
+}
+
+// columnBuilder is the xmltree.Builder behind Decode. Nodes arrive in
+// preorder, so each is appended to the columns as it opens, in the order
+// FromTree appends it; an element's end is set when it closes. Text is
+// gathered in input order in raw, with each text node's textOff pointing
+// into raw and each element's textLen summing its text children, until
+// finish lays the arena out.
+type columnBuilder struct {
+	cd   *Document
+	open []openElement // innermost last
+	raw  []byte
+}
+
+// openElement is an element still open: its id and the same-kind child
+// ordinals handed out so far.
+type openElement struct{ id, elems, texts int32 }
+
+func (b *columnBuilder) Element(label string) {
+	parent, depth, pos := int32(-1), int32(0), int32(1)
+	if k := len(b.open); k > 0 {
+		top := &b.open[k-1]
+		top.elems++
+		parent, depth, pos = top.id, int32(k), top.elems
+	}
+	id := b.cd.newNode(parent, depth, pos)
+	b.cd.label[id] = b.cd.intern(label)
+	b.open = append(b.open, openElement{id: id})
+}
+
+func (b *columnBuilder) End() {
+	top := b.open[len(b.open)-1]
+	b.cd.end[top.id] = int32(len(b.cd.label)) - 1
+	b.open = b.open[:len(b.open)-1]
+}
+
+func (b *columnBuilder) Text(data []byte) {
+	cd := b.cd
+	top := &b.open[len(b.open)-1]
+	top.texts++
+	id := cd.newNode(top.id, int32(len(b.open)), top.texts)
+	if len(b.raw)+len(data) > math.MaxInt32 {
+		panic("colstore: document text exceeds 2 GiB arena limit")
+	}
+	cd.label[id] = -1
+	cd.end[id] = id
+	cd.textOff[id] = int32(len(b.raw))
+	cd.textLen[id] = int32(len(data))
+	cd.textLen[top.id] += int32(len(data))
+	b.raw = append(b.raw, data...)
+}
+
+// finish writes the arena the way FromTree does, grouped by owning element
+// in preorder: each element's region holds its text children in child
+// order, so a parent's text comes before its children's even where the
+// input put it after them.
+func (b *columnBuilder) finish() *Document {
+	cd := b.cd
+	var arena strings.Builder
+	arena.Grow(len(b.raw))
+	for e := range cd.label {
+		if cd.label[e] < 0 {
+			continue
+		}
+		cd.textOff[e] = int32(arena.Len())
+		for c := int32(e) + 1; c <= cd.end[e]; c = cd.end[c] + 1 {
+			if cd.label[c] < 0 {
+				off := cd.textOff[c]
+				cd.textOff[c] = int32(arena.Len())
+				arena.Write(b.raw[off : off+cd.textLen[c]])
+			}
+		}
+	}
+	cd.arena = arena.String()
+	return cd
 }
 
 // validate checks the structural invariants a loaded snapshot must satisfy

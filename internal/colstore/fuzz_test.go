@@ -3,6 +3,7 @@ package colstore
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"smoqe/internal/xmltree"
@@ -74,6 +75,52 @@ func FuzzSnapshotRead(f *testing.F) {
 		}
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
 			t.Fatalf("accepted snapshot is not canonical: re-encodings differ")
+		}
+	})
+}
+
+// FuzzDecodeMatchesTree holds Decode's column builder to FromTree over
+// xmltree.ParseWithLimits, the tree built from the same walk: for any
+// input and limits both fail with the same error, or both accept and
+// write byte-identical snapshots. The seeds are xmltree's XML fuzz seeds.
+func FuzzDecodeMatchesTree(f *testing.F) {
+	for _, s := range []string{
+		"<a/>", "<a><b>x</b><c/></a>", "<a>x<b/>y</a>",
+		"<a", "</a>", "<a></b>", "<a/><b/>", "text",
+		"<a>&amp;&lt;&gt;</a>", "<a \xff='1'/>", "<a><![CDATA[x]]></a>",
+		"<?xml version='1.0'?><a/>", "<a>x&#13;y</a>", "<a>cr\rlf\nend</a>",
+		"<a>x<!--c--> <!--c-->y</a>", "<a> <!--c-->x</a>", "<a><b>x<c/></b><d/></a>",
+		"<p:a></q:a>", "<p:a></a>", "<a></p:a>", "<a/></a>", "<a><b>", "<a>x",
+		"<a>&foo;</a>", "\ufeff<a/>", "<a>\n<b>\n</a>",
+	} {
+		f.Add(s, 0, 0, int64(0))
+	}
+	// Documents exactly at each limit, and one past it.
+	at := "<a><b>x</b>y<c><d/></c></a>"
+	for _, k := range []int{0, 1} {
+		f.Add(at, 3-k, 0, int64(0))
+		f.Add(at, 0, 6-k, int64(0))
+		f.Add(at, 0, 0, int64(len(at)-k))
+	}
+	f.Fuzz(func(t *testing.T, src string, depth, nodes int, maxBytes int64) {
+		lim := xmltree.ParseLimits{MaxDepth: depth, MaxNodes: nodes, MaxBytes: maxBytes}
+		cd, gerr := Decode(strings.NewReader(src), false, lim)
+		d, werr := xmltree.ParseStringWithLimits(src, lim)
+		if gerr != nil || werr != nil {
+			if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+				t.Fatalf("%q under %+v: Decode error %v, tree error %v", src, lim, gerr, werr)
+			}
+			return
+		}
+		var got, want bytes.Buffer
+		if err := cd.WriteSnapshot(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := FromTree(d).WriteSnapshot(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%q under %+v: Decode's snapshot differs from the tree's", src, lim)
 		}
 	})
 }

@@ -5,9 +5,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"smoqe/internal/hospital"
+	"smoqe/internal/xmltree"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden snapshot fixture under testdata/")
@@ -45,5 +47,18 @@ func TestGoldenSnapshot(t *testing.T) {
 	if !bytes.Equal(raw, buf.Bytes()) {
 		t.Fatalf("golden snapshot drift: version-%d serialization of the sample document no longer matches testdata (got %d bytes, golden %d); if the format changed, bump snapshotVersion and regenerate with -update-golden",
 			snapshotVersion, buf.Len(), len(raw))
+	}
+	// Decoding the sample's XML straight into columns, as every intake
+	// does, must serialize to the same golden bytes.
+	decoded, err := Decode(strings.NewReader(hospital.SampleXML), false, xmltree.ParseLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dbuf bytes.Buffer
+	if err := decoded.WriteSnapshot(&dbuf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, dbuf.Bytes()) {
+		t.Fatalf("Decode of the sample XML serializes to %d bytes that differ from the golden %d", dbuf.Len(), len(raw))
 	}
 }

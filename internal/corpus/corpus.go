@@ -619,7 +619,7 @@ func crcOf(prev *Doc) uint32 {
 	return prev.CRC
 }
 
-// indexDoc validates and indexes one file: read, checksum, parse,
+// indexDoc validates and indexes one file: size, read, checksum, parse,
 // fingerprint. Failures are quarantineErrors when the bytes themselves are
 // bad (parse failure, checksum mismatch) and plain errors when the attempt
 // itself failed (I/O, injected faults) — the latter are retried.
@@ -628,6 +628,14 @@ func (m *Manager) indexDoc(ctx context.Context, c *Collection, name string, fi f
 	defer sp.End()
 	sp.Attr("doc", name)
 	if err := failpoint.Inject(failpoint.SiteCorpusIndexDoc); err != nil {
+		sp.Error(err)
+		return nil, err
+	}
+	if lim := m.opt.ParseLimits.MaxBytes; lim > 0 && fi.Size() > lim && filepath.Ext(name) != extSnapshot {
+		// Refused from its size, unread, with the text the decoder gives
+		// a document over the byte cap. A snapshot has no byte cap.
+		err := &quarantineError{reason: "parse: xmltree: parse: " +
+			(&xmltree.LimitError{What: xmltree.LimitBytes, Limit: lim}).Error()}
 		sp.Error(err)
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +195,49 @@ func TestOverLimitSnapshotQuarantined(t *testing.T) {
 	}
 	if n := len(c.Docs(StatusIndexed)); n != 3 {
 		t.Errorf("indexed %d docs, want 3", n)
+	}
+}
+
+// TestOverCapXMLRefusedUnread: an XML file larger than
+// ParseLimits.MaxBytes is quarantined from its size, with the reason the
+// decoder gives a document over the byte cap, and is never read: opening
+// a collection that holds a 256 MiB sparse file under a 1 MiB cap
+// allocates far less than the file.
+func TestOverCapXMLRefusedUnread(t *testing.T) {
+	root := t.TempDir()
+	col := filepath.Join(root, "col")
+	if err := os.Mkdir(col, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(col, "huge.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(256 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opt := testOptions(newFakeClock())
+	opt.ParseLimits = xmltree.ParseLimits{MaxBytes: 1 << 20}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := Open(context.Background(), root, opt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := m.Collection("col")
+	q := c.Docs(StatusQuarantined)
+	if len(q) != 1 {
+		t.Fatalf("quarantined %d docs, want 1: %+v", len(q), c.Docs())
+	}
+	if want := "parse: xmltree: parse: xmltree: document exceeds bytes limit (1048576)"; q[0].Reason != want {
+		t.Errorf("quarantine reason %q, want %q", q[0].Reason, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Errorf("Open allocated %d MiB for a refused 256 MiB file", alloc>>20)
 	}
 }
 

@@ -38,7 +38,8 @@ const EnvVar = "SMOQE_FAILPOINTS"
 // site names (tests may add their own), but these are the ones production
 // code fires.
 const (
-	// SiteXMLTreeParse fires at the start of every xmltree.Parse call.
+	// SiteXMLTreeParse fires once at the start of every XML decode
+	// (xmltree.ParseInto), whether it builds a tree or columns.
 	SiteXMLTreeParse = "xmltree.parse"
 	// SiteServerPlanBuild fires inside the plan cache's single-flight
 	// build, before parse/rewrite/compile runs.

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -22,10 +23,48 @@ func Parse(r io.Reader) (*Document, error) {
 // ParseWithLimits is Parse with input caps: parsing stops with a *LimitError
 // as soon as the document exceeds lim's depth, node-count or byte bound (zero
 // fields are unlimited), so oversized or hostile inputs are refused early
-// instead of loaded until memory runs out.
+// instead of loaded until memory runs out. It builds the tree from ParseInto.
 func ParseWithLimits(r io.Reader, lim ParseLimits) (*Document, error) {
+	t := &treeBuilder{}
+	if err := ParseInto(r, lim, t); err != nil {
+		return nil, err
+	}
+	return t.d, nil
+}
+
+// Builder receives a document from ParseInto node by node, in document
+// order: each element as it opens and as it closes, and each text node once
+// its character data is complete. The data-model rules are already applied,
+// so a builder only lays the nodes out.
+type Builder interface {
+	// Element opens an element labeled label as the last child of the
+	// innermost open element, or as the root when none is open.
+	Element(label string)
+	// End closes the innermost open element.
+	End()
+	// Text adds a text node, never empty, as the last child of the
+	// innermost open element. data is valid only during the call.
+	Text(data []byte)
+}
+
+// ParseInto reads one XML document from r under lim and hands its nodes to
+// b: the one walk every XML intake runs. ParseWithLimits builds a tree from
+// it and colstore.Decode builds columns. It applies the rules Parse
+// documents: comments, directives and processing instructions are skipped,
+// whitespace-only character data between elements is dropped, adjacent
+// character data merges into one text node, and the document has exactly
+// one root element and no character data outside it. Depth is checked at
+// each start tag and the node count after each node; both fail with a
+// *LimitError, as does input beyond lim.MaxBytes. On error b holds a
+// partial document and must be discarded.
+//
+// The walk reads raw tokens: SMOQE labels are local names, so the
+// decoder's namespace translation is never needed. It matches end tags
+// itself and fails on a mismatch with the *xml.SyntaxError text
+// encoding/xml's Token gives.
+func ParseInto(r io.Reader, lim ParseLimits, b Builder) error {
 	if err := failpoint.Inject(failpoint.SiteXMLTreeParse); err != nil {
-		return nil, fmt.Errorf("xmltree: parse: %w", err)
+		return fmt.Errorf("xmltree: parse: %w", err)
 	}
 	if lim.MaxBytes > 0 {
 		// One slack byte: the error must fire only when the input is
@@ -34,108 +73,139 @@ func ParseWithLimits(r io.Reader, lim ParseLimits) (*Document, error) {
 		r = &limitReader{r: r, n: lim.MaxBytes + 1, max: lim.MaxBytes}
 	}
 	dec := xml.NewDecoder(r)
-	d := &Document{}
-	var stack []*Node
-	// pendingWS holds a run of whitespace-only character data whose fate is
-	// still open: encoding/xml splits one logical text run into several
-	// CharData tokens at comment/CDATA boundaries, so "a<!--c--> <!--c-->b"
-	// arrives as "a", " ", "b". Whitespace between elements is still dropped
-	// (it never carries data in the SMOQE data model), but a whitespace-only
-	// chunk adjacent to significant text is part of that text and must be
-	// kept. The decision is deferred until the next element boundary (drop)
-	// or the next significant chunk (merge).
-	pendingWS := ""
+	var (
+		open   []xml.Name // open elements, innermost last
+		rooted bool       // the root element has opened
+		nodes  int
+		// text is the data of an open text node: the innermost open
+		// element's last child, while inText. It is handed to b at the
+		// next tag, once no more character data can join it.
+		text   []byte
+		inText bool
+		// ws holds a run of whitespace-only character data whose fate is
+		// still open: encoding/xml splits one logical text run into
+		// several CharData tokens at comment/CDATA boundaries, so
+		// "a<!--c--> <!--c-->b" arrives as "a", " ", "b". Whitespace
+		// between elements is dropped, but a whitespace-only chunk
+		// adjacent to significant text is part of that text and must be
+		// kept. The decision waits for the next tag (drop) or the next
+		// significant chunk (merge).
+		ws []byte
+	)
+	syntaxError := func(msg string) error {
+		line, _ := dec.InputPos()
+		return fmt.Errorf("xmltree: parse: %w", &xml.SyntaxError{Msg: msg, Line: line})
+	}
 	for {
-		tok, err := dec.Token()
+		tok, err := dec.RawToken()
 		if err == io.EOF {
+			if len(open) > 0 {
+				return syntaxError("unexpected EOF")
+			}
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
+			return fmt.Errorf("xmltree: parse: %w", err)
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			pendingWS = ""
-			if lim.MaxDepth > 0 && len(stack)+1 > lim.MaxDepth {
-				return nil, &LimitError{What: LimitDepth, Limit: int64(lim.MaxDepth)}
+			ws = ws[:0]
+			if inText {
+				b.Text(text)
+				text, inText = text[:0], false
 			}
-			n := &Node{Kind: Element, Label: t.Name.Local}
-			if len(stack) == 0 {
-				if d.Root != nil {
-					return nil, fmt.Errorf("xmltree: parse: multiple root elements (second: <%s>)", t.Name.Local)
+			if lim.MaxDepth > 0 && len(open)+1 > lim.MaxDepth {
+				return &LimitError{What: LimitDepth, Limit: int64(lim.MaxDepth)}
+			}
+			if len(open) == 0 {
+				if rooted {
+					return fmt.Errorf("xmltree: parse: multiple root elements (second: <%s>)", t.Name.Local)
 				}
-				n.Pos = 1
-				d.adopt(n)
-				d.Root = n
-			} else {
-				parent := stack[len(stack)-1]
-				n.Parent = parent
-				n.Pos = nextPos(parent, Element)
-				n.Depth = parent.Depth + 1
-				d.adopt(n)
-				parent.Children = append(parent.Children, n)
+				rooted = true
 			}
-			stack = append(stack, n)
+			open = append(open, t.Name)
+			nodes++
+			b.Element(t.Name.Local)
 		case xml.EndElement:
-			pendingWS = ""
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parse: unmatched </%s>", t.Name.Local)
+			ws = ws[:0]
+			if len(open) == 0 {
+				return syntaxError("unexpected end element </" + t.Name.Local + ">")
 			}
-			stack = stack[:len(stack)-1]
+			top := open[len(open)-1]
+			if top.Local != t.Name.Local {
+				return syntaxError("element <" + top.Local + "> closed by </" + t.Name.Local + ">")
+			}
+			if top.Space != t.Name.Space {
+				space := t.Name.Space
+				if space == "" {
+					space = `""`
+				}
+				return syntaxError("element <" + top.Local + "> in space " + top.Space +
+					" closed by </" + t.Name.Local + "> in space " + space)
+			}
+			if inText {
+				b.Text(text)
+				text, inText = text[:0], false
+			}
+			open = open[:len(open)-1]
+			b.End()
 		case xml.CharData:
-			data := string(t)
-			if strings.TrimSpace(data) == "" {
-				if len(stack) == 0 {
-					continue
+			if len(bytes.TrimSpace(t)) == 0 {
+				switch {
+				case len(open) == 0:
+					// Outside the root element: dropped.
+				case inText:
+					// Directly follows significant text (only comments
+					// or CDATA boundaries in between): it belongs to it.
+					text = append(text, t...)
+				default:
+					ws = append(ws, t...)
 				}
-				parent := stack[len(stack)-1]
-				if k := len(parent.Children); k > 0 && parent.Children[k-1].Kind == Text {
-					// Directly follows significant text (only comments or
-					// CDATA boundaries in between): it belongs to that text.
-					parent.Children[k-1].Data += data
-					continue
-				}
-				// Fate unknown: keep until the next significant chunk
-				// (merge) or element boundary (drop).
-				pendingWS += data
 				continue
 			}
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parse: character data outside root element")
+			if len(open) == 0 {
+				return fmt.Errorf("xmltree: parse: character data outside root element")
 			}
-			data = pendingWS + data
-			pendingWS = ""
-			parent := stack[len(stack)-1]
-			// Merge adjacent character data so the tree has at most one
-			// text node between consecutive element children.
-			if k := len(parent.Children); k > 0 && parent.Children[k-1].Kind == Text {
-				parent.Children[k-1].Data += data
-				continue
+			if !inText {
+				inText = true
+				nodes++
 			}
-			n := &Node{
-				Kind:   Text,
-				Data:   data,
-				Parent: parent,
-				Pos:    nextPos(parent, Text),
-				Depth:  parent.Depth + 1,
-			}
-			d.adopt(n)
-			parent.Children = append(parent.Children, n)
+			text = append(append(text, ws...), t...)
+			ws = ws[:0]
 		default:
 			// Comments, directives and processing instructions are ignored.
+			continue
 		}
-		if lim.MaxNodes > 0 && d.NumNodes() > lim.MaxNodes {
-			return nil, &LimitError{What: LimitNodes, Limit: int64(lim.MaxNodes)}
+		if lim.MaxNodes > 0 && nodes > lim.MaxNodes {
+			return &LimitError{What: LimitNodes, Limit: int64(lim.MaxNodes)}
 		}
 	}
-	if d.Root == nil {
-		return nil, fmt.Errorf("xmltree: parse: empty document")
+	if !rooted {
+		return fmt.Errorf("xmltree: parse: empty document")
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: parse: unclosed element <%s>", stack[len(stack)-1].Label)
-	}
-	return d, nil
+	return nil
 }
+
+// treeBuilder is the Builder behind ParseWithLimits: it links each node
+// into the document as it arrives, so node ids are preorder. The root
+// element creates the document.
+type treeBuilder struct {
+	d    *Document
+	open []*Node // open elements, innermost last
+}
+
+func (t *treeBuilder) Element(label string) {
+	if t.d == nil {
+		t.d = NewDocument(label)
+		t.open = append(t.open, t.d.Root)
+		return
+	}
+	t.open = append(t.open, t.d.AddElement(t.open[len(t.open)-1], label))
+}
+
+func (t *treeBuilder) End() { t.open = t.open[:len(t.open)-1] }
+
+func (t *treeBuilder) Text(data []byte) { t.d.AddText(t.open[len(t.open)-1], string(data)) }
 
 // ParseString parses an XML document from a string.
 func ParseString(s string) (*Document, error) {

@@ -88,6 +88,27 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("ParseString(%q): want error, got nil", c)
 		}
 	}
+	// End tags and end of input are checked by the walk, not by
+	// encoding/xml's Token, with the texts Token gives.
+	const syntax = "xmltree: parse: XML syntax error on line "
+	texts := []struct{ in, want string }{
+		{`</a>`, syntax + "1: unexpected end element </a>"},
+		{`<a/></a>`, syntax + "1: unexpected end element </a>"},
+		{`<a></b>`, syntax + "1: element <a> closed by </b>"},
+		{"<a>\n<b>\n</a>", syntax + "3: element <b> closed by </a>"},
+		{`<p:a></q:a>`, syntax + "1: element <a> in space p closed by </a> in space q"},
+		{`<p:a></a>`, syntax + `1: element <a> in space p closed by </a> in space ""`},
+		{`<a></p:a>`, syntax + "1: element <a> in space  closed by </a> in space p"},
+		{`<a>`, syntax + "1: unexpected EOF"},
+		{`<a><b>`, syntax + "1: unexpected EOF"},
+		{"<a>\nx", syntax + "2: unexpected EOF"},
+	}
+	for _, c := range texts {
+		_, err := ParseString(c.in)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("ParseString(%q): error %v, want %q", c.in, err, c.want)
+		}
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
